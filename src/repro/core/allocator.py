@@ -113,7 +113,12 @@ class GraphTaskAllocator:
                  batch_size: int = 64,
                  branch_profile: Optional[BranchProfile] = None,
                  trace=None) -> Tuple[Mapping, AllocationReport]:
-        """Map ``graph`` onto the platform for traffic ``spec``."""
+        """Map ``graph`` onto the platform for traffic ``spec``.
+
+        Without a ``branch_profile`` the allocator profiles a
+        :meth:`~repro.elements.graph.ElementGraph.clone` of ``graph``,
+        so the graph it maps is never run.
+        """
         trace = resolve_trace(trace)
         with trace.span("allocate", graph=graph.name,
                         algorithm=self.algorithm) as alloc_span:
@@ -122,7 +127,7 @@ class GraphTaskAllocator:
             else:
                 with trace.span("profile", graph=graph.name):
                     profile = BranchProfile.measure(
-                        graph, spec,
+                        graph.clone(), spec,
                         sample_packets=max(256, batch_size * 4),
                         batch_size=batch_size,
                     )

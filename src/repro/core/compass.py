@@ -18,7 +18,7 @@ every stage records spans/metrics on the ambient or explicitly passed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro._compat import legacy_api_enabled, legacy_shim
 from repro.core.allocator import AllocationReport, GraphTaskAllocator
@@ -40,10 +40,13 @@ from repro.traffic.generator import TrafficSpec
 class ProfileConfig:
     """How to measure a :class:`~repro.sim.engine.BranchProfile`.
 
-    The deploy-time capacity race and the final simulation used to
-    inline two slightly different ``BranchProfile.measure`` calls;
-    this dataclass is the single source of truth for their kwargs.
-    ``sample_packets`` wins when set; otherwise the sample size is
+    The single source of truth for the two sample sizes a deploy
+    uses.  :meth:`deploy_time` is the capacity race's sample;
+    :meth:`run_time` is the allocator's and the final simulation's.
+    A deploy takes both from one functional pass per candidate: the
+    race profile is the pass's prefix (see
+    :meth:`NFCompass._plan_candidate`).  ``sample_packets`` wins when
+    set; otherwise the sample size is
     ``max(min_sample_packets, batch_size * sample_batches)``.
     """
 
@@ -85,6 +88,13 @@ class CompassPlan:
     session: Optional[SimulationSession] = field(
         default=None, repr=False, compare=False
     )
+    #: Snapshots of the candidate's one profiling pass, keyed by sample
+    #: size.  Only a running :meth:`NFCompass.deploy` or
+    #: :meth:`NFCompass.run` reads them, and both empty the dict before
+    #: they return.
+    _profiles: Dict[int, BranchProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def effective_length(self) -> int:
@@ -118,9 +128,10 @@ class CompassPlan:
                 trace=None) -> BranchProfile:
         """Measure a branch profile for this plan's deployment.
 
-        Profiling runs on a clone so the deployed graph's element
-        state never carries warmed-up profiling traffic into a
-        simulated run or a golden-model comparison.
+        Every call measures afresh.  Profiling runs on a clone so the
+        deployed graph's element state never carries warmed-up
+        profiling traffic into a simulated run or a golden-model
+        comparison.
         """
         config = config or ProfileConfig()
         trace = resolve_trace(trace)
@@ -245,9 +256,13 @@ class NFCompass:
                     max_width: Optional[int] = None,
                     trace=None):
         """Re-organization only: (parallel plan, synthesized graph)."""
-        trace = resolve_trace(trace)
+        return self._reorganize(sfc, self.enable_parallelization,
+                                max_width, resolve_trace(trace))
+
+    def _reorganize(self, sfc: ServiceFunctionChain, parallelize: bool,
+                    max_width: Optional[int], trace):
         parallel_plan = None
-        if self.enable_parallelization:
+        if parallelize:
             parallel_plan, graph = self.orchestrator.parallelize(
                 sfc, max_width=max_width, trace=trace
             )
@@ -264,22 +279,30 @@ class NFCompass:
                         spec: TrafficSpec, batch_size: int,
                         parallelize: bool,
                         max_width: Optional[int],
-                        trace=None) -> CompassPlan:
+                        trace=None,
+                        sample_sizes: Sequence[int] = ()) -> CompassPlan:
+        """Build, profile and allocate one candidate structure.
+
+        One functional pass on a clone of the candidate's graph serves
+        every profile the deploy needs.  It runs long enough for the
+        ``run_time`` sample, which the allocator takes, and snapshots
+        the counters at each size in ``sample_sizes`` on the way.  The
+        snapshots land in the plan's ``_profiles``.
+        """
         trace = resolve_trace(trace)
-        parallel_plan = None
-        if parallelize:
-            parallel_plan, graph = self.orchestrator.parallelize(
-                sfc, max_width=max_width, trace=trace
-            )
-        else:
-            graph = sfc.concatenated_graph()
-        synthesis_report = None
-        if self.enable_synthesis:
-            graph, synthesis_report = self.synthesizer.synthesize(
-                graph, trace=trace
+        parallel_plan, synthesis_report, graph = self._reorganize(
+            sfc, parallelize, max_width, trace
+        )
+        full = ProfileConfig.run_time(batch_size).resolved_sample_packets
+        sizes = sorted({full, *sample_sizes})
+        with trace.span("profile", graph=graph.name,
+                        sample_packets=sizes[-1], batch_size=batch_size):
+            profiles = BranchProfile.measure_prefixes(
+                graph.clone(), spec, sizes, batch_size
             )
         mapping, allocation_report = self.allocator.allocate(
-            graph, spec, batch_size=batch_size, trace=trace,
+            graph, spec, batch_size=batch_size,
+            branch_profile=profiles[full], trace=trace,
         )
         deployment = Deployment(
             graph=graph,
@@ -288,18 +311,19 @@ class NFCompass:
             name=f"nfcompass:{sfc.name}",
         )
         deployment.validate()
-        return CompassPlan(
+        plan = CompassPlan(
             sfc=sfc,
             parallel_plan=parallel_plan,
             synthesis_report=synthesis_report,
             allocation_report=allocation_report,
             deployment=deployment,
         )
+        plan._profiles = profiles
+        return plan
 
     def deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
                batch_size: int = 64,
                max_width: Optional[int] = None,
-               branch_profile: Optional[BranchProfile] = None,
                trace=None) -> CompassPlan:
         """Run the full Fig. 9 pipeline for one SFC.
 
@@ -310,41 +334,51 @@ class NFCompass:
         the gain).  The runtime therefore evaluates both the
         parallelized and the sequential deployment against the traffic
         profile and keeps the one with the higher simulated capacity.
+
+        Each candidate is profiled by one functional pass on a clone;
+        the returned plan's graph has never been run.
         """
-        trace = resolve_trace(trace)
-        with trace.span("deploy", sfc=sfc.name,
-                        batch_size=batch_size) as span:
-            plan = self._deploy(sfc, spec, batch_size, max_width, trace)
-            span.set(parallelized=plan.parallel_plan is not None,
-                     effective_length=plan.effective_length)
+        plan = self._deploy(sfc, spec, batch_size, max_width,
+                            resolve_trace(trace))
+        plan._profiles.clear()
         return plan
 
     def _deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
                 batch_size: int, max_width: Optional[int],
                 trace) -> CompassPlan:
+        with trace.span("deploy", sfc=sfc.name,
+                        batch_size=batch_size) as span:
+            plan = self._choose_candidate(sfc, spec, batch_size,
+                                          max_width, trace)
+            span.set(parallelized=plan.parallel_plan is not None,
+                     effective_length=plan.effective_length)
+        return plan
+
+    def _choose_candidate(self, sfc: ServiceFunctionChain,
+                          spec: TrafficSpec, batch_size: int,
+                          max_width: Optional[int],
+                          trace) -> CompassPlan:
+        if not (self.enable_parallelization and sfc.length > 1):
+            trace.count("compass.candidates_evaluated", 1)
+            return self._plan_candidate(sfc, spec, batch_size,
+                                        parallelize=False,
+                                        max_width=max_width, trace=trace)
+        race = ProfileConfig.deploy_time(batch_size).resolved_sample_packets
         candidates = [
             self._plan_candidate(sfc, spec, batch_size,
-                                 parallelize=False, max_width=max_width,
-                                 trace=trace)
+                                 parallelize=parallelize,
+                                 max_width=max_width, trace=trace,
+                                 sample_sizes=(race,))
+            for parallelize in (False, True)
         ]
-        if self.enable_parallelization and sfc.length > 1:
-            candidates.append(
-                self._plan_candidate(sfc, spec, batch_size,
-                                     parallelize=True,
-                                     max_width=max_width,
-                                     trace=trace)
-            )
         trace.count("compass.candidates_evaluated", len(candidates))
-        if len(candidates) == 1:
-            return candidates[0]
-        profile_config = ProfileConfig.deploy_time(batch_size)
         capacities = []
         for plan in candidates:
-            profile = plan.profile(spec, profile_config, trace=trace)
             plan.session = self.engine.session(plan.deployment)
             capacity = plan.session.measure_capacity(
                 spec, batch_size=batch_size,
-                batch_count=40, branch_profile=profile, trace=trace,
+                batch_count=40, branch_profile=plan._profiles[race],
+                trace=trace,
             )
             capacities.append(capacity)
             trace.observe("compass.candidate_capacity_gbps", capacity)
@@ -367,18 +401,19 @@ class NFCompass:
         Returns a :class:`DeploymentResult`; the previous bare
         :class:`ThroughputLatencyReport` is its ``report`` field (and
         report attributes remain reachable on the result itself under
-        a :class:`DeprecationWarning`).  ``overload`` is an optional
+        a :class:`DeprecationWarning`).  The simulation reuses the
+        ``run_time`` profile the deploy already took of the chosen
+        candidate.  ``overload`` is an optional
         :class:`~repro.overload.OverloadConfig` applied to the
         simulation run.
         """
         trace = resolve_trace(trace)
         with trace.span("run", sfc=sfc.name, batch_size=batch_size,
                         batch_count=batch_count):
-            plan = self.deploy(sfc, spec, batch_size=batch_size,
-                               max_width=max_width, trace=trace)
-            profile = plan.profile(
-                spec, ProfileConfig.run_time(batch_size), trace=trace
-            )
+            plan = self._deploy(sfc, spec, batch_size, max_width, trace)
+            full = ProfileConfig.run_time(batch_size).resolved_sample_packets
+            profile = plan._profiles[full]
+            plan._profiles.clear()
             session = plan.session or self.engine.session(plan.deployment)
             plan.session = session
             report = session.run(

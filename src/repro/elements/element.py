@@ -16,10 +16,11 @@ NFCompass algorithms need:
 
 from __future__ import annotations
 
+import copy
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Optional
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from repro.net.batch import PacketBatch
 
@@ -215,7 +216,30 @@ class PortSpec:
     outputs: int = 1
 
 
-class Element:
+class SharedTables:
+    """Deep copies share the attributes named in ``shared_tables``.
+
+    :meth:`~repro.elements.graph.ElementGraph.clone` deep-copies
+    elements so that profiling traffic cannot pollute the original.
+    Compiled lookup structures (rule lists, hash tables, automata) are
+    only read once built, so copying them is pure cost: classes that
+    hold them name those attributes here.  Every other attribute,
+    counters and per-flow state included, is deep-copied as usual.
+    """
+
+    shared_tables: Tuple[str, ...] = ()
+
+    def __deepcopy__(self, memo):
+        clone = object.__new__(type(self))
+        memo[id(self)] = clone
+        shared = self.shared_tables
+        for name, value in self.__dict__.items():
+            clone.__dict__[name] = (value if name in shared
+                                    else copy.deepcopy(value, memo))
+        return clone
+
+
+class Element(SharedTables):
     """Base packet-processing element.
 
     Subclasses implement :meth:`process`, returning a mapping from

@@ -199,7 +199,7 @@ class ElementGraph:
         return clone
 
     def clone(self) -> "ElementGraph":
-        """Deep-copy the graph: same structure and node ids, fully
+        """Deep-copy the graph: same structure and node ids,
         independent element instances and state.
 
         Unlike :meth:`copy`, which shares element objects, a clone can
@@ -207,6 +207,14 @@ class ElementGraph:
         bindings) without polluting the original — node ids match, so
         a :class:`~repro.sim.engine.BranchProfile` measured on the
         clone applies directly to the original deployment graph.
+
+        Read-only compiled tables are shared, not copied (see
+        :class:`~repro.elements.element.SharedTables`): ACL rules and
+        matcher tables, Aho–Corasick and DFA automata, LPM tries and
+        AES key schedules.  Each clone keeps its own counters and
+        mutable state: packet counters, ``probes``,
+        ``transitions_made``, ``deny_count``, NAT bindings and flow
+        tables.
         """
         import copy
         clone = ElementGraph(name=self.name)

@@ -8,9 +8,12 @@ scratch: AC with goto/failure/output functions, and a small regex
 compiler (literals, ``.``, character classes, ``* + ?``, alternation,
 grouping) going Thompson NFA → subset-construction DFA.
 
-Both matchers count the state transitions they perform; the cost model
-uses those counts as the memory-touch proxy that makes full-match
-traffic 4–5× slower than no-match traffic (Fig. 8d).
+Both matchers count the state transitions they perform
+(``transitions_made``), as a diagnostic: nothing in the pipeline reads
+the counts.  The cost model prices DPI from the traffic's declared
+``TrafficSpec.match_profile`` instead (the Fig. 8d no/partial/full
+match densities).  Clones of an automaton share its compiled tables
+and keep their own count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.elements.element import ActionProfile, TrafficClass
+from repro.elements.element import ActionProfile, SharedTables, TrafficClass
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement, OffloadTraits
 from repro.elements.standard import CheckIPHeader
@@ -30,8 +33,10 @@ from repro.nf.base import NetworkFunction
 # ---------------------------------------------------------------------------
 
 
-class AhoCorasick:
+class AhoCorasick(SharedTables):
     """Classic Aho–Corasick automaton over byte strings."""
+
+    shared_tables = ("patterns", "_goto", "_fail", "_output")
 
     def __init__(self, patterns: Sequence[bytes]):
         if not patterns:
@@ -81,7 +86,12 @@ class AhoCorasick:
         return len(self._goto)
 
     def step(self, state: int, byte: int) -> int:
-        """One transition (with failure-link walking)."""
+        """One transition (with failure-link walking).
+
+        The reference for the inlined walks in :meth:`search` and
+        :meth:`contains_any`, which count transitions the same way:
+        one per byte plus one per failure link followed.
+        """
         self.transitions_made += 1
         while state and byte not in self._goto[state]:
             state = self._fail[state]
@@ -90,21 +100,40 @@ class AhoCorasick:
 
     def search(self, data: bytes) -> List[Tuple[int, int]]:
         """Return [(end offset, pattern index)] of every occurrence."""
+        goto, fail, output = self._goto, self._fail, self._output
         matches: List[Tuple[int, int]] = []
         state = 0
+        transitions = 0
         for offset, byte in enumerate(data):
-            state = self.step(state, byte)
-            for pattern_index in self._output[state]:
+            transitions += 1
+            nxt = goto[state].get(byte)
+            while nxt is None and state:
+                state = fail[state]
+                transitions += 1
+                nxt = goto[state].get(byte)
+            state = 0 if nxt is None else nxt
+            for pattern_index in output[state]:
                 matches.append((offset + 1, pattern_index))
+        self.transitions_made += transitions
         return matches
 
     def contains_any(self, data: bytes) -> bool:
         """True as soon as any pattern occurs (early exit)."""
+        goto, fail, output = self._goto, self._fail, self._output
         state = 0
+        transitions = 0
         for byte in data:
-            state = self.step(state, byte)
-            if self._output[state]:
+            transitions += 1
+            nxt = goto[state].get(byte)
+            while nxt is None and state:
+                state = fail[state]
+                transitions += 1
+                nxt = goto[state].get(byte)
+            state = 0 if nxt is None else nxt
+            if output[state]:
+                self.transitions_made += transitions
                 return True
+        self.transitions_made += transitions
         return False
 
 
@@ -265,13 +294,15 @@ class _Parser:
         return start, end
 
 
-class DFARegex:
+class DFARegex(SharedTables):
     """A regex compiled to a DFA via subset construction.
 
     Matching semantics are *unanchored containment*: :meth:`search`
     reports whether the pattern occurs anywhere in the input, which is
     what an IDS rule needs.
     """
+
+    shared_tables = ("_dfa", "_accepting")
 
     def __init__(self, pattern: str):
         self.pattern = pattern

@@ -12,13 +12,15 @@ Two matchers over the same rule semantics:
   grow to 10 000 rules.
 
 Both count their probes so the cost model can charge realistically.
+Clones of a matcher share its rule list and hash tables but keep their
+own probe count.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.elements.element import ActionProfile, TrafficClass
+from repro.elements.element import ActionProfile, SharedTables, TrafficClass
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement, OffloadTraits
 from repro.elements.standard import CheckIPHeader
@@ -28,8 +30,10 @@ from repro.nf.base import NetworkFunction
 from repro.traffic.acl import AclRule
 
 
-class LinearMatcher:
+class LinearMatcher(SharedTables):
     """Reference first-match scan; O(rules) per packet."""
+
+    shared_tables = ("rules",)
 
     def __init__(self, rules: List[AclRule]):
         self.rules = list(rules)
@@ -43,13 +47,15 @@ class LinearMatcher:
         return None
 
 
-class TupleSpaceMatcher:
+class TupleSpaceMatcher(SharedTables):
     """Tuple-space search: one hash table per (src_len, dst_len) pair.
 
     Port/protocol constraints are verified per candidate.  Matching
     probes every tuple once — O(distinct tuples), typically tens even
     for 10 k-rule ACLs.
     """
+
+    shared_tables = ("rules", "_tables")
 
     def __init__(self, rules: List[AclRule]):
         self.rules = list(rules)
@@ -108,6 +114,7 @@ class AclClassify(OffloadableElement):
         reads_header=True,
         reads_fields={"ip.src", "ip.dst", "ip.proto", "l4.ports"},
     )
+    shared_tables = ("rules",)
     traits = OffloadTraits(
         h2d_bytes_per_packet=16.0,
         d2h_bytes_per_packet=1.0,

@@ -72,6 +72,7 @@ def _build_t_tables():
 
 
 _T0, _T1, _T2, _T3 = _build_t_tables()
+_PACK_BLOCK = struct.Struct(">IIII").pack
 
 
 def _expand_key_words(key: bytes) -> List[int]:
@@ -93,10 +94,21 @@ def _expand_key_words(key: bytes) -> List[int]:
 
 
 class AES128:
-    """AES-128 encryptor with a precomputed key schedule (T-tables)."""
+    """AES-128 encryptor with a precomputed key schedule (T-tables).
+
+    Immutable once built: an IPsec element expands its key once, and
+    clones of the element share the schedule.
+    """
 
     def __init__(self, key: bytes):
         self._words = _expand_key_words(key)
+        # Round keys 1..9 as 4-tuples, for the inlined rounds of ctr().
+        self._middle_rounds = tuple(
+            tuple(self._words[4 * r:4 * r + 4]) for r in range(1, 10)
+        )
+
+    def __deepcopy__(self, memo) -> "AES128":
+        return self
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -143,31 +155,71 @@ class AES128:
               | sbox[c2 & 0xFF]) ^ words[43]
         return struct.pack(">IIII", n0, n1, n2, n3)
 
+    def ctr(self, nonce: bytes, data: bytes,
+            initial_counter: int = 1) -> bytes:
+        """AES-128-CTR per RFC 3686: ``data`` XOR the keystream.
+
+        The counter block is ``nonce`` (12 bytes: nonce + IV in RFC
+        terms) followed by the big-endian 32-bit block counter, which
+        starts at ``initial_counter`` and wraps modulo 2**32.  The
+        keystream block ``i`` is ``encrypt_block`` of counter block
+        ``i``; this loop inlines it with the round keys in locals and
+        XORs the whole packet at once.  CTR is an involution: applying
+        it twice with the same parameters restores the plaintext.
+        """
+        if len(nonce) != 12:
+            raise ValueError("CTR nonce must be 12 bytes (nonce + IV)")
+        t0, t1, t2, t3, sbox = _T0, _T1, _T2, _T3, _SBOX
+        words = self._words
+        f0, f1, f2, f3 = words[40:44]
+        # The nonce words of the counter block never change.
+        x0, x1, x2 = struct.unpack(">III", nonce)
+        x0 ^= words[0]
+        x1 ^= words[1]
+        x2 ^= words[2]
+        k3 = words[3]
+        rounds = self._middle_rounds
+        keystream = bytearray()
+        counter = initial_counter
+        # Every state word stays below 2**32, so ``>> 24`` needs no mask.
+        for _ in range((len(data) + 15) // 16):
+            c0, c1, c2 = x0, x1, x2
+            c3 = (counter & 0xFFFFFFFF) ^ k3
+            for r0, r1, r2, r3 in rounds:
+                n0 = (t0[c0 >> 24] ^ t1[(c1 >> 16) & 0xFF]
+                      ^ t2[(c2 >> 8) & 0xFF] ^ t3[c3 & 0xFF] ^ r0)
+                n1 = (t0[c1 >> 24] ^ t1[(c2 >> 16) & 0xFF]
+                      ^ t2[(c3 >> 8) & 0xFF] ^ t3[c0 & 0xFF] ^ r1)
+                n2 = (t0[c2 >> 24] ^ t1[(c3 >> 16) & 0xFF]
+                      ^ t2[(c0 >> 8) & 0xFF] ^ t3[c1 & 0xFF] ^ r2)
+                c3 = (t0[c3 >> 24] ^ t1[(c0 >> 16) & 0xFF]
+                      ^ t2[(c1 >> 8) & 0xFF] ^ t3[c2 & 0xFF] ^ r3)
+                c0, c1, c2 = n0, n1, n2
+            keystream += _PACK_BLOCK(
+                ((sbox[c0 >> 24] << 24) | (sbox[(c1 >> 16) & 0xFF] << 16)
+                 | (sbox[(c2 >> 8) & 0xFF] << 8) | sbox[c3 & 0xFF]) ^ f0,
+                ((sbox[c1 >> 24] << 24) | (sbox[(c2 >> 16) & 0xFF] << 16)
+                 | (sbox[(c3 >> 8) & 0xFF] << 8) | sbox[c0 & 0xFF]) ^ f1,
+                ((sbox[c2 >> 24] << 24) | (sbox[(c3 >> 16) & 0xFF] << 16)
+                 | (sbox[(c0 >> 8) & 0xFF] << 8) | sbox[c1 & 0xFF]) ^ f2,
+                ((sbox[c3 >> 24] << 24) | (sbox[(c0 >> 16) & 0xFF] << 16)
+                 | (sbox[(c1 >> 8) & 0xFF] << 8) | sbox[c2 & 0xFF]) ^ f3,
+            )
+            counter += 1
+        width = len(data)
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(keystream[:width], "big")
+                ).to_bytes(width, "big")
+
 
 def aes128_ctr(key: bytes, nonce: bytes, data: bytes,
                initial_counter: int = 1) -> bytes:
     """AES-128 in CTR mode per RFC 3686 (16-byte counter block).
 
-    ``nonce`` supplies the first 12 bytes of the counter block (nonce +
-    IV in RFC terms); the low 4 bytes are the big-endian block counter
-    starting at ``initial_counter``.  CTR is an involution: applying it
-    twice with the same parameters restores the plaintext.
+    One-shot form of :meth:`AES128.ctr`: it expands ``key`` on every
+    call, so per-packet callers should hold an :class:`AES128`.
     """
-    if len(nonce) != 12:
-        raise ValueError("CTR nonce must be 12 bytes (nonce + IV)")
-    cipher = AES128(key)
-    out = bytearray()
-    counter = initial_counter
-    for offset in range(0, len(data), 16):
-        counter_block = nonce + struct.pack("!I", counter & 0xFFFFFFFF)
-        keystream = cipher.encrypt_block(counter_block)
-        chunk = data[offset: offset + 16]
-        width = len(chunk)
-        out += (int.from_bytes(chunk, "big")
-                ^ int.from_bytes(keystream[:width], "big")
-                ).to_bytes(width, "big")
-        counter += 1
-    return bytes(out)
+    return AES128(key).ctr(nonce, data, initial_counter)
 
 
 def hmac_sha1(key: bytes, data: bytes, truncate: int = 12) -> bytes:
@@ -216,6 +268,7 @@ class IPsecEncrypt(OffloadableElement):
         self.key = key
         self.auth_key = auth_key
         self.spi = spi
+        self.cipher = AES128(key)
 
     def _nonce(self, seqno: int) -> bytes:
         return struct.pack("!IQ", self.spi & 0xFFFFFFFF,
@@ -223,8 +276,8 @@ class IPsecEncrypt(OffloadableElement):
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
         for packet in batch.live_packets:
-            ciphertext = aes128_ctr(self.key, self._nonce(packet.seqno),
-                                    packet.payload)
+            ciphertext = self.cipher.ctr(self._nonce(packet.seqno),
+                                         packet.payload)
             esp_header = struct.pack("!II", self.spi,
                                      packet.seqno & 0xFFFFFFFF)
             tag = hmac_sha1(self.auth_key, esp_header + ciphertext)
@@ -254,6 +307,7 @@ class IPsecDecrypt(OffloadableElement):
         super().__init__(name=name)
         self.key = key
         self.auth_key = auth_key
+        self.cipher = AES128(key)
         self.auth_failures = 0
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
@@ -275,7 +329,7 @@ class IPsecDecrypt(OffloadableElement):
             spi, seqno = struct.unpack("!II", esp_header)
             nonce = struct.pack("!IQ", spi, packet.seqno
                                 & 0xFFFFFFFFFFFFFFFF)
-            packet.payload = aes128_ctr(self.key, nonce, body)
+            packet.payload = self.cipher.ctr(nonce, body)
             packet.annotations.pop("esp", None)
             survivors.append(packet)
         return {0: PacketBatch(survivors, creation_time=batch.creation_time)}

@@ -36,11 +36,16 @@ class LPMTrie:
     deepest next hop seen.  ``lookup_with_depth`` also reports how many
     nodes were touched, which the cost model uses as the lookup's
     memory-access count.
+
+    Clones of an element share its trie: lookups only read it.
     """
 
     def __init__(self):
         self._root = _TrieNode()
         self.prefix_count = 0
+
+    def __deepcopy__(self, memo) -> "LPMTrie":
+        return self
 
     def insert(self, prefix: int, length: int, next_hop: int) -> None:
         if not 0 <= length <= 32:

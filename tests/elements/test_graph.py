@@ -15,6 +15,48 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
 
+def compiled_chain():
+    """Firewall -> IDS (with a regex) -> NAT -> IPsec -> IPv4: every
+    element kind that holds a compiled table, plus per-flow state."""
+    from repro.nf.base import ServiceFunctionChain
+    from repro.nf.dpi import IntrusionDetectionSystem
+    from repro.nf.firewall import Firewall
+    from repro.nf.ipsec import IPsecGateway
+    from repro.nf.ipv4 import IPv4Forwarder
+    from repro.nf.nat import NetworkAddressTranslator
+    from repro.traffic.acl import generate_acl
+    return ServiceFunctionChain([
+        Firewall(rules=generate_acl(300, deny_fraction=0.3), name="fw"),
+        IntrusionDetectionSystem(regexes=["evil[0-9]+"], name="ids"),
+        NetworkAddressTranslator(name="nat"),
+        IPsecGateway(name="ipsec"),
+        IPv4Forwarder(name="ipv4"),
+    ]).concatenated_graph()
+
+
+def _by_kind(graph, kind):
+    return next(graph.element(node) for node in graph.nodes
+                if graph.element(node).kind == kind)
+
+
+def _mutable_state(graph):
+    """Counters and per-flow state of a compiled_chain() graph."""
+    return {
+        "packets": {
+            name: _by_kind(graph, kind).packets_processed
+            for name, kind in (("fw", "AclClassify"), ("nat", "NatRewrite"))
+        },
+        "port_counts": dict(_by_kind(graph, "AclClassify").port_packet_counts),
+        "probes": _by_kind(graph, "AclClassify").matcher.probes,
+        "deny_count": _by_kind(graph, "AclClassify").deny_count,
+        "transitions": (
+            _by_kind(graph, "PatternMatch").automaton.transitions_made
+            + _by_kind(graph, "PatternMatch").regexes[0].transitions_made),
+        "nat_bindings": _by_kind(graph, "NatRewrite").binding_count,
+        "lookup_depth": _by_kind(graph, "IPv4Lookup").lookup_depth_total,
+    }
+
+
 def linear_graph():
     graph = ElementGraph(name="linear")
     graph.chain(FromDevice(name="rx"), Counter(name="count"),
@@ -221,6 +263,42 @@ class TestRewriting:
         # counters (the profiling-pollution fix relies on this).
         assert clone.element("count").packets_processed == 8
         assert graph.element("count").packets_processed == 0
+
+    def test_clone_shares_compiled_tables(self):
+        graph = compiled_chain()
+        clone = graph.clone()
+        classify = _by_kind(graph, "AclClassify")
+        copy = _by_kind(clone, "AclClassify")
+        assert copy is not classify
+        assert copy.rules is classify.rules
+        assert copy.matcher is not classify.matcher
+        assert copy.matcher.rules is classify.matcher.rules
+        assert copy.matcher._tables is classify.matcher._tables
+        match = _by_kind(graph, "PatternMatch")
+        match_copy = _by_kind(clone, "PatternMatch")
+        assert match_copy.automaton is not match.automaton
+        for table in ("patterns", "_goto", "_fail", "_output"):
+            assert getattr(match_copy.automaton, table) is \
+                getattr(match.automaton, table)
+        assert match_copy.regexes[0]._dfa is match.regexes[0]._dfa
+        assert _by_kind(clone, "IPv4Lookup").table is \
+            _by_kind(graph, "IPv4Lookup").table
+        assert _by_kind(clone, "IPsecEncrypt").cipher is \
+            _by_kind(graph, "IPsecEncrypt").cipher
+
+    def test_clone_traffic_leaves_original_state_untouched(self):
+        from repro.traffic.generator import TrafficGenerator, TrafficSpec
+        graph = compiled_chain()
+        state = _mutable_state(graph)
+        clone = graph.clone()
+        for batch in TrafficGenerator(TrafficSpec(seed=4)).batches(32, 4):
+            clone.run_batch(batch)
+        assert _mutable_state(graph) == state
+        touched = _mutable_state(clone)
+        assert touched["packets"] == {n: 128 for n in ("fw", "nat")}
+        assert touched["probes"] > 0
+        assert touched["transitions"] > 0
+        assert touched["nat_bindings"] > 0
 
     def test_remove_node_with_splice(self):
         graph = linear_graph()

@@ -86,6 +86,71 @@ def test_aho_corasick_matches_naive_search(patterns, haystack):
     assert ac_matches == naive
 
 
+def _search_by_steps(ac, data):
+    matches, state = [], 0
+    for offset, byte in enumerate(data):
+        state = ac.step(state, byte)
+        matches.extend((offset + 1, index) for index in ac._output[state])
+    return matches
+
+
+def _contains_by_steps(ac, data):
+    state = 0
+    for byte in data:
+        state = ac.step(state, byte)
+        if ac._output[state]:
+            return True
+    return False
+
+
+class TestAhoCorasickInlinedWalk:
+    """``search`` and ``contains_any`` inline the goto/failure walk;
+    ``step`` is the reference for their verdicts and their counts."""
+
+    @staticmethod
+    def payloads():
+        import random
+
+        from repro.traffic.dpi_profiles import (
+            MatchProfile,
+            make_pattern_set,
+            make_payload,
+        )
+        patterns = make_pattern_set()
+        rng = random.Random(17)
+        near_misses = b"".join(p[:-1] for p in patterns[:20])
+        cases = {"random": bytes(rng.randrange(256) for _ in range(600)),
+                 "near-miss": near_misses}
+        for profile in MatchProfile:
+            for length in (64, 700):
+                cases[f"{profile.value}-{length}"] = make_payload(
+                    rng, length, patterns, profile)
+        return patterns, cases
+
+    def test_verdicts_and_transition_counts_match_step(self):
+        patterns, cases = self.payloads()
+        verdicts = set()
+        for name, data in cases.items():
+            for method, reference in (("contains_any", _contains_by_steps),
+                                      ("search", _search_by_steps)):
+                inlined, stepped = AhoCorasick(patterns), AhoCorasick(patterns)
+                got = getattr(inlined, method)(data)
+                assert got == reference(stepped, data), (name, method)
+                assert inlined.transitions_made == \
+                    stepped.transitions_made, (name, method)
+                if method == "contains_any":
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_counts_accumulate_across_calls(self):
+        patterns, cases = self.payloads()
+        inlined, stepped = AhoCorasick(patterns), AhoCorasick(patterns)
+        for data in cases.values():
+            inlined.contains_any(data)
+            _contains_by_steps(stepped, data)
+        assert inlined.transitions_made == stepped.transitions_made > 0
+
+
 class TestDFARegex:
     @pytest.mark.parametrize("pattern,text,expected", [
         ("abc", b"xxabcxx", True),

@@ -75,6 +75,65 @@ class TestCTRMode:
             aes128_ctr(b"0" * 16, b"short", b"data")
 
 
+def _ctr_by_blocks(cipher, nonce, data, initial_counter):
+    """CTR built from the reference ``encrypt_block``, one block at a time."""
+    out = bytearray()
+    for index in range(0, len(data), 16):
+        counter = (initial_counter + index // 16) & 0xFFFFFFFF
+        keystream = cipher.encrypt_block(nonce + counter.to_bytes(4, "big"))
+        out += bytes(a ^ b for a, b in zip(data[index:index + 16], keystream))
+    return bytes(out)
+
+
+class TestCTRKeystream:
+    """``AES128.ctr`` inlines the rounds; ``encrypt_block`` is the
+    reference it must agree with."""
+
+    cipher = AES128(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    nonce = bytes(range(12))
+
+    @pytest.mark.parametrize("initial_counter", [0, 1, 7])
+    def test_matches_block_by_block_for_lengths_0_to_100(
+            self, initial_counter):
+        data = bytes((31 * i + 7) & 0xFF for i in range(100))
+        for length in range(101):
+            assert self.cipher.ctr(self.nonce, data[:length],
+                                   initial_counter) == _ctr_by_blocks(
+                self.cipher, self.nonce, data[:length], initial_counter)
+
+    def test_counter_wraps_at_2_pow_32(self):
+        data = bytes(range(80))  # five blocks: counters 2**32-1, 0, 1, ...
+        wrapped = self.cipher.ctr(self.nonce, data, 2**32 - 1)
+        assert wrapped == _ctr_by_blocks(self.cipher, self.nonce, data,
+                                         2**32 - 1)
+        # Block 2 onward uses counters 0, 1, ... again.
+        assert wrapped[16:] == self.cipher.ctr(self.nonce, data[16:], 0)
+
+    def test_one_shot_function_delegates(self):
+        key = b"0123456789abcdef"
+        data = b"x" * 45
+        assert aes128_ctr(key, self.nonce, data, 3) == \
+            AES128(key).ctr(self.nonce, data, 3)
+
+    def test_nonce_length_enforced(self):
+        with pytest.raises(ValueError):
+            self.cipher.ctr(b"short", b"data")
+
+    def test_elements_expand_the_key_once(self, monkeypatch):
+        import repro.nf.ipsec as ipsec
+        encrypt, decrypt = IPsecEncrypt(), IPsecDecrypt()
+        expansions = []
+        original = ipsec._expand_key_words
+        monkeypatch.setattr(ipsec, "_expand_key_words",
+                            lambda key: expansions.append(key)
+                            or original(key))
+        packets = [Packet(payload=bytes(40), seqno=i) for i in range(8)]
+        encrypt.push(PacketBatch(packets))
+        decrypt.push(PacketBatch(packets))
+        assert expansions == []
+        assert all(p.payload == bytes(40) for p in packets)
+
+
 @given(st.binary(min_size=16, max_size=16), st.binary(max_size=300))
 @settings(max_examples=60)
 def test_ctr_roundtrip_property(key, data):

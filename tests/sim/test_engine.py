@@ -233,3 +233,29 @@ class TestBranchProfile:
 
     def test_drop_default_zero(self):
         assert BranchProfile().drop_for("anything") == 0.0
+
+    def test_prefix_snapshots_equal_fresh_measures(self):
+        """One pass with snapshots == one fresh measure per size."""
+        from repro.traffic.dpi_profiles import make_pattern_set
+        pattern = make_pattern_set()[0]
+
+        def payload(rng, size):
+            body = bytes(rng.randrange(256) for _ in range(size))
+            return pattern + body[len(pattern):] if rng.random() < 0.4 \
+                else body
+
+        spec = TrafficSpec(size_law=FixedSize(256), seed=9,
+                           payload_maker=payload)
+        graph = ServiceFunctionChain(
+            [make_nf("ids"), make_nf("nat")]).concatenated_graph()
+        sizes = (20, 128, 160, 256)
+        profiles = BranchProfile.measure_prefixes(graph.clone(), spec,
+                                                  sizes, batch_size=64)
+        assert set(profiles) == set(sizes)
+        for size in sizes:
+            assert profiles[size] == BranchProfile.measure(
+                graph.clone(), spec, sample_packets=size, batch_size=64)
+        # 128 and 160 packets both end after batch 2 (of 64).
+        assert profiles[128] == profiles[160]
+        assert profiles[128] is not profiles[160]
+        assert profiles[128] != profiles[256]
