@@ -10,7 +10,7 @@ naturally.
 
 The scheduling machinery lives in :mod:`repro.sim.kernel`:
 :class:`~repro.sim.kernel.ResourceTimeline` holds the per-resource
-busy intervals (O(log n) amortized gap queries) and
+busy intervals (blocked gap index: O(B + n/B) gap fills) and
 :class:`~repro.sim.kernel.SimulationSession` caches per-deployment
 invariants across runs.  :class:`SimulationEngine` here is a thin
 facade that builds a fresh session per call; callers that evaluate one

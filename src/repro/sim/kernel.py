@@ -5,15 +5,20 @@ splits the old monolithic engine loop into two long-lived objects:
 
 - :class:`ResourceTimeline` — serially reusable resources (CPU cores,
   GPUs, PCIe DMA lanes) with gap-filling FCFS scheduling.  Busy time
-  is kept as parallel sorted ``starts``/``ends`` arrays per resource,
-  so the earliest-gap query is a ``bisect`` plus a short forward walk
-  and the common tail append is O(1) — O(log n) amortized per task
-  instead of the legacy O(n) scan from index zero.  Committed slots
-  are stored exactly as placed (abutting slots are *not* merged):
-  zero-duration tasks may legally land in the seam between two
-  back-to-back slots, so placement depends on the commit history, not
-  just the busy-time union.  Keeping the history verbatim makes every
-  placement bit-identical to the legacy linear scanner (see
+  is kept per resource as sorted slots in index blocks of B slots,
+  each with an upper bound on the idle gaps inside it.  A placement
+  bisects to the block holding its ready time, walks that block, and
+  skips every later block whose bound cannot fit the duration:
+  O(B + n/B) per gap fill and O(1) per tail append, where the legacy
+  scanner pays O(n) from index zero (and a plain bisect-and-walk is
+  O(n) too once a saturated resource's backlog grows).  The bound
+  only filters, with an ulp slack; the fit itself is always the
+  legacy predicate ``start + duration <= next start``.  Committed
+  slots are stored exactly as placed (abutting slots are *not*
+  merged): zero-duration tasks may legally land in the seam between
+  two back-to-back slots, so placement depends on the commit history,
+  not just the busy-time union.  Keeping the history verbatim makes
+  every placement bit-identical to the legacy linear scanner (see
   ``repro.sim.legacy`` and the Hypothesis differential property in
   ``tests/properties/test_timeline_properties.py``).
 
@@ -30,7 +35,9 @@ The per-node work of one batch is decomposed into small step methods
 (merge, service, split/duplicate, fan-out) operating on the session,
 keeping the :class:`~repro.sim.tracing.EventRecorder` hooks and the
 :class:`~repro.sim.metrics.OverheadBreakdown` accounting of the
-original loop intact.
+original loop intact.  Each run prices every distinct service (node,
+device or host, rounded packet count, re-queue or not) once, in a
+per-run table; see :class:`_PriceTable`.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right, insort
 from collections import deque
+from itertools import chain
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from repro.elements.offload import OffloadableElement
@@ -56,52 +65,162 @@ from repro.traffic.generator import TrafficSpec
 _EPSILON_PACKETS = 1e-9
 
 
-class _Lane:
-    """One resource's committed busy slots as parallel sorted arrays.
+#: Slots per index block of a :class:`_Lane`; a block splits in two
+#: when it reaches twice this many.
+_BLOCK = 64
+#: Relative slack of the lane's block filter.  A block is skipped only
+#: when its gap bound falls short of the duration by more than this
+#: fraction of (last end + duration): ``fl(a - b)`` and
+#: ``a >= fl(b + d)`` can disagree in the last place, and the slack
+#: (2^-40, far above the few ulps the two roundings can differ by)
+#: keeps the filter conservative.
+_GAP_SLACK = 2.0 ** -40
 
-    ``starts``/``ends`` hold non-overlapping (possibly abutting)
-    half-open slots sorted by start; only positive-duration tasks are
-    committed, so ``ends`` is strictly increasing and usable as a
-    bisect key.  Slots are never merged: the seam between two
-    back-to-back slots is observable to zero-duration placements,
-    exactly as in the legacy scanner.
+
+def _walk(starts: List[float], ends: List[float], index: int,
+          start: float, duration: float) -> Tuple[int, float]:
+    """The legacy linear scan over one block, from slot ``index``.
+
+    Returns the first slot the task fits in front of (``len(starts)``
+    when none does) and the start time carried to it.
+    """
+    count = len(starts)
+    while index < count:
+        if starts[index] >= start + duration:
+            break
+        if ends[index] > start:
+            start = ends[index]
+        index += 1
+    return index, start
+
+
+class _Lane:
+    """One resource's committed busy slots, in sorted index blocks.
+
+    The slots are non-overlapping (possibly abutting) half-open
+    intervals sorted by start, kept as consecutive blocks of parallel
+    ``starts``/``ends`` lists.  Only positive-duration tasks are
+    committed, so ends never decrease and are usable as a bisect key.
+    Slots are never merged: the seam between two back-to-back slots is
+    observable to zero-duration placements, exactly as in the legacy
+    scanner.
+
+    Each block keeps ``last_ends`` (its largest end, the key that finds
+    the block holding a ready time) and ``gaps``, an upper bound on
+    the idle gaps ``starts[k] - ends[k-1]`` in front of its slots (the
+    first slot's gap reaches back to the previous block's last end).
+    A placement walks the block holding ``ready`` slot by slot, then
+    skips every later block whose bound cannot fit the duration:
+    O(B + n/B) per gap fill for blocks of B slots, O(1) per tail
+    append.  The bound is only a filter, with a :data:`_GAP_SLACK`
+    margin; whether a slot fits is always decided by the legacy
+    predicate ``starts[k] >= start + duration``, so every placement
+    is bit-identical to the linear scanner.  Committing a slot only
+    shrinks gaps, so bounds are never recomputed on insert; a walk
+    that crosses a whole block without a fit tightens that block's
+    bound to its exact largest gap.
     """
 
-    __slots__ = ("starts", "ends")
+    __slots__ = ("starts", "ends", "last_ends", "gaps")
 
     def __init__(self):
-        self.starts: List[float] = []
-        self.ends: List[float] = []
+        self.starts: List[List[float]] = []
+        self.ends: List[List[float]] = []
+        self.last_ends: List[float] = []
+        self.gaps: List[float] = []
 
     def place(self, ready: float, duration: float) -> Tuple[float, float]:
         """Commit the earliest fitting slot at or after ``ready``."""
-        starts, ends = self.starts, self.ends
+        last_ends = self.last_ends
         # Tail fast path: work arriving after all committed slots.
-        if not ends or ready >= ends[-1]:
+        if not last_ends or ready >= last_ends[-1]:
             end = ready + duration
             if duration > 0:
-                starts.append(ready)
-                ends.append(end)
+                self._append(ready, end)
             return ready, end
-        # Fast-forward to the first slot ending after the ready time;
-        # earlier slots cannot constrain the placement.  From here the
-        # walk is verbatim the legacy linear scan.
-        index = bisect_right(ends, ready)
-        start = ready
-        count = len(starts)
-        insert_at = count
-        while index < count:
-            if starts[index] >= start + duration:
-                insert_at = index
-                break
-            if ends[index] > start:
-                start = ends[index]
-            index += 1
+        # The block holding the first slot that ends after the ready
+        # time; earlier slots cannot constrain the placement.
+        block = bisect_right(last_ends, ready)
+        starts = self.starts[block]
+        ends = self.ends[block]
+        index, start = _walk(starts, ends, bisect_right(ends, ready),
+                             ready, duration)
+        if index < len(starts):
+            return self._insert(block, index, start, duration)
+        # Every later block is entered at the previous block's last
+        # end.  A block whose gap bound cannot fit the duration is
+        # skipped: the walk would only carry ``start`` to its last end.
+        gaps = self.gaps
+        floor = duration - (last_ends[-1] + duration) * _GAP_SLACK
+        for block in range(block + 1, len(last_ends)):
+            if gaps[block] < floor:
+                continue
+            starts = self.starts[block]
+            ends = self.ends[block]
+            entry = last_ends[block - 1]
+            index, start = _walk(starts, ends, 0, entry, duration)
+            if index < len(starts):
+                return self._insert(block, index, start, duration)
+            gaps[block] = max(map(sub, starts, chain((entry,), ends)))
+        start = last_ends[-1]
         end = start + duration
         if duration > 0:
-            starts.insert(insert_at, start)
-            ends.insert(insert_at, end)
+            self._append(start, end)
         return start, end
+
+    def _append(self, start: float, end: float) -> None:
+        """Commit a slot after every committed slot."""
+        last_ends = self.last_ends
+        if not last_ends:
+            self.starts.append([start])
+            self.ends.append([end])
+            last_ends.append(end)
+            self.gaps.append(0.0)
+            return
+        block = len(last_ends) - 1
+        gap = start - last_ends[block]
+        if gap > self.gaps[block]:
+            self.gaps[block] = gap
+        starts = self.starts[block]
+        starts.append(start)
+        self.ends[block].append(end)
+        last_ends[block] = end
+        if len(starts) >= 2 * _BLOCK:
+            self._split(block)
+
+    def _insert(self, block: int, index: int, start: float,
+                duration: float) -> Tuple[float, float]:
+        """Commit a slot in front of slot ``index`` of ``block``."""
+        end = start + duration
+        if duration > 0:
+            starts = self.starts[block]
+            if block == 0 and index == 0:
+                # The first slot had no gap in front of it; now it has.
+                gap = starts[0] - end
+                if gap > self.gaps[0]:
+                    self.gaps[0] = gap
+            starts.insert(index, start)
+            self.ends[block].insert(index, end)
+            if len(starts) >= 2 * _BLOCK:
+                self._split(block)
+        return start, end
+
+    def _split(self, block: int) -> None:
+        """Split a full block in two; both halves keep its bound."""
+        starts = self.starts[block]
+        ends = self.ends[block]
+        self.starts.insert(block + 1, starts[_BLOCK:])
+        self.ends.insert(block + 1, ends[_BLOCK:])
+        self.last_ends.insert(block + 1, self.last_ends[block])
+        self.gaps.insert(block + 1, self.gaps[block])
+        del starts[_BLOCK:]
+        del ends[_BLOCK:]
+        self.last_ends[block] = ends[-1]
+
+    def slots(self) -> List[Tuple[float, float]]:
+        """Committed slots as sorted ``(start, end)`` pairs."""
+        return [slot for starts, ends in zip(self.starts, self.ends)
+                for slot in zip(starts, ends)]
 
 
 class ResourceTimeline:
@@ -209,7 +328,7 @@ class ResourceTimeline:
             for ready, start in spans:
                 events.append((ready, 1))
                 events.append((start, -1))
-            events.sort(key=lambda event: (event[0], event[1]))
+            events.sort()
             depth = 0
             peak = 0
             for _time, delta in events:
@@ -227,14 +346,14 @@ class ResourceTimeline:
         lane = self._lanes.get(resource)
         if lane is None:
             return []
-        return list(zip(lane.starts, lane.ends))
+        return lane.slots()
 
     def busy_span(self, resource: str) -> float:
         """Total busy-block width; equals the summed task durations."""
         lane = self._lanes.get(resource)
         if lane is None:
             return 0.0
-        return sum(e - s for s, e in zip(lane.starts, lane.ends))
+        return sum(e - s for s, e in lane.slots())
 
 
 class _Token:
@@ -449,6 +568,84 @@ class _OffloadLeg:
         self.pays_d2h = pays_d2h
 
 
+class _PriceTable:
+    """The service prices of one run, each distinct service priced once.
+
+    Within a run a batch's price depends only on its node, the device
+    (or host core) that serves it, its rounded packet count and whether
+    it is a host re-queue: mean packet bytes, match profile, co-run
+    pressure, CPU inflation, co-running kernels, the persistent kernel
+    and the re-queue penalty are fixed for the run.  So each price is
+    computed on first use and looked up after, before any
+    :class:`~repro.hw.costs.BatchStats` is built.  Fault stretch and
+    slowdown depend on the simulated clock: callers multiply them onto
+    the looked-up value and never store the product.  A table serves
+    one run only; sessions are reused with other specs and
+    interference.
+    """
+
+    __slots__ = ("cost", "mean_bytes", "match_profile", "pressure",
+                 "inflation", "corun_kernels", "persistent_kernel",
+                 "requeue_penalty", "_prices")
+
+    def __init__(self, cost, spec: TrafficSpec, mean_bytes: float,
+                 cpu_time_inflation: float, co_run_pressure_bytes: float,
+                 gpu_corun_kernels: int, persistent_kernel: bool,
+                 requeue_penalty: float):
+        self.cost = cost
+        self.mean_bytes = mean_bytes
+        self.match_profile = spec.match_profile
+        self.pressure = co_run_pressure_bytes
+        self.inflation = cpu_time_inflation
+        self.corun_kernels = gpu_corun_kernels
+        self.persistent_kernel = persistent_kernel
+        self.requeue_penalty = requeue_penalty
+        self._prices: Dict[tuple, object] = {}
+
+    def _stats(self, packet_count: int) -> BatchStats:
+        return BatchStats(batch_size=packet_count,
+                          mean_packet_bytes=self.mean_bytes,
+                          match_profile=self.match_profile)
+
+    def host(self, plan: "_NodePlan", packets: float) -> float:
+        """Host-core service seconds of ``packets`` at ``plan``."""
+        count = max(1, round(packets))
+        key = (plan.node_id, plan.host_resource, count, False)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = self.cost.cpu_batch_seconds(
+                plan.element, self._stats(count),
+                co_run_pressure_bytes=self.pressure,
+            ) * self.inflation
+        return price
+
+    def device(self, plan: "_NodePlan", leg: _OffloadLeg,
+               packets: float):
+        """Fig. 4 timing of ``packets`` on one offload leg."""
+        count = max(1, round(packets))
+        key = (plan.node_id, leg.device_id, count, False)
+        timing = self._prices.get(key)
+        if timing is None:
+            timing = self._prices[key] = self.cost.device_batch_timing(
+                plan.element, self._stats(count), leg.device,
+                persistent_kernel=self.persistent_kernel,
+                co_running_kernels=self.corun_kernels,
+            )
+        return timing
+
+    def requeue(self, plan: "_NodePlan", packets: float) -> float:
+        """Host seconds of a bypassed leg's ``packets``, re-queue
+        penalty included (co-run pressure does not apply)."""
+        count = max(1, round(packets))
+        key = (plan.node_id, plan.host_resource, count, True)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = self.cost.cpu_batch_seconds(
+                plan.element, self._stats(count),
+            ) * self.inflation * self.requeue_penalty
+        return price
+
+
 class _NodePlan:
     """Per-node invariants precomputed once per session."""
 
@@ -480,32 +677,6 @@ class _NodePlan:
         parts = len(offloads) + (1 if self.host_share > 0.0 else 0)
         self.needs_partial_merge = parts > 1
         self.edges_by_port = edges_by_port
-
-    # -- transitional single-device views ------------------------------
-    @property
-    def offload_ratio(self) -> float:
-        """Total non-host batch fraction."""
-        return sum(leg.share for leg in self.offloads)
-
-    @property
-    def gpu_resource(self):
-        return self.offloads[0].device_id if self.offloads else None
-
-    @property
-    def pcie_h2d(self):
-        return self.offloads[0].h2d_resource if self.offloads else None
-
-    @property
-    def pcie_d2h(self):
-        return self.offloads[0].d2h_resource if self.offloads else None
-
-    @property
-    def pays_h2d(self) -> bool:
-        return bool(self.offloads) and self.offloads[0].pays_h2d
-
-    @property
-    def pays_d2h(self) -> bool:
-        return bool(self.offloads) and self.offloads[0].pays_d2h
 
 
 def _crosses_into_device(deployment: Deployment, node_id: str,
@@ -761,6 +932,18 @@ class SimulationSession:
         overheads = OverheadBreakdown()
         drops, fan_out = self._branch_tables(branch_profile)
         mean_bytes = spec.size_law.mean()
+        if faults is not None:
+            requeue_penalty = faults.requeue_penalty
+        else:
+            # A breaker can stay open into a run without a fault
+            # timeline; its re-queues pay the default penalty.
+            from repro.faults.spec import DEFAULT_REQUEUE_PENALTY
+            requeue_penalty = DEFAULT_REQUEUE_PENALTY
+        prices = _PriceTable(self.cost, spec, mean_bytes,
+                             cpu_time_inflation, co_run_pressure_bytes,
+                             gpu_corun_kernels,
+                             self.deployment.persistent_kernel,
+                             requeue_penalty)
         # The arrival clock is pluggable (repro.traffic.arrivals); the
         # default ConstantRate reproduces the historical uniform
         # spacing bit-for-bit (golden parity suite).
@@ -850,10 +1033,8 @@ class SimulationSession:
                     ready = self._merge_step(plan, ready, packets,
                                              timeline, overheads)
                 completion = self._service_step(
-                    plan, ready, packets, mean_bytes, spec, timeline,
-                    overheads, cpu_time_inflation, co_run_pressure_bytes,
-                    gpu_corun_kernels, faults, state, recorder,
-                    batch_index,
+                    plan, ready, packets, prices, timeline, overheads,
+                    faults, state, recorder, batch_index,
                 )
                 if recorder is not None:
                     recorder.record_node(batch_index, node_id, ready,
@@ -990,12 +1171,9 @@ class SimulationSession:
         return ready
 
     def _service_step(self, plan: _NodePlan, ready: float,
-                      packets: float, mean_bytes: float,
-                      spec: TrafficSpec, timeline: ResourceTimeline,
+                      packets: float, prices: _PriceTable,
+                      timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      cpu_time_inflation: float,
-                      co_run_pressure_bytes: float,
-                      gpu_corun_kernels: int,
                       faults=None, overload_state=None,
                       recorder=None, batch_index: int = 0) -> float:
         """Schedule one node's service; return its completion time."""
@@ -1003,15 +1181,7 @@ class SimulationSession:
 
         completion = ready
         if host_packets > _EPSILON_PACKETS:
-            stats = BatchStats(
-                batch_size=max(1, round(host_packets)),
-                mean_packet_bytes=mean_bytes,
-                match_profile=spec.match_profile,
-            )
-            service = self.cost.cpu_batch_seconds(
-                plan.element, stats,
-                co_run_pressure_bytes=co_run_pressure_bytes,
-            ) * cpu_time_inflation
+            service = prices.host(plan, host_packets)
             _start, completion = timeline.schedule(plan.host_resource,
                                                    ready, service)
             overheads.cpu_compute += service
@@ -1020,10 +1190,8 @@ class SimulationSession:
             leg_packets = packets * leg.share
             if leg_packets > _EPSILON_PACKETS:
                 leg_end = self._offload_step(plan, leg, ready,
-                                             leg_packets, mean_bytes,
-                                             spec, timeline, overheads,
-                                             gpu_corun_kernels,
-                                             cpu_time_inflation, faults,
+                                             leg_packets, prices,
+                                             timeline, overheads, faults,
                                              overload_state, recorder,
                                              batch_index)
                 completion = max(completion, leg_end)
@@ -1048,23 +1216,11 @@ class SimulationSession:
 
     def _offload_step(self, plan: _NodePlan, leg: _OffloadLeg,
                       ready: float, leg_packets: float,
-                      mean_bytes: float, spec: TrafficSpec,
-                      timeline: ResourceTimeline,
+                      prices: _PriceTable, timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      gpu_corun_kernels: int,
-                      cpu_time_inflation: float = 1.0,
                       faults=None, overload_state=None,
                       recorder=None, batch_index: int = 0) -> float:
-        stats = BatchStats(
-            batch_size=max(1, round(leg_packets)),
-            mean_packet_bytes=mean_bytes,
-            match_profile=spec.match_profile,
-        )
-        timing = self.cost.device_batch_timing(
-            plan.element, stats, leg.device,
-            persistent_kernel=self.deployment.persistent_kernel,
-            co_running_kernels=gpu_corun_kernels,
-        )
+        timing = prices.device(plan, leg, leg_packets)
         h2d = timing.h2d if leg.pays_h2d else 0.0
         d2h = timing.d2h if leg.pays_d2h else 0.0
         kernel_service = timing.kernel
@@ -1072,9 +1228,9 @@ class SimulationSession:
                 overload_state.breaker is not None
                 or overload_state.retry is not None):
             return self._dispatch_step(
-                plan, leg, ready, leg_packets, mean_bytes, spec,
-                timeline, overheads, cpu_time_inflation, faults,
-                overload_state, recorder, batch_index, h2d, d2h, timing,
+                plan, leg, ready, leg_packets, prices, timeline,
+                overheads, faults, overload_state, recorder, batch_index,
+                h2d, d2h, timing,
             )
         if faults is not None:
             # Decide the batch's fate against the *estimated* execution
@@ -1087,8 +1243,8 @@ class SimulationSession:
                 + d2h
             if faults.crashed_during(leg.device_id, ready, window_end):
                 completion = self._requeue_step(
-                    plan, leg, ready, leg_packets, mean_bytes, spec,
-                    timeline, overheads, cpu_time_inflation, faults,
+                    plan, ready, leg_packets, prices, timeline,
+                    overheads,
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
@@ -1125,10 +1281,8 @@ class SimulationSession:
 
     def _dispatch_step(self, plan: _NodePlan, leg: _OffloadLeg,
                        ready: float, leg_packets: float,
-                       mean_bytes: float, spec: TrafficSpec,
-                       timeline: ResourceTimeline,
-                       overheads: OverheadBreakdown,
-                       cpu_time_inflation: float, faults,
+                       prices: _PriceTable, timeline: ResourceTimeline,
+                       overheads: OverheadBreakdown, faults,
                        state: _OverloadState, recorder,
                        batch_index: int, h2d: float, d2h: float,
                        timing) -> float:
@@ -1156,9 +1310,8 @@ class SimulationSession:
                     and not breaker.allow(leg.device_id, clock)):
                 state.breaker_open_requeues += 1
                 completion = self._requeue_step(
-                    plan, leg, clock, leg_packets, mean_bytes, spec,
-                    timeline, overheads, cpu_time_inflation, faults,
-                    cause="breaker_open",
+                    plan, clock, leg_packets, prices, timeline,
+                    overheads, cause="breaker_open",
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
@@ -1187,9 +1340,8 @@ class SimulationSession:
                 if retry is not None:
                     state.retry_exhausted_requeues += 1
                 completion = self._requeue_step(
-                    plan, leg, observed, leg_packets, mean_bytes, spec,
-                    timeline, overheads, cpu_time_inflation, faults,
-                    cause=cause,
+                    plan, observed, leg_packets, prices, timeline,
+                    overheads, cause=cause,
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
@@ -1228,12 +1380,10 @@ class SimulationSession:
             overheads.pcie_transfer += d2h
         return clock
 
-    def _requeue_step(self, plan: _NodePlan, leg: _OffloadLeg,
-                      ready: float, leg_packets: float,
-                      mean_bytes: float, spec: TrafficSpec,
+    def _requeue_step(self, plan: _NodePlan, ready: float,
+                      leg_packets: float, prices: _PriceTable,
                       timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      cpu_time_inflation: float, faults,
                       cause: str = "fault_crash") -> float:
         """Service a bypassed leg's batch share on the host core.
 
@@ -1243,22 +1393,9 @@ class SimulationSession:
         DMA lanes — a device crashed for a whole run therefore shows
         zero busy time.  ``cause`` attributes the re-queue: only
         ``fault_crash`` re-queues count into ``last_fault_stats``;
-        breaker/retry causes are ledgered by the overload state.  A
-        breaker can stay open into a run without a fault timeline, so
-        ``faults`` may be ``None`` here (the default penalty applies).
+        breaker/retry causes are ledgered by the overload state.
         """
-        stats = BatchStats(
-            batch_size=max(1, round(leg_packets)),
-            mean_packet_bytes=mean_bytes,
-            match_profile=spec.match_profile,
-        )
-        if faults is not None:
-            penalty = faults.requeue_penalty
-        else:
-            from repro.faults.spec import DEFAULT_REQUEUE_PENALTY
-            penalty = DEFAULT_REQUEUE_PENALTY
-        service = self.cost.cpu_batch_seconds(plan.element, stats) \
-            * cpu_time_inflation * penalty
+        service = prices.requeue(plan, leg_packets)
         _start, completion = timeline.schedule(plan.host_resource,
                                                ready, service)
         overheads.cpu_compute += service

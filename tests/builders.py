@@ -12,8 +12,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.elements.offload import OffloadableElement
+from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import NetworkFunction, ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.sim.engine import BranchProfile
+from repro.sim.mapping import Deployment, Mapping, Placement
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
@@ -89,3 +93,80 @@ def cpu_friendly_graph() -> nx.Graph:
         },
         [("rx", "light", 10.0), ("light", "tx", 10.0)],
     )
+
+
+# ---------------------------------------------------------------------------
+# Golden kernel scenarios: (deployment, spec, measured profile) triples the
+# parity suites replay against the frozen legacy engine and the kernel's
+# digest pins replay against recorded outputs.
+# ---------------------------------------------------------------------------
+
+def _golden_chain_graph(*types):
+    return ServiceFunctionChain(
+        [make_nf(t) for t in types]
+    ).concatenated_graph()
+
+
+def cpu_only_scenario():
+    """Multi-core CPU chain with a measured (drop/branch) profile."""
+    spec = TrafficSpec(size_law=FixedSize(128), offered_gbps=60.0,
+                       seed=11)
+    graph = _golden_chain_graph("firewall", "ids", "nat")
+    deployment = Deployment(
+        graph, Mapping.all_cpu(graph, cores=[f"cpu{i}" for i in range(4)]),
+        name="golden-cpu",
+    )
+    profile = BranchProfile.measure(graph.clone(), spec,
+                                    sample_packets=256, batch_size=32)
+    return deployment, spec, profile
+
+
+def partial_offload_scenario():
+    """Offload ratio 0.6, persistent kernel, stateful reassembly."""
+    spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=80.0,
+                       seed=23)
+    graph = _golden_chain_graph("ipsec", "ids")
+    mapping = Mapping.fixed_ratio(graph, 0.6,
+                                  cores=[DEFAULT_HOST_DEVICE, "cpu1", "cpu2"],
+                                  gpus=["gpu0"])
+    deployment = Deployment(graph, mapping, persistent_kernel=True,
+                            stateful_reassembly=True,
+                            name="golden-partial")
+    profile = BranchProfile.measure(graph.clone(), spec,
+                                    sample_packets=256, batch_size=32)
+    return deployment, spec, profile
+
+
+def multi_gpu_scenario():
+    """Branchy graph: offloadables spread over gpu0/gpu1 at ratio 0.7."""
+    spec = TrafficSpec(size_law=FixedSize(192), offered_gbps=80.0,
+                       seed=31)
+    graph = _golden_chain_graph("firewall", "ipsec", "dpi", "ipv4")
+    placements = {}
+    core_index = 0
+    gpu_index = 0
+    for node in graph.topological_order():
+        element = graph.element(node)
+        core = f"cpu{core_index % 6}"
+        core_index += 1
+        if isinstance(element, OffloadableElement) and element.offloadable:
+            ratio = 1.0 if gpu_index % 2 == 0 else 0.7
+            placements[node] = Placement.split(
+                core, f"gpu{gpu_index % 2}", ratio
+            )
+            gpu_index += 1
+        else:
+            placements[node] = Placement.split(core)
+    deployment = Deployment(graph, Mapping(placements),
+                            persistent_kernel=True,
+                            name="golden-multigpu")
+    profile = BranchProfile.measure(graph.clone(), spec,
+                                    sample_packets=256, batch_size=32)
+    return deployment, spec, profile
+
+
+GOLDEN_SCENARIOS = {
+    "cpu_only": cpu_only_scenario,
+    "partial_offload": partial_offload_scenario,
+    "multi_gpu": multi_gpu_scenario,
+}

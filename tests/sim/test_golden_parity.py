@@ -6,7 +6,8 @@ the same reports as the legacy engine kept verbatim in
 ``repro.sim.legacy`` — every scalar and every per-processor total
 within 1e-9 relative tolerance.
 
-Three seeded scenarios cover the interesting regimes:
+Three seeded scenarios (``GOLDEN_SCENARIOS`` in ``tests/builders.py``)
+cover the interesting regimes:
 
 - a CPU-only multi-core chain driven by a measured branch profile
   (merges, splits, drops, no GPU paths);
@@ -15,98 +16,23 @@ Three seeded scenarios cover the interesting regimes:
 - a branchy multi-GPU deployment mixing full and partial offload
   across two GPUs (PCIe lanes, boundary-crossing flags, fan-out).
 
-The quick versions run in tier-1; ``@pytest.mark.slow`` variants
-replay the same scenarios at longer horizons.
+The quick versions run in tier-1, each scenario at its own load and
+saturated at 200 Gbps; ``@pytest.mark.slow`` variants replay the same
+scenarios at longer horizons.
 """
 
 import dataclasses
 
 import pytest
+from builders import GOLDEN_SCENARIOS as SCENARIOS
+from builders import partial_offload_scenario
 
-from repro.hw import DEFAULT_HOST_DEVICE
-from repro.elements.offload import OffloadableElement
-from repro.nf.base import ServiceFunctionChain
-from repro.nf.catalog import make_nf
-from repro.sim.engine import BranchProfile, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.legacy import LegacySimulationEngine
-from repro.sim.mapping import Deployment, Mapping, Placement
 from repro.sim.tracing import EventRecorder
 from repro.traffic.arrivals import ConstantRate
-from repro.traffic.distributions import FixedSize
-from repro.traffic.generator import TrafficSpec
 
 REL = 1e-9
-
-
-def chain_graph(*types):
-    return ServiceFunctionChain(
-        [make_nf(t) for t in types]
-    ).concatenated_graph()
-
-
-def cpu_only_scenario():
-    """Multi-core CPU chain with a measured (drop/branch) profile."""
-    spec = TrafficSpec(size_law=FixedSize(128), offered_gbps=60.0,
-                       seed=11)
-    graph = chain_graph("firewall", "ids", "nat")
-    deployment = Deployment(
-        graph, Mapping.all_cpu(graph, cores=[f"cpu{i}" for i in range(4)]),
-        name="golden-cpu",
-    )
-    profile = BranchProfile.measure(graph.clone(), spec,
-                                    sample_packets=256, batch_size=32)
-    return deployment, spec, profile
-
-
-def partial_offload_scenario():
-    """Offload ratio 0.6, persistent kernel, stateful reassembly."""
-    spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=80.0,
-                       seed=23)
-    graph = chain_graph("ipsec", "ids")
-    mapping = Mapping.fixed_ratio(graph, 0.6,
-                                  cores=[DEFAULT_HOST_DEVICE, "cpu1", "cpu2"],
-                                  gpus=["gpu0"])
-    deployment = Deployment(graph, mapping, persistent_kernel=True,
-                            stateful_reassembly=True,
-                            name="golden-partial")
-    profile = BranchProfile.measure(graph.clone(), spec,
-                                    sample_packets=256, batch_size=32)
-    return deployment, spec, profile
-
-
-def multi_gpu_scenario():
-    """Branchy graph: offloadables spread over gpu0/gpu1 at ratio 0.7."""
-    spec = TrafficSpec(size_law=FixedSize(192), offered_gbps=80.0,
-                       seed=31)
-    graph = chain_graph("firewall", "ipsec", "dpi", "ipv4")
-    placements = {}
-    core_index = 0
-    gpu_index = 0
-    for node in graph.topological_order():
-        element = graph.element(node)
-        core = f"cpu{core_index % 6}"
-        core_index += 1
-        if isinstance(element, OffloadableElement) and element.offloadable:
-            ratio = 1.0 if gpu_index % 2 == 0 else 0.7
-            placements[node] = Placement.split(
-                core, f"gpu{gpu_index % 2}", ratio
-            )
-            gpu_index += 1
-        else:
-            placements[node] = Placement.split(core)
-    deployment = Deployment(graph, Mapping(placements),
-                            persistent_kernel=True,
-                            name="golden-multigpu")
-    profile = BranchProfile.measure(graph.clone(), spec,
-                                    sample_packets=256, batch_size=32)
-    return deployment, spec, profile
-
-
-SCENARIOS = {
-    "cpu_only": cpu_only_scenario,
-    "partial_offload": partial_offload_scenario,
-    "multi_gpu": multi_gpu_scenario,
-}
 
 
 def assert_reports_match(new, old):
@@ -138,8 +64,11 @@ def assert_reports_match(new, old):
             busy, rel=REL, abs=1e-15), resource
 
 
-def run_both(scenario, batch_size, batch_count, **interference):
+def run_both(scenario, batch_size, batch_count, offered_gbps=None,
+             **interference):
     deployment, spec, profile = SCENARIOS[scenario]()
+    if offered_gbps is not None:
+        spec = dataclasses.replace(spec, offered_gbps=offered_gbps)
     new = SimulationEngine().run(
         deployment, spec, batch_size=batch_size, batch_count=batch_count,
         branch_profile=profile, **interference,
@@ -151,9 +80,23 @@ def run_both(scenario, batch_size, batch_count, **interference):
     return new, old
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_golden_parity_quick(scenario):
-    new, old = run_both(scenario, batch_size=32, batch_count=60)
+#: The quick inputs: each scenario at its own load over 60 batches,
+#: and saturated at 200 Gbps over 300 batches, where the busiest lanes
+#: commit about 1,200 slots and most placements fill gaps several
+#: index blocks behind the tail.
+QUICK_INPUTS = [
+    *(pytest.param(scenario, None, 60, id=scenario)
+      for scenario in sorted(SCENARIOS)),
+    *(pytest.param(scenario, 200.0, 300, id=f"{scenario}-saturated")
+      for scenario in sorted(SCENARIOS)),
+]
+
+
+@pytest.mark.parametrize("scenario,offered_gbps,batch_count",
+                         QUICK_INPUTS)
+def test_golden_parity_quick(scenario, offered_gbps, batch_count):
+    new, old = run_both(scenario, batch_size=32, batch_count=batch_count,
+                        offered_gbps=offered_gbps)
     assert_reports_match(new, old)
 
 

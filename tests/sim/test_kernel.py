@@ -8,17 +8,38 @@ fields — and pins a quick parity check against the frozen legacy
 engine (the full golden matrix lives in ``test_golden_parity.py``).
 """
 
-import pytest
+import dataclasses
+import re
 
+import pytest
+from builders import multi_gpu_scenario
+
+from repro.faults import FaultSpec, FaultTimeline
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.overload import (
+    CircuitBreaker,
+    DeadlineDrop,
+    OverloadConfig,
+    RetryPolicy,
+)
+from repro.runner import canonical_fingerprint
 from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.sim.kernel import SimulationSession
 from repro.sim.legacy import LegacySimulationEngine
 from repro.sim.mapping import Deployment, Mapping
+from repro.sim.tracing import EventRecorder
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
+
+#: ``canonical_fingerprint`` of kernel outputs, recorded before lanes
+#: kept blocked slot lists and services were priced once per run:
+#: neither may move any output.
+MULTI_GPU_SATURATED = \
+    "ecb0f4d5b8138045159bdb85678fc80dc239281cef9ee6d788b6d808d3f2c270"
+FAULTED_PROTECTED = \
+    "de4e78d04607a40ae3945fd3a4be187efdf405d67d58513bb36aeea3ff20f8a3"
 
 
 @pytest.fixture
@@ -55,15 +76,16 @@ class TestSessionInvariants:
     def test_plans_capture_offload_and_pcie(self, engine):
         deployment = chain_deployment(ratio=0.5)
         session = engine.session(deployment)
-        offloaded = [p for p in session.plans.values()
-                     if p.offload_ratio > 0.0]
+        offloaded = [p for p in session.plans.values() if p.offloads]
         assert offloaded, "fixed_ratio mapping should offload something"
         for plan in offloaded:
-            assert plan.gpu_resource == "gpu0"
-            assert plan.pcie_h2d == "pcie:gpu0:h2d"
-            assert plan.pcie_d2h == "pcie:gpu0:d2h"
+            leg = plan.offloads[0]
+            assert leg.share > 0.0
+            assert leg.device_id == "gpu0"
+            assert leg.h2d_resource == "pcie:gpu0:h2d"
+            assert leg.d2h_resource == "pcie:gpu0:d2h"
             # A CPU/GPU-split node always crosses the PCIe boundary.
-            assert plan.pays_h2d and plan.pays_d2h
+            assert leg.pays_h2d and leg.pays_d2h
 
     def test_session_reuse_is_deterministic(self, engine, spec):
         session = engine.session(chain_deployment(ratio=0.5))
@@ -189,3 +211,62 @@ class TestLegacyParitySmoke:
         for key, value in old.processor_busy_seconds.items():
             assert new.processor_busy_seconds[key] == pytest.approx(
                 value, rel=1e-9)
+
+
+class TestRecordedDigests:
+    """Long and faulted runs, pinned to digests of recorded outputs.
+
+    The golden parity suite compares against the legacy engine only on
+    fault-free, unprotected runs; these pins also cover saturated lanes
+    thousands of slots long and the fault, breaker, retry and
+    deadline-drop paths.
+    """
+
+    def test_multi_gpu_saturated(self):
+        deployment, spec, profile = multi_gpu_scenario()
+        report = SimulationEngine().run(
+            deployment, dataclasses.replace(spec, offered_gbps=200.0),
+            batch_size=32, batch_count=1000, branch_profile=profile,
+        )
+        assert canonical_fingerprint(report) == MULTI_GPU_SATURATED
+
+    def test_faulted_protected_run(self):
+        """A gpu0 crash and a gpu1 link-degrade window under a
+        breaker, a one-retry budget and deadline drops: retries,
+        breaker-open and retry-exhausted requeues, degraded transfers,
+        slowed kernels and queue drops all occur."""
+        deployment, spec, profile = multi_gpu_scenario()
+        session = SimulationEngine().session(deployment)
+        faults = FaultTimeline([
+            FaultSpec("gpu0", "crash", 0.002, 0.004),
+            FaultSpec("gpu1", "degrade_link", 0.001, 0.006, factor=2.0),
+            FaultSpec("gpu0", "slowdown", 0.005, 0.007, factor=1.5),
+        ])
+        overload = OverloadConfig(
+            queue_limit=8, drop_policy=DeadlineDrop(), slo_ms=0.5,
+            breaker=CircuitBreaker(failure_threshold=2,
+                                   cooldown_windows=4.0),
+            retry=RetryPolicy(budget=1),
+        )
+        recorder = EventRecorder()
+        report = session.run(
+            dataclasses.replace(spec, offered_gbps=2.4), batch_size=32,
+            batch_count=300, branch_profile=profile, faults=faults,
+            overload=overload, recorder=recorder,
+        )
+        fault_stats = session.last_fault_stats
+        overload_stats = session.last_overload_stats
+        assert fault_stats["degraded_transfers"] > 0
+        assert fault_stats["slowed_kernels"] > 0
+        assert overload_stats["queue_dropped_batches"] > 0
+        assert overload_stats["breaker_trips"] > 0
+        assert overload_stats["retry_attempts"] > 0
+        assert overload_stats["breaker_open_requeues"] > 0
+        assert overload_stats["retry_exhausted_requeues"] > 0
+        # Node ids carry a process-wide NF counter ("nf0/firewall#4/rx");
+        # drop it so the event stream's digest does not depend on which
+        # tests ran first.
+        events = re.sub(r"#\d+/", "/", recorder.to_json())
+        assert canonical_fingerprint(
+            [report, fault_stats, overload_stats, events]
+        ) == FAULTED_PROTECTED

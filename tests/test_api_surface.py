@@ -6,6 +6,9 @@ renamed, which is an API break that needs a deliberate decision (and a
 deprecation path), not an accident.
 """
 
+import re
+from pathlib import Path
+
 import repro
 import repro.obs
 import repro.overload
@@ -160,3 +163,11 @@ class TestResolvable:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
+        # The package metadata must carry the same version.  A regex,
+        # not tomllib: tomllib is Python 3.11+ and CI runs 3.10.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(r'^version = "([^"]+)"$',
+                          pyproject.read_text(encoding="utf-8"),
+                          re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == repro.__version__
