@@ -3,9 +3,10 @@
 The paper's runtime collects time-dependent traffic statistics and
 notes that the lightweight partitioning "may result in unbalanced
 throughput on different processing units.  We still need to apply the
-dynamic task adaption."  This module supplies that loop: an
-:class:`AdaptiveRuntime` runs a deployment epoch by epoch, watches the
-traffic descriptor (packet sizes, DPI match profile, measured branch
+dynamic task adaption."  This module supplies that loop's trigger: an
+:class:`AdaptiveRuntime` runs a deployment epoch by epoch on the
+shared :class:`~repro.core.runtime.EpochLoop`, watches the traffic
+descriptor (packet sizes, DPI match profile, measured branch
 fractions) for drift, and re-runs the NFCompass pipeline when the
 current plan was built for meaningfully different traffic.
 
@@ -18,15 +19,13 @@ data stream varies" or not at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
-from repro.core.runtime import EpochResult
+from repro.core.compass import NFCompass
+from repro.core.runtime import EpochLoop, EpochResult
 from repro.nf.base import ServiceFunctionChain
-from repro.obs import resolve_trace
 from repro.sim.engine import BranchProfile
-from repro.sim.kernel import SimulationSession
-from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
+from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.generator import TrafficSpec
 
 
@@ -72,8 +71,13 @@ class TrafficDescriptor:
         return size_drift + profile_drift + fraction_drift
 
 
-class AdaptiveRuntime:
-    """Epoch-driven re-planning loop around NFCompass."""
+class AdaptiveRuntime(EpochLoop):
+    """Epoch-driven re-planning loop around NFCompass.
+
+    Re-plans when an epoch's traffic drifts past ``drift_threshold``
+    from the traffic the plan was built for, then holds the plan for
+    ``cooldown_epochs`` epochs whatever the drift.
+    """
 
     def __init__(self, compass: NFCompass, sfc: ServiceFunctionChain,
                  initial_spec: TrafficSpec,
@@ -87,100 +91,34 @@ class AdaptiveRuntime:
             raise ValueError("drift threshold must be positive")
         if cooldown_epochs < 0:
             raise ValueError("cooldown must be non-negative")
-        self.compass = compass
-        self.sfc = sfc
-        self.batch_size = batch_size
-        #: Runtime-level arrival process: applied (decorrelated per
-        #: epoch) to every epoch spec that has no process of its own.
-        self.arrivals = arrivals
-        #: Optional :class:`~repro.overload.OverloadConfig` applied to
-        #: every epoch; its stateful parts (admission controller,
-        #: circuit breaker) persist across epochs, and the admission
-        #: controller observes each epoch's report so SLO feedback
-        #: closes the loop.
-        self.overload = overload
         self.drift_threshold = drift_threshold
         self.cooldown_epochs = cooldown_epochs
-        self.trace = resolve_trace(trace)
         self._cooldown = 0
-        self._epoch = 0
-        self.history: List[EpochResult] = []
-        self.replans = 0
-        self.plan: CompassPlan = compass.deploy(
-            sfc, initial_spec, batch_size=batch_size, trace=self.trace
-        )
-        self.session: SimulationSession = self._session_for(self.plan)
-        self._profile = self._measure_profile(initial_spec)
-        self._descriptor = TrafficDescriptor.of(initial_spec,
-                                                self._profile)
+        super().__init__(compass, sfc, initial_spec, batch_size,
+                         arrivals, overload, trace)
 
     # ------------------------------------------------------------------
-    def _session_for(self, plan: CompassPlan) -> SimulationSession:
-        """Reuse the deploy-time session when the capacity race built
-        one; every epoch of this plan then hits its cached invariants."""
-        if plan.session is None:
-            plan.session = self.compass.engine.session(plan.deployment)
-        return plan.session
-
-    def _measure_profile(self, spec: TrafficSpec) -> BranchProfile:
-        return self.plan.profile(
-            spec, ProfileConfig.deploy_time(self.batch_size),
-            trace=self.trace,
-        )
+    def _deploy(self, spec: TrafficSpec) -> None:
+        super()._deploy(spec)
+        self._descriptor = TrafficDescriptor.of(spec, self._profile)
 
     def observe_drift(self, spec: TrafficSpec) -> float:
         """Drift of ``spec`` relative to the plan's traffic."""
         incoming = TrafficDescriptor.of(spec)
         return incoming.drift_from(self._descriptor)
 
+    def _begin_epoch(self, spec: TrafficSpec, batch_count: int):
+        drift = self.observe_drift(spec)
+        if drift > self.drift_threshold and self._cooldown == 0:
+            self._deploy(spec)
+            self._cooldown = self.cooldown_epochs
+            return drift, True, None
+        if self._cooldown > 0:
+            self._cooldown -= 1
+        return drift, False, None
+
     def run_epoch(self, spec: TrafficSpec,
                   batch_count: int = 80) -> EpochResult:
-        """Process one traffic epoch, re-planning first if needed.
-
-        When the runtime was built with an ``arrivals`` process and
-        the epoch's spec carries none, the epoch runs under that
-        process decorrelated for this epoch — bursty offered load
-        varies from epoch to epoch while the mean rate stays put.
-        """
-        self._epoch += 1
-        spec = attach_arrivals(spec, self.arrivals, self._epoch)
-        drift = self.observe_drift(spec)
-        replanned = False
-        if drift > self.drift_threshold and self._cooldown == 0:
-            self.plan = self.compass.deploy(self.sfc, spec,
-                                            batch_size=self.batch_size,
-                                            trace=self.trace)
-            self.session = self._session_for(self.plan)
-            self._profile = self._measure_profile(spec)
-            self._descriptor = TrafficDescriptor.of(spec, self._profile)
-            self._cooldown = self.cooldown_epochs
-            self.replans += 1
-            replanned = True
-        elif self._cooldown > 0:
-            self._cooldown -= 1
-        report = self.session.run(
-            spec,
-            batch_size=self.batch_size, batch_count=batch_count,
-            branch_profile=self._profile,
-            trace=self.trace,
-            overload=self.overload,
-        )
-        if (self.overload is not None
-                and self.overload.admission is not None):
-            self.overload.admission.observe(report)
-        result = EpochResult(epoch=self._epoch, report=report,
-                             drift=drift, replanned=replanned)
-        self.history.append(result)
-        return result
-
-    def step(self, spec: TrafficSpec,
-             batch_count: int = 80) -> EpochResult:
-        """The :class:`~repro.core.runtime.Runtime` protocol entry
-        point; alias of :meth:`run_epoch`."""
-        return self.run_epoch(spec, batch_count=batch_count)
-
-    def run(self, epochs: List[TrafficSpec],
-            batch_count: int = 80) -> List[EpochResult]:
-        """Run a sequence of traffic epochs."""
-        return [self.run_epoch(spec, batch_count=batch_count)
-                for spec in epochs]
+        """Process one traffic epoch, re-planning first if needed;
+        alias of :meth:`~repro.core.runtime.EpochLoop.step`."""
+        return self.step(spec, batch_count=batch_count)

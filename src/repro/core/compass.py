@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro._compat import legacy_api_enabled, legacy_shim
 from repro.core.allocator import AllocationReport, GraphTaskAllocator
 from repro.core.orchestrator import ParallelPlan, SFCOrchestrator
 from repro.core.synthesizer import NFSynthesizer, SynthesisReport
@@ -167,13 +166,6 @@ class DeploymentResult:
     :class:`~repro.sim.kernel.SimulationSession` for follow-up runs;
     ``trace`` is the :class:`~repro.obs.Trace` that observed the
     pipeline (the shared null trace when tracing was off).
-
-    The transition shim that forwarded report attributes directly on
-    the result (``result.throughput_gbps`` ...) is retired: such
-    access now raises :class:`AttributeError` naming the replacement
-    (``result.report.throughput_gbps``) unless the
-    ``REPRO_LEGACY_API=1`` escape hatch is set, in which case it
-    forwards under a one-shot :class:`DeprecationWarning`.
     """
 
     plan: CompassPlan
@@ -192,30 +184,6 @@ class DeploymentResult:
     def describe(self) -> str:
         """Plan description plus the simulation summary."""
         return f"{self.plan.describe()}\n{self.report.summary()}"
-
-    def __getattr__(self, name: str):
-        # NFCompass.run used to return the bare ThroughputLatencyReport;
-        # the forwarding shim is retired but reachable via the
-        # REPRO_LEGACY_API=1 escape hatch.  Raises AttributeError (not
-        # LegacyAPIError) when disabled so getattr()/hasattr() keep
-        # their contract.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        report = self.__dict__.get("report")
-        if report is not None and hasattr(report, name):
-            if not legacy_api_enabled():
-                raise AttributeError(
-                    f"DeploymentResult.{name} was retired; read "
-                    f"DeploymentResult.report.{name}. Set "
-                    f"REPRO_LEGACY_API=1 to re-enable the legacy "
-                    f"forwarding shim for one release."
-                )
-            legacy_shim(f"DeploymentResult.{name}",
-                        f"DeploymentResult.report.{name}", stacklevel=2)
-            return getattr(report, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
 
 class NFCompass:

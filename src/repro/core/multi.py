@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.compass import CompassPlan, NFCompass
+from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
 from repro.core.runtime import EpochResult
 from repro.hw.interference import InterferenceModel
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.sim.engine import BranchProfile
+from repro.sim.kernel import SimulationSession
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
 from repro.traffic.generator import TrafficSpec
@@ -44,6 +45,9 @@ class Tenant:
     plan: Optional[CompassPlan] = None
     cores: List[str] = field(default_factory=list)
     profile: Optional[BranchProfile] = None
+    #: The session simulating ``plan``: every run of the tenant
+    #: reuses it.
+    session: Optional[SimulationSession] = None
 
     @property
     def nf_types(self) -> List[str]:
@@ -72,6 +76,9 @@ class MultiTenantScheduler:
         self.overload = overload
         self.compass_kwargs = compass_kwargs
         self.tenants: List[Tenant] = []
+        #: The batch size of the last :meth:`deploy`; runs default to
+        #: it.
+        self.batch_size: Optional[int] = None
         self._epochs = 0
 
     # ------------------------------------------------------------------
@@ -91,6 +98,7 @@ class MultiTenantScheduler:
                 f"the platform's {total_cores} cores"
             )
         gpus = self.platform.gpu_processor_ids()
+        self.batch_size = batch_size
         self.tenants = []
         for index, (name, sfc, spec) in enumerate(workloads):
             cores = [f"cpu{index * per_tenant + i}"
@@ -102,15 +110,14 @@ class MultiTenantScheduler:
                 **self.compass_kwargs,
             )
             plan = compass.deploy(sfc, spec, batch_size=batch_size)
-            profile = BranchProfile.measure(
-                plan.deployment.graph, spec,
-                sample_packets=max(128, batch_size * 2),
-                batch_size=batch_size,
-            )
-            tenant = Tenant(name=name, sfc=sfc, spec=spec, plan=plan,
-                            cores=cores, profile=profile)
-            tenant._compass = compass  # keep the engine alive
-            self.tenants.append(tenant)
+            self.tenants.append(Tenant(
+                name=name, sfc=sfc, spec=spec, plan=plan, cores=cores,
+                profile=plan.profile(
+                    spec, ProfileConfig.deploy_time(batch_size)
+                ),
+                session=(plan.session
+                         or compass.engine.session(plan.deployment)),
+            ))
         return self.tenants
 
     # ------------------------------------------------------------------
@@ -141,24 +148,29 @@ class MultiTenantScheduler:
             "gpu_corun_kernels": offloaded_tenants,
         }
 
-    def run(self, batch_size: int = 64,
+    def run(self, batch_size: Optional[int] = None,
             batch_count: int = 100,
             isolated: bool = False) -> Dict[str, ThroughputLatencyReport]:
         """Simulate every tenant; ``isolated=True`` disables the
-        cross-tenant interference (the solo-run reference)."""
+        cross-tenant interference (the solo-run reference).
+
+        ``batch_size`` defaults to the one the tenants were deployed
+        and profiled with.
+        """
         if not self.tenants:
             raise RuntimeError("deploy() must run first")
+        if batch_size is None:
+            batch_size = self.batch_size
         reports: Dict[str, ThroughputLatencyReport] = {}
         for tenant in self.tenants:
             inputs = ({"cpu_time_inflation": 1.0,
                        "co_run_pressure_bytes": 0.0,
                        "gpu_corun_kernels": 0}
                       if isolated else self._interference_inputs(tenant))
-            engine = tenant._compass.engine
             spec = attach_arrivals(tenant.spec, self.arrivals,
                                    self._epochs)
-            reports[tenant.name] = engine.run(
-                tenant.plan.deployment, spec,
+            reports[tenant.name] = tenant.session.run(
+                spec,
                 batch_size=batch_size, batch_count=batch_count,
                 branch_profile=tenant.profile,
                 overload=self.overload,
@@ -176,11 +188,9 @@ class MultiTenantScheduler:
         return self.tenants[0].plan if self.tenants else None
 
     @property
-    def session(self):
-        """The primary tenant's simulation session (``None`` until the
-        deploy-time capacity race builds one)."""
-        plan = self.plan
-        return plan.session if plan is not None else None
+    def session(self) -> Optional[SimulationSession]:
+        """The primary tenant's simulation session."""
+        return self.tenants[0].session if self.tenants else None
 
     def step(self, spec: Optional[TrafficSpec] = None,
              batch_count: int = 80) -> EpochResult:
@@ -202,7 +212,7 @@ class MultiTenantScheduler:
         return EpochResult(epoch=self._epochs, report=bottleneck,
                            drift=0.0, replanned=False)
 
-    def consolidation_report(self, batch_size: int = 64,
+    def consolidation_report(self, batch_size: Optional[int] = None,
                              batch_count: int = 100
                              ) -> Dict[str, Dict[str, float]]:
         """Solo vs co-run throughput per tenant (the Fig. 8e story at

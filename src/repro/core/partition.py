@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro._compat import legacy_shim
 from repro.obs import resolve_trace
 
 #: How much of the PCIe cut contributes to the per-batch makespan.
@@ -84,9 +83,9 @@ class PartitionResult:
     def group_of(self, node: str) -> str:
         """The device group a node was assigned to.
 
-        Offload groups take precedence over the host group (matching
-        the legacy ``side_of`` tie-break); unknown nodes raise a
-        ``KeyError`` naming the node and the known groups.
+        Offload groups take precedence over the host group; unknown
+        nodes raise a ``KeyError`` naming the node and the known
+        groups.
         """
         host_hit = None
         for group, nodes in self.device_groups().items():
@@ -102,16 +101,6 @@ class PartitionResult:
             f"known groups: "
             f"{ {g: len(n) for g, n in self.device_groups().items()} }"
         )
-
-    def side_of(self, node: str) -> str:
-        """Retired alias for :meth:`group_of`.
-
-        Raises :class:`~repro._compat.LegacyAPIError` unless
-        ``REPRO_LEGACY_API=1`` is set.
-        """
-        legacy_shim("PartitionResult.side_of",
-                    "PartitionResult.group_of", stacklevel=2)
-        return self.group_of(node)
 
 
 def _loads(graph: nx.Graph, cpu_nodes: Set[str],

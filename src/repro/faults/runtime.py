@@ -1,6 +1,7 @@
 """Degradation-aware re-deployment.
 
-:class:`ResilientRuntime` runs a chain epoch by epoch against a
+:class:`ResilientRuntime` runs a chain epoch by epoch, on the shared
+:class:`~repro.core.runtime.EpochLoop`, against a
 :class:`~repro.faults.spec.FaultTimeline`.  Each epoch it derives
 health signals for every offload device (a crash window intersecting
 the epoch means "down"), shrinks the healthy device set, and re-runs
@@ -24,18 +25,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
-from repro.core.runtime import EpochResult
+from repro.core.compass import NFCompass
+from repro.core.runtime import EpochLoop
 from repro.faults.spec import FaultTimeline
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
-from repro.obs import resolve_trace
-from repro.sim.kernel import SimulationSession
-from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
+from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.generator import TrafficSpec
 
 
-class ResilientRuntime:
+class ResilientRuntime(EpochLoop):
     """Fault-aware epoch loop around NFCompass.
 
     Implements the :class:`~repro.core.runtime.Runtime` protocol
@@ -59,39 +58,20 @@ class ResilientRuntime:
             raise ValueError("readmit_epochs must be non-negative")
         self.platform = platform or PlatformSpec()
         faults.validate_against(self.platform)
-        self.sfc = sfc
         self.faults = faults
-        self.batch_size = batch_size
-        #: Runtime-level arrival process: applied (decorrelated per
-        #: epoch) to every epoch spec that has no process of its own.
-        self.arrivals = arrivals
-        #: Optional :class:`~repro.overload.OverloadConfig` applied to
-        #: every epoch.  Its circuit breaker spans epochs — a device
-        #: tripped by one epoch's crash window stays fenced into the
-        #: next until its cooldown elapses — and its admission
-        #: controller observes every epoch report.
-        self.overload = overload
         self.readmit_epochs = readmit_epochs
-        self.trace = resolve_trace(trace)
         self.compass_kwargs = compass_kwargs
-        #: Simulated seconds already consumed by completed epochs; the
+        #: Simulated seconds already consumed by started epochs; the
         #: absolute fault timeline is re-based against this clock.
         self.clock = 0.0
-        self._epoch = 0
-        self.replans = 0
-        self.history: List[EpochResult] = []
         #: Offload devices currently excluded from planning.
         self.excluded: Set[str] = set()
         #: Consecutive healthy epochs per excluded device (hysteresis).
         self._healthy_streak: Dict[str, int] = {}
         self._extra_ids = {d.device_id
                            for d in self.platform.extra_devices}
-        self.compass: NFCompass = self._build_compass()
-        self.plan: CompassPlan = self.compass.deploy(
-            sfc, initial_spec, batch_size=batch_size, trace=self.trace
-        )
-        self.session: SimulationSession = self._session_for(self.plan)
-        self._profile = self._measure_profile(initial_spec)
+        super().__init__(self._build_compass(), sfc, initial_spec,
+                         batch_size, arrivals, overload, trace)
 
     # ------------------------------------------------------------------
     def offload_device_ids(self) -> List[str]:
@@ -114,17 +94,6 @@ class ResilientRuntime:
             platform = platform.without_devices(*crashed_extras)
         return NFCompass(platform=platform, gpus=gpus,
                          **self.compass_kwargs)
-
-    def _session_for(self, plan: CompassPlan) -> SimulationSession:
-        if plan.session is None:
-            plan.session = self.compass.engine.session(plan.deployment)
-        return plan.session
-
-    def _measure_profile(self, spec: TrafficSpec):
-        return self.plan.profile(
-            spec, ProfileConfig.deploy_time(self.batch_size),
-            trace=self.trace,
-        )
 
     # ------------------------------------------------------------------
     def _epoch_health(self, t0: float, t1: float) -> Dict[str, bool]:
@@ -160,21 +129,14 @@ class ResilientRuntime:
                              down=sorted(went_down),
                              readmitted=sorted(came_back)):
             self.compass = self._build_compass()
-            self.plan = self.compass.deploy(
-                self.sfc, spec, batch_size=self.batch_size,
-                trace=self.trace,
-            )
-            self.session = self._session_for(self.plan)
-            self._profile = self._measure_profile(spec)
-        self.replans += 1
+            self._deploy(spec)
         self.trace.count("fault.replans")
         self.trace.count("fault.device_down", len(went_down))
         self.trace.count("fault.device_up", len(came_back))
 
     # ------------------------------------------------------------------
-    def step(self, spec: TrafficSpec,
-             batch_count: int = 80) -> EpochResult:
-        """Process one traffic epoch under the fault schedule.
+    def _begin_epoch(self, spec: TrafficSpec, batch_count: int):
+        """Apply the epoch's health signals and re-plan on a change.
 
         The epoch covers ``batch_count`` batches of the runtime's
         batch size at the spec's arrival rate; devices whose crash
@@ -182,8 +144,6 @@ class ResilientRuntime:
         epoch's simulation sees the fault timeline re-based to its
         local clock.
         """
-        self._epoch += 1
-        spec = attach_arrivals(spec, self.arrivals, self._epoch)
         # The health window is the *mean-rate* span of the epoch; a
         # bursty process redistributes arrivals inside it but leaves
         # the long-run rate (and so the wall-clock budget) unchanged.
@@ -196,29 +156,8 @@ class ResilientRuntime:
         replanned = bool(went_down or came_back)
         if replanned:
             self._replan(spec, went_down, came_back)
-        epoch_faults = self.faults.shifted(-t0)
-        report = self.session.run(
-            spec,
-            batch_size=self.batch_size, batch_count=batch_count,
-            branch_profile=self._profile,
-            trace=self.trace,
-            faults=epoch_faults,
-            overload=self.overload,
-        )
-        if (self.overload is not None
-                and self.overload.admission is not None):
-            self.overload.admission.observe(report)
         self.clock = t1
-        result = EpochResult(epoch=self._epoch, report=report,
-                             drift=0.0, replanned=replanned)
-        self.history.append(result)
-        return result
-
-    def run(self, epochs: List[TrafficSpec],
-            batch_count: int = 80) -> List[EpochResult]:
-        """Run a sequence of traffic epochs."""
-        return [self.step(spec, batch_count=batch_count)
-                for spec in epochs]
+        return 0.0, replanned, self.faults.shifted(-t0)
 
 
 __all__ = ["ResilientRuntime"]

@@ -32,15 +32,10 @@ from typing import Dict, Iterable, List, Optional
 from repro.elements.graph import ElementGraph
 from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
-from repro.sim.kernel import ResourceTimeline, SimulationSession
+from repro.sim.kernel import SimulationSession
 from repro.sim.mapping import Deployment
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
-
-#: Backwards-compatible alias: the legacy scheduler class name.  The
-#: timeline is a drop-in replacement for scheduling semantics; the
-#: interval storage moved behind :meth:`ResourceTimeline.intervals`.
-_Resources = ResourceTimeline
 
 
 @dataclass
@@ -171,30 +166,16 @@ class SimulationEngine:
         return SimulationSession(self, deployment)
 
     def run(self, deployment: Deployment, spec: TrafficSpec,
-            batch_size: int = 64,
-            batch_count: int = 200,
-            branch_profile: Optional[BranchProfile] = None,
-            cpu_time_inflation: float = 1.0,
-            co_run_pressure_bytes: float = 0.0,
-            gpu_corun_kernels: int = 0,
-            recorder=None, trace=None,
-            overload=None) -> ThroughputLatencyReport:
-        """Simulate ``batch_count`` batches of ``batch_size`` packets.
+            **options) -> ThroughputLatencyReport:
+        """Simulate ``deployment`` under ``spec`` once.
 
-        One-shot convenience over :meth:`session`; see
-        :meth:`repro.sim.kernel.SimulationSession.run` for parameter
-        semantics.
+        One-shot convenience over :meth:`session`: ``options`` are the
+        keyword arguments of
+        :meth:`repro.sim.kernel.SimulationSession.run` (batch size and
+        count, branch profile, interference, recorder, trace, faults,
+        overload), forwarded unchanged.
         """
-        return self.session(deployment).run(
-            spec, batch_size=batch_size, batch_count=batch_count,
-            branch_profile=branch_profile,
-            cpu_time_inflation=cpu_time_inflation,
-            co_run_pressure_bytes=co_run_pressure_bytes,
-            gpu_corun_kernels=gpu_corun_kernels,
-            recorder=recorder,
-            trace=trace,
-            overload=overload,
-        )
+        return self.session(deployment).run(spec, **options)
 
     # ------------------------------------------------------------------
     def measure_capacity(self, deployment: Deployment, spec: TrafficSpec,

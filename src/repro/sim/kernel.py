@@ -32,12 +32,15 @@ splits the old monolithic engine loop into two long-lived objects:
   graph walks).
 
 The per-node work of one batch is decomposed into small step methods
-(merge, service, split/duplicate, fan-out) operating on the session,
-keeping the :class:`~repro.sim.tracing.EventRecorder` hooks and the
-:class:`~repro.sim.metrics.OverheadBreakdown` accounting of the
-original loop intact.  Each run prices every distinct service (node,
-device or host, rounded packet count, re-queue or not) once, in a
-per-run table; see :class:`_PriceTable`.
+(merge, service, offload dispatch, split/duplicate, fan-out) operating
+on the session, keeping the :class:`~repro.sim.tracing.EventRecorder`
+hooks and the :class:`~repro.sim.metrics.OverheadBreakdown` accounting
+of the original loop intact.  Offload dispatch is one rule for every
+run: fault-only runs are the case with no circuit breaker and a zero
+retry budget (see ``SimulationSession._offload_step``).  Each run
+prices every distinct service (node, device or host, rounded packet
+count, re-queue or not) once, in a per-run table; see
+:class:`_PriceTable`.
 """
 
 from __future__ import annotations
@@ -1218,162 +1221,101 @@ class SimulationSession:
                       ready: float, leg_packets: float,
                       prices: _PriceTable, timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      faults=None, overload_state=None,
+                      faults=None, state: Optional[_OverloadState] = None,
                       recorder=None, batch_index: int = 0) -> float:
+        """Dispatch one batch share to an offload leg.
+
+        A dispatch fails when its estimated window (H2D, launch,
+        kernel, D2H, queueing ignored) intersects a crash, or when a
+        retry policy is set and the link is stretched by its
+        ``timeout_stretch`` or more.  Deciding before any slot is
+        committed keeps the decision deterministic: peeking the
+        timeline would entangle faults with resource occupancy and
+        break batch-order independence.  A guarded dispatch (a breaker
+        or a retry policy is set) pays the full window as the timeout,
+        the breaker records the failure, and the batch retries after a
+        bounded exponential backoff until the budget runs out; an open
+        breaker skips the device and the timeout.  An unguarded one
+        has no breaker and a zero budget and sees a failure at
+        submission.  A batch not dispatched re-queues to the host
+        core; a dispatched one pays the link stretch and slowdown in
+        force at its dispatch time.
+        """
         timing = prices.device(plan, leg, leg_packets)
         h2d = timing.h2d if leg.pays_h2d else 0.0
         d2h = timing.d2h if leg.pays_d2h else 0.0
         kernel_service = timing.kernel
-        if overload_state is not None and (
-                overload_state.breaker is not None
-                or overload_state.retry is not None):
-            return self._dispatch_step(
-                plan, leg, ready, leg_packets, prices, timeline,
-                overheads, faults, overload_state, recorder, batch_index,
-                h2d, d2h, timing,
-            )
-        if faults is not None:
-            # Decide the batch's fate against the *estimated* execution
-            # window.  The estimate ignores queueing (the real window
-            # can start later), trading exactness for a deterministic
-            # decision made before any slot is committed — peeking the
-            # timeline would entangle fault decisions with resource
-            # occupancy and break batch-order independence.
-            window_end = ready + h2d + timing.launch + kernel_service \
-                + d2h
-            if faults.crashed_during(leg.device_id, ready, window_end):
-                completion = self._requeue_step(
-                    plan, ready, leg_packets, prices, timeline,
-                    overheads,
-                )
-                if recorder is not None:
-                    recorder.record_requeue(batch_index, plan.node_id,
-                                            leg.device_id,
-                                            "fault_crash", ready,
-                                            leg_packets)
-                return completion
-            stretch = faults.link_stretch(leg.device_id, ready)
-            if stretch > 1.0 and (h2d > 0 or d2h > 0):
-                h2d *= stretch
-                d2h *= stretch
-                self.last_fault_stats["degraded_transfers"] += 1
-            slow = faults.slowdown(leg.device_id, ready)
-            if slow > 1.0:
-                kernel_service *= slow
-                self.last_fault_stats["slowed_kernels"] += 1
+        breaker = retry = None
+        if state is not None:
+            breaker, retry = state.breaker, state.retry
+        guarded = breaker is not None or retry is not None
         clock = ready
-        if h2d > 0:
-            _start, clock = timeline.schedule(leg.h2d_resource, clock,
-                                              h2d)
-            overheads.pcie_transfer += h2d
-
-        kernel_time = timing.launch + kernel_service
-        _start, clock = timeline.schedule(leg.device_id, clock,
-                                          kernel_time)
-        overheads.kernel_launch += timing.launch
-        overheads.gpu_kernel += kernel_service
-
-        if d2h > 0:
-            _start, clock = timeline.schedule(leg.d2h_resource, clock,
-                                              d2h)
-            overheads.pcie_transfer += d2h
-        return clock
-
-    def _dispatch_step(self, plan: _NodePlan, leg: _OffloadLeg,
-                       ready: float, leg_packets: float,
-                       prices: _PriceTable, timeline: ResourceTimeline,
-                       overheads: OverheadBreakdown, faults,
-                       state: _OverloadState, recorder,
-                       batch_index: int, h2d: float, d2h: float,
-                       timing) -> float:
-        """Circuit-broken, retry-budgeted offload dispatch.
-
-        Replaces the fire-and-requeue fault reaction when the overload
-        config carries a breaker or a retry policy.  A dispatch whose
-        estimated window intersects a crash (or whose link is degraded
-        past the retry policy's ``timeout_stretch``) *fails*: the full
-        window is paid as the timeout, the breaker records the
-        failure, and the batch is re-dispatched after a bounded
-        exponential backoff until the retry budget runs out — then it
-        falls back to the host re-queue path.  An open breaker skips
-        the device (and the timeout) entirely.
-        """
-        breaker = state.breaker
-        retry = state.retry
-        kernel_service = timing.kernel
-        window = h2d + timing.launch + kernel_service + d2h
-        budget = retry.budget if retry is not None else 0
-        attempt = 0
-        clock = ready
-        while True:
-            if (breaker is not None
-                    and not breaker.allow(leg.device_id, clock)):
-                state.breaker_open_requeues += 1
+        if faults is not None or guarded:
+            window = h2d + timing.launch + kernel_service + d2h
+            budget = retry.budget if retry is not None else 0
+            attempt = 0
+            cause = None
+            while True:
+                if (breaker is not None
+                        and not breaker.allow(leg.device_id, clock)):
+                    state.breaker_open_requeues += 1
+                    cause = "breaker_open"
+                    break
+                failed = faults is not None and (
+                    faults.crashed_during(leg.device_id, clock,
+                                          clock + window)
+                    or (retry is not None and (h2d > 0 or d2h > 0)
+                        and faults.link_stretch(leg.device_id, clock)
+                        >= retry.timeout_stretch))
+                if not failed:
+                    break
+                if guarded:
+                    clock += window  # the timeout is paid in full
+                if breaker is not None:
+                    breaker.record_failure(leg.device_id, clock, window)
+                if attempt >= budget:
+                    if retry is not None:
+                        state.retry_exhausted_requeues += 1
+                        cause = "retry_exhausted"
+                    else:
+                        cause = "fault_crash"
+                    break
+                state.retry_attempts += 1
+                clock += retry.backoff_seconds(attempt, window)
+                attempt += 1
+            if cause is not None:
                 completion = self._requeue_step(
                     plan, clock, leg_packets, prices, timeline,
-                    overheads, cause="breaker_open",
-                )
-                if recorder is not None:
-                    recorder.record_requeue(batch_index, plan.node_id,
-                                            leg.device_id,
-                                            "breaker_open", clock,
-                                            leg_packets)
-                return completion
-            failed = False
-            if faults is not None:
-                if faults.crashed_during(leg.device_id, clock,
-                                         clock + window):
-                    failed = True
-                elif (retry is not None
-                        and (h2d > 0 or d2h > 0)
-                        and faults.link_stretch(leg.device_id, clock)
-                        >= retry.timeout_stretch):
-                    failed = True
-            if not failed:
-                break
-            observed = clock + window  # the timeout is paid in full
-            if breaker is not None:
-                breaker.record_failure(leg.device_id, observed, window)
-            if attempt >= budget:
-                cause = ("retry_exhausted" if retry is not None
-                         else "fault_crash")
-                if retry is not None:
-                    state.retry_exhausted_requeues += 1
-                completion = self._requeue_step(
-                    plan, observed, leg_packets, prices, timeline,
                     overheads, cause=cause,
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
-                                            leg.device_id, cause,
-                                            observed, leg_packets)
+                                            leg.device_id, cause, clock,
+                                            leg_packets)
                 return completion
-            state.retry_attempts += 1
-            clock = observed + retry.backoff_seconds(attempt, window)
-            attempt += 1
-        if breaker is not None:
-            breaker.record_success(leg.device_id)
-        # Successful dispatch: the legacy degradation path, from the
-        # (possibly backed-off) dispatch time.
-        if faults is not None:
-            stretch = faults.link_stretch(leg.device_id, clock)
-            if stretch > 1.0 and (h2d > 0 or d2h > 0):
-                h2d *= stretch
-                d2h *= stretch
-                self.last_fault_stats["degraded_transfers"] += 1
-            slow = faults.slowdown(leg.device_id, clock)
-            if slow > 1.0:
-                kernel_service *= slow
-                self.last_fault_stats["slowed_kernels"] += 1
+            if breaker is not None:
+                breaker.record_success(leg.device_id)
+            if faults is not None:
+                stretch = faults.link_stretch(leg.device_id, clock)
+                if stretch > 1.0 and (h2d > 0 or d2h > 0):
+                    h2d *= stretch
+                    d2h *= stretch
+                    self.last_fault_stats["degraded_transfers"] += 1
+                slow = faults.slowdown(leg.device_id, clock)
+                if slow > 1.0:
+                    kernel_service *= slow
+                    self.last_fault_stats["slowed_kernels"] += 1
         if h2d > 0:
             _start, clock = timeline.schedule(leg.h2d_resource, clock,
                                               h2d)
             overheads.pcie_transfer += h2d
+
         kernel_time = timing.launch + kernel_service
         _start, clock = timeline.schedule(leg.device_id, clock,
                                           kernel_time)
         overheads.kernel_launch += timing.launch
         overheads.gpu_kernel += kernel_service
+
         if d2h > 0:
             _start, clock = timeline.schedule(leg.d2h_resource, clock,
                                               d2h)
@@ -1384,7 +1326,7 @@ class SimulationSession:
                       leg_packets: float, prices: _PriceTable,
                       timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      cause: str = "fault_crash") -> float:
+                      cause: str) -> float:
         """Service a bypassed leg's batch share on the host core.
 
         The re-queued batch pays the host service time scaled by the

@@ -4,14 +4,13 @@ A :class:`Placement` assigns one element a *share vector* over device
 ids: each entry is the fraction of every batch serviced on that
 device.  The paper's binary special case — a CPU core plus a
 ratio-split GPU — is the two-entry vector, built by
-:meth:`Placement.split`.  The retired
-``(cpu_processor, gpu_processor, offload_ratio)`` constructor triple
-raises :class:`~repro._compat.LegacyAPIError` unless the
-``REPRO_LEGACY_API=1`` escape hatch is set.  A :class:`Mapping`
-assigns every node
-of a graph; a :class:`Deployment` bundles graph + mapping + execution
-options and is what the :class:`~repro.sim.engine.SimulationEngine`
-runs.
+:meth:`Placement.split`.  The binary ``cpu_processor`` /
+``gpu_processor`` / ``offload_ratio`` / ``uses_gpu`` / ``gpu_only``
+fields stay readable, under a one-shot :class:`DeprecationWarning`,
+for the frozen reference engine in :mod:`repro.sim.legacy`.  A
+:class:`Mapping` assigns every node of a graph; a :class:`Deployment`
+bundles graph + mapping + execution options and is what the
+:class:`~repro.sim.engine.SimulationEngine` runs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping as MappingABC, Optional
 
-from repro._compat import legacy_shim
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.hw.device import DEFAULT_HOST_DEVICE
@@ -30,8 +28,6 @@ from repro.hw.platform import PlatformSpec
 #: Share vectors must sum to 1 within this tolerance (float fractions
 #: like 0.1 + 0.2 + 0.7 do not sum exactly).
 _SHARE_SUM_TOLERANCE = 1e-9
-
-_UNSET = object()
 
 _warned_legacy_fields = set()
 
@@ -59,54 +55,13 @@ class Placement:
 
         Placement.split("cpu3", "gpu0", 0.3)
         # == Placement(shares={"cpu3": 0.7, "gpu0": 0.3}, host="cpu3")
-
-    The retired constructor triple (``cpu_processor=`` /
-    ``gpu_processor=`` / ``offload_ratio=``) raises unless
-    ``REPRO_LEGACY_API=1`` is set.
     """
 
     __slots__ = ("_shares", "_host", "_legacy_cpu")
 
-    def __init__(self, cpu_processor=_UNSET,
-                 gpu_processor: Optional[str] = None,
-                 offload_ratio: float = 0.0, *,
-                 shares: Optional[MappingABC] = None,
+    def __init__(self, *, shares: MappingABC,
                  host: Optional[str] = None):
-        if shares is not None:
-            if cpu_processor is not _UNSET or gpu_processor is not None \
-                    or offload_ratio:
-                raise ValueError(
-                    "pass either shares=/host= or the legacy "
-                    "cpu_processor/gpu_processor/offload_ratio triple"
-                )
-            self._init_from_shares(dict(shares), host)
-            return
-        legacy_shim(
-            "the Placement(cpu_processor=, gpu_processor=, "
-            "offload_ratio=) constructor",
-            "Placement.split(host, device, ratio) or "
-            "Placement(shares=..., host=...)",
-        )
-        cpu = DEFAULT_HOST_DEVICE if cpu_processor is _UNSET \
-            else cpu_processor
-        if not 0.0 <= offload_ratio <= 1.0:
-            raise ValueError("offload ratio must be in [0, 1]")
-        if offload_ratio > 0.0 and gpu_processor is None:
-            raise ValueError("offloaded placement needs a gpu_processor")
-        if offload_ratio < 1.0 and cpu is None:
-            raise ValueError("CPU-share placement needs a cpu_processor")
-        vector: Dict[str, float] = {}
-        if offload_ratio < 1.0:
-            vector[cpu] = 1.0 - offload_ratio
-        if offload_ratio > 0.0:
-            vector[gpu_processor] = offload_ratio
-        self._shares = vector
-        self._host = cpu if cpu is not None \
-            else (host or DEFAULT_HOST_DEVICE)
-        self._legacy_cpu = cpu
-
-    def _init_from_shares(self, vector: Dict[str, float],
-                          host: Optional[str]) -> None:
+        vector = dict(shares)
         total = 0.0
         for device_id, fraction in list(vector.items()):
             if not isinstance(device_id, str) or not device_id:

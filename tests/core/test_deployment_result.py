@@ -67,27 +67,6 @@ class TestDeploymentResult:
             assert result.summary() == result.report.summary()
         assert result.report.summary() in result.describe()
 
-    def test_report_attributes_raise_by_default(self, traced_result,
-                                                monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_API", raising=False)
-        result, _ = traced_result
-        for name in ("throughput_gbps", "latency", "delivered_packets"):
-            with pytest.raises(AttributeError,
-                               match=f"report.{name}"):
-                getattr(result, name)
-            assert not hasattr(result, name)
-
-    def test_report_attributes_forward_under_escape_hatch(
-            self, traced_result, monkeypatch):
-        import repro._compat as compat
-        monkeypatch.setenv("REPRO_LEGACY_API", "1")
-        monkeypatch.setattr(compat, "_warned", set())
-        result, _ = traced_result
-        for name in ("throughput_gbps", "latency", "delivered_packets"):
-            with pytest.warns(DeprecationWarning, match=name):
-                assert getattr(result, name) == \
-                    getattr(result.report, name)
-
     def test_unknown_attribute_raises_without_warning(self,
                                                       traced_result):
         result, _ = traced_result

@@ -96,3 +96,36 @@ class TestInterference:
     def test_drops_bounded(self, summary):
         for stats in summary.values():
             assert 0.0 <= stats["drop_fraction"] <= 0.7
+
+
+class TestDeployState:
+    """What deploy() leaves behind for run() and step()."""
+
+    @pytest.fixture
+    def scheduler(self):
+        scheduler = MultiTenantScheduler(platform=PlatformSpec())
+        scheduler.deploy(workloads(), batch_size=32)
+        return scheduler
+
+    def test_runs_default_to_the_deploy_batch_size(self, scheduler):
+        assert scheduler.step(batch_count=20).report.offered_packets \
+            == 20 * 32
+        for report in scheduler.run(batch_count=20).values():
+            assert report.offered_packets == 20 * 32
+
+    def test_deployed_graphs_are_never_run(self, scheduler):
+        for tenant in scheduler.tenants:
+            graph = tenant.plan.graph
+            assert all(graph.element(node).packets_processed == 0
+                       for node in graph.nodes)
+
+    def test_each_tenant_holds_one_session(self, scheduler):
+        assert scheduler.session is not None
+        sessions = [tenant.session for tenant in scheduler.tenants]
+        assert scheduler.session is sessions[0]
+        before = [s.runs_completed for s in sessions]
+        scheduler.run(batch_count=10)
+        scheduler.step(batch_count=10)
+        assert [s.runs_completed for s in sessions] == \
+            [runs + 2 for runs in before]
+        assert [tenant.session for tenant in scheduler.tenants] == sessions

@@ -163,21 +163,6 @@ class TestGroupOf:
         for group in GROUPS3:
             assert group in message
 
-    def test_side_of_raises_by_default(self, monkeypatch):
-        from repro._compat import LegacyAPIError
-        monkeypatch.delenv("REPRO_LEGACY_API", raising=False)
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
-        with pytest.raises(LegacyAPIError, match="group_of"):
-            result.side_of("a")
-
-    def test_side_of_forwards_under_escape_hatch(self, monkeypatch):
-        import repro._compat as compat
-        monkeypatch.setenv("REPRO_LEGACY_API", "1")
-        monkeypatch.setattr(compat, "_warned", set())
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
-        with pytest.deprecated_call():
-            assert result.side_of("a") == result.group_of("a")
-
     def test_binary_result_side_of_still_works(self):
         result = kernighan_lin_partition(offload_friendly_graph(),
                                          cpu_cores=4)

@@ -8,7 +8,7 @@ from repro.elements.standard import Counter, FromDevice, HashSwitch, \
     ToDevice
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
-from repro.sim.engine import BranchProfile, _Resources
+from repro.sim.engine import BranchProfile
 from repro.sim.kernel import ResourceTimeline
 from repro.sim.mapping import Deployment, Mapping
 from repro.traffic.distributions import FixedSize
@@ -33,10 +33,6 @@ def simple_deployment(nf_type="ipv4", ratio=0.0, persistent=False):
 
 
 class TestResources:
-    def test_engine_alias_is_timeline(self):
-        # Backwards-compat: the old private name still resolves.
-        assert _Resources is ResourceTimeline
-
     def test_sequential_scheduling(self):
         timeline = ResourceTimeline()
         s1, e1 = timeline.schedule("cpu0", 0.0, 1.0)

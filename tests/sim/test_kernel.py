@@ -14,7 +14,7 @@ import re
 import pytest
 from builders import multi_gpu_scenario
 
-from repro.faults import FaultSpec, FaultTimeline
+from repro.faults import FaultSpec, FaultTimeline, single_crash
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
@@ -106,6 +106,21 @@ class TestSessionInvariants:
         assert via_session.throughput_gbps == via_facade.throughput_gbps
         assert via_session.processor_busy_seconds == \
             via_facade.processor_busy_seconds
+
+    def test_engine_facade_forwards_faults(self, engine, spec):
+        deployment = chain_deployment(ratio=0.5)
+        faults = single_crash("gpu0", 0.0)
+        via_session = engine.session(deployment).run(
+            spec, batch_size=32, batch_count=20, faults=faults
+        )
+        via_facade = engine.run(deployment, spec, batch_size=32,
+                                batch_count=20, faults=faults)
+        fault_free = engine.run(deployment, spec, batch_size=32,
+                                batch_count=20)
+        assert canonical_fingerprint(via_facade) == \
+            canonical_fingerprint(via_session)
+        assert canonical_fingerprint(via_facade) != \
+            canonical_fingerprint(fault_free)
 
     def test_last_timeline_kept_for_auditing(self, engine, spec):
         from repro.validate.invariants import verify_timeline

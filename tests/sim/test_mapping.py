@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro._compat import LegacyAPIError
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
@@ -43,29 +42,6 @@ class TestPlacementSplit:
     def test_split_matches_share_vector(self):
         assert Placement.split("cpu3", "gpu0", 0.3) == \
             Placement(shares={"cpu3": 0.7, "gpu0": 0.3}, host="cpu3")
-
-
-class TestLegacyConstructor:
-    def test_triple_raises_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_API", raising=False)
-        with pytest.raises(LegacyAPIError, match="Placement.split"):
-            Placement(cpu_processor="cpu3", gpu_processor="gpu0",
-                      offload_ratio=0.3)
-
-    def test_bare_constructor_is_legacy_too(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEGACY_API", raising=False)
-        with pytest.raises(LegacyAPIError):
-            Placement()
-
-    def test_triple_builds_split_under_escape_hatch(self, monkeypatch):
-        import repro._compat as compat
-        monkeypatch.setenv("REPRO_LEGACY_API", "1")
-        monkeypatch.setattr(compat, "_warned", set())
-        with pytest.deprecated_call():
-            legacy = Placement(cpu_processor="cpu3",
-                               gpu_processor="gpu0",
-                               offload_ratio=0.3)
-        assert legacy == Placement.split("cpu3", "gpu0", 0.3)
 
 
 class TestMapping:

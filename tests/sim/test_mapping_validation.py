@@ -47,11 +47,6 @@ class TestShareVectorConstruction:
         with pytest.raises(ValueError):
             Placement(shares={3: 1.0})
 
-    def test_mixing_shares_and_legacy_triple_rejected(self):
-        with pytest.raises(ValueError):
-            Placement(cpu_processor="cpu1",
-                      shares={"cpu1": 1.0})
-
     def test_host_defaults_to_first_cpu_share(self):
         placement = Placement(shares={"cpu3": 0.6, "gpu0": 0.4})
         assert placement.host == "cpu3"
