@@ -2,12 +2,18 @@
 
 import hashlib
 import hmac as stdlib_hmac
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+import repro
+from repro.elements.config import parse_config
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nf.ipsec import (
@@ -19,6 +25,13 @@ from repro.nf.ipsec import (
     aes128_ctr,
     hmac_sha1,
 )
+from repro.runner import canonical_fingerprint
+
+#: ``canonical_fingerprint`` of the ESP payloads ``IPsecGateway`` makes
+#: of :func:`_fixed_esp_batch`, recorded while CTR still ran one block
+#: at a time: batch-wide CTR must not move a ciphertext byte.
+ESP_PAYLOADS = \
+    "016903dfe2daf8e8d9de5a958c70bf0d38e870b30fdeeee904443ea739563dda"
 
 
 class TestAES128:
@@ -86,8 +99,8 @@ def _ctr_by_blocks(cipher, nonce, data, initial_counter):
 
 
 class TestCTRKeystream:
-    """``AES128.ctr`` inlines the rounds; ``encrypt_block`` is the
-    reference it must agree with."""
+    """``AES128.ctr`` is byte-sliced ``ctr_batch`` of one packet;
+    ``encrypt_block`` is the reference it must agree with."""
 
     cipher = AES128(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
     nonce = bytes(range(12))
@@ -132,6 +145,75 @@ class TestCTRKeystream:
         decrypt.push(PacketBatch(packets))
         assert expansions == []
         assert all(p.payload == bytes(40) for p in packets)
+
+
+def _batch_by_blocks(cipher, nonces, datas, initial_counter):
+    return [_ctr_by_blocks(cipher, nonce, data, initial_counter)
+            for nonce, data in zip(nonces, datas)]
+
+
+class TestCTRBatch:
+    """``ctr_batch`` against ``_ctr_by_blocks``, packet by packet."""
+
+    cipher = AES128(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+
+    @staticmethod
+    def nonces(count):
+        return [bytes((5 * k + j) & 0xFF for j in range(12))
+                for k in range(count)]
+
+    def assert_matches_reference(self, nonces, datas, initial_counter=1):
+        assert self.cipher.ctr_batch(nonces, datas, initial_counter) == \
+            _batch_by_blocks(self.cipher, nonces, datas, initial_counter)
+
+    def test_empty_batch(self):
+        assert self.cipher.ctr_batch([], []) == []
+
+    def test_all_empty_payloads(self):
+        assert self.cipher.ctr_batch(self.nonces(3), [b""] * 3) == [b""] * 3
+
+    # 2**32 - 1 wraps the counter inside every multi-block packet.
+    @pytest.mark.parametrize("initial_counter", [0, 1, 2**32 - 1])
+    def test_mixed_lengths(self, initial_counter):
+        lengths = [0, 1, 15, 16, 17, 100, 1500, 0, 17]
+        datas = [bytes((13 * k + i) & 0xFF for i in range(length))
+                 for k, length in enumerate(lengths)]
+        self.assert_matches_reference(self.nonces(len(datas)), datas,
+                                      initial_counter)
+
+    def test_duplicate_nonces(self):
+        nonce = self.nonces(1)[0]
+        datas = [b"a" * 40, b"b" * 17, b"a" * 40]
+        self.assert_matches_reference([nonce] * 3, datas)
+        out = self.cipher.ctr_batch([nonce] * 3, datas)
+        assert out[0] == out[2]
+
+    def test_short_or_long_nonce_rejected(self):
+        for bad in (b"short", bytes(13)):
+            with pytest.raises(ValueError):
+                self.cipher.ctr_batch(self.nonces(2) + [bad],
+                                      [b"x", b"", b""])
+        with pytest.raises(ValueError):
+            self.cipher.ctr_batch([b"short"], [b""])
+
+    def test_one_nonce_per_data(self):
+        with pytest.raises(ValueError):
+            self.cipher.ctr_batch(self.nonces(2), [b"x"])
+
+
+@pytest.mark.property
+@given(key=st.binary(min_size=16, max_size=16),
+       packets=st.lists(st.tuples(st.binary(min_size=12, max_size=12),
+                                  st.binary(max_size=80)), max_size=12),
+       initial_counter=st.one_of(st.integers(0, 2**32 - 1),
+                                 st.integers(2**32 - 6, 2**32 - 1)))
+@settings(max_examples=150, deadline=None)
+def test_ctr_batch_matches_block_reference(key, packets, initial_counter):
+    cipher = AES128(key)
+    nonces = [nonce for nonce, _ in packets]
+    datas = [data for _, data in packets]
+    assert cipher.ctr_batch(nonces, datas, initial_counter) == \
+        _batch_by_blocks(cipher, nonces, datas, initial_counter)
 
 
 @given(st.binary(min_size=16, max_size=16), st.binary(max_size=300))
@@ -196,6 +278,62 @@ class TestIPsecElements:
         assert IPsecEncrypt(spi=1).signature() != \
             IPsecEncrypt(spi=2).signature()
 
+    @pytest.mark.parametrize("spi", [-1, 2**32, 2**32 + 5])
+    def test_spi_outside_32_bits_rejected(self, spi):
+        with pytest.raises(ValueError):
+            IPsecEncrypt(spi=spi)
+
+    def test_spi_outside_32_bits_rejected_in_click_config(self):
+        with pytest.raises(ValueError):
+            parse_config("enc :: IPsecEncrypt(spi=-1);")
+
+    def test_spi_bounds_accepted(self):
+        for spi in (0, 2**32 - 1):
+            packet = Packet(payload=b"edge spi")
+            IPsecEncrypt(spi=spi).push(PacketBatch([packet]))
+            assert packet.payload[:4] == spi.to_bytes(4, "big")
+
+    def test_batch_equals_one_packet_per_batch(self):
+        lengths = (0, 1, 15, 16, 17, 100, 202, 1500)
+        packets, alone = [], []
+        for index in range(64):
+            payload = bytes((11 * index + i) & 0xFF
+                            for i in range(lengths[index % 8]))
+            packets.append(Packet(payload=payload, seqno=3 * index))
+            alone.append(Packet(payload=payload, seqno=3 * index))
+        dropped = {index for index in range(64) if index % 7 == 2}
+        for index in dropped:
+            packets[index].mark_dropped("upstream")
+        originals = [packet.payload for packet in packets]
+        encrypt = IPsecEncrypt()
+        encrypt.push(PacketBatch(packets))
+        for index, (packet, single) in enumerate(zip(packets, alone)):
+            if index in dropped:
+                assert packet.payload == originals[index]
+                assert "esp" not in packet.annotations
+            else:
+                encrypt.push(PacketBatch([single]))
+                assert packet.payload == single.payload
+
+    def test_tunnel_drops_exactly_tampered_and_short(self):
+        packets = [Packet(payload=bytes([index]) * (5 * index), seqno=index)
+                   for index in range(12)]
+        originals = [packet.payload for packet in packets]
+        IPsecEncrypt().push(PacketBatch(packets))
+        tampered = bytearray(packets[4].payload)
+        tampered[9] ^= 0x01
+        packets[4].payload = bytes(tampered)
+        packets[7].payload = packets[7].payload[:ESP_OVERHEAD_BYTES - 1]
+        decrypt = IPsecDecrypt()
+        out = decrypt.push(PacketBatch(packets))[0]
+        assert decrypt.auth_failures == 2
+        assert [p.dropped for p in packets] == \
+            [index in (4, 7) for index in range(12)]
+        assert out.packets == [p for p in packets if not p.dropped]
+        assert [p.payload for p in out.packets] == \
+            [originals[index] for index in range(12) if index not in (4, 7)]
+        assert not any(p.annotations.get("esp") for p in out.packets)
+
 
 class TestIPsecGatewayNF:
     def test_encrypts_all_packets(self, generator):
@@ -212,3 +350,48 @@ class TestIPsecGatewayNF:
         decrypt = IPsecDecrypt()
         restored = decrypt.push(PacketBatch(encrypted))[0]
         assert [p.payload for p in restored] == originals
+
+    def test_esp_payloads_are_pinned(self):
+        packets = _fixed_esp_batch()
+        IPsecGateway().process_packets(packets)
+        assert sum(p.dropped for p in packets) == 13
+        assert canonical_fingerprint(
+            [(p.dropped, p.payload) for p in packets]) == ESP_PAYLOADS
+
+
+def _fixed_esp_batch():
+    """64 packets of mixed lengths whose seqnos cross 2**32; every
+    fifth from the fourth has TTL 0, so ``CheckIPHeader`` drops it."""
+    lengths = (0, 1, 15, 16, 17, 100, 202, 1500)
+    packets = []
+    for index in range(64):
+        length = lengths[index % len(lengths)]
+        packet = Packet(
+            payload=bytes((31 * index + 7 * j) & 0xFF for j in range(length)),
+            seqno=2**32 - 20 + index)
+        if index % 5 == 3:
+            packet.ip.ttl = 0
+        packets.append(packet)
+    return packets
+
+
+def test_deploy_leaves_numpy_unimported():
+    """The packet path is stdlib only (see ``repro.nf.ipsec``): numpy
+    would add ~12 MB to the resident set of every deploying process."""
+    script = (
+        "import sys, repro\n"
+        "from repro.core.compass import NFCompass\n"
+        "from repro.nf.base import ServiceFunctionChain\n"
+        "from repro.nf.catalog import make_nf\n"
+        "from repro.traffic.generator import TrafficSpec\n"
+        "sfc = ServiceFunctionChain([make_nf(k) for k in "
+        "('firewall', 'ipsec', 'dpi')])\n"
+        "NFCompass().run(sfc, TrafficSpec(seed=1), batch_size=16, "
+        "batch_count=10)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
