@@ -872,11 +872,14 @@ def multiway_agglomerative_partition(
             assignment[group].add(node)
         else:
             stragglers.append(node)
+    # Stragglers start on the host, as unassigned nodes do on the
+    # binary path, so every evaluation below sees a total assignment.
+    assignment[HOST_GROUP].update(stragglers)
     for node in stragglers:
         if not _movable(graph, node):
-            assignment[HOST_GROUP].add(node)
             continue
         trace.count("partition.offload_steps_tried")
+        assignment[HOST_GROUP].discard(node)
         best_group = HOST_GROUP
         best_objective = None
         for group in groups:

@@ -18,8 +18,9 @@ splits the old monolithic engine loop into two long-lived objects:
   merged): zero-duration tasks may legally land in the seam between
   two back-to-back slots, so placement depends on the commit history,
   not just the busy-time union.  Keeping the history verbatim makes
-  every placement bit-identical to the legacy linear scanner (see
-  ``repro.sim.legacy`` and the Hypothesis differential property in
+  every placement bit-identical to the legacy linear scanner (the
+  frozen test oracle in ``tests/legacy_engine.py``, compared by the
+  Hypothesis differential in
   ``tests/properties/test_timeline_properties.py``).
 
 - :class:`SimulationSession` — per-deployment invariants computed

@@ -4,19 +4,15 @@ A :class:`Placement` assigns one element a *share vector* over device
 ids: each entry is the fraction of every batch serviced on that
 device.  The paper's binary special case — a CPU core plus a
 ratio-split GPU — is the two-entry vector, built by
-:meth:`Placement.split`.  The binary ``cpu_processor`` /
-``gpu_processor`` / ``offload_ratio`` / ``uses_gpu`` / ``gpu_only``
-fields stay readable, under a one-shot :class:`DeprecationWarning`,
-for the frozen reference engine in :mod:`repro.sim.legacy`.  A
-:class:`Mapping` assigns every node of a graph; a :class:`Deployment`
-bundles graph + mapping + execution options and is what the
-:class:`~repro.sim.engine.SimulationEngine` runs.
+:meth:`Placement.split`.  A :class:`Mapping` assigns every node of a
+graph; a :class:`Deployment` bundles graph + mapping + execution
+options and is what the :class:`~repro.sim.engine.SimulationEngine`
+runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping as MappingABC, Optional
 
@@ -28,18 +24,6 @@ from repro.hw.platform import PlatformSpec
 #: Share vectors must sum to 1 within this tolerance (float fractions
 #: like 0.1 + 0.2 + 0.7 do not sum exactly).
 _SHARE_SUM_TOLERANCE = 1e-9
-
-_warned_legacy_fields = set()
-
-
-def _warn_legacy(name: str, replacement: str) -> None:
-    if name in _warned_legacy_fields:
-        return
-    _warned_legacy_fields.add(name)
-    warnings.warn(
-        f"Placement.{name} is deprecated; use Placement.{replacement}",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 class Placement:
@@ -57,7 +41,7 @@ class Placement:
         # == Placement(shares={"cpu3": 0.7, "gpu0": 0.3}, host="cpu3")
     """
 
-    __slots__ = ("_shares", "_host", "_legacy_cpu")
+    __slots__ = ("_shares", "_host")
 
     def __init__(self, *, shares: MappingABC,
                  host: Optional[str] = None):
@@ -91,7 +75,6 @@ class Placement:
             )
         self._shares = vector
         self._host = host
-        self._legacy_cpu = host if host in vector else None
 
     # -- device-neutral API --------------------------------------------
     @property
@@ -165,37 +148,7 @@ class Placement:
             vector[device] = ratio
         self._shares = vector
         self._host = host
-        self._legacy_cpu = host
         return self
-
-    # -- legacy binary fields (deprecated) -----------------------------
-    @property
-    def cpu_processor(self) -> Optional[str]:
-        _warn_legacy("cpu_processor", "host / shares")
-        return self._legacy_cpu
-
-    @property
-    def gpu_processor(self) -> Optional[str]:
-        _warn_legacy("gpu_processor", "offload_shares")
-        for device in self._shares:
-            if device != self._host:
-                return device
-        return None
-
-    @property
-    def offload_ratio(self) -> float:
-        _warn_legacy("offload_ratio", "offload_total")
-        return self.offload_total
-
-    @property
-    def uses_gpu(self) -> bool:
-        _warn_legacy("uses_gpu", "offloaded")
-        return self.offloaded
-
-    @property
-    def gpu_only(self) -> bool:
-        _warn_legacy("gpu_only", "fully_offloaded")
-        return self.fully_offloaded
 
     # -- value semantics (the old frozen dataclass behaviour) ----------
     def __eq__(self, other) -> bool:

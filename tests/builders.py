@@ -12,12 +12,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
+from repro.elements.standard import CheckIPHeader, FromDevice, ToDevice
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import NetworkFunction, ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.nf.dpi import PatternMatch
+from repro.nf.firewall import AclClassify
+from repro.nf.ipv4 import IPv4Lookup, LPMTrie
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
+from repro.traffic.acl import AclRule
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
@@ -97,8 +103,9 @@ def cpu_friendly_graph() -> nx.Graph:
 
 # ---------------------------------------------------------------------------
 # Golden kernel scenarios: (deployment, spec, measured profile) triples the
-# parity suites replay against the frozen legacy engine and the kernel's
-# digest pins replay against recorded outputs.
+# parity suites replay through the kernel and the frozen legacy engine in
+# ``tests/legacy_engine.py`` (reports must match exactly), and the
+# kernel's digest pins replay against recorded outputs.
 # ---------------------------------------------------------------------------
 
 def _golden_chain_graph(*types):
@@ -165,8 +172,72 @@ def multi_gpu_scenario():
     return deployment, spec, profile
 
 
+def branchy_scenario():
+    """A split-and-rejoin graph no NF chain builds.
+
+    The classifier denies ports 80-443 to its port 1, so measured
+    traffic leaves it on two ports that fan back in at ``lookup``
+    (batch split and fan-in merge, on cores other than ``cpu0``).
+    Four adjacent offloadables share gpu0: ``lookup`` and ``match``
+    are fully offloaded, so the PCIe hop between them is skipped,
+    while the partially offloaded ``classify`` before them and
+    ``scan`` after them still pay theirs.
+    """
+    spec = TrafficSpec(size_law=FixedSize(192), offered_gbps=60.0,
+                       seed=41)
+    everywhere = dict(src_prefix=(0, 0), dst_prefix=(0, 0),
+                      src_ports=(0, 65535), proto=None)
+    rules = [AclRule(priority=0, dst_ports=(80, 443), action="deny",
+                     **everywhere),
+             AclRule(priority=1, dst_ports=(0, 65535), **everywhere)]
+    fib = LPMTrie()
+    fib.insert(0, 0, 1)
+    graph = ElementGraph(name="branchy")
+    rx = graph.add(FromDevice(name="rx"))
+    check = graph.add(CheckIPHeader(name="check"))
+    classify = graph.add(AclClassify(rules, name="classify"))
+    lookup = graph.add(IPv4Lookup(fib, name="lookup"))
+    match = graph.add(PatternMatch([b"attack"], name="match"))
+    scan = graph.add(PatternMatch([b"exploit"], name="scan"))
+    tx = graph.add(ToDevice(name="tx"))
+    graph.connect(rx, check)
+    graph.connect(check, classify)
+    graph.connect(classify, lookup, src_port=0)
+    graph.connect(classify, lookup, src_port=1)
+    graph.connect(lookup, match)
+    graph.connect(match, scan)
+    graph.connect(scan, tx)
+    mapping = Mapping({
+        rx: Placement.split("cpu1"),
+        check: Placement.split("cpu2"),
+        classify: Placement.split("cpu3", "gpu0", 0.5),
+        lookup: Placement.split("cpu4", "gpu0", 1.0),
+        match: Placement.split("cpu5", "gpu0", 1.0),
+        scan: Placement.split("cpu2", "gpu0", 0.7),
+        tx: Placement.split("cpu1"),
+    })
+    deployment = Deployment(graph, mapping, persistent_kernel=True,
+                            name="golden-branchy")
+    profile = BranchProfile.measure(graph.clone(), spec,
+                                    sample_packets=256, batch_size=32)
+    return deployment, spec, profile
+
+
 GOLDEN_SCENARIOS = {
     "cpu_only": cpu_only_scenario,
     "partial_offload": partial_offload_scenario,
     "multi_gpu": multi_gpu_scenario,
+    "branchy": branchy_scenario,
 }
+
+
+def assert_reports_match(new, old):
+    """Kernel report ``new`` equals legacy report ``old`` exactly (``==``)
+    on every scalar, latency, overhead and per-resource busy field."""
+    for attr in ("name", "offered_gbps", "delivered_packets",
+                 "delivered_bytes", "dropped_packets", "makespan_seconds",
+                 "throughput_gbps"):
+        assert getattr(new, attr) == getattr(old, attr), attr
+    assert new.latency == old.latency
+    assert new.overheads == old.overheads
+    assert new.processor_busy_seconds == old.processor_busy_seconds

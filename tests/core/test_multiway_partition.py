@@ -152,6 +152,24 @@ class TestMultiwayAgglomerative:
             assigned |= nodes
         assert assigned == set(graph.nodes)
 
+    def test_several_stragglers(self):
+        """Offloadables wired only to pinned nodes join no seed
+        cluster; each is placed while the others are still pending."""
+        graph = three_device_graph()
+        graph.add_node("c", group_times={HOST_GROUP: 30.0, "gpu": 3.0})
+        graph.add_node("d", group_times={
+            HOST_GROUP: 1.0, "gpu": 20.0, "smartnic": 10.0,
+        })
+        for node in ("c", "d"):
+            graph.add_edge("rx", node, weight=0.2)
+            graph.add_edge(node, "tx", weight=0.2)
+        result = multiway_agglomerative_partition(graph, GROUPS3)
+        assert result.groups == {
+            HOST_GROUP: {"rx", "d", "tx"},
+            "gpu": {"a", "c"},
+            "smartnic": {"b"},
+        }
+
 
 class TestGroupOf:
     def test_unknown_node_raises_structured_keyerror(self):

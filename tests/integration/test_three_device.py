@@ -46,8 +46,8 @@ class TestThreeDevicePipeline:
                                                         spec, sfc):
         compass = NFCompass(platform=platform)
         with warnings.catch_warnings():
-            # The device-neutral pipeline must not lean on any of the
-            # deprecated binary-placement compatibility shims.
+            # The device-neutral pipeline must not lean on anything
+            # deprecated.
             warnings.simplefilter("error", DeprecationWarning)
             result = compass.run(sfc, spec, batch_size=64,
                                  batch_count=50)
@@ -105,6 +105,20 @@ class TestThreeDevicePipeline:
         assert busy.get("nic0", 0.0) > 0
         assert busy.get("nicdma:nic0:h2d", 0.0) > 0
         assert busy.get("pcie:gpu0:d2h", 0.0) > 0
+
+    def test_agglomerative_deploy(self, platform, spec):
+        """Multiway agglomerative places every straggler cluster."""
+        compass = NFCompass(platform=platform, algorithm="agglomerative")
+        sfc = ServiceFunctionChain([make_nf("firewall"), make_nf("ids")])
+        result = compass.run(sfc, spec, batch_size=64, batch_count=50)
+        partition = result.plan.allocation_report.partition
+        assert partition.algorithm == "agglomerative-multiway"
+        assigned = set()
+        for nodes in partition.device_groups().values():
+            assigned |= nodes
+        assert assigned == set(
+            result.plan.allocation_report.expanded.pgraph.nodes)
+        assert result.report.throughput_gbps > 0
 
     def test_two_device_platform_unaffected(self, spec, sfc):
         """The default platform still takes the binary path."""

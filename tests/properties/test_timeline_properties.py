@@ -11,7 +11,7 @@ promises the scheduler makes:
   the duration it asked for;
 - busy bookkeeping matches the committed interval widths;
 - placements are bit-identical to the legacy linear scanner kept in
-  ``repro.sim.legacy`` (the parity bedrock of the kernel rewrite).
+  ``tests/legacy_engine.py`` (the parity bedrock of the kernel rewrite).
 """
 
 import math
@@ -20,9 +20,9 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from legacy_engine import _LinearResources
 
 from repro.sim.kernel import ResourceTimeline
-from repro.sim.legacy import _LinearResources
 from repro.validate.invariants import verify_timeline
 
 pytestmark = pytest.mark.property

@@ -2,19 +2,23 @@
 
 The kernel rewrite (``repro.sim.kernel``) must be behavior-preserving:
 on identical deployments, traffic, and branch profiles it must produce
-the same reports as the legacy engine kept verbatim in
-``repro.sim.legacy`` — every scalar and every per-processor total
-within 1e-9 relative tolerance.
+the same reports as the legacy engine kept frozen in
+``tests/legacy_engine.py`` — every scalar, every latency statistic,
+every overhead field and every per-processor busy total compared with
+``==``, not within a tolerance.
 
-Three seeded scenarios (``GOLDEN_SCENARIOS`` in ``tests/builders.py``)
+Four seeded scenarios (``GOLDEN_SCENARIOS`` in ``tests/builders.py``)
 cover the interesting regimes:
 
 - a CPU-only multi-core chain driven by a measured branch profile
-  (merges, splits, drops, no GPU paths);
+  (no GPU paths);
 - a partially offloaded chain (ratio 0.6) with the persistent kernel
   and stateful reassembly (re-merge + reassembly paths);
-- a branchy multi-GPU deployment mixing full and partial offload
-  across two GPUs (PCIe lanes, boundary-crossing flags, fan-out).
+- a multi-GPU deployment mixing full and partial offload across two
+  GPUs (PCIe lanes, boundary-crossing flags);
+- a hand-built graph whose measured traffic splits over two ports and
+  fans back in (batch split, fan-in merge), with fully and partially
+  offloaded neighbours on one GPU (PCIe hops skipped and paid).
 
 The quick versions run in tier-1, each scenario at its own load and
 saturated at 200 Gbps; ``@pytest.mark.slow`` variants replay the same
@@ -25,43 +29,12 @@ import dataclasses
 
 import pytest
 from builders import GOLDEN_SCENARIOS as SCENARIOS
-from builders import partial_offload_scenario
+from builders import assert_reports_match, partial_offload_scenario
+from legacy_engine import LegacySimulationEngine
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.legacy import LegacySimulationEngine
 from repro.sim.tracing import EventRecorder
 from repro.traffic.arrivals import ConstantRate
-
-REL = 1e-9
-
-
-def assert_reports_match(new, old):
-    assert new.name == old.name
-    assert new.offered_gbps == pytest.approx(old.offered_gbps, rel=REL)
-    assert new.delivered_packets == pytest.approx(
-        old.delivered_packets, rel=REL)
-    assert new.delivered_bytes == pytest.approx(
-        old.delivered_bytes, rel=REL)
-    assert new.dropped_packets == pytest.approx(
-        old.dropped_packets, rel=REL, abs=1e-9)
-    assert new.makespan_seconds == pytest.approx(
-        old.makespan_seconds, rel=REL)
-    assert new.throughput_gbps == pytest.approx(
-        old.throughput_gbps, rel=REL)
-    assert new.latency.samples == old.latency.samples
-    for attr in ("mean", "p50", "p95", "p99", "max", "variance"):
-        assert getattr(new.latency, attr) == pytest.approx(
-            getattr(old.latency, attr), rel=REL, abs=1e-15), attr
-    for attr in ("cpu_compute", "gpu_kernel", "kernel_launch",
-                 "pcie_transfer", "batch_split", "batch_merge",
-                 "duplication", "xor_merge", "reassembly"):
-        assert getattr(new.overheads, attr) == pytest.approx(
-            getattr(old.overheads, attr), rel=REL, abs=1e-15), attr
-    assert set(new.processor_busy_seconds) == \
-        set(old.processor_busy_seconds)
-    for resource, busy in old.processor_busy_seconds.items():
-        assert new.processor_busy_seconds[resource] == pytest.approx(
-            busy, rel=REL, abs=1e-15), resource
 
 
 def run_both(scenario, batch_size, batch_count, offered_gbps=None,

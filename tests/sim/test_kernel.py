@@ -4,15 +4,17 @@ The scheduling semantics of :class:`ResourceTimeline` are covered in
 ``test_engine.py`` (TestResources) and the property suites; this file
 exercises the :class:`SimulationSession` layer — precomputed
 invariants, session reuse, the new utilization/queue-wait report
-fields — and pins a quick parity check against the frozen legacy
-engine (the full golden matrix lives in ``test_golden_parity.py``).
+fields — and pins a quick exact parity check against the frozen legacy
+engine in ``tests/legacy_engine.py`` (the full golden matrix lives in
+``test_golden_parity.py``).
 """
 
 import dataclasses
 import re
 
 import pytest
-from builders import multi_gpu_scenario
+from builders import assert_reports_match, multi_gpu_scenario
+from legacy_engine import LegacySimulationEngine
 
 from repro.faults import FaultSpec, FaultTimeline, single_crash
 from repro.hw import DEFAULT_HOST_DEVICE
@@ -27,7 +29,6 @@ from repro.overload import (
 from repro.runner import canonical_fingerprint
 from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.sim.kernel import SimulationSession
-from repro.sim.legacy import LegacySimulationEngine
 from repro.sim.mapping import Deployment, Mapping
 from repro.sim.tracing import EventRecorder
 from repro.traffic.distributions import FixedSize
@@ -217,15 +218,7 @@ class TestLegacyParitySmoke:
             deployment, spec, batch_size=32, batch_count=30,
             branch_profile=profile,
         )
-        assert new.throughput_gbps == pytest.approx(
-            old.throughput_gbps, rel=1e-9)
-        assert new.latency.mean == pytest.approx(
-            old.latency.mean, rel=1e-9)
-        assert new.makespan_seconds == pytest.approx(
-            old.makespan_seconds, rel=1e-9)
-        for key, value in old.processor_busy_seconds.items():
-            assert new.processor_busy_seconds[key] == pytest.approx(
-                value, rel=1e-9)
+        assert_reports_match(new, old)
 
 
 class TestRecordedDigests:

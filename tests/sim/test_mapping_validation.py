@@ -94,14 +94,6 @@ class TestRatioEdges:
         assert placement.devices_used() == ["gpu0"]
         assert placement.host == DEFAULT_HOST_DEVICE
 
-    def test_deprecated_fields_still_read(self):
-        placement = Placement.split("cpu1", "gpu0", 0.25)
-        with pytest.warns(DeprecationWarning):
-            import repro.sim.mapping as mapping_module
-            mapping_module._warned_legacy_fields.discard("offload_ratio")
-            assert placement.offload_ratio == pytest.approx(0.25)
-        assert placement.offload_total == pytest.approx(0.25)
-
 
 class TestMappingValidation:
     def test_gpu_only_placement_validates(self, graph):
