@@ -366,12 +366,11 @@ class NFCompass:
             trace=None, overload=None) -> DeploymentResult:
         """Deploy and simulate in one call.
 
-        Returns a :class:`DeploymentResult`; the previous bare
-        :class:`ThroughputLatencyReport` is its ``report`` field (and
-        report attributes remain reachable on the result itself under
-        a :class:`DeprecationWarning`).  The simulation reuses the
-        ``run_time`` profile the deploy already took of the chosen
-        candidate.  ``overload`` is an optional
+        Returns a :class:`DeploymentResult`; the
+        :class:`ThroughputLatencyReport` is its ``report`` field, and
+        report attributes are read there, not on the result itself.
+        The simulation reuses the ``run_time`` profile the deploy
+        already took of the chosen candidate.  ``overload`` is an optional
         :class:`~repro.overload.OverloadConfig` applied to the
         simulation run.
         """

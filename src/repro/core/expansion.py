@@ -4,8 +4,9 @@ A single offloadable element cannot carry one weight that represents
 every possible offload ratio.  NFCompass therefore expands each
 offloadable element into ``1/delta`` *virtual instances*, each owning a
 ``delta`` share of the element's traffic; the partitioner then assigns
-instances to CPU or GPU individually, and the element's offload ratio
-falls out as the fraction of its instances placed on the GPU.
+instances to device groups individually, and the element's share on
+each offload group falls out as the fraction of its instances placed
+there.
 
 Non-offloadable (or stateful) elements become a single instance pinned
 to the CPU side.
@@ -41,9 +42,9 @@ class ExpandedGraph:
     """The partitioning view of an element graph.
 
     ``pgraph`` is an undirected weighted graph over instance ids; node
-    attributes are filled by the allocator (``cpu_time``, ``gpu_time``,
-    ``pinned``), edge attribute ``weight`` is the communication cost of
-    cutting the edge.
+    attributes are filled by the allocator (``cpu_time``,
+    ``group_times``, ``pinned``, ``group``), edge attribute ``weight``
+    is the communication cost of cutting the edge.
     """
 
     pgraph: nx.Graph
@@ -52,22 +53,13 @@ class ExpandedGraph:
     original: ElementGraph
     delta: float
 
-    def offload_ratio(self, node_id: str, gpu_instances: set) -> float:
-        """Fraction of ``node_id``'s slices placed on the GPU side."""
-        slices = self.slices_per_node[node_id]
-        if not slices:
-            return 0.0
-        on_gpu = sum(1 for s in slices if s in gpu_instances)
-        return on_gpu / len(slices)
-
     def group_shares(self, node_id: str,
                      groups: "Dict[str, set]") -> "Dict[str, float]":
         """Per-device-group fraction of ``node_id``'s slices.
 
-        The multiway counterpart of :meth:`offload_ratio`: given the
-        partition's group -> instance-set assignment, returns the
-        slice fraction landing in each group (groups with no slice of
-        this node are omitted).
+        Given the partition's group -> instance-set assignment,
+        returns the slice fraction landing in each group (groups with
+        no slice of this node are omitted).
         """
         slices = self.slices_per_node[node_id]
         if not slices:

@@ -5,11 +5,11 @@
 :class:`~repro.faults.spec.FaultTimeline`.  Each epoch it derives
 health signals for every offload device (a crash window intersecting
 the epoch means "down"), shrinks the healthy device set, and re-runs
-the NFCompass pipeline — multiway partitioner included — over the
-surviving inventory: crashed GPUs leave the allocator's ``gpus`` list,
-crashed extra devices leave the platform inventory entirely.  With
-every offload device down the replan degrades to a valid host-only
-deployment (the allocator's trivial partition path).
+the NFCompass pipeline over the surviving inventory: crashed GPUs
+leave the allocator's ``gpus`` list, crashed extra devices leave the
+platform inventory entirely.  With every offload device down the
+replan degrades to a valid host-only deployment (a partition with the
+host group only).
 
 Re-admission is hysteretic: a device must stay healthy for
 ``readmit_epochs`` consecutive epochs before a replan brings it back,

@@ -3,11 +3,14 @@
 On small expanded graphs the optimal CPU/GPU assignment can be found
 by enumerating every subset of the movable nodes.  The oracle uses
 that ground truth to assert that :func:`kernighan_lin_partition` and
-:func:`agglomerative_partition` stay within a bounded factor of the
-optimum, and that every :class:`PartitionResult` satisfies its
-internal invariants (disjoint node sets covering the graph, objective
-equal to the recomputed objective, consistent cut weight and loads,
-pinned nodes on the CPU side).
+:func:`agglomerative_partition`, run on the two device groups ``cpu``
+and ``gpu``, stay within a bounded factor of the optimum, and that
+every :class:`PartitionResult` satisfies its internal invariants
+(disjoint node sets covering the graph, objective equal to the
+recomputed objective, consistent cut weight and loads, pinned nodes on
+the CPU side).  It recomputes everything with the independent
+two-group evaluator :func:`~repro.core.partition.evaluate`, which the
+partitioners themselves never call.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.core.partition import (
+    HOST_GROUP,
     PartitionResult,
     _cut_weight,
     _loads,
@@ -183,8 +187,9 @@ def audit_partitioners(graph: nx.Graph, cpu_cores: int = 1,
 
     audit = PartitionAudit(node_count=graph.number_of_nodes(),
                            optimal_objective=optimal_objective)
+    capacities = {HOST_GROUP: cpu_cores, "gpu": gpu_units}
     for algorithm in (kernighan_lin_partition, agglomerative_partition):
-        result = algorithm(graph, cpu_cores=cpu_cores, gpu_units=gpu_units)
+        result = algorithm(graph, capacities)
         audit.results.append(result)
         for problem in check_partition_result(graph, result,
                                               cpu_cores, gpu_units):

@@ -64,9 +64,9 @@ class TestExpansion:
         encrypt = [n for n in graph.nodes if "encrypt" in n][0]
         slices = expanded.slices_per_node[encrypt]
         gpu_side = set(slices[:7])
-        assert expanded.offload_ratio(encrypt, gpu_side) == \
-            pytest.approx(0.7)
-        assert expanded.offload_ratio(encrypt, set()) == 0.0
+        assert expanded.group_shares(encrypt, {"gpu": gpu_side}) == \
+            {"gpu": pytest.approx(0.7)}
+        assert expanded.group_shares(encrypt, {"gpu": set()}) == {}
 
     def test_stateful_elements_not_expanded(self):
         graph = ServiceFunctionChain([make_nf("nat")]).concatenated_graph()

@@ -6,10 +6,9 @@ from builders import offload_friendly_graph, weighted_graph
 
 from repro.core.partition import (
     HOST_GROUP,
+    agglomerative_partition,
     evaluate_assignment,
     kernighan_lin_partition,
-    multiway_agglomerative_partition,
-    multiway_kl_partition,
 )
 
 
@@ -38,7 +37,8 @@ def three_device_graph():
     return graph
 
 
-GROUPS3 = [HOST_GROUP, "gpu", "smartnic"]
+#: The host, a GPU and a SmartNIC, one unit each.
+GROUPS3 = {HOST_GROUP: 1, "gpu": 1, "smartnic": 1}
 
 
 class TestEvaluateAssignment:
@@ -78,36 +78,43 @@ class TestEvaluateAssignment:
 
 
 class TestMultiwayKL:
-    def test_binary_delegates_exactly(self):
+    def test_two_group_view_matches_groups(self):
+        result = kernighan_lin_partition(
+            offload_friendly_graph(), {HOST_GROUP: 4, "gpu": 1})
+        assert result.groups == {HOST_GROUP: result.cpu_nodes,
+                                 "gpu": result.gpu_nodes}
+        assert result.group_load == {HOST_GROUP: result.cpu_load,
+                                     "gpu": result.gpu_load}
+        assert result.gpu_nodes == {"heavy"}
+
+    def test_host_only_when_no_offload_group(self):
+        """No offload group: every node stays on the host, and the
+        objective is the host bottleneck (heaviest element)."""
         graph = offload_friendly_graph()
-        binary = kernighan_lin_partition(graph, cpu_cores=4)
-        multi = multiway_kl_partition(
-            graph, [HOST_GROUP, "gpu"],
-            capacities={HOST_GROUP: 4, "gpu": 1})
-        assert multi.cpu_nodes == binary.cpu_nodes
-        assert multi.gpu_nodes == binary.gpu_nodes
-        assert multi.objective == binary.objective
-        assert multi.groups == {HOST_GROUP: binary.cpu_nodes,
-                                "gpu": binary.gpu_nodes}
+        result = kernighan_lin_partition(graph, {HOST_GROUP: 4})
+        assert result.groups == {HOST_GROUP: set(graph.nodes)}
+        assert result.gpu_nodes == set()
+        assert result.gpu_load == 0.0
+        assert result.objective == 100.0
 
     def test_splits_across_three_groups(self):
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
+        result = kernighan_lin_partition(three_device_graph(), GROUPS3)
         assert result.group_of("a") == "gpu"
         assert result.group_of("b") == "smartnic"
         assert result.group_of("rx") == HOST_GROUP
 
     def test_unsupported_group_never_assigned(self):
         # "a" has no smartnic entry in group_times -> infinite there.
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
+        result = kernighan_lin_partition(three_device_graph(), GROUPS3)
         assert "a" not in result.groups["smartnic"]
 
     def test_pinned_nodes_stay_on_host(self):
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
+        result = kernighan_lin_partition(three_device_graph(), GROUPS3)
         assert {"rx", "tx"} <= result.groups[HOST_GROUP]
 
     def test_partition_is_total(self):
         graph = three_device_graph()
-        result = multiway_kl_partition(graph, GROUPS3)
+        result = kernighan_lin_partition(graph, GROUPS3)
         assigned = set()
         for nodes in result.groups.values():
             assert not (assigned & nodes)
@@ -115,7 +122,7 @@ class TestMultiwayKL:
         assert assigned == set(graph.nodes)
 
     def test_group_load_consistent(self):
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
+        result = kernighan_lin_partition(three_device_graph(), GROUPS3)
         assert result.cpu_load == pytest.approx(
             result.group_load[HOST_GROUP])
         offload = sum(load for group, load in result.group_load.items()
@@ -123,30 +130,26 @@ class TestMultiwayKL:
         assert result.gpu_load == pytest.approx(offload)
 
     def test_empty_graph(self):
-        result = multiway_kl_partition(nx.Graph(), GROUPS3)
+        result = kernighan_lin_partition(nx.Graph(), GROUPS3)
         assert result.groups == {g: set() for g in GROUPS3}
 
 
 class TestMultiwayAgglomerative:
-    def test_binary_delegates_exactly(self):
-        from repro.core.partition import agglomerative_partition
+    def test_host_only_when_no_offload_group(self):
         graph = offload_friendly_graph()
-        binary = agglomerative_partition(graph, cpu_cores=4)
-        multi = multiway_agglomerative_partition(
-            graph, [HOST_GROUP, "gpu"],
-            capacities={HOST_GROUP: 4, "gpu": 1})
-        assert multi.cpu_nodes == binary.cpu_nodes
-        assert multi.gpu_nodes == binary.gpu_nodes
+        result = agglomerative_partition(graph, {HOST_GROUP: 4})
+        assert result.groups == {HOST_GROUP: set(graph.nodes)}
+        assert result.objective == 100.0
 
     def test_splits_across_three_groups(self):
-        result = multiway_agglomerative_partition(
+        result = agglomerative_partition(
             three_device_graph(), GROUPS3)
         assert result.group_of("a") == "gpu"
         assert result.group_of("b") == "smartnic"
 
     def test_partition_is_total(self):
         graph = three_device_graph()
-        result = multiway_agglomerative_partition(graph, GROUPS3)
+        result = agglomerative_partition(graph, GROUPS3)
         assigned = set()
         for nodes in result.groups.values():
             assigned |= nodes
@@ -163,7 +166,7 @@ class TestMultiwayAgglomerative:
         for node in ("c", "d"):
             graph.add_edge("rx", node, weight=0.2)
             graph.add_edge(node, "tx", weight=0.2)
-        result = multiway_agglomerative_partition(graph, GROUPS3)
+        result = agglomerative_partition(graph, GROUPS3)
         assert result.groups == {
             HOST_GROUP: {"rx", "d", "tx"},
             "gpu": {"a", "c"},
@@ -173,7 +176,7 @@ class TestMultiwayAgglomerative:
 
 class TestGroupOf:
     def test_unknown_node_raises_structured_keyerror(self):
-        result = multiway_kl_partition(three_device_graph(), GROUPS3)
+        result = kernighan_lin_partition(three_device_graph(), GROUPS3)
         with pytest.raises(KeyError) as excinfo:
             result.group_of("ghost")
         message = str(excinfo.value)
@@ -183,7 +186,7 @@ class TestGroupOf:
 
     def test_binary_result_side_of_still_works(self):
         result = kernighan_lin_partition(offload_friendly_graph(),
-                                         cpu_cores=4)
+                                         {HOST_GROUP: 4, "gpu": 1})
         assert result.group_of("heavy") in (HOST_GROUP, "gpu")
         with pytest.raises(KeyError):
             result.group_of("ghost")

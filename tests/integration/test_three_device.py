@@ -2,7 +2,7 @@
 
 The acceptance test for the device-neutral refactor: a platform with
 an extra data-registered device kind flows through the whole pipeline
-— expansion, multiway partitioning, share-vector lowering, and the
+— expansion, three-group partitioning, share-vector lowering, and the
 event kernel — with a chain actually split across all three devices
 and DMA traffic on both interconnects.
 """
@@ -107,12 +107,13 @@ class TestThreeDevicePipeline:
         assert busy.get("pcie:gpu0:d2h", 0.0) > 0
 
     def test_agglomerative_deploy(self, platform, spec):
-        """Multiway agglomerative places every straggler cluster."""
+        """Agglomerative over three groups places every straggler
+        cluster."""
         compass = NFCompass(platform=platform, algorithm="agglomerative")
         sfc = ServiceFunctionChain([make_nf("firewall"), make_nf("ids")])
         result = compass.run(sfc, spec, batch_size=64, batch_count=50)
         partition = result.plan.allocation_report.partition
-        assert partition.algorithm == "agglomerative-multiway"
+        assert partition.algorithm == "agglomerative"
         assigned = set()
         for nodes in partition.device_groups().values():
             assigned |= nodes
@@ -121,7 +122,8 @@ class TestThreeDevicePipeline:
         assert result.report.throughput_gbps > 0
 
     def test_two_device_platform_unaffected(self, spec, sfc):
-        """The default platform still takes the binary path."""
+        """The default platform partitions into exactly the host and
+        the GPU group."""
         compass = NFCompass(platform=PlatformSpec.small())
         result = compass.run(sfc, spec, batch_size=64, batch_count=50)
         report = result.plan.allocation_report

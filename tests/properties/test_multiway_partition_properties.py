@@ -1,10 +1,8 @@
-"""Hypothesis properties of multiway partitioning (run with -m property).
+"""Hypothesis properties of device-group partitioning (run with -m property).
 
-The refactor contract: on a two-device platform the generalized
-multiway partitioners are *result-identical* to the specialized binary
-implementations — same node sets, same objective, same move trail
-length.  Additionally, any multiway assignment's reported objective
-must agree with an independent re-evaluation.
+Any assignment the partitioners report must agree with an independent
+re-evaluation, and on the paper's two groups that re-evaluation must
+agree with the two-group evaluator the brute-force oracle uses.
 """
 
 import pytest
@@ -15,10 +13,9 @@ from builders import weighted_graph
 from repro.core.partition import (
     HOST_GROUP,
     agglomerative_partition,
+    evaluate,
     evaluate_assignment,
     kernighan_lin_partition,
-    multiway_agglomerative_partition,
-    multiway_kl_partition,
 )
 
 pytestmark = pytest.mark.property
@@ -45,44 +42,21 @@ def partition_graphs(draw):
     return weighted_graph(nodes, edges)
 
 
+@pytest.mark.parametrize("partition", [kernighan_lin_partition,
+                                       agglomerative_partition])
 @settings(max_examples=60, deadline=None)
 @given(graph=partition_graphs(),
        cores=st.integers(min_value=1, max_value=6),
        gpus=st.integers(min_value=1, max_value=2))
-def test_multiway_kl_identical_to_binary(graph, cores, gpus):
-    binary = kernighan_lin_partition(graph, cpu_cores=cores,
-                                     gpu_units=gpus)
-    multi = multiway_kl_partition(
-        graph, [HOST_GROUP, "gpu"],
-        capacities={HOST_GROUP: cores, "gpu": gpus})
-    assert multi.cpu_nodes == binary.cpu_nodes
-    assert multi.gpu_nodes == binary.gpu_nodes
-    assert multi.objective == binary.objective
-    assert multi.cut_weight == binary.cut_weight
-    assert multi.passes == binary.passes
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph=partition_graphs(), cores=st.integers(min_value=1,
-                                                   max_value=6))
-def test_multiway_agglomerative_identical_to_binary(graph, cores):
-    binary = agglomerative_partition(graph, cpu_cores=cores)
-    multi = multiway_agglomerative_partition(
-        graph, [HOST_GROUP, "gpu"],
-        capacities={HOST_GROUP: cores, "gpu": 1})
-    assert multi.cpu_nodes == binary.cpu_nodes
-    assert multi.gpu_nodes == binary.gpu_nodes
-    assert multi.objective == binary.objective
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph=partition_graphs(),
-       cores=st.integers(min_value=1, max_value=6))
-def test_reported_objective_matches_reevaluation(graph, cores):
-    capacities = {HOST_GROUP: cores, "gpu": 1}
-    result = multiway_kl_partition(graph, [HOST_GROUP, "gpu"],
-                                   capacities=capacities)
+def test_reported_objective_matches_reevaluation(partition, graph, cores,
+                                                 gpus):
+    capacities = {HOST_GROUP: cores, "gpu": gpus}
+    result = partition(graph, capacities)
     objective, cut, loads = evaluate_assignment(
         graph, result.device_groups(), capacities=capacities)
-    assert result.objective == pytest.approx(objective)
-    assert result.cut_weight == pytest.approx(cut)
+    assert result.objective == objective
+    assert result.cut_weight == cut
+    assert result.group_load == loads
+    two_group = evaluate(graph, result.gpu_nodes, cores, gpus)
+    assert result.objective == pytest.approx(two_group[0])
+    assert result.cut_weight == pytest.approx(two_group[1])

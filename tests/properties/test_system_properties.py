@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import (
+    HOST_GROUP,
     agglomerative_partition,
     evaluate,
     kernighan_lin_partition,
@@ -169,7 +170,7 @@ def partition_graphs(draw):
        cores=st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_kl_partition_invariants(graph, cores):
-    result = kernighan_lin_partition(graph, cpu_cores=cores)
+    result = kernighan_lin_partition(graph, {HOST_GROUP: cores, "gpu": 1})
     assert result.cpu_nodes | result.gpu_nodes == set(graph.nodes)
     assert not result.cpu_nodes & result.gpu_nodes
     for node, data in graph.nodes(data=True):
@@ -183,7 +184,7 @@ def test_kl_partition_invariants(graph, cores):
        cores=st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
 def test_agglomerative_partition_invariants(graph, cores):
-    result = agglomerative_partition(graph, cpu_cores=cores)
+    result = agglomerative_partition(graph, {HOST_GROUP: cores, "gpu": 1})
     assert result.cpu_nodes | result.gpu_nodes == set(graph.nodes)
     assert not result.cpu_nodes & result.gpu_nodes
     for node, data in graph.nodes(data=True):

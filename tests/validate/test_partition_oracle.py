@@ -5,6 +5,7 @@ from builders import cpu_friendly_graph, offload_friendly_graph, \
     weighted_graph
 
 from repro.core.partition import (
+    HOST_GROUP,
     PartitionResult,
     evaluate,
     kernighan_lin_partition,
@@ -16,6 +17,9 @@ from repro.validate.partition_oracle import (
     brute_force_partition,
     check_partition_result,
 )
+
+#: One CPU core and one GPU: the paper's two device groups.
+TWO_GROUPS = {HOST_GROUP: 1, "gpu": 1}
 
 
 class TestBruteForce:
@@ -49,19 +53,19 @@ class TestBruteForce:
 class TestCheckPartitionResult:
     def test_real_result_passes(self):
         graph = offload_friendly_graph()
-        result = kernighan_lin_partition(graph, cpu_cores=1)
+        result = kernighan_lin_partition(graph, TWO_GROUPS)
         assert check_partition_result(graph, result, cpu_cores=1) == []
 
     def test_corrupted_objective_caught(self):
         graph = offload_friendly_graph()
-        result = kernighan_lin_partition(graph, cpu_cores=1)
+        result = kernighan_lin_partition(graph, TWO_GROUPS)
         result.objective += 1.0
         problems = check_partition_result(graph, result, cpu_cores=1)
         assert any("objective" in p for p in problems)
 
     def test_overlap_and_coverage_caught(self):
         graph = offload_friendly_graph()
-        result = kernighan_lin_partition(graph, cpu_cores=1)
+        result = kernighan_lin_partition(graph, TWO_GROUPS)
         result.gpu_nodes = set(result.gpu_nodes) | {"rx"}
         problems = check_partition_result(graph, result, cpu_cores=1)
         assert any("overlap" in p for p in problems)
@@ -72,7 +76,8 @@ class TestCheckPartitionResult:
         result = PartitionResult(
             cpu_nodes={"rx", "tx"}, gpu_nodes=set(),
             objective=0.0, cut_weight=0.0, cpu_load=0.0, gpu_load=0.0,
-            algorithm="bogus",
+            algorithm="bogus", groups={HOST_GROUP: {"rx", "tx"}},
+            group_load={HOST_GROUP: 0.0},
         )
         problems = check_partition_result(graph, result, cpu_cores=1)
         assert any("cover" in p for p in problems)
