@@ -435,14 +435,13 @@ def _cmd_deploy(args) -> int:
     if arrivals is not None:
         print(f"arrivals: {arrivals!r}")
     if overload is not None:
-        stats = result.session.last_overload_stats or {}
+        ledger = report.ledger
         print(f"overload: drop rate {report.drop_rate:.1%}, "
               f"shed {report.shed_fraction:.1%}, "
               f"goodput {report.goodput_gbps:.2f} Gbps")
-        print(f"  queue drops {stats.get('queue_dropped_batches', 0)} "
-              f"batch(es), breaker trips "
-              f"{stats.get('breaker_trips', 0)}, retries "
-              f"{stats.get('retry_attempts', 0)}")
+        print(f"  queue drops {ledger.queue_dropped_batches} "
+              f"batch(es), breaker trips {ledger.breaker_trips}, "
+              f"retries {ledger.retry_attempts}")
     deepest = report.deepest_queue
     if deepest is not None:
         print(f"deepest queue: {deepest} "

@@ -69,10 +69,11 @@ class MultiTenantScheduler:
         #: Runtime-level arrival process: every co-run round applies it
         #: (decorrelated per epoch) to tenants whose spec has none.
         self.arrivals = arrivals
-        #: Optional :class:`~repro.overload.OverloadConfig` shared by
-        #: every tenant's simulation; its admission controller observes
-        #: the *bottleneck* tenant's report each :meth:`step` — the
-        #: tenant whose SLO a consolidation decision would break first.
+        #: Optional :class:`~repro.overload.OverloadConfig` of every
+        #: tenant's run, carrying the state the last run left (tenants
+        #: run in deploy order); its admission controller observes the
+        #: *bottleneck* tenant's report each :meth:`step` — the tenant
+        #: whose SLO a consolidation decision would break first.
         self.overload = overload
         self.compass_kwargs = compass_kwargs
         self.tenants: List[Tenant] = []
@@ -169,13 +170,15 @@ class MultiTenantScheduler:
                       if isolated else self._interference_inputs(tenant))
             spec = attach_arrivals(tenant.spec, self.arrivals,
                                    self._epochs)
-            reports[tenant.name] = tenant.session.run(
+            reports[tenant.name] = report = tenant.session.run(
                 spec,
                 batch_size=batch_size, batch_count=batch_count,
                 branch_profile=tenant.profile,
                 overload=self.overload,
                 **inputs,
             )
+            if self.overload is not None:
+                self.overload = self.overload.carry(report)
         return reports
 
     # ------------------------------------------------------------------
@@ -206,9 +209,8 @@ class MultiTenantScheduler:
         reports = self.run(batch_count=batch_count)
         bottleneck = min(reports.values(),
                          key=lambda r: r.throughput_gbps)
-        if (self.overload is not None
-                and self.overload.admission is not None):
-            self.overload.admission.observe(bottleneck)
+        if self.overload is not None:
+            self.overload = self.overload.observe(bottleneck)
         return EpochResult(epoch=self._epochs, report=bottleneck,
                            drift=0.0, replanned=False)
 

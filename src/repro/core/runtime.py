@@ -15,11 +15,12 @@ share one surface, the :class:`Runtime` protocol:
 
 The two runtimes that re-plan also share one loop, :class:`EpochLoop`:
 deploy, reuse the capacity race's session, measure the deploy-time
-branch profile, and per epoch attach arrivals, simulate, feed the
-admission controller and record the result.  Each runtime only decides
-whether an epoch re-plans (and, for faults, which timeline the epoch
-sees).  The multi-tenant scheduler never re-plans and keeps its own
-loop over tenants.
+branch profile, and per epoch attach arrivals, simulate, thread the
+overload controllers' state (explicit, on a frozen config) into the
+next epoch and record the result.  Each runtime only decides whether
+an epoch re-plans (and, for faults, which timeline the epoch sees).
+The multi-tenant scheduler never re-plans and keeps its own loop over
+tenants.
 """
 
 from __future__ import annotations
@@ -92,12 +93,11 @@ class EpochLoop:
         #: Runtime-level arrival process: applied (decorrelated per
         #: epoch) to every epoch spec that has no process of its own.
         self.arrivals = arrivals
-        #: Optional :class:`~repro.overload.OverloadConfig` applied to
-        #: every epoch.  Its stateful parts persist across epochs: a
-        #: device its circuit breaker tripped in one epoch stays fenced
-        #: into the next until the cooldown elapses, and its admission
-        #: controller observes each epoch's report, so SLO feedback
-        #: closes the loop.
+        #: Optional :class:`~repro.overload.OverloadConfig` of the next
+        #: epoch, carrying the controller state the last epoch left
+        #: after admission feedback: a device its circuit breaker
+        #: tripped stays fenced until the cooldown elapses, and SLO
+        #: feedback closes the loop.
         self.overload = overload
         self.trace = resolve_trace(trace)
         self._epoch = 0
@@ -152,9 +152,8 @@ class EpochLoop:
             faults=faults,
             overload=self.overload,
         )
-        if (self.overload is not None
-                and self.overload.admission is not None):
-            self.overload.admission.observe(report)
+        if self.overload is not None:
+            self.overload = self.overload.carry(report).observe(report)
         result = EpochResult(epoch=self._epoch, report=report,
                              drift=drift, replanned=replanned)
         self.history.append(result)

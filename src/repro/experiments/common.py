@@ -134,8 +134,7 @@ def measure(engine: SimulationEngine, deployment: Deployment,
             batch_count: int = 120,
             branch_profile: Optional[BranchProfile] = None,
             latency_load_fraction: float = 0.8,
-            trace=None,
-            **interference) -> CapacityLatency:
+            trace=None) -> CapacityLatency:
     """Measure capacity at saturation, then latency at 80 % load.
 
     Measuring latency at the saturating load would report queue growth
@@ -153,14 +152,14 @@ def measure(engine: SimulationEngine, deployment: Deployment,
         saturation_report = session.run(
             saturated(spec), batch_size=batch_size,
             batch_count=batch_count, branch_profile=branch_profile,
-            trace=trace, **interference,
+            trace=trace,
         )
         capacity = saturation_report.throughput_gbps
         loaded = at_load(spec, max(0.05, capacity * latency_load_fraction))
         latency_report = session.run(
             loaded, batch_size=batch_size,
             batch_count=batch_count, branch_profile=branch_profile,
-            trace=trace, **interference,
+            trace=trace,
         )
         span.set(capacity_gbps=capacity,
                  latency_ms=latency_report.latency.mean_ms)

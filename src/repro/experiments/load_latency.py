@@ -195,13 +195,11 @@ def _burst_point(mode: str, capacity_gbps: float,
                          batch_size=batch_size,
                          batch_count=batch_count,
                          branch_profile=profile)
-    stats = session.last_traffic_stats or {}
     depth = max(report.max_queue_depth.values(), default=0)
     return [BurstinessRow(
         mode=mode,
         offered_gbps=loaded.offered_gbps,
-        peak_rate_gbps=stats.get("peak_rate_gbps",
-                                 loaded.offered_gbps),
+        peak_rate_gbps=report.ledger.peak_rate_gbps,
         latency_ms=report.latency.mean_ms,
         latency_p50_ms=report.latency.p50 * 1e3,
         latency_p95_ms=report.latency.p95 * 1e3,

@@ -3,8 +3,9 @@
 Runs a grid of (NF chain x fault seed) points, each deploying through
 the :class:`~repro.faults.runtime.ResilientRuntime` against a
 deterministic :meth:`FaultTimeline.seeded` schedule over the GPUs, and
-reports replan counts, fault-path accounting, and the batch
-conservation check (delivered + dropped == injected).  Like every
+reports replan counts, fault-path accounting, and the exact packet
+conservation check (delivered + dropped == offered, every epoch).
+Like every
 paper harness it describes the grid as a
 :class:`~repro.runner.SweepSpec`, so ``--jobs N`` parallelism and
 content-addressed caching come from :mod:`repro.runner` — and serial
@@ -26,10 +27,6 @@ from repro.traffic.generator import TrafficSpec
 
 NF_TYPES = ("ipv4", "ipsec", "dpi")
 SEEDS = tuple(range(4))
-
-#: Conservation slack: packet counts are floats accumulated over many
-#: fractional tokens.
-_CONSERVATION_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -61,34 +58,20 @@ def _chaos_point(nf_type: str, fault_seed: int, batch_size: int,
     )
     runtime = ResilientRuntime(sfc, spec, faults, platform=platform,
                                batch_size=batch_size)
-    injected = 0.0
-    delivered = 0.0
-    dropped = 0.0
-    requeued = 0
-    throughput = 0.0
-    for _ in range(epochs):
-        result = runtime.step(spec, batch_count=batch_count)
-        report = result.report
-        injected += float(batch_size * batch_count)
-        delivered += report.delivered_packets
-        dropped += report.dropped_packets
-        throughput += report.throughput_gbps
-        stats = runtime.session.last_fault_stats
-        if stats is not None:
-            requeued += int(stats["requeued_batches"])
-    conserved = abs((delivered + dropped) - injected) \
-        <= _CONSERVATION_TOLERANCE * max(1.0, injected)
+    reports = [runtime.step(spec, batch_count=batch_count).report
+               for _ in range(epochs)]
     return [ChaosRow(
         nf_type=nf_type,
         fault_seed=fault_seed,
         faults=len(faults),
         replans=runtime.replans,
-        requeued_batches=requeued,
-        throughput_gbps=throughput / epochs,
-        injected_packets=injected,
-        delivered_packets=delivered,
-        dropped_packets=dropped,
-        conserved=conserved,
+        requeued_batches=sum(r.ledger.fault_crash.batches
+                             for r in reports),
+        throughput_gbps=sum(r.throughput_gbps for r in reports) / epochs,
+        injected_packets=sum(r.offered_packets for r in reports),
+        delivered_packets=sum(r.delivered_packets for r in reports),
+        dropped_packets=sum(r.dropped_packets for r in reports),
+        conserved=all(r.conservation_error == 0 for r in reports),
     )]
 
 

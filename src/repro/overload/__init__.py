@@ -18,6 +18,8 @@ Everything is bundled into an :class:`OverloadConfig` and handed to
 :meth:`repro.sim.kernel.SimulationSession.run` (or any epoch loop via
 its ``overload=`` argument).  A no-op config is normalized away, so
 the unprotected path stays bit-identical to the historical kernel.
+Configs and controllers are frozen values and the state that crosses
+runs is an explicit :class:`ControllerState`.
 """
 
 from repro.overload.admission import (
@@ -26,7 +28,7 @@ from repro.overload.admission import (
     TokenBucketAdmission,
 )
 from repro.overload.breaker import CircuitBreaker, RetryPolicy
-from repro.overload.config import OverloadConfig
+from repro.overload.config import ControllerState, OverloadConfig
 from repro.overload.queues import (
     DROP_POLICY_NAMES,
     DeadlineDrop,
@@ -39,6 +41,7 @@ from repro.overload.queues import (
 __all__ = [
     "AdmissionController",
     "CircuitBreaker",
+    "ControllerState",
     "DROP_POLICY_NAMES",
     "DeadlineDrop",
     "DropPolicy",

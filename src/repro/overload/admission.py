@@ -4,13 +4,15 @@ An :class:`AdmissionController` decides per batch, at its arrival
 time, whether the batch enters the pipeline at all.  Rejected batches
 are *shed* (counted separately from queue-overflow drops — shedding is
 a policy decision, dropping is a capacity failure).  Controllers are
-deliberately stateful across runs: the epoch loops
+frozen values: a run decides through an admit function built for it,
+and what crosses runs is the :class:`~repro.overload.ControllerState`
+its config carries.  The epoch loops
 (:class:`~repro.core.adaptation.AdaptiveRuntime`,
 :class:`~repro.core.multi.MultiTenantScheduler`,
-:class:`~repro.faults.runtime.ResilientRuntime`) call
-:meth:`AdmissionController.observe` with each epoch's
-:class:`~repro.sim.metrics.ThroughputLatencyReport`, so SLO feedback
-carries from one epoch to the next.
+:class:`~repro.faults.runtime.ResilientRuntime`) feed each epoch's
+:class:`~repro.sim.metrics.ThroughputLatencyReport` through
+:meth:`AdmissionController.observe`, a pure step from (state, report)
+to the next state, so SLO feedback carries from one epoch to the next.
 
 Both controllers are fully deterministic: the token bucket replenishes
 on the simulated arrival clock, and the feedback controller thins
@@ -20,74 +22,67 @@ a sweep over them stays serial == parallel byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 
 @runtime_checkable
 class AdmissionController(Protocol):
-    """The admission decision surface the kernel calls."""
+    """The admission decision surface the kernel and loops call."""
 
-    def start_run(self, mean_batch_gap: float) -> None:
-        """Begin one simulation run; ``mean_batch_gap`` is the spec's
-        mean seconds between batches (the offered batch rate's
-        inverse)."""
+    def gate(self, state, mean_batch_gap: float):
+        """One run's ``admit(arrival) -> bool`` from ``state``, given
+        the spec's mean seconds between batches."""
         ...  # pragma: no cover - protocol
 
-    def admit(self, batch_index: int, arrival: float,
-              packets: float) -> bool:
-        """True to admit the batch arriving at ``arrival`` sim-seconds."""
-        ...  # pragma: no cover - protocol
-
-    def observe(self, report) -> None:
-        """Feed back one epoch's ThroughputLatencyReport."""
+    def observe(self, state, report):
+        """``state`` after one epoch's report is fed back."""
         ...  # pragma: no cover - protocol
 
 
+@dataclass(frozen=True)
 class TokenBucketAdmission:
     """Classic token bucket on the simulated arrival clock.
 
     ``rate_fraction`` scales the refill rate relative to the offered
     batch rate (1.0 admits exactly the offered rate in the long run,
     0.5 sheds every other batch under sustained load); ``burst``
-    batches may pass back to back.  The bucket starts full.
+    batches may pass back to back.  Every run's bucket starts full.
     """
 
-    def __init__(self, rate_fraction: float = 1.0, burst: int = 8):
-        if rate_fraction <= 0:
+    rate_fraction: float = 1.0
+    burst: int = 8
+
+    def __post_init__(self):
+        if self.rate_fraction <= 0:
             raise ValueError("rate_fraction must be positive")
-        if burst < 1:
+        if self.burst < 1:
             raise ValueError("burst must be at least 1")
-        self.rate_fraction = rate_fraction
-        self.burst = burst
-        self._tokens = float(burst)
-        self._rate = 0.0
-        self._last_arrival = 0.0
 
-    def start_run(self, mean_batch_gap: float) -> None:
-        self._rate = (self.rate_fraction / mean_batch_gap
-                      if mean_batch_gap > 0 else float("inf"))
-        self._tokens = float(self.burst)
-        self._last_arrival = 0.0
+    def gate(self, state, mean_batch_gap: float):
+        rate = (self.rate_fraction / mean_batch_gap
+                if mean_batch_gap > 0 else float("inf"))
+        burst = float(self.burst)
+        tokens, last_arrival = burst, 0.0
 
-    def admit(self, batch_index: int, arrival: float,
-              packets: float) -> bool:
-        elapsed = max(0.0, arrival - self._last_arrival)
-        self._last_arrival = arrival
-        self._tokens = min(float(self.burst),
-                           self._tokens + elapsed * self._rate)
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
+        def admit(arrival: float) -> bool:
+            nonlocal tokens, last_arrival
+            elapsed = max(0.0, arrival - last_arrival)
+            last_arrival = arrival
+            tokens = min(burst, tokens + elapsed * rate)
+            if tokens >= 1.0:
+                tokens -= 1.0
+                return True
+            return False
 
-    def observe(self, report) -> None:
-        """Token buckets are open loop; feedback is ignored."""
+        return admit
 
-    def __repr__(self) -> str:
-        return (f"TokenBucketAdmission(rate_fraction="
-                f"{self.rate_fraction}, burst={self.burst})")
+    def observe(self, state, report):
+        """Token buckets are open loop: the state passes through."""
+        return state
 
 
+@dataclass(frozen=True)
 class SLOFeedbackAdmission:
     """Hysteretic AIMD shedding driven by the rolling p99.
 
@@ -101,62 +96,54 @@ class SLOFeedbackAdmission:
 
     Per-batch admission thins deterministically: an error-diffusion
     accumulator admits exactly ``round(fraction * n)`` of any ``n``
-    consecutive batches, with the admitted ones spread evenly.
+    consecutive batches, with the admitted ones spread evenly.  The
+    accumulator starts at zero every run, so a run's admission
+    pattern depends on the fraction alone.
     """
 
-    def __init__(self, p99_ms: float,
-                 backoff: float = 0.7,
-                 recover_step: float = 0.1,
-                 min_fraction: float = 0.1,
-                 healthy_epochs: int = 2):
-        if p99_ms <= 0:
+    p99_ms: float
+    backoff: float = 0.7
+    recover_step: float = 0.1
+    min_fraction: float = 0.1
+    healthy_epochs: int = 2
+
+    def __post_init__(self):
+        if self.p99_ms <= 0:
             raise ValueError("p99_ms must be positive")
-        if not 0.0 < backoff < 1.0:
+        if not 0.0 < self.backoff < 1.0:
             raise ValueError("backoff must be in (0, 1)")
-        if recover_step <= 0:
+        if self.recover_step <= 0:
             raise ValueError("recover_step must be positive")
-        if not 0.0 < min_fraction <= 1.0:
+        if not 0.0 < self.min_fraction <= 1.0:
             raise ValueError("min_fraction must be in (0, 1]")
-        if healthy_epochs < 1:
+        if self.healthy_epochs < 1:
             raise ValueError("healthy_epochs must be at least 1")
-        self.p99_ms = p99_ms
-        self.backoff = backoff
-        self.recover_step = recover_step
-        self.min_fraction = min_fraction
-        self.healthy_epochs = healthy_epochs
-        #: Fraction of offered batches currently admitted.
-        self.fraction = 1.0
-        self._streak = 0
-        self._accumulator = 0.0
 
-    def start_run(self, mean_batch_gap: float) -> None:
-        # The fraction persists across runs (that is the point); only
-        # the diffusion accumulator resets so a run's admission pattern
-        # depends on the fraction alone, not on prior runs' phase.
-        self._accumulator = 0.0
+    def gate(self, state, mean_batch_gap: float):
+        fraction, accumulator = state.admitted_fraction, 0.0
 
-    def admit(self, batch_index: int, arrival: float,
-              packets: float) -> bool:
-        self._accumulator += self.fraction
-        if self._accumulator >= 1.0 - 1e-12:
-            self._accumulator -= 1.0
-            return True
-        return False
+        def admit(arrival: float) -> bool:
+            nonlocal accumulator
+            accumulator += fraction
+            if accumulator >= 1.0 - 1e-12:
+                accumulator -= 1.0
+                return True
+            return False
 
-    def observe(self, report) -> None:
+        return admit
+
+    def observe(self, state, report):
+        fraction = state.admitted_fraction
         if report.latency.p99 * 1e3 > self.p99_ms:
-            self.fraction = max(self.min_fraction,
-                                self.fraction * self.backoff)
-            self._streak = 0
-            return
-        self._streak += 1
-        if self._streak >= self.healthy_epochs and self.fraction < 1.0:
-            self.fraction = min(1.0, self.fraction + self.recover_step)
-            self._streak = 0
-
-    def __repr__(self) -> str:
-        return (f"SLOFeedbackAdmission(p99_ms={self.p99_ms}, "
-                f"fraction={self.fraction:.3f})")
+            return replace(state, healthy_streak=0,
+                           admitted_fraction=max(self.min_fraction,
+                                                 fraction * self.backoff))
+        streak = state.healthy_streak + 1
+        if streak >= self.healthy_epochs and fraction < 1.0:
+            return replace(state, healthy_streak=0,
+                           admitted_fraction=min(
+                               1.0, fraction + self.recover_step))
+        return replace(state, healthy_streak=streak)
 
 
 __all__ = [

@@ -21,16 +21,16 @@ containment:
   one probe batch through; a probe success closes the breaker, a probe
   failure re-opens it for another cooldown.
 
-Both are plain state machines over the *simulated* clock — no wall
-time, no randomness — so runs remain deterministic and serial ==
-parallel in every sweep.
+Both are frozen values; a run tracks devices in a :class:`BreakerTable`.
+All of it runs on the *simulated* clock — no wall time, no randomness
+— so runs remain deterministic and serial == parallel in every sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 #: Breaker states (per device).
 CLOSED = "closed"
@@ -71,102 +71,121 @@ class RetryPolicy:
                    self.backoff_base * (2.0 ** attempt)) * window
 
 
-class _DeviceState:
-    __slots__ = ("state", "failures", "opened_at", "cooldown")
+@dataclass(frozen=True)
+class BreakerEntry:
+    """One device's breaker state; ``opened_at`` and ``cooldown`` only
+    matter while it is open."""
 
-    def __init__(self):
-        self.state = CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-        self.cooldown = 0.0
+    device_id: str
+    state: str = CLOSED
+    failures: int = 0
+    opened_at: float = 0.0
+    cooldown: float = 0.0
 
 
+@dataclass(frozen=True)
 class CircuitBreaker:
     """Per-device consecutive-failure breaker on the simulated clock.
 
     ``cooldown`` is ``cooldown_s`` seconds when given, else
     ``cooldown_windows`` multiples of the failing dispatch's estimated
-    execution window (scale-free default).  The breaker is shared
-    across runs on purpose: an epoch loop that trips it keeps the
-    device fenced into the next epoch until a half-open probe
-    succeeds.
+    execution window (scale-free default).
     """
 
-    def __init__(self, failure_threshold: int = 3,
-                 cooldown_windows: float = 16.0,
-                 cooldown_s: Optional[float] = None):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if cooldown_windows <= 0:
-            raise ValueError("cooldown_windows must be positive")
-        if cooldown_s is not None and cooldown_s <= 0:
-            raise ValueError("cooldown_s must be positive")
-        self.failure_threshold = failure_threshold
-        self.cooldown_windows = cooldown_windows
-        self.cooldown_s = cooldown_s
-        self._devices: Dict[str, _DeviceState] = {}
-        #: Closed/half-open -> open transitions over the breaker's life.
-        self.trips = 0
+    failure_threshold: int = 3
+    cooldown_windows: float = 16.0
+    cooldown_s: Optional[float] = None
 
-    def _state_for(self, device_id: str) -> _DeviceState:
-        state = self._devices.get(device_id)
-        if state is None:
-            state = self._devices[device_id] = _DeviceState()
-        return state
+    def __post_init__(self):
+        if self.failure_threshold < 1:
+            raise ValueError("failure_threshold must be at least 1")
+        if self.cooldown_windows <= 0:
+            raise ValueError("cooldown_windows must be positive")
+        if self.cooldown_s is not None and self.cooldown_s <= 0:
+            raise ValueError("cooldown_s must be positive")
+
+
+class BreakerTable:
+    """One run's per-device states under a :class:`CircuitBreaker`."""
+
+    __slots__ = ("breaker", "_devices", "trips")
+
+    def __init__(self, breaker: CircuitBreaker,
+                 entries: Tuple[BreakerEntry, ...] = ()):
+        self.breaker = breaker
+        self._devices: Dict[str, BreakerEntry] = {
+            entry.device_id: entry for entry in entries
+        }
+        #: Closed/half-open -> open transitions in this table's run.
+        self.trips = 0
 
     def state(self, device_id: str) -> str:
         """The device's current nominal state (no clock applied)."""
-        return self._state_for(device_id).state
+        entry = self._devices.get(device_id)
+        return CLOSED if entry is None else entry.state
 
     def allow(self, device_id: str, now: float) -> bool:
         """May a batch be dispatched to ``device_id`` at sim-time
         ``now``?  An open breaker whose cooldown has elapsed moves to
         half-open and admits the caller as its probe."""
-        device = self._state_for(device_id)
-        if device.state == OPEN:
-            if now >= device.opened_at + device.cooldown:
-                device.state = HALF_OPEN
-                return True
-            return False
-        return True
+        entry = self._devices.get(device_id)
+        if entry is None or entry.state != OPEN:
+            return True
+        if now >= entry.opened_at + entry.cooldown:
+            self._devices[device_id] = replace(entry, state=HALF_OPEN)
+            return True
+        return False
 
     def record_failure(self, device_id: str, now: float,
                        window: float) -> None:
         """One failed dispatch observed at ``now`` whose estimated
         execution window was ``window`` seconds."""
-        device = self._state_for(device_id)
-        device.failures += 1
-        if (device.state == HALF_OPEN
-                or device.failures >= self.failure_threshold):
-            device.state = OPEN
-            device.opened_at = now
-            device.cooldown = (self.cooldown_s
-                               if self.cooldown_s is not None
-                               else self.cooldown_windows * window)
-            device.failures = 0
+        entry = self._devices.get(device_id) or BreakerEntry(device_id)
+        breaker = self.breaker
+        if (entry.state == HALF_OPEN
+                or entry.failures + 1 >= breaker.failure_threshold):
+            cooldown = (breaker.cooldown_s
+                        if breaker.cooldown_s is not None
+                        else breaker.cooldown_windows * window)
+            entry = BreakerEntry(device_id, OPEN, 0, now, cooldown)
             self.trips += 1
+        else:
+            entry = replace(entry, failures=entry.failures + 1)
+        self._devices[device_id] = entry
 
     def record_success(self, device_id: str) -> None:
-        device = self._state_for(device_id)
-        device.failures = 0
-        if device.state == HALF_OPEN:
-            device.state = CLOSED
+        entry = self._devices.get(device_id)
+        if entry is not None and (entry.failures
+                                  or entry.state == HALF_OPEN):
+            self._devices[device_id] = BreakerEntry(
+                device_id, OPEN if entry.state == OPEN else CLOSED, 0,
+                entry.opened_at, entry.cooldown)
 
     def open_devices(self) -> Dict[str, float]:
         """Device id -> re-probe time for every currently open device."""
         return {
-            device_id: device.opened_at + device.cooldown
-            for device_id, device in sorted(self._devices.items())
-            if device.state == OPEN
+            device_id: entry.opened_at + entry.cooldown
+            for device_id, entry in sorted(self._devices.items())
+            if entry.state == OPEN
         }
 
+    def entries(self) -> Tuple[BreakerEntry, ...]:
+        """The table frozen, sorted by device, without closed devices
+        that count no failures."""
+        return tuple(
+            entry for _device_id, entry in sorted(self._devices.items())
+            if entry.state != CLOSED or entry.failures
+        )
+
     def __repr__(self) -> str:
-        return (f"CircuitBreaker(threshold={self.failure_threshold}, "
-                f"trips={self.trips}, "
+        return (f"BreakerTable(threshold="
+                f"{self.breaker.failure_threshold}, trips={self.trips}, "
                 f"open={sorted(self.open_devices())})")
 
 
 __all__ = [
+    "BreakerEntry",
+    "BreakerTable",
     "CLOSED",
     "CircuitBreaker",
     "HALF_OPEN",

@@ -2,24 +2,36 @@
 
 One :class:`OverloadConfig` collects every overload knob —
 ``queue_limit`` + drop policy, admission controller, circuit breaker +
-retry policy, and the latency SLO goodput is judged against.  The
-kernel treats a default-constructed (all-``None``) config exactly like
-``overload=None``: the run is normalized onto the historical code path
-and stays bit-identical to the pre-overload kernel (the golden-parity
-suite pins this).
+retry policy, and the latency SLO goodput is judged against — plus
+the :class:`ControllerState` its run starts from.  The kernel treats a
+config without knobs exactly like ``overload=None``: the run is
+normalized onto the historical code path and stays bit-identical to
+the pre-overload kernel (the golden-parity suite pins this).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Tuple
 
 from repro.overload.admission import AdmissionController
-from repro.overload.breaker import CircuitBreaker, RetryPolicy
+from repro.overload.breaker import BreakerEntry, CircuitBreaker, RetryPolicy
 from repro.overload.queues import DeadlineDrop, DropPolicy, TailDrop
 
 
-@dataclass
+@dataclass(frozen=True)
+class ControllerState:
+    """The overload controllers' state that crosses runs: the
+    :class:`~repro.overload.SLOFeedbackAdmission` fraction and streak,
+    and the :class:`~repro.overload.CircuitBreaker` table on the clock
+    of the run that left it."""
+
+    admitted_fraction: float = 1.0
+    healthy_streak: int = 0
+    breakers: Tuple[BreakerEntry, ...] = ()
+
+
+@dataclass(frozen=True)
 class OverloadConfig:
     """Overload-protection configuration for one deployment.
 
@@ -27,7 +39,9 @@ class OverloadConfig:
     :class:`~repro.overload.queues.DeadlineDrop` sheds against (unless
     the policy pins its own) and the bound that splits delivered
     traffic into goodput vs late-delivered in
-    :class:`~repro.sim.metrics.ThroughputLatencyReport`.
+    :class:`~repro.sim.metrics.ThroughputLatencyReport`.  ``state`` is
+    the controller state the run starts from; the state it ends in is
+    ``report.ledger.state``.
     """
 
     queue_limit: Optional[int] = None
@@ -36,6 +50,7 @@ class OverloadConfig:
     breaker: Optional[CircuitBreaker] = None
     retry: Optional[RetryPolicy] = None
     slo_ms: Optional[float] = None
+    state: ControllerState = ControllerState()
 
     def __post_init__(self):
         if self.queue_limit is not None and self.queue_limit < 1:
@@ -72,5 +87,14 @@ class OverloadConfig:
             return None if deadline_ms is None else deadline_ms * 1e-3
         return None
 
+    def carry(self, report) -> "OverloadConfig":
+        """This config from the state ``report``'s run left."""
+        return replace(self, state=report.ledger.state)
 
-__all__ = ["OverloadConfig"]
+    def observe(self, report) -> "OverloadConfig":
+        """This config after its admission feedback on ``report``."""
+        return self if self.admission is None else replace(
+            self, state=self.admission.observe(self.state, report))
+
+
+__all__ = ["ControllerState", "OverloadConfig"]

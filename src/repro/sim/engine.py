@@ -176,21 +176,3 @@ class SimulationEngine:
         overload), forwarded unchanged.
         """
         return self.session(deployment).run(spec, **options)
-
-    # ------------------------------------------------------------------
-    def measure_capacity(self, deployment: Deployment, spec: TrafficSpec,
-                         batch_size: int = 64,
-                         batch_count: int = 200,
-                         branch_profile: Optional[BranchProfile] = None,
-                         saturation_gbps: float = 200.0,
-                         **interference) -> float:
-        """Saturation throughput in Gbps (offered load >> capacity).
-
-        ``saturation_gbps`` sets the offered load used to saturate the
-        pipeline; the effective load is the larger of it and the
-        spec's own offered load.
-        """
-        return self.session(deployment).measure_capacity(
-            spec, batch_size=batch_size, batch_count=batch_count,
-            branch_profile=branch_profile,
-            saturation_gbps=saturation_gbps, **interference)

@@ -42,6 +42,10 @@ retry budget (see ``SimulationSession._offload_step``).  Each run
 prices every distinct service (node, device or host, rounded packet
 count, re-queue or not) once, in a per-run table; see
 :class:`_PriceTable`.
+
+A run is a function of its inputs: what it mutates is built for it,
+and the controller state it ends in leaves on the report's
+:class:`~repro.sim.metrics.RunLedger`.
 """
 
 from __future__ import annotations
@@ -56,12 +60,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.elements.offload import OffloadableElement
 from repro.hw.costs import BatchStats
 from repro.obs import resolve_trace
+from repro.overload.breaker import BreakerTable
+from repro.overload.config import ControllerState
 from repro.sim.mapping import Deployment, Placement
 from repro.sim.metrics import (
     LatencyStats,
     OverheadBreakdown,
+    Requeues,
+    RunLedger,
     ThroughputLatencyReport,
 )
+from repro.sim.tracing import REQUEUE_CAUSES
 from repro.traffic.arrivals import peak_rate_gbps
 from repro.traffic.generator import TrafficSpec
 
@@ -379,13 +388,11 @@ class _InFlight:
     committed is sunk — the schedule is never retracted.
     """
 
-    __slots__ = ("batch_index", "completion", "delivered", "bytes",
-                 "slo_bytes", "latency_index")
+    __slots__ = ("completion", "delivered", "bytes", "slo_bytes",
+                 "latency_index")
 
-    def __init__(self, batch_index: int, completion: float,
-                 delivered: float, nbytes: float, slo_bytes: float,
-                 latency_index: int):
-        self.batch_index = batch_index
+    def __init__(self, completion: float, delivered: float,
+                 nbytes: float, slo_bytes: float, latency_index: int):
         self.completion = completion
         self.delivered = delivered
         self.bytes = nbytes
@@ -393,62 +400,84 @@ class _InFlight:
         self.latency_index = latency_index
 
 
+class _Tally:
+    """One run's :class:`RunLedger` while the run counts: ``requeues``
+    maps each cause to [batches, packets, host seconds], and every
+    other slot is the ledger field of the same name."""
+
+    __slots__ = ("requeues", "degraded_transfers", "slowed_kernels",
+                 "shed_batches", "queue_dropped_batches",
+                 "head_cancelled_batches", "breaker_trips",
+                 "retry_attempts", "state")
+
+    def __init__(self, state: ControllerState):
+        self.requeues = {cause: [0, 0.0, 0.0]
+                         for cause in REQUEUE_CAUSES}
+        self.degraded_transfers = self.slowed_kernels = 0
+        self.shed_batches = self.queue_dropped_batches = 0
+        self.head_cancelled_batches = self.breaker_trips = 0
+        self.retry_attempts = 0
+        self.state = state
+
+    def freeze(self, peak_rate_gbps: float) -> RunLedger:
+        return RunLedger(
+            peak_rate_gbps=peak_rate_gbps,
+            **{cause: Requeues(*counts)
+               for cause, counts in self.requeues.items()},
+            **{name: getattr(self, name) for name in self.__slots__[1:]},
+        )
+
+
 class _OverloadState:
     """Per-run overload bookkeeping (one instance per ``_run`` call).
 
-    Holds the run-scoped ledgers (sheds, per-resource queue drops,
-    head-drop cancellations, retry/breaker counts) plus the live
-    in-flight window and the smoothed span estimate deadline-drop
-    projects completions with.  The admission controller, breaker and
-    retry policy objects live on the :class:`OverloadConfig` and are
-    deliberately *not* reset here — they carry state across epochs.
+    Holds the run's admit function and breaker table (built from the
+    config's controller state), the report's queue drops, shed packets
+    and SLO goodput, plus the live in-flight window and the smoothed
+    span estimate deadline-drop projects completions with.
     """
 
     #: EWMA weight of the newest per-batch span sample.
     _SPAN_ALPHA = 0.3
 
     __slots__ = (
-        "config", "admission", "breaker", "retry", "queue_limit",
-        "policy", "deadline_seconds", "ingress_resource", "queue_drops",
-        "queue_dropped_batches", "shed_batches", "shed_packets",
-        "head_cancelled", "retry_attempts", "breaker_open_requeues",
-        "retry_exhausted_requeues", "slo_delivered", "inflight",
-        "cancelled", "ewma_span", "max_completion", "trips_before",
+        "admit", "breakers", "retry", "queue_limit", "policy",
+        "deadline_seconds", "slo_seconds", "ingress_resource", "tally",
+        "queue_drops", "shed_packets", "slo_delivered", "inflight",
+        "cancelled", "ewma_span", "max_completion",
     )
 
-    def __init__(self, config, ingress_resource: str):
-        self.config = config
-        self.admission = config.admission
-        self.breaker = config.breaker
+    def __init__(self, config, ingress_resource: str,
+                 mean_batch_gap: float, tally: _Tally):
+        self.admit = (None if config.admission is None
+                      else config.admission.gate(config.state,
+                                                 mean_batch_gap))
+        self.breakers = (None if config.breaker is None
+                         else BreakerTable(config.breaker,
+                                           config.state.breakers))
         self.retry = config.retry
         self.queue_limit = config.queue_limit
         self.policy = config.drop_policy
         self.deadline_seconds = config.deadline_seconds
+        self.slo_seconds = (None if config.slo_ms is None
+                            else config.slo_ms * 1e-3)
         self.ingress_resource = ingress_resource
+        self.tally = tally
         self.queue_drops: Dict[str, float] = {}
-        self.queue_dropped_batches = 0
-        self.shed_batches = 0
         self.shed_packets = 0.0
-        self.head_cancelled = 0
-        self.retry_attempts = 0
-        self.breaker_open_requeues = 0
-        self.retry_exhausted_requeues = 0
         self.slo_delivered = 0.0
         self.inflight: "deque[_InFlight]" = deque()
         self.cancelled: List[_InFlight] = []
         self.ewma_span: Optional[float] = None
         self.max_completion = 0.0
-        self.trips_before = (config.breaker.trips
-                             if config.breaker is not None else 0)
 
-    def note_queue_drop(self, resource: str, packets: float,
-                        events: int = 1) -> None:
+    def note_queue_drop(self, resource: str, packets: float) -> None:
         self.queue_drops[resource] = (
             self.queue_drops.get(resource, 0.0) + packets
         )
-        self.queue_dropped_batches += events
+        self.tally.queue_dropped_batches += 1
 
-    def ingress(self, batch_index: int, arrival: float, packets: float,
+    def ingress(self, arrival: float, packets: float,
                 timeline: ResourceTimeline
                 ) -> Tuple[Optional[str], Optional[_InFlight]]:
         """Admission + ingress-queue policy for one arriving batch.
@@ -468,10 +497,8 @@ class _OverloadState:
             inflight = self.inflight
             while inflight and inflight[0].completion <= arrival:
                 inflight.popleft()
-        if (self.admission is not None
-                and not self.admission.admit(batch_index, arrival,
-                                             packets)):
-            self.shed_batches += 1
+        if self.admit is not None and not self.admit(arrival):
+            self.tally.shed_batches += 1
             self.shed_packets += packets
             return "shed", None
         if (self.queue_limit is None
@@ -483,7 +510,7 @@ class _OverloadState:
             if self.inflight:
                 entry = self.inflight.popleft()
                 self.cancelled.append(entry)
-                self.head_cancelled += 1
+                self.tally.head_cancelled_batches += 1
                 return "swap", entry
             # Nothing in flight to sacrifice (the backlog is all
             # still-waiting work): degrade to tail-drop.
@@ -497,34 +524,34 @@ class _OverloadState:
         self.note_queue_drop(self.ingress_resource, packets)
         return "drop", None
 
-    def note_swapped(self, batch_index: int, arrival: float,
-                     inherited: _InFlight, latency_index: int,
-                     slo_seconds: Optional[float]) -> None:
+    def _on_time_bytes(self, arrival: float, completion: float,
+                       nbytes: float) -> float:
+        """``nbytes`` if the batch met the SLO, else 0.0; counted into
+        the SLO goodput."""
+        if (self.slo_seconds is not None
+                and completion - arrival > self.slo_seconds):
+            nbytes = 0.0
+        self.slo_delivered += nbytes
+        return nbytes
+
+    def note_swapped(self, arrival: float, inherited: _InFlight,
+                     latency_index: int) -> None:
         """Track a head-drop newcomer that took over ``inherited``'s
         service slot: same completion and deliverables, fresher
         arrival (so a shorter latency and its own SLO verdict)."""
-        slo_bytes = inherited.bytes
-        if (slo_seconds is not None
-                and inherited.completion - arrival > slo_seconds):
-            slo_bytes = 0.0
-        self.slo_delivered += slo_bytes
-        self.inflight.append(_InFlight(batch_index,
-                                       inherited.completion,
+        slo_bytes = self._on_time_bytes(arrival, inherited.completion,
+                                        inherited.bytes)
+        self.inflight.append(_InFlight(inherited.completion,
                                        inherited.delivered,
                                        inherited.bytes, slo_bytes,
                                        latency_index))
 
-    def note_delivered(self, batch_index: int, arrival: float,
-                       completion: float, delivered: float,
-                       nbytes: float, latency_index: int,
-                       slo_seconds: Optional[float]) -> None:
+    def note_delivered(self, arrival: float, completion: float,
+                       delivered: float, nbytes: float,
+                       latency_index: int) -> None:
         """Track one delivered batch for SLO goodput and head/deadline
         policy state."""
-        slo_bytes = nbytes
-        if (slo_seconds is not None
-                and completion - arrival > slo_seconds):
-            slo_bytes = 0.0
-        self.slo_delivered += slo_bytes
+        slo_bytes = self._on_time_bytes(arrival, completion, nbytes)
         if self.queue_limit is None:
             return
         span = completion - max(arrival, self.max_completion)
@@ -537,9 +564,8 @@ class _OverloadState:
         )
         if completion > self.max_completion:
             self.max_completion = completion
-        self.inflight.append(_InFlight(batch_index, completion,
-                                       delivered, nbytes, slo_bytes,
-                                       latency_index))
+        self.inflight.append(_InFlight(completion, delivered, nbytes,
+                                       slo_bytes, latency_index))
 
 
 class _OffloadLeg:
@@ -778,23 +804,6 @@ class SimulationSession:
         #: Completed :meth:`run` calls; runs after the first reuse the
         #: cached invariants above (counted as ``session.cache_hits``).
         self.runs_completed = 0
-        #: Fault accounting of the most recent :meth:`run`: ``None``
-        #: when the run had no (or an empty) fault timeline, else a
-        #: dict with ``requeued_batches``/``requeued_packets``/
-        #: ``requeue_seconds``/``degraded_transfers``/
-        #: ``slowed_kernels``.
-        self.last_fault_stats: Optional[Dict[str, float]] = None
-        #: Arrival accounting of the most recent :meth:`run`:
-        #: ``batches`` and the schedule's ``peak_rate_gbps`` (the
-        #: offered burst peak, not the delivered throughput).
-        self.last_traffic_stats: Optional[Dict[str, float]] = None
-        #: Overload accounting of the most recent :meth:`run`:
-        #: ``None`` when the run had no (or a no-op) overload config,
-        #: else a dict with ``shed_batches``/``shed_packets``/
-        #: ``queue_dropped_batches``/``queue_dropped_packets``/
-        #: ``head_cancelled``/``breaker_trips``/``retry_attempts``/
-        #: ``breaker_open_requeues``/``retry_exhausted_requeues``.
-        self.last_overload_stats: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     def _branch_tables(self, profile):
@@ -851,10 +860,20 @@ class SimulationSession:
         ``queue_limit`` drops overflowing batches by its drop policy,
         an admission controller sheds batches at arrival, and a
         circuit breaker / retry policy wraps every offload-leg
-        dispatch.  A no-op config (all fields ``None``) is normalized
-        to ``overload=None``, keeping the unprotected path
-        bit-identical to the historical kernel.
+        dispatch, starting from the config's ``state``.  A no-op
+        config (all knobs ``None``) is normalized to
+        ``overload=None``, keeping the unprotected path bit-identical
+        to the historical kernel.
         """
+        if faults is not None and faults.is_empty:
+            # An empty timeline takes the exact fault-free code path,
+            # keeping the schedule bit-identical to faults=None.
+            faults = None
+        if overload is not None and overload.is_noop:
+            # Same normalization as empty fault timelines: a config
+            # that cannot alter the run takes the exact historical
+            # code path (golden-parity suite).
+            overload = None
         trace = resolve_trace(trace)
         with trace.span("simulate", deployment=self.deployment.name,
                         batch_size=batch_size,
@@ -866,28 +885,22 @@ class SimulationSession:
         self.runs_completed += 1
         if self.runs_completed > 1:
             trace.count("session.cache_hits")
+        ledger = report.ledger
         trace.count("sim.runs")
         trace.count("sim.batches", batch_count)
-        traffic_stats = self.last_traffic_stats
-        if traffic_stats is not None:
-            trace.count("traffic.batches", traffic_stats["batches"])
-            trace.gauge("traffic.peak_rate_gbps",
-                        traffic_stats["peak_rate_gbps"])
-        stats = self.last_fault_stats
-        if stats is not None:
+        trace.count("traffic.batches", batch_count)
+        trace.gauge("traffic.peak_rate_gbps", ledger.peak_rate_gbps)
+        if faults is not None:
             trace.count("fault.requeued_batches",
-                        stats["requeued_batches"])
+                        ledger.fault_crash.batches)
             trace.count("fault.degraded_transfers",
-                        stats["degraded_transfers"])
-            trace.count("fault.slowed_kernels",
-                        stats["slowed_kernels"])
-        ostats = self.last_overload_stats
-        if ostats is not None:
-            trace.count("overload.drops",
-                        ostats["queue_dropped_batches"])
-            trace.count("overload.sheds", ostats["shed_batches"])
-            trace.count("breaker.trips", ostats["breaker_trips"])
-            trace.count("retry.attempts", ostats["retry_attempts"])
+                        ledger.degraded_transfers)
+            trace.count("fault.slowed_kernels", ledger.slowed_kernels)
+        if overload is not None:
+            trace.count("overload.drops", ledger.queue_dropped_batches)
+            trace.count("overload.sheds", ledger.shed_batches)
+            trace.count("breaker.trips", ledger.breaker_trips)
+            trace.count("retry.attempts", ledger.retry_attempts)
         if recorder is not None and trace.enabled:
             self._bridge_recorder(trace, recorder, sim_span.span_id)
         return report
@@ -895,43 +908,23 @@ class SimulationSession:
     def _run(self, spec: TrafficSpec, batch_size: int, batch_count: int,
              branch_profile, cpu_time_inflation: float,
              co_run_pressure_bytes: float, gpu_corun_kernels: int,
-             recorder, faults=None,
-             overload=None) -> ThroughputLatencyReport:
+             recorder, faults, overload) -> ThroughputLatencyReport:
+        """One run with normalized ``faults`` and ``overload``."""
         if branch_profile is None:
             from repro.sim.engine import BranchProfile
             branch_profile = BranchProfile()
-        if faults is not None and faults.is_empty:
-            # An empty timeline takes the exact fault-free code path,
-            # keeping the schedule bit-identical to faults=None.
-            faults = None
-        if overload is not None and overload.is_noop:
-            # Same normalization as empty fault timelines: a config
-            # that cannot alter the run takes the exact historical
-            # code path (golden-parity suite).
-            overload = None
-        self.last_fault_stats = None if faults is None else {
-            "requeued_batches": 0,
-            "requeued_packets": 0.0,
-            "requeue_seconds": 0.0,
-            "degraded_transfers": 0,
-            "slowed_kernels": 0,
-        }
-        self.last_overload_stats = None
         state: Optional[_OverloadState] = None
-        slo_seconds: Optional[float] = None
         if overload is not None:
+            tally = _Tally(overload.state)
             timeline = ResourceTimeline(queue_limit=overload.queue_limit)
             # The ingress queue is the first source node's host core;
             # batch-level admission and drop decisions are made there.
             ingress = self.plans[self.source_nodes[0]].host_resource
-            state = _OverloadState(overload, ingress)
-            if overload.slo_ms is not None:
-                slo_seconds = overload.slo_ms * 1e-3
-            if overload.admission is not None:
-                overload.admission.start_run(
-                    batch_size * spec.mean_packet_interval()
-                )
+            state = _OverloadState(
+                overload, ingress,
+                batch_size * spec.mean_packet_interval(), tally)
         else:
+            tally = _Tally(ControllerState())
             timeline = ResourceTimeline()
         overheads = OverheadBreakdown()
         drops, fan_out = self._branch_tables(branch_profile)
@@ -955,11 +948,6 @@ class SimulationSession:
         arrival_times = process.batch_arrivals(batch_count, batch_size,
                                                spec)
         horizon = process.horizon(batch_count, batch_size, spec)
-        self.last_traffic_stats = {
-            "batches": float(batch_count),
-            "peak_rate_gbps": peak_rate_gbps(arrival_times, batch_size,
-                                             spec),
-        }
 
         delivered_packets = 0.0
         delivered_bytes = 0.0
@@ -972,8 +960,7 @@ class SimulationSession:
         for batch_index in range(batch_count):
             arrival = arrival_times[batch_index]
             if state is not None:
-                verdict, inherited = state.ingress(batch_index, arrival,
-                                                   batch_packets,
+                verdict, inherited = state.ingress(arrival, batch_packets,
                                                    timeline)
                 if verdict == "swap":
                     # Head-drop: the newcomer takes over the sacrificed
@@ -992,10 +979,8 @@ class SimulationSession:
                         latencies.append(completion - arrival)
                         last_completion = max(last_completion,
                                               completion)
-                        state.note_swapped(batch_index, arrival,
-                                           inherited,
-                                           len(latencies) - 1,
-                                           slo_seconds)
+                        state.note_swapped(arrival, inherited,
+                                           len(latencies) - 1)
                     # The newcomer's own NF-dropped share mirrors the
                     # batch it replaced (all batches are identical in
                     # the analytic model).
@@ -1038,7 +1023,7 @@ class SimulationSession:
                                              timeline, overheads)
                 completion = self._service_step(
                     plan, ready, packets, prices, timeline, overheads,
-                    faults, state, recorder, batch_index,
+                    faults, state, tally, recorder, batch_index,
                 )
                 if recorder is not None:
                     recorder.record_node(batch_index, node_id, ready,
@@ -1069,12 +1054,10 @@ class SimulationSession:
                 latencies.append(batch_completion - arrival)
                 last_completion = max(last_completion, batch_completion)
                 if state is not None:
-                    state.note_delivered(batch_index, arrival,
-                                         batch_completion,
+                    state.note_delivered(arrival, batch_completion,
                                          batch_delivered,
                                          batch_delivered * mean_bytes,
-                                         len(latencies) - 1,
-                                         slo_seconds)
+                                         len(latencies) - 1)
 
         shed_packets = 0.0
         slo_delivered_bytes = 0.0
@@ -1097,20 +1080,11 @@ class SimulationSession:
             dropped_packets += shed_packets \
                 + sum(queue_drops.values())
             slo_delivered_bytes = state.slo_delivered
-            breaker = state.breaker
-            self.last_overload_stats = {
-                "shed_batches": state.shed_batches,
-                "shed_packets": state.shed_packets,
-                "queue_dropped_batches": state.queue_dropped_batches,
-                "queue_dropped_packets": sum(queue_drops.values()),
-                "head_cancelled": state.head_cancelled,
-                "breaker_trips": (breaker.trips - state.trips_before
-                                  if breaker is not None else 0),
-                "retry_attempts": state.retry_attempts,
-                "breaker_open_requeues": state.breaker_open_requeues,
-                "retry_exhausted_requeues":
-                    state.retry_exhausted_requeues,
-            }
+            breakers = state.breakers
+            if breakers is not None:
+                tally.breaker_trips = breakers.trips
+                tally.state = dataclasses.replace(
+                    tally.state, breakers=breakers.entries())
 
         makespan = max(last_completion, horizon)
         self.last_timeline = timeline
@@ -1132,6 +1106,8 @@ class SimulationSession:
             drops=dict(queue_drops),
             slo_ms=None if overload is None else overload.slo_ms,
             slo_delivered_bytes=slo_delivered_bytes,
+            ledger=tally.freeze(peak_rate_gbps(arrival_times, batch_size,
+                                               spec)),
         )
 
     # ------------------------------------------------------------------
@@ -1178,8 +1154,9 @@ class SimulationSession:
                       packets: float, prices: _PriceTable,
                       timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      faults=None, overload_state=None,
-                      recorder=None, batch_index: int = 0) -> float:
+                      faults, overload_state: Optional[_OverloadState],
+                      tally: _Tally, recorder,
+                      batch_index: int) -> float:
         """Schedule one node's service; return its completion time."""
         host_packets = packets * plan.host_share
 
@@ -1196,8 +1173,8 @@ class SimulationSession:
                 leg_end = self._offload_step(plan, leg, ready,
                                              leg_packets, prices,
                                              timeline, overheads, faults,
-                                             overload_state, recorder,
-                                             batch_index)
+                                             overload_state, tally,
+                                             recorder, batch_index)
                 completion = max(completion, leg_end)
 
         if plan.needs_partial_merge:
@@ -1222,8 +1199,8 @@ class SimulationSession:
                       ready: float, leg_packets: float,
                       prices: _PriceTable, timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      faults=None, state: Optional[_OverloadState] = None,
-                      recorder=None, batch_index: int = 0) -> float:
+                      faults, state: Optional[_OverloadState],
+                      tally: _Tally, recorder, batch_index: int) -> float:
         """Dispatch one batch share to an offload leg.
 
         A dispatch fails when its estimated window (H2D, launch,
@@ -1248,7 +1225,7 @@ class SimulationSession:
         kernel_service = timing.kernel
         breaker = retry = None
         if state is not None:
-            breaker, retry = state.breaker, state.retry
+            breaker, retry = state.breakers, state.retry
         guarded = breaker is not None or retry is not None
         clock = ready
         if faults is not None or guarded:
@@ -1259,7 +1236,6 @@ class SimulationSession:
             while True:
                 if (breaker is not None
                         and not breaker.allow(leg.device_id, clock)):
-                    state.breaker_open_requeues += 1
                     cause = "breaker_open"
                     break
                 failed = faults is not None and (
@@ -1275,19 +1251,16 @@ class SimulationSession:
                 if breaker is not None:
                     breaker.record_failure(leg.device_id, clock, window)
                 if attempt >= budget:
-                    if retry is not None:
-                        state.retry_exhausted_requeues += 1
-                        cause = "retry_exhausted"
-                    else:
-                        cause = "fault_crash"
+                    cause = ("fault_crash" if retry is None
+                             else "retry_exhausted")
                     break
-                state.retry_attempts += 1
+                tally.retry_attempts += 1
                 clock += retry.backoff_seconds(attempt, window)
                 attempt += 1
             if cause is not None:
                 completion = self._requeue_step(
                     plan, clock, leg_packets, prices, timeline,
-                    overheads, cause=cause,
+                    overheads, tally.requeues[cause],
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
@@ -1301,11 +1274,11 @@ class SimulationSession:
                 if stretch > 1.0 and (h2d > 0 or d2h > 0):
                     h2d *= stretch
                     d2h *= stretch
-                    self.last_fault_stats["degraded_transfers"] += 1
+                    tally.degraded_transfers += 1
                 slow = faults.slowdown(leg.device_id, clock)
                 if slow > 1.0:
                     kernel_service *= slow
-                    self.last_fault_stats["slowed_kernels"] += 1
+                    tally.slowed_kernels += 1
         if h2d > 0:
             _start, clock = timeline.schedule(leg.h2d_resource, clock,
                                               h2d)
@@ -1327,26 +1300,23 @@ class SimulationSession:
                       leg_packets: float, prices: _PriceTable,
                       timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
-                      cause: str) -> float:
+                      counts: list) -> float:
         """Service a bypassed leg's batch share on the host core.
 
         The re-queued batch pays the host service time scaled by the
         timeline's ``requeue_penalty`` (re-submission, cold caches, no
         device batching) and never touches the crashed device or its
         DMA lanes — a device crashed for a whole run therefore shows
-        zero busy time.  ``cause`` attributes the re-queue: only
-        ``fault_crash`` re-queues count into ``last_fault_stats``;
-        breaker/retry causes are ledgered by the overload state.
+        zero busy time.  ``counts`` is the cause's ``[batches,
+        packets, host seconds]`` tally.
         """
         service = prices.requeue(plan, leg_packets)
         _start, completion = timeline.schedule(plan.host_resource,
                                                ready, service)
         overheads.cpu_compute += service
-        stats_dict = self.last_fault_stats
-        if cause == "fault_crash" and stats_dict is not None:
-            stats_dict["requeued_batches"] += 1
-            stats_dict["requeued_packets"] += leg_packets
-            stats_dict["requeue_seconds"] += service
+        counts[0] += 1
+        counts[1] += leg_packets
+        counts[2] += service
         return completion
 
     def _split_step(self, plan: _NodePlan, connected: int,
@@ -1388,8 +1358,7 @@ class SimulationSession:
                          batch_count: int = 200,
                          branch_profile=None,
                          saturation_gbps: float = 200.0,
-                         trace=None,
-                         **interference) -> float:
+                         trace=None) -> float:
         """Saturation throughput in Gbps (offered load >> capacity).
 
         Every other spec field — the arrival process included — is
@@ -1405,6 +1374,6 @@ class SimulationSession:
             report = self.run(saturated, batch_size=batch_size,
                               batch_count=batch_count,
                               branch_profile=branch_profile,
-                              trace=trace, **interference)
+                              trace=trace)
             span.set(capacity_gbps=report.throughput_gbps)
         return report.throughput_gbps

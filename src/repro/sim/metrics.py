@@ -11,6 +11,9 @@ answers any percentile (not just the precomputed p50/p95/p99),
 ``max_queue_depth`` exposes the deepest per-resource backlog the run
 built up, and :meth:`ThroughputLatencyReport.check_slo` turns a
 declarative :class:`SLO` into a violation list.
+
+Every report carries one :class:`RunLedger` of what the run re-queued,
+degraded, shed and dropped, and of the controller state it left.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.overload.config import ControllerState
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
@@ -151,6 +156,35 @@ class SLOViolation:
         return f"{self.metric}: {self.actual:.4f} > {self.limit:.4f}"
 
 
+@dataclass(frozen=True)
+class Requeues:
+    """Offload-leg shares one cause sent to a host core instead."""
+
+    batches: int = 0
+    packets: float = 0.0
+    host_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class RunLedger:
+    """One run's accounting beyond the report's totals: re-queues by
+    cause, fault-stretched dispatches, the peak offered rate, overload
+    counts in batches, and the controller state the run ended in."""
+
+    fault_crash: Requeues = Requeues()
+    breaker_open: Requeues = Requeues()
+    retry_exhausted: Requeues = Requeues()
+    degraded_transfers: int = 0
+    slowed_kernels: int = 0
+    peak_rate_gbps: float = 0.0
+    shed_batches: int = 0
+    queue_dropped_batches: int = 0
+    head_cancelled_batches: int = 0
+    breaker_trips: int = 0
+    retry_attempts: int = 0
+    state: ControllerState = ControllerState()
+
+
 @dataclass
 class ThroughputLatencyReport:
     """The result of one simulation run."""
@@ -196,6 +230,7 @@ class ThroughputLatencyReport:
     slo_ms: Optional[float] = None
     #: Delivered bytes whose batch latency met ``slo_ms``.
     slo_delivered_bytes: float = 0.0
+    ledger: RunLedger = RunLedger()
 
     @property
     def throughput_gbps(self) -> float:

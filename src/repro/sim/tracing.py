@@ -130,13 +130,6 @@ class EventRecorder:
         return sorted(self.events_for_batch(batch_index),
                       key=lambda e: e.completion)
 
-    def requeue_causes(self) -> Dict[str, int]:
-        """Re-queue event count per cause (absent causes omitted)."""
-        causes: Dict[str, int] = {}
-        for event in self.requeue_events:
-            causes[event.cause] = causes.get(event.cause, 0) + 1
-        return causes
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, list]:
         return {

@@ -109,12 +109,12 @@ class TestExhaustiveOptimal:
             batch_count=20,
         )
         deployment = optimal.deploy(sfc, spec)
-        optimal_capacity = engine.measure_capacity(
-            deployment, spec, batch_size=32, batch_count=30)
+        optimal_capacity = engine.session(deployment).measure_capacity(
+            spec, batch_size=32, batch_count=30)
         cpu = CPUOnlyBaseline(platform=platform).deploy(
             ServiceFunctionChain([make_nf("ipsec")]), spec)
-        cpu_capacity = engine.measure_capacity(
-            cpu, spec, batch_size=32, batch_count=30)
+        cpu_capacity = engine.session(cpu).measure_capacity(
+            spec, batch_size=32, batch_count=30)
         assert optimal_capacity >= 0.9 * cpu_capacity
 
     def test_best_ratios_recorded(self, sfc, spec):

@@ -8,6 +8,8 @@ all call them with explicit parameters.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -21,6 +23,7 @@ from repro.nf.catalog import make_nf
 from repro.nf.dpi import PatternMatch
 from repro.nf.firewall import AclClassify
 from repro.nf.ipv4 import IPv4Lookup, LPMTrie
+from repro.runner import canonical_form
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
 from repro.traffic.acl import AclRule
@@ -241,3 +244,67 @@ def assert_reports_match(new, old):
     assert new.latency == old.latency
     assert new.overheads == old.overheads
     assert new.processor_busy_seconds == old.processor_busy_seconds
+
+
+# ---------------------------------------------------------------------------
+# Digests recorded before reports carried a RunLedger
+# ---------------------------------------------------------------------------
+
+_REPORT = "repro.sim.metrics.ThroughputLatencyReport"
+
+
+def _drop_ledgers(form) -> None:
+    if isinstance(form, dict):
+        if form.get("__dataclass__") == _REPORT:
+            del form["fields"]["ledger"]
+        for value in form.values():
+            _drop_ledgers(value)
+    elif isinstance(form, (list, tuple)):
+        for item in form:
+            _drop_ledgers(item)
+
+
+def ledgerless_fingerprint(obj) -> str:
+    """``canonical_fingerprint(obj)`` with every report's ``ledger``
+    field left out: the view digests recorded before reports carried a
+    ledger were taken of."""
+    form = canonical_form(obj)
+    _drop_ledgers(form)
+    encoded = json.dumps(form, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def fault_stats(report, faulted: bool) -> Optional[dict]:
+    """The per-run fault dict sessions kept before the ledger, rebuilt
+    from ``report.ledger``: ``None`` unless the run had a non-empty
+    fault timeline."""
+    if not faulted:
+        return None
+    ledger = report.ledger
+    return {
+        "requeued_batches": ledger.fault_crash.batches,
+        "requeued_packets": ledger.fault_crash.packets,
+        "requeue_seconds": ledger.fault_crash.host_seconds,
+        "degraded_transfers": ledger.degraded_transfers,
+        "slowed_kernels": ledger.slowed_kernels,
+    }
+
+
+def overload_stats(report, protected: bool) -> Optional[dict]:
+    """The per-run overload dict sessions kept before the ledger,
+    rebuilt from ``report``: ``None`` unless the run had a non-no-op
+    overload config."""
+    if not protected:
+        return None
+    ledger = report.ledger
+    return {
+        "shed_batches": ledger.shed_batches,
+        "shed_packets": report.shed_packets,
+        "queue_dropped_batches": ledger.queue_dropped_batches,
+        "queue_dropped_packets": report.queue_dropped_packets,
+        "head_cancelled": ledger.head_cancelled_batches,
+        "breaker_trips": ledger.breaker_trips,
+        "retry_attempts": ledger.retry_attempts,
+        "breaker_open_requeues": ledger.breaker_open.batches,
+        "retry_exhausted_requeues": ledger.retry_exhausted.batches,
+    }

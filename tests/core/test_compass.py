@@ -48,8 +48,9 @@ class TestDeploy:
             profile = BranchProfile.measure(
                 plan.deployment.graph, spec, sample_packets=128,
                 batch_size=64)
-            capacities[parallelize] = compass.engine.measure_capacity(
-                plan.deployment, spec, batch_size=64, batch_count=40,
+            session = compass.engine.session(plan.deployment)
+            capacities[parallelize] = session.measure_capacity(
+                spec, batch_size=64, batch_count=40,
                 branch_profile=profile)
         chosen_parallel = chosen.parallel_plan is not None
         assert capacities[chosen_parallel] >= \

@@ -1,13 +1,36 @@
 """Tests for multi-tenant co-scheduling."""
 
+import dataclasses
+
 import pytest
+from builders import ledgerless_fingerprint
 
 from repro.core.multi import MultiTenantScheduler
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.overload import (
+    CircuitBreaker,
+    ControllerState,
+    OverloadConfig,
+    RetryPolicy,
+    SLOFeedbackAdmission,
+)
+from repro.overload.breaker import OPEN, BreakerEntry
+from repro.runner import canonical_fingerprint
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
+
+#: ``canonical_fingerprint`` of three protected co-run rounds'
+#: bottleneck reports and the final admitted fraction, recorded while
+#: the tenants still shared mutable controller objects (the breaker
+#: tripped by hand with ``record_failure`` before the first round);
+#: reports have since gained a ledger, which ``ledgerless_fingerprint``
+#: leaves out.
+MULTI_TENANT_OVERLOAD = \
+    "b5966c89cc1cdb6a221fb3bec96c546890e62c8159bc55b99e412dc87381df83"
+MULTI_TENANT_OVERLOAD_LEDGERS = \
+    "54cab7c88e90c36ceaef55adb57ff0f71c6acfe088fe38a16ea7f3bded6f6446"
 
 
 def spec(size=256, seed=5):
@@ -129,3 +152,49 @@ class TestDeployState:
         assert [s.runs_completed for s in sessions] == \
             [runs + 2 for runs in before]
         assert [tenant.session for tenant in scheduler.tenants] == sessions
+
+
+class TestOverloadThreading:
+    def test_controller_state_threads_through_tenants(self):
+        """One overload config protects both tenants, which share the
+        only GPU: each tenant's run starts from the controller state
+        the previous one left, in deploy order, and each round ends
+        with the admission controller observing the bottleneck
+        tenant's report.  The GPU's breaker starts open; the first
+        tenant's probe closes it for the second.  Every round misses
+        the 0.3 ms p99, so the admitted fraction backs off once per
+        round."""
+        spec = TrafficSpec(size_law=FixedSize(512), offered_gbps=30.0,
+                           seed=3)
+        tripped = BreakerEntry("gpu0", OPEN, opened_at=0.0,
+                               cooldown=0.1e-3)
+        overload = OverloadConfig(
+            queue_limit=8, slo_ms=0.3,
+            admission=SLOFeedbackAdmission(p99_ms=0.3),
+            breaker=CircuitBreaker(failure_threshold=1,
+                                   cooldown_s=0.1e-3),
+            retry=RetryPolicy(budget=1),
+            state=ControllerState(breakers=(tripped,)),
+        )
+        scheduler = MultiTenantScheduler(
+            platform=dataclasses.replace(PlatformSpec(), gpus=1),
+            overload=overload)
+        scheduler.deploy([
+            ("vpn", ServiceFunctionChain([make_nf("ipsec")], name="vpn"),
+             spec),
+            ("edge", ServiceFunctionChain([make_nf("firewall"),
+                                           make_nf("ids")], name="edge"),
+             spec),
+        ], batch_size=32)
+        reports, fractions = [], []
+        for _ in range(3):
+            reports.append(scheduler.step(batch_count=60).report)
+            fractions.append(scheduler.overload.state.admitted_fraction)
+        assert fractions == pytest.approx([0.7, 0.49, 0.343])
+        assert scheduler.overload.state.breakers == ()
+        assert [r.name for r in reports] == \
+            ["nfcompass:vpn", "nfcompass:edge", "nfcompass:edge"]
+        assert ledgerless_fingerprint([reports, fractions[-1]]) == \
+            MULTI_TENANT_OVERLOAD
+        assert canonical_fingerprint([r.ledger for r in reports]) == \
+            MULTI_TENANT_OVERLOAD_LEDGERS

@@ -15,6 +15,7 @@ from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.obs import Trace, use_trace
 from repro.sim.mapping import Deployment, Mapping
+from repro.sim.metrics import RunLedger
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -47,9 +48,9 @@ def run(session, spec, faults=None, batches=30):
 class TestZeroCostPath:
     def test_empty_timeline_is_byte_identical(self, session, spec):
         baseline = run(session, spec)
-        assert session.last_fault_stats is None
+        assert baseline.ledger == RunLedger(
+            peak_rate_gbps=baseline.ledger.peak_rate_gbps)
         empty = run(session, spec, faults=empty_timeline())
-        assert session.last_fault_stats is None
         assert empty == baseline
         assert empty.processor_busy_seconds == baseline.processor_busy_seconds
         assert empty.processor_queue_wait_seconds == \
@@ -68,10 +69,9 @@ class TestRequeue:
         baseline = run(session, spec)
         crashed = run(session, spec,
                       faults=single_crash("gpu0", 0.0))
-        stats = session.last_fault_stats
-        assert stats is not None
-        assert stats["requeued_batches"] > 0
-        assert stats["requeue_seconds"] > 0
+        requeues = crashed.ledger.fault_crash
+        assert requeues.batches > 0
+        assert requeues.host_seconds > 0
         injected = crashed.delivered_packets + crashed.dropped_packets
         base_injected = (baseline.delivered_packets
                          + baseline.dropped_packets)
@@ -83,24 +83,24 @@ class TestRequeue:
     def test_requeue_penalty_scales_host_time(self, session, spec):
         cheap = FaultTimeline([FaultSpec("gpu0", "crash", 0.0)],
                               requeue_penalty=1.0)
-        run(session, spec, faults=cheap)
-        cheap_seconds = session.last_fault_stats["requeue_seconds"]
+        cheap_seconds = run(session, spec, faults=cheap) \
+            .ledger.fault_crash.host_seconds
         dear = FaultTimeline([FaultSpec("gpu0", "crash", 0.0)],
                              requeue_penalty=3.0)
-        run(session, spec, faults=dear)
-        dear_seconds = session.last_fault_stats["requeue_seconds"]
+        dear_seconds = run(session, spec, faults=dear) \
+            .ledger.fault_crash.host_seconds
         assert dear_seconds == pytest.approx(3.0 * cheap_seconds)
 
     def test_mid_run_crash_partially_requeues(self, session, spec):
         full = run(session, spec, faults=single_crash("gpu0", 0.0))
-        full_requeued = session.last_fault_stats["requeued_batches"]
+        full_requeued = full.ledger.fault_crash.batches
         # Offload legs become ready as their batches arrive, so a crash
         # starting midway through the arrival window catches only the
         # later batches.
         midpoint = spec.mean_packet_interval() * 32 * 30 / 2
         late = run(session, spec,
                    faults=single_crash("gpu0", midpoint))
-        late_requeued = session.last_fault_stats["requeued_batches"]
+        late_requeued = late.ledger.fault_crash.batches
         assert 0 < late_requeued <= full_requeued
         conserved = late.delivered_packets + late.dropped_packets
         assert conserved == pytest.approx(30 * 32)
@@ -113,9 +113,8 @@ class TestDegradation:
             FaultSpec("gpu0", "degrade_link", 0.0, factor=4.0),
             FaultSpec("gpu1", "degrade_link", 0.0, factor=4.0),
         ]))
-        stats = session.last_fault_stats
-        assert stats["degraded_transfers"] > 0
-        assert stats["requeued_batches"] == 0
+        assert degraded.ledger.degraded_transfers > 0
+        assert degraded.ledger.fault_crash.batches == 0
         # Every DMA slot stretches by the factor, so the pcie lanes
         # accumulate exactly 4x the baseline busy seconds.
         def dma_busy(report):
@@ -130,8 +129,7 @@ class TestDegradation:
             FaultSpec("gpu0", "slowdown", 0.0, factor=3.0),
             FaultSpec("gpu1", "slowdown", 0.0, factor=3.0),
         ]))
-        stats = session.last_fault_stats
-        assert stats["slowed_kernels"] > 0
+        assert slowed.ledger.slowed_kernels > 0
         gpu_busy = sum(seconds
                        for device, seconds in slowed.processor_busy_seconds.items()
                        if device.startswith("gpu"))

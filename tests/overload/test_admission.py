@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.overload import SLOFeedbackAdmission, TokenBucketAdmission
+from repro.overload import (
+    ControllerState,
+    SLOFeedbackAdmission,
+    TokenBucketAdmission,
+)
+
+START = ControllerState()
 
 
 class _Report:
@@ -25,44 +31,48 @@ class TestTokenBucket:
 
     def test_bucket_starts_full_then_rate_limits(self):
         bucket = TokenBucketAdmission(rate_fraction=0.5, burst=2)
-        bucket.start_run(mean_batch_gap=1.0)
+        admit = bucket.gate(START, mean_batch_gap=1.0)
         # Burst capacity admits the first two back-to-back batches.
-        assert bucket.admit(0, 0.0, 64.0)
-        assert bucket.admit(1, 0.0, 64.0)
-        assert not bucket.admit(2, 0.0, 64.0)
+        assert admit(0.0)
+        assert admit(0.0)
+        assert not admit(0.0)
         # Refill at 0.5 tokens per mean gap: after 2 gaps one token.
-        assert bucket.admit(3, 2.0, 64.0)
-        assert not bucket.admit(4, 2.0, 64.0)
+        assert admit(2.0)
+        assert not admit(2.0)
 
     def test_unit_rate_admits_offered_load(self):
         bucket = TokenBucketAdmission(rate_fraction=1.0, burst=4)
-        bucket.start_run(mean_batch_gap=0.01)
-        admitted = sum(bucket.admit(i, i * 0.01, 64.0)
-                       for i in range(100))
+        admit = bucket.gate(START, mean_batch_gap=0.01)
+        admitted = sum(admit(i * 0.01) for i in range(100))
         assert admitted == 100
 
     def test_half_rate_sheds_half_under_sustained_load(self):
         bucket = TokenBucketAdmission(rate_fraction=0.5, burst=1)
         # Integer arrivals are float-exact, so the refill pattern is
         # a clean admit-every-other cadence.
-        bucket.start_run(mean_batch_gap=1.0)
-        admitted = sum(bucket.admit(i, float(i), 64.0)
-                       for i in range(100))
+        admit = bucket.gate(START, mean_batch_gap=1.0)
+        admitted = sum(admit(float(i)) for i in range(100))
         assert admitted == 50
 
-    def test_start_run_resets_state(self):
+    def test_each_run_starts_full(self):
         bucket = TokenBucketAdmission(rate_fraction=1.0, burst=1)
-        bucket.start_run(mean_batch_gap=1.0)
-        first = [bucket.admit(i, float(i), 64.0) for i in range(5)]
-        bucket.start_run(mean_batch_gap=1.0)
-        second = [bucket.admit(i, float(i), 64.0) for i in range(5)]
+        first_admit = bucket.gate(START, mean_batch_gap=1.0)
+        first = [first_admit(float(i)) for i in range(5)]
+        second_admit = bucket.gate(START, mean_batch_gap=1.0)
+        second = [second_admit(float(i)) for i in range(5)]
         assert first == second
 
     def test_observe_is_open_loop(self):
         bucket = TokenBucketAdmission()
-        bucket.observe(_Report(p99_ms=1e9))  # must not raise or shed
-        bucket.start_run(1.0)
-        assert bucket.admit(0, 0.0, 64.0)
+        # Must not raise or shed.
+        assert bucket.observe(START, _Report(p99_ms=1e9)) == START
+        assert bucket.gate(START, 1.0)(0.0)
+
+    def test_controllers_are_frozen_values(self):
+        bucket = TokenBucketAdmission(rate_fraction=0.5, burst=2)
+        assert bucket == TokenBucketAdmission(rate_fraction=0.5, burst=2)
+        with pytest.raises(AttributeError):
+            bucket.burst = 3
 
 
 class TestSLOFeedback:
@@ -78,63 +88,70 @@ class TestSLOFeedback:
 
     def test_violation_backs_off_multiplicatively(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0, backoff=0.5)
-        controller.observe(_Report(p99_ms=2.0))
-        assert controller.fraction == pytest.approx(0.5)
-        controller.observe(_Report(p99_ms=2.0))
-        assert controller.fraction == pytest.approx(0.25)
+        state = controller.observe(START, _Report(p99_ms=2.0))
+        assert state.admitted_fraction == pytest.approx(0.5)
+        state = controller.observe(state, _Report(p99_ms=2.0))
+        assert state.admitted_fraction == pytest.approx(0.25)
 
     def test_backoff_floors_at_min_fraction(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0, backoff=0.1,
                                           min_fraction=0.2)
+        state = START
         for _ in range(10):
-            controller.observe(_Report(p99_ms=5.0))
-        assert controller.fraction == pytest.approx(0.2)
+            state = controller.observe(state, _Report(p99_ms=5.0))
+        assert state.admitted_fraction == pytest.approx(0.2)
 
     def test_recovery_is_hysteretic(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0, backoff=0.5,
                                           recover_step=0.1,
                                           healthy_epochs=2)
-        controller.observe(_Report(p99_ms=2.0))
-        assert controller.fraction == pytest.approx(0.5)
+        state = controller.observe(START, _Report(p99_ms=2.0))
+        assert state.admitted_fraction == pytest.approx(0.5)
         # One healthy epoch is not enough to recover...
-        controller.observe(_Report(p99_ms=0.5))
-        assert controller.fraction == pytest.approx(0.5)
+        state = controller.observe(state, _Report(p99_ms=0.5))
+        assert state.admitted_fraction == pytest.approx(0.5)
+        assert state.healthy_streak == 1
         # ...two consecutive healthy epochs step the fraction back up.
-        controller.observe(_Report(p99_ms=0.5))
-        assert controller.fraction == pytest.approx(0.6)
+        state = controller.observe(state, _Report(p99_ms=0.5))
+        assert state.admitted_fraction == pytest.approx(0.6)
+        assert state.healthy_streak == 0
 
     def test_violation_resets_the_healthy_streak(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0, backoff=0.5,
                                           recover_step=0.1,
                                           healthy_epochs=2)
-        controller.observe(_Report(p99_ms=2.0))
-        controller.observe(_Report(p99_ms=0.5))
-        controller.observe(_Report(p99_ms=2.0))  # streak broken
-        controller.observe(_Report(p99_ms=0.5))
-        assert controller.fraction == pytest.approx(0.25)
+        state = START
+        for p99_ms in (2.0, 0.5, 2.0, 0.5):  # the second 2.0 breaks
+            state = controller.observe(state, _Report(p99_ms=p99_ms))
+        assert state.admitted_fraction == pytest.approx(0.25)
 
     def test_error_diffusion_admits_exact_share(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0)
-        controller.fraction = 0.25
-        controller.start_run(1.0)
-        decisions = [controller.admit(i, float(i), 64.0)
-                     for i in range(100)]
+        admit = controller.gate(ControllerState(admitted_fraction=0.25),
+                               1.0)
+        decisions = [admit(float(i)) for i in range(100)]
         assert sum(decisions) == 25
         # Admissions are spread evenly, not front-loaded.
         assert decisions[:8] == [False, False, False, True] * 2
 
     def test_diffusion_is_deterministic_across_runs(self):
         controller = SLOFeedbackAdmission(p99_ms=1.0)
-        controller.fraction = 0.3
-        controller.start_run(1.0)
-        first = [controller.admit(i, float(i), 64.0) for i in range(50)]
-        controller.start_run(1.0)  # accumulator resets, fraction stays
-        second = [controller.admit(i, float(i), 64.0)
-                  for i in range(50)]
+        state = ControllerState(admitted_fraction=0.3)
+        first_admit = controller.gate(state, 1.0)
+        first = [first_admit(float(i)) for i in range(50)]
+        # Each run's accumulator starts at zero; the fraction stays.
+        second_admit = controller.gate(state, 1.0)
+        second = [second_admit(float(i)) for i in range(50)]
         assert first == second
 
     def test_full_fraction_admits_everything(self):
-        controller = SLOFeedbackAdmission(p99_ms=1.0)
-        controller.start_run(1.0)
-        assert all(controller.admit(i, float(i), 64.0)
-                   for i in range(64))
+        admit = SLOFeedbackAdmission(p99_ms=1.0).gate(START, 1.0)
+        assert all(admit(float(i)) for i in range(64))
+
+    def test_observe_leaves_its_input_state_unchanged(self):
+        controller = SLOFeedbackAdmission(p99_ms=1.0, backoff=0.5)
+        state = ControllerState(admitted_fraction=0.8, healthy_streak=1)
+        after = controller.observe(state, _Report(p99_ms=2.0))
+        assert state == ControllerState(admitted_fraction=0.8,
+                                        healthy_streak=1)
+        assert after == ControllerState(admitted_fraction=0.4)

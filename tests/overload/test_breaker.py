@@ -5,7 +5,13 @@ import math
 import pytest
 
 from repro.overload import CircuitBreaker, RetryPolicy
-from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.overload.breaker import (
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    BreakerEntry,
+    BreakerTable,
+)
 
 
 class TestRetryPolicy:
@@ -44,7 +50,7 @@ class TestCircuitBreaker:
             CircuitBreaker(cooldown_s=0.0)
 
     def test_closed_to_open_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=3))
         for i in range(2):
             breaker.record_failure("gpu0", float(i), window=1.0)
             assert breaker.state("gpu0") == CLOSED
@@ -53,13 +59,15 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_open_rejects_until_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=1,
+                                              cooldown_s=10.0))
         breaker.record_failure("gpu0", 0.0, window=1.0)
         assert not breaker.allow("gpu0", 5.0)
         assert breaker.state("gpu0") == OPEN
 
     def test_half_open_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=1,
+                                              cooldown_s=10.0))
         breaker.record_failure("gpu0", 0.0, window=1.0)
         # Cooldown elapsed: the next caller is the half-open probe.
         assert breaker.allow("gpu0", 10.0)
@@ -69,7 +77,8 @@ class TestCircuitBreaker:
         assert breaker.trips == 1
 
     def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_s=10.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=3,
+                                              cooldown_s=10.0))
         for i in range(3):
             breaker.record_failure("gpu0", float(i), window=1.0)
         assert breaker.allow("gpu0", 12.0)  # probe admitted
@@ -80,7 +89,7 @@ class TestCircuitBreaker:
         assert not breaker.allow("gpu0", 13.0)
 
     def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=3)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=3))
         breaker.record_failure("gpu0", 0.0, window=1.0)
         breaker.record_failure("gpu0", 1.0, window=1.0)
         breaker.record_success("gpu0")
@@ -90,20 +99,44 @@ class TestCircuitBreaker:
         assert breaker.trips == 0
 
     def test_cooldown_scales_with_window(self):
-        breaker = CircuitBreaker(failure_threshold=1,
-                                 cooldown_windows=4.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=1,
+                                              cooldown_windows=4.0))
         breaker.record_failure("gpu0", 0.0, window=0.5)
         assert not breaker.allow("gpu0", 1.9)
         assert breaker.allow("gpu0", 2.0)  # 4 windows x 0.5 s
 
     def test_devices_are_independent(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=1,
+                                              cooldown_s=10.0))
         breaker.record_failure("gpu0", 0.0, window=1.0)
         assert not breaker.allow("gpu0", 1.0)
         assert breaker.allow("gpu1", 1.0)
         assert breaker.open_devices() == {"gpu0": 10.0}
 
     def test_repr_mentions_open_devices(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=5.0)
+        breaker = BreakerTable(CircuitBreaker(failure_threshold=1,
+                                              cooldown_s=5.0))
         breaker.record_failure("gpu1", 0.0, window=1.0)
         assert "gpu1" in repr(breaker)
+
+    def test_table_round_trips_through_entries(self):
+        """A table rebuilt from another's entries behaves the same:
+        open devices stay open on the old clock, counted failures
+        still count, and untouched closed devices are not kept."""
+        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0)
+        first = BreakerTable(breaker)
+        first.record_failure("gpu0", 1.0, window=1.0)
+        first.record_failure("gpu0", 2.0, window=1.0)
+        first.record_failure("gpu1", 3.0, window=1.0)
+        assert first.allow("gpu2", 3.0)
+        entries = first.entries()
+        assert entries == (
+            BreakerEntry("gpu0", OPEN, 0, 2.0, 10.0),
+            BreakerEntry("gpu1", CLOSED, 1),
+        )
+        second = BreakerTable(breaker, entries)
+        assert second.trips == 0
+        assert not second.allow("gpu0", 11.9)
+        second.record_failure("gpu1", 4.0, window=1.0)
+        assert second.state("gpu1") == OPEN
+        assert second.trips == 1

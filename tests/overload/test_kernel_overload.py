@@ -2,13 +2,14 @@
 
 The acceptance bar: a no-op config is byte-identical to the
 unprotected kernel (the golden-parity suite pins the event stream;
-here we pin the stats surface), bounded queues under sustained 2x
+here we pin the ledger), bounded queues under sustained 2x
 overload shed measurable load while conserving every packet exactly,
 and the circuit breaker contains crashed devices without breaking the
 fault suite's conservation guarantees.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.nf.catalog import make_nf
 from repro.obs import Trace, use_trace
 from repro.overload import (
     CircuitBreaker,
+    ControllerState,
     DeadlineDrop,
     HeadDrop,
     OverloadConfig,
@@ -27,7 +29,9 @@ from repro.overload import (
     TailDrop,
     TokenBucketAdmission,
 )
+from repro.overload.breaker import OPEN
 from repro.sim.mapping import Deployment, Mapping
+from repro.sim.metrics import RunLedger
 from repro.sim.tracing import EventRecorder
 from repro.traffic.arrivals import MMPP
 from repro.traffic.distributions import FixedSize
@@ -81,15 +85,25 @@ def conservation_error(report):
                - report.dropped_packets)
 
 
+def requeue_causes(recorder):
+    return Counter(event.cause for event in recorder.requeue_events)
+
+
+def breaker_states(report):
+    """Device -> breaker state the run left, for devices it kept."""
+    return {entry.device_id: entry.state
+            for entry in report.ledger.state.breakers}
+
+
 class TestNoopPath:
     def test_noop_config_leaves_stats_unset(self, cpu_session):
         spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=10.0,
                            seed=11)
         baseline = cpu_session.run(spec, batch_size=32, batch_count=30)
-        assert cpu_session.last_overload_stats is None
+        assert baseline.ledger == RunLedger(
+            peak_rate_gbps=baseline.ledger.peak_rate_gbps)
         noop = cpu_session.run(spec, batch_size=32, batch_count=30,
                                overload=OverloadConfig())
-        assert cpu_session.last_overload_stats is None
         assert noop == baseline
 
     def test_unbounded_protected_run_matches_baseline(self,
@@ -106,9 +120,8 @@ class TestNoopPath:
         assert guarded.latency_samples == baseline.latency_samples
         assert guarded.delivered_packets == baseline.delivered_packets
         assert guarded.dropped_packets == baseline.dropped_packets
-        stats = cpu_session.last_overload_stats
-        assert stats["queue_dropped_batches"] == 0
-        assert stats["shed_batches"] == 0
+        assert guarded.ledger.queue_dropped_batches == 0
+        assert guarded.ledger.shed_batches == 0
 
     def test_offered_packets_populated_even_without_overload(
             self, cpu_session):
@@ -127,10 +140,8 @@ class TestBoundedQueues:
                                  overload=config)
         assert report.drop_rate > 0.0
         assert conservation_error(report) == 0.0
-        stats = cpu_session.last_overload_stats
-        assert stats["queue_dropped_batches"] > 0
-        assert report.queue_dropped_packets == pytest.approx(
-            stats["queue_dropped_packets"])
+        assert report.ledger.queue_dropped_batches > 0
+        assert report.queue_dropped_packets > 0
         assert report.drops  # per-resource attribution present
 
     def test_bounded_queue_caps_latency_versus_unprotected(
@@ -161,7 +172,7 @@ class TestBoundedQueues:
             tail.delivered_packets)
         assert head.latency.mean < tail.latency.mean
         assert conservation_error(head) == 0.0
-        assert cpu_session.last_overload_stats["head_cancelled"] > 0
+        assert head.ledger.head_cancelled_batches > 0
 
     def test_deadline_drop_sheds_less_when_slo_is_loose(
             self, cpu_session):
@@ -203,8 +214,7 @@ class TestAdmission:
                                  overload=config)
         assert report.shed_fraction == pytest.approx(0.5, abs=0.05)
         assert conservation_error(report) == 0.0
-        stats = cpu_session.last_overload_stats
-        assert stats["shed_batches"] == pytest.approx(50, abs=5)
+        assert report.ledger.shed_batches == pytest.approx(50, abs=5)
 
     def test_slo_feedback_closes_the_loop_across_runs(self,
                                                       cpu_session):
@@ -216,8 +226,9 @@ class TestAdmission:
         first = cpu_session.run(spec, batch_size=32, batch_count=100,
                                 overload=config)
         assert first.shed_fraction == 0.0  # fraction still 1.0
-        admission.observe(first)  # p99 above 0.2 ms -> back off
-        assert admission.fraction == pytest.approx(0.5)
+        # p99 above 0.2 ms -> back off
+        config = config.carry(first).observe(first)
+        assert config.state.admitted_fraction == pytest.approx(0.5)
         second = cpu_session.run(spec, batch_size=32, batch_count=100,
                                  overload=config)
         assert second.shed_fraction == pytest.approx(0.5, abs=0.05)
@@ -237,13 +248,13 @@ class TestBreakerDispatch:
             spec, batch_size=32, batch_count=30,
             faults=single_crash("gpu0", 0.0), overload=config,
         )
-        stats = offload_session.last_overload_stats
-        assert stats["breaker_trips"] >= 1
-        assert stats["retry_attempts"] > 0
-        assert stats["retry_exhausted_requeues"] > 0
+        ledger = report.ledger
+        assert ledger.breaker_trips >= 1
+        assert ledger.retry_attempts > 0
+        assert ledger.retry_exhausted.batches > 0
         # Once open, later batches skip the device without a timeout.
-        assert stats["breaker_open_requeues"] > 0
-        assert config.breaker.state("gpu0") == "open"
+        assert ledger.breaker_open.batches > 0
+        assert breaker_states(report)["gpu0"] == OPEN
         assert conservation_error(report) == 0.0
         # Nothing ran on the fenced device.
         assert report.processor_busy_seconds.get("gpu0", 0.0) == 0.0
@@ -273,12 +284,12 @@ class TestBreakerDispatch:
         crashed = single_crash("gpu0", 0.0)
         # Legacy path: no overload config -> every requeue is a crash.
         legacy_recorder = EventRecorder()
-        offload_session.run(spec, batch_size=32, batch_count=30,
-                            faults=crashed, recorder=legacy_recorder)
-        legacy_causes = legacy_recorder.requeue_causes()
+        legacy = offload_session.run(spec, batch_size=32,
+                                     batch_count=30, faults=crashed,
+                                     recorder=legacy_recorder)
+        legacy_causes = requeue_causes(legacy_recorder)
         assert set(legacy_causes) == {"fault_crash"}
-        legacy_stats = offload_session.last_fault_stats
-        assert legacy_stats["requeued_batches"] \
+        assert legacy.ledger.fault_crash.batches \
             == legacy_causes["fault_crash"]
         # Breaker path: retries exhaust, then the breaker fences the
         # device; neither cause pollutes the crash-fault ledger.
@@ -287,32 +298,42 @@ class TestBreakerDispatch:
             breaker=CircuitBreaker(failure_threshold=2),
             retry=RetryPolicy(budget=1),
         )
-        offload_session.run(spec, batch_size=32, batch_count=30,
-                            faults=crashed, overload=config,
-                            recorder=recorder)
-        causes = recorder.requeue_causes()
+        guarded = offload_session.run(spec, batch_size=32,
+                                      batch_count=30, faults=crashed,
+                                      overload=config, recorder=recorder)
+        causes = requeue_causes(recorder)
         assert causes.get("retry_exhausted", 0) > 0
         assert causes.get("breaker_open", 0) > 0
         assert causes.get("fault_crash", 0) == 0
-        assert offload_session.last_fault_stats["requeued_batches"] == 0
+        ledger = guarded.ledger
+        assert ledger.fault_crash.batches == 0
+        assert ledger.retry_exhausted.batches == causes["retry_exhausted"]
+        assert ledger.breaker_open.batches == causes["breaker_open"]
 
     def test_breaker_persists_across_runs(self, offload_session):
-        """An epoch loop's breaker keeps a device fenced into the next
-        run even when that run carries no fault timeline."""
+        """Carried breaker state keeps a device fenced into the next
+        run even when that run carries no fault timeline; the config
+        itself never changes."""
         spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=40.0,
                            seed=11)
         breaker = CircuitBreaker(failure_threshold=1, cooldown_s=1e9)
         config = OverloadConfig(breaker=breaker,
                                 retry=RetryPolicy(budget=0))
-        offload_session.run(spec, batch_size=32, batch_count=30,
-                            faults=single_crash("gpu0", 0.0),
-                            overload=config)
-        assert breaker.state("gpu0") == "open"
+        tripped = offload_session.run(spec, batch_size=32,
+                                      batch_count=30,
+                                      faults=single_crash("gpu0", 0.0),
+                                      overload=config)
+        assert breaker_states(tripped)["gpu0"] == OPEN
+        assert config.state == ControllerState()
         healthy = offload_session.run(spec, batch_size=32,
-                                      batch_count=30, overload=config)
-        stats = offload_session.last_overload_stats
-        assert stats["breaker_open_requeues"] > 0
+                                      batch_count=30,
+                                      overload=config.carry(tripped))
+        assert healthy.ledger.breaker_open.batches > 0
         assert healthy.processor_busy_seconds.get("gpu0", 0.0) == 0.0
+        fresh = offload_session.run(spec, batch_size=32, batch_count=30,
+                                    overload=config)
+        assert fresh.ledger.breaker_open.batches == 0
+        assert fresh.processor_busy_seconds["gpu0"] > 0.0
 
 
 class TestObservability:

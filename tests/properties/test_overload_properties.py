@@ -14,13 +14,16 @@ Three invariant families over arbitrary knob combinations:
   monotone;
 - **retry budget**: a permanently crashed device is dispatched at most
   ``1 + budget`` times per offload leg — the attempts ledger never
-  exceeds the budget's bound.
+  exceeds the budget's bound;
+- **purity**: a config carrying any controllers can be fingerprinted,
+  a run repeated with the same inputs returns an equal report, and a
+  chain of runs replays from any run's carried controller state.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultTimeline, empty_timeline, single_crash
@@ -33,10 +36,12 @@ from repro.overload import (
     HeadDrop,
     OverloadConfig,
     RetryPolicy,
+    SLOFeedbackAdmission,
     TailDrop,
     TokenBucketAdmission,
 )
-from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN, BreakerTable
+from repro.runner import canonical_fingerprint
 from repro.sim.engine import SimulationEngine
 from repro.sim.mapping import Deployment, Mapping
 from repro.traffic.arrivals import MMPP, Poisson
@@ -152,8 +157,8 @@ def test_breaker_state_machine_invariants(threshold, cooldown, events):
     """Whatever the event sequence, the breaker stays in a legal
     state, never admits while open pre-cooldown, and trips counts
     monotonically."""
-    breaker = CircuitBreaker(failure_threshold=threshold,
-                             cooldown_s=cooldown)
+    breaker = BreakerTable(CircuitBreaker(failure_threshold=threshold,
+                                          cooldown_s=cooldown))
     now = 0.0
     previous_trips = 0
     for kind, gap in events:
@@ -198,13 +203,13 @@ def test_retry_budget_bounds_attempts(budget):
         breaker=CircuitBreaker(failure_threshold=10_000),
         retry=RetryPolicy(budget=budget),
     )
-    session.run(spec, batch_size=BATCH_SIZE, batch_count=20,
-                faults=single_crash("gpu0", 0.0), overload=config)
-    stats = session.last_overload_stats
-    exhausted = stats["retry_exhausted_requeues"]
+    ledger = session.run(spec, batch_size=BATCH_SIZE, batch_count=20,
+                         faults=single_crash("gpu0", 0.0),
+                         overload=config).ledger
+    exhausted = ledger.retry_exhausted.batches
     assert exhausted > 0
-    assert stats["retry_attempts"] == budget * exhausted
-    assert stats["breaker_open_requeues"] == 0
+    assert ledger.retry_attempts == budget * exhausted
+    assert ledger.breaker_open.batches == 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -225,3 +230,84 @@ def test_empty_timeline_overload_equals_no_faults(queue_limit, policy):
                              batch_count=BATCH_COUNT,
                              faults=empty_timeline(), overload=config)
     assert with_empty == plain
+
+
+_GPU_SPEC = TrafficSpec(size_law=FixedSize(256), offered_gbps=40.0,
+                        seed=11)
+
+
+def _seeded_timeline(seed: int) -> FaultTimeline:
+    horizon = BATCH_COUNT * BATCH_SIZE * _GPU_SPEC.mean_packet_interval()
+    return FaultTimeline.seeded(seed, ["gpu0", "gpu1"], horizon,
+                                fault_rate=2.0)
+
+
+_ADMISSIONS = st.one_of(
+    st.none(),
+    st.builds(TokenBucketAdmission,
+              rate_fraction=st.floats(min_value=0.3, max_value=1.0),
+              burst=st.integers(min_value=1, max_value=8)),
+    st.builds(SLOFeedbackAdmission,
+              p99_ms=st.floats(min_value=0.05, max_value=1.0)),
+)
+_BREAKERS = st.one_of(
+    st.none(),
+    st.builds(CircuitBreaker,
+              failure_threshold=st.integers(min_value=1, max_value=3),
+              cooldown_windows=st.floats(min_value=1.0, max_value=16.0)),
+)
+_TIMELINES = st.one_of(
+    st.just(empty_timeline()),
+    st.just(single_crash("gpu0", 0.0)),
+    st.integers(min_value=0, max_value=10_000).map(_seeded_timeline),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(queue_limit=st.one_of(st.none(),
+                             st.integers(min_value=1, max_value=8)),
+       policy=_POLICIES,
+       admission=_ADMISSIONS,
+       breaker=_BREAKERS,
+       retry_budget=st.one_of(st.none(),
+                              st.integers(min_value=0, max_value=2)),
+       faults=_TIMELINES)
+@example(queue_limit=None, policy=TailDrop(), admission=None,
+         breaker=CircuitBreaker(failure_threshold=1,
+                                cooldown_windows=4.0),
+         retry_budget=0, faults=single_crash("gpu0", 0.0))
+def test_runs_are_pure_and_replayable(queue_limit, policy, admission,
+                                      breaker, retry_budget, faults):
+    """A run is a function of its inputs: its config fingerprints, the
+    same call twice returns equal reports (a tripped breaker
+    included), and runs 2 and 3 of a chain that threads controller
+    state replay on a fresh session from run 1's carried state."""
+    config = OverloadConfig(
+        queue_limit=queue_limit, drop_policy=policy,
+        admission=admission, breaker=breaker,
+        retry=None if retry_budget is None
+        else RetryPolicy(budget=retry_budget),
+        slo_ms=2.0,
+    )
+    canonical_fingerprint(config)
+
+    def run(session, overload):
+        return session.run(_GPU_SPEC, batch_size=BATCH_SIZE,
+                           batch_count=BATCH_COUNT, faults=faults,
+                           overload=overload)
+
+    session = _offload_session()
+    chain = [run(session, config)]
+    assert run(session, config) == chain[0]
+    for _ in range(2):
+        config = config.carry(chain[-1]).observe(chain[-1])
+        chain.append(run(session, config))
+
+    carried = chain[0].ledger.state
+    replay = dataclasses.replace(config, state=carried).observe(chain[0])
+    replay_session = _offload_session()
+    for report in chain[1:]:
+        replayed = run(replay_session, replay)
+        assert canonical_fingerprint(replayed) == \
+            canonical_fingerprint(report)
+        replay = replay.carry(replayed).observe(replayed)

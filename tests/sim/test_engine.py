@@ -181,8 +181,8 @@ class TestEngineInvariants:
 
     def test_measure_capacity_saturates(self, engine, spec):
         deployment = simple_deployment("ipv4")
-        capacity = engine.measure_capacity(deployment, spec,
-                                           batch_size=32, batch_count=40)
+        capacity = engine.session(deployment).measure_capacity(
+            spec, batch_size=32, batch_count=40)
         assert capacity > 0
         # Offered load in the spec (40 G) exceeds the pipeline's
         # capacity, so capacity must be below it.

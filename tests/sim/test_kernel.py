@@ -13,7 +13,13 @@ import dataclasses
 import re
 
 import pytest
-from builders import assert_reports_match, multi_gpu_scenario
+from builders import (
+    assert_reports_match,
+    fault_stats,
+    ledgerless_fingerprint,
+    multi_gpu_scenario,
+    overload_stats,
+)
 from legacy_engine import LegacySimulationEngine
 
 from repro.faults import FaultSpec, FaultTimeline, single_crash
@@ -36,11 +42,18 @@ from repro.traffic.generator import TrafficSpec
 
 #: ``canonical_fingerprint`` of kernel outputs, recorded before lanes
 #: kept blocked slot lists and services were priced once per run:
-#: neither may move any output.
+#: neither may move any output.  Reports have since gained a ledger,
+#: so these hash them without it (``ledgerless_fingerprint``), with
+#: the per-run fault and overload dicts sessions used to keep rebuilt
+#: from the ledger; the ``*_LEDGER`` digests pin the ledgers.
 MULTI_GPU_SATURATED = \
     "ecb0f4d5b8138045159bdb85678fc80dc239281cef9ee6d788b6d808d3f2c270"
+MULTI_GPU_SATURATED_LEDGER = \
+    "fb08fa8ceef5402e2084eb2c942f882714f9ce9c828a56f794fce5e70b3c5cdc"
 FAULTED_PROTECTED = \
     "de4e78d04607a40ae3945fd3a4be187efdf405d67d58513bb36aeea3ff20f8a3"
+FAULTED_PROTECTED_LEDGER = \
+    "8957303d7d10250693d1f269d854f5300b7280537bac0371f98af97167ed896b"
 
 
 @pytest.fixture
@@ -189,16 +202,6 @@ class TestMeasureCapacity:
                                          saturation_gbps=1.0)
         assert floor > 0
 
-    def test_facade_forwards_saturation_gbps(self, engine, spec):
-        deployment = chain_deployment()
-        via_engine = engine.measure_capacity(
-            deployment, spec, batch_size=32, batch_count=20,
-            saturation_gbps=150.0,
-        )
-        via_session = engine.session(deployment).measure_capacity(
-            spec, batch_size=32, batch_count=20, saturation_gbps=150.0,
-        )
-        assert via_engine == via_session
 
 
 class TestLegacyParitySmoke:
@@ -236,7 +239,9 @@ class TestRecordedDigests:
             deployment, dataclasses.replace(spec, offered_gbps=200.0),
             batch_size=32, batch_count=1000, branch_profile=profile,
         )
-        assert canonical_fingerprint(report) == MULTI_GPU_SATURATED
+        assert ledgerless_fingerprint(report) == MULTI_GPU_SATURATED
+        assert canonical_fingerprint(report.ledger) == \
+            MULTI_GPU_SATURATED_LEDGER
 
     def test_faulted_protected_run(self):
         """A gpu0 crash and a gpu1 link-degrade window under a
@@ -262,19 +267,20 @@ class TestRecordedDigests:
             batch_count=300, branch_profile=profile, faults=faults,
             overload=overload, recorder=recorder,
         )
-        fault_stats = session.last_fault_stats
-        overload_stats = session.last_overload_stats
-        assert fault_stats["degraded_transfers"] > 0
-        assert fault_stats["slowed_kernels"] > 0
-        assert overload_stats["queue_dropped_batches"] > 0
-        assert overload_stats["breaker_trips"] > 0
-        assert overload_stats["retry_attempts"] > 0
-        assert overload_stats["breaker_open_requeues"] > 0
-        assert overload_stats["retry_exhausted_requeues"] > 0
+        ledger = report.ledger
+        assert ledger.degraded_transfers > 0
+        assert ledger.slowed_kernels > 0
+        assert ledger.queue_dropped_batches > 0
+        assert ledger.breaker_trips > 0
+        assert ledger.retry_attempts > 0
+        assert ledger.breaker_open.batches > 0
+        assert ledger.retry_exhausted.batches > 0
         # Node ids carry a process-wide NF counter ("nf0/firewall#4/rx");
         # drop it so the event stream's digest does not depend on which
         # tests ran first.
         events = re.sub(r"#\d+/", "/", recorder.to_json())
-        assert canonical_fingerprint(
-            [report, fault_stats, overload_stats, events]
+        assert ledgerless_fingerprint(
+            [report, fault_stats(report, True),
+             overload_stats(report, True), events]
         ) == FAULTED_PROTECTED
+        assert canonical_fingerprint(ledger) == FAULTED_PROTECTED_LEDGER

@@ -88,6 +88,7 @@ SIM_ALL = [
 OVERLOAD_ALL = [
     "AdmissionController",
     "CircuitBreaker",
+    "ControllerState",
     "DROP_POLICY_NAMES",
     "DeadlineDrop",
     "DropPolicy",
