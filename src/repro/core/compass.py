@@ -26,6 +26,7 @@ from repro.core.synthesizer import NFSynthesizer, SynthesisReport
 from repro.elements.graph import ElementGraph
 from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
+from repro.net.batch import PacketBatch
 from repro.nf.base import ServiceFunctionChain
 from repro.obs import NULL_TRACE, Trace, resolve_trace
 from repro.sim.engine import BranchProfile, SimulationEngine
@@ -42,8 +43,9 @@ class ProfileConfig:
     The single source of truth for the two sample sizes a deploy
     uses.  :meth:`deploy_time` is the capacity race's sample;
     :meth:`run_time` is the allocator's and the final simulation's.
-    A deploy takes both from one functional pass per candidate: the
-    race profile is the pass's prefix (see
+    A deploy draws the ``run_time`` sample once and takes both
+    profiles from one functional pass per candidate over its own copy
+    of it: the race profile is the pass's prefix (see
     :meth:`NFCompass._plan_candidate`).  ``sample_packets`` wins when
     set; otherwise the sample size is
     ``max(min_sample_packets, batch_size * sample_batches)``.
@@ -244,7 +246,8 @@ class NFCompass:
         return parallel_plan, synthesis_report, graph
 
     def _plan_candidate(self, sfc: ServiceFunctionChain,
-                        spec: TrafficSpec, batch_size: int,
+                        spec: TrafficSpec, sample: List[PacketBatch],
+                        batch_size: int,
                         parallelize: bool,
                         max_width: Optional[int],
                         trace=None,
@@ -252,10 +255,11 @@ class NFCompass:
         """Build, profile and allocate one candidate structure.
 
         One functional pass on a clone of the candidate's graph serves
-        every profile the deploy needs.  It runs long enough for the
-        ``run_time`` sample, which the allocator takes, and snapshots
-        the counters at each size in ``sample_sizes`` on the way.  The
-        snapshots land in the plan's ``_profiles``.
+        every profile the deploy needs.  It runs copies of ``sample``,
+        the deploy's ``run_time`` sample, whose profile the allocator
+        takes, and snapshots the counters at each size in
+        ``sample_sizes`` on the way.  The snapshots land in the plan's
+        ``_profiles``.
         """
         trace = resolve_trace(trace)
         parallel_plan, synthesis_report, graph = self._reorganize(
@@ -265,8 +269,13 @@ class NFCompass:
         sizes = sorted({full, *sample_sizes})
         with trace.span("profile", graph=graph.name,
                         sample_packets=sizes[-1], batch_size=batch_size):
+            # NAT and IPsec rewrite packets in place: every pass runs
+            # its own copies, so every candidate sees the same traffic.
+            copies = [PacketBatch([packet.clone() for packet in batch],
+                                  creation_time=batch.creation_time)
+                      for batch in sample]
             profiles = BranchProfile.measure_prefixes(
-                graph.clone(), spec, sizes, batch_size
+                graph.clone(), copies, sizes, batch_size
             )
         mapping, allocation_report = self.allocator.allocate(
             graph, spec, batch_size=batch_size,
@@ -303,8 +312,9 @@ class NFCompass:
         parallelized and the sequential deployment against the traffic
         profile and keeps the one with the higher simulated capacity.
 
-        Each candidate is profiled by one functional pass on a clone;
-        the returned plan's graph has never been run.
+        Each candidate is profiled by one functional pass on a clone,
+        over its own copy of the deploy's one drawn sample; the
+        returned plan's graph has never been run.
         """
         plan = self._deploy(sfc, spec, batch_size, max_width,
                             resolve_trace(trace))
@@ -326,14 +336,19 @@ class NFCompass:
                           spec: TrafficSpec, batch_size: int,
                           max_width: Optional[int],
                           trace) -> CompassPlan:
+        # One sample per deploy: every profile a deploy takes is a
+        # prefix of the run_time one.
+        sample = BranchProfile.draw_sample(
+            spec, ProfileConfig.run_time(batch_size).resolved_sample_packets,
+            batch_size)
         if not (self.enable_parallelization and sfc.length > 1):
             trace.count("compass.candidates_evaluated", 1)
-            return self._plan_candidate(sfc, spec, batch_size,
+            return self._plan_candidate(sfc, spec, sample, batch_size,
                                         parallelize=False,
                                         max_width=max_width, trace=trace)
         race = ProfileConfig.deploy_time(batch_size).resolved_sample_packets
         candidates = [
-            self._plan_candidate(sfc, spec, batch_size,
+            self._plan_candidate(sfc, spec, sample, batch_size,
                                  parallelize=parallelize,
                                  max_width=max_width, trace=trace,
                                  sample_sizes=(race,))

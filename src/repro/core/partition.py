@@ -316,6 +316,21 @@ def evaluate_assignment(graph: nx.Graph,
     return tables.evaluate(node_group)
 
 
+def _top_two(sums: Dict[str, float]) -> Tuple[float, Optional[str], float]:
+    """(largest sum, its element, second-largest sum), both at least 0.
+
+    The objective's heaviest element on a group is never below 0.0, so
+    the floor changes no maximum; ties keep the first element seen.
+    """
+    first, first_element, second = 0.0, None, 0.0
+    for element, value in sums.items():
+        if value > first:
+            first, first_element, second = value, element, first
+        elif value > second:
+            second = value
+    return first, first_element, second
+
+
 def kernighan_lin_partition(graph: nx.Graph, capacities: Dict[str, int],
                             link_costs: Optional[Dict[str, float]] = None,
                             trace=None) -> PartitionResult:
@@ -367,12 +382,18 @@ def kernighan_lin_partition(graph: nx.Graph, capacities: Dict[str, int],
         locked: Set[str] = set()
         working = dict(node_group)
         # Incremental state: per-group loads, per-(group, element)
-        # sums and the cut, updated in O(degree + groups) per move.
+        # sums, each group's top two element sums, and the cut.
         loads, clusters, cut = tables.tally(working)
+        tops = {group: _top_two(clusters[group]) for group in groups}
 
         def objective_after(node: str,
                             target: str) -> Tuple[float, float]:
-            """(objective, d_cut) if ``node`` moved to ``target``."""
+            """(objective, d_cut) if ``node`` moved to ``target``.
+
+            O(degree + groups): only the node's element changes its sum
+            in the two groups involved, and the heaviest of the other
+            elements there is the group's first or second sum.
+            """
             current = working[node]
             d_cut = 0.0
             for neighbour, weight in neighbours[node]:
@@ -387,24 +408,19 @@ def kernighan_lin_partition(graph: nx.Graph, capacities: Dict[str, int],
             worst = 0.0
             for group in groups:
                 load = loads[group]
+                first, first_element, second = tops[group]
                 if group == current:
                     load -= t_current
-                if group == target:
+                    value = clusters[group][element] - t_current
+                elif group == target:
                     load += t_target
-                heaviest = 0.0
-                seen_element = False
-                for egroup, value in clusters[group].items():
-                    if egroup == element:
-                        seen_element = True
-                        if group == current:
-                            value -= t_current
-                        if group == target:
-                            value += t_target
-                    if value > heaviest:
-                        heaviest = value
-                if group == target and not seen_element \
-                        and t_target > heaviest:
-                    heaviest = t_target
+                    value = clusters[group].get(element)
+                    value = t_target if value is None else value + t_target
+                else:
+                    worst = max(worst, first, load / units[group])
+                    continue
+                others = second if first_element == element else first
+                heaviest = value if value > others else others
                 fair = load / units[group]
                 worst = max(worst, heaviest, fair)
             return (worst + CUT_PIPELINE_FACTOR * (cut + d_cut), d_cut)
@@ -443,6 +459,8 @@ def kernighan_lin_partition(graph: nx.Graph, capacities: Dict[str, int],
                 clusters[current].get(element, 0.0) - t_current)
             clusters[target][element] = (
                 clusters[target].get(element, 0.0) + t_target)
+            tops[current] = _top_two(clusters[current])
+            tops[target] = _top_two(clusters[target])
             working[node] = target
             trail.append((node, target, best_move_objective))
         # Keep the best prefix of the pass.

@@ -210,11 +210,11 @@ class ElementGraph:
 
         Read-only compiled tables are shared, not copied (see
         :class:`~repro.elements.element.SharedTables`): ACL rules and
-        matcher tables, Aho–Corasick and DFA automata, LPM tries and
-        AES key schedules.  Each clone keeps its own counters and
-        mutable state: packet counters, ``probes``,
-        ``transitions_made``, ``deny_count``, NAT bindings and flow
-        tables.
+        matcher tables, Aho–Corasick automata with their compiled scan
+        alternation, DFA automata, LPM tries and AES key schedules.
+        Each clone keeps its own counters and mutable state: packet
+        counters, ``probes``, DPI match and alert counts,
+        ``deny_count``, NAT bindings and flow tables.
         """
         import copy
         clone = ElementGraph(name=self.name)

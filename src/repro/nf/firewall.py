@@ -11,9 +11,12 @@ Two matchers over the same rule semantics:
   the structured classification that lets NFCompass stay flat as ACLs
   grow to 10 000 rules.
 
-Both count their probes so the cost model can charge realistically.
-Clones of a matcher share its rule list and hash tables but keep their
-own probe count.
+Both parse a packet once (:func:`~repro.traffic.acl.packet_fields`)
+and check each candidate rule on the parsed fields
+(:meth:`~repro.traffic.acl.AclRule.matches_fields`).  Both count their
+probes so the cost model can charge realistically.  Clones of a
+matcher share its rule list and hash tables but keep their own probe
+count.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement, OffloadTraits
 from repro.elements.standard import CheckIPHeader
 from repro.net.batch import PacketBatch
-from repro.net.packet import Packet, ipv4_to_int
+from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
-from repro.traffic.acl import AclRule
+from repro.traffic.acl import AclRule, packet_fields
 
 
 class LinearMatcher(SharedTables):
@@ -40,10 +43,17 @@ class LinearMatcher(SharedTables):
         self.probes = 0
 
     def match(self, packet: Packet) -> Optional[AclRule]:
-        for rule in self.rules:
-            self.probes += 1
-            if rule.matches(packet):
+        fields = packet_fields(packet)
+        if fields is None:
+            # Every rule is probed, and none matches a non-IPv4 packet.
+            self.probes += len(self.rules)
+            return None
+        src, dst, proto, sport, dport = fields
+        for position, rule in enumerate(self.rules, start=1):
+            if rule.matches_fields(src, dst, proto, sport, dport):
+                self.probes += position
                 return rule
+        self.probes += len(self.rules)
         return None
 
 
@@ -85,16 +95,18 @@ class TupleSpaceMatcher(SharedTables):
         return len(self._tables)
 
     def match(self, packet: Packet) -> Optional[AclRule]:
-        if not packet.is_ipv4:
+        fields = packet_fields(packet)
+        if fields is None:
             return None
-        src = ipv4_to_int(packet.ip.src)
-        dst = ipv4_to_int(packet.ip.dst)
+        src, dst, proto, sport, dport = fields
+        # Every tuple is probed once.  Addresses are 32-bit, so a
+        # shift by 32 gives a /0 prefix's key of 0.
+        self.probes += len(self._tables)
         best: Optional[AclRule] = None
         for (src_len, dst_len), bucket in self._tables.items():
-            self.probes += 1
-            key = (self._key_of(src, src_len), self._key_of(dst, dst_len))
+            key = (src >> (32 - src_len), dst >> (32 - dst_len))
             for rule in bucket.get(key, ()):
-                if rule.matches(packet):
+                if rule.matches_fields(src, dst, proto, sport, dport):
                     if best is None or rule.priority < best.priority:
                         best = rule
                     break  # bucket sorted by priority: first hit wins

@@ -24,7 +24,7 @@ from repro.elements.standard import CheckIPHeader
 from repro.net.batch import PacketBatch
 from repro.net.flow import FiveTuple, FlowTable
 from repro.nf.base import NetworkFunction
-from repro.nf.dpi import AhoCorasick, MatchVerdict
+from repro.nf.dpi import AhoCorasick, MatchVerdict, _pattern_set
 
 
 class StatefulPatternMatch(OffloadableElement):
@@ -173,8 +173,7 @@ class StatefulIDS(NetworkFunction):
     def __init__(self, patterns: Optional[Sequence[bytes]] = None,
                  name: Optional[str] = None, **kwargs):
         super().__init__(name=name, **kwargs)
-        from repro.traffic.dpi_profiles import make_pattern_set
-        self.patterns = list(patterns) if patterns else make_pattern_set()
+        self.patterns = _pattern_set(patterns)
 
     def build_core(self) -> ElementGraph:
         graph = ElementGraph(name=f"{self.name}/core")

@@ -27,11 +27,12 @@ element").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.elements.graph import ElementGraph
 from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
+from repro.net.batch import PacketBatch
 from repro.sim.kernel import SimulationSession
 from repro.sim.mapping import Deployment
 from repro.sim.metrics import ThroughputLatencyReport
@@ -57,9 +58,8 @@ class BranchProfile:
                 batch_size: int = 64) -> "BranchProfile":
         """Runtime profiling: push sample traffic, read the counters.
 
-        Pushes ``max(1, sample_packets // batch_size)`` batches of
-        ``spec``'s traffic through ``graph`` and reads the element
-        counters.  This is the one-snapshot case of
+        Pushes :meth:`draw_sample` of ``spec`` through ``graph`` and
+        reads the element counters.  This is the one-snapshot case of
         :meth:`measure_prefixes`.
 
         Mutates element counters/state of ``graph``.  Callers that need
@@ -68,29 +68,46 @@ class BranchProfile:
         profile a :meth:`~repro.elements.graph.ElementGraph.clone`
         instead — node ids match, so the profile transfers directly.
         """
-        return cls.measure_prefixes(graph, spec, (sample_packets,),
-                                    batch_size)[sample_packets]
+        return cls.measure_prefixes(
+            graph, cls.draw_sample(spec, sample_packets, batch_size),
+            (sample_packets,), batch_size)[sample_packets]
+
+    @staticmethod
+    def draw_sample(spec: TrafficSpec, sample_packets: int,
+                    batch_size: int) -> List[PacketBatch]:
+        """The first ``max(1, sample_packets // batch_size)`` batches of
+        ``spec``'s traffic: the sample a profile of that size runs."""
+        return list(TrafficGenerator(spec).batches(
+            batch_size, max(1, sample_packets // batch_size)))
 
     @classmethod
-    def measure_prefixes(cls, graph: ElementGraph, spec: TrafficSpec,
+    def measure_prefixes(cls, graph: ElementGraph,
+                         sample: Sequence[PacketBatch],
                          sample_sizes: Iterable[int],
                          batch_size: int = 64) -> Dict[int, "BranchProfile"]:
         """One functional pass, one profile per requested sample size.
 
-        The pass runs as many batches as the largest sample needs.
-        The profile for ``n`` packets is read from the counters right
-        after batch ``max(1, n // batch_size)``.  The generator's
-        batches are a deterministic sequence, so that snapshot equals
-        ``measure(fresh_clone, spec, n, batch_size)``.  A deploy uses
-        this to serve several consumers from a single pass.
+        The pass runs the batches of ``sample`` (from
+        :meth:`draw_sample`) that the largest size needs.  The profile
+        for ``n`` packets is read from the counters right after batch
+        ``max(1, n // batch_size)``, so it equals ``measure(fresh_clone,
+        spec, n, batch_size)``.  A deploy uses this to serve several
+        consumers from a single pass.
+
+        The pass runs the sample's packets in place, and elements such
+        as NAT and IPsec rewrite them: a caller that reuses a sample
+        passes each pass its own copies.
         """
         boundaries: Dict[int, List[int]] = {}
         for size in sample_sizes:
             boundaries.setdefault(max(1, size // batch_size), []).append(size)
+        last = max(boundaries)
+        if len(sample) < last:
+            raise ValueError(f"a {max(boundaries[last])}-packet profile "
+                             f"needs {last} batches, the sample has "
+                             f"{len(sample)}")
         profiles: Dict[int, BranchProfile] = {}
-        generator = TrafficGenerator(spec)
-        batches = generator.batches(batch_size, max(boundaries))
-        for index, batch in enumerate(batches, start=1):
+        for index, batch in enumerate(sample[:last], start=1):
             graph.run_batch(batch)
             for size in boundaries.get(index, ()):
                 profiles[size] = cls._read_counters(graph)

@@ -51,23 +51,38 @@ class AclRule:
 
     def matches(self, packet: Packet) -> bool:
         """Exact-semantics match used as the reference matcher."""
-        if not packet.is_ipv4:
-            return False
-        src = ipv4_to_int(packet.ip.src)
-        dst = ipv4_to_int(packet.ip.dst)
+        fields = packet_fields(packet)
+        return fields is not None and self.matches_fields(*fields)
+
+    def matches_fields(self, src: int, dst: int, proto: int,
+                       sport: int, dport: int) -> bool:
+        """:meth:`matches` on the fields :func:`packet_fields` parsed.
+
+        Matchers parse a packet once and check every candidate rule
+        with this.
+        """
         if not _prefix_match(src, self.src_prefix):
             return False
         if not _prefix_match(dst, self.dst_prefix):
             return False
-        if self.proto is not None and packet.ip.protocol != self.proto:
+        if self.proto is not None and proto != self.proto:
             return False
-        sport = packet.l4.src_port if packet.l4 is not None else 0
-        dport = packet.l4.dst_port if packet.l4 is not None else 0
         if not self.src_ports[0] <= sport <= self.src_ports[1]:
             return False
-        if not self.dst_ports[0] <= dport <= self.dst_ports[1]:
-            return False
-        return True
+        return self.dst_ports[0] <= dport <= self.dst_ports[1]
+
+
+def packet_fields(packet: Packet
+                  ) -> Optional[Tuple[int, int, int, int, int]]:
+    """The 5 fields a rule classifies on, or ``None`` if not IPv4.
+
+    :meth:`~repro.net.packet.Packet.five_tuple` with the addresses as
+    32-bit integers; a packet with no L4 header has ports 0.
+    """
+    if not packet.is_ipv4:
+        return None
+    src, dst, proto, sport, dport = packet.five_tuple()
+    return ipv4_to_int(src), ipv4_to_int(dst), proto, sport, dport
 
 
 def _prefix_match(value: int, prefix: Tuple[int, int]) -> bool:

@@ -42,9 +42,10 @@ class TestDeploy:
         )
         chosen = compass.deploy(sfc, spec)
         capacities = {}
+        sample = BranchProfile.draw_sample(spec, 256, 64)
         for parallelize in (False, True):
-            plan = compass._plan_candidate(sfc, spec, 64, parallelize,
-                                           None)
+            plan = compass._plan_candidate(sfc, spec, sample, 64,
+                                           parallelize, None)
             profile = BranchProfile.measure(
                 plan.deployment.graph, spec, sample_packets=128,
                 batch_size=64)

@@ -1,5 +1,7 @@
 """Unit tests for multiway (N-device-group) partitioning."""
 
+import random
+
 import networkx as nx
 import pytest
 from builders import offload_friendly_graph, weighted_graph
@@ -10,6 +12,9 @@ from repro.core.partition import (
     evaluate_assignment,
     kernighan_lin_partition,
 )
+from repro.obs import Trace
+from repro.runner import canonical_fingerprint
+from repro.validate.fuzz import random_partition_graph
 
 
 def three_device_graph():
@@ -132,6 +137,65 @@ class TestMultiwayKL:
     def test_empty_graph(self):
         result = kernighan_lin_partition(nx.Graph(), GROUPS3)
         assert result.groups == {g: set() for g in GROUPS3}
+
+
+#: ``canonical_fingerprint`` of ``kernighan_lin_partition`` over the
+#: 201 graphs of ``kl_cases``, recorded before KL kept per-group
+#: top-two element sums: node groups, objective and cut bits, group
+#: loads, passes, and the moves applied over all of them.
+KL_RESULTS = \
+    "93497cb904405d6f25df15aeaa833c6b78727b8c6289a0f5f209b5be1240720d"
+
+
+def kl_cases(count=201, seed=19):
+    """Random task graphs under 1-, 2- and 3-group capacities.
+
+    The three-group graphs get ``group_times`` with a SmartNIC entry
+    on some offloadable nodes, a GPU entry on most, and their own
+    SmartNIC link factor.
+    """
+    rng = random.Random(seed)
+    for index in range(count):
+        graph = random_partition_graph(rng, max_nodes=24)
+        capacities = {HOST_GROUP: rng.randint(1, 4)}
+        link_costs = None
+        if index % 3 >= 1:
+            capacities["gpu"] = rng.randint(1, 2)
+        if index % 3 == 2:
+            capacities["smartnic"] = 1
+            link_costs = {"gpu": 1.0, "smartnic": rng.uniform(0.5, 2.0)}
+            for data in graph.nodes.values():
+                times = {HOST_GROUP: data["cpu_time"]}
+                if data["pinned"] is None:
+                    if rng.random() < 0.8:
+                        times["gpu"] = data["gpu_time"]
+                    if rng.random() < 0.6:
+                        times["smartnic"] = (data["cpu_time"]
+                                             * rng.uniform(0.05, 1.5))
+                data["group_times"] = times
+        yield graph, capacities, link_costs
+
+
+class TestRecordedKL:
+    def test_results_are_pinned(self):
+        trace = Trace("kl")
+        rows = []
+        for graph, capacities, link_costs in kl_cases():
+            result = kernighan_lin_partition(graph, capacities, link_costs,
+                                             trace=trace)
+            rows.append({
+                "groups": {group: sorted(nodes)
+                           for group, nodes in result.groups.items()},
+                "objective": result.objective.hex(),
+                "cut": result.cut_weight.hex(),
+                "loads": {group: load.hex()
+                          for group, load in result.group_load.items()},
+                "passes": result.passes,
+            })
+        moves = trace.metrics.snapshot()["counters"]["partition.kl.moves"]
+        assert {len(row["groups"]) for row in rows} == {1, 2, 3}
+        assert canonical_fingerprint({"rows": rows, "moves": moves}) \
+            == KL_RESULTS
 
 
 class TestMultiwayAgglomerative:

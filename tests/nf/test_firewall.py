@@ -6,14 +6,26 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.net.batch import PacketBatch
-from repro.net.packet import IPv4Header, Packet, UDPHeader, int_to_ipv4
+from repro.net.packet import (
+    ETHERTYPE_IPV6,
+    IPPROTO_ESP,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    EthernetHeader,
+    IPv4Header,
+    IPv6Header,
+    Packet,
+    TCPHeader,
+    UDPHeader,
+    int_to_ipv4,
+)
 from repro.nf.firewall import (
     AclClassify,
     Firewall,
     LinearMatcher,
     TupleSpaceMatcher,
 )
-from repro.traffic.acl import generate_acl
+from repro.traffic.acl import generate_acl, linear_match
 
 
 def packet_for(src, dst, sport=1000, dport=80):
@@ -42,22 +54,66 @@ class TestTupleSpaceMatcher:
         assert matcher.probes == before + matcher.tuple_count
 
 
-@given(
-    src=st.integers(min_value=0, max_value=0xFFFFFFFF),
-    dst=st.integers(min_value=0, max_value=0xFFFFFFFF),
-    sport=st.integers(min_value=0, max_value=65535),
-    dport=st.integers(min_value=0, max_value=65535),
-    seed=st.integers(min_value=0, max_value=20),
-)
-@settings(max_examples=100, deadline=None)
-def test_matchers_agree(src, dst, sport, dport, seed):
-    """Tuple-space search implements exactly first-match semantics."""
+def addresses_in(prefix):
+    base, length = prefix
+    return st.integers(0, (1 << (32 - length)) - 1).map(
+        lambda host: base | host)
+
+
+@st.composite
+def classified_packets(draw, rules):
+    """Packets aimed at one rule, every field inside it or only some:
+    addresses in its prefixes, ports in its ranges, its protocol; TCP,
+    UDP or ESP, with or without an L4 header; sometimes IPv6."""
+    rule = draw(st.sampled_from(rules))
+    if draw(st.integers(0, 9)) == 0:
+        return Packet(eth=EthernetHeader(ethertype=ETHERTYPE_IPV6),
+                      ip=IPv6Header(src=draw(st.integers(0, 2**128 - 1)),
+                                    dst=draw(st.integers(0, 2**128 - 1))),
+                      l4=UDPHeader(src_port=80, dst_port=80))
+    aimed = draw(st.booleans())
+
+    def pick(inside, anywhere):
+        return draw(inside if aimed or draw(st.booleans()) else anywhere)
+
+    protocols = st.sampled_from((IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ESP))
+    address, port = st.integers(0, 0xFFFFFFFF), st.integers(0, 65535)
+    src = pick(addresses_in(rule.src_prefix), address)
+    dst = pick(addresses_in(rule.dst_prefix), address)
+    sport = pick(st.integers(*rule.src_ports), port)
+    dport = pick(st.integers(*rule.dst_ports), port)
+    proto = pick(protocols if rule.proto is None else st.just(rule.proto),
+                 protocols)
+    l4 = None
+    if proto != IPPROTO_ESP and (aimed or draw(st.booleans())):
+        header = TCPHeader if proto == IPPROTO_TCP else UDPHeader
+        l4 = header(src_port=sport, dst_port=dport)
+    return Packet(ip=IPv4Header(src=int_to_ipv4(src), dst=int_to_ipv4(dst),
+                                protocol=proto),
+                  l4=l4)
+
+
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=20),
+       catch_all=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_matchers_agree(data, seed, catch_all):
+    """Tuple-space search implements exactly first-match semantics,
+    and both matchers count exactly the probes they make."""
     rules = generate_acl(60, seed=seed, deny_fraction=0.4)
-    packet = packet_for(int_to_ipv4(src), int_to_ipv4(dst), sport, dport)
-    linear = LinearMatcher(rules).match(packet)
-    tuple_space = TupleSpaceMatcher(rules).match(packet)
-    assert (linear.priority if linear else None) == \
-        (tuple_space.priority if tuple_space else None)
+    if not catch_all:
+        rules = rules[:-1]
+    packet = data.draw(classified_packets(rules))
+    reference = linear_match(rules, packet)
+    linear, tuple_space = LinearMatcher(rules), TupleSpaceMatcher(rules)
+    assert linear.match(packet) is reference
+    assert tuple_space.match(packet) is reference
+    # Linear probes up to the first match (every rule when none
+    # matches); tuple-space probes every tuple of an IPv4 packet and
+    # returns before probing anything else.
+    assert linear.probes == (rules.index(reference) + 1
+                             if reference is not None else len(rules))
+    assert tuple_space.probes == (tuple_space.tuple_count
+                                  if packet.is_ipv4 else 0)
 
 
 class TestAclClassify:

@@ -245,7 +245,8 @@ class TestBranchProfile:
         graph = ServiceFunctionChain(
             [make_nf("ids"), make_nf("nat")]).concatenated_graph()
         sizes = (20, 128, 160, 256)
-        profiles = BranchProfile.measure_prefixes(graph.clone(), spec,
+        sample = BranchProfile.draw_sample(spec, 256, batch_size=64)
+        profiles = BranchProfile.measure_prefixes(graph.clone(), sample,
                                                   sizes, batch_size=64)
         assert set(profiles) == set(sizes)
         for size in sizes:
@@ -255,3 +256,12 @@ class TestBranchProfile:
         assert profiles[128] == profiles[160]
         assert profiles[128] is not profiles[160]
         assert profiles[128] != profiles[256]
+
+    def test_sample_shorter_than_largest_size_rejected(self):
+        spec = TrafficSpec(seed=9)
+        graph = ServiceFunctionChain([make_nf("nat")]).concatenated_graph()
+        sample = BranchProfile.draw_sample(spec, 128, batch_size=64)
+        assert len(sample) == 2
+        with pytest.raises(ValueError, match="needs 4 batches"):
+            BranchProfile.measure_prefixes(graph.clone(), sample,
+                                           (128, 256), batch_size=64)

@@ -115,6 +115,15 @@ class TestMatching:
         assert linear_match(rules, packet_for(dport=80)).action == "deny"
         assert linear_match(rules, packet_for(dport=81)).action == "accept"
 
+    def test_missing_l4_header_reads_as_port_zero(self):
+        def rule_for(ports):
+            return AclRule(priority=0, src_prefix=(0, 0),
+                           dst_prefix=(0, 0), src_ports=ports,
+                           dst_ports=ports, proto=None)
+        bare = Packet(ip=IPv4Header(protocol=50), l4=None)
+        assert rule_for((0, 0)).matches(bare)
+        assert not rule_for((1, 65535)).matches(bare)
+
     def test_non_ipv4_never_matches(self):
         from repro.net.packet import ETHERTYPE_IPV6, EthernetHeader, \
             IPv6Header
