@@ -17,22 +17,40 @@ Paper findings to reproduce: at ACL 200 all three are comparable; at
 1 000/10 000 rules FastClick loses 38 %/84 % and NBA 32 %/73 % of
 their throughput while NFCompass stays nearly flat, with 1.4–9x lower
 average latency and 2.9–4.3x lower latency variance.
+
+A sweep point is one grid cell, ``(acl_rules, packet_size)``.  It
+generates the cell's ACL and FIB once and builds each system's own
+chain over them (tree matchers for the baselines, tuple-space search
+for NFCompass).  Each system is deployed once; its saturated capacity
+run and then its latency run share that deployment's session.
+
+Latency is compared at one offered load per packet size: 80 % of the
+slowest system's capacity at the smallest ACL, kept constant as the
+ACL grows — the paper's methodology, where the same traffic drives
+every ACL size.  A system whose capacity collapses below that load
+overloads and its latency explodes (FastClick's "order of magnitude"
+at ACL 10000).  So the smallest-ACL cells run first (phase 1) and set
+their packet size's load themselves; every other cell (phase 2) takes
+its load as a grid parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from repro.baselines.fastclick import FastClickBaseline
 from repro.baselines.nba import NBABaseline
 from repro.core.compass import NFCompass
 from repro.experiments import common
+from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.firewall import Firewall
-from repro.nf.ipv4 import IPv4Forwarder
+from repro.nf.ipv4 import IPv4Forwarder, LPMTrie
 from repro.nf.nat import NetworkAddressTranslator
-from repro.traffic.acl import generate_acl
+from repro.sim.kernel import SimulationSession
+from repro.traffic.acl import AclRule, generate_acl
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -51,141 +69,93 @@ class Fig17Row:
     latency_std_us: float
 
 
-def _make_sfc(acl_rules: int, matcher_kind: str,
-              tag: str) -> ServiceFunctionChain:
-    rules = generate_acl(acl_rules, seed=acl_rules, deny_fraction=0.0)
-    return ServiceFunctionChain(
+def _prepare(system: str, tag: str, rules: List[AclRule], fib: LPMTrie,
+             spec: TrafficSpec, batch_size: int) -> SimulationSession:
+    """Deploy one system's own firewall -> router -> NAT chain over the
+    cell's shared ACL and FIB; returns the deployment's session."""
+    matcher_kind = "tuple_space" if system == "nfcompass" else "tree"
+    sfc = ServiceFunctionChain(
         [
             Firewall(rules=rules, matcher_kind=matcher_kind,
                      name=f"fw-{tag}"),
-            IPv4Forwarder(name=f"router-{tag}"),
+            IPv4Forwarder(table=fib, name=f"router-{tag}"),
             NetworkAddressTranslator(name=f"nat-{tag}"),
         ],
-        name=f"fw{acl_rules}-router-nat",
+        name=f"fw{len(rules)}-router-nat",
     )
-
-
-@dataclass
-class Fig17Capacity:
-    """Phase-1 row: one system's capacity in one (ACL, pkt) cell."""
-
-    system: str
-    acl_rules: int
-    packet_size: int
-    capacity_gbps: float
-
-
-def _prepare(system: str, acl_rules: int, packet_size: int,
-             batch_size: int):
-    """Build (spec, session) for one system in one grid cell."""
-    platform = common.make_engine().platform
-    engine = common.make_engine(platform)
-    spec = TrafficSpec(size_law=FixedSize(packet_size),
-                       offered_gbps=40.0)
-    tag = f"{system}-{acl_rules}-{packet_size}"
+    platform = PlatformSpec()
     if system == "fastclick":
-        sfc = _make_sfc(acl_rules, "tree", tag)
-        deployment = FastClickBaseline(
-            platform=platform
-        ).deploy(sfc, spec, batch_size=batch_size)
+        deployment = FastClickBaseline(platform=platform).deploy(
+            sfc, spec, batch_size=batch_size)
     elif system == "nba":
-        sfc = _make_sfc(acl_rules, "tree", tag)
-        deployment = NBABaseline(
-            platform=platform
-        ).deploy(sfc, spec, batch_size=batch_size)
+        deployment = NBABaseline(platform=platform).deploy(
+            sfc, spec, batch_size=batch_size)
     else:
-        sfc = _make_sfc(acl_rules, "tuple_space", tag)
-        compass = NFCompass(platform=platform)
-        plan = compass.deploy(sfc, spec, batch_size=batch_size)
-        deployment = plan.deployment
-    return spec, engine.session(deployment)
+        deployment = NFCompass(platform=platform).deploy(
+            sfc, spec, batch_size=batch_size).deployment
+    return common.make_engine(platform).session(deployment)
 
 
-def _capacity_point(system: str, acl_rules: int, packet_size: int,
-                    batch_size: int,
-                    batch_count: int) -> List[Fig17Capacity]:
-    """Phase-1 point: saturate one system in one cell."""
-    spec, session = _prepare(system, acl_rules, packet_size, batch_size)
-    capacity = session.run(
-        common.saturated(spec),
-        batch_size=batch_size, batch_count=batch_count,
-    ).throughput_gbps
-    return [Fig17Capacity(
-        system=system,
-        acl_rules=acl_rules,
-        packet_size=packet_size,
-        capacity_gbps=capacity,
-    )]
+def _fixed_load(capacities: Iterable[float]) -> float:
+    """A packet size's latency load: 80 % of the slowest system's
+    capacity at the smallest ACL."""
+    return min(0.8 * capacity for capacity in capacities)
 
 
-def _latency_point(system: str, acl_rules: int, packet_size: int,
-                   capacity_gbps: float, shared_load: float,
-                   batch_size: int, batch_count: int) -> List[Fig17Row]:
-    """Phase-2 point: latency at the cell's fixed offered load."""
-    spec, session = _prepare(system, acl_rules, packet_size, batch_size)
-    latency_report = session.run(
-        common.at_load(spec, max(0.05, shared_load)),
-        batch_size=batch_size, batch_count=batch_count,
-    )
-    return [Fig17Row(
-        system=system,
-        acl_rules=acl_rules,
-        packet_size=packet_size,
-        throughput_gbps=capacity_gbps,
-        latency_ms=latency_report.latency.mean_ms,
-        latency_std_us=(latency_report.latency.variance ** 0.5 * 1e6),
-    )]
+def _cell_point(acl_rules: int, packet_size: int, batch_size: int,
+                batch_count: int,
+                load_gbps: Optional[float] = None) -> List[Fig17Row]:
+    """One cell: each system's capacity, then its latency at
+    ``load_gbps``, by default the cell's own :func:`_fixed_load`."""
+    rules = generate_acl(acl_rules, seed=acl_rules, deny_fraction=0.0)
+    fib = LPMTrie.random_table()
+    spec = TrafficSpec(size_law=FixedSize(packet_size), offered_gbps=40.0)
+    sessions = [_prepare(system, f"{system}-{acl_rules}-{packet_size}",
+                         rules, fib, spec, batch_size)
+                for system in SYSTEMS]
+    capacities = [session.run(common.saturated(spec),
+                              batch_size=batch_size,
+                              batch_count=batch_count).throughput_gbps
+                  for session in sessions]
+    if load_gbps is None:
+        load_gbps = _fixed_load(capacities)
+    loaded = common.at_load(spec, max(0.05, load_gbps))
+    rows = []
+    for system, session, capacity in zip(SYSTEMS, sessions, capacities):
+        latency = session.run(loaded, batch_size=batch_size,
+                              batch_count=batch_count).latency
+        rows.append(Fig17Row(
+            system=system,
+            acl_rules=acl_rules,
+            packet_size=packet_size,
+            throughput_gbps=capacity,
+            latency_ms=latency.mean_ms,
+            latency_std_us=latency.variance ** 0.5 * 1e6,
+        ))
+    return rows
 
 
-def capacity_sweep_spec(quick: bool = True,
-                        acl_sizes: Sequence[int] = ACL_SIZES,
-                        packet_sizes: Sequence[int] = PACKET_SIZES,
-                        batch_size: int = 64) -> common.SweepSpec:
-    """Phase 1: every system's capacity in every grid cell."""
-    return common.SweepSpec(
-        name="fig17.capacity",
-        point=_capacity_point,
-        row_type=Fig17Capacity,
-        grid=[{"system": system, "acl_rules": acl_rules,
-               "packet_size": packet_size}
-              for acl_rules in sorted(acl_sizes)
-              for packet_size in packet_sizes
-              for system in SYSTEMS],
-        params={"batch_size": batch_size,
-                "batch_count": 50 if quick else 150},
-        context=common.sweep_context(),
-    )
+def cell_sweep_spec(acl_sizes: Sequence[int],
+                    packet_sizes: Sequence[int] = PACKET_SIZES,
+                    loads: Optional[Mapping[int, float]] = None,
+                    quick: bool = True,
+                    batch_size: int = 64) -> common.SweepSpec:
+    """One point per (ACL size, packet size) cell.
 
-
-def latency_sweep_spec(capacities: List[Fig17Capacity],
-                       quick: bool = True,
-                       batch_size: int = 64) -> common.SweepSpec:
-    """Phase 2: latency at a fixed offered load per packet size.
-
-    The offered load is fixed per packet size at the smallest-ACL
-    operating point (80 % of the slowest system's capacity there) and
-    kept constant as the ACL grows — exactly the paper's methodology,
-    where the same traffic drives every ACL size.  A system whose
-    capacity collapses below the offered load overloads and its
-    latency explodes (FastClick's "order of magnitude" at ACL 10000).
+    Without ``loads`` each cell sets its own packet size's load, as the
+    smallest ACL's cells do; with it, each cell's latency runs offer
+    ``loads[packet_size]``.
     """
-    fixed_load: Dict[int, float] = {}
-    smallest_acl = min(r.acl_rules for r in capacities)
-    for row in capacities:
-        if row.acl_rules != smallest_acl:
-            continue
-        current = fixed_load.get(row.packet_size, float("inf"))
-        fixed_load[row.packet_size] = min(current,
-                                          0.8 * row.capacity_gbps)
+    grid = [{"acl_rules": acl_rules, "packet_size": packet_size}
+            for acl_rules in acl_sizes for packet_size in packet_sizes]
+    if loads is not None:
+        for point in grid:
+            point["load_gbps"] = loads[point["packet_size"]]
     return common.SweepSpec(
-        name="fig17.latency",
-        point=_latency_point,
+        name="fig17.cell",
+        point=_cell_point,
         row_type=Fig17Row,
-        grid=[{"system": row.system, "acl_rules": row.acl_rules,
-               "packet_size": row.packet_size,
-               "capacity_gbps": row.capacity_gbps,
-               "shared_load": fixed_load[row.packet_size]}
-              for row in capacities],
+        grid=grid,
         params={"batch_size": batch_size,
                 "batch_count": 50 if quick else 150},
         context=common.sweep_context(),
@@ -197,21 +167,24 @@ def run(quick: bool = True,
         packet_sizes: Sequence[int] = PACKET_SIZES,
         batch_size: int = 64, jobs: int = 1,
         runner=None) -> List[Fig17Row]:
-    """Measure all systems in two phases (capacity, then latency).
+    """Every system's capacity and fixed-load latency in every cell.
 
-    Latency is compared at a *common* offered load per packet size —
-    80 % of the slowest system's smallest-ACL capacity — matching the
-    paper's fixed-offered-load methodology.
+    Phase 1 runs the smallest ACL's cells, which set each packet
+    size's load; phase 2 runs every other cell at those loads.  Rows
+    come in (ACL, packet size, system) order.
     """
-    capacities = common.run_sweep(
-        capacity_sweep_spec(quick=quick, acl_sizes=acl_sizes,
-                            packet_sizes=packet_sizes,
-                            batch_size=batch_size),
+    smallest, *larger = sorted(acl_sizes)
+    rows = common.run_sweep(
+        cell_sweep_spec((smallest,), packet_sizes, quick=quick,
+                        batch_size=batch_size),
         jobs=jobs, runner=runner,
     )
-    return common.run_sweep(
-        latency_sweep_spec(capacities, quick=quick,
-                           batch_size=batch_size),
+    loads = {size: _fixed_load(r.throughput_gbps for r in rows
+                               if r.packet_size == size)
+             for size in packet_sizes}
+    return rows + common.run_sweep(
+        cell_sweep_spec(larger, packet_sizes, loads, quick=quick,
+                        batch_size=batch_size),
         jobs=jobs, runner=runner,
     )
 

@@ -1,7 +1,7 @@
 """Latency versus offered load (extension study).
 
 Not a paper figure, but the canonical queueing view the paper's
-latency numbers live in: sweep the offered load from 10 % to 110 % of
+latency numbers live in: sweep the offered load from 10 % to 130 % of
 a deployment's capacity and record mean/p50/p95/p99 latency.  The
 hockey-stick knee at capacity makes the Fig. 17 overload blow-ups
 self-explanatory, and comparing NFCompass's curve against a baseline
@@ -41,6 +41,10 @@ from repro.traffic.generator import TrafficSpec
 #: post-knee regime is always visible.
 LOAD_FRACTIONS: Tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9,
                                      0.95, 1.0, 1.1, 1.3)
+
+#: The (past-the-knee, below-the-knee) load fractions whose latency
+#: ratio is a system's knee sharpness.
+KNEE_FRACTIONS: Tuple[float, float] = (1.3, 0.5)
 
 
 #: Arrival-process modes the burstiness sweep compares (all at the
@@ -459,14 +463,25 @@ def run(quick: bool = True,
 
 
 def knee_sharpness(rows: List[LoadLatencyRow], system: str) -> float:
-    """Latency at 130 % load over latency at 50 % load."""
+    """Latency at 130 % load over latency at 50 % load
+    (:data:`KNEE_FRACTIONS`)."""
     by_fraction = {r.load_fraction: r for r in rows
                    if r.system == system}
-    low = by_fraction.get(0.5)
-    high = by_fraction.get(1.3)
+    high_fraction, low_fraction = KNEE_FRACTIONS
+    low = by_fraction.get(low_fraction)
+    high = by_fraction.get(high_fraction)
     if not low or not high or low.latency_ms <= 0:
         return 0.0
     return high.latency_ms / low.latency_ms
+
+
+def knee_note(rows: List[LoadLatencyRow]) -> str:
+    """One line with every system's :func:`knee_sharpness`."""
+    high_fraction, low_fraction = KNEE_FRACTIONS
+    return (f"knee sharpness (latency at {high_fraction:.0%} / "
+            f"{low_fraction:.0%} load): "
+            + ", ".join(f"{s}: {knee_sharpness(rows, s):.1f}x"
+                        for s in dict.fromkeys(r.system for r in rows)))
 
 
 def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
@@ -488,11 +503,6 @@ def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
         )
     plot = line_plot(series, title="mean latency (ms) vs load (%)",
                      x_label="% of capacity", y_label="ms")
-    notes = [
-        f"knee sharpness (latency at 110% / 50% load): "
-        + ", ".join(f"{s}: {knee_sharpness(rows, s):.1f}x"
-                    for s in dict.fromkeys(r.system for r in rows))
-    ]
     burst_rows = run_burstiness(quick=quick, jobs=jobs, runner=runner)
     burst_table = common.format_table(
         ["arrivals", "mean Gbps", "peak Gbps", "latency ms", "p50 ms",
@@ -513,7 +523,7 @@ def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
         title="Graceful degradation under overload protection "
               "(queue_limit=4, tail-drop, 2 ms SLO)",
     )
-    return (table + "\n\n" + plot + "\n" + "\n".join(notes)
+    return (table + "\n\n" + plot + "\n" + knee_note(rows)
             + "\n\n" + burst_table + "\n\n" + overload_table)
 
 

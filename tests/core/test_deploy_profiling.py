@@ -17,7 +17,7 @@ from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
 from repro.nf.firewall import Firewall
-from repro.obs import Trace
+from repro.obs import Trace, use_trace
 from repro.runner import SweepRunner, canonical_fingerprint
 from repro.sim.engine import BranchProfile
 from repro.sim.kernel import SimulationSession
@@ -51,6 +51,19 @@ PLAIN_LEDGER = \
 #: The quick Fig. 17 rows at 200 rules and 64 B packets.
 FIG17_ROWS = \
     "66a3a5a9516dd56763029ec70986fee8a93b5db24689e94837cd675a0d4e7014"
+#: The quick Fig. 17 rows at 10 000 rules and 64 B packets: the
+#: pipeline benchmark's ``sweep-fig17`` op.
+FIG17_OP_ROWS = \
+    "df60243c768cadc1e868370ca50ed16401f0712212dd35b3bd09baf4e9754099"
+#: Every Fig. 17 row of the quick grid and of the full-scale grid
+#: (``quick=False``), recorded while each point still deployed its
+#: systems once per phase.
+FIG17_GRID_ROWS = {
+    True:
+        "cae8b55ffc00bc0ab798924e77588083084c40fa06899d24c5766ff8f2defc13",
+    False:
+        "ca24705821349b50ae80343ce116dfdcb9aac7442372cfd02495aa8bd92b2031",
+}
 
 _PATTERN = make_pattern_set()[0]
 
@@ -191,6 +204,18 @@ class TestOnePassPerCandidate:
             batch_count=20, trace=trace)
         assert [span.name for span in trace.spans].count("profile") == 1
 
+    def test_fig17_deploys_each_system_once_per_cell(self):
+        """A Fig. 17 cell's capacity and latency runs share one
+        deployment per system: one NFCompass deploy per cell, whose
+        two candidates profile once each."""
+        trace = Trace("fig17")
+        with use_trace(trace):
+            fig17.run(quick=True, acl_sizes=(200, 1000),
+                      packet_sizes=(64, 128), runner=SweepRunner(jobs=1))
+        names = [span.name for span in trace.spans]
+        assert names.count("deploy") == 4
+        assert names.count("profile") == 8
+
 
 class TestOutputsUnchanged:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -213,3 +238,15 @@ class TestOutputsUnchanged:
         rows = fig17.run(quick=True, acl_sizes=(200,), packet_sizes=(64,),
                          runner=SweepRunner(jobs=1))
         assert canonical_fingerprint(rows) == FIG17_ROWS
+
+    def test_fig17_benchmark_op_rows(self):
+        rows = fig17.run(quick=True, acl_sizes=(10000,),
+                         packet_sizes=(64,), runner=SweepRunner(jobs=1))
+        assert canonical_fingerprint(rows) == FIG17_OP_ROWS
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_fig17_grid_rows(self, quick):
+        rows = fig17.run(quick=quick, runner=SweepRunner(jobs=1))
+        assert len(rows) == 27
+        assert canonical_fingerprint(rows) == FIG17_GRID_ROWS[quick]

@@ -14,8 +14,10 @@ from repro.experiments import (
     fig14_reorganization,
     fig15_gta,
     fig17_real_sfc,
+    load_latency,
     tables,
 )
+from repro.runner import canonical_fingerprint
 
 
 class TestFig5:
@@ -181,10 +183,18 @@ class TestFig15:
 
 
 class TestFig17:
+    #: ``canonical_fingerprint`` of the fixture's rows.  The 10 000-rule
+    #: cell measures latency at the load the 200-rule cell sets.
+    ROWS = \
+        "159081398904136b6bd186192a16e3015dbed1c1539e9bf5c70c8b2c61a1cebb"
+
     @pytest.fixture(scope="class")
     def rows(self):
         return fig17_real_sfc.run(quick=True, acl_sizes=(200, 10000),
                                   packet_sizes=(64,))
+
+    def test_rows_unchanged(self, rows):
+        assert canonical_fingerprint(rows) == self.ROWS
 
     def test_fastclick_collapses_at_10k_rules(self, rows):
         retention = fig17_real_sfc.throughput_retention(rows)
@@ -221,6 +231,21 @@ class TestFig17:
         by_key = {(r.system, r.acl_rules): r for r in rows}
         assert by_key[("nfcompass", 10000)].latency_std_us < \
             by_key[("fastclick", 10000)].latency_std_us
+
+
+class TestLoadLatencyKnee:
+    @staticmethod
+    def row(fraction, latency_ms):
+        return load_latency.LoadLatencyRow(
+            system="nfcompass", load_fraction=fraction, offered_gbps=1.0,
+            latency_ms=latency_ms, latency_p50_ms=latency_ms,
+            latency_p95_ms=latency_ms, latency_p99_ms=latency_ms)
+
+    def test_note_names_the_loads_it_divides(self):
+        rows = [self.row(0.5, 2.0), self.row(1.1, 3.0), self.row(1.3, 9.0)]
+        assert load_latency.knee_sharpness(rows, "nfcompass") == 4.5
+        assert load_latency.knee_note(rows) == (
+            "knee sharpness (latency at 130% / 50% load): nfcompass: 4.5x")
 
 
 class TestTables:

@@ -13,11 +13,15 @@ same per-point code path and any drift means hidden cross-point state.
 
 from repro.experiments import fig06_offload_ratio as fig06
 from repro.experiments import fig08_characterization as fig08
+from repro.experiments import fig17_real_sfc as fig17
+from repro.runner import ResultCache, SweepRunner
 
 FIG06_KWARGS = dict(quick=True, nf_types=("ipv4", "ipsec"),
                     ratios=(0.0, 0.5, 1.0))
 FIG08_KWARGS = dict(quick=True, nf_types=("ipsec",),
                     batch_sizes=(32, 128))
+FIG17_KWARGS = dict(quick=True, acl_sizes=(200, 1000),
+                    packet_sizes=(64, 128))
 
 
 class TestFig06Determinism:
@@ -54,3 +58,27 @@ class TestFig08Determinism:
         assert [(r.platform, r.batch_size) for r in rows] == [
             ("cpu", 32), ("cpu", 128), ("gpu", 32), ("gpu", 128),
         ]
+
+
+class TestFig17Determinism:
+    def test_worker_count_irrelevant(self):
+        serial = fig17.run(**FIG17_KWARGS)
+        assert fig17.run(jobs=2, **FIG17_KWARGS) == serial
+        assert fig17.run(jobs=3, **FIG17_KWARGS) == serial
+
+    def test_row_order_is_grid_order(self):
+        rows = fig17.run(jobs=2, **FIG17_KWARGS)
+        assert [(r.acl_rules, r.packet_size, r.system) for r in rows] == [
+            (acl, size, system)
+            for acl in (200, 1000)
+            for size in (64, 128)
+            for system in fig17.SYSTEMS
+        ]
+
+    def test_second_run_is_served_from_the_cache(self):
+        cache = ResultCache()
+        first = fig17.run(runner=SweepRunner(cache=cache), **FIG17_KWARGS)
+        assert (cache.hits, cache.misses) == (0, 4)
+        second = fig17.run(runner=SweepRunner(cache=cache), **FIG17_KWARGS)
+        assert (cache.hits, cache.misses) == (4, 4)
+        assert second == first
