@@ -629,6 +629,9 @@ def _cmd_config_run(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch to the selected command."""
     args = _build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print("--jobs must be at least 1", file=sys.stderr)
+        return 2
     if args.command == "nf":
         return _cmd_nf_list()
     if args.command == "elements":

@@ -16,6 +16,8 @@ Module                        Paper artifact
 ``fig15_gta``                 Fig. 15 — graph task allocation vs baselines
 ``fig17_real_sfc``            Figs. 16/17 — real SFC (FW/router/NAT) study
 ``tables``                    Tables II/III — NF actions & criteria
+``load_latency``              Extension — latency vs load, bursts, overload
+``ablations``                 Extension — design-choice ablations
 ============================  ==========================================
 """
 

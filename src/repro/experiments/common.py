@@ -13,12 +13,10 @@ executes it through :func:`run_sweep`, which gives every experiment
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.elements.graph import ElementGraph
-from repro.elements.offload import OffloadableElement
 from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
 from repro.obs import resolve_trace
@@ -29,12 +27,13 @@ from repro.runner import (  # noqa: F401  (re-exported sweep API)
     run_sweep,
 )
 from repro.sim.engine import BranchProfile, SimulationEngine
-from repro.sim.mapping import Deployment, Mapping, Placement
+from repro.sim.kernel import SATURATING_GBPS
+from repro.sim.mapping import Deployment, Mapping
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficSpec
 
-#: Offered load used to saturate deployments (far above any capacity).
-SATURATING_GBPS = 200.0
+#: :func:`measure` takes latency at this fraction of measured capacity.
+LATENCY_LOAD_FRACTION = 0.8
 
 #: Default on-disk sweep cache directory (``repro experiments run``).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -83,27 +82,16 @@ def make_engine(platform: Optional[PlatformSpec] = None,
 
 
 def dedicated_core_mapping(graph: ElementGraph, offload_ratio: float = 0.0,
-                           gpus: Sequence[str] = ("gpu0",),
-                           core_count: int = 24) -> Mapping:
+                           gpus: Sequence[str] = ("gpu0",)) -> Mapping:
     """Pin every element to its own CPU core; offload offloadables.
 
     Mirrors the paper's per-NF dedicated-core methodology and isolates
-    the element under study as the pipeline bottleneck.
+    the element under study as the pipeline bottleneck: elements take
+    the platform's cores round robin (:meth:`Mapping.fixed_ratio`).
     """
-    cores = itertools.cycle(f"cpu{i}" for i in range(core_count))
-    gpu_cycle = itertools.cycle(gpus)
-    placements: Dict[str, Placement] = {}
-    for node in graph.topological_order():
-        element = graph.element(node)
-        core = next(cores)
-        if (isinstance(element, OffloadableElement) and element.offloadable
-                and offload_ratio > 0.0):
-            placements[node] = Placement.split(
-                core, next(gpu_cycle), offload_ratio
-            )
-        else:
-            placements[node] = Placement.split(core)
-    return Mapping(placements)
+    return Mapping.fixed_ratio(graph, offload_ratio,
+                               cores=PlatformSpec().cpu_processor_ids(),
+                               gpus=gpus)
 
 
 def saturated(spec: TrafficSpec) -> TrafficSpec:
@@ -133,7 +121,6 @@ def measure(engine: SimulationEngine, deployment: Deployment,
             spec: TrafficSpec, batch_size: int = 64,
             batch_count: int = 120,
             branch_profile: Optional[BranchProfile] = None,
-            latency_load_fraction: float = 0.8,
             trace=None) -> CapacityLatency:
     """Measure capacity at saturation, then latency at 80 % load.
 
@@ -155,7 +142,7 @@ def measure(engine: SimulationEngine, deployment: Deployment,
             trace=trace,
         )
         capacity = saturation_report.throughput_gbps
-        loaded = at_load(spec, max(0.05, capacity * latency_load_fraction))
+        loaded = at_load(spec, max(0.05, capacity * LATENCY_LOAD_FRACTION))
         latency_report = session.run(
             loaded, batch_size=batch_size,
             batch_count=batch_count, branch_profile=branch_profile,

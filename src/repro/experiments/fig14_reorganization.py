@@ -13,6 +13,11 @@ offloadable elements).  The identical NFs are independent tenant
 instances, so the orchestrator uses the identical-NF independence
 override when forming stages.
 
+A sweep point is one (NF, platform) group.  It deploys each
+configuration once and runs its saturated capacity, then runs every
+configuration's latency on the same session at the group's shared
+load.
+
 Paper findings to reproduce: parallelization cuts latency (up to 24 %
 for the firewall and 54 % for IDS on CPU; up to 79 % on GPU) with
 under 10 % throughput loss; synthesis (d) beats pure branching (b/c)
@@ -120,24 +125,13 @@ class _PrebuiltNF(NetworkFunction):
         self._graph = graph
 
 
-@dataclass
-class Fig14Capacity:
-    """Phase-1 row: one configuration's measured capacity."""
-
-    nf_type: str
-    config: str
-    platform: str
-    effective_length: int
-    capacity_gbps: float
-
-
 def _traffic() -> TrafficSpec:
     return TrafficSpec(size_law=FixedSize(64), protocol="tcp",
                        offered_gbps=40.0)
 
 
 def _prepare(nf_type: str, config: str, platform: str, batch_size: int):
-    """Build (graph, effective_length, profile, session) for a point."""
+    """Build (effective_length, profile, session) for a configuration."""
     from repro.sim.engine import BranchProfile
 
     graph, effective_length = build_config(nf_type, config)
@@ -159,107 +153,63 @@ def _prepare(nf_type: str, config: str, platform: str, batch_size: int):
     return effective_length, profile, session
 
 
-def _capacity_point(nf_type: str, config: str, platform: str,
-                    batch_size: int,
-                    batch_count: int) -> List[Fig14Capacity]:
-    """Phase-1 point: saturate one configuration on one platform."""
-    effective_length, profile, session = _prepare(
-        nf_type, config, platform, batch_size
-    )
-    capacity = session.run(
-        common.saturated(_traffic()),
-        batch_size=batch_size, batch_count=batch_count,
-        branch_profile=profile,
-    ).throughput_gbps
-    return [Fig14Capacity(
-        nf_type=nf_type,
-        config=config,
-        platform=platform,
-        effective_length=effective_length,
-        capacity_gbps=capacity,
-    )]
-
-
-def _latency_point(nf_type: str, config: str, platform: str,
-                   effective_length: int, capacity_gbps: float,
-                   shared_load: float, batch_size: int,
-                   batch_count: int) -> List[Fig14Row]:
-    """Phase-2 point: latency at the group's shared offered load."""
-    _length, profile, session = _prepare(
-        nf_type, config, platform, batch_size
-    )
-    latency_report = session.run(
-        common.at_load(_traffic(), max(0.05, shared_load)),
-        batch_size=batch_size, batch_count=batch_count,
-        branch_profile=profile,
-    )
-    return [Fig14Row(
-        nf_type=nf_type,
-        config=config,
-        platform=platform,
-        effective_length=effective_length,
-        throughput_gbps=capacity_gbps,
-        latency_ms=latency_report.latency.mean_ms,
-    )]
-
-
-def capacity_sweep_spec(quick: bool = True,
-                        nf_types: Sequence[str] = NF_TYPES,
-                        configs: Sequence[str] = CONFIGS,
-                        batch_size: int = 64) -> common.SweepSpec:
-    """Phase 1: every configuration's capacity, per platform."""
-    return common.SweepSpec(
-        name="fig14.capacity",
-        point=_capacity_point,
-        row_type=Fig14Capacity,
-        grid=[{"nf_type": nf_type, "config": config,
-               "platform": platform_kind}
-              for nf_type in nf_types
-              for config in configs
-              for platform_kind in PLATFORMS],
-        params={"batch_size": batch_size,
-                "batch_count": 50 if quick else 150},
-        context=common.sweep_context(traffic=_traffic()),
-    )
-
-
-def latency_sweep_spec(capacities: List[Fig14Capacity],
-                       quick: bool = True,
-                       batch_size: int = 64) -> common.SweepSpec:
-    """Phase 2: latency at a shared load per (NF, platform) group.
+def _group_point(nf_type: str, platform: str, configs: Sequence[str],
+                 batch_size: int, batch_count: int) -> List[Fig14Row]:
+    """One (NF, platform) group: every configuration's capacity, then
+    its latency at the group's shared load.
 
     Latency must be compared at a *common* offered load — comparing
     each configuration at a fraction of its own capacity would load
     faster configurations harder.  The shared load is 85 % of the
-    slowest configuration's capacity within each (NF, platform) group.
+    slowest configuration's capacity in the group.  Each configuration
+    is deployed once; its capacity and latency runs share the session.
     """
-    shared_loads: Dict[Tuple[str, str], float] = {}
-    for row in capacities:
-        key = (row.nf_type, row.platform)
-        shared_loads[key] = min(shared_loads.get(key, float("inf")),
-                                row.capacity_gbps)
-    grid = []
-    for nf_type in dict.fromkeys(r.nf_type for r in capacities):
-        for platform_kind in PLATFORMS:
-            group = [r for r in capacities
-                     if r.nf_type == nf_type
-                     and r.platform == platform_kind]
-            for entry in group:
-                grid.append({
-                    "nf_type": entry.nf_type,
-                    "config": entry.config,
-                    "platform": entry.platform,
-                    "effective_length": entry.effective_length,
-                    "capacity_gbps": entry.capacity_gbps,
-                    "shared_load":
-                        0.85 * shared_loads[(nf_type, platform_kind)],
-                })
+    deployed = []
+    for config in configs:
+        effective_length, profile, session = _prepare(
+            nf_type, config, platform, batch_size
+        )
+        capacity = session.run(
+            common.saturated(_traffic()),
+            batch_size=batch_size, batch_count=batch_count,
+            branch_profile=profile,
+        ).throughput_gbps
+        deployed.append((config, effective_length, profile, session,
+                         capacity))
+    shared_load = 0.85 * min(capacity for *_, capacity in deployed)
+    loaded = common.at_load(_traffic(), max(0.05, shared_load))
+    rows = []
+    for config, effective_length, profile, session, capacity in deployed:
+        latency_report = session.run(
+            loaded, batch_size=batch_size, batch_count=batch_count,
+            branch_profile=profile,
+        )
+        rows.append(Fig14Row(
+            nf_type=nf_type,
+            config=config,
+            platform=platform,
+            effective_length=effective_length,
+            throughput_gbps=capacity,
+            latency_ms=latency_report.latency.mean_ms,
+        ))
+    return rows
+
+
+def sweep_spec(quick: bool = True,
+               nf_types: Sequence[str] = NF_TYPES,
+               configs: Sequence[str] = CONFIGS,
+               batch_size: int = 64) -> common.SweepSpec:
+    """One point per (NF, platform) group; rows come in
+    (NF, platform, configuration) order."""
     return common.SweepSpec(
-        name="fig14.latency",
-        point=_latency_point,
+        name="fig14.group",
+        point=_group_point,
         row_type=Fig14Row,
-        grid=grid,
-        params={"batch_size": batch_size,
+        grid=[{"nf_type": nf_type, "platform": platform_kind}
+              for nf_type in nf_types
+              for platform_kind in PLATFORMS],
+        params={"configs": tuple(configs),
+                "batch_size": batch_size,
                 "batch_count": 50 if quick else 150},
         context=common.sweep_context(traffic=_traffic()),
     )
@@ -270,15 +220,10 @@ def run(quick: bool = True,
         configs: Sequence[str] = CONFIGS,
         batch_size: int = 64, jobs: int = 1,
         runner=None) -> List[Fig14Row]:
-    """Measure all configurations in two phases (capacity, latency)."""
-    capacities = common.run_sweep(
-        capacity_sweep_spec(quick=quick, nf_types=nf_types,
-                            configs=configs, batch_size=batch_size),
-        jobs=jobs, runner=runner,
-    )
+    """Every configuration's capacity and shared-load latency."""
     return common.run_sweep(
-        latency_sweep_spec(capacities, quick=quick,
-                           batch_size=batch_size),
+        sweep_spec(quick=quick, nf_types=nf_types, configs=configs,
+                   batch_size=batch_size),
         jobs=jobs, runner=runner,
     )
 

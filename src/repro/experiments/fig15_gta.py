@@ -57,8 +57,8 @@ def _measure_point(setup: str, nf_types: Sequence[str], system: str,
                    optimal_batch_count: int,
                    refine_passes: int) -> List[Fig15Row]:
     """One sweep point: one (setup, system) pair under IMIX."""
-    platform = common.make_engine().platform
-    engine = common.make_engine(platform)
+    engine = common.make_engine()
+    platform = engine.platform
     ip_version = 6 if tuple(nf_types) == ("ipv6",) else 4
     spec = TrafficSpec(size_law=IMIXSize(), offered_gbps=40.0,
                        ip_version=ip_version)

@@ -12,6 +12,11 @@ capacity and varies only the arrival process (constant, Poisson,
 on-off bursty, diurnal ramp): same average rate, very different tails
 and queue depths — the reason p99 and peak backlog are first-class
 report fields.
+
+A sweep point deploys its system once, profiles it and measures its
+capacity, then runs every load it owns on that one session: a load
+sweep point is one system, a burstiness or overload point one arrival
+mode.
 """
 
 from __future__ import annotations
@@ -65,14 +70,6 @@ class LoadLatencyRow:
 
 
 @dataclass
-class CapacityRow:
-    """Phase-1 row: one system's measured capacity."""
-
-    system: str
-    capacity_gbps: float
-
-
-@dataclass
 class BurstinessRow:
     """One arrival process at a fixed mean load."""
 
@@ -107,8 +104,12 @@ class OverloadRow:
 
 
 def _prepare(system: str, nf_types: Sequence[str], packet_size: int,
-             batch_size: int):
-    """Build (spec, profile, session) for one system's deployment."""
+             batch_size: int, batch_count: int):
+    """Deploy one system, profile it and measure its capacity.
+
+    Returns (spec, profile, session, capacity_gbps); every run of the
+    point shares the session.
+    """
     engine = common.make_engine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=40.0, seed=5)
@@ -124,44 +125,39 @@ def _prepare(system: str, nf_types: Sequence[str], packet_size: int,
         deployment.graph.clone(), spec, sample_packets=256,
         batch_size=batch_size,
     )
-    return spec, profile, engine.session(deployment)
-
-
-def _capacity_point(system: str, nf_types: Sequence[str],
-                    packet_size: int, batch_size: int,
-                    batch_count: int) -> List[CapacityRow]:
-    """Phase-1 point: one system's capacity."""
-    spec, profile, session = _prepare(system, nf_types, packet_size,
-                                      batch_size)
+    session = engine.session(deployment)
     capacity = session.measure_capacity(
         spec, batch_size=batch_size,
         batch_count=batch_count, branch_profile=profile,
     )
-    return [CapacityRow(system=system, capacity_gbps=capacity)]
+    return spec, profile, session, capacity
 
 
-def _latency_point(system: str, load_fraction: float,
-                   capacity_gbps: float, nf_types: Sequence[str],
-                   packet_size: int, batch_size: int,
-                   batch_count: int) -> List[LoadLatencyRow]:
-    """Phase-2 point: one system at one fraction of its capacity."""
-    spec, profile, session = _prepare(system, nf_types, packet_size,
-                                      batch_size)
-    loaded = common.at_load(spec,
-                            max(0.02, capacity_gbps * load_fraction))
-    report = session.run(loaded,
-                         batch_size=batch_size,
-                         batch_count=batch_count,
-                         branch_profile=profile)
-    return [LoadLatencyRow(
-        system=system,
-        load_fraction=load_fraction,
-        offered_gbps=loaded.offered_gbps,
-        latency_ms=report.latency.mean_ms,
-        latency_p50_ms=report.latency.p50 * 1e3,
-        latency_p95_ms=report.latency.p95 * 1e3,
-        latency_p99_ms=report.latency.p99 * 1e3,
-    )]
+def _load_point(system: str, fractions: Sequence[float],
+                nf_types: Sequence[str], packet_size: int,
+                batch_size: int,
+                batch_count: int) -> List[LoadLatencyRow]:
+    """One system at every fraction of its measured capacity."""
+    spec, profile, session, capacity = _prepare(
+        system, nf_types, packet_size, batch_size, batch_count
+    )
+    rows = []
+    for fraction in fractions:
+        loaded = common.at_load(spec, max(0.02, capacity * fraction))
+        report = session.run(loaded,
+                             batch_size=batch_size,
+                             batch_count=batch_count,
+                             branch_profile=profile)
+        rows.append(LoadLatencyRow(
+            system=system,
+            load_fraction=fraction,
+            offered_gbps=loaded.offered_gbps,
+            latency_ms=report.latency.mean_ms,
+            latency_p50_ms=report.latency.p50 * 1e3,
+            latency_p95_ms=report.latency.p95 * 1e3,
+            latency_p99_ms=report.latency.p99 * 1e3,
+        ))
+    return rows
 
 
 def _arrival_process(mode: str, burst_factor: float,
@@ -184,16 +180,17 @@ def _arrival_process(mode: str, burst_factor: float,
     raise ValueError(f"unknown burstiness mode {mode!r}")
 
 
-def _burst_point(mode: str, capacity_gbps: float,
-                 nf_types: Sequence[str], packet_size: int,
+def _burst_point(mode: str, nf_types: Sequence[str], packet_size: int,
                  batch_size: int, batch_count: int,
                  burst_factor: float, duty_cycle: float,
                  seed: int) -> List[BurstinessRow]:
-    """One arrival process on the NFCompass deployment at 80 % load."""
-    spec, profile, session = _prepare("nfcompass", nf_types,
-                                      packet_size, batch_size)
+    """One arrival process on the NFCompass deployment at 80 % of its
+    capacity."""
+    spec, profile, session, capacity = _prepare(
+        "nfcompass", nf_types, packet_size, batch_size, batch_count
+    )
     process = _arrival_process(mode, burst_factor, duty_cycle, seed)
-    loaded = replace(common.at_load(spec, max(0.02, capacity_gbps * 0.8)),
+    loaded = replace(common.at_load(spec, max(0.02, capacity * 0.8)),
                      arrivals=process)
     report = session.run(loaded,
                          batch_size=batch_size,
@@ -212,18 +209,19 @@ def _burst_point(mode: str, capacity_gbps: float,
     )]
 
 
-def _overload_point(mode: str, load_multiple: float,
-                    capacity_gbps: float, nf_types: Sequence[str],
-                    packet_size: int, batch_size: int,
-                    batch_count: int, queue_limit: int,
+def _overload_point(mode: str, multiples: Sequence[float],
+                    nf_types: Sequence[str], packet_size: int,
+                    batch_size: int, batch_count: int, queue_limit: int,
                     drop_policy: str, slo_ms: float, admission: str,
                     burst_factor: float, duty_cycle: float,
                     seed: int) -> List[OverloadRow]:
-    """One protected run at ``load_multiple`` x measured capacity.
+    """One arrival process, protected, at every multiple of measured
+    capacity.
 
     All overload knobs arrive as scalars (policy/admission by name) so
     the sweep grid stays trivially fingerprintable; the
     :class:`~repro.overload.OverloadConfig` is built inside the point.
+    Each run starts from the config's own controller state.
     """
     from repro.overload import (
         OverloadConfig,
@@ -232,13 +230,10 @@ def _overload_point(mode: str, load_multiple: float,
         parse_drop_policy,
     )
 
-    spec, profile, session = _prepare("nfcompass", nf_types,
-                                      packet_size, batch_size)
-    process = _arrival_process(mode, burst_factor, duty_cycle, seed)
-    loaded = replace(
-        common.at_load(spec, max(0.02, capacity_gbps * load_multiple)),
-        arrivals=process,
+    spec, profile, session, capacity = _prepare(
+        "nfcompass", nf_types, packet_size, batch_size, batch_count
     )
+    process = _arrival_process(mode, burst_factor, duty_cycle, seed)
     controller = None
     if admission == "token":
         controller = TokenBucketAdmission()
@@ -247,63 +242,49 @@ def _overload_point(mode: str, load_multiple: float,
     config = OverloadConfig(queue_limit=queue_limit,
                             drop_policy=parse_drop_policy(drop_policy),
                             admission=controller, slo_ms=slo_ms)
-    report = session.run(loaded,
-                         batch_size=batch_size,
-                         batch_count=batch_count,
-                         branch_profile=profile,
-                         overload=config)
-    conserved = report.conservation_error \
-        <= 1e-6 * max(1.0, report.offered_packets)
-    return [OverloadRow(
-        mode=mode,
-        load_multiple=load_multiple,
-        offered_gbps=loaded.offered_gbps,
-        throughput_gbps=report.throughput_gbps,
-        goodput_gbps=report.goodput_gbps,
-        drop_rate=report.drop_rate,
-        shed_fraction=report.shed_fraction,
-        latency_p99_ms=report.latency.p99 * 1e3,
-        conserved=conserved,
-    )]
+    rows = []
+    for multiple in multiples:
+        loaded = replace(
+            common.at_load(spec, max(0.02, capacity * multiple)),
+            arrivals=process,
+        )
+        report = session.run(loaded,
+                             batch_size=batch_size,
+                             batch_count=batch_count,
+                             branch_profile=profile,
+                             overload=config)
+        conserved = report.conservation_error \
+            <= 1e-6 * max(1.0, report.offered_packets)
+        rows.append(OverloadRow(
+            mode=mode,
+            load_multiple=multiple,
+            offered_gbps=loaded.offered_gbps,
+            throughput_gbps=report.throughput_gbps,
+            goodput_gbps=report.goodput_gbps,
+            drop_rate=report.drop_rate,
+            shed_fraction=report.shed_fraction,
+            latency_p99_ms=report.latency.p99 * 1e3,
+            conserved=conserved,
+        ))
+    return rows
 
 
-def capacity_sweep_spec(quick: bool = True,
-                        nf_types: Sequence[str] = ("firewall", "ids"),
-                        packet_size: int = 256,
-                        batch_size: int = 64) -> common.SweepSpec:
-    """Phase 1: both systems' capacities."""
-    return common.SweepSpec(
-        name="load_latency.capacity",
-        point=_capacity_point,
-        row_type=CapacityRow,
-        grid=[{"system": system}
-              for system in ("nfcompass", "fastclick")],
-        params={"nf_types": tuple(nf_types),
-                "packet_size": packet_size,
-                "batch_size": batch_size,
-                "batch_count": 60 if quick else 200},
-        context=common.sweep_context(),
-    )
-
-
-def latency_sweep_spec(capacities: List[CapacityRow],
-                       quick: bool = True,
+def latency_sweep_spec(quick: bool = True,
                        nf_types: Sequence[str] = ("firewall", "ids"),
                        packet_size: int = 256,
                        batch_size: int = 64,
                        fractions: Sequence[float] = LOAD_FRACTIONS
                        ) -> common.SweepSpec:
-    """Phase 2: the load sweep at fractions of measured capacity."""
+    """The load sweep: one point per system, every fraction of its
+    measured capacity."""
     return common.SweepSpec(
-        name="load_latency.sweep",
-        point=_latency_point,
+        name="load_latency.load",
+        point=_load_point,
         row_type=LoadLatencyRow,
-        grid=[{"system": row.system,
-               "capacity_gbps": row.capacity_gbps,
-               "load_fraction": fraction}
-              for row in capacities
-              for fraction in fractions],
-        params={"nf_types": tuple(nf_types),
+        grid=[{"system": system}
+              for system in ("nfcompass", "fastclick")],
+        params={"fractions": tuple(fractions),
+                "nf_types": tuple(nf_types),
                 "packet_size": packet_size,
                 "batch_size": batch_size,
                 "batch_count": 60 if quick else 200},
@@ -311,8 +292,7 @@ def latency_sweep_spec(capacities: List[CapacityRow],
     )
 
 
-def burstiness_sweep_spec(capacities: List[CapacityRow],
-                          quick: bool = True,
+def burstiness_sweep_spec(quick: bool = True,
                           nf_types: Sequence[str] = ("firewall", "ids"),
                           packet_size: int = 256,
                           batch_size: int = 64,
@@ -320,15 +300,13 @@ def burstiness_sweep_spec(capacities: List[CapacityRow],
                           burst_factor: float = 4.0,
                           duty_cycle: float = 0.25,
                           seed: int = 211) -> common.SweepSpec:
-    """Phase 3: arrival-process comparison at a fixed mean load."""
-    nfcompass = next(row.capacity_gbps for row in capacities
-                     if row.system == "nfcompass")
+    """Arrival-process comparison at a fixed mean load, one point per
+    mode."""
     return common.SweepSpec(
-        name="load_latency.burstiness",
+        name="load_latency.burst_mode",
         point=_burst_point,
         row_type=BurstinessRow,
-        grid=[{"mode": mode, "capacity_gbps": nfcompass}
-              for mode in modes],
+        grid=[{"mode": mode} for mode in modes],
         params={"nf_types": tuple(nf_types),
                 "packet_size": packet_size,
                 "batch_size": batch_size,
@@ -340,8 +318,7 @@ def burstiness_sweep_spec(capacities: List[CapacityRow],
     )
 
 
-def overload_sweep_spec(capacities: List[CapacityRow],
-                        quick: bool = True,
+def overload_sweep_spec(quick: bool = True,
                         nf_types: Sequence[str] = ("firewall", "ids"),
                         packet_size: int = 256,
                         batch_size: int = 64,
@@ -355,7 +332,8 @@ def overload_sweep_spec(capacities: List[CapacityRow],
                         burst_factor: float = 4.0,
                         duty_cycle: float = 0.25,
                         seed: int = 211) -> common.SweepSpec:
-    """Phase 4: graceful degradation under overload protection.
+    """Graceful degradation under overload protection, one point per
+    mode.
 
     Sweeps every arrival mode across load multiples of measured
     capacity with bounded queues and an SLO: past saturation the
@@ -363,17 +341,13 @@ def overload_sweep_spec(capacities: List[CapacityRow],
     the graceful-degradation curve an unprotected pipeline lacks
     (its latency diverges with queue depth instead).
     """
-    nfcompass = next(row.capacity_gbps for row in capacities
-                     if row.system == "nfcompass")
     return common.SweepSpec(
-        name="load_latency.overload",
+        name="load_latency.overload_mode",
         point=_overload_point,
         row_type=OverloadRow,
-        grid=[{"mode": mode, "load_multiple": multiple,
-               "capacity_gbps": nfcompass}
-              for mode in modes
-              for multiple in multiples],
-        params={"nf_types": tuple(nf_types),
+        grid=[{"mode": mode} for mode in modes],
+        params={"multiples": tuple(multiples),
+                "nf_types": tuple(nf_types),
                 "packet_size": packet_size,
                 "batch_size": batch_size,
                 "batch_count": 60 if quick else 200,
@@ -400,15 +374,8 @@ def run_overload(quick: bool = True,
                  admission: str = "none",
                  jobs: int = 1, runner=None) -> List[OverloadRow]:
     """Overload-protected degradation curves across arrival modes."""
-    capacities = common.run_sweep(
-        capacity_sweep_spec(quick=quick, nf_types=nf_types,
-                            packet_size=packet_size,
-                            batch_size=batch_size),
-        jobs=jobs, runner=runner,
-    )
     return common.run_sweep(
-        overload_sweep_spec(capacities, quick=quick,
-                            nf_types=nf_types,
+        overload_sweep_spec(quick=quick, nf_types=nf_types,
                             packet_size=packet_size,
                             batch_size=batch_size, modes=modes,
                             multiples=multiples,
@@ -426,15 +393,8 @@ def run_burstiness(quick: bool = True,
                    modes: Sequence[str] = BURST_MODES,
                    jobs: int = 1, runner=None) -> List[BurstinessRow]:
     """Compare arrival processes at 80 % of NFCompass capacity."""
-    capacities = common.run_sweep(
-        capacity_sweep_spec(quick=quick, nf_types=nf_types,
-                            packet_size=packet_size,
-                            batch_size=batch_size),
-        jobs=jobs, runner=runner,
-    )
     return common.run_sweep(
-        burstiness_sweep_spec(capacities, quick=quick,
-                              nf_types=nf_types,
+        burstiness_sweep_spec(quick=quick, nf_types=nf_types,
                               packet_size=packet_size,
                               batch_size=batch_size, modes=modes),
         jobs=jobs, runner=runner,
@@ -447,15 +407,10 @@ def run(quick: bool = True,
         batch_size: int = 64,
         fractions: Sequence[float] = LOAD_FRACTIONS,
         jobs: int = 1, runner=None) -> List[LoadLatencyRow]:
-    """Sweep offered load for both systems; returns one row per point."""
-    capacities = common.run_sweep(
-        capacity_sweep_spec(quick=quick, nf_types=nf_types,
-                            packet_size=packet_size,
-                            batch_size=batch_size),
-        jobs=jobs, runner=runner,
-    )
+    """Sweep offered load for both systems; returns one row per
+    (system, load fraction)."""
     return common.run_sweep(
-        latency_sweep_spec(capacities, quick=quick, nf_types=nf_types,
+        latency_sweep_spec(quick=quick, nf_types=nf_types,
                            packet_size=packet_size,
                            batch_size=batch_size, fractions=fractions),
         jobs=jobs, runner=runner,

@@ -43,9 +43,7 @@ from repro.runner.spec import SweepSpec, encode_rows
 SHARDS_PER_JOB = 4
 
 
-def shard_indices(count: int, jobs: int,
-                  shards_per_job: int = SHARDS_PER_JOB
-                  ) -> List[List[int]]:
+def shard_indices(count: int, jobs: int) -> List[List[int]]:
     """Deterministic round-robin sharding of ``range(count)``.
 
     Shard ``s`` holds indices ``s, s + S, s + 2S, ...`` where ``S`` is
@@ -54,7 +52,7 @@ def shard_indices(count: int, jobs: int,
     """
     if count <= 0:
         return []
-    shard_count = max(1, min(count, max(1, jobs) * shards_per_job))
+    shard_count = max(1, min(count, max(1, jobs) * SHARDS_PER_JOB))
     return [list(range(shard, count, shard_count))
             for shard in range(shard_count)]
 
@@ -77,15 +75,11 @@ class SweepRunner:
     """Process-pool sweep executor with content-addressed caching."""
 
     def __init__(self, jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
-                 shards_per_job: int = SHARDS_PER_JOB,
-                 mp_context: Optional[str] = None):
+                 cache: Optional[ResultCache] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.shards_per_job = shards_per_job
-        self._mp_context = mp_context
 
     # -- execution -----------------------------------------------------
     def run(self, spec: SweepSpec, trace=None) -> List[Any]:
@@ -112,8 +106,7 @@ class SweepRunner:
 
             # Phase 2: shard and execute the misses.
             pending = [i for i in range(count) if i not in encoded]
-            shards = shard_indices(len(pending), self.jobs,
-                                   self.shards_per_job)
+            shards = shard_indices(len(pending), self.jobs)
             shards = [[pending[i] for i in shard] for shard in shards]
             metrics.counter("runner.shards").add(len(shards))
             with trace.span("execute", shards=len(shards),
@@ -140,7 +133,7 @@ class SweepRunner:
             for shard in shards:
                 yield from _execute_shard(spec, shard)
             return
-        context = multiprocessing.get_context(self._start_method())
+        context = multiprocessing.get_context(_start_method())
         workers = min(self.jobs, len(shards))
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=context) as pool:
@@ -152,14 +145,13 @@ class SweepRunner:
             for future in futures:
                 yield from future.result()
 
-    def _start_method(self) -> str:
-        if self._mp_context is not None:
-            return self._mp_context
-        methods = multiprocessing.get_all_start_methods()
-        # fork keeps already-imported experiment modules available in
-        # the children without re-import (and is much faster to spin
-        # up); fall back to spawn where fork is unavailable.
-        return "fork" if "fork" in methods else "spawn"
+
+def _start_method() -> str:
+    methods = multiprocessing.get_all_start_methods()
+    # fork keeps already-imported experiment modules available in the
+    # children without re-import (and is much faster to spin up); fall
+    # back to spawn where fork is unavailable.
+    return "fork" if "fork" in methods else "spawn"
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1,

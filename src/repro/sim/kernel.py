@@ -77,6 +77,9 @@ from repro.traffic.generator import TrafficSpec
 #: Tokens smaller than this many packets are considered empty.
 _EPSILON_PACKETS = 1e-9
 
+#: Offered load used to saturate deployments (far above any capacity).
+SATURATING_GBPS = 200.0
+
 
 #: Slots per index block of a :class:`_Lane`; a block splits in two
 #: when it reaches twice this many.
@@ -1357,20 +1360,21 @@ class SimulationSession:
                          batch_size: int = 64,
                          batch_count: int = 200,
                          branch_profile=None,
-                         saturation_gbps: float = 200.0,
                          trace=None) -> float:
         """Saturation throughput in Gbps (offered load >> capacity).
 
-        Every other spec field — the arrival process included — is
-        preserved, so bursty specs are saturated under the same burst
-        structure (re-normalized to the saturating mean rate).
+        The probe offers :data:`SATURATING_GBPS`, or the spec's own
+        load where that is higher.  Every other spec field — the
+        arrival process included — is preserved, so bursty specs are
+        saturated under the same burst structure (re-normalized to the
+        saturating mean rate).
         """
         trace = resolve_trace(trace)
         saturated = dataclasses.replace(
-            spec, offered_gbps=max(spec.offered_gbps, saturation_gbps)
+            spec, offered_gbps=max(spec.offered_gbps, SATURATING_GBPS)
         )
         with trace.span("capacity", deployment=self.deployment.name,
-                        saturation_gbps=saturation_gbps) as span:
+                        saturation_gbps=SATURATING_GBPS) as span:
             report = self.run(saturated, batch_size=batch_size,
                               batch_count=batch_count,
                               branch_profile=branch_profile,

@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Mapping as MappingABC, Optional
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.hw.device import DEFAULT_HOST_DEVICE
-from repro.hw.platform import PlatformSpec
 
 #: Share vectors must sum to 1 within this tolerance (float fractions
 #: like 0.1 + 0.2 + 0.7 do not sum exactly).
@@ -277,10 +276,3 @@ class Deployment:
     def validate(self) -> None:
         self.graph.validate()
         self.mapping.validate_against(self.graph)
-
-
-def spread_mapping(graph: ElementGraph, platform: PlatformSpec,
-                   max_cores: Optional[int] = None) -> Mapping:
-    """All-CPU mapping spread over the platform's cores."""
-    cores = platform.cpu_processor_ids(max_cores)
-    return Mapping.all_cpu(graph, cores=cores)

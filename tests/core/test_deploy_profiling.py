@@ -12,7 +12,9 @@ import pytest
 from builders import ledgerless_fingerprint
 
 from repro.core.compass import NFCompass
+from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
+from repro.experiments import load_latency
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
@@ -215,6 +217,42 @@ class TestOnePassPerCandidate:
         names = [span.name for span in trace.spans]
         assert names.count("deploy") == 4
         assert names.count("profile") == 8
+
+
+class TestOneDeploymentPerPoint:
+    """A harness point deploys each configuration once and runs
+    capacity and every latency run on that one session."""
+
+    @staticmethod
+    def traced(harness, **kwargs):
+        trace = Trace("harness")
+        with use_trace(trace):
+            harness(runner=SweepRunner(jobs=1), **kwargs)
+        counters = {name: counter.value
+                    for name, counter in trace.metrics.counters.items()}
+        return [span.name for span in trace.spans], counters
+
+    def test_fig14_group_shares_each_session(self):
+        """Two (NF, platform) groups of two configurations: each
+        session runs capacity, then latency."""
+        _names, counters = self.traced(fig14.run, quick=True,
+                                       nf_types=("firewall",),
+                                       configs=("a", "b"))
+        assert counters["runner.points"] == 2
+        assert counters["session.cache_hits"] == 4
+
+    def test_load_sweep_deploys_each_system_once(self):
+        names, counters = self.traced(load_latency.run, quick=True,
+                                      nf_types=("firewall",),
+                                      fractions=(0.5, 1.0))
+        assert names.count("deploy") == 1
+        assert counters["session.cache_hits"] == 4
+
+    def test_overload_sweep_deploys_each_mode_once(self):
+        names, _counters = self.traced(
+            load_latency.run_overload, quick=True, nf_types=("firewall",),
+            modes=("constant", "onoff"), multiples=(0.8, 2.0))
+        assert names.count("deploy") == 2
 
 
 class TestOutputsUnchanged:

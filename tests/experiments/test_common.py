@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import common
+from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.sim.mapping import Deployment
@@ -40,11 +41,13 @@ class TestDedicatedCoreMapping:
 
     def test_wraps_when_graph_larger_than_pool(self):
         graph = ServiceFunctionChain(
-            [make_nf("probe"), make_nf("lb"), make_nf("firewall")]
+            [make_nf(name) for name in ("probe", "lb", "firewall") * 3]
         ).concatenated_graph()
-        mapping = common.dedicated_core_mapping(graph, core_count=4)
+        pool = set(PlatformSpec().cpu_processor_ids())
+        assert len(graph) > len(pool)
+        mapping = common.dedicated_core_mapping(graph)
         cores = {p.host for _n, p in mapping.items()}
-        assert cores <= {f"cpu{i}" for i in range(4)}
+        assert cores == pool
 
     def test_offload_ratio_applied(self):
         graph = ServiceFunctionChain(
@@ -80,8 +83,7 @@ class TestMeasure:
             graph, common.dedicated_core_mapping(graph)
         )
         result = common.measure(engine, deployment, spec,
-                                batch_size=16, batch_count=30,
-                                latency_load_fraction=0.5)
+                                batch_size=16, batch_count=30)
         saturated_report = result.report
         assert result.latency_ms < saturated_report.latency.mean_ms
 

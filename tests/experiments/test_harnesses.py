@@ -113,9 +113,25 @@ class TestFig8:
 
 
 class TestFig14:
+    #: ``canonical_fingerprint`` of the fixture's rows and of the
+    #: full-scale rows, recorded while a capacity sweep still set each
+    #: group's shared load.
+    ROWS = \
+        "2978b8435fe717e145b6a6b20287ec58cfe112adbed9751a7c98c47ca9b7ee33"
+    FULL_ROWS = \
+        "d0aff0e2ce92e0c43d53d5b56272e3d58e05b0f98d57766fcb3b2261a3c08845"
+
     @pytest.fixture(scope="class")
     def rows(self):
         return fig14_reorganization.run(quick=True)
+
+    def test_rows_unchanged(self, rows):
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = fig14_reorganization.run(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
 
     def test_parallelization_reduces_latency(self, rows):
         for nf_type in ("firewall", "ipsec", "ids"):
@@ -231,6 +247,33 @@ class TestFig17:
         by_key = {(r.system, r.acl_rules): r for r in rows}
         assert by_key[("nfcompass", 10000)].latency_std_us < \
             by_key[("fastclick", 10000)].latency_std_us
+
+
+@pytest.mark.slow
+class TestLoadLatencyRows:
+    """``canonical_fingerprint`` of each load-latency sweep at quick and
+    full scale, recorded while a capacity sweep still set every point's
+    load."""
+
+    ROWS = {
+        ("run", True):
+            "41e14caa2c6f6103a86dd04642ccbf8f79e4257860aac6cc3c2e8c6c9330a76c",
+        ("run_burstiness", True):
+            "96d2dc6fc0d43ffd7459597920066bb732349b891025812c07a952ff9c5b4e28",
+        ("run_overload", True):
+            "b2d7da813a2bcf358b4a3210499693253ddcf9f8911e2ec78cce3f3df3d3688c",
+        ("run", False):
+            "a016bd8bc18a72f91907bcf006e3c3e805f67d8c36aff5c02c8c404b93151ff8",
+        ("run_burstiness", False):
+            "3fa411b37b97df1850ab2c17c5d6d9666b042ce8cb08af309834910bb9630938",
+        ("run_overload", False):
+            "cf1595f913a33b65093f3768ff1a538fe684569530796adc1fc28807637a6a52",
+    }
+
+    @pytest.mark.parametrize("sweep,quick", sorted(ROWS))
+    def test_rows_unchanged(self, sweep, quick):
+        rows = getattr(load_latency, sweep)(quick=quick)
+        assert canonical_fingerprint(rows) == self.ROWS[sweep, quick]
 
 
 class TestLoadLatencyKnee:

@@ -6,6 +6,7 @@ The new arrival-process paths must uphold the runner's two promises:
   (stochastic arrival schedules inside each point) produces exactly
   the same dataclass rows — float-equal — under ``jobs`` 1, 2 and 4,
   because every process is seeded by value, never by worker state;
+  so does the module's load sweep;
 - **fingerprint soundness**: an arrival process's cache identity
   covers every parameter (and, for trace replay, the file's content
   hash), so changed burst knobs can never alias a cached result, while
@@ -26,6 +27,13 @@ from repro.traffic.generator import TrafficSpec
 
 BURST_KWARGS = dict(quick=True, nf_types=("firewall",),
                     modes=("constant", "poisson", "onoff"))
+LOAD_KWARGS = dict(quick=True, nf_types=("firewall",),
+                   fractions=(0.5, 1.0))
+
+#: ``canonical_fingerprint`` of the ``BURST_KWARGS`` rows, recorded
+#: while a capacity sweep still set every point's load.
+BURST_ROWS = \
+    "c732ff98bd6a88fa46a9ca6865daa0d495389cbaf99f2699f6d28be9f3a7aa67"
 
 
 class TestBurstinessSweepDeterminism:
@@ -33,6 +41,10 @@ class TestBurstinessSweepDeterminism:
         serial = load_latency.run_burstiness(**BURST_KWARGS)
         parallel = load_latency.run_burstiness(jobs=2, **BURST_KWARGS)
         assert serial == parallel
+        assert canonical_fingerprint(serial) == BURST_ROWS
+        # The load sweep, one point per system, holds it too.
+        assert load_latency.run(**LOAD_KWARGS) == \
+            load_latency.run(jobs=2, **LOAD_KWARGS)
 
     def test_worker_count_irrelevant(self):
         assert load_latency.run_burstiness(jobs=2, **BURST_KWARGS) == \

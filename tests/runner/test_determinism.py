@@ -2,9 +2,11 @@
 
 The runner's core promise: ``--jobs N`` must be *observably
 indistinguishable* from serial execution — same row values, same row
-order — for any N.  Two representative experiments cover both shapes
-of sweep: fig06 (single-phase, one engine per point) and fig08
-(nested grid, enum-valued parameters).
+order — for any N.  Four representative experiments cover the shapes
+of sweep: fig06 (one engine per point), fig08 (nested grid,
+enum-valued parameters), fig14 (several deployments and runs per
+point, sharing a load computed inside it) and fig17 (two chained
+sweeps).
 
 These tests compare full dataclass rows with ``==``; exact float
 equality is intentional, because serial and parallel runs share the
@@ -13,6 +15,7 @@ same per-point code path and any drift means hidden cross-point state.
 
 from repro.experiments import fig06_offload_ratio as fig06
 from repro.experiments import fig08_characterization as fig08
+from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
 from repro.runner import ResultCache, SweepRunner
 
@@ -20,6 +23,8 @@ FIG06_KWARGS = dict(quick=True, nf_types=("ipv4", "ipsec"),
                     ratios=(0.0, 0.5, 1.0))
 FIG08_KWARGS = dict(quick=True, nf_types=("ipsec",),
                     batch_sizes=(32, 128))
+FIG14_KWARGS = dict(quick=True, nf_types=("firewall", "ipsec"),
+                    configs=("a", "b", "d"))
 FIG17_KWARGS = dict(quick=True, acl_sizes=(200, 1000),
                     packet_sizes=(64, 128))
 
@@ -58,6 +63,30 @@ class TestFig08Determinism:
         assert [(r.platform, r.batch_size) for r in rows] == [
             ("cpu", 32), ("cpu", 128), ("gpu", 32), ("gpu", 128),
         ]
+
+
+class TestFig14Determinism:
+    def test_worker_count_irrelevant(self):
+        serial = fig14.run(**FIG14_KWARGS)
+        assert fig14.run(jobs=2, **FIG14_KWARGS) == serial
+        assert fig14.run(jobs=3, **FIG14_KWARGS) == serial
+
+    def test_row_order_is_grid_order(self):
+        rows = fig14.run(jobs=2, **FIG14_KWARGS)
+        assert [(r.nf_type, r.platform, r.config) for r in rows] == [
+            (nf_type, platform, config)
+            for nf_type in ("firewall", "ipsec")
+            for platform in fig14.PLATFORMS
+            for config in ("a", "b", "d")
+        ]
+
+    def test_second_run_is_served_from_the_cache(self):
+        cache = ResultCache()
+        first = fig14.run(runner=SweepRunner(cache=cache), **FIG14_KWARGS)
+        assert (cache.hits, cache.misses) == (0, 4)
+        second = fig14.run(runner=SweepRunner(cache=cache), **FIG14_KWARGS)
+        assert (cache.hits, cache.misses) == (4, 4)
+        assert second == first
 
 
 class TestFig17Determinism:

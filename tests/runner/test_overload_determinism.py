@@ -6,17 +6,25 @@ promises must survive it:
 
 - **parallel == serial**: the ``load_latency`` overload sweep produces
   float-equal rows under ``jobs`` 1, 2 and 4, because every point
-  builds its own controllers from scalar knobs — no cross-point state;
+  builds its own deployment and controllers from scalar knobs — no
+  cross-point state;
 - **fingerprint soundness**: a point's cache identity covers every
-  overload knob (queue limit, drop policy, SLO, admission mode), so
+  overload knob (queue limit, drop policy, SLO, admission mode, load
+  multiples), so
   changing any of them can never alias a cached result.
 """
 
 from repro.experiments import load_latency
+from repro.runner import canonical_fingerprint
 
 OVERLOAD_KWARGS = dict(quick=True, nf_types=("firewall",),
                        modes=("constant", "onoff"),
                        multiples=(0.8, 2.0))
+
+#: ``canonical_fingerprint`` of the ``OVERLOAD_KWARGS`` rows, recorded
+#: while a capacity sweep still set every point's load.
+OVERLOAD_ROWS = \
+    "43fc08b381635434d33aae3afd424f2eb3e2d41e7b56ebd49523a6c66d3c8686"
 
 
 class TestOverloadSweepDeterminism:
@@ -24,6 +32,7 @@ class TestOverloadSweepDeterminism:
         serial = load_latency.run_overload(**OVERLOAD_KWARGS)
         parallel = load_latency.run_overload(jobs=2, **OVERLOAD_KWARGS)
         assert serial == parallel
+        assert canonical_fingerprint(serial) == OVERLOAD_ROWS
 
     def test_worker_count_irrelevant(self):
         assert load_latency.run_overload(jobs=2, **OVERLOAD_KWARGS) == \
@@ -49,12 +58,10 @@ class TestOverloadSweepDeterminism:
 
 
 def overload_fingerprints(**overrides):
-    capacities = [load_latency.CapacityRow(system="nfcompass",
-                                           capacity_gbps=8.0)]
     kwargs = dict(quick=True, nf_types=("firewall",),
                   modes=("constant",), multiples=(2.0,))
     kwargs.update(overrides)
-    spec = load_latency.overload_sweep_spec(capacities, **kwargs)
+    spec = load_latency.overload_sweep_spec(**kwargs)
     return [spec.fingerprint(i) for i in range(len(spec.grid))]
 
 

@@ -24,7 +24,12 @@ from repro.experiments import (
     fig17_real_sfc,
     load_latency,
 )
-from repro.runner import ResultCache, SweepRunner
+from repro.runner import ResultCache, SweepRunner, canonical_fingerprint
+
+#: ``canonical_fingerprint`` of ``test_load_latency``'s rows, recorded
+#: while a capacity sweep still set every point's load.
+LOAD_LATENCY_ROWS = \
+    "172876ad80409e3d5803127e9dbac3625d6f41daaae59033701e6f1ea025298f"
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +116,4 @@ class TestSmokeGrid:
                                 runner=runner)
         assert_schema(rows, load_latency.LoadLatencyRow)
         assert len(rows) == 4    # 2 systems x 2 fractions
+        assert canonical_fingerprint(rows) == LOAD_LATENCY_ROWS

@@ -34,7 +34,7 @@ from repro.overload import (
 )
 from repro.runner import canonical_fingerprint
 from repro.sim.engine import BranchProfile, SimulationEngine
-from repro.sim.kernel import SimulationSession
+from repro.sim.kernel import SATURATING_GBPS, SimulationSession
 from repro.sim.mapping import Deployment, Mapping
 from repro.sim.tracing import EventRecorder
 from repro.traffic.distributions import FixedSize
@@ -187,21 +187,26 @@ class TestReportExtensions:
 
 
 class TestMeasureCapacity:
-    def test_saturation_gbps_parameter(self, engine, spec):
+    def test_probes_at_the_larger_of_offered_and_saturating(self, engine,
+                                                             spec):
+        """The probe offers SATURATING_GBPS, or the spec's own load
+        where that is higher."""
         session = engine.session(chain_deployment())
-        default = session.measure_capacity(spec, batch_size=32,
-                                           batch_count=20)
-        explicit = session.measure_capacity(spec, batch_size=32,
-                                            batch_count=20,
-                                            saturation_gbps=200.0)
-        assert default == explicit
-        # A saturation load below the offered load never lowers the
-        # probe: the saturating spec takes the max of the two.
-        floor = session.measure_capacity(spec, batch_size=32,
-                                         batch_count=20,
-                                         saturation_gbps=1.0)
-        assert floor > 0
 
+        def probed_at(gbps):
+            return session.run(dataclasses.replace(spec, offered_gbps=gbps),
+                               batch_size=32,
+                               batch_count=20).throughput_gbps
+
+        assert spec.offered_gbps < SATURATING_GBPS
+        assert session.measure_capacity(spec, batch_size=32,
+                                        batch_count=20) == \
+            probed_at(SATURATING_GBPS)
+        above = dataclasses.replace(spec,
+                                    offered_gbps=2 * SATURATING_GBPS)
+        assert session.measure_capacity(above, batch_size=32,
+                                        batch_count=20) == \
+            probed_at(2 * SATURATING_GBPS)
 
 
 class TestLegacyParitySmoke:

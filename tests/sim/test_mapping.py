@@ -46,10 +46,18 @@ class TestPlacementSplit:
 
 class TestMapping:
     def test_all_cpu_round_robin(self, graph):
-        mapping = Mapping.all_cpu(graph, cores=["cpu0", "cpu1"])
-        cores = {p.host for _n, p in mapping.items()}
-        assert cores == {"cpu0", "cpu1"}
-        mapping.validate_against(graph)
+        # The three-NF chain has more nodes than the four-core pool, so
+        # the round robin wraps, with or without offloading.
+        larger = ServiceFunctionChain(
+            [make_nf("probe"), make_nf("lb"), make_nf("firewall")]
+        ).concatenated_graph()
+        for chain, cores in [(graph, ["cpu0", "cpu1"]),
+                             (larger, [f"cpu{i}" for i in range(4)])]:
+            assert len(chain) > len(cores)
+            for mapping in (Mapping.all_cpu(chain, cores=cores),
+                            Mapping.fixed_ratio(chain, 0.5, cores=cores)):
+                assert {p.host for _n, p in mapping.items()} == set(cores)
+                mapping.validate_against(chain)
 
     def test_fixed_ratio_offloads_offloadables_only(self, graph):
         mapping = Mapping.fixed_ratio(graph, 0.5)

@@ -50,6 +50,14 @@ class TestRun:
         assert main(argv) == 0          # warm run, served from disk
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "run", "tables", "--jobs", "0"],
+        ["chaos", "--jobs", "0"],
+    ], ids=["experiments", "chaos"])
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
     def test_deploy(self, capsys):
         code = main(["deploy", "-c", "firewall,lb",
                      "--packet-size", "128", "--batches", "30"])
