@@ -333,11 +333,18 @@ def _cmd_chaos(args) -> int:
 
 
 def _make_spec(packet_size: int, load: float, seed: int, arrivals=None):
+    """The commands' traffic spec; its ``ValueError`` names the flag."""
     from repro.traffic.distributions import FixedSize, IMIXSize
     from repro.traffic.generator import TrafficSpec
-    size_law = FixedSize(packet_size) if packet_size else IMIXSize()
-    return TrafficSpec(size_law=size_law, offered_gbps=load, seed=seed,
-                       arrivals=arrivals)
+    try:
+        size_law = FixedSize(packet_size) if packet_size else IMIXSize()
+    except ValueError as error:
+        raise ValueError(f"invalid --packet-size: {error}") from None
+    try:
+        return TrafficSpec(size_law=size_law, offered_gbps=load, seed=seed,
+                           arrivals=arrivals)
+    except ValueError as error:
+        raise ValueError(f"invalid --load: {error}") from None
 
 
 def _make_arrivals(args):
@@ -414,8 +421,12 @@ def _cmd_deploy(args) -> int:
     except ValueError as error:
         print(f"invalid overload config: {error}", file=sys.stderr)
         return 2
-    spec = _make_spec(args.packet_size, args.load, args.seed,
-                      arrivals=arrivals)
+    try:
+        spec = _make_spec(args.packet_size, args.load, args.seed,
+                          arrivals=arrivals)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     sfc = ServiceFunctionChain([make_nf(t) for t in nf_types])
     compass = NFCompass(platform=PlatformSpec.paper_testbed(),
                         algorithm=args.algorithm)
@@ -606,10 +617,14 @@ def _cmd_config_run(args) -> int:
     from repro.sim.engine import BranchProfile, SimulationEngine
     from repro.sim.mapping import Deployment, Mapping
 
+    try:
+        spec = _make_spec(args.packet_size, args.load, seed=1)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     with open(args.path) as handle:
         graph = parse_config(handle.read(), name=args.path)
     print(graph.describe())
-    spec = _make_spec(args.packet_size, args.load, seed=1)
     engine = SimulationEngine()
     mapping = Mapping.all_cpu(
         graph, cores=engine.platform.cpu_processor_ids(6)

@@ -32,16 +32,34 @@ splits the old monolithic engine loop into two long-lived objects:
   (whether a node pays H2D/D2H, formerly re-derived per batch by
   graph walks).
 
-The per-node work of one batch is decomposed into small step methods
-(merge, service, offload dispatch, split/duplicate, fan-out) operating
-on the session, keeping the :class:`~repro.sim.tracing.EventRecorder`
-hooks and the :class:`~repro.sim.metrics.OverheadBreakdown` accounting
-of the original loop intact.  Offload dispatch is one rule for every
-run: fault-only runs are the case with no circuit breaker and a zero
-retry budget (see ``SimulationSession._offload_step``).  Each run
-prices every distinct service (node, device or host, rounded packet
-count, re-queue or not) once, in a per-run table; see
-:class:`_PriceTable`.
+Each run compiles the static flow of one admitted batch into a
+:class:`_BatchProgram`: a tuple of :class:`_Step` objects in
+topological order, each naming the completion times its input arrives
+at, the packets its node services, drops and passes on, and the
+priced duration of every task it schedules (fan-in merge, host
+service, each offload leg's H2D, launch + kernel and D2H, partial
+merge, reassembly, split or duplicate).  The analytic model gives
+every batch the same packets at every node, so every batch walks that
+one tuple with one list of completion times: only ready times differ.
+The clock-dependent decisions stay per batch: the ingress verdict, the
+interior bounded-queue check, and the breaker, retry, crash, link
+stretch and slowdown decisions of offload dispatch, which is one rule
+for every run (fault-only runs are the case with no circuit breaker
+and a zero retry budget; see ``SimulationSession._offload_step``).  A
+batch an interior queue drops is cut there: the steps below the cut
+are re-derived from the inputs that did arrive, through the same step
+builder, once per set of cut nodes in a run.  Each run prices every
+distinct service (node, device or host, rounded packet count,
+re-queue or not) once, in a per-run table; see :class:`_PriceTable`.
+
+The parity contract is the schedule-call order: a batch makes the same
+:meth:`ResourceTimeline.schedule` calls, with the same arguments and
+in the same order, as a walk that carries it from node to node (the
+frozen oracle in ``tests/legacy_engine.py`` is one), and every float
+the run accumulates (overheads, drops, deliveries) is added in the
+same order.  So every report, ledger,
+:class:`~repro.sim.tracing.EventRecorder` event and timeline is
+bit-identical to that walk's.
 
 A run is a function of its inputs: what it mutates is built for it,
 and the controller state it ends in leaves on the report's
@@ -74,7 +92,7 @@ from repro.sim.tracing import REQUEUE_CAUSES
 from repro.traffic.arrivals import peak_rate_gbps
 from repro.traffic.generator import TrafficSpec
 
-#: Tokens smaller than this many packets are considered empty.
+#: Inputs smaller than this many packets are considered empty.
 _EPSILON_PACKETS = 1e-9
 
 #: Offered load used to saturate deployments (far above any capacity).
@@ -372,16 +390,6 @@ class ResourceTimeline:
         return sum(e - s for s, e in lane.slots())
 
 
-class _Token:
-    """A (possibly fractional) batch present at one node."""
-
-    __slots__ = ("ready", "packets")
-
-    def __init__(self, ready: float, packets: float):
-        self.ready = ready
-        self.packets = packets
-
-
 class _InFlight:
     """One admitted batch's deliverables, kept until it completes.
 
@@ -610,11 +618,12 @@ class _PriceTable:
     pressure, CPU inflation, co-running kernels, the persistent kernel
     and the re-queue penalty are fixed for the run.  So each price is
     computed on first use and looked up after, before any
-    :class:`~repro.hw.costs.BatchStats` is built.  Fault stretch and
-    slowdown depend on the simulated clock: callers multiply them onto
-    the looked-up value and never store the product.  A table serves
-    one run only; sessions are reused with other specs and
-    interference.
+    :class:`~repro.hw.costs.BatchStats` is built; the run's
+    :class:`_BatchProgram` and each of its cut re-derivations price
+    through one table.  Fault stretch and slowdown depend on the
+    simulated clock: the dispatch multiplies them onto the priced
+    value and never stores the product.  A table serves one run only;
+    sessions are reused with other specs and interference.
     """
 
     __slots__ = ("cost", "mean_bytes", "match_profile", "pressure",
@@ -748,6 +757,179 @@ def _crosses_out_of_device(deployment: Deployment, node_id: str,
     return False
 
 
+class _StepLeg:
+    """One offload leg of a :class:`_Step`: the packets it carries and
+    their priced Fig. 4 timing (H2D and D2H already zero where the
+    node skips that crossing), plus the host price of re-queueing
+    them."""
+
+    __slots__ = ("leg", "packets", "h2d", "launch", "kernel", "d2h",
+                 "window", "requeue")
+
+    def __init__(self, leg: _OffloadLeg, packets: float, timing,
+                 requeue: float):
+        self.leg = leg
+        self.packets = packets
+        self.h2d = timing.h2d if leg.pays_h2d else 0.0
+        self.launch = timing.launch
+        self.kernel = timing.kernel
+        self.d2h = timing.d2h if leg.pays_d2h else 0.0
+        #: The dispatch window a fault or guard decision is judged on
+        #: (queueing ignored).
+        self.window = self.h2d + self.launch + self.kernel + self.d2h
+        self.requeue = requeue
+
+
+class _Step:
+    """One node's part in the batch program, built and priced from the
+    inputs that reach it (the step builder).
+
+    ``feed`` lists those inputs as ``(completion index, packets)``
+    pairs, in the order the nodes above pass them on; index 0 is the
+    batch's arrival and step ``k`` of a program completes at index
+    ``k + 1``.  ``inputs`` keeps each index once.  Every duration is
+    priced: ``merge`` (fan-in of more than one input), ``host``, the
+    ``legs``, ``partial_merge``, ``reassembly`` and the fan-out's
+    ``split`` or ``duplicate``; ``None`` means no task is scheduled.
+    ``bounded`` marks a node whose bounded queue is checked before the
+    batch enters it.
+    """
+
+    __slots__ = ("plan", "inputs", "packets", "bounded", "merge", "host",
+                 "legs", "partial_merge", "reassembly", "dropped",
+                 "survivors", "delivers", "split", "duplicate")
+
+    def __init__(self, program: "_BatchProgram", plan: _NodePlan,
+                 feed: List[Tuple[int, float]], packets: float,
+                 fractions: Dict[int, float]):
+        prices = program.prices
+        cost = prices.cost
+        count = max(1, round(packets))
+        self.plan = plan
+        self.inputs = tuple(dict.fromkeys(index for index, _ in feed))
+        self.packets = packets
+        self.bounded = (program.bounded
+                        and plan.node_id not in program.session.source_set)
+        self.merge = cost.merge_seconds(count) if len(feed) > 1 else None
+        host_packets = packets * plan.host_share
+        self.host = (prices.host(plan, host_packets)
+                     if host_packets > _EPSILON_PACKETS else None)
+        legs = []
+        for leg in plan.offloads:
+            leg_packets = packets * leg.share
+            if leg_packets > _EPSILON_PACKETS:
+                legs.append(_StepLeg(leg, leg_packets,
+                                     prices.device(plan, leg, leg_packets),
+                                     prices.requeue(plan, leg_packets)))
+        self.legs = tuple(legs)
+        # Split service re-merges the parts in order (the
+        # GPUCompletionQueue pattern).
+        self.partial_merge = (cost.merge_seconds(count)
+                              if plan.needs_partial_merge else None)
+        self.reassembly = (cost.reassembly_seconds(count)
+                           if program.session.stateful_reassembly
+                           and plan.offloads else None)
+        survivors = packets * (1.0 - program.profile.drop_for(plan.node_id))
+        self.survivors = survivors
+        self.dropped = packets - survivors
+        self.delivers = plan.is_sink and survivors > _EPSILON_PACKETS
+        # Batch split (classifiers) or duplication (Tee) on fan-out.
+        self.split = self.duplicate = None
+        connected = sum(1 for port in fractions if fractions[port] > 0)
+        if connected > 1:
+            kept = max(1, round(survivors))
+            if plan.is_tee:
+                self.duplicate = cost.duplicate_seconds(
+                    kept, survivors * program.mean_bytes * (connected - 1))
+            else:
+                self.split = cost.split_seconds(kept)
+
+
+class _BatchProgram:
+    """The static flow of one admitted batch, compiled once per run.
+
+    The analytic model gives every batch the same packets at every
+    node; only ready times differ.  So a run resolves, once, which
+    steps each node's input comes from, the packets it services,
+    drops and passes on, and the price of every task it schedules
+    (:class:`_Step`).  Each batch then walks :attr:`steps` with one
+    list of completion times, making the same schedule calls, with the
+    same arguments and in the same order, as a walk that carried the
+    batch from node to node.
+
+    A batch cut by an interior bounded-queue drop loses the cut node's
+    output, so the nodes below it see only the inputs that did arrive:
+    fewer packets, perhaps no fan-in merge (an ``XorMerge`` behind a
+    ``Tee`` then has one input), other prices.  :meth:`below`
+    re-derives those steps through the same step builder
+    (:class:`_Step`), once per set of cut nodes in a run.
+    """
+
+    __slots__ = ("session", "profile", "prices", "batch_size",
+                 "mean_bytes", "bounded", "steps", "delivered", "_below")
+
+    def __init__(self, session: "SimulationSession", profile,
+                 prices: _PriceTable, batch_size: int, mean_bytes: float,
+                 bounded: bool):
+        self.session = session
+        self.profile = profile
+        self.prices = prices
+        self.batch_size = batch_size
+        self.mean_bytes = mean_bytes
+        self.bounded = bounded
+        self._below: Dict[frozenset, Tuple[Tuple[_Step, ...], float]] = {}
+        #: The intact batch's steps and the packets it delivers.
+        self.steps, self.delivered = self._compile(frozenset())
+
+    def below(self, cut: frozenset,
+              start: int) -> Tuple[Tuple[_Step, ...], float]:
+        """The steps from index ``start`` on, and the packets the batch
+        delivers, when the nodes in ``cut`` dropped it; ``start``
+        follows the last node cut."""
+        derived = self._below.get(cut)
+        if derived is None:
+            steps, delivered = self._compile(cut)
+            derived = self._below[cut] = (steps[start:], delivered)
+        return derived
+
+    def _compile(self, cut: frozenset) -> Tuple[Tuple[_Step, ...], float]:
+        """The batch's steps in topological order when the nodes in
+        ``cut`` drop it, and the packets its sinks deliver."""
+        session = self.session
+        graph = session.deployment.graph
+        # node -> its inputs as (completion index, packets), in the
+        # order the nodes above it pass them on.
+        feeds: Dict[str, List[Tuple[int, float]]] = {
+            node: [(0, float(self.batch_size))]
+            for node in session.source_nodes
+        }
+        steps: List[_Step] = []
+        delivered = 0.0
+        for node_id in session.order:
+            feed = feeds.get(node_id)
+            if not feed:
+                continue
+            packets = sum(share for _index, share in feed)
+            if packets <= _EPSILON_PACKETS:
+                continue
+            plan = session.plans[node_id]
+            fractions = ({} if plan.is_sink
+                         else self.profile.fractions_for(graph, node_id))
+            step = _Step(self, plan, feed, packets, fractions)
+            steps.append(step)
+            if node_id in cut:
+                continue
+            if step.delivers:
+                delivered += step.survivors
+            for port, fraction in fractions.items():
+                share = step.survivors * fraction
+                if share <= _EPSILON_PACKETS:
+                    continue
+                for dst in plan.edges_by_port.get(port, ()):
+                    feeds.setdefault(dst, []).append((len(steps), share))
+        return tuple(steps), delivered
+
+
 class SimulationSession:
     """A deployment prepared for repeated simulation runs.
 
@@ -807,25 +989,6 @@ class SimulationSession:
         #: Completed :meth:`run` calls; runs after the first reuse the
         #: cached invariants above (counted as ``session.cache_hits``).
         self.runs_completed = 0
-
-    # ------------------------------------------------------------------
-    def _branch_tables(self, profile):
-        """Per-run branch invariants: drop fractions and fan-out plans.
-
-        The measured profile and the graph are immutable over one run,
-        so the per-node port fractions are computed once here instead
-        of once per (batch, node) visit.
-        """
-        graph = self.deployment.graph
-        drops: Dict[str, float] = {}
-        fan_out: Dict[str, Tuple[Dict[int, float], int]] = {}
-        for node_id in self.order:
-            drops[node_id] = profile.drop_for(node_id)
-            if node_id not in self.sink_nodes:
-                fractions = profile.fractions_for(graph, node_id)
-                connected = sum(1 for p in fractions if fractions[p] > 0)
-                fan_out[node_id] = (fractions, connected)
-        return drops, fan_out
 
     # ------------------------------------------------------------------
     def run(self, spec: TrafficSpec,
@@ -930,7 +1093,6 @@ class SimulationSession:
             tally = _Tally(ControllerState())
             timeline = ResourceTimeline()
         overheads = OverheadBreakdown()
-        drops, fan_out = self._branch_tables(branch_profile)
         mean_bytes = spec.size_law.mean()
         if faults is not None:
             requeue_penalty = faults.requeue_penalty
@@ -944,6 +1106,9 @@ class SimulationSession:
                              gpu_corun_kernels,
                              self.deployment.persistent_kernel,
                              requeue_penalty)
+        program = _BatchProgram(self, branch_profile, prices, batch_size,
+                                mean_bytes, bounded=state is not None
+                                and state.queue_limit is not None)
         # The arrival clock is pluggable (repro.traffic.arrivals); the
         # default ConstantRate reproduces the historical uniform
         # spacing bit-for-bit (golden parity suite).
@@ -959,6 +1124,8 @@ class SimulationSession:
         last_completion = 0.0
         batch_packets = float(batch_size) * len(self.source_nodes)
         offered_packets = batch_packets * batch_count
+        schedule = timeline.schedule
+        would_overflow = timeline.would_overflow
 
         for batch_index in range(batch_count):
             arrival = arrival_times[batch_index]
@@ -996,57 +1163,78 @@ class SimulationSession:
                         recorder.record_batch(batch_index, arrival,
                                               arrival, 0.0)
                     continue
-            inbox: Dict[str, List[_Token]] = {n: [] for n in self.order}
-            for node in self.source_nodes:
-                inbox[node].append(_Token(ready=arrival,
-                                          packets=float(batch_size)))
+            steps = program.steps
+            batch_delivered = program.delivered
             batch_completion = arrival
-            batch_delivered = 0.0
-            for node_id in self.order:
-                tokens = inbox[node_id]
-                if not tokens:
-                    continue
-                ready = max(t.ready for t in tokens)
-                packets = sum(t.packets for t in tokens)
-                if packets <= _EPSILON_PACKETS:
-                    continue
-                plan = self.plans[node_id]
-                if (state is not None and state.queue_limit is not None
-                        and node_id not in self.source_set
-                        and timeline.would_overflow(plan.host_resource,
-                                                    ready)):
-                    # Interior bounded queue overflowed: the token is
-                    # dropped tail-wise whatever the ingress policy
-                    # (there is no per-resource arrival order to
-                    # re-sequence mid-pipeline).
-                    state.note_queue_drop(plan.host_resource, packets)
-                    continue
-                if len(tokens) > 1:
-                    ready = self._merge_step(plan, ready, packets,
-                                             timeline, overheads)
-                completion = self._service_step(
-                    plan, ready, packets, prices, timeline, overheads,
-                    faults, state, tally, recorder, batch_index,
-                )
-                if recorder is not None:
-                    recorder.record_node(batch_index, node_id, ready,
-                                         completion, packets)
-
-                survivors = packets * (1.0 - drops[node_id])
-                dropped_packets += packets - survivors
-
-                if plan.is_sink:
-                    if survivors > _EPSILON_PACKETS:
-                        batch_delivered += survivors
-                        batch_completion = max(batch_completion, completion)
-                    continue
-
-                fractions, connected = fan_out[node_id]
-                completion = self._split_step(plan, connected, survivors,
-                                              mean_bytes, completion,
-                                              timeline, overheads)
-                self._fanout_step(plan, fractions, survivors, completion,
-                                  inbox)
+            done = [arrival]
+            cut = frozenset()
+            # Walk the program.  A node that drops the batch ends the
+            # pass over ``steps`` early (``break``); the walk then goes
+            # on through the steps below it, re-derived for the cut.
+            while True:
+                for step in steps:
+                    inputs = step.inputs
+                    ready = (done[inputs[0]] if len(inputs) == 1
+                             else max(map(done.__getitem__, inputs)))
+                    plan = step.plan
+                    if step.bounded and would_overflow(plan.host_resource,
+                                                       ready):
+                        # Interior bounded queue overflowed: the batch
+                        # is dropped here tail-wise whatever the
+                        # ingress policy (there is no per-resource
+                        # arrival order to re-sequence mid-pipeline).
+                        state.note_queue_drop(plan.host_resource,
+                                              step.packets)
+                        break
+                    merge = step.merge
+                    if merge is not None:
+                        _start, ready = schedule(plan.merge_resource, ready,
+                                                 merge)
+                        overheads.batch_merge += merge
+                    completion = ready
+                    host = step.host
+                    if host is not None:
+                        _start, completion = schedule(plan.host_resource,
+                                                      ready, host)
+                        overheads.cpu_compute += host
+                    for leg in step.legs:
+                        leg_end = self._offload_step(
+                            plan, leg, ready, timeline, overheads, faults,
+                            state, tally, recorder, batch_index)
+                        if leg_end > completion:
+                            completion = leg_end
+                    partial_merge = step.partial_merge
+                    if partial_merge is not None:
+                        _start, completion = schedule(
+                            plan.merge_resource, completion, partial_merge)
+                        overheads.batch_merge += partial_merge
+                    reassembly = step.reassembly
+                    if reassembly is not None:
+                        _start, completion = schedule(plan.merge_resource,
+                                                      completion, reassembly)
+                        overheads.reassembly += reassembly
+                    if recorder is not None:
+                        recorder.record_node(batch_index, plan.node_id, ready,
+                                             completion, step.packets)
+                    dropped_packets += step.dropped
+                    if step.delivers and completion > batch_completion:
+                        batch_completion = completion
+                    split = step.split
+                    if split is not None:
+                        _start, completion = schedule(plan.merge_resource,
+                                                      completion, split)
+                        overheads.batch_split += split
+                    duplicate = step.duplicate
+                    if duplicate is not None:
+                        _start, completion = schedule(plan.merge_resource,
+                                                      completion, duplicate)
+                        overheads.duplication += duplicate
+                    done.append(completion)
+                else:
+                    break
+                cut = cut | {plan.node_id}
+                done.append(None)
+                steps, batch_delivered = program.below(cut, len(done) - 1)
 
             if recorder is not None:
                 recorder.record_batch(batch_index, arrival,
@@ -1141,66 +1329,10 @@ class SimulationSession:
                            busy_sim_seconds=busy)
 
     # ------------------------------------------------------------------
-    # Node-step functions
+    # Offload dispatch
     # ------------------------------------------------------------------
-    def _merge_step(self, plan: _NodePlan, ready: float, packets: float,
-                    timeline: ResourceTimeline,
-                    overheads: OverheadBreakdown) -> float:
-        """Join-point merge cost for multi-input nodes."""
-        merge_time = self.cost.merge_seconds(max(1, round(packets)))
-        _start, ready = timeline.schedule(plan.merge_resource, ready,
-                                          merge_time)
-        overheads.batch_merge += merge_time
-        return ready
-
-    def _service_step(self, plan: _NodePlan, ready: float,
-                      packets: float, prices: _PriceTable,
+    def _offload_step(self, plan: _NodePlan, leg: _StepLeg, ready: float,
                       timeline: ResourceTimeline,
-                      overheads: OverheadBreakdown,
-                      faults, overload_state: Optional[_OverloadState],
-                      tally: _Tally, recorder,
-                      batch_index: int) -> float:
-        """Schedule one node's service; return its completion time."""
-        host_packets = packets * plan.host_share
-
-        completion = ready
-        if host_packets > _EPSILON_PACKETS:
-            service = prices.host(plan, host_packets)
-            _start, completion = timeline.schedule(plan.host_resource,
-                                                   ready, service)
-            overheads.cpu_compute += service
-
-        for leg in plan.offloads:
-            leg_packets = packets * leg.share
-            if leg_packets > _EPSILON_PACKETS:
-                leg_end = self._offload_step(plan, leg, ready,
-                                             leg_packets, prices,
-                                             timeline, overheads, faults,
-                                             overload_state, tally,
-                                             recorder, batch_index)
-                completion = max(completion, leg_end)
-
-        if plan.needs_partial_merge:
-            # Split service re-merges the parts in order (the
-            # GPUCompletionQueue pattern).
-            merge_time = self.cost.merge_seconds(max(1, round(packets)))
-            _start, completion = timeline.schedule(
-                plan.merge_resource, completion, merge_time
-            )
-            overheads.batch_merge += merge_time
-
-        if self.stateful_reassembly and plan.offloads:
-            reasm = self.cost.reassembly_seconds(max(1, round(packets)))
-            _start, completion = timeline.schedule(
-                plan.merge_resource, completion, reasm
-            )
-            overheads.reassembly += reasm
-
-        return completion
-
-    def _offload_step(self, plan: _NodePlan, leg: _OffloadLeg,
-                      ready: float, leg_packets: float,
-                      prices: _PriceTable, timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
                       faults, state: Optional[_OverloadState],
                       tally: _Tally, recorder, batch_index: int) -> float:
@@ -1220,39 +1352,40 @@ class SimulationSession:
         has no breaker and a zero budget and sees a failure at
         submission.  A batch not dispatched re-queues to the host
         core; a dispatched one pays the link stretch and slowdown in
-        force at its dispatch time.
+        force at its dispatch time.  Every duration comes priced on
+        ``leg``; only these clock-dependent decisions are made here.
         """
-        timing = prices.device(plan, leg, leg_packets)
-        h2d = timing.h2d if leg.pays_h2d else 0.0
-        d2h = timing.d2h if leg.pays_d2h else 0.0
-        kernel_service = timing.kernel
+        device_id = leg.leg.device_id
+        h2d = leg.h2d
+        d2h = leg.d2h
+        kernel_service = leg.kernel
         breaker = retry = None
         if state is not None:
             breaker, retry = state.breakers, state.retry
         guarded = breaker is not None or retry is not None
         clock = ready
         if faults is not None or guarded:
-            window = h2d + timing.launch + kernel_service + d2h
+            window = leg.window
             budget = retry.budget if retry is not None else 0
             attempt = 0
             cause = None
             while True:
                 if (breaker is not None
-                        and not breaker.allow(leg.device_id, clock)):
+                        and not breaker.allow(device_id, clock)):
                     cause = "breaker_open"
                     break
                 failed = faults is not None and (
-                    faults.crashed_during(leg.device_id, clock,
+                    faults.crashed_during(device_id, clock,
                                           clock + window)
                     or (retry is not None and (h2d > 0 or d2h > 0)
-                        and faults.link_stretch(leg.device_id, clock)
+                        and faults.link_stretch(device_id, clock)
                         >= retry.timeout_stretch))
                 if not failed:
                     break
                 if guarded:
                     clock += window  # the timeout is paid in full
                 if breaker is not None:
-                    breaker.record_failure(leg.device_id, clock, window)
+                    breaker.record_failure(device_id, clock, window)
                 if attempt >= budget:
                     cause = ("fault_crash" if retry is None
                              else "retry_exhausted")
@@ -1262,45 +1395,44 @@ class SimulationSession:
                 attempt += 1
             if cause is not None:
                 completion = self._requeue_step(
-                    plan, clock, leg_packets, prices, timeline,
-                    overheads, tally.requeues[cause],
+                    plan, clock, leg, timeline, overheads,
+                    tally.requeues[cause],
                 )
                 if recorder is not None:
                     recorder.record_requeue(batch_index, plan.node_id,
-                                            leg.device_id, cause, clock,
-                                            leg_packets)
+                                            device_id, cause, clock,
+                                            leg.packets)
                 return completion
             if breaker is not None:
-                breaker.record_success(leg.device_id)
+                breaker.record_success(device_id)
             if faults is not None:
-                stretch = faults.link_stretch(leg.device_id, clock)
+                stretch = faults.link_stretch(device_id, clock)
                 if stretch > 1.0 and (h2d > 0 or d2h > 0):
                     h2d *= stretch
                     d2h *= stretch
                     tally.degraded_transfers += 1
-                slow = faults.slowdown(leg.device_id, clock)
+                slow = faults.slowdown(device_id, clock)
                 if slow > 1.0:
                     kernel_service *= slow
                     tally.slowed_kernels += 1
         if h2d > 0:
-            _start, clock = timeline.schedule(leg.h2d_resource, clock,
+            _start, clock = timeline.schedule(leg.leg.h2d_resource, clock,
                                               h2d)
             overheads.pcie_transfer += h2d
 
-        kernel_time = timing.launch + kernel_service
-        _start, clock = timeline.schedule(leg.device_id, clock,
-                                          kernel_time)
-        overheads.kernel_launch += timing.launch
+        kernel_time = leg.launch + kernel_service
+        _start, clock = timeline.schedule(device_id, clock, kernel_time)
+        overheads.kernel_launch += leg.launch
         overheads.gpu_kernel += kernel_service
 
         if d2h > 0:
-            _start, clock = timeline.schedule(leg.d2h_resource, clock,
+            _start, clock = timeline.schedule(leg.leg.d2h_resource, clock,
                                               d2h)
             overheads.pcie_transfer += d2h
         return clock
 
-    def _requeue_step(self, plan: _NodePlan, ready: float,
-                      leg_packets: float, prices: _PriceTable,
+    @staticmethod
+    def _requeue_step(plan: _NodePlan, ready: float, leg: _StepLeg,
                       timeline: ResourceTimeline,
                       overheads: OverheadBreakdown,
                       counts: list) -> float:
@@ -1313,47 +1445,14 @@ class SimulationSession:
         zero busy time.  ``counts`` is the cause's ``[batches,
         packets, host seconds]`` tally.
         """
-        service = prices.requeue(plan, leg_packets)
+        service = leg.requeue
         _start, completion = timeline.schedule(plan.host_resource,
                                                ready, service)
         overheads.cpu_compute += service
         counts[0] += 1
-        counts[1] += leg_packets
+        counts[1] += leg.packets
         counts[2] += service
         return completion
-
-    def _split_step(self, plan: _NodePlan, connected: int,
-                    survivors: float, mean_bytes: float,
-                    completion: float, timeline: ResourceTimeline,
-                    overheads: OverheadBreakdown) -> float:
-        """Batch split (classifiers) or duplication (Tee) on fan-out."""
-        if connected > 1 and not plan.is_tee:
-            split_time = self.cost.split_seconds(max(1, round(survivors)))
-            _start, completion = timeline.schedule(
-                plan.merge_resource, completion, split_time,
-            )
-            overheads.batch_split += split_time
-        if plan.is_tee and connected > 1:
-            dup_time = self.cost.duplicate_seconds(
-                max(1, round(survivors)),
-                survivors * mean_bytes * (connected - 1),
-            )
-            _start, completion = timeline.schedule(
-                plan.merge_resource, completion, dup_time,
-            )
-            overheads.duplication += dup_time
-        return completion
-
-    @staticmethod
-    def _fanout_step(plan: _NodePlan, fractions: Dict[int, float],
-                     survivors: float, completion: float,
-                     inbox: Dict[str, List[_Token]]) -> None:
-        for port, fraction in fractions.items():
-            share = survivors * fraction
-            if share <= _EPSILON_PACKETS:
-                continue
-            for dst in plan.edges_by_port.get(port, ()):
-                inbox[dst].append(_Token(ready=completion, packets=share))
 
     # ------------------------------------------------------------------
     def measure_capacity(self, spec: TrafficSpec,
@@ -1374,7 +1473,7 @@ class SimulationSession:
             spec, offered_gbps=max(spec.offered_gbps, SATURATING_GBPS)
         )
         with trace.span("capacity", deployment=self.deployment.name,
-                        saturation_gbps=SATURATING_GBPS) as span:
+                        saturation_gbps=saturated.offered_gbps) as span:
             report = self.run(saturated, batch_size=batch_size,
                               batch_count=batch_count,
                               branch_profile=branch_profile,

@@ -10,6 +10,7 @@ experiments are exactly reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional
@@ -61,8 +62,9 @@ class TrafficSpec:
     arrivals: Optional[ArrivalProcess] = None
 
     def __post_init__(self):
-        if self.offered_gbps <= 0:
-            raise ValueError("offered load must be positive")
+        if not (math.isfinite(self.offered_gbps) and self.offered_gbps > 0):
+            raise ValueError("offered load must be positive and finite, "
+                             f"got {self.offered_gbps}")
         if self.protocol not in ("udp", "tcp"):
             raise ValueError(f"unsupported protocol {self.protocol!r}")
         if self.ip_version not in (4, 6):

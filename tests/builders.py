@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.core.orchestrator import SFCOrchestrator
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.elements.standard import CheckIPHeader, FromDevice, ToDevice
@@ -226,11 +227,51 @@ def branchy_scenario():
     return deployment, spec, profile
 
 
+#: The chain of the pipeline benchmark's kernel graph.
+FIVE_NF = ("firewall", "ids", "nat", "ipsec", "dpi")
+
+
+def kernel_bench_scenario():
+    """The pipeline benchmark's kernel graph at 1 Gbps, below its
+    capacity (about 1.55 Gbps in 32-packet batches, 1.8 in 64).
+
+    ``SFCOrchestrator().parallelize`` of :data:`FIVE_NF` gives a
+    25-node graph whose first stage duplicates traffic with a ``Tee``
+    into a firewall and an IDS branch and rejoins it at the
+    ``s0/merge`` ``XorMerge``.  Nodes take cores ``cpu0``..``cpu5``
+    round-robin and every offloadable element offloads 0.7 of its
+    traffic to ``gpu0``/``gpu1`` in turn, with the persistent kernel.
+    """
+    spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=1.0, seed=53)
+    # Named as in a fresh interpreter, so node ids never depend on how
+    # many NFs were built before.
+    sfc = ServiceFunctionChain([make_nf(kind, name=f"{kind}#{index}")
+                                for index, kind in enumerate(FIVE_NF)])
+    _plan, graph = SFCOrchestrator().parallelize(sfc)
+    placements = {}
+    offloaded = 0
+    for index, node in enumerate(graph.topological_order()):
+        element = graph.element(node)
+        core = f"cpu{index % 6}"
+        if isinstance(element, OffloadableElement) and element.offloadable:
+            placements[node] = Placement.split(core, f"gpu{offloaded % 2}",
+                                               0.7)
+            offloaded += 1
+        else:
+            placements[node] = Placement.split(core)
+    deployment = Deployment(graph, Mapping(placements),
+                            persistent_kernel=True, name="golden-tee")
+    profile = BranchProfile.measure(graph.clone(), spec,
+                                    sample_packets=256, batch_size=32)
+    return deployment, spec, profile
+
+
 GOLDEN_SCENARIOS = {
     "cpu_only": cpu_only_scenario,
     "partial_offload": partial_offload_scenario,
     "multi_gpu": multi_gpu_scenario,
     "branchy": branchy_scenario,
+    "tee": kernel_bench_scenario,
 }
 
 

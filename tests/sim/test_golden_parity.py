@@ -7,7 +7,7 @@ the same reports as the legacy engine kept frozen in
 every overhead field and every per-processor busy total compared with
 ``==``, not within a tolerance.
 
-Four seeded scenarios (``GOLDEN_SCENARIOS`` in ``tests/builders.py``)
+Five seeded scenarios (``GOLDEN_SCENARIOS`` in ``tests/builders.py``)
 cover the interesting regimes:
 
 - a CPU-only multi-core chain driven by a measured branch profile
@@ -18,7 +18,11 @@ cover the interesting regimes:
   GPUs (PCIe lanes, boundary-crossing flags);
 - a hand-built graph whose measured traffic splits over two ports and
   fans back in (batch split, fan-in merge), with fully and partially
-  offloaded neighbours on one GPU (PCIe hops skipped and paid).
+  offloaded neighbours on one GPU (PCIe hops skipped and paid);
+- the pipeline benchmark's kernel graph, the parallelized five-NF
+  chain, at 1 Gbps (below its ~1.8 Gbps capacity): a ``Tee``
+  duplicates every batch into two branches that an ``XorMerge``
+  rejoins, the one scenario on the oracle's duplication path.
 
 The quick versions run in tier-1, each scenario at its own load and
 saturated at 200 Gbps; ``@pytest.mark.slow`` variants replay the same

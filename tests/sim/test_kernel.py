@@ -26,6 +26,7 @@ from repro.faults import FaultSpec, FaultTimeline, single_crash
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.obs import Trace
 from repro.overload import (
     CircuitBreaker,
     DeadlineDrop,
@@ -207,6 +208,11 @@ class TestMeasureCapacity:
         assert session.measure_capacity(above, batch_size=32,
                                         batch_count=20) == \
             probed_at(2 * SATURATING_GBPS)
+        trace = Trace("capacity")
+        session.measure_capacity(above, batch_size=32, batch_count=20,
+                                 trace=trace)
+        (span,) = [span for span in trace.spans if span.name == "capacity"]
+        assert span.attrs["saturation_gbps"] == 2 * SATURATING_GBPS
 
 
 class TestLegacyParitySmoke:

@@ -70,7 +70,7 @@ class TestRun:
         assert main(["deploy", "-c", "warpdrive"]) == 2
         assert "unknown NF" in capsys.readouterr().err
 
-    def test_config_run(self, tmp_path, capsys):
+    def write_config(self, tmp_path):
         config = tmp_path / "pipeline.click"
         config.write_text("""
             src :: FromDevice(eth0);
@@ -78,11 +78,30 @@ class TestRun:
             dst :: ToDevice(eth1);
             src -> c -> dst;
         """)
+        return config
+
+    def test_config_run(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
         assert main(["config", "run", str(config),
                      "--batches", "20"]) == 0
         out = capsys.readouterr().out
         assert "ElementGraph" in out
         assert "Gbps" in out
+
+    BAD_TRAFFIC = [("--load", "nan"), ("--load", "0"),
+                   ("--packet-size", "10")]
+
+    @pytest.mark.parametrize("flag,value", BAD_TRAFFIC)
+    def test_deploy_rejects_bad_traffic(self, flag, value, capsys):
+        assert main(["deploy", "-c", "firewall,nat", flag, value]) == 2
+        assert f"invalid {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", BAD_TRAFFIC)
+    def test_config_run_rejects_bad_traffic(self, flag, value, tmp_path,
+                                            capsys):
+        config = self.write_config(tmp_path)
+        assert main(["config", "run", str(config), flag, value]) == 2
+        assert f"invalid {flag}" in capsys.readouterr().err
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -16,6 +16,11 @@ class TestTrafficSpec:
         with pytest.raises(ValueError):
             TrafficSpec(offered_gbps=0)
 
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_rejects_non_finite_load(self, load):
+        with pytest.raises(ValueError, match="finite"):
+            TrafficSpec(offered_gbps=load)
+
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ValueError):
             TrafficSpec(protocol="sctp")
