@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
+from repro.core.partition import PartitionGraph
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 
@@ -41,13 +40,13 @@ class VirtualInstance:
 class ExpandedGraph:
     """The partitioning view of an element graph.
 
-    ``pgraph`` is an undirected weighted graph over instance ids; node
-    attributes are filled by the allocator (``cpu_time``,
-    ``group_times``, ``pinned``, ``group``), edge attribute ``weight``
-    is the communication cost of cutting the edge.
+    ``pgraph`` is an undirected weighted :class:`PartitionGraph` over
+    instance ids; node attributes are filled by the allocator
+    (``cpu_time``, ``group_times``, ``pinned``, ``group``), edge
+    attribute ``weight`` is the communication cost of cutting the edge.
     """
 
-    pgraph: nx.Graph
+    pgraph: PartitionGraph
     instances: Dict[str, VirtualInstance]
     slices_per_node: Dict[str, List[str]]
     original: ElementGraph
@@ -90,7 +89,7 @@ def expand_graph(graph: ElementGraph,
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
     slice_count = max(1, round(1.0 / delta))
-    pgraph = nx.Graph()
+    pgraph = PartitionGraph()
     instances: Dict[str, VirtualInstance] = {}
     slices_per_node: Dict[str, List[str]] = {}
 

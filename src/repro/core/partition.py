@@ -32,10 +32,11 @@ reads ``max(heaviest CPU element, cpu_load / cores, heaviest GPU
 element, gpu_load / gpus) + CUT_PIPELINE_FACTOR * cut``, which
 :func:`evaluate` computes independently.
 
-Graph schema: nodes carry ``group_times`` (device group -> per-batch
-service time; a group missing from the dict cannot run the node, read
-as +inf), ``pinned="cpu"`` for host-only nodes, and ``group`` (the
-original element a slice belongs to).  The ``cpu_time``/``gpu_time``
+Graph schema: a :class:`PartitionGraph` (or an ``nx.Graph``) whose
+nodes carry ``group_times`` (device group -> per-batch service time; a
+group missing from the dict cannot run the node, read as +inf),
+``pinned="cpu"`` for host-only nodes, and ``group`` (the original
+element a slice belongs to).  The ``cpu_time``/``gpu_time``
 attributes stand in for ``group_times`` on graphs without it.  Edges
 carry ``weight``; ``link_costs`` scales it per offload group, and a cut
 edge charges each non-host endpoint's link once.
@@ -44,9 +45,7 @@ edge charges each non-host endpoint's link once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs import resolve_trace
 
@@ -60,6 +59,68 @@ HOST_GROUP = "cpu"
 
 #: Kernighan–Lin refinement passes before giving up on convergence.
 MAX_PASSES = 8
+
+
+class _Nodes(dict):
+    """Node id -> attribute dict; ``nodes(data=True)`` yields pairs."""
+
+    def __call__(self, data: bool = False):
+        return self.items() if data else self.keys()
+
+
+class PartitionGraph:
+    """An undirected weighted graph: the ``nx.Graph`` subset that
+    partitioning reads.
+
+    ``nodes`` iterates node ids, ``nodes[n]`` is a node's attribute
+    dict and ``nodes(data=True)`` yields ``(node, attrs)``; ``g[n]``
+    maps each neighbour to the edge's attribute dict; ``graph`` holds
+    graph attributes.  The iteration orders are ``nx.Graph``'s: nodes
+    and every node's neighbours in insertion order, and
+    :meth:`edges` yields each edge once, from its endpoint added
+    first.  Both directions of an edge share one attribute dict.  So
+    the partitioners sum over either graph in the same order, and
+    their duck-typed entry points take an ``nx.Graph`` as well.
+    """
+
+    def __init__(self) -> None:
+        self.graph: Dict[str, object] = {}
+        self.nodes = _Nodes()
+        self._adj: Dict[str, Dict[str, dict]] = {}
+
+    def add_node(self, node: str, **attrs) -> None:
+        if node in self.nodes:
+            self.nodes[node].update(attrs)
+        else:
+            self.nodes[node] = attrs
+            self._adj[node] = {}
+
+    def add_edge(self, u: str, v: str, **attrs) -> None:
+        for node in (u, v):
+            if node not in self.nodes:
+                self.add_node(node)
+        data = self._adj[u].get(v, {})
+        data.update(attrs)
+        self._adj[u][v] = data
+        self._adj[v][u] = data
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return v in self._adj.get(u, ())
+
+    def __contains__(self, node: str) -> bool:
+        return node in self.nodes
+
+    def __getitem__(self, node: str) -> Dict[str, dict]:
+        return self._adj[node]
+
+    def edges(self, data: bool = False) -> Iterator[tuple]:
+        seen: Set[str] = set()
+        for node, neighbours in self._adj.items():
+            for neighbour, attrs in neighbours.items():
+                if neighbour not in seen:
+                    yield (node, neighbour, attrs) if data \
+                        else (node, neighbour)
+            seen.add(node)
 
 
 @dataclass
@@ -115,14 +176,14 @@ class PartitionResult:
 # independent check of the two-group objective.
 
 
-def _loads(graph: nx.Graph, cpu_nodes: Set[str],
+def _loads(graph: PartitionGraph, cpu_nodes: Set[str],
            gpu_nodes: Set[str]) -> Tuple[float, float]:
     cpu_load = sum(graph.nodes[n].get("cpu_time", 0.0) for n in cpu_nodes)
     gpu_load = sum(graph.nodes[n].get("gpu_time", 0.0) for n in gpu_nodes)
     return cpu_load, gpu_load
 
 
-def _cut_weight(graph: nx.Graph, gpu_nodes: Set[str]) -> float:
+def _cut_weight(graph: PartitionGraph, gpu_nodes: Set[str]) -> float:
     cut = 0.0
     for u, v, data in graph.edges(data=True):
         if (u in gpu_nodes) != (v in gpu_nodes):
@@ -130,7 +191,7 @@ def _cut_weight(graph: nx.Graph, gpu_nodes: Set[str]) -> float:
     return cut
 
 
-def _group_loads(graph: nx.Graph, gpu_nodes: Set[str]
+def _group_loads(graph: PartitionGraph, gpu_nodes: Set[str]
                  ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Per-element-group CPU-side and GPU-side sums.
 
@@ -151,7 +212,7 @@ def _group_loads(graph: nx.Graph, gpu_nodes: Set[str]
     return cpu_groups, gpu_groups
 
 
-def evaluate(graph: nx.Graph, gpu_nodes: Set[str],
+def evaluate(graph: PartitionGraph, gpu_nodes: Set[str],
              cpu_cores: int = 1,
              gpu_units: int = 1) -> Tuple[float, float, float, float]:
     """Return (objective, cut, cpu_load, gpu_load).
@@ -183,7 +244,7 @@ def evaluate(graph: nx.Graph, gpu_nodes: Set[str],
     return objective, cut, cpu_load, gpu_load
 
 
-def _movable(graph: nx.Graph, node: str) -> bool:
+def _movable(graph: PartitionGraph, node: str) -> bool:
     return graph.nodes[node].get("pinned") != "cpu"
 
 
@@ -192,7 +253,7 @@ def _movable(graph: nx.Graph, node: str) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _group_time(graph: nx.Graph, node: str, group: str) -> float:
+def _group_time(graph: PartitionGraph, node: str, group: str) -> float:
     data = graph.nodes[node]
     times = data.get("group_times")
     if times is not None:
@@ -209,13 +270,14 @@ def _group_time(graph: nx.Graph, node: str, group: str) -> float:
 class _Tables:
     """Everything a partitioning run reads, resolved once per call.
 
-    The search loops look up plain dicts instead of going through
-    networkx views and :func:`_group_time` on every candidate move.
-    Iteration orders are the graph's (nodes, adjacency, edges), so
-    every sum below is a pure function of the graph.
+    The search loops look up plain dicts instead of going through the
+    graph's attribute dicts and :func:`_group_time` on every candidate
+    move.  Iteration orders are the graph's (nodes, adjacency, edges),
+    so every sum below is a pure function of the graph.
     """
 
-    def __init__(self, graph: nx.Graph, capacities: Dict[str, int],
+    def __init__(self, graph: PartitionGraph,
+                 capacities: Dict[str, int],
                  link_costs: Optional[Dict[str, float]]):
         self.groups: List[str] = [HOST_GROUP] + [
             g for g in capacities if g != HOST_GROUP]
@@ -296,7 +358,7 @@ class _Tables:
         )
 
 
-def evaluate_assignment(graph: nx.Graph,
+def evaluate_assignment(graph: PartitionGraph,
                         assignment: Dict[str, Set[str]],
                         capacities: Optional[Dict[str, int]] = None,
                         link_costs: Optional[Dict[str, float]] = None,
@@ -331,7 +393,8 @@ def _top_two(sums: Dict[str, float]) -> Tuple[float, Optional[str], float]:
     return first, first_element, second
 
 
-def kernighan_lin_partition(graph: nx.Graph, capacities: Dict[str, int],
+def kernighan_lin_partition(graph: PartitionGraph,
+                            capacities: Dict[str, int],
                             link_costs: Optional[Dict[str, float]] = None,
                             trace=None) -> PartitionResult:
     """KL/FM refinement over the device groups of ``capacities``.
@@ -501,7 +564,8 @@ class _UnionFind:
         return rb
 
 
-def agglomerative_partition(graph: nx.Graph, capacities: Dict[str, int],
+def agglomerative_partition(graph: PartitionGraph,
+                            capacities: Dict[str, int],
                             link_costs: Optional[Dict[str, float]] = None,
                             trace=None) -> PartitionResult:
     """Seed-based agglomerative clustering (the lightweight scheme).

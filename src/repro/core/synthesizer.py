@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Set, Tuple
 
-import networkx as nx
-
 from repro.elements.element import ActionProfile, Element, TrafficClass
 from repro.elements.graph import Edge, ElementGraph
 from repro.obs import resolve_trace
@@ -72,6 +70,67 @@ def _regions_read(actions: ActionProfile) -> Set[str]:
     if actions.reads_payload:
         regions.add("payload")
     return regions
+
+
+#: The dominator tree's root: one virtual node above every source.
+_ROOT = "\x00virtual-root"
+
+
+def _predecessor_table(successors: Dict[str, List[str]]
+                       ) -> Dict[str, List[str]]:
+    """Invert a successor table (see ``ElementGraph.successor_table``)."""
+    predecessors: Dict[str, List[str]] = {node: [] for node in successors}
+    for node, children in successors.items():
+        for child in children:
+            predecessors[child].append(node)
+    return predecessors
+
+
+def _immediate_dominators(order: List[str],
+                          predecessors: Dict[str, List[str]]
+                          ) -> Dict[str, str]:
+    """Every node's immediate dominator, from :data:`_ROOT`.
+
+    The Cooper–Harvey–Kennedy intersection, numbered by the
+    topological ``order``: a node's dominators all precede it there,
+    so on a DAG one pass in that order settles every node.
+    """
+    index = {node: position for position, node in enumerate(order)}
+    index[_ROOT] = -1
+    idom: Dict[str, str] = {}
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
+    for node in order:
+        parents = predecessors[node] or [_ROOT]
+        dominator = parents[0]
+        for parent in parents[1:]:
+            dominator = intersect(dominator, parent)
+        idom[node] = dominator
+    return idom
+
+
+def _reachable(table: Dict[str, List[str]], start: str) -> Set[str]:
+    """Nodes reachable from ``start`` over ``table``, ``start`` excluded.
+
+    Over successors these are ``start``'s descendants, over
+    predecessors its ancestors.
+    """
+    seen = {start}
+    stack = list(table[start])
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(table[node])
+    seen.discard(start)
+    return seen
 
 
 class NFSynthesizer:
@@ -150,27 +209,21 @@ class NFSynthesizer:
         changed = True
         while changed:
             changed = False
-            nxg = graph.to_networkx()
-            sources = graph.sources()
-            root = "\x00virtual-root"
-            nxg.add_node(root)
-            for source in sources:
-                nxg.add_edge(root, source)
-            idom = nx.immediate_dominators(nxg, root)
+            successors = graph.successor_table()
+            predecessors = _predecessor_table(successors)
+            order = graph.topological_order()
+            idom = _immediate_dominators(order, predecessors)
 
             def dominates(a: str, b: str) -> bool:
-                node = b
-                while node != root:
-                    parent = idom.get(node)
-                    if parent == a:
+                node = idom[b]
+                while node != _ROOT:
+                    if node == a:
                         return True
-                    if parent is None or parent == node:
-                        return False
-                    node = parent
+                    node = idom[node]
                 return False
 
             kept: Dict[Hashable, List[str]] = {}
-            for node_id in graph.topological_order():
+            for node_id in order:
                 element = graph.element(node_id)
                 signature = element.signature()
                 if (not element.idempotent or element.is_stateful
@@ -185,7 +238,8 @@ class NFSynthesizer:
                     if not dominates(earlier, node_id):
                         continue
                     if self._path_has_conflicting_writer(
-                            graph, nxg, earlier, node_id, element):
+                            graph, successors, predecessors,
+                            earlier, node_id, element):
                         continue
                     duplicate_of = earlier
                     break
@@ -199,18 +253,18 @@ class NFSynthesizer:
         return removed
 
     @staticmethod
-    def _path_has_conflicting_writer(graph: ElementGraph, nxg: nx.DiGraph,
+    def _path_has_conflicting_writer(graph: ElementGraph,
+                                     successors: Dict[str, List[str]],
+                                     predecessors: Dict[str, List[str]],
                                      earlier: str, later: str,
                                      element: Element) -> bool:
         """True when some element strictly between ``earlier`` and
         ``later`` invalidates re-using ``earlier``'s effect."""
-        between = (set(nx.descendants(nxg, earlier))
-                   & set(nx.ancestors(nxg, later)))
+        between = (_reachable(successors, earlier)
+                   & _reachable(predecessors, later))
         reads = _regions_read(element.actions)
         writes = _regions_written(element.actions)
         for mid in between:
-            if mid not in graph:
-                continue
             mid_element = graph.element(mid)
             mid_writes = _regions_written(mid_element.actions)
             # A writer of a region the candidate reads could change the

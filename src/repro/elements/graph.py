@@ -17,9 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
-from repro.elements.element import Element, TrafficClass
+from repro.elements.element import Element
 from repro.net.batch import PacketBatch
 
 _graph_ids = itertools.count()
@@ -134,8 +132,28 @@ class ElementGraph:
         origins = {e.src for e in self._edges}
         return [n for n in self._elements if n not in origins]
 
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a networkx DiGraph (nodes carry their Element)."""
+    def successor_table(self) -> Dict[str, List[str]]:
+        """Each node's distinct successors, in first-edge order.
+
+        This is ``nx.DiGraph``'s adjacency: parallel edges (a port
+        pair such as the firewall's ``classify -> tx``) collapse into
+        one, so every order derived from the table is networkx's.
+        """
+        successors: Dict[str, List[str]] = {n: [] for n in self._elements}
+        for edge in self._edges:
+            children = successors[edge.src]
+            if edge.dst not in children:
+                children.append(edge.dst)
+        return successors
+
+    def to_networkx(self):
+        """Export as a networkx DiGraph (nodes carry their Element).
+
+        networkx is imported on call: the package does not depend on
+        it, and the tests use it as the oracle of the queries below.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node_id, element in self._elements.items():
             graph.add_node(node_id, element=element)
@@ -144,22 +162,36 @@ class ElementGraph:
                            src_port=edge.src_port, dst_port=edge.dst_port)
         return graph
 
-    def topological_order(self) -> List[str]:
-        return list(nx.topological_sort(self.to_networkx()))
+    def _order(self, successors: Dict[str, List[str]]) -> List[str]:
+        """Kahn's pass over ``successors``; raise on a cycle.
 
-    def validate(self) -> None:
-        """Check DAG-ness and port completeness; raise on violation."""
-        graph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(graph):
+        The in-degree counts distinct predecessors and the ready list
+        is first in, first out, which is ``nx.topological_sort``'s
+        order exactly.
+        """
+        indegree = dict.fromkeys(self._elements, 0)
+        for children in successors.values():
+            for child in children:
+                indegree[child] += 1
+        order = [node for node, degree in indegree.items() if not degree]
+        for node in order:  # grows while it is walked
+            for child in successors[node]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    order.append(child)
+        if len(order) < len(indegree):
             raise GraphValidationError(f"{self.name} contains a cycle")
-        for node_id, element in self._elements.items():
-            used_out = {e.src_port for e in self.out_edges(node_id)}
-            if element.traffic_class is not TrafficClass.SINK:
-                for port in range(element.ports.outputs):
-                    if port not in used_out and element.ports.outputs > 0:
-                        # Unconnected classifier outputs silently drop;
-                        # allow but only warn through validation result.
-                        pass
+        return order
+
+    def topological_order(self) -> List[str]:
+        return self._order(self.successor_table())
+
+    def validate(self) -> List[str]:
+        """Check DAG-ness and Tee-only fan-out; raise on violation.
+
+        Returns the topological order the cycle check computed.
+        """
+        order = self.topological_order()
         # Multi-edges from the same (node, port) are allowed only for
         # explicit duplicating elements (Tee).
         seen: Set[Tuple[str, int]] = set()
@@ -171,6 +203,7 @@ class ElementGraph:
                     f"{edge.src} port {edge.src_port} fans out without a Tee"
                 )
             seen.add(key)
+        return order
 
     def depth(self) -> int:
         """Longest source-to-sink path length in elements.
@@ -178,9 +211,12 @@ class ElementGraph:
         The paper calls this the *effective length* of the processing
         path; the SFC parallelization aims to reduce it.
         """
-        if not self._elements:
-            return 0
-        return nx.dag_longest_path_length(self.to_networkx()) + 1
+        successors = self.successor_table()
+        depth = dict.fromkeys(self._elements, 1)
+        for node in self._order(successors):
+            for child in successors[node]:
+                depth[child] = max(depth[child], depth[node] + 1)
+        return max(depth.values(), default=0)
 
     # ------------------------------------------------------------------
     # Rewriting support
@@ -292,8 +328,7 @@ class ElementGraph:
         ``total_split_ops``); dropped packets vanish at the element
         that dropped them.
         """
-        self.validate()
-        order = self.topological_order()
+        order = self.validate()
         entry_nodes = self.sources()
         if not entry_nodes:
             raise GraphValidationError(f"{self.name} has no source node")

@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.core.partition import PartitionGraph
 from repro.nf.catalog import NF_CATALOG
 from repro.traffic.distributions import FixedSize, IMIXSize, UniformSize
 from repro.traffic.generator import TrafficSpec
@@ -64,7 +63,7 @@ def random_traffic_spec(rng: random.Random) -> TrafficSpec:
 
 
 def random_partition_graph(rng: random.Random, max_nodes: int = 12,
-                           min_nodes: int = 3) -> nx.Graph:
+                           min_nodes: int = 3) -> PartitionGraph:
     """A random weighted task graph for the partition oracle.
 
     Mimics the expanded graph's schema: microsecond-scale ``cpu_time``
@@ -75,7 +74,7 @@ def random_partition_graph(rng: random.Random, max_nodes: int = 12,
     oracle's enumeration budget.
     """
     node_count = rng.randint(min_nodes, max_nodes)
-    graph = nx.Graph()
+    graph = PartitionGraph()
     group_count = max(1, node_count // rng.choice([1, 2, 3]))
     for index in range(node_count):
         cpu_time = rng.uniform(0.5e-6, 50e-6)

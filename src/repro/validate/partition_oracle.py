@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.partition import (
     HOST_GROUP,
+    PartitionGraph,
     PartitionResult,
     _cut_weight,
     _loads,
@@ -42,7 +41,7 @@ class OracleError(ValueError):
     """Raised when the brute-force oracle cannot run on a graph."""
 
 
-def brute_force_partition(graph: nx.Graph, cpu_cores: int = 1,
+def brute_force_partition(graph: PartitionGraph, cpu_cores: int = 1,
                           gpu_units: int = 1) -> Tuple[Set[str], float]:
     """The provably optimal (gpu_nodes, objective) by enumeration."""
     movable = sorted(n for n in graph.nodes if _movable(graph, n))
@@ -69,7 +68,8 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= max(_ABS_TOL, _REL_TOL * max(abs(a), abs(b)))
 
 
-def check_partition_result(graph: nx.Graph, result: PartitionResult,
+def check_partition_result(graph: PartitionGraph,
+                           result: PartitionResult,
                            cpu_cores: int = 1,
                            gpu_units: int = 1) -> List[str]:
     """Internal-consistency violations of one PartitionResult.
@@ -164,7 +164,7 @@ DEFAULT_BOUND_FACTORS = {
 }
 
 
-def audit_partitioners(graph: nx.Graph, cpu_cores: int = 1,
+def audit_partitioners(graph: PartitionGraph, cpu_cores: int = 1,
                        gpu_units: int = 1,
                        bound_factors: Optional[dict] = None,
                        optimal: Optional[Tuple[Set[str], float]] = None
@@ -185,7 +185,7 @@ def audit_partitioners(graph: nx.Graph, cpu_cores: int = 1,
     _optimal_gpu, optimal_objective = optimal
     all_cpu_objective = evaluate(graph, set(), cpu_cores, gpu_units)[0]
 
-    audit = PartitionAudit(node_count=graph.number_of_nodes(),
+    audit = PartitionAudit(node_count=len(graph.nodes),
                            optimal_objective=optimal_objective)
     capacities = {HOST_GROUP: cpu_cores, "gpu": gpu_units}
     for algorithm in (kernighan_lin_partition, agglomerative_partition):

@@ -123,13 +123,15 @@ class TestTopology:
         assert linear_graph().depth() == 3
 
     def test_cycle_detected(self):
-        graph = ElementGraph()
+        graph = ElementGraph(name="loop")
         graph.add(Counter(name="a"))
         graph.add(Counter(name="b"))
         graph.connect("a", "b")
         graph.connect("b", "a")
-        with pytest.raises(GraphValidationError):
-            graph.validate()
+        for query in (graph.validate, graph.topological_order,
+                      graph.depth, graph.describe):
+            with pytest.raises(GraphValidationError, match="loop"):
+                query()
 
     def test_fanout_without_tee_rejected(self):
         graph = ElementGraph()

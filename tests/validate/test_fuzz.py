@@ -17,7 +17,7 @@ def test_same_seed_same_outputs():
     left = random_partition_graph(a)
     right = random_partition_graph(b)
     assert set(left.nodes) == set(right.nodes)
-    assert set(left.edges) == set(right.edges)
+    assert set(left.edges()) == set(right.edges())
     assert dict(left.nodes(data=True)) == dict(right.nodes(data=True))
 
 
@@ -40,7 +40,7 @@ def test_partition_graph_schema():
     rng = random.Random(2)
     for _ in range(30):
         graph = random_partition_graph(rng, max_nodes=10)
-        assert 3 <= graph.number_of_nodes() <= 10
+        assert 3 <= len(graph.nodes) <= 10
         for _node, data in graph.nodes(data=True):
             assert data["cpu_time"] > 0
             assert data["gpu_time"] > 0
