@@ -476,8 +476,11 @@ def _cmd_platform_show(args) -> int:
         overrides["sockets"] = args.sockets
     if args.gpus is not None:
         overrides["gpus"] = args.gpus
-    if overrides:
+    try:
         platform = replace(platform, **overrides)
+    except ValueError as error:
+        print(f"invalid platform: {error}", file=sys.stderr)
+        return 2
     if args.smartnic:
         platform = platform.with_smartnic()
     print(f"platform: {platform.sockets} socket(s) x "

@@ -10,8 +10,8 @@
   (I/O splicing, de-duplication, drop hoisting);
 - :mod:`repro.core.expansion` — fine-grained virtual-instance
   expansion of offloadable elements (delta = 10 %);
-- :mod:`repro.core.profiler` — offline rate tables + runtime traffic
-  statistics;
+- :mod:`repro.core.profiler` — runtime traffic statistics (per-node
+  traffic shares);
 - :mod:`repro.core.partition` — modified Kernighan-Lin and the
   lightweight agglomerative partitioning;
 - :mod:`repro.core.allocator` — graph-partition-based task allocation
@@ -34,7 +34,6 @@ from repro.core.merge import (
 )
 from repro.core.synthesizer import NFSynthesizer, SynthesisReport
 from repro.core.expansion import expand_graph, ExpandedGraph
-from repro.core.profiler import OfflineProfiler, ProfileStore
 from repro.core.partition import (
     kernighan_lin_partition,
     agglomerative_partition,
@@ -60,8 +59,6 @@ __all__ = [
     "SynthesisReport",
     "expand_graph",
     "ExpandedGraph",
-    "OfflineProfiler",
-    "ProfileStore",
     "kernighan_lin_partition",
     "agglomerative_partition",
     "PartitionResult",

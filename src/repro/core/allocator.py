@@ -237,8 +237,9 @@ class GraphTaskAllocator:
         # share x transfer_time(full batch), not transfer_time(share x
         # batch) — the latter would charge the DMA setup once per
         # slice and make any partial offload look prohibitively
-        # expensive.
-        full_transfer = self.platform.pcie.transfer_seconds(
+        # expensive.  The GPU's PCIe link prices the reference weight;
+        # ``link_costs`` rescales it per group.
+        full_transfer = self.platform.gpu.link.transfer_seconds(
             batch_size * mean_bytes, packet_count=batch_size
         )
         for u, v, data in pgraph.edges(data=True):

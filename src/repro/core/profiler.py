@@ -1,147 +1,25 @@
-"""Profiling (Section IV.C.2).
+"""Runtime traffic profiling (Section IV.C.2).
 
-NFCompass combines two information sources when weighting the
-partition graph:
+NFCompass weights the partition graph from two information sources:
 
-- **offline profiling**: processing rates of every element on CPU and
-  GPU over a grid of packet sizes and batch sizes, stored in a
-  dictionary indexed by element kind and operating point (the paper's
-  "dictionary ... indexed by vertex ID and edge ID");
+- **offline profiling**: the processing rate of every element on each
+  device.  The paper keeps a dictionary of profiled rates; here the
+  rates are the platform cost model evaluated at the deploy's
+  operating point (packet size, batch size, match profile), in
+  :meth:`~repro.core.allocator.GraphTaskAllocator._attach_weights`;
 - **runtime profiling**: the traffic distribution over the current
   graph — which fraction of packets traverses each edge and how much
   each element drops — measured by sampling real packets
-  (:class:`~repro.sim.engine.BranchProfile`).
-
-In the reproduction the offline rates come from evaluating the
-platform cost model (exactly what profiling a simulator means), and
-runtime statistics come from functional execution of sample traffic.
+  (:class:`~repro.sim.engine.BranchProfile`) and propagated to per-node
+  shares here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict
 
-from repro.elements.element import Element
 from repro.elements.graph import ElementGraph
-from repro.elements.offload import OffloadableElement
-from repro.hw.costs import BatchStats, CostModel
 from repro.sim.engine import BranchProfile
-from repro.traffic.dpi_profiles import MatchProfile
-
-#: Default offline profiling grid.
-DEFAULT_PACKET_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024, 1500)
-DEFAULT_BATCH_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512)
-
-
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One cell of the offline profiling grid."""
-
-    packet_bytes: int
-    batch_size: int
-    match_profile: MatchProfile = MatchProfile.PARTIAL_MATCH
-
-
-@dataclass
-class RateEntry:
-    """Measured rates of one element at one operating point."""
-
-    cpu_seconds_per_batch: float
-    gpu_seconds_per_batch: Optional[float]
-    gpu_transfer_seconds: Optional[float]
-
-    @property
-    def cpu_pps(self) -> float:
-        return 0.0 if self.cpu_seconds_per_batch <= 0 else (
-            1.0 / self.cpu_seconds_per_batch
-        )
-
-
-class ProfileStore:
-    """The profiling dictionary, indexed by element uid and point."""
-
-    def __init__(self):
-        self._entries: Dict[Tuple[int, OperatingPoint], RateEntry] = {}
-
-    def put(self, element: Element, point: OperatingPoint,
-            entry: RateEntry) -> None:
-        self._entries[(element.uid, point)] = entry
-
-    def get(self, element: Element,
-            point: OperatingPoint) -> Optional[RateEntry]:
-        return self._entries.get((element.uid, point))
-
-    def lookup_nearest(self, element: Element, packet_bytes: float,
-                       batch_size: int,
-                       match_profile: MatchProfile
-                       = MatchProfile.PARTIAL_MATCH) -> Optional[RateEntry]:
-        """Nearest-grid-point lookup (how the runtime consumes it)."""
-        best = None
-        best_distance = None
-        for (uid, point), entry in self._entries.items():
-            if uid != element.uid or point.match_profile != match_profile:
-                continue
-            distance = (abs(point.packet_bytes - packet_bytes)
-                        / max(1.0, packet_bytes)
-                        + abs(point.batch_size - batch_size)
-                        / max(1, batch_size))
-            if best_distance is None or distance < best_distance:
-                best = entry
-                best_distance = distance
-        return best
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class OfflineProfiler:
-    """Builds :class:`ProfileStore` tables from the platform model."""
-
-    def __init__(self, cost_model: CostModel):
-        self.cost = cost_model
-
-    def profile_element(self, element: Element,
-                        packet_sizes: Iterable[int] = DEFAULT_PACKET_SIZES,
-                        batch_sizes: Iterable[int] = DEFAULT_BATCH_SIZES,
-                        match_profiles: Iterable[MatchProfile] = (
-                            MatchProfile.PARTIAL_MATCH,
-                        ),
-                        store: Optional[ProfileStore] = None) -> ProfileStore:
-        if store is None:  # note: an empty store is falsy (__len__)
-            store = ProfileStore()
-        offloadable = (isinstance(element, OffloadableElement)
-                       and element.offloadable)
-        for profile in match_profiles:
-            for packet_bytes in packet_sizes:
-                for batch_size in batch_sizes:
-                    stats = BatchStats(
-                        batch_size=batch_size,
-                        mean_packet_bytes=float(packet_bytes),
-                        match_profile=profile,
-                    )
-                    cpu = self.cost.cpu_batch_seconds(element, stats)
-                    gpu = transfer = None
-                    if offloadable:
-                        timing = self.cost.gpu_batch_timing(
-                            element, stats, persistent_kernel=True
-                        )
-                        gpu = timing.launch + timing.kernel
-                        transfer = timing.transfer
-                    store.put(
-                        element,
-                        OperatingPoint(packet_bytes, batch_size, profile),
-                        RateEntry(cpu, gpu, transfer),
-                    )
-        return store
-
-    def profile_graph(self, graph: ElementGraph,
-                      **kwargs) -> ProfileStore:
-        store = ProfileStore()
-        for node_id in graph.nodes:
-            self.profile_element(graph.element(node_id), store=store,
-                                 **kwargs)
-        return store
 
 
 def node_traffic_shares(graph: ElementGraph,
@@ -165,19 +43,3 @@ def node_traffic_shares(graph: ElementGraph,
             for edge in graph.out_edges(node_id, port=port):
                 shares[edge.dst] += survivors * fraction
     return shares
-
-
-def edge_traffic_shares(graph: ElementGraph,
-                        profile: BranchProfile) -> Dict[object, float]:
-    """Fraction of offered traffic crossing each edge."""
-    node_shares = node_traffic_shares(graph, profile)
-    edge_shares: Dict[object, float] = {}
-    for node_id in graph.nodes:
-        survivors = node_shares[node_id] * (
-            1.0 - profile.drop_for(node_id)
-        )
-        fractions = profile.fractions_for(graph, node_id)
-        for port, fraction in fractions.items():
-            for edge in graph.out_edges(node_id, port=port):
-                edge_shares[edge] = survivors * fraction
-    return edge_shares

@@ -29,13 +29,7 @@ from repro.hw.device import (
     register_device_kind,
     smartnic_device,
 )
-from repro.hw.platform import (
-    CPUSpec,
-    GPUSpec,
-    PCIeSpec,
-    PlatformSpec,
-    gpu_device_spec,
-)
+from repro.hw.platform import CPUSpec, PlatformSpec
 from repro.hw.costs import CostModel, CostParams, BatchStats
 from repro.hw.cache import cache_penalty_factor
 from repro.hw.gpu import GpuTiming
@@ -44,8 +38,6 @@ from repro.hw.interference import InterferenceModel, NF_PRESSURE_PROFILES
 __all__ = [
     "PlatformSpec",
     "CPUSpec",
-    "GPUSpec",
-    "PCIeSpec",
     "CostModel",
     "CostParams",
     "BatchStats",
@@ -65,5 +57,4 @@ __all__ = [
     "make_device",
     "register_device_kind",
     "smartnic_device",
-    "gpu_device_spec",
 ]

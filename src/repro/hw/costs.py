@@ -12,8 +12,9 @@ This module turns (element, batch statistics) into time:
 - re-organization costs: batch split/merge, packet duplication for
   parallel SFC branches, and the XOR merge.
 
-All calibration constants live in :class:`CostParams` so ablation
-benches can perturb them.
+The element-law constants live in :class:`CostParams`; the device
+constants live on the :class:`~repro.hw.device.DeviceSpec` that
+:meth:`CostModel.device_for` resolves from the platform.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.elements.offload import OffloadableElement, OffloadTraits
 from repro.hw.cache import cache_penalty_factor
 from repro.hw.device import DeviceSpec
 from repro.hw.gpu import GpuTiming
-from repro.hw.platform import PlatformSpec, gpu_device_spec
+from repro.hw.platform import PlatformSpec
 from repro.traffic.dpi_profiles import MatchProfile
 
 #: Estimated L2..L4 header bytes per packet (Ethernet+IPv4+UDP).
@@ -70,7 +71,7 @@ class BatchStats:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Calibration constants (see DESIGN.md section 5)."""
+    """Element-law calibration constants (see DESIGN.md section 5)."""
 
     # -- batching and re-organization -----------------------------------
     batch_fixed_cycles: float = 2200.0
@@ -80,22 +81,6 @@ class CostParams:
     duplicate_cycles_per_byte: float = 0.5
     xor_merge_cycles_per_byte: float = 1.2
     reassembly_cycles_per_packet: float = 70.0  # stateful buffering
-
-    # -- GPU -------------------------------------------------------------
-    #: Peak GPU speedup over one CPU core for a unit-intensity kernel.
-    gpu_base_speedup: float = 10.0
-    #: How much compute intensity amplifies the speedup (log response).
-    gpu_intensity_gain: float = 5.0
-    #: Kernel-time inflation at fully mixed-flow batches for divergent
-    #: kernels (block-level parallelism control-flow divergence).
-    gpu_divergence_penalty: float = 1.4
-    #: Kernel-launch contention multiplier per co-running kernel.
-    gpu_corun_launch_inflation: float = 0.6
-    #: Fraction of touched bytes that must come from GPU DRAM.
-    gpu_mem_traffic_factor: float = 2.0
-    #: Kernel-time inflation per doubling of a lookup table beyond the
-    #: GPU's L2 (uncoalesced DRAM walks), capped at 3 doublings.
-    gpu_table_spill_penalty: float = 0.5
 
     # -- DPI per-byte CPU cycles by match profile ------------------------
     dpi_cycles_per_byte_no_match: float = 4.0
@@ -327,41 +312,12 @@ class CostModel:
     # Offload devices (GPU, SmartNIC, any registered kind)
     # ------------------------------------------------------------------
     def device_for(self, device_id: str) -> DeviceSpec:
-        """Resolve a processor id to its :class:`DeviceSpec`.
-
-        GPU ids are materialized from the live ``GPUSpec`` *and* this
-        model's :class:`CostParams`, so calibration ablations keep
-        flowing through the generic timing path; extra devices come
-        from the platform inventory as registered.
-        """
+        """The platform's :class:`DeviceSpec` for a processor id
+        (:meth:`PlatformSpec.device`), cached per model."""
         spec = self._device_cache.get(device_id)
         if spec is None:
-            spec = self._resolve_device(device_id)
-            self._device_cache[device_id] = spec
-        return spec
-
-    def _resolve_device(self, device_id: str) -> DeviceSpec:
-        platform = self.platform
-        for device in platform.extra_devices:
-            if device.device_id == device_id:
-                return device
-        if device_id in platform.gpu_processor_ids():
-            return gpu_device_spec(device_id, platform.gpu,
-                                   platform.pcie, self.params)
-        if device_id in platform.cpu_processor_ids():
-            return DeviceSpec(device_id=device_id, kind="cpu")
-        raise KeyError(
-            f"unknown device id {device_id!r}; platform devices: "
-            f"{platform.device_ids()}"
-        )
-
-    def _builtin_gpu(self) -> DeviceSpec:
-        """The canonical GPU device (independent of GPU instance ids)."""
-        spec = self._device_cache.get("__gpu__")
-        if spec is None:
-            spec = gpu_device_spec("gpu", self.platform.gpu,
-                                   self.platform.pcie, self.params)
-            self._device_cache["__gpu__"] = spec
+            spec = self._device_cache[device_id] = \
+                self.platform.device(device_id)
         return spec
 
     def _device_speedup(self, device: DeviceSpec, traits: OffloadTraits,
@@ -378,9 +334,10 @@ class CostModel:
     def gpu_batch_timing(self, element: Element, stats: BatchStats,
                          persistent_kernel: bool = True,
                          co_running_kernels: int = 0) -> GpuTiming:
-        """The Fig. 4 time decomposition for one GPU-offloaded batch."""
+        """The Fig. 4 time decomposition for one batch on
+        :attr:`PlatformSpec.gpu`."""
         return self.device_batch_timing(
-            element, stats, self._builtin_gpu(),
+            element, stats, self.platform.gpu,
             persistent_kernel=persistent_kernel,
             co_running_kernels=co_running_kernels,
         )

@@ -37,15 +37,19 @@ DEFAULT_HOST_DEVICE = "cpu0"
 class LinkSpec:
     """A host<->device interconnect (the H2D/D2H boundary).
 
-    The transfer law matches :class:`~repro.hw.platform.PCIeSpec`:
-    per-transfer setup latency, a per-packet descriptor cost, and a
-    bandwidth term.  ``name`` prefixes the simulator's DMA resource
-    ids (``{name}:{device}:h2d`` / ``:d2h``).
+    The transfer law is a per-transfer setup latency, a per-packet
+    descriptor cost, and a bandwidth term.  The defaults are the
+    paper's GPU link, PCIe 3.0 x16.  ``name`` prefixes the simulator's
+    DMA resource ids (``{name}:{device}:h2d`` / ``:d2h``).
     """
 
     name: str = "pcie"
-    bandwidth_bps: float = 12.0e9 * 8
-    latency_seconds: float = 2.5e-6
+    bandwidth_bps: float = 12.0e9 * 8  # ~12 GB/s effective
+    latency_seconds: float = 2.5e-6    # DMA setup + doorbell
+    #: Per-packet descriptor/scatter-gather cost: un-optimized
+    #: offloading copies packets individually, which is why
+    #: transfer-bound NFs (IPv4 forwarding) gain nothing from a
+    #: discrete GPU on the paper's testbed.
     per_packet_seconds: float = 150e-9
 
     def transfer_seconds(self, byte_count: float,
@@ -200,14 +204,17 @@ def make_device(kind: str, device_id: str, **overrides: Any) -> DeviceSpec:
 CPU_KIND = "cpu"
 register_device_kind(CPU_KIND, {})
 
-#: The discrete GPU.  Registered with the Table I / CostParams default
-#: numbers so ``make_device("gpu", ...)`` works standalone; the cost
-#: model rebuilds the spec from the live ``GPUSpec``/``CostParams`` so
-#: ablations keep working (see ``CostModel.device_for``).
+#: The discrete GPU, Table I's Titan X behind the default (PCIe)
+#: ``LinkSpec``.  The only place its numbers are written:
+#: ``PlatformSpec.gpu`` defaults to this entry, and every GPU id of a
+#: platform is that spec under its own id.
 GPU_KIND = "gpu"
 register_device_kind(GPU_KIND, {
+    # Kernel launch + teardown, the small-batch offload overhead the
+    # paper blames; a persistent kernel pays only the dispatch.
     "launch_seconds": 6e-6,
     "persistent_dispatch_seconds": 1.2e-6,
+    # The under-occupancy floor behind Fig. 6's interior optima.
     "half_saturation_batch": 128,
     "base_speedup": 10.0,
     "intensity_gain": 5.0,

@@ -2,16 +2,20 @@
 
 The defaults mirror the paper's COTS server: a 4-socket SuperMicro
 8048B with Intel Xeon E7-4809 v2 processors (1.9 GHz IvyBridge, 6
-physical cores per socket, 64 KB L1 / 256 KB L2 per core, 12 MB L3 per
-socket) and two Nvidia Titan X GPUs (3072 CUDA cores, 336.5 GB/s).
+physical cores per socket, 256 KB L2 per core, 12 MB L3 per socket)
+and two Nvidia Titan X GPUs behind PCIe.  The GPU's numbers live only
+in the ``gpu`` device-kind registry entry
+(:data:`~repro.hw.device.GPU_KIND`), whose link is the default (PCIe)
+:class:`~repro.hw.device.LinkSpec`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.hw.device import DeviceSpec, smartnic_device
+from repro.hw.device import GPU_KIND, DeviceSpec, make_device, \
+    smartnic_device
 
 
 @dataclass(frozen=True)
@@ -20,7 +24,6 @@ class CPUSpec:
 
     cores: int = 6
     frequency_hz: float = 1.9e9
-    l1_bytes: int = 64 * 1024
     l2_bytes: int = 256 * 1024
     l3_bytes: int = 12 * 1024 * 1024
 
@@ -29,93 +32,40 @@ class CPUSpec:
 
 
 @dataclass(frozen=True)
-class GPUSpec:
-    """One discrete GPU."""
-
-    cuda_cores: int = 3072
-    memory_bandwidth_bps: float = 336.5e9
-    #: On-chip L2 cache; lookup tables larger than this stream from
-    #: GPU DRAM with uncoalesced accesses.
-    l2_bytes: int = 3 * 1024 * 1024
-    #: Cost of launching + tearing down a kernel (the overhead the
-    #: paper blames for small-batch offloading inefficiency).
-    kernel_launch_seconds: float = 6e-6
-    #: Residual per-dispatch cost under the persistent-kernel design.
-    persistent_dispatch_seconds: float = 1.2e-6
-    #: Batch size at which the GPU reaches half of peak utilization.
-    #: Utilization saturates as n / (n + half_saturation_batch), so a
-    #: kernel over n packets costs time proportional to (n + half):
-    #: small batches pay a fixed under-occupancy floor — the mechanism
-    #: behind the interior optimal offload ratios of Fig. 6.
-    half_saturation_batch: int = 128
-
-    def utilization(self, batch_size: int) -> float:
-        """Fraction of peak rate achieved at a given batch size."""
-        if batch_size <= 0:
-            return 1.0 / (1 + self.half_saturation_batch)
-        return batch_size / (batch_size + self.half_saturation_batch)
-
-
-@dataclass(frozen=True)
-class PCIeSpec:
-    """Host-device interconnect."""
-
-    #: Link-protocol name; satisfies the :class:`~repro.hw.device.LinkSpec`
-    #: interface, so PCIe prefixes DMA resources as ``pcie:{gpu}:h2d``.
-    name = "pcie"
-
-    bandwidth_bps: float = 12.0e9 * 8  # ~12 GB/s effective PCIe 3.0 x16
-    latency_seconds: float = 2.5e-6    # DMA setup + doorbell per transfer
-    #: Per-packet descriptor/scatter-gather overhead.  Un-optimized
-    #: offloading frameworks copy packets individually rather than as
-    #: one huge buffer, so each packet costs a descriptor — the reason
-    #: transfer-bound NFs (IPv4 forwarding) do not benefit from
-    #: discrete-GPU offload on the paper's testbed.
-    per_packet_seconds: float = 150e-9
-
-    def transfer_seconds(self, byte_count: float,
-                         packet_count: float = 0.0) -> float:
-        """Time to move ``byte_count`` bytes (of ``packet_count``
-        packets) across PCIe."""
-        if byte_count <= 0:
-            return 0.0
-        return (self.latency_seconds
-                + self.per_packet_seconds * packet_count
-                + (byte_count * 8) / self.bandwidth_bps)
-
-
-@dataclass(frozen=True)
-class NICSpec:
-    """Network interfaces (aggregate offered-load ceiling)."""
-
-    port_gbps: Tuple[float, ...] = (10.0, 10.0, 10.0, 10.0, 40.0, 40.0)
-
-    @property
-    def total_gbps(self) -> float:
-        return sum(self.port_gbps)
-
-
-@dataclass(frozen=True)
 class PlatformSpec:
     """The full heterogeneous server: a collection of devices + links.
 
-    The CPU sockets and discrete GPUs remain first-class fields (the
-    unchanged Table I default); additional offload devices are carried
-    as :class:`~repro.hw.device.DeviceSpec` instances in
-    ``extra_devices``, making the platform an N-way device inventory
-    (see :meth:`devices` / :meth:`offload_device_groups`).
+    ``sockets`` CPU sockets and ``gpus`` identical discrete GPUs (the
+    Table I default); ``gpu`` is one GPU as a
+    :class:`~repro.hw.device.DeviceSpec` whose ``link`` is its PCIe
+    link.  Additional offload devices are carried in ``extra_devices``,
+    making the platform an N-way device inventory (see :meth:`devices`
+    / :meth:`offload_device_groups`).
     """
 
     sockets: int = 4
     cpu: CPUSpec = field(default_factory=CPUSpec)
     gpus: int = 2
-    gpu: GPUSpec = field(default_factory=GPUSpec)
-    pcie: PCIeSpec = field(default_factory=PCIeSpec)
-    nic: NICSpec = field(default_factory=NICSpec)
+    gpu: DeviceSpec = field(
+        default_factory=lambda: make_device(GPU_KIND, "gpu"))
     #: Offload devices beyond the built-in GPUs, registered as data.
     extra_devices: Tuple[DeviceSpec, ...] = ()
 
     def __post_init__(self):
+        if self.sockets < 1:
+            raise ValueError(f"sockets must be at least 1, got "
+                             f"{self.sockets}")
+        if self.cpu.cores < 1:
+            raise ValueError(f"cpu.cores must be at least 1, got "
+                             f"{self.cpu.cores}")
+        if self.gpus < 0:
+            raise ValueError(f"gpus must not be negative, got "
+                             f"{self.gpus}")
+        if self.gpu.is_host:
+            raise ValueError(
+                f"gpu {self.gpu.device_id!r} has no link; the GPU sits "
+                "behind PCIe"
+            )
         seen = set(self.gpu_processor_ids())
         for device in self.extra_devices:
             if device.is_host:
@@ -161,10 +111,10 @@ class PlatformSpec:
     def device(self, device_id: str) -> DeviceSpec:
         """The :class:`DeviceSpec` behind a processor id.
 
-        CPU cores and GPUs are materialized from the platform's
-        ``cpu``/``gpu``/``pcie`` fields; extra devices are returned as
-        registered.  Unknown ids raise a ``KeyError`` naming the
-        known inventory.
+        The one path from an id to a spec: ``cpuN`` is a host core,
+        ``gpuN`` is :attr:`gpu` under that id, and extra devices are
+        returned as registered.  Unknown ids raise a ``KeyError``
+        naming the known inventory.
         """
         for device in self.extra_devices:
             if device.device_id == device_id:
@@ -172,7 +122,7 @@ class PlatformSpec:
         if device_id in self.cpu_processor_ids():
             return DeviceSpec(device_id=device_id, kind="cpu")
         if device_id in self.gpu_processor_ids():
-            return gpu_device_spec(device_id, self.gpu, self.pcie)
+            return self.gpu.with_id(device_id)
         raise KeyError(
             f"unknown device id {device_id!r}; platform devices: "
             f"{self.device_ids()}"
@@ -246,44 +196,3 @@ class PlatformSpec:
     def small(cls) -> "PlatformSpec":
         """A 1-socket, 1-GPU platform for quick tests."""
         return cls(sockets=1, gpus=1)
-
-
-def gpu_device_spec(device_id: str, gpu: GPUSpec, link,
-                    params: Optional[object] = None) -> DeviceSpec:
-    """Materialize a discrete GPU as a :class:`DeviceSpec`.
-
-    Speedup/penalty hooks come from ``params`` (a
-    :class:`~repro.hw.costs.CostParams`) when given so calibration
-    ablations flow through; otherwise the registry defaults for the
-    ``gpu`` kind apply (the same numbers as the ``CostParams``
-    defaults).
-    """
-    from repro.hw.device import device_kind_defaults
-    defaults = device_kind_defaults("gpu")
-    spec = DeviceSpec(
-        device_id=device_id,
-        kind="gpu",
-        launch_seconds=gpu.kernel_launch_seconds,
-        persistent_dispatch_seconds=gpu.persistent_dispatch_seconds,
-        half_saturation_batch=gpu.half_saturation_batch,
-        base_speedup=(params.gpu_base_speedup if params is not None
-                      else defaults["base_speedup"]),
-        intensity_gain=(params.gpu_intensity_gain if params is not None
-                        else defaults["intensity_gain"]),
-        divergence_penalty=(params.gpu_divergence_penalty
-                            if params is not None
-                            else defaults["divergence_penalty"]),
-        corun_launch_inflation=(params.gpu_corun_launch_inflation
-                                if params is not None
-                                else defaults["corun_launch_inflation"]),
-        cache_bytes=float(gpu.l2_bytes),
-        table_spill_penalty=(params.gpu_table_spill_penalty
-                             if params is not None
-                             else defaults["table_spill_penalty"]),
-        memory_bandwidth_bps=gpu.memory_bandwidth_bps,
-        mem_traffic_factor=(params.gpu_mem_traffic_factor
-                            if params is not None
-                            else defaults["mem_traffic_factor"]),
-        link=link,
-    )
-    return spec

@@ -1,110 +1,12 @@
-"""Unit tests for offline/runtime profiling."""
+"""Unit tests for runtime traffic profiling."""
 
 import pytest
 
-from repro.core.profiler import (
-    OfflineProfiler,
-    OperatingPoint,
-    ProfileStore,
-    RateEntry,
-    edge_traffic_shares,
-    node_traffic_shares,
-)
+from repro.core.profiler import node_traffic_shares
 from repro.elements.graph import ElementGraph
 from repro.elements.standard import Counter, FromDevice, HashSwitch, \
     ToDevice
-from repro.hw.costs import CostModel
-from repro.hw.platform import PlatformSpec
-from repro.nf.base import ServiceFunctionChain
-from repro.nf.catalog import make_nf
 from repro.sim.engine import BranchProfile
-from repro.traffic.dpi_profiles import MatchProfile
-
-
-@pytest.fixture
-def profiler():
-    return OfflineProfiler(CostModel(PlatformSpec()))
-
-
-class TestProfileStore:
-    def test_put_get_roundtrip(self, profiler):
-        store = ProfileStore()
-        element = Counter()
-        point = OperatingPoint(64, 32)
-        store.put(element, point, RateEntry(1e-5, None, None))
-        assert store.get(element, point).cpu_seconds_per_batch == 1e-5
-
-    def test_get_missing_returns_none(self):
-        store = ProfileStore()
-        assert store.get(Counter(), OperatingPoint(64, 32)) is None
-
-    def test_cpu_pps(self):
-        entry = RateEntry(cpu_seconds_per_batch=0.5,
-                          gpu_seconds_per_batch=None,
-                          gpu_transfer_seconds=None)
-        assert entry.cpu_pps == 2.0
-        assert RateEntry(0.0, None, None).cpu_pps == 0.0
-
-    def test_nearest_lookup(self, profiler):
-        element = Counter()
-        store = profiler.profile_element(
-            element, packet_sizes=(64, 1500), batch_sizes=(32, 512)
-        )
-        near = store.lookup_nearest(element, packet_bytes=70,
-                                    batch_size=40)
-        exact = store.get(element, OperatingPoint(64, 32,
-                                                  MatchProfile.PARTIAL_MATCH))
-        assert near is exact
-
-    def test_nearest_lookup_respects_match_profile(self, profiler):
-        element = Counter()
-        store = profiler.profile_element(
-            element, packet_sizes=(64,), batch_sizes=(32,),
-            match_profiles=(MatchProfile.FULL_MATCH,),
-        )
-        assert store.lookup_nearest(element, 64, 32,
-                                    MatchProfile.NO_MATCH) is None
-
-    def test_nearest_lookup_is_per_element(self, profiler):
-        a, b = Counter(), Counter()
-        store = profiler.profile_element(a, packet_sizes=(64,),
-                                         batch_sizes=(32,))
-        assert store.lookup_nearest(b, 64, 32) is None
-
-
-class TestOfflineProfiler:
-    def test_grid_size(self, profiler):
-        store = profiler.profile_element(
-            Counter(), packet_sizes=(64, 128), batch_sizes=(32, 64, 128)
-        )
-        assert len(store) == 6
-
-    def test_offloadable_elements_get_gpu_rates(self, profiler):
-        from repro.nf.ipsec import IPsecEncrypt
-        store = profiler.profile_element(
-            IPsecEncrypt(), packet_sizes=(256,), batch_sizes=(64,)
-        )
-        entry = store.lookup_nearest(IPsecEncrypt(), 256, 64)
-        # Different instance: per-element store -> None; use original.
-        element = IPsecEncrypt()
-        store = profiler.profile_element(element, packet_sizes=(256,),
-                                         batch_sizes=(64,))
-        entry = store.get(element, OperatingPoint(256, 64))
-        assert entry.gpu_seconds_per_batch is not None
-        assert entry.gpu_transfer_seconds > 0
-
-    def test_cpu_only_elements_have_no_gpu_rates(self, profiler):
-        element = Counter()
-        store = profiler.profile_element(element, packet_sizes=(64,),
-                                         batch_sizes=(32,))
-        entry = store.get(element, OperatingPoint(64, 32))
-        assert entry.gpu_seconds_per_batch is None
-
-    def test_profile_graph_covers_all_nodes(self, profiler):
-        graph = ServiceFunctionChain([make_nf("probe")]).concatenated_graph()
-        store = profiler.profile_graph(graph, packet_sizes=(64,),
-                                       batch_sizes=(32,))
-        assert len(store) == len(graph)
 
 
 class TestTrafficShares:
@@ -149,10 +51,3 @@ class TestTrafficShares:
         shares = node_traffic_shares(graph, profile)
         assert shares["a"] == pytest.approx(0.75)
         assert shares["b"] == pytest.approx(0.25)
-
-    def test_edge_shares(self):
-        graph = self._branchy_graph()
-        edge_shares = edge_traffic_shares(graph, BranchProfile())
-        total_into_tx = sum(v for e, v in edge_shares.items()
-                            if e.dst == "tx")
-        assert total_into_tx == pytest.approx(1.0)

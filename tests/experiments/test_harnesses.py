@@ -1,12 +1,17 @@
 """Smoke + headline-shape tests for every paper-figure harness.
 
 Each harness runs at reduced scale; the assertions check the *shape*
-claims EXPERIMENTS.md tracks, not absolute numbers.
+claims EXPERIMENTS.md tracks.  The ``canonical_fingerprint`` pins fix
+the rows themselves, at quick scale in tier-1 and at full scale under
+``-m slow``.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.experiments import (
+    ablations,
     fig05_batch_split,
     fig06_offload_ratio,
     fig07_sfc_length,
@@ -21,6 +26,21 @@ from repro.runner import canonical_fingerprint
 
 
 class TestFig5:
+    #: ``canonical_fingerprint`` of the quick and full-scale rows.
+    ROWS = \
+        "9004429ac9d64b5f0e38238985195dc1043223459a6b759d69ed31f62550c97c"
+    FULL_ROWS = \
+        "aa0aa62d948438f68d21c6dc60e8f6ab15cb52867542721edaae77eb2bdaad3e"
+
+    def test_rows_unchanged(self):
+        rows = fig05_batch_split.run(quick=True)
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = fig05_batch_split.run(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
+
     def test_split_collapses_throughput(self):
         rows = fig05_batch_split.run(quick=True, stage_counts=[6])
         by_variant = {r.variant: r for r in rows}
@@ -40,9 +60,24 @@ class TestFig5:
 
 
 class TestFig6:
+    #: ``canonical_fingerprint`` of the fixture's rows and of the
+    #: full-scale rows.
+    ROWS = \
+        "5196759b16339598697dcd399f4f446a30751f790492b6e2337d38a859f40e6b"
+    FULL_ROWS = \
+        "743634f248ef2a462660f91708aa53a7d2ccce6fdee771a87c2d1963fd6a4f5c"
+
     @pytest.fixture(scope="class")
     def rows(self):
         return fig06_offload_ratio.run(quick=True)
+
+    def test_rows_unchanged(self, rows):
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = fig06_offload_ratio.run(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
 
     def test_best_ratios_vary_per_nf(self, rows):
         best = fig06_offload_ratio.best_ratios(rows)
@@ -60,6 +95,21 @@ class TestFig6:
 
 
 class TestFig7:
+    #: ``canonical_fingerprint`` of the quick and full-scale rows.
+    ROWS = \
+        "278c7be48b34925f0c270c0b387cda1d9082b654a8ccd29e76530288e4396e28"
+    FULL_ROWS = \
+        "59010976b3b3b3fe3b4e96e5559fa008fbe974efbc30c4c842fd379b4b803c81"
+
+    def test_rows_unchanged(self):
+        rows = fig07_sfc_length.run(quick=True)
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = fig07_sfc_length.run(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
+
     def test_acceleration_shrinks_with_chain_length(self):
         rows = fig07_sfc_length.run(quick=True)
         accel = fig07_sfc_length.acceleration_by_case(rows)
@@ -86,10 +136,32 @@ class TestFig7:
 
 
 class TestFig8:
+    #: ``canonical_fingerprint`` of the batch sweep at its default batch
+    #: sizes (quick and full scale) and of the interference matrix.
+    SWEEP_ROWS = \
+        "150860fd2efa35f55cc19b0ff0d2569c7778f7f49133aee6048e84b8d16fbcfa"
+    FULL_SWEEP_ROWS = \
+        "34bd33dfe207465f3c00776f003086e02d6a6880220b6d49cb4f2b5a54abe056"
+    INTERFERENCE = \
+        "cde780e47cdd648b4e098323a80b4a766f352997e5ec266923861a7ed52e5d1b"
+
     @pytest.fixture(scope="class")
     def sweep(self):
         return fig08_characterization.run_batch_sweep(
             quick=True, batch_sizes=(32, 64, 256, 1024))
+
+    def test_sweep_rows_unchanged(self):
+        rows = fig08_characterization.run_batch_sweep(quick=True)
+        assert canonical_fingerprint(rows) == self.SWEEP_ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_sweep_rows_unchanged(self):
+        rows = fig08_characterization.run_batch_sweep(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_SWEEP_ROWS
+
+    def test_interference_unchanged(self):
+        assert canonical_fingerprint(
+            fig08_characterization.run_interference()) == self.INTERFERENCE
 
     def test_gpu_throughput_grows_with_batch(self, sweep):
         ipsec_gpu = sorted(
@@ -166,9 +238,24 @@ class TestFig14:
 
 
 class TestFig15:
+    #: ``canonical_fingerprint`` of the fixture's rows and of the
+    #: full-scale rows.
+    ROWS = \
+        "554c0a2c0c16ea060295267513b2546fac966056646f7aa028222e81d666dacd"
+    FULL_ROWS = \
+        "9e5555e714842082c9a79db5e06092f53cd3597213645d31f733a6fdcc6f3519"
+
     @pytest.fixture(scope="class")
     def rows(self):
         return fig15_gta.run(quick=True)
+
+    def test_rows_unchanged(self, rows):
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = fig15_gta.run(quick=False)
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
 
     def test_gta_near_optimal_except_ipv4(self, rows):
         fractions = fig15_gta.gta_vs_optimal(rows)
@@ -196,6 +283,30 @@ class TestFig15:
         for row in rows:
             if row.system == "gta":
                 assert row.latency_ms < 4.0
+
+
+class TestAblations:
+    """``canonical_fingerprint`` of every study's quick and full-scale
+    rows, with the wall-clock ``planning_seconds`` zeroed."""
+
+    ROWS = \
+        "1e9a988b9c33498047e9b83c6a98f9377a38a4e737cc7f8b5603febc3f016505"
+    FULL_ROWS = \
+        "b6781d5d052708b788c7ce6c0a921084435c77f988b6c507ef0879b19a42a6f1"
+
+    @staticmethod
+    def simulated(rows):
+        return [dataclasses.replace(row, planning_seconds=0.0)
+                for row in rows]
+
+    def test_rows_unchanged(self):
+        rows = self.simulated(ablations.run_all(quick=True))
+        assert canonical_fingerprint(rows) == self.ROWS
+
+    @pytest.mark.slow
+    def test_full_scale_rows_unchanged(self):
+        rows = self.simulated(ablations.run_all(quick=False))
+        assert canonical_fingerprint(rows) == self.FULL_ROWS
 
 
 class TestFig17:

@@ -17,7 +17,10 @@ from repro.hw import (
     register_device_kind,
     smartnic_device,
 )
-from repro.hw.platform import PlatformSpec, gpu_device_spec
+from repro.elements.offload import OffloadableElement
+from repro.hw.costs import BatchStats, CostModel
+from repro.hw.platform import PlatformSpec
+from repro.nf.catalog import NF_CATALOG, make_nf
 
 
 class TestLinkSpec:
@@ -30,6 +33,7 @@ class TestLinkSpec:
 
     def test_default_matches_pcie(self):
         assert LinkSpec().name == "pcie"
+        assert PlatformSpec().gpu.link == LinkSpec()
 
 
 class TestDeviceSpec:
@@ -144,10 +148,9 @@ class TestPlatformInventory:
 
     def test_gpu_device_spec_mirrors_gpu(self):
         platform = PlatformSpec()
-        device = gpu_device_spec("gpu0", platform.gpu, platform.pcie)
+        device = platform.device("gpu0")
+        assert device == platform.gpu.with_id("gpu0")
         assert device.kind == GPU_KIND
-        assert device.launch_seconds == \
-            platform.gpu.kernel_launch_seconds
         assert device.link.name == "pcie"
         assert math.isfinite(device.cache_bytes)
 
@@ -155,6 +158,44 @@ class TestPlatformInventory:
         text = PlatformSpec.small().with_smartnic().describe_devices()
         assert "gpu0" in text
         assert "nic0" in text
+
+
+class TestOnePath:
+    """The platform's ``gpu`` is the registry's, and every id resolves
+    to one spec whichever layer asks."""
+
+    @pytest.mark.parametrize("platform", [
+        PlatformSpec(), PlatformSpec.small().with_smartnic(),
+    ], ids=["table-i", "small+smartnic"])
+    def test_cost_model_resolves_through_the_platform(self, platform):
+        cost = CostModel(platform)
+        for device_id in platform.device_ids():
+            assert cost.device_for(device_id) == platform.device(device_id)
+
+    def test_platform_gpu_is_the_registry_entry(self):
+        gpu = PlatformSpec().gpu
+        assert gpu.kind == GPU_KIND
+        for name, value in device_kind_defaults(GPU_KIND).items():
+            assert getattr(gpu, name) == value, name
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_gpu_batch_timing_prices_gpu0(self, persistent):
+        cost = CostModel(PlatformSpec())
+        gpu0 = cost.device_for("gpu0")
+        stats = BatchStats(batch_size=64, mean_packet_bytes=512.0)
+        offloadable = [
+            element
+            for nf_type in sorted(NF_CATALOG)
+            for element in make_nf(nf_type).graph.elements().values()
+            if isinstance(element, OffloadableElement)
+            and element.offloadable
+        ]
+        assert offloadable
+        for element in offloadable:
+            assert cost.gpu_batch_timing(
+                element, stats, persistent_kernel=persistent
+            ) == cost.device_batch_timing(
+                element, stats, gpu0, persistent_kernel=persistent)
 
 
 class TestWithWithoutDevices:

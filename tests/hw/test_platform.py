@@ -1,8 +1,11 @@
 """Unit tests for the platform specification."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.hw.platform import CPUSpec, GPUSpec, PCIeSpec, PlatformSpec
+from repro.hw.device import DeviceSpec
+from repro.hw.platform import CPUSpec, PlatformSpec
 
 
 class TestCPUSpec:
@@ -19,34 +22,38 @@ class TestCPUSpec:
 
 
 class TestGPUSpec:
+    """The platform's GPU: the ``gpu`` registry entry as a DeviceSpec."""
+
     def test_utilization_saturates(self):
-        gpu = GPUSpec()
+        gpu = PlatformSpec().gpu
         assert gpu.utilization(10_000) > 0.97
         assert gpu.utilization(gpu.half_saturation_batch) == pytest.approx(0.5)
 
     def test_utilization_monotonic(self):
-        gpu = GPUSpec()
+        gpu = PlatformSpec().gpu
         values = [gpu.utilization(n) for n in (1, 8, 64, 512, 4096)]
         assert values == sorted(values)
 
     def test_zero_batch_floor(self):
-        assert GPUSpec().utilization(0) > 0
+        assert PlatformSpec().gpu.utilization(0) > 0
 
     def test_persistent_dispatch_cheaper_than_launch(self):
-        gpu = GPUSpec()
-        assert gpu.persistent_dispatch_seconds < gpu.kernel_launch_seconds
+        gpu = PlatformSpec().gpu
+        assert gpu.persistent_dispatch_seconds < gpu.launch_seconds
 
 
 class TestPCIeSpec:
+    """The GPU's PCIe link: the default LinkSpec."""
+
     def test_zero_bytes_free(self):
-        assert PCIeSpec().transfer_seconds(0) == 0.0
+        assert PlatformSpec().gpu.link.transfer_seconds(0) == 0.0
 
     def test_latency_floor(self):
-        pcie = PCIeSpec()
+        pcie = PlatformSpec().gpu.link
         assert pcie.transfer_seconds(1) >= pcie.latency_seconds
 
     def test_bandwidth_term(self):
-        pcie = PCIeSpec()
+        pcie = PlatformSpec().gpu.link
         small = pcie.transfer_seconds(1_000)
         large = pcie.transfer_seconds(1_000_000)
         assert large > small
@@ -72,5 +79,20 @@ class TestPlatformSpec:
         platform = PlatformSpec.paper_testbed()
         assert platform.sockets == 4
         assert platform.gpus == 2
-        assert platform.gpu.cuda_cores == 3072
         assert platform.gpu.memory_bandwidth_bps == pytest.approx(336.5e9)
+
+
+class TestImpossiblePlatforms:
+    @pytest.mark.parametrize("overrides,field", [
+        ({"sockets": 0}, "sockets"),
+        ({"sockets": -2}, "sockets"),
+        ({"cpu": CPUSpec(cores=0)}, "cpu.cores"),
+        ({"gpus": -1}, "gpus"),
+        ({"gpu": DeviceSpec(device_id="gpu", kind="gpu")}, "gpu"),
+    ], ids=["no-sockets", "negative-sockets", "no-cores",
+            "negative-gpus", "gpu-without-link"])
+    def test_rejected_at_construction(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            PlatformSpec(**overrides)
+        with pytest.raises(ValueError, match=field):
+            replace(PlatformSpec.small(), **overrides)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -113,6 +115,52 @@ class TestRun:
         assert excinfo.value.code == 0
         from repro import __version__
         assert f"repro {__version__}" in capsys.readouterr().out
+
+
+class TestPlatformShow:
+    SMALL = """\
+platform: 1 socket(s) x 6 cores, 1 GPU(s), 0 extra device(s)
+cpu0 kind=cpu host
+cpu1 kind=cpu host
+cpu2 kind=cpu host
+cpu3 kind=cpu host
+cpu4 kind=cpu host
+cpu5 kind=cpu host
+gpu0 kind=gpu launch=6.0us/1.2us speedup=10+5log2(1+I) half_batch=128 \
+link=pcie@12.0GB/s
+"""
+    #: sha256 of the Table I inventory (24 cores, 2 GPUs) and of the
+    #: same plus a SmartNIC and every registered kind's defaults.
+    DIGESTS = {
+        ():
+            "a7901128a7dec08b0fa72f01494bdd100349547b9ac58fd258bff9d27b36af35",
+        ("--smartnic", "--kinds"):
+            "a430ddf7f6e086b72a9c7de7ac984a9522e98f10126dc9490fcc8f5d60acf9b2",
+    }
+
+    def test_small_platform(self, capsys):
+        assert main(["platform", "show", "--sockets", "1",
+                     "--gpus", "1"]) == 0
+        assert capsys.readouterr().out == self.SMALL
+
+    @pytest.mark.parametrize("flags", sorted(DIGESTS))
+    def test_output_unchanged(self, flags, capsys):
+        assert main(["platform", "show", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.DIGESTS[flags]
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--sockets", "-2", "sockets"),
+        ("--sockets", "0", "sockets"),
+        ("--gpus", "-1", "gpus"),
+    ])
+    def test_impossible_platform_rejected(self, flag, value, field,
+                                          capsys):
+        assert main(["platform", "show", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid platform: {field}")
 
 
 class TestTrace:
