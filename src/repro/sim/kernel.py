@@ -4,9 +4,12 @@ This module is the scheduling core of the batch-level simulator.  It
 splits the old monolithic engine loop into two long-lived objects:
 
 - :class:`ResourceTimeline` — serially reusable resources (CPU cores,
-  GPUs, PCIe DMA lanes) with gap-filling FCFS scheduling.  Busy time
-  is kept per resource as sorted slots in index blocks of B slots,
-  each with an upper bound on the idle gaps inside it.  A placement
+  GPUs, PCIe DMA lanes) with gap-filling FCFS scheduling.  Each
+  resource is a :class:`_Lane` that owns its state: busy time as
+  sorted slots in index blocks of B slots, each with an upper bound
+  on the idle gaps inside it, and the accounting of its tasks (busy
+  and queue-wait seconds, task count, wait spans).  One call to the
+  lane's ``schedule`` places a task and accounts for it.  A placement
   bisects to the block holding its ready time, walks that block, and
   skips every later block whose bound cannot fit the duration:
   O(B + n/B) per gap fill and O(1) per tail append, where the legacy
@@ -51,15 +54,18 @@ are re-derived from the inputs that did arrive, through the same step
 builder, once per set of cut nodes in a run.  Each run prices every
 distinct service (node, device or host, rounded packet count,
 re-queue or not) once, in a per-run table; see :class:`_PriceTable`.
+The steps hold the lanes of the run's timeline they schedule on, so a
+task costs one lane call and no lookup by resource name.
 
 The parity contract is the schedule-call order: a batch makes the same
-:meth:`ResourceTimeline.schedule` calls, with the same arguments and
-in the same order, as a walk that carries it from node to node (the
-frozen oracle in ``tests/legacy_engine.py`` is one), and every float
-the run accumulates (overheads, drops, deliveries) is added in the
-same order.  So every report, ledger,
-:class:`~repro.sim.tracing.EventRecorder` event and timeline is
-bit-identical to that walk's.
+lane ``schedule`` calls, on the same resources, with the same
+arguments and in the same order, as a walk that carries it from node
+to node and calls :meth:`ResourceTimeline.schedule` (the frozen oracle
+in ``tests/legacy_engine.py`` is one), and every float the run
+accumulates (overheads, drops, deliveries) is added in the same order.
+So every report, ledger, :class:`~repro.sim.tracing.EventRecorder`
+event and timeline is bit-identical to that walk's, down to the order
+of the per-resource maps (first task, or first wait, per resource).
 
 A run is a function of its inputs: what it mutates is built for it,
 and the controller state it ends in leaves on the report's
@@ -71,9 +77,11 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right, insort
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
+from math import isfinite
 from operator import sub
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.elements.offload import OffloadableElement
 from repro.hw.costs import BatchStats
@@ -111,25 +119,8 @@ _BLOCK = 64
 _GAP_SLACK = 2.0 ** -40
 
 
-def _walk(starts: List[float], ends: List[float], index: int,
-          start: float, duration: float) -> Tuple[int, float]:
-    """The legacy linear scan over one block, from slot ``index``.
-
-    Returns the first slot the task fits in front of (``len(starts)``
-    when none does) and the start time carried to it.
-    """
-    count = len(starts)
-    while index < count:
-        if starts[index] >= start + duration:
-            break
-        if ends[index] > start:
-            start = ends[index]
-        index += 1
-    return index, start
-
-
 class _Lane:
-    """One resource's committed busy slots, in sorted index blocks.
+    """One resource: its committed busy slots and its accounting.
 
     The slots are non-overlapping (possibly abutting) half-open
     intervals sorted by start, kept as consecutive blocks of parallel
@@ -153,90 +144,144 @@ class _Lane:
     shrinks gaps, so bounds are never recomputed on insert; a walk
     that crosses a whole block without a fit tightens that block's
     bound to its exact largest gap.
+
+    The lane also accounts for its tasks: ``busy`` seconds,
+    ``queue_wait`` (``start - ready`` summed), the ``tasks`` count and,
+    for every task that waited, its span ``[ready, start)`` as one
+    entry of ``wait_readies`` and one of ``wait_starts``.  Under a
+    ``queue_limit`` both lists are kept sorted, so the waiting depth
+    at *t* is ``count(ready <= t) - count(start <= t)``, two bisects;
+    otherwise they are appended in schedule order.  :meth:`schedule`
+    places a task and accounts for it in one call.
+
+    The first time the lane gets a task, and the first time a task
+    waits on it, it appends its name to the timeline's ``used`` and
+    ``waited`` lists: the timeline's per-resource maps follow those
+    orders.  The lane holds those two lists, never the timeline, so a
+    run's timeline is freed by reference counting, not left for the
+    cyclic collector.
     """
 
-    __slots__ = ("starts", "ends", "last_ends", "gaps")
+    __slots__ = ("name", "limit", "starts", "ends", "last_ends", "gaps",
+                 "busy", "queue_wait", "tasks", "wait_readies",
+                 "wait_starts", "_used", "_waited")
 
-    def __init__(self):
+    def __init__(self, name: str, limit: Optional[int], used: List[str],
+                 waited: List[str]):
+        self.name = name
+        self.limit = limit
         self.starts: List[List[float]] = []
         self.ends: List[List[float]] = []
         self.last_ends: List[float] = []
         self.gaps: List[float] = []
+        self.busy = 0.0
+        self.queue_wait = 0.0
+        self.tasks = 0
+        self.wait_readies: List[float] = []
+        self.wait_starts: List[float] = []
+        self._used = used
+        self._waited = waited
 
-    def place(self, ready: float, duration: float) -> Tuple[float, float]:
-        """Commit the earliest fitting slot at or after ``ready``."""
+    def schedule(self, ready: float, duration: float) -> Tuple[float, float]:
+        """Commit the earliest fitting slot at or after ``ready`` and
+        account for the task; returns ``(start, end)``."""
+        if not duration >= 0.0:
+            raise ValueError("duration must be non-negative")
         last_ends = self.last_ends
-        # Tail fast path: work arriving after all committed slots.
-        if not last_ends or ready >= last_ends[-1]:
-            end = ready + duration
-            if duration > 0:
-                self._append(ready, end)
-            return ready, end
-        # The block holding the first slot that ends after the ready
-        # time; earlier slots cannot constrain the placement.
-        block = bisect_right(last_ends, ready)
-        starts = self.starts[block]
-        ends = self.ends[block]
-        index, start = _walk(starts, ends, bisect_right(ends, ready),
-                             ready, duration)
-        if index < len(starts):
-            return self._insert(block, index, start, duration)
-        # Every later block is entered at the previous block's last
-        # end.  A block whose gap bound cannot fit the duration is
-        # skipped: the walk would only carry ``start`` to its last end.
-        gaps = self.gaps
-        floor = duration - (last_ends[-1] + duration) * _GAP_SLACK
-        for block in range(block + 1, len(last_ends)):
-            if gaps[block] < floor:
-                continue
+        start = ready
+        # The block the slot goes into; None: after every committed
+        # slot.
+        block = None
+        if last_ends and ready < last_ends[-1]:
+            # The block holding the first slot that ends after the
+            # ready time; earlier slots cannot constrain the placement.
+            block = bisect_right(last_ends, ready)
             starts = self.starts[block]
             ends = self.ends[block]
-            entry = last_ends[block - 1]
-            index, start = _walk(starts, ends, 0, entry, duration)
-            if index < len(starts):
-                return self._insert(block, index, start, duration)
-            gaps[block] = max(map(sub, starts, chain((entry,), ends)))
-        start = last_ends[-1]
+            index = bisect_right(ends, ready)
+            count = len(starts)
+            # The legacy linear scan, from that slot on.
+            while index < count:
+                if starts[index] >= start + duration:
+                    break
+                if ends[index] > start:
+                    start = ends[index]
+                index += 1
+            else:
+                # Every later block is entered at the previous block's
+                # last end.  A block whose gap bound cannot fit the
+                # duration is skipped: the scan would only carry
+                # ``start`` to its last end.
+                gaps = self.gaps
+                floor = duration - (last_ends[-1] + duration) * _GAP_SLACK
+                for block in range(block + 1, len(last_ends)):
+                    if gaps[block] < floor:
+                        continue
+                    starts = self.starts[block]
+                    ends = self.ends[block]
+                    start = entry = last_ends[block - 1]
+                    index = 0
+                    count = len(starts)
+                    while index < count:
+                        if starts[index] >= start + duration:
+                            break
+                        if ends[index] > start:
+                            start = ends[index]
+                        index += 1
+                    else:
+                        gaps[block] = max(map(sub, starts,
+                                              chain((entry,), ends)))
+                        continue
+                    break
+                else:
+                    start = last_ends[-1]
+                    block = None
         end = start + duration
         if duration > 0:
-            self._append(start, end)
-        return start, end
-
-    def _append(self, start: float, end: float) -> None:
-        """Commit a slot after every committed slot."""
-        last_ends = self.last_ends
-        if not last_ends:
-            self.starts.append([start])
-            self.ends.append([end])
-            last_ends.append(end)
-            self.gaps.append(0.0)
-            return
-        block = len(last_ends) - 1
-        gap = start - last_ends[block]
-        if gap > self.gaps[block]:
-            self.gaps[block] = gap
-        starts = self.starts[block]
-        starts.append(start)
-        self.ends[block].append(end)
-        last_ends[block] = end
-        if len(starts) >= 2 * _BLOCK:
-            self._split(block)
-
-    def _insert(self, block: int, index: int, start: float,
-                duration: float) -> Tuple[float, float]:
-        """Commit a slot in front of slot ``index`` of ``block``."""
-        end = start + duration
-        if duration > 0:
-            starts = self.starts[block]
-            if block == 0 and index == 0:
-                # The first slot had no gap in front of it; now it has.
-                gap = starts[0] - end
-                if gap > self.gaps[0]:
-                    self.gaps[0] = gap
-            starts.insert(index, start)
-            self.ends[block].insert(index, end)
-            if len(starts) >= 2 * _BLOCK:
-                self._split(block)
+            if block is not None:
+                # In front of slot ``index`` of ``block``.
+                if block == 0 and index == 0:
+                    # The first slot had no gap in front of it; now it
+                    # has.
+                    gap = starts[0] - end
+                    if gap > self.gaps[0]:
+                        self.gaps[0] = gap
+                starts.insert(index, start)
+                ends.insert(index, end)
+                if len(starts) >= 2 * _BLOCK:
+                    self._split(block)
+            elif last_ends:
+                block = len(last_ends) - 1
+                gap = start - last_ends[block]
+                if gap > self.gaps[block]:
+                    self.gaps[block] = gap
+                starts = self.starts[block]
+                starts.append(start)
+                self.ends[block].append(end)
+                last_ends[block] = end
+                if len(starts) >= 2 * _BLOCK:
+                    self._split(block)
+            else:
+                self.starts.append([start])
+                self.ends.append([end])
+                last_ends.append(end)
+                self.gaps.append(0.0)
+        self.busy += duration
+        self.queue_wait += start - ready
+        tasks = self.tasks
+        if not tasks:
+            self._used.append(self.name)
+        self.tasks = tasks + 1
+        if start > ready:
+            readies = self.wait_readies
+            if not readies:
+                self._waited.append(self.name)
+            if self.limit is None:
+                readies.append(ready)
+                self.wait_starts.append(start)
+            else:
+                insort(readies, ready)
+                insort(self.wait_starts, start)
         return start, end
 
     def _split(self, block: int) -> None:
@@ -256,124 +301,146 @@ class _Lane:
         return [slot for starts, ends in zip(self.starts, self.ends)
                 for slot in zip(starts, ends)]
 
+    def waiting_depth(self, t: float) -> int:
+        """Tasks waiting (ready but not started) at ``t``."""
+        readies = self.wait_readies
+        starts = self.wait_starts
+        if self.limit is None:
+            return sum(1 for ready, start in zip(readies, starts)
+                       if ready <= t < start)
+        return bisect_right(readies, t) - bisect_right(starts, t)
+
+    def would_overflow(self, t: float) -> bool:
+        """True when one more waiter at ``t`` would exceed the limit."""
+        limit = self.limit
+        return limit is not None and (
+            bisect_right(self.wait_readies, t)
+            - bisect_right(self.wait_starts, t) >= limit)
+
+    def max_queue_depth(self) -> int:
+        """Peak number of simultaneously waiting tasks (0 if none).
+
+        The depth just after the k-th smallest ready time r is k minus
+        the waits started at or before r; a start at r ends its wait
+        before a wait from r begins, so back-to-back waits do not
+        overlap.
+        """
+        readies = sorted(self.wait_readies)
+        started = map(bisect_right, repeat(sorted(self.wait_starts)), readies)
+        return max(map(sub, range(1, len(readies) + 1), started), default=0)
+
 
 class ResourceTimeline:
     """Serially reusable resources with gap-filling scheduling.
 
-    Each resource keeps its committed busy intervals; a new task is
-    placed in the earliest gap (at or after its ready time) that fits.
-    Without gap filling, the batch-major simulation order would create
-    a head-of-line artifact: batch *i+1*'s first element could never
-    use the idle time a core has while batch *i* is away on the GPU,
-    and every pipeline would serialize at its round-trip time instead
-    of its bottleneck stage.
+    Each resource is a :class:`_Lane` that keeps its committed busy
+    intervals; a new task is placed in the earliest gap (at or after
+    its ready time) that fits.  Without gap filling, the batch-major
+    simulation order would create a head-of-line artifact: batch
+    *i+1*'s first element could never use the idle time a core has
+    while batch *i* is away on the GPU, and every pipeline would
+    serialize at its round-trip time instead of its bottleneck stage.
 
-    Besides the busy-time totals the legacy scheduler kept, the
-    timeline accumulates per-resource queueing delay (``start -
-    ready`` per task) and task counts, which feed the bottleneck
-    fields of :class:`~repro.sim.metrics.ThroughputLatencyReport`.
+    Each lane also accounts for its own tasks: busy seconds, queueing
+    delay (``start - ready`` per task), task count and wait spans.
+    The timeline exposes them as read-only maps (:attr:`busy`,
+    :attr:`queue_wait`, :attr:`task_counts`) over the resources that
+    have tasks, in the order each got its first task, and they feed
+    the bottleneck fields of
+    :class:`~repro.sim.metrics.ThroughputLatencyReport`.  The kernel's
+    compiled steps hold their lanes (:meth:`lane`) and call
+    :meth:`_Lane.schedule` directly; :meth:`schedule` is the same
+    call by resource name, which first rejects a ready time or
+    duration that is not finite.
 
     An optional ``queue_limit`` bounds how many tasks may be *waiting*
     (ready but not started) on one resource at once.  The timeline
     itself never rejects work — scheduling semantics and placements
     are byte-identical whatever the limit — it only answers
     :meth:`would_overflow` so the simulation loop can apply its drop
-    policy before committing a batch.  With ``queue_limit=None``
-    (default) the occupancy index is never built and the schedule path
-    is unchanged.
+    policy before committing a batch.  Only under a limit do the
+    lanes keep their wait spans sorted for O(log n) depth queries.
     """
 
-    __slots__ = ("_lanes", "busy", "queue_wait", "task_counts", "_waits",
-                 "queue_limit", "_pending_ready", "_pending_start")
+    __slots__ = ("queue_limit", "_lanes", "_used", "_waited")
 
     def __init__(self, queue_limit: Optional[int] = None):
         if queue_limit is not None and queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self.queue_limit = queue_limit
         self._lanes: Dict[str, _Lane] = {}
-        self.busy: Dict[str, float] = {}
-        self.queue_wait: Dict[str, float] = {}
-        self.task_counts: Dict[str, int] = {}
-        # Per-resource (ready, start) spans of tasks that had to wait;
-        # zero-wait tasks are not recorded, so the common uncongested
-        # path stays allocation-free.
-        self._waits: Dict[str, List[Tuple[float, float]]] = {}
-        # Sorted wait-span endpoints for queue_limit occupancy
-        # queries: a task waits over the half-open span
-        # [ready, start), so the depth at t is
-        # count(ready <= t) - count(start <= t) — two bisects instead
-        # of a scan, which matters because under sustained overload
-        # the live backlog grows with the run.  Kept separate from
-        # _waits, whose full history feeds max_queue_depths.
-        self._pending_ready: Dict[str, List[float]] = {}
-        self._pending_start: Dict[str, List[float]] = {}
+        # Resource names in the order each got its first task and its
+        # first waiting task; the lanes append to them.
+        self._used: List[str] = []
+        self._waited: List[str] = []
+
+    def lane(self, resource: str) -> _Lane:
+        """The lane of ``resource``, made on first use."""
+        lane = self._lanes.get(resource)
+        if lane is None:
+            lane = self._lanes[resource] = _Lane(
+                resource, self.queue_limit, self._used, self._waited)
+        return lane
 
     def schedule(self, resource: str, ready: float,
                  duration: float) -> Tuple[float, float]:
         """Occupy ``resource`` for ``duration``; returns (start, end)."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        lane = self._lanes.get(resource)
-        if lane is None:
-            lane = self._lanes[resource] = _Lane()
-        start, end = lane.place(ready, duration)
-        self.busy[resource] = self.busy.get(resource, 0.0) + duration
-        self.queue_wait[resource] = (
-            self.queue_wait.get(resource, 0.0) + (start - ready)
-        )
-        self.task_counts[resource] = self.task_counts.get(resource, 0) + 1
-        if start > ready:
-            self._waits.setdefault(resource, []).append((ready, start))
-            if self.queue_limit is not None:
-                insort(self._pending_ready.setdefault(resource, []),
-                       ready)
-                insort(self._pending_start.setdefault(resource, []),
-                       start)
-        return start, end
+        if not isfinite(ready):
+            raise ValueError(f"ready time must be finite, got {ready!r}")
+        if not isfinite(duration):
+            raise ValueError(f"duration must be finite, got {duration!r}")
+        return self.lane(resource).schedule(ready, duration)
+
+    def _view(self, field: str) -> Mapping:
+        lanes = self._lanes
+        return MappingProxyType({resource: getattr(lanes[resource], field)
+                                 for resource in self._used})
+
+    @property
+    def busy(self) -> Mapping[str, float]:
+        """Busy seconds per resource, in first-task order."""
+        return self._view("busy")
+
+    @property
+    def queue_wait(self) -> Mapping[str, float]:
+        """Summed ``start - ready`` per resource, in first-task order."""
+        return self._view("queue_wait")
+
+    @property
+    def task_counts(self) -> Mapping[str, int]:
+        """Scheduled tasks per resource, in first-task order."""
+        return self._view("tasks")
 
     def waiting_depth(self, resource: str, t: float) -> int:
         """Tasks waiting (ready but not started) on ``resource`` at
-        ``t``.  Only meaningful with a ``queue_limit`` (the occupancy
-        index is not maintained otherwise)."""
-        readies = self._pending_ready.get(resource)
-        if not readies:
-            return 0
-        starts = self._pending_start[resource]
-        return bisect_right(readies, t) - bisect_right(starts, t)
+        ``t``: two bisects under a ``queue_limit``, a scan of the wait
+        spans otherwise."""
+        lane = self._lanes.get(resource)
+        return 0 if lane is None else lane.waiting_depth(t)
 
     def would_overflow(self, resource: str, t: float) -> bool:
         """True when admitting one more waiter at ``t`` would exceed
         the ``queue_limit``."""
-        return (self.queue_limit is not None
-                and self.waiting_depth(resource, t) >= self.queue_limit)
+        lane = self._lanes.get(resource)
+        return lane is not None and lane.would_overflow(t)
 
     def max_queue_depths(self) -> Dict[str, int]:
         """Peak number of simultaneously waiting tasks per resource.
 
         A task waits over ``[ready, start)``; the depth of a resource
-        at time *t* is how many such half-open spans cover *t*.
-        Computed by a sweep over span endpoints (ends sort before
-        starts at ties, so back-to-back waits do not overlap).
-        Resources that never queued are omitted.
+        at time *t* is how many such half-open spans cover *t*, so
+        back-to-back waits do not overlap.  Each peak comes from the
+        lane's sorted ready and start times.  Resources that never
+        queued are omitted; the others come in the order each first
+        had a task wait.
         """
-        depths: Dict[str, int] = {}
-        for resource, spans in self._waits.items():
-            events = []
-            for ready, start in spans:
-                events.append((ready, 1))
-                events.append((start, -1))
-            events.sort()
-            depth = 0
-            peak = 0
-            for _time, delta in events:
-                depth += delta
-                if depth > peak:
-                    peak = depth
-            depths[resource] = peak
-        return depths
+        lanes = self._lanes
+        return {resource: lanes[resource].max_queue_depth()
+                for resource in self._waited}
 
     def resources(self) -> List[str]:
-        return sorted(self._lanes)
+        """The resources that have tasks, sorted."""
+        return sorted(self._used)
 
     def intervals(self, resource: str) -> List[Tuple[float, float]]:
         """Committed busy slots (sorted, non-overlapping, may abut)."""
@@ -760,14 +827,15 @@ def _crosses_out_of_device(deployment: Deployment, node_id: str,
 class _StepLeg:
     """One offload leg of a :class:`_Step`: the packets it carries and
     their priced Fig. 4 timing (H2D and D2H already zero where the
-    node skips that crossing), plus the host price of re-queueing
-    them."""
+    node skips that crossing), the host price of re-queueing them, and
+    the lanes of its H2D link, device and D2H link."""
 
     __slots__ = ("leg", "packets", "h2d", "launch", "kernel", "d2h",
-                 "window", "requeue")
+                 "window", "requeue", "h2d_lane", "device_lane",
+                 "d2h_lane")
 
     def __init__(self, leg: _OffloadLeg, packets: float, timing,
-                 requeue: float):
+                 requeue: float, timeline: ResourceTimeline):
         self.leg = leg
         self.packets = packets
         self.h2d = timing.h2d if leg.pays_h2d else 0.0
@@ -778,6 +846,9 @@ class _StepLeg:
         #: (queueing ignored).
         self.window = self.h2d + self.launch + self.kernel + self.d2h
         self.requeue = requeue
+        self.h2d_lane = timeline.lane(leg.h2d_resource)
+        self.device_lane = timeline.lane(leg.device_id)
+        self.d2h_lane = timeline.lane(leg.d2h_resource)
 
 
 class _Step:
@@ -792,24 +863,30 @@ class _Step:
     ``legs``, ``partial_merge``, ``reassembly`` and the fan-out's
     ``split`` or ``duplicate``; ``None`` means no task is scheduled.
     ``bounded`` marks a node whose bounded queue is checked before the
-    batch enters it.
+    batch enters it.  The step holds the lanes it schedules on: the
+    node's host core (``host_lane``) and the core that merges, splits
+    and duplicates (``merge_lane``); each leg holds its own.
     """
 
-    __slots__ = ("plan", "inputs", "packets", "bounded", "merge", "host",
-                 "legs", "partial_merge", "reassembly", "dropped",
-                 "survivors", "delivers", "split", "duplicate")
+    __slots__ = ("plan", "inputs", "packets", "bounded", "host_lane",
+                 "merge_lane", "merge", "host", "legs", "partial_merge",
+                 "reassembly", "dropped", "survivors", "delivers", "split",
+                 "duplicate")
 
     def __init__(self, program: "_BatchProgram", plan: _NodePlan,
                  feed: List[Tuple[int, float]], packets: float,
                  fractions: Dict[int, float]):
         prices = program.prices
         cost = prices.cost
+        timeline = program.timeline
         count = max(1, round(packets))
         self.plan = plan
         self.inputs = tuple(dict.fromkeys(index for index, _ in feed))
         self.packets = packets
         self.bounded = (program.bounded
                         and plan.node_id not in program.session.source_set)
+        self.host_lane = timeline.lane(plan.host_resource)
+        self.merge_lane = timeline.lane(plan.merge_resource)
         self.merge = cost.merge_seconds(count) if len(feed) > 1 else None
         host_packets = packets * plan.host_share
         self.host = (prices.host(plan, host_packets)
@@ -820,7 +897,8 @@ class _Step:
             if leg_packets > _EPSILON_PACKETS:
                 legs.append(_StepLeg(leg, leg_packets,
                                      prices.device(plan, leg, leg_packets),
-                                     prices.requeue(plan, leg_packets)))
+                                     prices.requeue(plan, leg_packets),
+                                     timeline))
         self.legs = tuple(legs)
         # Split service re-merges the parts in order (the
         # GPUCompletionQueue pattern).
@@ -852,8 +930,9 @@ class _BatchProgram:
     node; only ready times differ.  So a run resolves, once, which
     steps each node's input comes from, the packets it services,
     drops and passes on, and the price of every task it schedules
-    (:class:`_Step`).  Each batch then walks :attr:`steps` with one
-    list of completion times, making the same schedule calls, with the
+    (:class:`_Step`), and the lanes of the run's timeline each step
+    schedules on.  Each batch then walks :attr:`steps` with one list
+    of completion times, making the same lane schedule calls, with the
     same arguments and in the same order, as a walk that carried the
     batch from node to node.
 
@@ -865,15 +944,16 @@ class _BatchProgram:
     (:class:`_Step`), once per set of cut nodes in a run.
     """
 
-    __slots__ = ("session", "profile", "prices", "batch_size",
+    __slots__ = ("session", "profile", "prices", "timeline", "batch_size",
                  "mean_bytes", "bounded", "steps", "delivered", "_below")
 
     def __init__(self, session: "SimulationSession", profile,
-                 prices: _PriceTable, batch_size: int, mean_bytes: float,
-                 bounded: bool):
+                 prices: _PriceTable, timeline: ResourceTimeline,
+                 batch_size: int, mean_bytes: float, bounded: bool):
         self.session = session
         self.profile = profile
         self.prices = prices
+        self.timeline = timeline
         self.batch_size = batch_size
         self.mean_bytes = mean_bytes
         self.bounded = bounded
@@ -1106,8 +1186,9 @@ class SimulationSession:
                              gpu_corun_kernels,
                              self.deployment.persistent_kernel,
                              requeue_penalty)
-        program = _BatchProgram(self, branch_profile, prices, batch_size,
-                                mean_bytes, bounded=state is not None
+        program = _BatchProgram(self, branch_profile, prices, timeline,
+                                batch_size, mean_bytes,
+                                bounded=state is not None
                                 and state.queue_limit is not None)
         # The arrival clock is pluggable (repro.traffic.arrivals); the
         # default ConstantRate reproduces the historical uniform
@@ -1124,8 +1205,6 @@ class SimulationSession:
         last_completion = 0.0
         batch_packets = float(batch_size) * len(self.source_nodes)
         offered_packets = batch_packets * batch_count
-        schedule = timeline.schedule
-        would_overflow = timeline.would_overflow
 
         for batch_index in range(batch_count):
             arrival = arrival_times[batch_index]
@@ -1176,63 +1255,62 @@ class SimulationSession:
                     inputs = step.inputs
                     ready = (done[inputs[0]] if len(inputs) == 1
                              else max(map(done.__getitem__, inputs)))
-                    plan = step.plan
-                    if step.bounded and would_overflow(plan.host_resource,
-                                                       ready):
+                    if (step.bounded
+                            and step.host_lane.would_overflow(ready)):
                         # Interior bounded queue overflowed: the batch
                         # is dropped here tail-wise whatever the
                         # ingress policy (there is no per-resource
                         # arrival order to re-sequence mid-pipeline).
-                        state.note_queue_drop(plan.host_resource,
+                        state.note_queue_drop(step.plan.host_resource,
                                               step.packets)
                         break
                     merge = step.merge
                     if merge is not None:
-                        _start, ready = schedule(plan.merge_resource, ready,
-                                                 merge)
+                        _start, ready = step.merge_lane.schedule(ready,
+                                                                 merge)
                         overheads.batch_merge += merge
                     completion = ready
                     host = step.host
                     if host is not None:
-                        _start, completion = schedule(plan.host_resource,
-                                                      ready, host)
+                        _start, completion = step.host_lane.schedule(ready,
+                                                                     host)
                         overheads.cpu_compute += host
                     for leg in step.legs:
                         leg_end = self._offload_step(
-                            plan, leg, ready, timeline, overheads, faults,
-                            state, tally, recorder, batch_index)
+                            step, leg, ready, overheads, faults, state,
+                            tally, recorder, batch_index)
                         if leg_end > completion:
                             completion = leg_end
                     partial_merge = step.partial_merge
                     if partial_merge is not None:
-                        _start, completion = schedule(
-                            plan.merge_resource, completion, partial_merge)
+                        _start, completion = step.merge_lane.schedule(
+                            completion, partial_merge)
                         overheads.batch_merge += partial_merge
                     reassembly = step.reassembly
                     if reassembly is not None:
-                        _start, completion = schedule(plan.merge_resource,
-                                                      completion, reassembly)
+                        _start, completion = step.merge_lane.schedule(
+                            completion, reassembly)
                         overheads.reassembly += reassembly
                     if recorder is not None:
-                        recorder.record_node(batch_index, plan.node_id, ready,
-                                             completion, step.packets)
+                        recorder.record_node(batch_index, step.plan.node_id,
+                                             ready, completion, step.packets)
                     dropped_packets += step.dropped
                     if step.delivers and completion > batch_completion:
                         batch_completion = completion
                     split = step.split
                     if split is not None:
-                        _start, completion = schedule(plan.merge_resource,
-                                                      completion, split)
+                        _start, completion = step.merge_lane.schedule(
+                            completion, split)
                         overheads.batch_split += split
                     duplicate = step.duplicate
                     if duplicate is not None:
-                        _start, completion = schedule(plan.merge_resource,
-                                                      completion, duplicate)
+                        _start, completion = step.merge_lane.schedule(
+                            completion, duplicate)
                         overheads.duplication += duplicate
                     done.append(completion)
                 else:
                     break
-                cut = cut | {plan.node_id}
+                cut = cut | {step.plan.node_id}
                 done.append(None)
                 steps, batch_delivered = program.below(cut, len(done) - 1)
 
@@ -1331,12 +1409,11 @@ class SimulationSession:
     # ------------------------------------------------------------------
     # Offload dispatch
     # ------------------------------------------------------------------
-    def _offload_step(self, plan: _NodePlan, leg: _StepLeg, ready: float,
-                      timeline: ResourceTimeline,
+    def _offload_step(self, step: _Step, leg: _StepLeg, ready: float,
                       overheads: OverheadBreakdown,
                       faults, state: Optional[_OverloadState],
                       tally: _Tally, recorder, batch_index: int) -> float:
-        """Dispatch one batch share to an offload leg.
+        """Dispatch one batch share to an offload leg of ``step``.
 
         A dispatch fails when its estimated window (H2D, launch,
         kernel, D2H, queueing ignored) intersects a crash, or when a
@@ -1395,11 +1472,10 @@ class SimulationSession:
                 attempt += 1
             if cause is not None:
                 completion = self._requeue_step(
-                    plan, clock, leg, timeline, overheads,
-                    tally.requeues[cause],
+                    step, clock, leg, overheads, tally.requeues[cause],
                 )
                 if recorder is not None:
-                    recorder.record_requeue(batch_index, plan.node_id,
+                    recorder.record_requeue(batch_index, step.plan.node_id,
                                             device_id, cause, clock,
                                             leg.packets)
                 return completion
@@ -1416,27 +1492,24 @@ class SimulationSession:
                     kernel_service *= slow
                     tally.slowed_kernels += 1
         if h2d > 0:
-            _start, clock = timeline.schedule(leg.leg.h2d_resource, clock,
-                                              h2d)
+            _start, clock = leg.h2d_lane.schedule(clock, h2d)
             overheads.pcie_transfer += h2d
 
         kernel_time = leg.launch + kernel_service
-        _start, clock = timeline.schedule(device_id, clock, kernel_time)
+        _start, clock = leg.device_lane.schedule(clock, kernel_time)
         overheads.kernel_launch += leg.launch
         overheads.gpu_kernel += kernel_service
 
         if d2h > 0:
-            _start, clock = timeline.schedule(leg.leg.d2h_resource, clock,
-                                              d2h)
+            _start, clock = leg.d2h_lane.schedule(clock, d2h)
             overheads.pcie_transfer += d2h
         return clock
 
     @staticmethod
-    def _requeue_step(plan: _NodePlan, ready: float, leg: _StepLeg,
-                      timeline: ResourceTimeline,
+    def _requeue_step(step: _Step, ready: float, leg: _StepLeg,
                       overheads: OverheadBreakdown,
                       counts: list) -> float:
-        """Service a bypassed leg's batch share on the host core.
+        """Service a bypassed leg's batch share on ``step``'s host core.
 
         The re-queued batch pays the host service time scaled by the
         timeline's ``requeue_penalty`` (re-submission, cold caches, no
@@ -1446,8 +1519,7 @@ class SimulationSession:
         packets, host seconds]`` tally.
         """
         service = leg.requeue
-        _start, completion = timeline.schedule(plan.host_resource,
-                                               ready, service)
+        _start, completion = step.host_lane.schedule(ready, service)
         overheads.cpu_compute += service
         counts[0] += 1
         counts[1] += leg.packets
