@@ -43,7 +43,7 @@ def main() -> None:
     print(f"{'epoch':>5}  {'phase':<18}  {'drift':>6}  {'replan':>6}  "
           f"{'Gbps':>7}  {'lat ms':>7}")
     for label, spec in schedule:
-        result = runtime.run_epoch(spec, batch_count=60)
+        result = runtime.step(spec, batch_count=60)
         print(f"{result.epoch:>5}  {label:<18}  {result.drift:>6.2f}  "
               f"{'YES' if result.replanned else '-':>6}  "
               f"{result.report.throughput_gbps:>7.2f}  "

@@ -29,12 +29,7 @@ the :class:`Runtime` protocol (``step``/``plan``/``session``).
 """
 
 from repro.core.adaptation import AdaptiveRuntime
-from repro.core.compass import (
-    CompassPlan,
-    DeploymentResult,
-    NFCompass,
-    ProfileConfig,
-)
+from repro.core.compass import CompassPlan, DeploymentResult, NFCompass
 from repro.core.multi import MultiTenantScheduler
 from repro.core.orchestrator import SFCOrchestrator
 from repro.core.runtime import EpochResult, Runtime
@@ -82,7 +77,6 @@ __all__ = [
     "NF_CATALOG",
     "OverloadConfig",
     "PlatformSpec",
-    "ProfileConfig",
     "ResilientRuntime",
     "ResultCache",
     "RetryPolicy",

@@ -567,7 +567,7 @@ def _cmd_validate(args) -> int:
 
     print(f"[3/3] engine invariants: {args.engine_runs} simulated "
           f"deployments under the ValidatingRecorder")
-    from repro.core.compass import NFCompass, ProfileConfig
+    from repro.core.compass import NFCompass
     from repro.validate.invariants import InvariantViolation, \
         verify_timeline
     for index in range(args.engine_runs):
@@ -583,23 +583,22 @@ def _cmd_validate(args) -> int:
             algorithm="kl" if index % 2 == 0 else "agglomerative"
         )
         plan = compass.deploy(sfc, traffic, batch_size=args.batch)
-        # The measured branch profile tells the analytic engine how
-        # much traffic each edge and merge carries; without it, merge
-        # dedup is invisible and conservation trips falsely.
-        profile = plan.profile(
-            traffic,
-            ProfileConfig(sample_packets=256, batch_size=args.batch),
-        )
-        session = plan.session or compass.engine.session(plan.deployment)
         recorder = ValidatingRecorder(batch_size=args.batch)
         try:
-            session.run(traffic, batch_size=args.batch, batch_count=40,
-                        branch_profile=profile, recorder=recorder)
+            # The measured branch profile tells the analytic engine
+            # how much traffic each edge and merge carries; without
+            # it, merge dedup is invisible and conservation trips
+            # falsely.
+            plan.session.run(traffic, batch_size=args.batch,
+                             batch_count=40,
+                             branch_profile=plan.run_profile,
+                             recorder=recorder)
         except InvariantViolation as violation:
             failures += 1
             print(f"  {chain_spec.name}: {violation}")
         else:
-            timeline_problems = verify_timeline(session.last_timeline)
+            timeline_problems = verify_timeline(
+                plan.session.last_timeline)
             if timeline_problems:
                 failures += 1
                 for problem in timeline_problems:
@@ -625,8 +624,14 @@ def _cmd_config_run(args) -> int:
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    with open(args.path) as handle:
-        graph = parse_config(handle.read(), name=args.path)
+    try:
+        with open(args.path) as handle:
+            graph = parse_config(handle.read(), name=args.path)
+    except (OSError, ValueError) as error:
+        # A missing file, an unknown element class, a malformed hop
+        # or an invalid graph.
+        print(f"cannot load {args.path}: {error}", file=sys.stderr)
+        return 2
     print(graph.describe())
     engine = SimulationEngine()
     mapping = Mapping.all_cpu(
@@ -647,9 +652,10 @@ def _cmd_config_run(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch to the selected command."""
     args = _build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("jobs", "batch", "batches"):
+        if getattr(args, flag, 1) < 1:
+            print(f"--{flag} must be at least 1", file=sys.stderr)
+            return 2
     if args.command == "nf":
         return _cmd_nf_list()
     if args.command == "elements":

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.compass import NFCompass
-from repro.core.runtime import EpochLoop, EpochResult
+from repro.core.runtime import EpochLoop
 from repro.nf.base import ServiceFunctionChain
 from repro.sim.engine import BranchProfile
 from repro.traffic.arrivals import ArrivalProcess
@@ -100,7 +100,8 @@ class AdaptiveRuntime(EpochLoop):
     # ------------------------------------------------------------------
     def _deploy(self, spec: TrafficSpec) -> None:
         super()._deploy(spec)
-        self._descriptor = TrafficDescriptor.of(spec, self._profile)
+        self._descriptor = TrafficDescriptor.of(spec,
+                                                self.plan.race_profile)
 
     def observe_drift(self, spec: TrafficSpec) -> float:
         """Drift of ``spec`` relative to the plan's traffic."""
@@ -116,9 +117,3 @@ class AdaptiveRuntime(EpochLoop):
         if self._cooldown > 0:
             self._cooldown -= 1
         return drift, False, None
-
-    def run_epoch(self, spec: TrafficSpec,
-                  batch_count: int = 80) -> EpochResult:
-        """Process one traffic epoch, re-planning first if needed;
-        alias of :meth:`~repro.core.runtime.EpochLoop.step`."""
-        return self.step(spec, batch_count=batch_count)

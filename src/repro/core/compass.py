@@ -18,7 +18,7 @@ every stage records spans/metrics on the ambient or explicitly passed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.allocator import AllocationReport, GraphTaskAllocator
 from repro.core.orchestrator import ParallelPlan, SFCOrchestrator
@@ -36,66 +36,32 @@ from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficSpec
 
 
-@dataclass(frozen=True)
-class ProfileConfig:
-    """How to measure a :class:`~repro.sim.engine.BranchProfile`.
-
-    The single source of truth for the two sample sizes a deploy
-    uses.  :meth:`deploy_time` is the capacity race's sample;
-    :meth:`run_time` is the allocator's and the final simulation's.
-    A deploy draws the ``run_time`` sample once and takes both
-    profiles from one functional pass per candidate over its own copy
-    of it: the race profile is the pass's prefix (see
-    :meth:`NFCompass._plan_candidate`).  ``sample_packets`` wins when
-    set; otherwise the sample size is
-    ``max(min_sample_packets, batch_size * sample_batches)``.
-    """
-
-    batch_size: int = 64
-    sample_packets: Optional[int] = None
-    min_sample_packets: int = 128
-    sample_batches: int = 2
-
-    @classmethod
-    def deploy_time(cls, batch_size: int) -> "ProfileConfig":
-        """The quick profile used by the deploy-time capacity race."""
-        return cls(batch_size=batch_size)
-
-    @classmethod
-    def run_time(cls, batch_size: int) -> "ProfileConfig":
-        """The larger sample used before a full simulation run."""
-        return cls(batch_size=batch_size, min_sample_packets=256,
-                   sample_batches=4)
-
-    @property
-    def resolved_sample_packets(self) -> int:
-        if self.sample_packets is not None:
-            return self.sample_packets
-        return max(self.min_sample_packets,
-                   self.batch_size * self.sample_batches)
+def _sample_sizes(batch_size: int) -> Tuple[int, int]:
+    """A deploy's (race, run) profile sizes in packets at
+    ``batch_size``: the capacity race's, and the allocator's and the
+    final simulation's."""
+    return max(128, 2 * batch_size), max(256, 4 * batch_size)
 
 
 @dataclass
 class CompassPlan:
-    """Everything NFCompass decided for one SFC deployment."""
+    """Everything NFCompass decided for one SFC deployment, and what
+    its deploy measured to decide it."""
 
     sfc: ServiceFunctionChain
     parallel_plan: Optional[ParallelPlan]
     synthesis_report: Optional[SynthesisReport]
     allocation_report: AllocationReport
     deployment: Deployment
-    #: The simulation session built during the deploy-time capacity
-    #: race, reusable by callers that simulate the chosen plan.
-    session: Optional[SimulationSession] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Snapshots of the candidate's one profiling pass, keyed by sample
-    #: size.  Only a running :meth:`NFCompass.deploy` or
-    #: :meth:`NFCompass.run` reads them, and both empty the dict before
-    #: they return.
-    _profiles: Dict[int, BranchProfile] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    #: The session simulating ``deployment``: the capacity race, when
+    #: the deploy raced, and every later run of the plan run on it.
+    session: SimulationSession = field(repr=False, compare=False)
+    #: The deploy's profile of the plan at the race size: the capacity
+    #: race's, and the epoch runtimes' and tenants'.
+    race_profile: BranchProfile = field(repr=False, compare=False)
+    #: The deploy's profile of the plan at the run size: the
+    #: allocator's and the final simulation's.
+    run_profile: BranchProfile = field(repr=False, compare=False)
 
     @property
     def effective_length(self) -> int:
@@ -124,27 +90,6 @@ class CompassPlan:
         """Per-element offload ratios (node id -> fraction on GPU)."""
         return self.allocation_report.offload_ratios
 
-    def profile(self, spec: TrafficSpec,
-                config: Optional[ProfileConfig] = None,
-                trace=None) -> BranchProfile:
-        """Measure a branch profile for this plan's deployment.
-
-        Every call measures afresh.  Profiling runs on a clone so the
-        deployed graph's element state never carries warmed-up
-        profiling traffic into a simulated run or a golden-model
-        comparison.
-        """
-        config = config or ProfileConfig()
-        trace = resolve_trace(trace)
-        with trace.span("profile", graph=self.deployment.graph.name,
-                        sample_packets=config.resolved_sample_packets,
-                        batch_size=config.batch_size):
-            return BranchProfile.measure(
-                self.deployment.graph.clone(), spec,
-                sample_packets=config.resolved_sample_packets,
-                batch_size=config.batch_size,
-            )
-
     def describe(self) -> str:
         lines = [f"NFCompass plan for {self.sfc.name}:"]
         if self.parallel_plan is not None:
@@ -164,20 +109,22 @@ class DeploymentResult:
 
     ``report`` is the :class:`ThroughputLatencyReport` the old API
     returned bare; ``plan`` is the chosen :class:`CompassPlan`;
-    ``session`` is the reusable
-    :class:`~repro.sim.kernel.SimulationSession` for follow-up runs;
     ``trace`` is the :class:`~repro.obs.Trace` that observed the
     pipeline (the shared null trace when tracing was off).
     """
 
     plan: CompassPlan
     report: ThroughputLatencyReport
-    session: SimulationSession
     trace: Trace = NULL_TRACE
 
     @property
     def deployment(self) -> Deployment:
         return self.plan.deployment
+
+    @property
+    def session(self) -> SimulationSession:
+        """The plan's reusable session, for follow-up runs."""
+        return self.plan.session
 
     def summary(self) -> str:
         """The report's one-line summary (stable across the redesign)."""
@@ -250,36 +197,31 @@ class NFCompass:
                         batch_size: int,
                         parallelize: bool,
                         max_width: Optional[int],
-                        trace=None,
-                        sample_sizes: Sequence[int] = ()) -> CompassPlan:
+                        trace) -> CompassPlan:
         """Build, profile and allocate one candidate structure.
 
-        One functional pass on a clone of the candidate's graph serves
-        every profile the deploy needs.  It runs copies of ``sample``,
-        the deploy's ``run_time`` sample, whose profile the allocator
-        takes, and snapshots the counters at each size in
-        ``sample_sizes`` on the way.  The snapshots land in the plan's
-        ``_profiles``.
+        One functional pass on a clone of the candidate's graph, over
+        its own copies of ``sample`` (the deploy's run-size sample),
+        takes both of the plan's profiles: the race profile is the
+        pass's prefix.  The allocator takes the run profile.
         """
-        trace = resolve_trace(trace)
         parallel_plan, synthesis_report, graph = self._reorganize(
             sfc, parallelize, max_width, trace
         )
-        full = ProfileConfig.run_time(batch_size).resolved_sample_packets
-        sizes = sorted({full, *sample_sizes})
+        race, run = _sample_sizes(batch_size)
         with trace.span("profile", graph=graph.name,
-                        sample_packets=sizes[-1], batch_size=batch_size):
+                        sample_packets=run, batch_size=batch_size):
             # NAT and IPsec rewrite packets in place: every pass runs
             # its own copies, so every candidate sees the same traffic.
             copies = [PacketBatch([packet.clone() for packet in batch],
                                   creation_time=batch.creation_time)
                       for batch in sample]
             profiles = BranchProfile.measure_prefixes(
-                graph.clone(), copies, sizes, batch_size
+                graph.clone(), copies, (race, run), batch_size
             )
         mapping, allocation_report = self.allocator.allocate(
             graph, spec, batch_size=batch_size,
-            branch_profile=profiles[full], trace=trace,
+            branch_profile=profiles[run], trace=trace,
         )
         deployment = Deployment(
             graph=graph,
@@ -287,16 +229,17 @@ class NFCompass:
             persistent_kernel=self.persistent_kernel,
             name=f"nfcompass:{sfc.name}",
         )
-        deployment.validate()
-        plan = CompassPlan(
+        return CompassPlan(
             sfc=sfc,
             parallel_plan=parallel_plan,
             synthesis_report=synthesis_report,
             allocation_report=allocation_report,
             deployment=deployment,
+            # Building the session validates the deployment.
+            session=self.engine.session(deployment),
+            race_profile=profiles[race],
+            run_profile=profiles[run],
         )
-        plan._profiles = profiles
-        return plan
 
     def deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
                batch_size: int = 64,
@@ -314,16 +257,14 @@ class NFCompass:
 
         Each candidate is profiled by one functional pass on a clone,
         over its own copy of the deploy's one drawn sample; the
-        returned plan's graph has never been run.
+        returned plan's graph has never been run.  The plan keeps what
+        its deploy measured: its session and its race and run
+        profiles.
         """
-        plan = self._deploy(sfc, spec, batch_size, max_width,
-                            resolve_trace(trace))
-        plan._profiles.clear()
-        return plan
-
-    def _deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
-                batch_size: int, max_width: Optional[int],
-                trace) -> CompassPlan:
+        if batch_size < 1:
+            raise ValueError(
+                f"batch_size must be at least 1, got {batch_size}")
+        trace = resolve_trace(trace)
         with trace.span("deploy", sfc=sfc.name,
                         batch_size=batch_size) as span:
             plan = self._choose_candidate(sfc, spec, batch_size,
@@ -337,30 +278,26 @@ class NFCompass:
                           max_width: Optional[int],
                           trace) -> CompassPlan:
         # One sample per deploy: every profile a deploy takes is a
-        # prefix of the run_time one.
+        # prefix of the run-size one.
         sample = BranchProfile.draw_sample(
-            spec, ProfileConfig.run_time(batch_size).resolved_sample_packets,
-            batch_size)
+            spec, _sample_sizes(batch_size)[1], batch_size)
         if not (self.enable_parallelization and sfc.length > 1):
             trace.count("compass.candidates_evaluated", 1)
             return self._plan_candidate(sfc, spec, sample, batch_size,
                                         parallelize=False,
                                         max_width=max_width, trace=trace)
-        race = ProfileConfig.deploy_time(batch_size).resolved_sample_packets
         candidates = [
             self._plan_candidate(sfc, spec, sample, batch_size,
                                  parallelize=parallelize,
-                                 max_width=max_width, trace=trace,
-                                 sample_sizes=(race,))
+                                 max_width=max_width, trace=trace)
             for parallelize in (False, True)
         ]
         trace.count("compass.candidates_evaluated", len(candidates))
         capacities = []
         for plan in candidates:
-            plan.session = self.engine.session(plan.deployment)
             capacity = plan.session.measure_capacity(
                 spec, batch_size=batch_size,
-                batch_count=40, branch_profile=plan._profiles[race],
+                batch_count=40, branch_profile=plan.race_profile,
                 trace=trace,
             )
             capacities.append(capacity)
@@ -384,27 +321,21 @@ class NFCompass:
         Returns a :class:`DeploymentResult`; the
         :class:`ThroughputLatencyReport` is its ``report`` field, and
         report attributes are read there, not on the result itself.
-        The simulation reuses the ``run_time`` profile the deploy
-        already took of the chosen candidate.  ``overload`` is an optional
+        The simulation runs on the plan's session with its run
+        profile.  ``overload`` is an optional
         :class:`~repro.overload.OverloadConfig` applied to the
         simulation run.
         """
         trace = resolve_trace(trace)
         with trace.span("run", sfc=sfc.name, batch_size=batch_size,
                         batch_count=batch_count):
-            plan = self._deploy(sfc, spec, batch_size, max_width, trace)
-            full = ProfileConfig.run_time(batch_size).resolved_sample_packets
-            profile = plan._profiles[full]
-            plan._profiles.clear()
-            session = plan.session or self.engine.session(plan.deployment)
-            plan.session = session
-            report = session.run(
+            plan = self.deploy(sfc, spec, batch_size, max_width, trace)
+            report = plan.session.run(
                 spec,
                 batch_size=batch_size,
                 batch_count=batch_count,
-                branch_profile=profile,
+                branch_profile=plan.run_profile,
                 trace=trace,
                 overload=overload,
             )
-        return DeploymentResult(plan=plan, report=report,
-                                session=session, trace=trace)
+        return DeploymentResult(plan=plan, report=report, trace=trace)

@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
+from repro.core.compass import CompassPlan, NFCompass
 from repro.core.runtime import EpochResult
 from repro.hw.interference import InterferenceModel
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
-from repro.sim.engine import BranchProfile
 from repro.sim.kernel import SimulationSession
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
@@ -44,10 +43,6 @@ class Tenant:
     spec: TrafficSpec
     plan: Optional[CompassPlan] = None
     cores: List[str] = field(default_factory=list)
-    profile: Optional[BranchProfile] = None
-    #: The session simulating ``plan``: every run of the tenant
-    #: reuses it.
-    session: Optional[SimulationSession] = None
 
     @property
     def nf_types(self) -> List[str]:
@@ -110,14 +105,9 @@ class MultiTenantScheduler:
                 gpus=[gpus[index % len(gpus)]] if gpus else None,
                 **self.compass_kwargs,
             )
-            plan = compass.deploy(sfc, spec, batch_size=batch_size)
             self.tenants.append(Tenant(
-                name=name, sfc=sfc, spec=spec, plan=plan, cores=cores,
-                profile=plan.profile(
-                    spec, ProfileConfig.deploy_time(batch_size)
-                ),
-                session=(plan.session
-                         or compass.engine.session(plan.deployment)),
+                name=name, sfc=sfc, spec=spec, cores=cores,
+                plan=compass.deploy(sfc, spec, batch_size=batch_size),
             ))
         return self.tenants
 
@@ -170,10 +160,10 @@ class MultiTenantScheduler:
                       if isolated else self._interference_inputs(tenant))
             spec = attach_arrivals(tenant.spec, self.arrivals,
                                    self._epochs)
-            reports[tenant.name] = report = tenant.session.run(
+            reports[tenant.name] = report = tenant.plan.session.run(
                 spec,
                 batch_size=batch_size, batch_count=batch_count,
-                branch_profile=tenant.profile,
+                branch_profile=tenant.plan.race_profile,
                 overload=self.overload,
                 **inputs,
             )
@@ -193,7 +183,7 @@ class MultiTenantScheduler:
     @property
     def session(self) -> Optional[SimulationSession]:
         """The primary tenant's simulation session."""
-        return self.tenants[0].session if self.tenants else None
+        return self.tenants[0].plan.session if self.tenants else None
 
     def step(self, spec: Optional[TrafficSpec] = None,
              batch_count: int = 80) -> EpochResult:

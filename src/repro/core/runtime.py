@@ -14,13 +14,12 @@ share one surface, the :class:`Runtime` protocol:
   :class:`~repro.sim.kernel.SimulationSession` simulating it.
 
 The two runtimes that re-plan also share one loop, :class:`EpochLoop`:
-deploy, reuse the capacity race's session, measure the deploy-time
-branch profile, and per epoch attach arrivals, simulate, thread the
-overload controllers' state (explicit, on a frozen config) into the
-next epoch and record the result.  Each runtime only decides whether
-an epoch re-plans (and, for faults, which timeline the epoch sees).
-The multi-tenant scheduler never re-plans and keeps its own loop over
-tenants.
+deploy, take the plan's session and race profile, and per epoch
+attach arrivals, simulate, thread the overload controllers' state
+(explicit, on a frozen config) into the next epoch and record the
+result.  Each runtime only decides whether an epoch re-plans (and,
+for faults, which timeline the epoch sees).  The multi-tenant
+scheduler never re-plans and keeps its own loop over tenants.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, List, Optional, Protocol, Tuple,
                     runtime_checkable)
 
-from repro.core.compass import CompassPlan, NFCompass, ProfileConfig
+from repro.core.compass import CompassPlan, NFCompass
 from repro.nf.base import ServiceFunctionChain
 from repro.obs import resolve_trace
 from repro.sim.kernel import SimulationSession
@@ -106,20 +105,16 @@ class EpochLoop:
         self._deploy(initial_spec)
 
     def _deploy(self, spec: TrafficSpec) -> None:
-        """Deploy for ``spec``, reusing the capacity race's session
-        when it built one, and measure the deploy-time profile."""
+        """Deploy for ``spec``; epochs run on the plan's session with
+        its race profile."""
         self.plan: CompassPlan = self.compass.deploy(
             self.sfc, spec, batch_size=self.batch_size, trace=self.trace
         )
-        if self.plan.session is None:
-            self.plan.session = self.compass.engine.session(
-                self.plan.deployment
-            )
-        self.session: SimulationSession = self.plan.session
-        self._profile = self.plan.profile(
-            spec, ProfileConfig.deploy_time(self.batch_size),
-            trace=self.trace,
-        )
+
+    @property
+    def session(self) -> SimulationSession:
+        """The session simulating the current plan."""
+        return self.plan.session
 
     def _begin_epoch(self, spec: TrafficSpec, batch_count: int
                      ) -> Tuple[float, bool, Optional["FaultTimeline"]]:
@@ -147,7 +142,7 @@ class EpochLoop:
         report = self.session.run(
             spec,
             batch_size=self.batch_size, batch_count=batch_count,
-            branch_profile=self._profile,
+            branch_profile=self.plan.race_profile,
             trace=self.trace,
             faults=faults,
             overload=self.overload,

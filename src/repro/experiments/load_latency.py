@@ -108,24 +108,25 @@ def _prepare(system: str, nf_types: Sequence[str], packet_size: int,
     """Deploy one system, profile it and measure its capacity.
 
     Returns (spec, profile, session, capacity_gbps); every run of the
-    point shares the session.
+    point shares the session.  NFCompass's are its plan's run profile
+    and session.
     """
     engine = common.make_engine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=40.0, seed=5)
     sfc = ServiceFunctionChain([make_nf(t) for t in nf_types])
     if system == "nfcompass":
-        compass = NFCompass(platform=engine.platform)
-        deployment = compass.deploy(sfc, spec,
-                                    batch_size=batch_size).deployment
+        plan = NFCompass(platform=engine.platform).deploy(
+            sfc, spec, batch_size=batch_size)
+        profile, session = plan.run_profile, plan.session
     else:
         baseline = FastClickBaseline(platform=engine.platform)
         deployment = baseline.deploy(sfc, spec, batch_size=batch_size)
-    profile = BranchProfile.measure(
-        deployment.graph.clone(), spec, sample_packets=256,
-        batch_size=batch_size,
-    )
-    session = engine.session(deployment)
+        profile = BranchProfile.measure(
+            deployment.graph.clone(), spec, sample_packets=256,
+            batch_size=batch_size,
+        )
+        session = engine.session(deployment)
     capacity = session.measure_capacity(
         spec, batch_size=batch_size,
         batch_count=batch_count, branch_profile=profile,

@@ -1080,7 +1080,8 @@ class SimulationSession:
             gpu_corun_kernels: int = 0,
             recorder=None, trace=None,
             faults=None, overload=None) -> ThroughputLatencyReport:
-        """Simulate ``batch_count`` batches of ``batch_size`` packets.
+        """Simulate ``batch_count`` batches of ``batch_size`` packets
+        (both at least 1).
 
         ``cpu_time_inflation``, ``co_run_pressure_bytes`` and
         ``gpu_corun_kernels`` inject co-existence interference computed
@@ -1111,6 +1112,10 @@ class SimulationSession:
         ``overload=None``, keeping the unprotected path bit-identical
         to the historical kernel.
         """
+        for name, value in (("batch_size", batch_size),
+                            ("batch_count", batch_count)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if faults is not None and faults.is_empty:
             # An empty timeline takes the exact fault-free code path,
             # keeping the schedule bit-identical to faults=None.

@@ -109,7 +109,7 @@ class TestAdaptiveRuntime:
         stale_plan = adaptive.plan
         shifted = TrafficSpec(size_law=FixedSize(1500),
                               offered_gbps=200.0, seed=6)
-        result = adaptive.run_epoch(shifted, batch_count=40)
+        result = adaptive.step(shifted, batch_count=40)
         assert result.replanned
         from repro.sim.engine import BranchProfile
         stale_profile = BranchProfile.measure(

@@ -6,6 +6,7 @@ from repro.core.compass import NFCompass
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.obs import NULL_TRACE
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -45,17 +46,30 @@ class TestDeploy:
         sample = BranchProfile.draw_sample(spec, 256, 64)
         for parallelize in (False, True):
             plan = compass._plan_candidate(sfc, spec, sample, 64,
-                                           parallelize, None)
-            profile = BranchProfile.measure(
-                plan.deployment.graph, spec, sample_packets=128,
-                batch_size=64)
-            session = compass.engine.session(plan.deployment)
-            capacities[parallelize] = session.measure_capacity(
+                                           parallelize, None, NULL_TRACE)
+            capacities[parallelize] = plan.session.measure_capacity(
                 spec, batch_size=64, batch_count=40,
-                branch_profile=profile)
+                branch_profile=plan.race_profile)
         chosen_parallel = chosen.parallel_plan is not None
         assert capacities[chosen_parallel] >= \
             0.85 * max(capacities.values())
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    @pytest.mark.parametrize("nf_types", [("firewall",),
+                                          ("firewall", "ids")])
+    def test_batch_size_below_one_rejected(self, compass, spec,
+                                           batch_size, nf_types):
+        """Unchecked, batch 0 divides by zero while drawing the
+        profiling sample and a negative batch fails deep in the
+        traffic generator: raced and single-candidate deploys reject
+        both first."""
+        sfc = ServiceFunctionChain([make_nf(t) for t in nf_types])
+        with pytest.raises(ValueError,
+                           match="batch_size must be at least 1"):
+            compass.deploy(sfc, spec, batch_size=batch_size)
+        with pytest.raises(ValueError,
+                           match="batch_size must be at least 1"):
+            compass.run(sfc, spec, batch_size=batch_size)
 
     def test_persistent_kernel_default(self, compass, spec):
         sfc = ServiceFunctionChain([make_nf("ipsec")])

@@ -12,9 +12,11 @@ import pytest
 from builders import ledgerless_fingerprint
 
 from repro.core.compass import NFCompass
+from repro.core.multi import MultiTenantScheduler
 from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
 from repro.experiments import load_latency
+from repro.faults import FaultTimeline, ResilientRuntime
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
@@ -127,12 +129,29 @@ class TestDeployedGraphIsNeverRun:
         plan = compass.deploy(non_degenerate_chain(), non_degenerate_spec())
         assert set(packets_processed(plan.graph).values()) == {0}
 
-    def test_no_profile_outlives_the_call(self):
-        compass = NFCompass()
+
+class TestPlanKeepsItsMeasurements:
+    """A plan carries the session and both profiles its deploy took;
+    each profile equals a fresh measure on a pristine clone."""
+
+    @pytest.mark.parametrize("batch_size", [32, 64, 256])
+    @pytest.mark.parametrize("parallelize", [True, False],
+                             ids=["racing", "single-candidate"])
+    def test_profiles_equal_fresh_measures(self, batch_size,
+                                           parallelize):
         spec = non_degenerate_spec()
-        assert compass.deploy(non_degenerate_chain(), spec)._profiles == {}
-        result = compass.run(non_degenerate_chain(), spec, batch_count=20)
-        assert result.plan._profiles == {}
+        compass = NFCompass(enable_parallelization=parallelize)
+        plan = compass.deploy(non_degenerate_chain(), spec,
+                              batch_size=batch_size)
+        race = max(128, 2 * batch_size)
+        run = max(256, 4 * batch_size)
+        assert plan.race_profile == BranchProfile.measure(
+            plan.graph.clone(), spec, race, batch_size)
+        assert plan.run_profile == BranchProfile.measure(
+            plan.graph.clone(), spec, run, batch_size)
+        assert plan.race_profile != plan.run_profile
+        assert plan.session.deployment is plan.deployment
+        assert set(packets_processed(plan.graph).values()) == {0}
 
 
 class TestReusedProfilesEqualFreshMeasures:
@@ -205,6 +224,29 @@ class TestOnePassPerCandidate:
             five_nf_chain(), five_nf_spec(0), batch_size=BATCH,
             batch_count=20, trace=trace)
         assert [span.name for span in trace.spans].count("profile") == 1
+
+    def test_epoch_runtime_profiles_only_in_its_deploy(self):
+        """A runtime runs its epochs on the plan's race profile: its
+        construction profiles each deploy candidate once, nothing
+        more."""
+        trace = Trace("runtime")
+        ResilientRuntime(
+            ServiceFunctionChain([make_nf(kind) for kind in
+                                  ("firewall", "ids", "nat")]),
+            five_nf_spec(0), FaultTimeline([]), trace=trace)
+        names = [span.name for span in trace.spans]
+        assert names.count("deploy") == 1
+        assert names.count("profile") == 2
+
+    def test_tenants_profile_only_in_their_deploys(self):
+        trace = Trace("tenants")
+        workloads = [(kind, ServiceFunctionChain([make_nf(kind)]),
+                      five_nf_spec(0)) for kind in ("firewall", "ipsec")]
+        with use_trace(trace):
+            MultiTenantScheduler().deploy(workloads, batch_size=BATCH)
+        names = [span.name for span in trace.spans]
+        assert names.count("deploy") == 2
+        assert names.count("profile") == 2
 
     def test_fig17_deploys_each_system_once_per_cell(self):
         """A Fig. 17 cell's capacity and latency runs share one

@@ -1,5 +1,6 @@
 """The redesigned deployment API: DeploymentResult, CompassPlan
-accessors, ProfileConfig, and the five-stage trace contract."""
+accessors, a deploy's profile sizes, and the five-stage trace
+contract."""
 
 import warnings
 
@@ -9,7 +10,7 @@ from repro.core.compass import (
     CompassPlan,
     DeploymentResult,
     NFCompass,
-    ProfileConfig,
+    _sample_sizes,
 )
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
@@ -52,6 +53,7 @@ class TestDeploymentResult:
         assert isinstance(result.session, SimulationSession)
         assert result.trace is trace
         assert result.deployment is result.plan.deployment
+        assert result.session is result.plan.session
 
     def test_session_is_reusable(self, traced_result, spec):
         result, _ = traced_result
@@ -96,36 +98,33 @@ class TestPlanAccessors:
             node: plan.graph.element(node).packets_processed
             for node in plan.graph.nodes
         }
-        profile = plan.profile(spec)
-        assert isinstance(profile, BranchProfile)
-        assert profile.drop_fractions  # something was measured
+        for profile in (plan.race_profile, plan.run_profile):
+            assert isinstance(profile, BranchProfile)
+            assert profile.drop_fractions  # something was measured
+        fresh = BranchProfile.measure(plan.graph.clone(), spec,
+                                      _sample_sizes(32)[1], 32)
+        assert fresh == plan.run_profile
         counts_after = {
             node: plan.graph.element(node).packets_processed
             for node in plan.graph.nodes
         }
         assert counts_after == counts_before  # live graph untouched
+        assert set(counts_after.values()) == {0}  # and never run
 
 
 class TestProfileConfig:
-    def test_explicit_sample_packets_wins(self):
-        config = ProfileConfig(batch_size=64, sample_packets=97)
-        assert config.resolved_sample_packets == 97
+    """The sample sizes a deploy profiles at: the capacity race's, and
+    the allocator's and the final simulation's."""
 
     def test_deploy_time_matches_legacy_formula(self):
         for batch_size in (8, 64, 256):
-            config = ProfileConfig.deploy_time(batch_size)
-            assert config.resolved_sample_packets == \
+            assert _sample_sizes(batch_size)[0] == \
                 max(128, batch_size * 2)
 
     def test_run_time_matches_legacy_formula(self):
         for batch_size in (8, 64, 256):
-            config = ProfileConfig.run_time(batch_size)
-            assert config.resolved_sample_packets == \
+            assert _sample_sizes(batch_size)[1] == \
                 max(256, batch_size * 4)
-
-    def test_frozen(self):
-        with pytest.raises(Exception):
-            ProfileConfig().batch_size = 1
 
 
 class TestTraceContract:

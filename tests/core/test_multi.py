@@ -144,14 +144,15 @@ class TestDeployState:
 
     def test_each_tenant_holds_one_session(self, scheduler):
         assert scheduler.session is not None
-        sessions = [tenant.session for tenant in scheduler.tenants]
+        sessions = [tenant.plan.session for tenant in scheduler.tenants]
         assert scheduler.session is sessions[0]
         before = [s.runs_completed for s in sessions]
         scheduler.run(batch_count=10)
         scheduler.step(batch_count=10)
         assert [s.runs_completed for s in sessions] == \
             [runs + 2 for runs in before]
-        assert [tenant.session for tenant in scheduler.tenants] == sessions
+        assert [tenant.plan.session
+                for tenant in scheduler.tenants] == sessions
 
 
 class TestOverloadThreading:

@@ -38,8 +38,8 @@ class TestAdaptiveRuntimeArrivals:
         runtime = AdaptiveRuntime(NFCompass(), sfc, spec,
                                   batch_size=BATCH,
                                   arrivals=Poisson(seed=6))
-        first = runtime.run_epoch(spec, batch_count=COUNT)
-        second = runtime.run_epoch(spec, batch_count=COUNT)
+        first = runtime.step(spec, batch_count=COUNT)
+        second = runtime.step(spec, batch_count=COUNT)
         # Decorrelated epochs: same mean load, different schedules.
         assert first.report.latency_samples \
             != second.report.latency_samples
@@ -47,8 +47,8 @@ class TestAdaptiveRuntimeArrivals:
     def test_without_process_epochs_repeat_exactly(self, spec, sfc):
         runtime = AdaptiveRuntime(NFCompass(), sfc, spec,
                                   batch_size=BATCH)
-        first = runtime.run_epoch(spec, batch_count=COUNT)
-        second = runtime.run_epoch(spec, batch_count=COUNT)
+        first = runtime.step(spec, batch_count=COUNT)
+        second = runtime.step(spec, batch_count=COUNT)
         assert first.report.latency_samples \
             == second.report.latency_samples
 
@@ -61,9 +61,9 @@ class TestAdaptiveRuntimeArrivals:
                                   arrivals=Poisson(seed=6))
         reference = AdaptiveRuntime(NFCompass(), sfc, spec,
                                     batch_size=BATCH)
-        assert runtime.run_epoch(
+        assert runtime.step(
             carrying, batch_count=COUNT).report.latency_samples \
-            == reference.run_epoch(
+            == reference.step(
                 carrying, batch_count=COUNT).report.latency_samples
 
 

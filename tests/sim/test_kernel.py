@@ -147,6 +147,22 @@ class TestSessionInvariants:
         assert timeline.resources()
         assert verify_timeline(timeline) == []
 
+    @pytest.mark.parametrize("name,batch_size,batch_count", [
+        ("batch_count", 64, -3), ("batch_count", 64, 0),
+        ("batch_size", -1, 20), ("batch_size", 0, 20),
+    ])
+    def test_batches_below_one_rejected(self, engine, spec, name,
+                                        batch_size, batch_count):
+        """A run of no batches, or of empty batches, is not a run:
+        simulated, it reports negative offered packets or an empty
+        0 Gbps."""
+        session = engine.session(chain_deployment())
+        with pytest.raises(ValueError,
+                           match=f"{name} must be at least 1"):
+            session.run(spec, batch_size=batch_size,
+                        batch_count=batch_count)
+        assert session.runs_completed == 0
+
 
 class TestReportExtensions:
     def test_queue_wait_fields_populated(self, engine):

@@ -15,6 +15,9 @@ import repro.overload
 import repro.runner
 import repro.sim
 
+#: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
+#: the race and run profiles its deploy measured, so no caller chooses
+#: sample sizes.
 REPRO_ALL = [
     "AdaptiveRuntime",
     "CircuitBreaker",
@@ -30,7 +33,6 @@ REPRO_ALL = [
     "NF_CATALOG",
     "OverloadConfig",
     "PlatformSpec",
-    "ProfileConfig",
     "ResilientRuntime",
     "ResultCache",
     "RetryPolicy",

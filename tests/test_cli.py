@@ -105,6 +105,44 @@ class TestRun:
         assert main(["config", "run", str(config), flag, value]) == 2
         assert f"invalid {flag}" in capsys.readouterr().err
 
+    BAD_BATCHES = [("--batch", "0"), ("--batch", "-5"),
+                   ("--batches", "0"), ("--batches", "-3")]
+
+    @pytest.mark.parametrize("flag,value", BAD_BATCHES)
+    def test_deploy_rejects_bad_batches(self, flag, value, capsys):
+        assert main(["deploy", "-c", "firewall,nat", flag, value]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", BAD_BATCHES)
+    def test_config_run_rejects_bad_batches(self, flag, value, tmp_path,
+                                            capsys):
+        config = self.write_config(tmp_path)
+        assert main(["config", "run", str(config), flag, value]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_validate_rejects_bad_batch(self, value, capsys):
+        assert main(["validate", "--chains", "1", "--batch", value]) == 2
+        assert "--batch must be at least 1" in capsys.readouterr().err
+
+    BAD_CONFIGS = {
+        "unknown-element": "src :: FromDevice(eth0);\n"
+                           "w :: WarpDrive();\nsrc -> w;",
+        "malformed-hop": "src :: FromDevice(eth0);\nsrc -> ;",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    def test_config_run_rejects_bad_config(self, name, tmp_path, capsys):
+        config = tmp_path / "bad.click"
+        config.write_text(self.BAD_CONFIGS[name])
+        assert main(["config", "run", str(config)]) == 2
+        assert f"cannot load {config}: " in capsys.readouterr().err
+
+    def test_config_run_rejects_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.click"
+        assert main(["config", "run", str(missing)]) == 2
+        assert f"cannot load {missing}: " in capsys.readouterr().err
+
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
