@@ -30,7 +30,7 @@ from repro.net.batch import PacketBatch
 from repro.nf.base import ServiceFunctionChain
 from repro.obs import NULL_TRACE, Trace, resolve_trace
 from repro.sim.engine import BranchProfile, SimulationEngine
-from repro.sim.kernel import SimulationSession
+from repro.sim.kernel import SimulationSession, check_batches
 from repro.sim.mapping import Deployment, Mapping
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficSpec
@@ -261,9 +261,7 @@ class NFCompass:
         its deploy measured: its session and its race and run
         profiles.
         """
-        if batch_size < 1:
-            raise ValueError(
-                f"batch_size must be at least 1, got {batch_size}")
+        check_batches(batch_size=batch_size)
         trace = resolve_trace(trace)
         with trace.span("deploy", sfc=sfc.name,
                         batch_size=batch_size) as span:

@@ -50,12 +50,9 @@ class MergeConflictError(ValueError):
         self.offsets = tuple(offsets)
 
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def _or_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x | y for x, y in zip(a, b))
+#: ``bytes.translate`` table of a written-byte mask: 0 stays 0x00,
+#: every non-zero delta byte becomes 0xFF.
+_WRITTEN = bytes([0]) + bytes([0xFF]) * 255
 
 
 def _branch_label(packet: Packet, position: int,
@@ -117,6 +114,16 @@ def _restore_auto_lengths(merged: Packet,
         merged.l4.length = 0
 
 
+def _union_annotations(merged: Packet,
+                       branch_outputs: Sequence[Packet]) -> Packet:
+    """Union the branch annotations (classification results,
+    alerts...), the first branch to set a key winning."""
+    for output in branch_outputs:
+        for key, value in output.annotations.items():
+            merged.annotations.setdefault(key, value)
+    return merged
+
+
 def xor_merge_packets(original_bytes: bytes,
                       branch_outputs: List[Packet],
                       branch_names: Optional[Sequence[str]] = None
@@ -128,23 +135,30 @@ def xor_merge_packets(original_bytes: bytes,
     the first output).  Raises :class:`MergeConflictError` when two
     branches resized the packet, a branch wrote next to a resizer, or
     two branches wrote different values to the same byte offset.
+
+    The decision order keeps serialization off the common paths:
+    outputs whose header fields and payload are all ``==`` are
+    identical without serializing anything (equal fields imply equal
+    wire bytes); otherwise each output is serialized once and its
+    bytes decide the identical, resize and delta cases.  Deltas are
+    integers, and the per-offset conflict scan runs only when two
+    outputs' written-byte masks overlap.
     """
     if not branch_outputs:
         raise ValueError("no branch outputs to merge")
-    uid = branch_outputs[0].uid
+    first = branch_outputs[0]
+    uid = first.uid
     # Identical outputs merge trivially (e.g. identical tenant NFs
     # that transform the packet the same way): no conflict to resolve.
-    first_bytes = branch_outputs[0].to_bytes()
-    if all(p.to_bytes() == first_bytes for p in branch_outputs[1:]):
-        merged = branch_outputs[0].clone()
-        for output in branch_outputs:
-            for key, value in output.annotations.items():
-                merged.annotations.setdefault(key, value)
-        return merged
-    same_size = [p for p in branch_outputs
-                 if len(p.to_bytes()) == len(original_bytes)]
-    resized = [p for p in branch_outputs
-               if len(p.to_bytes()) != len(original_bytes)]
+    if all(p.eth == first.eth and p.ip == first.ip and p.l4 == first.l4
+           and p.payload == first.payload for p in branch_outputs[1:]):
+        return _union_annotations(first.clone(), branch_outputs)
+    wires = [p.to_bytes() for p in branch_outputs]
+    if all(wire == wires[0] for wire in wires[1:]):
+        return _union_annotations(first.clone(), branch_outputs)
+    size = len(original_bytes)
+    resized = [p for p, wire in zip(branch_outputs, wires)
+               if len(wire) != size]
     if len(resized) > 1:
         raise MergeConflictError(
             "more than one branch changed the packet size; such NFs "
@@ -156,8 +170,8 @@ def xor_merge_packets(original_bytes: bytes,
     if resized:
         # The size-changer's output is authoritative; other branches
         # must have left the bytes unchanged (read-only).
-        for peer in same_size:
-            if peer.to_bytes() != original_bytes:
+        for peer, wire in zip(branch_outputs, wires):
+            if len(wire) == size and wire != original_bytes:
                 raise MergeConflictError(
                     "a branch wrote the packet while another resized it",
                     uid=uid,
@@ -169,12 +183,20 @@ def xor_merge_packets(original_bytes: bytes,
                                       branch_names),
                     ],
                 )
-        base = resized[0]
-        merged = base.clone()
-    else:
-        deltas = [_xor_bytes(original_bytes, output.to_bytes())
-                  for output in branch_outputs]
-        offsets, writer_indices = _find_delta_conflicts(deltas)
+        return _union_annotations(resized[0].clone(), branch_outputs)
+    original = int.from_bytes(original_bytes, "big")
+    deltas = [original ^ int.from_bytes(wire, "big") for wire in wires]
+    written = 0
+    overlap = False
+    for delta in deltas:
+        if delta:
+            mask = int.from_bytes(
+                delta.to_bytes(size, "big").translate(_WRITTEN), "big")
+            overlap = overlap or bool(written & mask)
+            written |= mask
+    if overlap:
+        offsets, writer_indices = _find_delta_conflicts(
+            [delta.to_bytes(size, "big") for delta in deltas])
         if offsets:
             labels = [_branch_label(branch_outputs[i], i, branch_names)
                       for i in writer_indices]
@@ -188,23 +210,17 @@ def xor_merge_packets(original_bytes: bytes,
                 "together)",
                 uid=uid, branches=labels, offsets=offsets,
             )
-        combined = bytes(len(original_bytes))
-        for delta in deltas:
-            combined = _or_bytes(combined, delta)
-        merged_bytes = _xor_bytes(original_bytes, combined)
-        template = branch_outputs[0]
-        merged = Packet.from_bytes(
-            merged_bytes,
-            uid=template.uid,
-            seqno=template.seqno,
-            arrival_time=template.arrival_time,
-        )
-        _restore_auto_lengths(merged, branch_outputs)
-    # Union the branch annotations (classification results, alerts...).
-    for output in branch_outputs:
-        for key, value in output.annotations.items():
-            merged.annotations.setdefault(key, value)
-    return merged
+    combined = 0
+    for delta in deltas:
+        combined |= delta
+    merged = Packet.from_bytes(
+        (original ^ combined).to_bytes(size, "big"),
+        uid=uid,
+        seqno=first.seqno,
+        arrival_time=first.arrival_time,
+    )
+    _restore_auto_lengths(merged, branch_outputs)
+    return _union_annotations(merged, branch_outputs)
 
 
 class OriginalSnapshot(Element):

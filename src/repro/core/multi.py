@@ -28,7 +28,7 @@ from repro.core.runtime import EpochResult
 from repro.hw.interference import InterferenceModel
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
-from repro.sim.kernel import SimulationSession
+from repro.sim.kernel import SimulationSession, check_batches
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
 from repro.traffic.generator import TrafficSpec
@@ -193,8 +193,12 @@ class MultiTenantScheduler:
         each tenant runs its own admitted traffic.  The returned
         report is the *bottleneck* tenant's (lowest throughput under
         interference), the number multi-tenant consolidation decisions
-        hinge on.
+        hinge on.  A ``batch_count`` below 1, or a step before
+        :meth:`deploy`, raises before the epoch counter moves.
         """
+        check_batches(batch_count=batch_count)
+        if not self.tenants:
+            raise RuntimeError("deploy() must run first")
         self._epochs += 1
         reports = self.run(batch_count=batch_count)
         bottleneck = min(reports.values(),

@@ -31,7 +31,7 @@ from typing import (TYPE_CHECKING, List, Optional, Protocol, Tuple,
 from repro.core.compass import CompassPlan, NFCompass
 from repro.nf.base import ServiceFunctionChain
 from repro.obs import resolve_trace
-from repro.sim.kernel import SimulationSession
+from repro.sim.kernel import SimulationSession, check_batches
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.arrivals import ArrivalProcess, attach_arrivals
 from repro.traffic.generator import TrafficSpec
@@ -133,7 +133,10 @@ class EpochLoop:
         the epoch's spec carries none, the epoch runs under that
         process decorrelated for this epoch — bursty offered load
         varies from epoch to epoch while the mean rate stays put.
+        A ``batch_count`` below 1 raises before the epoch counter,
+        the replan trigger or any runtime clock moves.
         """
+        check_batches(batch_count=batch_count)
         self._epoch += 1
         spec = attach_arrivals(spec, self.arrivals, self._epoch)
         drift, replanned, faults = self._begin_epoch(spec, batch_count)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 ETHERTYPE_IPV4 = 0x0800
@@ -52,7 +52,7 @@ def bytes_to_mac(raw: bytes) -> str:
     """Convert 6 raw bytes to ``"aa:bb:cc:dd:ee:ff"``."""
     if len(raw) != 6:
         raise ValueError("MAC address must be exactly 6 bytes")
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def ipv4_to_int(addr: str) -> int:
@@ -73,7 +73,8 @@ def int_to_ipv4(value: int) -> str:
     """Convert a 32-bit integer to dotted-quad IPv4 text."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError("IPv4 address out of range")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return "%d.%d.%d.%d" % (value >> 24, (value >> 16) & 0xFF,
+                            (value >> 8) & 0xFF, value & 0xFF)
 
 
 @dataclass
@@ -104,7 +105,7 @@ class EthernetHeader:
         )
 
     def copy(self) -> "EthernetHeader":
-        return replace(self)
+        return EthernetHeader(self.dst_mac, self.src_mac, self.ethertype)
 
 
 @dataclass
@@ -161,7 +162,8 @@ class IPv4Header:
         )
 
     def copy(self) -> "IPv4Header":
-        return replace(self)
+        return IPv4Header(self.src, self.dst, self.protocol, self.ttl,
+                          self.tos, self.identification, self.total_length)
 
 
 @dataclass
@@ -210,7 +212,9 @@ class IPv6Header:
         )
 
     def copy(self) -> "IPv6Header":
-        return replace(self)
+        return IPv6Header(self.src, self.dst, self.next_header,
+                          self.hop_limit, self.traffic_class,
+                          self.flow_label, self.payload_length)
 
 
 @dataclass
@@ -251,7 +255,8 @@ class TCPHeader:
                    flags=flags, window=window)
 
     def copy(self) -> "TCPHeader":
-        return replace(self)
+        return TCPHeader(self.src_port, self.dst_port, self.seq, self.ack,
+                         self.flags, self.window)
 
 
 @dataclass
@@ -281,7 +286,7 @@ class UDPHeader:
         return cls(src_port=sport, dst_port=dport, length=length)
 
     def copy(self) -> "UDPHeader":
-        return replace(self)
+        return UDPHeader(self.src_port, self.dst_port, self.length)
 
 
 def internet_checksum(data: bytes) -> int:

@@ -1010,6 +1010,18 @@ class _BatchProgram:
         return tuple(steps), delivered
 
 
+def check_batches(**counts: int) -> None:
+    """Reject a batch size or count below 1, naming the keyword.
+
+    :meth:`SimulationSession.run` checks both; the epoch loops check
+    an epoch's ``batch_count`` before they move any of their state,
+    with the same message.
+    """
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 class SimulationSession:
     """A deployment prepared for repeated simulation runs.
 
@@ -1112,10 +1124,7 @@ class SimulationSession:
         ``overload=None``, keeping the unprotected path bit-identical
         to the historical kernel.
         """
-        for name, value in (("batch_size", batch_size),
-                            ("batch_count", batch_count)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        check_batches(batch_size=batch_size, batch_count=batch_count)
         if faults is not None and faults.is_empty:
             # An empty timeline takes the exact fault-free code path,
             # keeping the schedule bit-identical to faults=None.

@@ -8,12 +8,16 @@ all call them with explicit parameters.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import merge_reference
 import networkx as nx
 
+from repro.core.merge import BRANCH_ANNOTATION, xor_merge_packets
 from repro.core.orchestrator import SFCOrchestrator
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
@@ -24,6 +28,19 @@ from repro.nf.catalog import make_nf
 from repro.nf.dpi import PatternMatch
 from repro.nf.firewall import AclClassify
 from repro.nf.ipv4 import IPv4Lookup, LPMTrie
+from repro.net.packet import (
+    ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    EthernetHeader,
+    IPv4Header,
+    IPv6Header,
+    Packet,
+    TCPHeader,
+    UDPHeader,
+    int_to_ipv4,
+)
 from repro.runner import canonical_form
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
@@ -349,3 +366,290 @@ def overload_stats(report, protected: bool) -> Optional[dict]:
         "breaker_open_requeues": ledger.breaker_open.batches,
         "retry_exhausted_requeues": ledger.retry_exhausted.batches,
     }
+
+
+
+# ---------------------------------------------------------------------------
+# Parallel-branch merge cases, compared against the frozen byte-loop merge
+# ---------------------------------------------------------------------------
+
+#: How a generated stage's branches wrote their copies of the packet,
+#: and whether the merge must succeed (``True``), raise
+#: :class:`~repro.core.merge.MergeConflictError` (``False``) or may do
+#: either (``None``).
+MERGE_CASE_KINDS = {
+    "field_equal": True,      # every branch made the same writes
+    "byte_equal": True,       # the same wire bytes, different fields
+    "disjoint": True,         # writers in distinct regions
+    "same_value": True,       # two branches wrote one field to one value
+    "conflict": False,        # two branches wrote one byte to two values
+    "three_branches": None,   # three branches, random same-size writes
+    "one_resizer": True,      # one branch resized, the others only read
+    "resizer_writer": False,  # one branch resized, another wrote
+    "two_resizers": False,    # two branches resized
+}
+
+#: The region each same-size write touches.  Writes in distinct groups
+#: never share a byte; the IPv4 checksum ties ``ttl`` to ``dst``.
+_WRITE_GROUPS = {"ttl": "ip", "dst": "ip", "sport": "l4",
+                 "payload": "payload"}
+
+
+def _random_mac(rng) -> str:
+    # A leading hex letter gives ``upper()`` something to respell.
+    return ":".join(["%02x" % rng.randrange(0xA0, 0x100)]
+                    + ["%02x" % rng.randrange(256) for _ in range(5)])
+
+
+def _random_packet(rng, ipv6: bool, tcp: bool) -> Packet:
+    proto = IPPROTO_TCP if tcp else IPPROTO_UDP
+    if ipv6:
+        ip = IPv6Header(src=rng.getrandbits(128), dst=rng.getrandbits(128),
+                        next_header=proto, hop_limit=rng.randrange(256),
+                        traffic_class=rng.randrange(256),
+                        flow_label=rng.getrandbits(20))
+    else:
+        ip = IPv4Header(src=int_to_ipv4(rng.getrandbits(32)),
+                        dst=int_to_ipv4(rng.getrandbits(32)),
+                        protocol=proto, ttl=rng.randrange(256),
+                        tos=rng.randrange(256),
+                        identification=rng.randrange(65536))
+    if tcp:
+        l4 = TCPHeader(src_port=rng.randrange(65536),
+                       dst_port=rng.randrange(65536),
+                       seq=rng.getrandbits(32), ack=rng.getrandbits(32),
+                       flags=rng.randrange(256),
+                       window=rng.randrange(65536))
+    else:
+        l4 = UDPHeader(src_port=rng.randrange(65536),
+                       dst_port=rng.randrange(65536))
+    eth = EthernetHeader(dst_mac=_random_mac(rng), src_mac=_random_mac(rng),
+                         ethertype=ETHERTYPE_IPV6 if ipv6 else ETHERTYPE_IPV4)
+    payload = bytes(rng.randrange(256) for _ in range(rng.randint(10, 40)))
+    return Packet(eth=eth, ip=ip, l4=l4, payload=payload,
+                  seqno=rng.randrange(1000), arrival_time=rng.random())
+
+
+def _other_byte(original: int, written: int) -> int:
+    """A byte value that is neither ``original`` nor ``written``."""
+    return original ^ ((original ^ written) % 255 + 1)
+
+
+def _random_write(rng, packet: Packet, field: str) -> tuple:
+    """A write of ``field`` to a value other than the packet's own."""
+    if field == "ttl":
+        current = packet.ip.ttl if packet.is_ipv4 else packet.ip.hop_limit
+        return ("ttl", current ^ rng.randint(1, 255))
+    if field == "dst":
+        if packet.is_ipv4:
+            return ("dst", int_to_ipv4(rng.getrandbits(32)))
+        return ("dst", rng.getrandbits(128))
+    if field == "sport":
+        return ("sport", packet.l4.src_port ^ rng.randint(1, 65535))
+    if field == "payload":
+        offset = rng.randrange(len(packet.payload))
+        return ("payload",
+                (offset, packet.payload[offset] ^ rng.randint(1, 255)))
+    if field == "fill":
+        return ("fill", bytes(b ^ rng.randint(1, 255)
+                              for b in packet.payload))
+    if field == "resize":
+        return ("resize", bytes(rng.randrange(256)
+                                for _ in range(rng.randint(1, 12))))
+    raise ValueError(field)
+
+
+def _clashing_write(packet: Packet, write: tuple) -> tuple:
+    """A write of the same bytes as ``write``, each to another value."""
+    field, value = write
+    if field == "ttl":
+        current = packet.ip.ttl if packet.is_ipv4 else packet.ip.hop_limit
+        return ("ttl", _other_byte(current, value))
+    if field == "payload":
+        offset, byte = value
+        return ("payload",
+                (offset, _other_byte(packet.payload[offset], byte)))
+    if field == "fill":
+        return ("fill", bytes(_other_byte(b, w)
+                              for b, w in zip(packet.payload, value)))
+    raise ValueError(field)
+
+
+def _apply_write(packet: Packet, write: tuple) -> None:
+    field, value = write
+    if field == "ttl":
+        if packet.is_ipv4:
+            packet.ip.ttl = value
+        else:
+            packet.ip.hop_limit = value
+    elif field == "dst":
+        packet.ip.dst = value
+    elif field == "sport":
+        packet.l4.src_port = value
+    elif field == "payload":
+        offset, byte = value
+        packet.payload = (packet.payload[:offset] + bytes([byte])
+                          + packet.payload[offset + 1:])
+    elif field == "fill":
+        packet.payload = value
+    elif field == "resize":
+        packet.payload = packet.payload + value
+    elif field == "explicit_length":
+        # Freeze the lengths the serializer would compute: the same
+        # wire bytes, no longer the 0 sentinels.
+        l4_len = len(packet.payload) + packet.l4.LENGTH
+        if packet.is_ipv4:
+            packet.ip.total_length = packet.ip.LENGTH + l4_len
+        else:
+            packet.ip.payload_length = l4_len
+        if packet.is_udp:
+            packet.l4.length = l4_len
+    elif field == "mac_case":
+        packet.eth.src_mac = packet.eth.src_mac.upper()
+    else:
+        raise ValueError(field)
+
+
+def _case_writes(rng, base: Packet, kind: str) -> List[List[tuple]]:
+    """Each branch's writes, in order, for one case of ``kind``."""
+    same_size = list(_WRITE_GROUPS)
+    if kind in ("field_equal", "byte_equal"):
+        count = rng.choice((2, 3))
+        shared = [_random_write(rng, base, f)
+                  for f in rng.sample(same_size + ["resize"],
+                                      rng.randint(0, 2))]
+        writes = [list(shared) for _ in range(count)]
+        if kind == "byte_equal":
+            for index in rng.sample(range(count), rng.randint(1, count - 1)):
+                writes[index].append(("explicit_length", None))
+                if rng.random() < 0.5:
+                    writes[index].append(("mac_case", None))
+        return writes
+    if kind == "disjoint":
+        by_group = {}
+        for field in rng.sample(same_size, len(same_size)):
+            by_group.setdefault(_WRITE_GROUPS[field], field)
+        fields = rng.sample(sorted(by_group.values()), rng.choice((2, 3)))
+        writes = [[_random_write(rng, base, f)] for f in fields]
+        writes += [[] for _ in range(rng.randint(0, 1))]
+    elif kind == "same_value":
+        write = _random_write(rng, base, rng.choice(same_size))
+        others = [f for f in same_size
+                  if _WRITE_GROUPS[f] != _WRITE_GROUPS[write[0]]]
+        writes = [[write], [write],
+                  [_random_write(rng, base, rng.choice(others))]
+                  if rng.random() < 0.5 else []]
+    elif kind == "conflict":
+        write = _random_write(rng, base,
+                              rng.choice(("ttl", "payload", "fill")))
+        writes = [[write], [_clashing_write(base, write)]]
+        writes += [[] for _ in range(rng.randint(0, 1))]
+    elif kind == "three_branches":
+        writes = [[_random_write(rng, base, f)
+                   for f in rng.sample(same_size, rng.randint(0, 2))]
+                  for _ in range(3)]
+    elif kind == "one_resizer":
+        writes = [[_random_write(rng, base, "resize")]]
+        writes += [[("explicit_length", None)] if rng.random() < 0.3
+                   else [] for _ in range(rng.choice((1, 2)))]
+    elif kind == "resizer_writer":
+        writes = [[_random_write(rng, base, "resize")],
+                  [_random_write(rng, base, rng.choice(same_size))]]
+        writes += [[] for _ in range(rng.randint(0, 1))]
+    elif kind == "two_resizers":
+        # Equal resizes leave equal copies (the error then labels each
+        # by the first equal copy's position); a third, untouched
+        # branch keeps them from merging as identical outputs.
+        first = _random_write(rng, base, "resize")
+        if rng.random() < 0.5:
+            writes = [[first], [first], []]
+        else:
+            writes = [[first], [_random_write(rng, base, "resize")]]
+            writes += [[] for _ in range(rng.randint(0, 1))]
+    else:
+        raise ValueError(kind)
+    rng.shuffle(writes)
+    return writes
+
+
+def merge_case(rng, kind: str, ipv6: bool = False, tcp: bool = False):
+    """One parallel stage's merge inputs, drawn from ``rng``.
+
+    Returns ``(original_bytes, branch_outputs, branch_names)``: the
+    pre-branch wire bytes, one copy per branch with the writes
+    ``kind`` (a key of :data:`MERGE_CASE_KINDS`) prescribes, and the
+    branch names or ``None``.  Copies carry the snapshot annotation
+    and random per-branch annotations; half the stages also stamp the
+    Tee's branch index, the rest leave labels to positions.
+    """
+    base = _random_packet(rng, ipv6, tcp)
+    original = base.to_bytes()
+    base.annotations["orig_bytes"] = original
+    stamped = rng.random() < 0.5
+    outputs = []
+    for index, writes in enumerate(_case_writes(rng, base, kind)):
+        output = base.clone()
+        if stamped:
+            output.annotations[BRANCH_ANNOTATION] = index
+        for key in rng.sample(("verdict", "alert", "class"),
+                              rng.randint(0, 2)):
+            output.annotations[key] = (index, rng.randrange(3))
+        for write in writes:
+            _apply_write(output, write)
+        outputs.append(output)
+    names = (("fw", "ids", "nat")[:len(outputs)]
+             if rng.random() < 0.5 else None)
+    return original, outputs, names
+
+
+def merge_outcome(merge, original: bytes, outputs, names) -> tuple:
+    """Everything a merge's result shows: the merged packet's wire
+    bytes, header fields, bookkeeping and annotation items in order,
+    or the raised error's type, message, uid, branches and offsets.
+
+    ``merge`` works on a deep copy of ``outputs`` and must leave it as
+    it found it.
+    """
+    inputs = copy.deepcopy(outputs)
+    try:
+        merged = merge(original, inputs, branch_names=names)
+    except ValueError as error:
+        outcome = ("raised", type(error), str(error),
+                   getattr(error, "uid", None),
+                   getattr(error, "branches", None),
+                   getattr(error, "offsets", None))
+    else:
+        outcome = ("merged", merged.to_bytes(), merged.eth, merged.ip,
+                   merged.l4, merged.payload, merged.uid, merged.seqno,
+                   merged.arrival_time, merged.dropped,
+                   merged.drop_reason, list(merged.annotations.items()))
+    assert inputs == outputs, "the merge changed its branch outputs"
+    return outcome
+
+
+@contextlib.contextmanager
+def counted_serializations():
+    """Yield the list of packets ``Packet.to_bytes`` serializes inside
+    the block, one entry per call."""
+    calls = []
+    to_bytes = Packet.to_bytes
+
+    def counting(packet):
+        calls.append(packet)
+        return to_bytes(packet)
+
+    Packet.to_bytes = counting
+    try:
+        yield calls
+    finally:
+        Packet.to_bytes = to_bytes
+
+
+def assert_merges_match(original: bytes, outputs, names) -> tuple:
+    """The merge's outcome equals the frozen byte-loop merge's
+    (``tests/merge_reference.py``); returns it."""
+    got = merge_outcome(xor_merge_packets, original, outputs, names)
+    want = merge_outcome(merge_reference.xor_merge_packets, original,
+                         outputs, names)
+    assert got == want
+    return got

@@ -230,3 +230,83 @@ class TestEpochLoopDigests:
             [records, runtime.replans, runtime.clock]
         ) == RESILIENT_UNGUARDED
         assert ledgers(records) == RESILIENT_UNGUARDED_LEDGERS
+
+
+class TestRejectedEpoch:
+    """An epoch of fewer than one batch raises the session's
+    ``ValueError`` before the runtime moves: its epoch counter, clock,
+    history, replan count, cooldown and plan stay as they were, and
+    the next valid epoch is the one a fresh runtime would run."""
+
+    COUNTS = (0, -40)
+
+    @staticmethod
+    def reject(runtime, spec, count):
+        with pytest.raises(ValueError,
+                           match=f"^batch_count must be at least 1, "
+                                 f"got {count}$"):
+            runtime.step(spec, batch_count=count)
+
+    def test_resilient_runtime_stays_put(self):
+        spec = resilient_spec()
+
+        def fresh():
+            sfc = ServiceFunctionChain([make_nf("ipsec")],
+                                       name="epoch-rejected")
+            return ResilientRuntime(sfc, spec, FaultTimeline([]))
+
+        runtime = fresh()
+        plan = runtime.plan
+        for count in self.COUNTS:
+            self.reject(runtime, spec, count)
+            assert runtime._epoch == 0
+            assert runtime.clock == 0.0
+            assert runtime.history == []
+            assert runtime.replans == 0
+            assert runtime.plan is plan
+        result = runtime.step(spec, batch_count=BATCH_COUNT)
+        reference = fresh().step(spec, batch_count=BATCH_COUNT)
+        assert result.epoch == 1
+        assert runtime.clock == pytest.approx(epoch_window(spec))
+        assert canonical_fingerprint(result.report) == \
+            canonical_fingerprint(reference.report)
+
+    def test_adaptive_runtime_keeps_its_cooldown(self):
+        """After a drift replan the cooldown holds one epoch; a rejected
+        epoch of the old traffic must not use it up."""
+        small = TrafficSpec(size_law=FixedSize(64), offered_gbps=4.0,
+                            seed=4)
+        large = dataclasses.replace(small, size_law=FixedSize(1500))
+        sfc = ServiceFunctionChain([make_nf("firewall"),
+                                    make_nf("ipsec")],
+                                   name="epoch-rejected-adaptive")
+        runtime = AdaptiveRuntime(NFCompass(), sfc, small, batch_size=32,
+                                  cooldown_epochs=1)
+        assert runtime.step(large, batch_count=BATCH_COUNT).replanned
+        plan = runtime.plan
+        for count in self.COUNTS:
+            self.reject(runtime, small, count)
+            assert runtime._cooldown == 1
+            assert runtime._epoch == 1
+            assert runtime.replans == 1
+            assert len(runtime.history) == 1
+            assert runtime.plan is plan
+        # The cooldown still holds off the shift back.
+        held = runtime.step(small, batch_count=BATCH_COUNT)
+        assert (held.epoch, held.replanned) == (2, False)
+
+    def test_adaptive_runtime_does_not_replan(self):
+        """A rejected epoch whose traffic drifted must not re-deploy."""
+        small = TrafficSpec(size_law=FixedSize(64), offered_gbps=4.0,
+                            seed=4)
+        large = dataclasses.replace(small, size_law=FixedSize(1500))
+        sfc = ServiceFunctionChain([make_nf("firewall")],
+                                   name="epoch-rejected-drift")
+        runtime = AdaptiveRuntime(NFCompass(), sfc, small, batch_size=32)
+        plan = runtime.plan
+        for count in self.COUNTS:
+            self.reject(runtime, large, count)
+            assert runtime.plan is plan
+            assert (runtime._epoch, runtime.replans,
+                    runtime._cooldown) == (0, 0, 0)
+            assert runtime.history == []

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
+from builders import counted_serializations
 
 from repro.core.merge import (
     MergeConflictError,
@@ -381,3 +382,28 @@ class TestXorMergeEdgeCases:
         assert report.ok, report.summary()
         assert report.golden_delivered == 0
         assert report.candidate_delivered == 0
+
+
+class TestSerializations:
+    """The merge serializes each branch copy at most once, and
+    field-equal copies not at all (equal fields imply equal bytes)."""
+
+    def test_two_copy_delta_merge_serializes_twice(self):
+        packet = Packet(payload=b"abcdef")
+        original = packet.to_bytes()
+        reader, writer = packet.clone(), packet.clone()
+        writer.ip.ttl = 9
+        with counted_serializations() as calls:
+            merged = xor_merge_packets(original, [reader, writer])
+        assert len(calls) == 2
+        assert merged.ip.ttl == 9
+
+    def test_field_equal_merge_serializes_nothing(self):
+        packet = Packet(payload=b"abcdef")
+        original = packet.to_bytes()
+        first, second = packet.clone(), packet.clone()
+        first.payload = second.payload = b"ABCDEF"
+        with counted_serializations() as calls:
+            merged = xor_merge_packets(original, [first, second])
+        assert calls == []
+        assert merged.payload == b"ABCDEF"

@@ -18,6 +18,7 @@ from repro.overload import (
 )
 from repro.overload.breaker import OPEN, BreakerEntry
 from repro.runner import canonical_fingerprint
+from repro.traffic.arrivals import Poisson
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -199,3 +200,31 @@ class TestOverloadThreading:
             MULTI_TENANT_OVERLOAD
         assert canonical_fingerprint([r.ledger for r in reports]) == \
             MULTI_TENANT_OVERLOAD_LEDGERS
+
+
+class TestRejectedEpoch:
+    def test_step_below_one_batch_leaves_the_epoch_count(self):
+        """Arrivals are decorrelated by epoch number, so a rejected
+        round that bumped the counter would move every later report."""
+        def fresh():
+            scheduler = MultiTenantScheduler(arrivals=Poisson(seed=2))
+            scheduler.deploy(workloads(), batch_size=32)
+            return scheduler
+
+        scheduler = fresh()
+        for count in (0, -40):
+            with pytest.raises(ValueError,
+                               match=f"^batch_count must be at least 1, "
+                                     f"got {count}$"):
+                scheduler.step(batch_count=count)
+        assert scheduler._epochs == 0
+        result = scheduler.step(batch_count=20)
+        assert result.epoch == 1
+        assert canonical_fingerprint(result.report) == \
+            canonical_fingerprint(fresh().step(batch_count=20).report)
+
+    def test_step_before_deploy_leaves_the_epoch_count(self):
+        scheduler = MultiTenantScheduler()
+        with pytest.raises(RuntimeError, match="deploy"):
+            scheduler.step()
+        assert scheduler._epochs == 0

@@ -1,5 +1,8 @@
 """Unit tests for packet and header serialization."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.net.packet import (
@@ -196,3 +199,71 @@ class TestPacket:
     def test_header_bytes_excludes_payload(self):
         packet = Packet(payload=b"PAYLOAD")
         assert packet.to_bytes() == packet.header_bytes() + b"PAYLOAD"
+
+
+HEADER_CLASSES = (EthernetHeader, IPv4Header, IPv6Header, TCPHeader,
+                  UDPHeader)
+
+
+def non_default(cls, salt: int = 0):
+    """An instance of ``cls`` with every field off its default, each
+    to a different value."""
+    values = {}
+    for index, f in enumerate(dataclasses.fields(cls)):
+        default = f.default
+        if isinstance(default, str):
+            values[f.name] = f"{default}-{index}-{salt}"
+        else:
+            values[f.name] = default + 1000 + index + salt
+    return cls(**values)
+
+
+class TestCopies:
+    @pytest.mark.parametrize("cls", HEADER_CLASSES,
+                             ids=[c.__name__ for c in HEADER_CLASSES])
+    def test_header_copy_keeps_every_field(self, cls):
+        """``copy()`` calls the constructor with each field; a field
+        it leaves out falls back to its default and fails here."""
+        header = non_default(cls)
+        copy = header.copy()
+        assert type(copy) is cls
+        assert copy == header
+        assert copy is not header
+        other = non_default(cls, salt=1)
+        for f in dataclasses.fields(cls):
+            setattr(copy, f.name, getattr(other, f.name))
+        assert header == non_default(cls)
+        assert copy == other
+
+    def test_clone_keeps_every_field(self):
+        packet = Packet(eth=non_default(EthernetHeader),
+                        ip=non_default(IPv6Header),
+                        l4=non_default(TCPHeader), payload=b"body",
+                        uid=12345, seqno=7, arrival_time=0.5,
+                        annotations={"a": 1, "b": 2}, dropped=True,
+                        drop_reason="why")
+        clone = packet.clone()
+        assert clone == packet
+        assert [getattr(clone, f.name) for f in dataclasses.fields(Packet)] \
+            == [getattr(packet, f.name) for f in dataclasses.fields(Packet)]
+        assert list(clone.annotations) == ["a", "b"]
+        for name in ("eth", "ip", "l4", "annotations"):
+            assert getattr(clone, name) is not getattr(packet, name)
+
+
+class TestTextFormats:
+    """The parser's MAC and IPv4 text, against the per-byte joins it
+    used to build."""
+
+    def test_bytes_to_mac_matches_the_byte_join(self):
+        rng = random.Random(0)
+        for raw in [bytes(6), b"\xff" * 6] + [rng.randbytes(6)
+                                               for _ in range(500)]:
+            assert bytes_to_mac(raw) == ":".join(f"{b:02x}" for b in raw)
+
+    def test_int_to_ipv4_matches_the_octet_join(self):
+        rng = random.Random(1)
+        for value in [0, 0xFFFFFFFF] + [rng.getrandbits(32)
+                                        for _ in range(500)]:
+            assert int_to_ipv4(value) == ".".join(
+                str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
