@@ -103,8 +103,8 @@ def main() -> None:
               if "scan" in node}
     print(f"GTA offload decision for the scanner element: {ratios}")
 
-    report = compass.engine.run(plan.deployment, spec, batch_size=64,
-                                batch_count=120)
+    report = compass.engine.session(plan.deployment).run(spec, batch_size=64,
+                                                         batch_count=120)
     print("\nSimulated deployment:", report.summary())
 
 

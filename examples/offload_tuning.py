@@ -13,6 +13,7 @@ import sys
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import NF_CATALOG, make_nf
+from repro.sim.engine import SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
@@ -20,7 +21,7 @@ from repro.traffic.generator import TrafficSpec
 
 def sweep(nf_type: str, packet_size: int = 64,
           batch_size: int = 64) -> None:
-    engine = common.make_engine()
+    engine = SimulationEngine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=80.0)
     graph = ServiceFunctionChain([make_nf(nf_type)]).concatenated_graph()
@@ -35,8 +36,9 @@ def sweep(nf_type: str, packet_size: int = 64,
                                                 offload_ratio=ratio)
         deployment = Deployment(graph, mapping, persistent_kernel=False,
                                 name=f"{nf_type}@{ratio:.0%}")
-        report = engine.run(deployment, common.saturated(spec),
-                            batch_size=batch_size, batch_count=120)
+        report = engine.session(deployment).run(common.saturated(spec),
+                                                batch_size=batch_size,
+                                                batch_count=120)
         bar = "#" * int(report.throughput_gbps * 12)
         print(f"{ratio:>6.0%}  {report.throughput_gbps:>7.2f}  "
               f"{report.throughput_mpps:>6.2f}  {bar}")

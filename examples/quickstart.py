@@ -35,8 +35,8 @@ def main() -> None:
     print(plan.describe())
     print()
 
-    report = compass.engine.run(plan.deployment, spec, batch_size=64,
-                                batch_count=150)
+    report = compass.engine.session(plan.deployment).run(spec, batch_size=64,
+                                                         batch_count=150)
     print("NFCompass   :", report.summary())
 
     # --- baseline: everything on CPU, no re-organization --------------
@@ -46,8 +46,9 @@ def main() -> None:
     )
     baseline = CPUOnlyBaseline(platform=platform)
     deployment = baseline.deploy(baseline_sfc, spec, batch_size=64)
-    baseline_report = compass.engine.run(deployment, spec,
-                                         batch_size=64, batch_count=150)
+    baseline_report = compass.engine.session(deployment).run(spec,
+                                                             batch_size=64,
+                                                             batch_count=150)
     print("CPU baseline:", baseline_report.summary())
 
     speedup = (report.throughput_gbps

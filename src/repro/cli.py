@@ -290,7 +290,7 @@ def _cmd_experiments_run(name: str, full: bool,
     # launches shares the worker pool budget and the result cache.
     runner = make_runner(jobs=jobs, use_cache=not no_cache,
                          cache_dir=cache_dir)
-    kwargs = {"quick": not full, "jobs": jobs, "runner": runner}
+    kwargs = {"quick": not full, "runner": runner}
     accepted = inspect.signature(module.main).parameters
     kwargs = {key: value for key, value in kwargs.items()
               if key in accepted}
@@ -317,8 +317,7 @@ def _cmd_chaos(args) -> int:
     with (use_trace(trace) if trace is not None
           else contextlib.nullcontext()):
         rows = chaos.run(quick=not args.full,
-                         seeds=range(args.seeds),
-                         jobs=args.jobs, runner=runner)
+                         seeds=range(args.seeds), runner=runner)
     print(chaos.render(rows))
     if trace is not None:
         trace.write_ndjson(args.trace)

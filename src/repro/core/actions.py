@@ -82,21 +82,13 @@ class _Footprint:
 
 
 def _write_footprint(profile: ActionProfile) -> _Footprint:
-    regions: Set[str] = set()
-    if profile.writes_header or profile.adds_removes_bits:
-        regions.add("header")
-    if profile.writes_payload or profile.adds_removes_bits:
-        regions.add("payload")
-    return _Footprint(regions, profile.effective_write_fields())
+    return _Footprint(profile.write_regions(),
+                      profile.effective_write_fields())
 
 
 def _read_footprint(profile: ActionProfile) -> _Footprint:
-    regions: Set[str] = set()
-    if profile.reads_header:
-        regions.add("header")
-    if profile.reads_payload:
-        regions.add("payload")
-    return _Footprint(regions, profile.effective_read_fields())
+    return _Footprint(profile.read_regions(),
+                      profile.effective_read_fields())
 
 
 def hazards_between(former: ActionProfile,

@@ -6,9 +6,9 @@ throughput on different processing units.  We still need to apply the
 dynamic task adaption."  This module supplies that loop's trigger: an
 :class:`AdaptiveRuntime` runs a deployment epoch by epoch on the
 shared :class:`~repro.core.runtime.EpochLoop`, watches the traffic
-descriptor (packet sizes, DPI match profile, measured branch
-fractions) for drift, and re-runs the NFCompass pipeline when the
-current plan was built for meaningfully different traffic.
+descriptor (mean packet size, DPI match profile) for drift, and
+re-runs the NFCompass pipeline when the current plan was built for
+meaningfully different traffic.
 
 Hysteresis (a cooldown of epochs after each re-plan) prevents
 thrashing under oscillating traffic — the failure mode the paper
@@ -18,13 +18,12 @@ data stream varies" or not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.core.compass import NFCompass
 from repro.core.runtime import EpochLoop
 from repro.nf.base import ServiceFunctionChain
-from repro.sim.engine import BranchProfile
 from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.generator import TrafficSpec
 
@@ -35,40 +34,25 @@ class TrafficDescriptor:
 
     mean_packet_bytes: float
     match_profile: str
-    port_fractions: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, spec: TrafficSpec,
-           profile: Optional[BranchProfile] = None) -> "TrafficDescriptor":
+    def of(cls, spec: TrafficSpec) -> "TrafficDescriptor":
         return cls(
             mean_packet_bytes=spec.size_law.mean(),
             match_profile=spec.match_profile.value,
-            port_fractions=dict(profile.port_fractions) if profile else {},
         )
 
     def drift_from(self, other: "TrafficDescriptor") -> float:
         """A dimensionless drift score versus ``other``.
 
-        Components: relative mean-packet-size change, a fixed charge
-        for a match-profile switch, and the mean L1 distance of
-        measured per-node port fractions.
+        Components: relative mean-packet-size change and a fixed charge
+        for a match-profile switch.
         """
         size_drift = abs(self.mean_packet_bytes - other.mean_packet_bytes) \
             / max(1.0, other.mean_packet_bytes)
         profile_drift = 0.0 if self.match_profile == other.match_profile \
             else 1.0
-        fraction_drift = 0.0
-        common = set(self.port_fractions) & set(other.port_fractions)
-        if common:
-            total = 0.0
-            for node in common:
-                mine = self.port_fractions[node]
-                theirs = other.port_fractions[node]
-                ports = set(mine) | set(theirs)
-                total += sum(abs(mine.get(p, 0.0) - theirs.get(p, 0.0))
-                             for p in ports) / 2.0
-            fraction_drift = total / len(common)
-        return size_drift + profile_drift + fraction_drift
+        return size_drift + profile_drift
 
 
 class AdaptiveRuntime(EpochLoop):
@@ -100,8 +84,7 @@ class AdaptiveRuntime(EpochLoop):
     # ------------------------------------------------------------------
     def _deploy(self, spec: TrafficSpec) -> None:
         super()._deploy(spec)
-        self._descriptor = TrafficDescriptor.of(spec,
-                                                self.plan.race_profile)
+        self._descriptor = TrafficDescriptor.of(spec)
 
     def observe_drift(self, spec: TrafficSpec) -> float:
         """Drift of ``spec`` relative to the plan's traffic."""

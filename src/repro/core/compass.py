@@ -18,7 +18,7 @@ every stage records spans/metrics on the ambient or explicitly passed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.allocator import AllocationReport, GraphTaskAllocator
 from repro.core.orchestrator import ParallelPlan, SFCOrchestrator
@@ -140,48 +140,37 @@ class NFCompass:
 
     def __init__(self, platform: Optional[PlatformSpec] = None,
                  algorithm: str = "kl",
-                 delta: float = 0.1,
-                 persistent_kernel: bool = True,
                  enable_parallelization: bool = True,
                  enable_synthesis: bool = True,
-                 independence_override: Optional[Callable] = None,
                  cpu_cores: Optional[List[str]] = None,
-                 gpus: Optional[List[str]] = None,
-                 cost_model: Optional[CostModel] = None):
+                 gpus: Optional[List[str]] = None):
         self.platform = platform or PlatformSpec()
-        self.cost = cost_model or CostModel(self.platform)
-        self.persistent_kernel = persistent_kernel
+        self.cost = CostModel(self.platform)
         self.enable_parallelization = enable_parallelization
         self.enable_synthesis = enable_synthesis
-        self.orchestrator = SFCOrchestrator(
-            independence_override=independence_override
-        )
+        self.orchestrator = SFCOrchestrator()
         self.synthesizer = NFSynthesizer()
         self.allocator = GraphTaskAllocator(
             platform=self.platform,
             cost_model=self.cost,
             algorithm=algorithm,
-            delta=delta,
             cpu_cores=cpu_cores,
             gpus=gpus,
-            persistent_kernel=persistent_kernel,
         )
         self.engine = SimulationEngine(self.platform, self.cost)
 
     # ------------------------------------------------------------------
-    def build_graph(self, sfc: ServiceFunctionChain,
-                    max_width: Optional[int] = None,
-                    trace=None):
+    def build_graph(self, sfc: ServiceFunctionChain, trace=None):
         """Re-organization only: (parallel plan, synthesized graph)."""
         return self._reorganize(sfc, self.enable_parallelization,
-                                max_width, resolve_trace(trace))
+                                resolve_trace(trace))
 
     def _reorganize(self, sfc: ServiceFunctionChain, parallelize: bool,
-                    max_width: Optional[int], trace):
+                    trace):
         parallel_plan = None
         if parallelize:
             parallel_plan, graph = self.orchestrator.parallelize(
-                sfc, max_width=max_width, trace=trace
+                sfc, trace=trace
             )
         else:
             graph = sfc.concatenated_graph()
@@ -194,9 +183,7 @@ class NFCompass:
 
     def _plan_candidate(self, sfc: ServiceFunctionChain,
                         spec: TrafficSpec, sample: List[PacketBatch],
-                        batch_size: int,
-                        parallelize: bool,
-                        max_width: Optional[int],
+                        batch_size: int, parallelize: bool,
                         trace) -> CompassPlan:
         """Build, profile and allocate one candidate structure.
 
@@ -206,7 +193,7 @@ class NFCompass:
         pass's prefix.  The allocator takes the run profile.
         """
         parallel_plan, synthesis_report, graph = self._reorganize(
-            sfc, parallelize, max_width, trace
+            sfc, parallelize, trace
         )
         race, run = _sample_sizes(batch_size)
         with trace.span("profile", graph=graph.name,
@@ -226,7 +213,7 @@ class NFCompass:
         deployment = Deployment(
             graph=graph,
             mapping=mapping,
-            persistent_kernel=self.persistent_kernel,
+            persistent_kernel=True,
             name=f"nfcompass:{sfc.name}",
         )
         return CompassPlan(
@@ -242,9 +229,7 @@ class NFCompass:
         )
 
     def deploy(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
-               batch_size: int = 64,
-               max_width: Optional[int] = None,
-               trace=None) -> CompassPlan:
+               batch_size: int = 64, trace=None) -> CompassPlan:
         """Run the full Fig. 9 pipeline for one SFC.
 
         Re-organization is *profile-guided*: parallelization pays a
@@ -265,15 +250,13 @@ class NFCompass:
         trace = resolve_trace(trace)
         with trace.span("deploy", sfc=sfc.name,
                         batch_size=batch_size) as span:
-            plan = self._choose_candidate(sfc, spec, batch_size,
-                                          max_width, trace)
+            plan = self._choose_candidate(sfc, spec, batch_size, trace)
             span.set(parallelized=plan.parallel_plan is not None,
                      effective_length=plan.effective_length)
         return plan
 
     def _choose_candidate(self, sfc: ServiceFunctionChain,
                           spec: TrafficSpec, batch_size: int,
-                          max_width: Optional[int],
                           trace) -> CompassPlan:
         # One sample per deploy: every profile a deploy takes is a
         # prefix of the run-size one.
@@ -282,12 +265,10 @@ class NFCompass:
         if not (self.enable_parallelization and sfc.length > 1):
             trace.count("compass.candidates_evaluated", 1)
             return self._plan_candidate(sfc, spec, sample, batch_size,
-                                        parallelize=False,
-                                        max_width=max_width, trace=trace)
+                                        parallelize=False, trace=trace)
         candidates = [
             self._plan_candidate(sfc, spec, sample, batch_size,
-                                 parallelize=parallelize,
-                                 max_width=max_width, trace=trace)
+                                 parallelize=parallelize, trace=trace)
             for parallelize in (False, True)
         ]
         trace.count("compass.candidates_evaluated", len(candidates))
@@ -312,7 +293,6 @@ class NFCompass:
     def run(self, sfc: ServiceFunctionChain, spec: TrafficSpec,
             batch_size: int = 64,
             batch_count: int = 200,
-            max_width: Optional[int] = None,
             trace=None, overload=None) -> DeploymentResult:
         """Deploy and simulate in one call.
 
@@ -327,7 +307,7 @@ class NFCompass:
         trace = resolve_trace(trace)
         with trace.span("run", sfc=sfc.name, batch_size=batch_size,
                         batch_count=batch_count):
-            plan = self.deploy(sfc, spec, batch_size, max_width, trace)
+            plan = self.deploy(sfc, spec, batch_size, trace)
             report = plan.session.run(
                 spec,
                 batch_size=batch_size,

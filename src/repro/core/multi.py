@@ -53,13 +53,11 @@ class MultiTenantScheduler:
     """Deploys and simulates several SFCs on one platform."""
 
     def __init__(self, platform: Optional[PlatformSpec] = None,
-                 interference: Optional[InterferenceModel] = None,
                  cores_per_tenant: Optional[int] = None,
                  arrivals: Optional[ArrivalProcess] = None,
-                 overload=None,
-                 **compass_kwargs):
+                 overload=None):
         self.platform = platform or PlatformSpec()
-        self.interference = interference or InterferenceModel()
+        self.interference = InterferenceModel()
         self.cores_per_tenant = cores_per_tenant
         #: Runtime-level arrival process: every co-run round applies it
         #: (decorrelated per epoch) to tenants whose spec has none.
@@ -70,7 +68,6 @@ class MultiTenantScheduler:
         #: *bottleneck* tenant's report each :meth:`step` — the tenant
         #: whose SLO a consolidation decision would break first.
         self.overload = overload
-        self.compass_kwargs = compass_kwargs
         self.tenants: List[Tenant] = []
         #: The batch size of the last :meth:`deploy`; runs default to
         #: it.
@@ -103,7 +100,6 @@ class MultiTenantScheduler:
                 platform=self.platform,
                 cpu_cores=cores,
                 gpus=[gpus[index % len(gpus)]] if gpus else None,
-                **self.compass_kwargs,
             )
             self.tenants.append(Tenant(
                 name=name, sfc=sfc, spec=spec, cores=cores,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Set, Tuple
 
-from repro.elements.element import ActionProfile, Element, TrafficClass
+from repro.elements.element import Element, TrafficClass
 from repro.elements.graph import Edge, ElementGraph
 from repro.obs import resolve_trace
 
@@ -52,24 +52,6 @@ class SynthesisReport:
             f"spliced {self.spliced_io} I/O, deduplicated "
             f"{self.deduplicated}, hoisted {self.hoisted_drops} drops"
         )
-
-
-def _regions_written(actions: ActionProfile) -> Set[str]:
-    regions: Set[str] = set()
-    if actions.writes_header or actions.adds_removes_bits:
-        regions.add("header")
-    if actions.writes_payload or actions.adds_removes_bits:
-        regions.add("payload")
-    return regions
-
-
-def _regions_read(actions: ActionProfile) -> Set[str]:
-    regions: Set[str] = set()
-    if actions.reads_header:
-        regions.add("header")
-    if actions.reads_payload:
-        regions.add("payload")
-    return regions
 
 
 #: The dominator tree's root: one virtual node above every source.
@@ -262,11 +244,11 @@ class NFSynthesizer:
         ``later`` invalidates re-using ``earlier``'s effect."""
         between = (_reachable(successors, earlier)
                    & _reachable(predecessors, later))
-        reads = _regions_read(element.actions)
-        writes = _regions_written(element.actions)
+        reads = element.actions.read_regions()
+        writes = element.actions.write_regions()
         for mid in between:
             mid_element = graph.element(mid)
-            mid_writes = _regions_written(mid_element.actions)
+            mid_writes = mid_element.actions.write_regions()
             # A writer of a region the candidate reads could change the
             # candidate's result; a writer of a region the candidate
             # writes would be clobbered if we dropped the later copy.
@@ -317,7 +299,7 @@ class NFSynthesizer:
             return False
         # The modifier must not write what the filter reads (the drop
         # decision must be identical before and after the swap).
-        if _regions_written(pred.actions) & _regions_read(filt.actions):
+        if pred.actions.write_regions() & filt.actions.read_regions():
             return False
         # Re-wire: in -> filter -> pred -> out.
         in_edge = pred_in[0]

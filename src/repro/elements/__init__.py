@@ -6,8 +6,8 @@ Click modular router: small processing elements with input/output
 ports, connected into a DAG, pushing packet batches downstream.
 
 This package provides the element base classes, the graph container,
-a library of standard elements, and the offloadable-element machinery
-(CPU-side + GPU-side implementations, completion queue).
+a library of standard elements, and the offloadable-element base
+class with the traits the cost model prices offload by.
 """
 
 from repro.elements.element import (
@@ -17,7 +17,7 @@ from repro.elements.element import (
     PortSpec,
 )
 from repro.elements.graph import ElementGraph, Edge
-from repro.elements.offload import OffloadableElement, GPUCompletionQueue
+from repro.elements.offload import OffloadableElement
 from repro.elements.config import parse_config, register_element
 from repro.elements import standard
 
@@ -29,7 +29,6 @@ __all__ = [
     "ElementGraph",
     "Edge",
     "OffloadableElement",
-    "GPUCompletionQueue",
     "parse_config",
     "register_element",
     "standard",

@@ -20,7 +20,7 @@ import copy
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.net.batch import PacketBatch
 
@@ -174,6 +174,24 @@ class ActionProfile:
     @property
     def reads(self) -> bool:
         return self.reads_header or self.reads_payload
+
+    def read_regions(self) -> Set[str]:
+        """The coarse regions (``"header"``/``"payload"``) read."""
+        regions: Set[str] = set()
+        if self.reads_header:
+            regions.add("header")
+        if self.reads_payload:
+            regions.add("payload")
+        return regions
+
+    def write_regions(self) -> Set[str]:
+        """The coarse regions written; a size change writes both."""
+        regions: Set[str] = set()
+        if self.writes_header or self.adds_removes_bits:
+            regions.add("header")
+        if self.writes_payload or self.adds_removes_bits:
+            regions.add("payload")
+        return regions
 
     def effective_read_fields(self) -> Optional[FrozenSet[str]]:
         """The field-level read set, or None when unknown.

@@ -44,9 +44,6 @@ class ElementGraph:
         self.name = name or f"graph@{next(_graph_ids)}"
         self._elements: Dict[str, Element] = {}
         self._edges: List[Edge] = []
-        # Per-edge live-packet counts filled by run_batch (profiler input).
-        self.edge_packet_counts: Dict[Edge, int] = {}
-        self.total_split_ops = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -324,9 +321,8 @@ class ElementGraph:
 
         Execution proceeds in topological order.  Batches arriving at a
         node over multiple edges are merged (order-preserving); batches
-        leaving a classifier are split per output port (recorded in
-        ``total_split_ops``); dropped packets vanish at the element
-        that dropped them.
+        leaving a classifier are split per output port; dropped packets
+        vanish at the element that dropped them.
         """
         order = self.validate()
         entry_nodes = self.sources()
@@ -345,12 +341,8 @@ class ElementGraph:
                 current = pending[0]
             else:
                 current = PacketBatch.merge(pending)
-                self.total_split_ops += len(current)
             element = self._elements[node_id]
             outputs = element.push(current)
-            if len([p for b in outputs.values() for p in b.packets]) \
-                    and len(outputs) > 1:
-                self.total_split_ops += sum(len(b) for b in outputs.values())
             if node_id in sink_set:
                 collected = PacketBatch.merge(outputs.values()) \
                     if outputs else PacketBatch()
@@ -361,24 +353,14 @@ class ElementGraph:
                 if not destinations:
                     continue  # unconnected port: packets are discarded
                 if len(destinations) == 1:
-                    edge = destinations[0]
-                    inbox[edge.dst].append(out_batch)
-                    self.edge_packet_counts[edge] = (
-                        self.edge_packet_counts.get(edge, 0)
-                        + len(out_batch.live_packets)
-                    )
+                    inbox[destinations[0].dst].append(out_batch)
                 else:
                     # Fan-out (Tee): duplicate the batch per edge.
                     for edge in destinations:
-                        duplicate = PacketBatch(
+                        inbox[edge.dst].append(PacketBatch(
                             [p.clone() for p in out_batch.packets],
                             creation_time=out_batch.creation_time,
-                        )
-                        inbox[edge.dst].append(duplicate)
-                        self.edge_packet_counts[edge] = (
-                            self.edge_packet_counts.get(edge, 0)
-                            + len(duplicate.live_packets)
-                        )
+                        ))
         return results
 
     def run_packets(self, packets) -> List:

@@ -1,27 +1,23 @@
-"""Offloadable elements and the GPU completion queue.
+"""Offloadable elements.
 
 The paper's offloading model (Section II.B.1, Fig. 3/4) runs
 pre-processing, host-to-device copy, kernel execution, device-to-host
 copy, and post-processing for each offloaded batch.  Functionally the
 GPU-side computation is identical to the CPU-side one; what differs is
 *cost* (modelled in :mod:`repro.hw`).  An :class:`OffloadableElement`
-therefore exposes the same :meth:`process` for both sides plus the
-metadata (per-packet transfer sizes, divergence behaviour) the cost
-model consumes, and supports *partial offload*: processing a fraction
-of each batch on the GPU and the rest on the CPU.
-
-:class:`GPUCompletionQueue` mirrors Snap's element of the same name:
-it releases a batch only when every packet of the batch has completed,
-restoring packet order after parallel GPU execution.
+therefore runs the same :meth:`process` wherever it is placed and
+carries the metadata (per-packet transfer sizes, divergence behaviour)
+the cost model consumes.  Partial offload is a placement decision: the
+allocator splits an element's batches across devices as
+:class:`~repro.sim.mapping.Placement` shares, and the event kernel
+prices each share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
 
-from repro.elements.element import ActionProfile, Element, TrafficClass
-from repro.net.batch import PacketBatch
+from repro.elements.element import Element
 
 
 @dataclass(frozen=True)
@@ -47,64 +43,8 @@ class OffloadTraits:
 
 
 class OffloadableElement(Element):
-    """An element with both CPU-side and GPU-side implementations."""
+    """An element the allocator may place, wholly or in part, on an
+    offload device."""
 
     offloadable = True
     traits = OffloadTraits()
-
-    def __init__(self, name: Optional[str] = None, **kwargs):
-        super().__init__(name=name, **kwargs)
-        #: Fraction of each batch sent to the GPU (0 = CPU only).
-        #: Set by the task allocator / baseline policies.
-        self.offload_ratio = 0.0
-
-    def process_gpu(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
-        """GPU-side computation; functionally identical by default."""
-        return self.process(batch)
-
-    def split_for_offload(self, batch: PacketBatch):
-        """Split a batch into (gpu_share, cpu_share) per the ratio."""
-        gpu_part, cpu_part = batch.partition_fraction(self.offload_ratio)
-        return gpu_part, cpu_part
-
-
-class GPUCompletionQueue(Element):
-    """Order-restoring completion barrier for offloaded batches.
-
-    Accumulates sub-batches until the number of collected packets
-    reaches the expected batch population, then releases them sorted by
-    sequence number (Snap's packet-reordering fix, Section IV.C.1).
-    """
-
-    traffic_class = TrafficClass.SHAPER
-    actions = ActionProfile()
-
-    def __init__(self, name: Optional[str] = None):
-        super().__init__(name=name)
-        self._staged: List[PacketBatch] = []
-        self._expected: Optional[int] = None
-        self.releases = 0
-
-    def expect(self, packet_count: int) -> None:
-        """Arm the queue: release only after ``packet_count`` packets."""
-        self._expected = packet_count
-
-    def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
-        if self._expected is None:
-            # Pass-through mode (no partial offload in flight): still
-            # restore order within the single batch.
-            merged = PacketBatch.merge([batch], preserve_order=True)
-            self.releases += 1
-            return {0: merged}
-        self._staged.append(batch)
-        staged_packets = sum(len(b) for b in self._staged)
-        if staged_packets < self._expected:
-            return {0: PacketBatch(creation_time=batch.creation_time)}
-        merged = PacketBatch.merge(self._staged, preserve_order=True)
-        self._staged = []
-        self._expected = None
-        self.releases += 1
-        return {0: merged}
-
-    def signature(self) -> Hashable:
-        return ("unique", self.uid)  # stateful: never deduplicate

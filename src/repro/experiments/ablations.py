@@ -24,7 +24,7 @@ from repro.core.compass import NFCompass
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
-from repro.sim.engine import BranchProfile
+from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.distributions import IMIXSize
 from repro.traffic.generator import TrafficSpec
@@ -92,7 +92,7 @@ def _ablation_point(study: str, variant: str, batch_count: int,
             latency_ms=result.latency_ms,
             planning_seconds=planning,
         )]
-    engine = common.make_engine()
+    engine = SimulationEngine()
     if study == "partition_algorithm":
         graph = _chain().concatenated_graph()
         allocator = GraphTaskAllocator(platform=engine.platform,
@@ -183,11 +183,11 @@ def sweep_spec(quick: bool = True,
 
 def run_all(quick: bool = True,
             studies: Sequence[str] = STUDIES,
-            jobs: int = 1, runner=None) -> List[AblationRow]:
+            runner=None) -> List[AblationRow]:
     """Run the requested ablation studies; returns the combined rows."""
     return common.run_sweep(
         sweep_spec(quick=quick, studies=studies),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -216,10 +216,9 @@ def ablate_expansion_delta(quick: bool = True,
     )
 
 
-def main(quick: bool = True, jobs: int = 1,
-         runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render all ablation results as one table."""
-    rows = run_all(quick, jobs=jobs, runner=runner)
+    rows = run_all(quick, runner=runner)
     return common.format_table(
         ["study", "variant", "Gbps", "latency ms", "planning s"],
         [[r.study, r.variant, r.throughput_gbps, r.latency_ms,

@@ -1,13 +1,14 @@
 """Shared experiment utilities.
 
-Standard platform/engine construction, dedicated-core mappings (the
+Sweep contexts over the standard platform, dedicated-core mappings (the
 characterization experiments pin each element to its own core, as the
 paper pins NFs to dedicated cores), two-pass capacity/latency
 measurement, plain-text table rendering, and the sweep plumbing every
 harness shares: each driver describes its parameter grid as a
 :class:`SweepSpec` (re-exported here from :mod:`repro.runner`) and
-executes it through :func:`run_sweep`, which gives every experiment
-``jobs=N`` parallelism and content-addressed result caching for free.
+executes it through :func:`run_sweep` on the caller's
+:class:`SweepRunner` (:func:`make_runner` builds the CLI's), which
+supplies worker parallelism and content-addressed result caching.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.elements.graph import ElementGraph
-from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
 from repro.obs import resolve_trace
 from repro.runner import (  # noqa: F401  (re-exported sweep API)
@@ -72,13 +72,6 @@ def sweep_context(traffic: Optional[TrafficSpec] = None,
         context["chain"] = chain
     context.update(extra)
     return context
-
-
-def make_engine(platform: Optional[PlatformSpec] = None,
-                cost_model: Optional[CostModel] = None) -> SimulationEngine:
-    """The standard engine over the Table I platform."""
-    platform = platform or PlatformSpec()
-    return SimulationEngine(platform, cost_model or CostModel(platform))
 
 
 def dedicated_core_mapping(graph: ElementGraph, offload_ratio: float = 0.0,

@@ -25,6 +25,7 @@ from repro.elements.standard import (
     ToDevice,
 )
 from repro.experiments import common
+from repro.sim.engine import SimulationEngine
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -85,7 +86,7 @@ def _measure_point(stages: int, with_split: bool, batch_size: int,
     """One sweep point: measure one (stages, variant) configuration."""
     from repro.sim.mapping import Deployment
 
-    engine = common.make_engine()
+    engine = SimulationEngine()
     graph = build_branch_chain(stages, with_split)
     mapping = common.dedicated_core_mapping(graph)
     deployment = Deployment(
@@ -122,20 +123,18 @@ def sweep_spec(quick: bool = True, stage_counts: List[int] = (4,),
 
 
 def run(quick: bool = True, stage_counts: List[int] = (4,),
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig5Row]:
+        batch_size: int = 64, runner=None) -> List[Fig5Row]:
     """Measure both variants for each chain depth."""
     return common.run_sweep(
         sweep_spec(quick=quick, stage_counts=stage_counts,
                    batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 5 table plus the no-split/split ratio notes."""
-    rows = run(quick=quick, stage_counts=[1, 2, 4, 6], jobs=jobs,
-               runner=runner)
+    rows = run(quick=quick, stage_counts=[1, 2, 4, 6], runner=runner)
     table = common.format_table(
         ["variant", "stages", "Gbps", "reorg fraction"],
         [[r.variant, r.stages, r.throughput_gbps,

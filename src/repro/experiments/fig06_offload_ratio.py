@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.sim.engine import SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
@@ -37,7 +38,7 @@ def _measure_point(nf_type: str, offload_ratio: float,
                    packet_size: int, batch_size: int,
                    batch_count: int) -> List[Fig6Row]:
     """One sweep point: one NF at one offload ratio."""
-    engine = common.make_engine()
+    engine = SimulationEngine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=80.0)
     graph = ServiceFunctionChain([make_nf(nf_type)]).concatenated_graph()
@@ -81,13 +82,12 @@ def run(quick: bool = True,
         nf_types: Sequence[str] = NF_TYPES,
         ratios: Sequence[float] = RATIOS,
         packet_size: int = 64,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig6Row]:
+        batch_size: int = 64, runner=None) -> List[Fig6Row]:
     """Sweep offload ratios for each NF; returns one row per point."""
     return common.run_sweep(
         sweep_spec(quick=quick, nf_types=nf_types, ratios=ratios,
                    packet_size=packet_size, batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -101,9 +101,9 @@ def best_ratios(rows: List[Fig6Row]) -> Dict[str, float]:
     return {nf: r.offload_ratio for nf, r in best.items()}
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 6 table, per-NF sparklines, and best ratios."""
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["NF", "offload ratio", "Gbps"],
         [[r.nf_type, f"{r.offload_ratio:.0%}", r.throughput_gbps]

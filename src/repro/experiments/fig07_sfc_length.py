@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.sim.engine import SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
@@ -49,7 +50,7 @@ def _measure_point(case: str, nf_types: Sequence[str], policy: str,
                    offload_ratio: float, packet_size: int,
                    batch_size: int, batch_count: int) -> List[Fig7Row]:
     """One sweep point: one (chain case, offload policy) pair."""
-    engine = common.make_engine()
+    engine = SimulationEngine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=80.0)
     sfc = ServiceFunctionChain([make_nf(t) for t in nf_types])
@@ -95,13 +96,12 @@ def sweep_spec(quick: bool = True,
 def run(quick: bool = True,
         cases: Sequence = CASES,
         packet_size: int = 64,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig7Row]:
+        batch_size: int = 64, runner=None) -> List[Fig7Row]:
     """Measure every (case, policy) pair; returns one row each."""
     return common.run_sweep(
         sweep_spec(quick=quick, cases=cases, packet_size=packet_size,
                    batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -117,9 +117,9 @@ def acceleration_by_case(rows: List[Fig7Row]) -> Dict[str, float]:
     }
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 7 table and per-case acceleration notes."""
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["case", "chain", "policy", "Gbps"],
         [[r.case, r.chain, r.policy, r.throughput_gbps] for r in rows],

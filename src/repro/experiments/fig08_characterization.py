@@ -25,6 +25,7 @@ from repro.experiments import common
 from repro.hw.interference import InterferenceModel
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.sim.engine import SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.dpi_profiles import MatchProfile
 from repro.traffic.distributions import FixedSize
@@ -54,7 +55,7 @@ def _batch_point(nf_type: str, platform: str, match_profile: str,
                  batch_size: int, packet_size: int,
                  batch_count: int) -> List[BatchSweepRow]:
     """One sweep point: one NF on one platform at one batch size."""
-    engine = common.make_engine()
+    engine = SimulationEngine()
     profile = MatchProfile(match_profile)
     spec = TrafficSpec(
         size_law=FixedSize(packet_size),
@@ -118,14 +119,14 @@ def run_batch_sweep(quick: bool = True,
                     nf_types: Sequence[str] = ("ipv4", "ipv6",
                                                "ipsec", "dpi"),
                     batch_sizes: Sequence[int] = BATCH_SIZES,
-                    packet_size: int = 256, jobs: int = 1,
+                    packet_size: int = 256,
                     runner=None) -> List[BatchSweepRow]:
     """Fig. 8(a–d): batch-size sweeps per NF on CPU and GPU."""
     return common.run_sweep(
         batch_sweep_spec(quick=quick, nf_types=nf_types,
                          batch_sizes=batch_sizes,
                          packet_size=packet_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -176,10 +177,10 @@ def dpi_cpu_knee(rows: List[BatchSweepRow]) -> bool:
     return peak_batch <= 256 and series[-1][1] < max(s[1] for s in series)
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render all Fig. 8 artifacts: sweeps, matrix, headline checks."""
     from repro.experiments.plots import bar_chart, sparkline
-    sweep = run_batch_sweep(quick=quick, jobs=jobs, runner=runner)
+    sweep = run_batch_sweep(quick=quick, runner=runner)
     matrix, averages = run_interference()
     curves = []
     keys = dict.fromkeys((r.nf_type, r.platform, r.match_profile)

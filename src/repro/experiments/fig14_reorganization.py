@@ -132,7 +132,7 @@ def _traffic() -> TrafficSpec:
 
 def _prepare(nf_type: str, config: str, platform: str, batch_size: int):
     """Build (effective_length, profile, session) for a configuration."""
-    from repro.sim.engine import BranchProfile
+    from repro.sim.engine import BranchProfile, SimulationEngine
 
     graph, effective_length = build_config(nf_type, config)
     # Runtime profiling: the engine needs measured drop/port fractions
@@ -149,7 +149,7 @@ def _prepare(nf_type: str, config: str, platform: str, batch_size: int):
         graph, mapping, persistent_kernel=False,
         name=f"{nf_type}/{config}/{platform}",
     )
-    session = common.make_engine().session(deployment)
+    session = SimulationEngine().session(deployment)
     return effective_length, profile, session
 
 
@@ -218,13 +218,12 @@ def sweep_spec(quick: bool = True,
 def run(quick: bool = True,
         nf_types: Sequence[str] = NF_TYPES,
         configs: Sequence[str] = CONFIGS,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig14Row]:
+        batch_size: int = 64, runner=None) -> List[Fig14Row]:
     """Every configuration's capacity and shared-load latency."""
     return common.run_sweep(
         sweep_spec(quick=quick, nf_types=nf_types, configs=configs,
                    batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -242,9 +241,9 @@ def latency_reduction(rows: List[Fig14Row], nf_type: str,
     return 1.0 - target.latency_ms / base.latency_ms
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 14 table and latency-reduction notes."""
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["NF", "config", "platform", "eff.len", "Gbps", "latency ms"],
         [[r.nf_type, r.config, r.platform, r.effective_length,

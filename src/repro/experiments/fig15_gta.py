@@ -26,7 +26,7 @@ from repro.core.allocator import GraphTaskAllocator
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
-from repro.sim.engine import BranchProfile
+from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.sim.mapping import Deployment
 from repro.traffic.distributions import IMIXSize
 from repro.traffic.generator import TrafficSpec
@@ -57,7 +57,7 @@ def _measure_point(setup: str, nf_types: Sequence[str], system: str,
                    optimal_batch_count: int,
                    refine_passes: int) -> List[Fig15Row]:
     """One sweep point: one (setup, system) pair under IMIX."""
-    engine = common.make_engine()
+    engine = SimulationEngine()
     platform = engine.platform
     ip_version = 6 if tuple(nf_types) == ("ipv6",) else 4
     spec = TrafficSpec(size_law=IMIXSize(), offered_gbps=40.0,
@@ -129,12 +129,11 @@ def sweep_spec(quick: bool = True,
 
 def run(quick: bool = True,
         setups: Sequence = SETUPS,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig15Row]:
+        batch_size: int = 64, runner=None) -> List[Fig15Row]:
     """Measure every (setup, system) pair under IMIX traffic."""
     return common.run_sweep(
         sweep_spec(quick=quick, setups=setups, batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -169,9 +168,9 @@ def gta_gain_over_best_effort(rows: List[Fig15Row]) -> Dict[str, float]:
     return gains
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 15 table, GTA/optimal ratios, and gains."""
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["setup", "system", "Gbps", "latency ms"],
         [[r.setup, r.system, r.throughput_gbps, r.latency_ms]

@@ -49,6 +49,7 @@ from repro.nf.base import ServiceFunctionChain
 from repro.nf.firewall import Firewall
 from repro.nf.ipv4 import IPv4Forwarder, LPMTrie
 from repro.nf.nat import NetworkAddressTranslator
+from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import SimulationSession
 from repro.traffic.acl import AclRule, generate_acl
 from repro.traffic.distributions import FixedSize
@@ -93,7 +94,7 @@ def _prepare(system: str, tag: str, rules: List[AclRule], fib: LPMTrie,
     else:
         deployment = NFCompass(platform=platform).deploy(
             sfc, spec, batch_size=batch_size).deployment
-    return common.make_engine(platform).session(deployment)
+    return SimulationEngine(platform).session(deployment)
 
 
 def _fixed_load(capacities: Iterable[float]) -> float:
@@ -165,8 +166,7 @@ def cell_sweep_spec(acl_sizes: Sequence[int],
 def run(quick: bool = True,
         acl_sizes: Sequence[int] = ACL_SIZES,
         packet_sizes: Sequence[int] = PACKET_SIZES,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[Fig17Row]:
+        batch_size: int = 64, runner=None) -> List[Fig17Row]:
     """Every system's capacity and fixed-load latency in every cell.
 
     Phase 1 runs the smallest ACL's cells, which set each packet
@@ -177,7 +177,7 @@ def run(quick: bool = True,
     rows = common.run_sweep(
         cell_sweep_spec((smallest,), packet_sizes, quick=quick,
                         batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
     loads = {size: _fixed_load(r.throughput_gbps for r in rows
                                if r.packet_size == size)
@@ -185,7 +185,7 @@ def run(quick: bool = True,
     return rows + common.run_sweep(
         cell_sweep_spec(larger, packet_sizes, loads, quick=quick,
                         batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -227,9 +227,9 @@ def latency_advantage(rows: List[Fig17Row]) -> Dict[Tuple[int, int],
     return advantage
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 17 table and throughput-retention notes."""
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["system", "ACL", "pkt", "Gbps", "latency ms", "lat std us"],
         [[r.system, r.acl_rules, r.packet_size, r.throughput_gbps,

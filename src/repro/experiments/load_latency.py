@@ -29,7 +29,7 @@ from repro.core.compass import NFCompass
 from repro.experiments import common
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
-from repro.sim.engine import BranchProfile
+from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.traffic.arrivals import (
     MMPP,
     ArrivalProcess,
@@ -111,7 +111,7 @@ def _prepare(system: str, nf_types: Sequence[str], packet_size: int,
     point shares the session.  NFCompass's are its plan's run profile
     and session.
     """
-    engine = common.make_engine()
+    engine = SimulationEngine()
     spec = TrafficSpec(size_law=FixedSize(packet_size),
                        offered_gbps=40.0, seed=5)
     sfc = ServiceFunctionChain([make_nf(t) for t in nf_types])
@@ -373,7 +373,7 @@ def run_overload(quick: bool = True,
                  drop_policy: str = "tail",
                  slo_ms: float = 2.0,
                  admission: str = "none",
-                 jobs: int = 1, runner=None) -> List[OverloadRow]:
+                 runner=None) -> List[OverloadRow]:
     """Overload-protected degradation curves across arrival modes."""
     return common.run_sweep(
         overload_sweep_spec(quick=quick, nf_types=nf_types,
@@ -383,7 +383,7 @@ def run_overload(quick: bool = True,
                             queue_limit=queue_limit,
                             drop_policy=drop_policy, slo_ms=slo_ms,
                             admission=admission),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -392,13 +392,13 @@ def run_burstiness(quick: bool = True,
                    packet_size: int = 256,
                    batch_size: int = 64,
                    modes: Sequence[str] = BURST_MODES,
-                   jobs: int = 1, runner=None) -> List[BurstinessRow]:
+                   runner=None) -> List[BurstinessRow]:
     """Compare arrival processes at 80 % of NFCompass capacity."""
     return common.run_sweep(
         burstiness_sweep_spec(quick=quick, nf_types=nf_types,
                               packet_size=packet_size,
                               batch_size=batch_size, modes=modes),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -407,14 +407,14 @@ def run(quick: bool = True,
         packet_size: int = 256,
         batch_size: int = 64,
         fractions: Sequence[float] = LOAD_FRACTIONS,
-        jobs: int = 1, runner=None) -> List[LoadLatencyRow]:
+        runner=None) -> List[LoadLatencyRow]:
     """Sweep offered load for both systems; returns one row per
     (system, load fraction)."""
     return common.run_sweep(
         latency_sweep_spec(quick=quick, nf_types=nf_types,
                            packet_size=packet_size,
                            batch_size=batch_size, fractions=fractions),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -440,10 +440,10 @@ def knee_note(rows: List[LoadLatencyRow]) -> str:
                         for s in dict.fromkeys(r.system for r in rows)))
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Render the load sweep table, ASCII curves, and knee factors."""
     from repro.experiments.plots import line_plot
-    rows = run(quick=quick, jobs=jobs, runner=runner)
+    rows = run(quick=quick, runner=runner)
     table = common.format_table(
         ["system", "load", "offered Gbps", "latency ms", "p50 ms",
          "p95 ms", "p99 ms"],
@@ -459,7 +459,7 @@ def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
         )
     plot = line_plot(series, title="mean latency (ms) vs load (%)",
                      x_label="% of capacity", y_label="ms")
-    burst_rows = run_burstiness(quick=quick, jobs=jobs, runner=runner)
+    burst_rows = run_burstiness(quick=quick, runner=runner)
     burst_table = common.format_table(
         ["arrivals", "mean Gbps", "peak Gbps", "latency ms", "p50 ms",
          "p95 ms", "p99 ms", "max queue"],
@@ -469,7 +469,7 @@ def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
         title="Burstiness at 80% mean load (same rate, different "
               "tails)",
     )
-    overload_rows = run_overload(quick=quick, jobs=jobs, runner=runner)
+    overload_rows = run_overload(quick=quick, runner=runner)
     overload_table = common.format_table(
         ["arrivals", "load", "offered Gbps", "goodput Gbps", "drop",
          "p99 ms", "conserved"],

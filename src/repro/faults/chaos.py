@@ -96,13 +96,12 @@ def sweep_spec(quick: bool = True,
 def run(quick: bool = True,
         nf_types: Sequence[str] = NF_TYPES,
         seeds: Sequence[int] = SEEDS,
-        batch_size: int = 64, jobs: int = 1,
-        runner=None) -> List[ChaosRow]:
+        batch_size: int = 64, runner=None) -> List[ChaosRow]:
     """Run the chaos grid; returns one row per (chain, seed)."""
     return common.run_sweep(
         sweep_spec(quick=quick, nf_types=nf_types, seeds=seeds,
                    batch_size=batch_size),
-        jobs=jobs, runner=runner,
+        runner=runner,
     )
 
 
@@ -125,9 +124,9 @@ def render(rows: Sequence[ChaosRow]) -> str:
     return table + "\n" + verdict
 
 
-def main(quick: bool = True, jobs: int = 1, runner=None) -> str:
+def main(quick: bool = True, runner=None) -> str:
     """Run the chaos grid and render the regression table."""
-    return render(run(quick=quick, jobs=jobs, runner=runner))
+    return render(run(quick=quick, runner=runner))
 
 
 if __name__ == "__main__":

@@ -38,10 +38,7 @@ class ResilientRuntime(EpochLoop):
     """Fault-aware epoch loop around NFCompass.
 
     Implements the :class:`~repro.core.runtime.Runtime` protocol
-    (``step``/``plan``/``session``).  ``compass_kwargs`` are forwarded
-    to every :class:`~repro.core.compass.NFCompass` the runtime builds
-    (initial deploy and each replan), e.g. ``algorithm=`` or
-    ``persistent_kernel=``.
+    (``step``/``plan``/``session``).
     """
 
     def __init__(self, sfc: ServiceFunctionChain,
@@ -52,15 +49,13 @@ class ResilientRuntime(EpochLoop):
                  readmit_epochs: int = 1,
                  arrivals: Optional[ArrivalProcess] = None,
                  overload=None,
-                 trace=None,
-                 **compass_kwargs):
+                 trace=None):
         if readmit_epochs < 0:
             raise ValueError("readmit_epochs must be non-negative")
         self.platform = platform or PlatformSpec()
         faults.validate_against(self.platform)
         self.faults = faults
         self.readmit_epochs = readmit_epochs
-        self.compass_kwargs = compass_kwargs
         #: Simulated seconds already consumed by started epochs; the
         #: absolute fault timeline is re-based against this clock.
         self.clock = 0.0
@@ -92,8 +87,7 @@ class ResilientRuntime(EpochLoop):
         platform = self.platform
         if crashed_extras:
             platform = platform.without_devices(*crashed_extras)
-        return NFCompass(platform=platform, gpus=gpus,
-                         **self.compass_kwargs)
+        return NFCompass(platform=platform, gpus=gpus)
 
     # ------------------------------------------------------------------
     def _epoch_health(self, t0: float, t1: float) -> Dict[str, bool]:

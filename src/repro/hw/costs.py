@@ -207,7 +207,6 @@ _CPU_LAWS: Dict[str, CycleLaw] = {
     "StripEther": _law_const(25.0),
     "EtherEncap": _law_const(40.0),
     "HashSwitch": _law_const(90.0),
-    "GPUCompletionQueue": _law_const(25.0),
     "Classifier": _law_classifier,
     "Tee": _law_tee,
     "IPv4Lookup": _law_ipv4,

@@ -14,7 +14,6 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
     Packet,
-    HeaderRegion,
 )
 from repro.net.batch import PacketBatch, BatchSplitResult
 from repro.net.flow import FiveTuple, FlowTable, StreamReassembler
@@ -27,7 +26,6 @@ __all__ = [
     "TCPHeader",
     "UDPHeader",
     "Packet",
-    "HeaderRegion",
     "PacketBatch",
     "BatchSplitResult",
     "FiveTuple",

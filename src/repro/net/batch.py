@@ -99,19 +99,12 @@ class PacketBatch:
                                 split_overhead_ops=overhead)
 
     @classmethod
-    def merge(cls, batches: Iterable["PacketBatch"],
-              preserve_order: bool = True) -> "PacketBatch":
-        """Re-assemble sub-batches into one batch.
-
-        With ``preserve_order`` the packets are sorted back into their
-        original sequence-number order (what GPUCompletionQueue-style
-        elements guarantee); without it, packets are concatenated in
-        completion order, which may reorder the stream.
-        """
+    def merge(cls, batches: Iterable["PacketBatch"]) -> "PacketBatch":
+        """Re-assemble sub-batches into one batch, with the packets
+        sorted back into their original sequence-number order."""
         batches = list(batches)
         packets: List[Packet] = [p for b in batches for p in b.packets]
-        if preserve_order:
-            packets.sort(key=lambda p: p.seqno)
+        packets.sort(key=lambda p: p.seqno)
         merged = cls(packets)
         if batches:
             merged.creation_time = min(b.creation_time for b in batches)
@@ -119,15 +112,6 @@ class PacketBatch:
             merged.split_count = max(b.split_count for b in batches)
             merged.merge_count = max(b.merge_count for b in batches) + 1
         return merged
-
-    def reorder_violations(self) -> int:
-        """Count adjacent pairs whose sequence numbers are out of order."""
-        violations = 0
-        live = self.live_packets
-        for earlier, later in zip(live, live[1:]):
-            if earlier.seqno > later.seqno:
-                violations += 1
-        return violations
 
     def take(self, count: int) -> "PacketBatch":
         """Remove and return the first ``count`` packets as a new batch."""
@@ -137,23 +121,6 @@ class PacketBatch:
         taken.split_count = self.split_count
         taken.merge_count = self.merge_count
         return taken
-
-    def partition_fraction(self, fraction: float) -> tuple:
-        """Split into (first ``fraction`` share, remainder) for offloading.
-
-        Used to model partial offload: a ratio of 0.7 sends 70 % of the
-        batch down the GPU pipe and keeps 30 % on the CPU.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("offload fraction must be within [0, 1]")
-        cut = round(len(self.packets) * fraction)
-        first = PacketBatch(self.packets[:cut], creation_time=self.creation_time)
-        second = PacketBatch(self.packets[cut:], creation_time=self.creation_time)
-        for part in (first, second):
-            part.generation = self.generation
-            part.split_count = self.split_count
-            part.merge_count = self.merge_count
-        return first, second
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

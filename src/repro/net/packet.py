@@ -12,7 +12,6 @@ scope.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -26,18 +25,6 @@ IPPROTO_UDP = 17
 IPPROTO_ESP = 50
 
 _packet_ids = itertools.count()
-
-
-class HeaderRegion(enum.Enum):
-    """Packet regions an NF may read or write.
-
-    The parallelization calculus of the paper (Tables II/III) reasons
-    about *header* versus *payload* accesses; this enum names the two
-    regions.
-    """
-
-    HEADER = "header"
-    PAYLOAD = "payload"
 
 
 def mac_to_bytes(mac: str) -> bytes:

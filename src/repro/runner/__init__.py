@@ -17,7 +17,7 @@ memoizes every point by content fingerprint:
   the hashing primitives.
 
 Typical use (every :mod:`repro.experiments` harness does this via
-``run(..., jobs=N)``)::
+``run(..., runner=runner)``)::
 
     from repro.runner import SweepRunner, ResultCache
     from repro.experiments import fig08_characterization as fig08

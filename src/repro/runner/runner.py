@@ -154,14 +154,11 @@ def _start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1,
-              cache: Optional[ResultCache] = None,
-              runner: Optional[SweepRunner] = None,
+def run_sweep(spec: SweepSpec, runner: Optional[SweepRunner] = None,
               trace=None) -> List[Any]:
-    """Run one sweep with an existing or throwaway runner."""
-    if runner is None:
-        runner = SweepRunner(jobs=jobs, cache=cache)
-    return runner.run(spec, trace=trace)
+    """Run one sweep on ``runner``, by default a serial, uncached
+    :class:`SweepRunner`."""
+    return (runner or SweepRunner()).run(spec, trace=trace)
 
 
 __all__ = ["SHARDS_PER_JOB", "SweepRunner", "run_sweep",

@@ -13,8 +13,8 @@ The scheduling machinery lives in :mod:`repro.sim.kernel`:
 busy intervals (blocked gap index: O(B + n/B) gap fills) and
 :class:`~repro.sim.kernel.SimulationSession` caches per-deployment
 invariants across runs.  :class:`SimulationEngine` here is a thin
-facade that builds a fresh session per call; callers that evaluate one
-deployment repeatedly should hold a session via :meth:`SimulationEngine.session`.
+facade: :meth:`SimulationEngine.session` prepares a deployment once,
+and every run goes through the returned session.
 
 Branching behaviour (which fraction of traffic leaves each classifier
 port, which fraction each element drops) is supplied by a
@@ -35,7 +35,6 @@ from repro.hw.platform import PlatformSpec
 from repro.net.batch import PacketBatch
 from repro.sim.kernel import SimulationSession
 from repro.sim.mapping import Deployment
-from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
 
@@ -181,15 +180,3 @@ class SimulationEngine:
         on the returned session reuses them.
         """
         return SimulationSession(self, deployment)
-
-    def run(self, deployment: Deployment, spec: TrafficSpec,
-            **options) -> ThroughputLatencyReport:
-        """Simulate ``deployment`` under ``spec`` once.
-
-        One-shot convenience over :meth:`session`: ``options`` are the
-        keyword arguments of
-        :meth:`repro.sim.kernel.SimulationSession.run` (batch size and
-        count, branch profile, interference, recorder, trace, faults,
-        overload), forwarded unchanged.
-        """
-        return self.session(deployment).run(spec, **options)

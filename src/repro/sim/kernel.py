@@ -760,8 +760,8 @@ class _NodePlan:
 
     __slots__ = (
         "node_id", "element", "placement", "is_tee", "is_sink",
-        "host_share", "host_resource", "merge_resource", "offloads",
-        "needs_partial_merge", "edges_by_port",
+        "host_share", "host_resource", "offloads", "needs_partial_merge",
+        "edges_by_port",
     )
 
     def __init__(self, node_id: str, element, placement: Placement,
@@ -779,47 +779,31 @@ class _NodePlan:
             # Non-offloadable elements always service the full batch
             # on their host core, whatever the placement says.
             self.host_share = 1.0
+        #: The node's host core: its host share, and the merges,
+        #: splits and duplications around it, run there.
         self.host_resource = placement.host
-        self.merge_resource = placement.host
         # Service is split across (host + offload legs); rejoining the
-        # parts costs a merge (the GPUCompletionQueue pattern).
+        # parts costs a merge (Snap's completion-queue pattern).
         parts = len(offloads) + (1 if self.host_share > 0.0 else 0)
         self.needs_partial_merge = parts > 1
         self.edges_by_port = edges_by_port
 
 
-def _crosses_into_device(deployment: Deployment, node_id: str,
-                         device_id: str) -> bool:
-    """H2D needed unless all input already lives on the same device."""
-    placement = deployment.mapping[node_id]
-    if placement.share_of(device_id) < 1.0:
+def _crosses_device(deployment: Deployment, node_id: str,
+                    device_id: str, neighbours: List[str]) -> bool:
+    """Whether ``node_id``'s work on ``device_id`` pays the PCIe
+    crossing on the side of ``neighbours``: its predecessors (H2D) or
+    its successors (D2H).  It skips the crossing only when the node and
+    every neighbour, of which there is at least one, run wholly on the
+    device.
+    """
+    if deployment.mapping[node_id].share_of(device_id) < 1.0:
         return True
-    graph = deployment.graph
-    predecessors = graph.predecessors(node_id)
-    if not predecessors:
+    if not neighbours:
         return True
-    for pred in predecessors:
-        pred_placement = deployment.mapping.get(pred)
-        if (pred_placement is None
-                or pred_placement.share_of(device_id) < 1.0):
-            return True
-    return False
-
-
-def _crosses_out_of_device(deployment: Deployment, node_id: str,
-                           device_id: str) -> bool:
-    """D2H needed unless every consumer stays on the same device."""
-    placement = deployment.mapping[node_id]
-    if placement.share_of(device_id) < 1.0:
-        return True
-    graph = deployment.graph
-    successors = graph.successors(node_id)
-    if not successors:
-        return True
-    for succ in successors:
-        succ_placement = deployment.mapping.get(succ)
-        if (succ_placement is None
-                or succ_placement.share_of(device_id) < 1.0):
+    for neighbour in neighbours:
+        placement = deployment.mapping.get(neighbour)
+        if placement is None or placement.share_of(device_id) < 1.0:
             return True
     return False
 
@@ -864,12 +848,12 @@ class _Step:
     ``split`` or ``duplicate``; ``None`` means no task is scheduled.
     ``bounded`` marks a node whose bounded queue is checked before the
     batch enters it.  The step holds the lanes it schedules on: the
-    node's host core (``host_lane``) and the core that merges, splits
-    and duplicates (``merge_lane``); each leg holds its own.
+    node's host core (``host_lane``), which also merges, splits and
+    duplicates; each leg holds its own.
     """
 
     __slots__ = ("plan", "inputs", "packets", "bounded", "host_lane",
-                 "merge_lane", "merge", "host", "legs", "partial_merge",
+                 "merge", "host", "legs", "partial_merge",
                  "reassembly", "dropped", "survivors", "delivers", "split",
                  "duplicate")
 
@@ -886,7 +870,6 @@ class _Step:
         self.bounded = (program.bounded
                         and plan.node_id not in program.session.source_set)
         self.host_lane = timeline.lane(plan.host_resource)
-        self.merge_lane = timeline.lane(plan.merge_resource)
         self.merge = cost.merge_seconds(count) if len(feed) > 1 else None
         host_packets = packets * plan.host_share
         self.host = (prices.host(plan, host_packets)
@@ -900,8 +883,8 @@ class _Step:
                                      prices.requeue(plan, leg_packets),
                                      timeline))
         self.legs = tuple(legs)
-        # Split service re-merges the parts in order (the
-        # GPUCompletionQueue pattern).
+        # Split service re-merges the parts in order (Snap's
+        # completion-queue pattern).
         self.partial_merge = (cost.merge_seconds(count)
                               if plan.needs_partial_merge else None)
         self.reassembly = (cost.reassembly_seconds(count)
@@ -1058,10 +1041,12 @@ class SimulationSession:
                         device_id=device_id,
                         share=share,
                         device=self.cost.device_for(device_id),
-                        pays_h2d=_crosses_into_device(
-                            deployment, node_id, device_id),
-                        pays_d2h=_crosses_out_of_device(
-                            deployment, node_id, device_id),
+                        pays_h2d=_crosses_device(
+                            deployment, node_id, device_id,
+                            graph.predecessors(node_id)),
+                        pays_d2h=_crosses_device(
+                            deployment, node_id, device_id,
+                            graph.successors(node_id)),
                     )
                     for device_id, share
                     in placement.offload_shares.items()
@@ -1280,8 +1265,7 @@ class SimulationSession:
                         break
                     merge = step.merge
                     if merge is not None:
-                        _start, ready = step.merge_lane.schedule(ready,
-                                                                 merge)
+                        _start, ready = step.host_lane.schedule(ready, merge)
                         overheads.batch_merge += merge
                     completion = ready
                     host = step.host
@@ -1297,12 +1281,12 @@ class SimulationSession:
                             completion = leg_end
                     partial_merge = step.partial_merge
                     if partial_merge is not None:
-                        _start, completion = step.merge_lane.schedule(
+                        _start, completion = step.host_lane.schedule(
                             completion, partial_merge)
                         overheads.batch_merge += partial_merge
                     reassembly = step.reassembly
                     if reassembly is not None:
-                        _start, completion = step.merge_lane.schedule(
+                        _start, completion = step.host_lane.schedule(
                             completion, reassembly)
                         overheads.reassembly += reassembly
                     if recorder is not None:
@@ -1313,12 +1297,12 @@ class SimulationSession:
                         batch_completion = completion
                     split = step.split
                     if split is not None:
-                        _start, completion = step.merge_lane.schedule(
+                        _start, completion = step.host_lane.schedule(
                             completion, split)
                         overheads.batch_split += split
                     duplicate = step.duplicate
                     if duplicate is not None:
-                        _start, completion = step.merge_lane.schedule(
+                        _start, completion = step.host_lane.schedule(
                             completion, duplicate)
                         overheads.duplication += duplicate
                     done.append(completion)

@@ -41,7 +41,7 @@ _BOOKKEEPING_ANNOTATIONS = frozenset({"orig_bytes", "tee_branch"})
 #: Element attributes that are runtime counters, not semantic state.
 _COUNTER_ATTRS = frozenset({
     "batches_processed", "packets_processed", "packets_dropped",
-    "port_packet_counts", "offload_ratio",
+    "port_packet_counts",
 })
 
 
@@ -284,7 +284,7 @@ def run_differential(chain_spec: ChainSpec,
             graph, spec, batch_size=batch_size,
         )
         deployment = Deployment(graph=graph, mapping=mapping,
-                                persistent_kernel=compass.persistent_kernel,
+                                persistent_kernel=True,
                                 name=f"validate:{chain_spec.name}")
         deployment.validate()
 

@@ -10,9 +10,24 @@ from repro.core.compass import NFCompass
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
+from repro.runner import canonical_fingerprint
 from repro.traffic.distributions import FixedSize
 from repro.traffic.dpi_profiles import MatchProfile
 from repro.traffic.generator import TrafficSpec
+
+
+#: ``test_drift_and_reports_pinned``'s epochs and report digest.
+ADAPTIVE_PIN_EPOCHS = [
+    (1, "0x0.0p+0", False),
+    (2, "0x1.0000000000000p+0", True),
+    (3, "0x1.2c00000000000p+0", False),
+    (4, "0x1.7700000000000p+3", True),
+    (5, "0x0.0p+0", False),
+    (6, "0x1.ea27983c131d6p-1", True),
+    (7, "0x0.0p+0", False),
+]
+ADAPTIVE_PIN_REPORTS = \
+    "1e70a9533690cd7c04c50c75e3e028325a309f2229f77483407395f252154f67"
 
 
 def spec_of(size=128, profile=MatchProfile.PARTIAL_MATCH, seed=6):
@@ -43,13 +58,6 @@ class TestTrafficDescriptor:
         a = TrafficDescriptor.of(spec_of(profile=MatchProfile.NO_MATCH))
         b = TrafficDescriptor.of(spec_of(profile=MatchProfile.FULL_MATCH))
         assert a.drift_from(b) >= 1.0
-
-    def test_fraction_drift(self):
-        a = TrafficDescriptor(128.0, "partial_match",
-                              {"n": {0: 1.0, 1: 0.0}})
-        b = TrafficDescriptor(128.0, "partial_match",
-                              {"n": {0: 0.0, 1: 1.0}})
-        assert a.drift_from(b) == pytest.approx(1.0)
 
 
 class TestAdaptiveRuntime:
@@ -99,6 +107,27 @@ class TestAdaptiveRuntime:
         assert all(r.report.delivered_packets > 0
                    for r in runtime.history)
 
+    def test_drift_and_reports_pinned(self):
+        """Size, match-profile and seed shifts on a firewall -> IDS ->
+        NAT chain: each epoch's ``(epoch, drift, replanned)`` and the
+        reports, recorded while the descriptor still carried the plan's
+        branch fractions, whose drift term never fired."""
+        sfc = ServiceFunctionChain(
+            [make_nf(kind, name=f"{kind}-pin")
+             for kind in ("firewall", "ids", "nat")], name="adaptive-pin")
+        runtime = AdaptiveRuntime(NFCompass(), sfc, spec_of(),
+                                  batch_size=32, cooldown_epochs=1)
+        results = runtime.run(
+            [spec_of(), spec_of(profile=MatchProfile.FULL_MATCH),
+             spec_of(size=150), spec_of(size=1500),
+             spec_of(size=1500, seed=7), spec_of(size=64),
+             spec_of(size=64)],
+            batch_count=20)
+        assert [(r.epoch, r.drift.hex(), r.replanned)
+                for r in results] == ADAPTIVE_PIN_EPOCHS
+        assert canonical_fingerprint([r.report for r in results]) == \
+            ADAPTIVE_PIN_REPORTS
+
     def test_adaptation_beats_stale_plan(self):
         """After a large-packet shift, the adapted plan outperforms
         the stale small-packet plan on the new traffic."""
@@ -115,8 +144,8 @@ class TestAdaptiveRuntime:
         stale_profile = BranchProfile.measure(
             stale_plan.deployment.graph, shifted, sample_packets=64,
             batch_size=32)
-        stale_report = compass.engine.run(
-            stale_plan.deployment, shifted, batch_size=32,
+        stale_report = compass.engine.session(stale_plan.deployment).run(
+            shifted, batch_size=32,
             batch_count=40, branch_profile=stale_profile)
         assert result.report.throughput_gbps >= \
             0.95 * stale_report.throughput_gbps

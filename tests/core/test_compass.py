@@ -46,7 +46,7 @@ class TestDeploy:
         sample = BranchProfile.draw_sample(spec, 256, 64)
         for parallelize in (False, True):
             plan = compass._plan_candidate(sfc, spec, sample, 64,
-                                           parallelize, None, NULL_TRACE)
+                                           parallelize, NULL_TRACE)
             capacities[parallelize] = plan.session.measure_capacity(
                 spec, batch_size=64, batch_count=40,
                 branch_profile=plan.race_profile)
@@ -96,18 +96,6 @@ class TestDeploy:
         assert "NFCompass plan" in text
         assert "GTA" in text
 
-    def test_max_width_forwarded(self, compass, spec):
-        sfc = ServiceFunctionChain(
-            [make_nf("firewall"), make_nf("ids"), make_nf("lb"),
-             make_nf("probe")]
-        )
-        plan = compass.deploy(sfc, spec, max_width=2)
-        if plan.parallel_plan is not None:
-            assert plan.parallel_plan.max_parallelism <= 2
-        # The structural API always honours max_width directly.
-        staged, _report, graph = compass.build_graph(sfc, max_width=2)
-        assert staged.max_parallelism <= 2
-
 
 class TestRun:
     def test_end_to_end_simulation(self, compass, spec):
@@ -137,7 +125,8 @@ class TestRun:
         deployment = baseline.deploy(baseline_sfc, saturating,
                                      batch_size=32)
         engine = compass.engine
-        baseline_report = engine.run(deployment, saturating,
-                                     batch_size=32, batch_count=40)
+        baseline_report = engine.session(deployment).run(saturating,
+                                                         batch_size=32,
+                                                         batch_count=40)
         assert compass_report.throughput_gbps > \
             baseline_report.throughput_gbps

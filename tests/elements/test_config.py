@@ -146,8 +146,8 @@ class TestEndToEnd:
             src -> c -> dst;
         """)
         deployment = Deployment(graph, Mapping.all_cpu(graph))
-        report = engine.run(deployment, udp_spec, batch_size=16,
-                            batch_count=10)
+        report = engine.session(deployment).run(udp_spec, batch_size=16,
+                                                batch_count=10)
         assert report.delivered_packets == 160
 
     def test_custom_registration(self):

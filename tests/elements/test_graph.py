@@ -223,11 +223,6 @@ class TestExecution:
         assert len(sink) == 2
         assert sink[0].uid == sink[1].uid
 
-    def test_edge_packet_counts_recorded(self):
-        graph = linear_graph()
-        graph.run_batch(PacketBatch([Packet() for _ in range(4)]))
-        assert sum(graph.edge_packet_counts.values()) == 8  # 2 edges x 4
-
     def test_no_source_rejected(self):
         graph = ElementGraph()
         with pytest.raises(GraphValidationError):

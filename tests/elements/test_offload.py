@@ -1,75 +1,11 @@
-"""Unit tests for offloadable elements and the GPU completion queue."""
+"""Unit tests for offloadable elements."""
 
 
-from repro.elements.offload import (
-    GPUCompletionQueue,
-    OffloadTraits,
-    OffloadableElement,
-)
-from repro.net.batch import PacketBatch
-from repro.net.packet import Packet
-
-
-class Doubler(OffloadableElement):
-    def process(self, batch):
-        for packet in batch.live_packets:
-            packet.annotations["touched"] = True
-        return {0: batch}
-
-
-def batch_of(n, start=0):
-    return PacketBatch([Packet(seqno=start + i) for i in range(n)])
+from repro.elements.offload import OffloadTraits
 
 
 class TestOffloadableElement:
-    def test_gpu_side_defaults_to_cpu_semantics(self):
-        element = Doubler()
-        batch = batch_of(3)
-        out = element.process_gpu(batch)
-        assert all(p.annotations.get("touched") for p in out[0])
-
-    def test_split_for_offload(self):
-        element = Doubler()
-        element.offload_ratio = 0.5
-        gpu, cpu = element.split_for_offload(batch_of(10))
-        assert len(gpu) == 5
-        assert len(cpu) == 5
-
-    def test_default_ratio_zero(self):
-        assert Doubler().offload_ratio == 0.0
-
     def test_traits_defaults(self):
         traits = OffloadTraits()
         assert traits.relative
         assert not traits.divergent
-
-
-class TestGPUCompletionQueue:
-    def test_passthrough_restores_order(self):
-        queue = GPUCompletionQueue()
-        batch = PacketBatch([Packet(seqno=2), Packet(seqno=0),
-                             Packet(seqno=1)])
-        out = queue.push(batch)
-        assert [p.seqno for p in out[0]] == [0, 1, 2]
-        assert queue.releases == 1
-
-    def test_armed_queue_holds_until_complete(self):
-        queue = GPUCompletionQueue()
-        queue.expect(6)
-        first = queue.push(batch_of(3))
-        assert len(first[0]) == 0
-        second = queue.push(batch_of(3, start=3))
-        assert [p.seqno for p in second[0]] == [0, 1, 2, 3, 4, 5]
-        assert queue.releases == 1
-
-    def test_queue_rearms_after_release(self):
-        queue = GPUCompletionQueue()
-        queue.expect(2)
-        queue.push(batch_of(2))
-        # Back to passthrough mode.
-        out = queue.push(batch_of(1, start=9))
-        assert len(out[0]) == 1
-
-    def test_signature_never_deduplicable(self):
-        assert GPUCompletionQueue().signature() != \
-            GPUCompletionQueue().signature()

@@ -44,9 +44,9 @@ class TestConfigToSimulation:
         mapping = Mapping.all_cpu(
             graph, cores=engine.platform.cpu_processor_ids(6)
         )
-        report = engine.run(Deployment(graph, mapping, name="gateway"),
-                            spec, batch_size=32, batch_count=50,
-                            branch_profile=profile)
+        deployment = Deployment(graph, mapping, name="gateway")
+        report = engine.session(deployment).run(
+            spec, batch_size=32, batch_count=50, branch_profile=profile)
         assert report.throughput_gbps > 0
         assert report.delivered_packets > 0
 
@@ -79,8 +79,9 @@ class TestWholeCatalogDeployments:
         sfc = ServiceFunctionChain([make_nf(nf_type)])
         plan = compass.deploy(sfc, spec, batch_size=32)
         plan.deployment.validate()
-        report = compass.engine.run(plan.deployment, spec,
-                                    batch_size=32, batch_count=20)
+        report = compass.engine.session(plan.deployment).run(spec,
+                                                             batch_size=32,
+                                                             batch_count=20)
         assert report.delivered_packets >= 0
         assert report.makespan_seconds > 0
 

@@ -97,8 +97,9 @@ class TestThreeDevicePipeline:
         profile = BranchProfile.measure(graph.clone(), spec,
                                         sample_packets=128,
                                         batch_size=64)
-        report = engine.run(deployment, spec, batch_size=64,
-                            batch_count=50, branch_profile=profile)
+        report = engine.session(deployment).run(spec, batch_size=64,
+                                                batch_count=50,
+                                                branch_profile=profile)
         assert report.throughput_gbps > 0
         busy = report.processor_busy_seconds
         assert busy.get("gpu0", 0.0) > 0

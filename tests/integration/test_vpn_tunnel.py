@@ -68,8 +68,9 @@ class TestTunnelSemantics:
         ])
         plan = compass.deploy(tunnel, spec, batch_size=32)
         plan.deployment.validate()
-        report = compass.engine.run(plan.deployment, spec,
-                                    batch_size=32, batch_count=20)
+        report = compass.engine.session(plan.deployment).run(spec,
+                                                             batch_size=32,
+                                                             batch_count=20)
         assert report.delivered_packets > 0
         # Gateway then terminator is RAW-dependent: never parallelized.
         if plan.parallel_plan is not None:

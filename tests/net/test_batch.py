@@ -1,7 +1,5 @@
 """Unit tests for packet batches and re-organization accounting."""
 
-import pytest
-
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
@@ -77,12 +75,6 @@ class TestMerge:
         merged = PacketBatch.merge(result.sub_batches.values())
         assert [p.seqno for p in merged] == list(range(10))
 
-    def test_merge_without_order_preservation_keeps_concat_order(self):
-        a = PacketBatch(make_packets(3, start_seq=10))
-        b = PacketBatch(make_packets(3, start_seq=0))
-        merged = PacketBatch.merge([a, b], preserve_order=False)
-        assert [p.seqno for p in merged] == [10, 11, 12, 0, 1, 2]
-
     def test_merge_counts(self):
         a = PacketBatch(make_packets(2))
         merged = PacketBatch.merge([a])
@@ -93,36 +85,9 @@ class TestMerge:
         assert len(merged) == 0
 
 
-class TestReorderDetection:
-    def test_in_order_has_no_violations(self):
-        assert PacketBatch(make_packets(5)).reorder_violations() == 0
-
-    def test_out_of_order_detected(self):
-        packets = make_packets(4)
-        packets.reverse()
-        assert PacketBatch(packets).reorder_violations() == 3
-
-
 class TestTakeAndPartition:
     def test_take_removes_head(self):
         batch = PacketBatch(make_packets(6))
         head = batch.take(2)
         assert [p.seqno for p in head] == [0, 1]
         assert [p.seqno for p in batch] == [2, 3, 4, 5]
-
-    def test_partition_fraction_splits_by_ratio(self):
-        batch = PacketBatch(make_packets(10))
-        gpu, cpu = batch.partition_fraction(0.7)
-        assert len(gpu) == 7
-        assert len(cpu) == 3
-
-    def test_partition_fraction_extremes(self):
-        batch = PacketBatch(make_packets(4))
-        gpu, cpu = batch.partition_fraction(0.0)
-        assert len(gpu) == 0 and len(cpu) == 4
-        gpu, cpu = PacketBatch(make_packets(4)).partition_fraction(1.0)
-        assert len(gpu) == 4 and len(cpu) == 0
-
-    def test_partition_fraction_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            PacketBatch(make_packets(2)).partition_fraction(1.5)

@@ -91,12 +91,3 @@ def test_split_merge_is_identity(seqnos):
     merged = PacketBatch.merge(result.sub_batches.values())
     assert [p.seqno for p in merged] == sorted(seqnos)
     assert sorted(p.uid for p in merged) == sorted(original)
-
-
-@given(st.integers(min_value=0, max_value=64),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_partition_fraction_conserves_packets(count, fraction):
-    batch = PacketBatch([Packet(seqno=i) for i in range(count)])
-    gpu, cpu = batch.partition_fraction(fraction)
-    assert len(gpu) + len(cpu) == count
-    assert [p.seqno for p in gpu.packets + cpu.packets] == list(range(count))

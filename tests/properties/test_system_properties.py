@@ -57,8 +57,8 @@ def test_engine_packet_conservation(nf_types, batch_size, batch_count):
         [make_nf(t) for t in nf_types]
     ).concatenated_graph()
     deployment = Deployment(graph, Mapping.all_cpu(graph))
-    report = engine.run(deployment, spec, batch_size=batch_size,
-                        batch_count=batch_count)
+    report = engine.session(deployment).run(spec, batch_size=batch_size,
+                                            batch_count=batch_count)
     offered = batch_size * batch_count
     accounted = report.delivered_packets + report.dropped_packets
     assert abs(accounted - offered) < 1e-6
@@ -72,8 +72,8 @@ def test_engine_determinism(seed):
                        seed=seed)
     graph = ServiceFunctionChain([make_nf("firewall")]).concatenated_graph()
     deployment = Deployment(graph, Mapping.fixed_ratio(graph, 0.5))
-    first = engine.run(deployment, spec, batch_size=16, batch_count=5)
-    second = engine.run(deployment, spec, batch_size=16, batch_count=5)
+    first = engine.session(deployment).run(spec, batch_size=16, batch_count=5)
+    second = engine.session(deployment).run(spec, batch_size=16, batch_count=5)
     assert first.throughput_gbps == second.throughput_gbps
     assert first.latency.mean == second.latency.mean
 

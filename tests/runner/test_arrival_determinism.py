@@ -14,7 +14,7 @@ The new arrival-process paths must uphold the runner's two promises:
 """
 
 from repro.experiments import load_latency
-from repro.runner import canonical_fingerprint, canonical_form
+from repro.runner import SweepRunner, canonical_fingerprint, canonical_form
 from repro.traffic.arrivals import (
     MMPP,
     ConstantRate,
@@ -39,19 +39,23 @@ BURST_ROWS = \
 class TestBurstinessSweepDeterminism:
     def test_parallel_equals_serial(self):
         serial = load_latency.run_burstiness(**BURST_KWARGS)
-        parallel = load_latency.run_burstiness(jobs=2, **BURST_KWARGS)
+        parallel = load_latency.run_burstiness(
+            runner=SweepRunner(jobs=2), **BURST_KWARGS)
         assert serial == parallel
         assert canonical_fingerprint(serial) == BURST_ROWS
         # The load sweep, one point per system, holds it too.
         assert load_latency.run(**LOAD_KWARGS) == \
-            load_latency.run(jobs=2, **LOAD_KWARGS)
+            load_latency.run(runner=SweepRunner(jobs=2), **LOAD_KWARGS)
 
     def test_worker_count_irrelevant(self):
-        assert load_latency.run_burstiness(jobs=2, **BURST_KWARGS) == \
-            load_latency.run_burstiness(jobs=4, **BURST_KWARGS)
+        assert load_latency.run_burstiness(
+            runner=SweepRunner(jobs=2), **BURST_KWARGS) == \
+            load_latency.run_burstiness(runner=SweepRunner(jobs=4),
+                                        **BURST_KWARGS)
 
     def test_row_order_is_grid_order(self):
-        rows = load_latency.run_burstiness(jobs=4, **BURST_KWARGS)
+        rows = load_latency.run_burstiness(runner=SweepRunner(jobs=4),
+                                           **BURST_KWARGS)
         assert [r.mode for r in rows] == ["constant", "poisson",
                                           "onoff"]
 

@@ -32,15 +32,15 @@ FIG17_KWARGS = dict(quick=True, acl_sizes=(200, 1000),
 class TestFig06Determinism:
     def test_parallel_equals_serial(self):
         serial = fig06.run(**FIG06_KWARGS)
-        parallel = fig06.run(jobs=4, **FIG06_KWARGS)
+        parallel = fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
         assert serial == parallel
 
     def test_worker_count_irrelevant(self):
-        assert fig06.run(jobs=2, **FIG06_KWARGS) == \
-            fig06.run(jobs=4, **FIG06_KWARGS)
+        assert fig06.run(runner=SweepRunner(jobs=2), **FIG06_KWARGS) == \
+            fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
 
     def test_row_order_is_grid_order(self):
-        rows = fig06.run(jobs=4, **FIG06_KWARGS)
+        rows = fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
         assert [(r.nf_type, r.offload_ratio) for r in rows] == [
             (nf, ratio)
             for nf in ("ipv4", "ipsec")
@@ -51,15 +51,19 @@ class TestFig06Determinism:
 class TestFig08Determinism:
     def test_parallel_equals_serial(self):
         serial = fig08.run_batch_sweep(**FIG08_KWARGS)
-        parallel = fig08.run_batch_sweep(jobs=4, **FIG08_KWARGS)
+        parallel = fig08.run_batch_sweep(runner=SweepRunner(jobs=4),
+                                         **FIG08_KWARGS)
         assert serial == parallel
 
     def test_worker_count_irrelevant(self):
-        assert fig08.run_batch_sweep(jobs=4, **FIG08_KWARGS) == \
-            fig08.run_batch_sweep(jobs=3, **FIG08_KWARGS)
+        assert fig08.run_batch_sweep(
+            runner=SweepRunner(jobs=4), **FIG08_KWARGS) == \
+            fig08.run_batch_sweep(runner=SweepRunner(jobs=3),
+                                  **FIG08_KWARGS)
 
     def test_row_order_is_grid_order(self):
-        rows = fig08.run_batch_sweep(jobs=4, **FIG08_KWARGS)
+        rows = fig08.run_batch_sweep(runner=SweepRunner(jobs=4),
+                                     **FIG08_KWARGS)
         assert [(r.platform, r.batch_size) for r in rows] == [
             ("cpu", 32), ("cpu", 128), ("gpu", 32), ("gpu", 128),
         ]
@@ -68,11 +72,11 @@ class TestFig08Determinism:
 class TestFig14Determinism:
     def test_worker_count_irrelevant(self):
         serial = fig14.run(**FIG14_KWARGS)
-        assert fig14.run(jobs=2, **FIG14_KWARGS) == serial
-        assert fig14.run(jobs=3, **FIG14_KWARGS) == serial
+        assert fig14.run(runner=SweepRunner(jobs=2), **FIG14_KWARGS) == serial
+        assert fig14.run(runner=SweepRunner(jobs=3), **FIG14_KWARGS) == serial
 
     def test_row_order_is_grid_order(self):
-        rows = fig14.run(jobs=2, **FIG14_KWARGS)
+        rows = fig14.run(runner=SweepRunner(jobs=2), **FIG14_KWARGS)
         assert [(r.nf_type, r.platform, r.config) for r in rows] == [
             (nf_type, platform, config)
             for nf_type in ("firewall", "ipsec")
@@ -92,11 +96,11 @@ class TestFig14Determinism:
 class TestFig17Determinism:
     def test_worker_count_irrelevant(self):
         serial = fig17.run(**FIG17_KWARGS)
-        assert fig17.run(jobs=2, **FIG17_KWARGS) == serial
-        assert fig17.run(jobs=3, **FIG17_KWARGS) == serial
+        assert fig17.run(runner=SweepRunner(jobs=2), **FIG17_KWARGS) == serial
+        assert fig17.run(runner=SweepRunner(jobs=3), **FIG17_KWARGS) == serial
 
     def test_row_order_is_grid_order(self):
-        rows = fig17.run(jobs=2, **FIG17_KWARGS)
+        rows = fig17.run(runner=SweepRunner(jobs=2), **FIG17_KWARGS)
         assert [(r.acl_rules, r.packet_size, r.system) for r in rows] == [
             (acl, size, system)
             for acl in (200, 1000)

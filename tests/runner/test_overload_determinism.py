@@ -15,7 +15,7 @@ promises must survive it:
 """
 
 from repro.experiments import load_latency
-from repro.runner import canonical_fingerprint
+from repro.runner import SweepRunner, canonical_fingerprint
 
 OVERLOAD_KWARGS = dict(quick=True, nf_types=("firewall",),
                        modes=("constant", "onoff"),
@@ -30,16 +30,20 @@ OVERLOAD_ROWS = \
 class TestOverloadSweepDeterminism:
     def test_parallel_equals_serial(self):
         serial = load_latency.run_overload(**OVERLOAD_KWARGS)
-        parallel = load_latency.run_overload(jobs=2, **OVERLOAD_KWARGS)
+        parallel = load_latency.run_overload(runner=SweepRunner(jobs=2),
+                                             **OVERLOAD_KWARGS)
         assert serial == parallel
         assert canonical_fingerprint(serial) == OVERLOAD_ROWS
 
     def test_worker_count_irrelevant(self):
-        assert load_latency.run_overload(jobs=2, **OVERLOAD_KWARGS) == \
-            load_latency.run_overload(jobs=4, **OVERLOAD_KWARGS)
+        assert load_latency.run_overload(
+            runner=SweepRunner(jobs=2), **OVERLOAD_KWARGS) == \
+            load_latency.run_overload(runner=SweepRunner(jobs=4),
+                                      **OVERLOAD_KWARGS)
 
     def test_row_order_is_grid_order(self):
-        rows = load_latency.run_overload(jobs=4, **OVERLOAD_KWARGS)
+        rows = load_latency.run_overload(runner=SweepRunner(jobs=4),
+                                         **OVERLOAD_KWARGS)
         assert [(r.mode, r.load_multiple) for r in rows] == [
             ("constant", 0.8), ("constant", 2.0),
             ("onoff", 0.8), ("onoff", 2.0),

@@ -107,7 +107,8 @@ class TestRun:
 
     def test_parallel_equals_serial(self):
         serial = run_sweep(make_spec(scale=2))
-        parallel = run_sweep(make_spec(scale=2), jobs=2)
+        parallel = run_sweep(make_spec(scale=2),
+                             runner=SweepRunner(jobs=2))
         assert serial == parallel
 
     def test_empty_grid(self):
@@ -126,7 +127,7 @@ class TestRun:
     def test_point_error_propagates_from_workers(self):
         with pytest.raises(RuntimeError, match="exploded"):
             run_sweep(make_spec(count=8, point=exploding_point),
-                      jobs=2)
+                      runner=SweepRunner(jobs=2))
 
 
 class TestCaching:

@@ -111,21 +111,21 @@ class TestResources:
 class TestEngineInvariants:
     def test_packet_conservation_no_drops(self, engine, spec):
         deployment = simple_deployment("probe")
-        report = engine.run(deployment, spec, batch_size=32,
-                            batch_count=20)
+        report = engine.session(deployment).run(spec, batch_size=32,
+                                                batch_count=20)
         assert report.delivered_packets == pytest.approx(20 * 32)
         assert report.dropped_packets == pytest.approx(0.0)
 
     def test_determinism(self, engine, spec):
         deployment = simple_deployment("ipsec", ratio=0.5)
-        a = engine.run(deployment, spec, batch_size=32, batch_count=20)
-        b = engine.run(deployment, spec, batch_size=32, batch_count=20)
+        a = engine.session(deployment).run(spec, batch_size=32, batch_count=20)
+        b = engine.session(deployment).run(spec, batch_size=32, batch_count=20)
         assert a.throughput_gbps == b.throughput_gbps
         assert a.latency.mean == b.latency.mean
 
     def test_latency_positive(self, engine, spec):
-        report = engine.run(simple_deployment(), spec, batch_size=32,
-                            batch_count=10)
+        report = engine.session(simple_deployment()).run(spec, batch_size=32,
+                                                         batch_count=10)
         assert report.latency.mean > 0
 
     def test_drops_accounted_via_profile(self, engine, spec):
@@ -133,50 +133,52 @@ class TestEngineInvariants:
         profile = BranchProfile(drop_fractions={
             deployment.graph.sources()[0]: 0.5
         })
-        report = engine.run(deployment, spec, batch_size=32,
-                            batch_count=10, branch_profile=profile)
+        report = engine.session(deployment).run(spec, batch_size=32,
+                                                batch_count=10,
+                                                branch_profile=profile)
         assert report.dropped_packets == pytest.approx(160.0)
         assert report.delivered_packets == pytest.approx(160.0)
 
     def test_throughput_bounded_by_offered_load(self, engine):
         light = TrafficSpec(size_law=FixedSize(128), offered_gbps=0.1)
-        report = engine.run(simple_deployment("probe"), light,
-                            batch_size=32, batch_count=20)
+        report = engine.session(simple_deployment("probe")).run(light,
+                                                                batch_size=32,
+                                                                batch_count=20)
         assert report.throughput_gbps <= 0.11
 
     def test_gpu_resources_used_when_offloading(self, engine, spec):
-        report = engine.run(simple_deployment("ipsec", ratio=1.0),
-                            spec, batch_size=32, batch_count=10)
+        report = engine.session(simple_deployment("ipsec", ratio=1.0)).run(
+            spec, batch_size=32, batch_count=10)
         assert any(p.startswith("gpu") for p in
                    report.processor_busy_seconds)
         assert report.overheads.kernel_launch > 0
         assert report.overheads.pcie_transfer > 0
 
     def test_cpu_only_uses_no_gpu(self, engine, spec):
-        report = engine.run(simple_deployment("ipsec", ratio=0.0),
-                            spec, batch_size=32, batch_count=10)
+        report = engine.session(simple_deployment("ipsec", ratio=0.0)).run(
+            spec, batch_size=32, batch_count=10)
         assert not any(p.startswith("gpu") for p in
                        report.processor_busy_seconds)
 
     def test_persistent_kernel_raises_throughput(self, engine, spec):
         saturating = TrafficSpec(size_law=FixedSize(128),
                                  offered_gbps=200.0)
-        launched = engine.run(
-            simple_deployment("ipsec", ratio=1.0, persistent=False),
-            saturating, batch_size=32, batch_count=60)
-        persistent = engine.run(
-            simple_deployment("ipsec", ratio=1.0, persistent=True),
-            saturating, batch_size=32, batch_count=60)
+        launched = engine.session(
+            simple_deployment("ipsec", ratio=1.0, persistent=False)
+        ).run(saturating, batch_size=32, batch_count=60)
+        persistent = engine.session(
+            simple_deployment("ipsec", ratio=1.0, persistent=True)
+        ).run(saturating, batch_size=32, batch_count=60)
         assert persistent.throughput_gbps > launched.throughput_gbps
 
     def test_interference_inflation_slows_cpu(self, engine, spec):
         saturating = TrafficSpec(size_law=FixedSize(128),
                                  offered_gbps=200.0)
-        alone = engine.run(simple_deployment("ipsec"), saturating,
-                           batch_size=32, batch_count=40)
-        contended = engine.run(simple_deployment("ipsec"), saturating,
-                               batch_size=32, batch_count=40,
-                               cpu_time_inflation=1.5)
+        alone = engine.session(simple_deployment("ipsec")).run(saturating,
+                                                               batch_size=32,
+                                                               batch_count=40)
+        contended = engine.session(simple_deployment("ipsec")).run(
+            saturating, batch_size=32, batch_count=40, cpu_time_inflation=1.5)
         assert contended.throughput_gbps < alone.throughput_gbps
 
     def test_measure_capacity_saturates(self, engine, spec):

@@ -29,10 +29,10 @@ class TestStatefulReassembly:
         mapping = Mapping.fixed_ratio(graph, 0.5)
         plain = Deployment(graph, mapping, stateful_reassembly=False)
         stateful = Deployment(graph, mapping, stateful_reassembly=True)
-        report_plain = engine.run(plain, spec, batch_size=32,
-                                  batch_count=20)
-        report_stateful = engine.run(stateful, spec, batch_size=32,
-                                     batch_count=20)
+        report_plain = engine.session(plain).run(spec, batch_size=32,
+                                                 batch_count=20)
+        report_stateful = engine.session(stateful).run(spec, batch_size=32,
+                                                       batch_count=20)
         assert report_plain.overheads.reassembly == 0.0
         assert report_stateful.overheads.reassembly > 0.0
 
@@ -42,8 +42,8 @@ class TestStatefulReassembly:
         graph = chain_graph("ipsec")
         deployment = Deployment(graph, Mapping.all_cpu(graph),
                                 stateful_reassembly=True)
-        report = engine.run(deployment, spec, batch_size=32,
-                            batch_count=20)
+        report = engine.session(deployment).run(spec, batch_size=32,
+                                                batch_count=20)
         assert report.overheads.reassembly == 0.0
 
 
@@ -79,10 +79,10 @@ class TestGpuContiguity:
                           persistent_kernel=True, name="same")
         split = Deployment(graph, self._mapping(graph, shared_gpu=False),
                            persistent_kernel=True, name="split")
-        report_same = engine.run(same, spec, batch_size=32,
-                                 batch_count=30)
-        report_split = engine.run(split, spec, batch_size=32,
-                                  batch_count=30)
+        report_same = engine.session(same).run(spec, batch_size=32,
+                                               batch_count=30)
+        report_split = engine.session(split).run(spec, batch_size=32,
+                                                 batch_count=30)
         assert report_same.overheads.pcie_transfer <= \
             report_split.overheads.pcie_transfer + 1e-12
 
@@ -104,10 +104,10 @@ class TestGpuContiguity:
         split = Deployment(graph,
                            self._mapping(graph, shared_gpu=False),
                            persistent_kernel=True)
-        report_same = engine.run(same, spec, batch_size=32,
-                                 batch_count=30)
-        report_split = engine.run(split, spec, batch_size=32,
-                                  batch_count=30)
+        report_same = engine.session(same).run(spec, batch_size=32,
+                                               batch_count=30)
+        report_split = engine.session(split).run(spec, batch_size=32,
+                                                 batch_count=30)
         assert report_same.overheads.pcie_transfer < \
             report_split.overheads.pcie_transfer
 
@@ -123,8 +123,9 @@ class TestOverheadAttribution:
                                         sample_packets=128,
                                         batch_size=32)
         deployment = Deployment(graph, Mapping.all_cpu(graph))
-        report = engine.run(deployment, spec, batch_size=32,
-                            batch_count=20, branch_profile=profile)
+        report = engine.session(deployment).run(spec, batch_size=32,
+                                                batch_count=20,
+                                                branch_profile=profile)
         assert report.overheads.duplication > 0.0
         assert report.overheads.reorganization_fraction > 0.0
 
@@ -135,8 +136,9 @@ class TestOverheadAttribution:
                                         sample_packets=128,
                                         batch_size=32)
         deployment = Deployment(graph, Mapping.all_cpu(graph))
-        report = engine.run(deployment, spec, batch_size=32,
-                            batch_count=20, branch_profile=profile)
+        report = engine.session(deployment).run(spec, batch_size=32,
+                                                batch_count=20,
+                                                branch_profile=profile)
         # With a deny-free default ACL everything takes port 0, so no
         # split should be charged; force a two-way profile to see it.
         forced = BranchProfile(port_fractions={
@@ -144,8 +146,8 @@ class TestOverheadAttribution:
             for node in graph.nodes
             if graph.element(node).kind == "AclClassify"
         })
-        report_forced = engine.run(deployment, spec, batch_size=32,
-                                   batch_count=20,
-                                   branch_profile=forced)
+        report_forced = engine.session(deployment).run(spec, batch_size=32,
+                                                       batch_count=20,
+                                                       branch_profile=forced)
         assert report_forced.overheads.batch_split > \
             report.overheads.batch_split

@@ -46,8 +46,8 @@ def run_both(scenario, batch_size, batch_count, offered_gbps=None,
     deployment, spec, profile = SCENARIOS[scenario]()
     if offered_gbps is not None:
         spec = dataclasses.replace(spec, offered_gbps=offered_gbps)
-    new = SimulationEngine().run(
-        deployment, spec, batch_size=batch_size, batch_count=batch_count,
+    new = SimulationEngine().session(deployment).run(
+        spec, batch_size=batch_size, batch_count=batch_count,
         branch_profile=profile, **interference,
     )
     old = LegacySimulationEngine().run(
@@ -120,8 +120,8 @@ class TestConstantRateParity:
         deployment, spec, profile = SCENARIOS[scenario]()
         explicit = dataclasses.replace(spec, arrivals=ConstantRate())
         new_recorder, old_recorder = EventRecorder(), EventRecorder()
-        new = SimulationEngine().run(
-            deployment, explicit, batch_size=32, batch_count=60,
+        new = SimulationEngine().session(deployment).run(
+            explicit, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=new_recorder,
         )
         old = LegacySimulationEngine().run(
@@ -140,12 +140,12 @@ class TestConstantRateParity:
         recorder_default, recorder_explicit = (EventRecorder(),
                                                EventRecorder())
         engine = SimulationEngine()
-        default_report = engine.run(
-            deployment, spec, batch_size=32, batch_count=60,
+        default_report = engine.session(deployment).run(
+            spec, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=recorder_default,
         )
-        explicit_report = engine.run(
-            deployment, explicit, batch_size=32, batch_count=60,
+        explicit_report = engine.session(deployment).run(
+            explicit, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=recorder_explicit,
         )
         assert recorder_default.to_json() == recorder_explicit.to_json()
@@ -205,8 +205,8 @@ class TestOverloadOffParity:
 
         deployment, spec, profile = SCENARIOS[scenario]()
         new_recorder, old_recorder = EventRecorder(), EventRecorder()
-        new = SimulationEngine().run(
-            deployment, spec, batch_size=32, batch_count=60,
+        new = SimulationEngine().session(deployment).run(
+            spec, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=new_recorder,
             overload=OverloadConfig(),
         )
@@ -226,12 +226,12 @@ class TestOverloadOffParity:
         deployment, spec, profile = SCENARIOS[scenario]()
         recorder_none, recorder_noop = EventRecorder(), EventRecorder()
         engine = SimulationEngine()
-        none_report = engine.run(
-            deployment, spec, batch_size=32, batch_count=60,
+        none_report = engine.session(deployment).run(
+            spec, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=recorder_none,
         )
-        noop_report = engine.run(
-            deployment, spec, batch_size=32, batch_count=60,
+        noop_report = engine.session(deployment).run(
+            spec, batch_size=32, batch_count=60,
             branch_profile=profile, recorder=recorder_noop,
             overload=OverloadConfig(),
         )

@@ -22,7 +22,7 @@ from builders import (
 )
 from legacy_engine import LegacySimulationEngine
 
-from repro.faults import FaultSpec, FaultTimeline, single_crash
+from repro.faults import FaultSpec, FaultTimeline
 from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
@@ -110,32 +110,6 @@ class TestSessionInvariants:
         assert first.latency.mean == second.latency.mean
         assert first.processor_busy_seconds == \
             second.processor_busy_seconds
-
-    def test_session_matches_engine_facade(self, engine, spec):
-        deployment = chain_deployment(ratio=0.5)
-        via_session = engine.session(deployment).run(
-            spec, batch_size=32, batch_count=20
-        )
-        via_facade = engine.run(deployment, spec, batch_size=32,
-                                batch_count=20)
-        assert via_session.throughput_gbps == via_facade.throughput_gbps
-        assert via_session.processor_busy_seconds == \
-            via_facade.processor_busy_seconds
-
-    def test_engine_facade_forwards_faults(self, engine, spec):
-        deployment = chain_deployment(ratio=0.5)
-        faults = single_crash("gpu0", 0.0)
-        via_session = engine.session(deployment).run(
-            spec, batch_size=32, batch_count=20, faults=faults
-        )
-        via_facade = engine.run(deployment, spec, batch_size=32,
-                                batch_count=20, faults=faults)
-        fault_free = engine.run(deployment, spec, batch_size=32,
-                                batch_count=20)
-        assert canonical_fingerprint(via_facade) == \
-            canonical_fingerprint(via_session)
-        assert canonical_fingerprint(via_facade) != \
-            canonical_fingerprint(fault_free)
 
     def test_last_timeline_kept_for_auditing(self, engine, spec):
         from repro.validate.invariants import verify_timeline
@@ -240,8 +214,8 @@ class TestLegacyParitySmoke:
             deployment.graph.clone(), spec, sample_packets=128,
             batch_size=32,
         )
-        new = SimulationEngine(platform).run(
-            deployment, spec, batch_size=32, batch_count=30,
+        new = SimulationEngine(platform).session(deployment).run(
+            spec, batch_size=32, batch_count=30,
             branch_profile=profile,
         )
         old = LegacySimulationEngine(platform).run(
@@ -262,8 +236,8 @@ class TestRecordedDigests:
 
     def test_multi_gpu_saturated(self):
         deployment, spec, profile = multi_gpu_scenario()
-        report = SimulationEngine().run(
-            deployment, dataclasses.replace(spec, offered_gbps=200.0),
+        report = SimulationEngine().session(deployment).run(
+            dataclasses.replace(spec, offered_gbps=200.0),
             batch_size=32, batch_count=1000, branch_profile=profile,
         )
         assert ledgerless_fingerprint(report) == MULTI_GPU_SATURATED

@@ -117,9 +117,10 @@ class TestCutBatches:
     def intact_merge_packets(self):
         deployment, spec, profile = kernel_bench_scenario()
         recorder = EventRecorder()
-        SimulationEngine().run(deployment, spec, batch_size=BATCH_SIZE,
-                               batch_count=4, branch_profile=profile,
-                               recorder=recorder)
+        SimulationEngine().session(deployment).run(spec, batch_size=BATCH_SIZE,
+                                                   batch_count=4,
+                                                   branch_profile=profile,
+                                                   recorder=recorder)
         (intact,) = set(self.merge_packets(recorder))
         return intact
 

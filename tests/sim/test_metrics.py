@@ -282,8 +282,8 @@ class TestSeededMMPPRegressionPin:
             graph, Mapping.all_cpu(graph, cores=["cpu0", "cpu1"]),
             name="mmpp-pin",
         )
-        return SimulationEngine().run(deployment, spec,
-                                      batch_size=32, batch_count=50)
+        return SimulationEngine().session(deployment).run(spec, batch_size=32,
+                                                          batch_count=50)
 
     def test_tail_percentiles_pinned(self):
         report = self._report()

@@ -19,8 +19,8 @@ def traced_run(engine):
     graph = ServiceFunctionChain([make_nf("probe")]).concatenated_graph()
     deployment = Deployment(graph, Mapping.all_cpu(graph))
     recorder = EventRecorder()
-    report = engine.run(deployment, spec, batch_size=16, batch_count=5,
-                        recorder=recorder)
+    report = engine.session(deployment).run(spec, batch_size=16, batch_count=5,
+                                            recorder=recorder)
     return recorder, report, graph
 
 

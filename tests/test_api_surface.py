@@ -3,17 +3,29 @@
 The redesigned deployment API promises a stable set of top-level
 names; these snapshots fail loudly when an export is dropped or
 renamed, which is an API break that needs a deliberate decision (and a
-deprecation path), not an accident.
+deprecation path), not an accident.  The parameter snapshots fail just
+as loudly when an option is added: every option must have a caller.
 """
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 import repro
+import repro.elements
+import repro.net
 import repro.obs
 import repro.overload
 import repro.runner
 import repro.sim
+from repro.cli import EXPERIMENTS
+from repro.core.adaptation import AdaptiveRuntime
+from repro.core.compass import NFCompass
+from repro.core.multi import MultiTenantScheduler
+from repro.faults import ResilientRuntime
+from repro.runner import run_sweep
+from repro.sim.engine import SimulationEngine
 
 #: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
 #: the race and run profiles its deploy measured, so no caller chooses
@@ -103,6 +115,42 @@ OVERLOAD_ALL = [
     "parse_drop_policy",
 ]
 
+#: ``GPUCompletionQueue`` was removed on purpose: partial offload is
+#: modelled once, as the ``Placement`` shares the event kernel prices,
+#: and no graph ever contained the queue.
+ELEMENTS_ALL = [
+    "ActionProfile",
+    "Edge",
+    "Element",
+    "ElementGraph",
+    "OffloadableElement",
+    "PortSpec",
+    "TrafficClass",
+    "parse_config",
+    "register_element",
+    "standard",
+]
+
+#: ``HeaderRegion`` was removed on purpose: nothing used it, and
+#: ``ActionProfile.read_regions``/``write_regions`` derive the two
+#: regions an element touches.
+NET_ALL = [
+    "BatchSplitResult",
+    "EthernetHeader",
+    "FiveTuple",
+    "FlowTable",
+    "IPv4Header",
+    "IPv6Header",
+    "Packet",
+    "PacketBatch",
+    "StreamReassembler",
+    "TCPHeader",
+    "TraceReplay",
+    "UDPHeader",
+    "read_trace",
+    "write_trace",
+]
+
 OBS_ALL = [
     "Counter",
     "Gauge",
@@ -124,6 +172,121 @@ OBS_ALL = [
 ]
 
 
+#: Parameter names of the deploy, runtime and engine entry points.
+#: Removed on purpose, each for want of a caller: NFCompass's
+#: ``delta``, ``persistent_kernel`` (it always deploys persistent
+#: kernels), ``cost_model`` and ``independence_override`` (set
+#: ``compass.orchestrator = SFCOrchestrator(independence_override=...)``,
+#: the layer that owns it); ``max_width`` on ``build_graph``,
+#: ``deploy`` and ``run`` (``SFCOrchestrator.parallelize`` keeps it);
+#: the ``**compass_kwargs`` of ``ResilientRuntime`` and
+#: ``MultiTenantScheduler`` and the scheduler's ``interference``; and
+#: ``SimulationEngine.run``, a one-shot forward to
+#: ``engine.session(deployment).run``.
+ENTRY_POINT_PARAMETERS = {
+    "NFCompass.__init__": ["self", "platform", "algorithm",
+                           "enable_parallelization", "enable_synthesis",
+                           "cpu_cores", "gpus"],
+    "NFCompass.build_graph": ["self", "sfc", "trace"],
+    "NFCompass.deploy": ["self", "sfc", "spec", "batch_size", "trace"],
+    "NFCompass.run": ["self", "sfc", "spec", "batch_size", "batch_count",
+                      "trace", "overload"],
+    "ResilientRuntime.__init__": ["self", "sfc", "initial_spec", "faults",
+                                  "platform", "batch_size",
+                                  "readmit_epochs", "arrivals", "overload",
+                                  "trace"],
+    "MultiTenantScheduler.__init__": ["self", "platform",
+                                      "cores_per_tenant", "arrivals",
+                                      "overload"],
+    "AdaptiveRuntime.__init__": ["self", "compass", "sfc", "initial_spec",
+                                 "batch_size", "drift_threshold",
+                                 "cooldown_epochs", "arrivals", "overload",
+                                 "trace"],
+    "SimulationEngine.__init__": ["self", "platform", "cost_model"],
+    "SimulationEngine.session": ["self", "deployment"],
+    "run_sweep": ["spec", "runner", "trace"],
+}
+
+ENTRY_POINTS = {
+    "NFCompass.__init__": NFCompass.__init__,
+    "NFCompass.build_graph": NFCompass.build_graph,
+    "NFCompass.deploy": NFCompass.deploy,
+    "NFCompass.run": NFCompass.run,
+    "ResilientRuntime.__init__": ResilientRuntime.__init__,
+    "MultiTenantScheduler.__init__": MultiTenantScheduler.__init__,
+    "AdaptiveRuntime.__init__": AdaptiveRuntime.__init__,
+    "SimulationEngine.__init__": SimulationEngine.__init__,
+    "SimulationEngine.session": SimulationEngine.session,
+    "run_sweep": run_sweep,
+}
+
+#: Parameter names of every harness ``run*`` and ``main``, by module.
+#: ``jobs`` was removed from all 22 on purpose: a sweep runs on the
+#: ``runner`` it is given (serial and uncached without one), and a
+#: ``jobs`` next to it was ignored whenever a runner came along, as on
+#: every ``repro experiments run``, which builds its runner from
+#: ``--jobs``.
+HARNESS_PARAMETERS = {
+    "repro.experiments.ablations": {
+        "run_all": ["quick", "studies", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig05_batch_split": {
+        "run": ["quick", "stage_counts", "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig06_offload_ratio": {
+        "run": ["quick", "nf_types", "ratios", "packet_size",
+                "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig07_sfc_length": {
+        "run": ["quick", "cases", "packet_size", "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig08_characterization": {
+        "run_batch_sweep": ["quick", "nf_types", "batch_sizes",
+                            "packet_size", "runner"],
+        "run_interference": ["nf_types"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig14_reorganization": {
+        "run": ["quick", "nf_types", "configs", "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig15_gta": {
+        "run": ["quick", "setups", "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.fig17_real_sfc": {
+        "run": ["quick", "acl_sizes", "packet_sizes", "batch_size",
+                "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.load_latency": {
+        "run": ["quick", "nf_types", "packet_size", "batch_size",
+                "fractions", "runner"],
+        "run_burstiness": ["quick", "nf_types", "packet_size",
+                           "batch_size", "modes", "runner"],
+        "run_overload": ["quick", "nf_types", "packet_size", "batch_size",
+                         "modes", "multiples", "queue_limit",
+                         "drop_policy", "slo_ms", "admission", "runner"],
+        "main": ["quick", "runner"],
+    },
+    "repro.experiments.tables": {
+        "main": ["quick"],
+    },
+    "repro.faults.chaos": {
+        "run": ["quick", "nf_types", "seeds", "batch_size", "runner"],
+        "main": ["quick", "runner"],
+    },
+}
+
+
+def parameter_names(function):
+    return list(inspect.signature(function).parameters)
+
+
 class TestSnapshots:
     def test_repro_all(self):
         assert sorted(repro.__all__) == sorted(REPRO_ALL)
@@ -139,6 +302,41 @@ class TestSnapshots:
 
     def test_overload_all(self):
         assert sorted(repro.overload.__all__) == sorted(OVERLOAD_ALL)
+
+    def test_elements_all(self):
+        assert sorted(repro.elements.__all__) == sorted(ELEMENTS_ALL)
+
+    def test_net_all(self):
+        assert sorted(repro.net.__all__) == sorted(NET_ALL)
+
+
+class TestParameters:
+    def test_entry_point_parameters(self):
+        assert {name: parameter_names(function)
+                for name, function in ENTRY_POINTS.items()} == \
+            ENTRY_POINT_PARAMETERS
+
+    def test_engine_public_methods(self):
+        """A deployment is simulated one way: on its session."""
+        public = sorted(name for name in vars(SimulationEngine)
+                        if not name.startswith("_"))
+        assert public == ["session"]
+
+    def test_harness_parameters(self):
+        """Every harness ``run*`` and ``main``, found by name in every
+        module the CLI runs plus the chaos grid."""
+        modules = sorted(set(EXPERIMENTS.values())) + ["repro.faults.chaos"]
+        found = {}
+        for module_name in modules:
+            module = importlib.import_module(module_name)
+            found[module_name] = {
+                name: parameter_names(function)
+                for name, function in vars(module).items()
+                if inspect.isfunction(function)
+                and function.__module__ == module_name
+                and (name.startswith("run") or name == "main")
+            }
+        assert found == HARNESS_PARAMETERS
 
 
 class TestResolvable:

@@ -4,6 +4,7 @@ import pytest
 from builders import make_traffic_spec
 
 from repro.core.compass import NFCompass
+from repro.core.orchestrator import SFCOrchestrator
 from repro.net.packet import Packet
 from repro.traffic.dpi_profiles import make_pattern_set
 from repro.validate.differential import (
@@ -113,7 +114,8 @@ class TestRunDifferential:
 
         spec = make_traffic_spec(packet_size=256, seed=5,
                                  flow_count=64, payload_maker=payload)
-        compass = NFCompass(
+        compass = NFCompass()
+        compass.orchestrator = SFCOrchestrator(
             independence_override=lambda former, later: True
         )
         report = run_differential(

@@ -21,8 +21,8 @@ class TestValidatingRecorder:
         graph = sfc.concatenated_graph()
         deployment = Deployment(graph, Mapping.all_cpu(graph))
         recorder = ValidatingRecorder(batch_size=32)
-        engine.run(deployment, udp_spec, batch_size=32, batch_count=20,
-                   recorder=recorder)
+        engine.session(deployment).run(udp_spec, batch_size=32, batch_count=20,
+                                       recorder=recorder)
         assert recorder.ok
         assert recorder.node_events and recorder.batch_events
 
@@ -34,8 +34,9 @@ class TestValidatingRecorder:
                                         sample_packets=128,
                                         batch_size=32)
         recorder = ValidatingRecorder(batch_size=32)
-        engine.run(deployment, udp_spec, batch_size=32, batch_count=20,
-                   branch_profile=profile, recorder=recorder)
+        engine.session(deployment).run(udp_spec, batch_size=32, batch_count=20,
+                                       branch_profile=profile,
+                                       recorder=recorder)
         assert recorder.ok
 
     def test_completion_before_ready_raises(self):
