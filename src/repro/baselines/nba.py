@@ -10,14 +10,11 @@ own PCIe round trip) and that kernels are launched per batch.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict
-
 from repro.baselines.policies import BaselineSystem
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.hw.costs import BatchStats
-from repro.sim.mapping import Mapping, Placement
+from repro.sim.mapping import Mapping
 from repro.traffic.generator import TrafficSpec
 
 
@@ -74,16 +71,7 @@ class NBABaseline(BaselineSystem):
             mean_packet_bytes=spec.size_law.mean(),
             match_profile=spec.match_profile,
         )
-        rr_core = itertools.cycle(self.cpu_cores)
-        rr_gpu = itertools.cycle(self.gpus)
-        placements: Dict[str, Placement] = {}
-        for node in graph.topological_order():
-            element = graph.element(node)
-            ratio = self._isolated_best_ratio(element, stats)
-            if ratio > 0:
-                placements[node] = Placement.split(
-                    next(rr_core), next(rr_gpu), ratio
-                )
-            else:
-                placements[node] = Placement.split(next(rr_core))
-        return Mapping(placements)
+        ratios = {node: self._isolated_best_ratio(graph.element(node), stats)
+                  for node in graph.topological_order()}
+        return Mapping.from_ratios(graph, ratios, cores=self.cpu_cores,
+                                   gpus=self.gpus)

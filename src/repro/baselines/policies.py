@@ -10,7 +10,7 @@ from repro.hw.costs import CostModel
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
 from repro.sim.engine import BranchProfile, SimulationEngine
-from repro.sim.mapping import Deployment, Mapping, Placement
+from repro.sim.mapping import Deployment, Mapping
 from repro.traffic.generator import TrafficSpec
 
 
@@ -123,7 +123,8 @@ class ExhaustiveOptimalBaseline(BaselineSystem):
     def _throughput_of(self, graph: ElementGraph, ratios: dict,
                        spec: TrafficSpec, batch_size: int,
                        profile: BranchProfile) -> float:
-        mapping = self._mapping_from_ratios(graph, ratios)
+        mapping = Mapping.from_ratios(graph, ratios, cores=self.cpu_cores,
+                                      gpus=self.gpus)
         deployment = Deployment(graph=graph, mapping=mapping,
                                 persistent_kernel=self.persistent_kernel,
                                 name="optimal-probe")
@@ -132,22 +133,6 @@ class ExhaustiveOptimalBaseline(BaselineSystem):
             spec, batch_size=batch_size,
             batch_count=self.batch_count, branch_profile=profile,
         )
-
-    def _mapping_from_ratios(self, graph: ElementGraph,
-                             ratios: dict) -> Mapping:
-        import itertools
-        rr_core = itertools.cycle(self.cpu_cores)
-        rr_gpu = itertools.cycle(self.gpus)
-        placements = {}
-        for node in graph.topological_order():
-            ratio = ratios.get(node, 0.0)
-            if ratio > 0:
-                placements[node] = Placement.split(
-                    next(rr_core), next(rr_gpu), ratio
-                )
-            else:
-                placements[node] = Placement.split(next(rr_core))
-        return Mapping(placements)
 
     def _offloadable_nodes(self, graph: ElementGraph) -> List[str]:
         return [
@@ -193,4 +178,5 @@ class ExhaustiveOptimalBaseline(BaselineSystem):
             if not improved:
                 break
         self.best_ratios = ratios
-        return self._mapping_from_ratios(graph, ratios)
+        return Mapping.from_ratios(graph, ratios, cores=self.cpu_cores,
+                                   gpus=self.gpus)

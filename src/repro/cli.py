@@ -316,8 +316,8 @@ def _cmd_chaos(args) -> int:
     trace = Trace(name="chaos") if args.trace else None
     with (use_trace(trace) if trace is not None
           else contextlib.nullcontext()):
-        rows = chaos.run(quick=not args.full,
-                         seeds=range(args.seeds), runner=runner)
+        rows = runner.run(chaos.sweep_spec(quick=not args.full,
+                                           seeds=range(args.seeds)))
     print(chaos.render(rows))
     if trace is not None:
         trace.write_ndjson(args.trace)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.net.batch import PacketBatch

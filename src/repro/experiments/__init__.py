@@ -1,9 +1,11 @@
 """Experiment harnesses: one module per paper table/figure.
 
-Each module exposes ``run(quick=True)`` returning structured result
-rows and a ``main()`` that prints the table the paper reports.  The
-benchmarks under ``benchmarks/`` call these harnesses; EXPERIMENTS.md
-records paper-versus-measured for each.
+Each harness declares its parameter grid once, as a ``*sweep_spec()``
+builder whose :class:`~repro.runner.SweepSpec` a
+:class:`~repro.runner.SweepRunner` executes, and renders the table the
+paper reports from ``main(quick, runner)`` (``repro experiments run
+NAME``; ``tables`` runs no sweep).  EXPERIMENTS.md records
+paper-versus-measured for each.
 
 ============================  ==========================================
 Module                        Paper artifact

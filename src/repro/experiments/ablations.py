@@ -142,8 +142,7 @@ def _ablation_point(study: str, variant: str, batch_count: int,
     )]
 
 
-def _study_grid(study: str,
-                deltas: Sequence[float] = DELTAS) -> List[dict]:
+def _study_grid(study: str) -> List[dict]:
     """The grid entries of one ablation study."""
     if study == "reorganization":
         return [{"study": study, "variant": name,
@@ -162,63 +161,27 @@ def _study_grid(study: str,
     if study == "expansion_delta":
         return [{"study": study, "variant": f"delta={delta:g}",
                  "delta": delta}
-                for delta in deltas]
+                for delta in DELTAS]
     raise ValueError(f"unknown ablation study {study!r}")
 
 
 def sweep_spec(quick: bool = True,
-               studies: Sequence[str] = STUDIES,
-               deltas: Sequence[float] = DELTAS) -> common.SweepSpec:
+               studies: Sequence[str] = STUDIES) -> common.SweepSpec:
     """The combined ablation grid as a runnable sweep."""
     return common.SweepSpec(
         name="ablations",
         point=_ablation_point,
         row_type=AblationRow,
         grid=[entry for study in studies
-              for entry in _study_grid(study, deltas)],
+              for entry in _study_grid(study)],
         params={"batch_count": 60 if quick else 150},
         context=common.sweep_context(traffic=_default_spec()),
     )
 
 
-def run_all(quick: bool = True,
-            studies: Sequence[str] = STUDIES,
-            runner=None) -> List[AblationRow]:
-    """Run the requested ablation studies; returns the combined rows."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, studies=studies),
-        runner=runner,
-    )
-
-
-def ablate_reorganization(quick: bool = True) -> List[AblationRow]:
-    """Turn parallelization and synthesis on/off independently."""
-    return run_all(quick, studies=("reorganization",))
-
-
-def ablate_partition_algorithm(quick: bool = True) -> List[AblationRow]:
-    """KL vs the O(k log k) agglomerative scheme."""
-    return run_all(quick, studies=("partition_algorithm",))
-
-
-def ablate_persistent_kernel(quick: bool = True) -> List[AblationRow]:
-    """Persistent kernels vs per-batch launch/teardown."""
-    return run_all(quick, studies=("persistent_kernel",))
-
-
-def ablate_expansion_delta(quick: bool = True,
-                           deltas: Sequence[float] = DELTAS
-                           ) -> List[AblationRow]:
-    """Offload-ratio granularity of the virtual-instance expansion."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, studies=("expansion_delta",),
-                   deltas=deltas)
-    )
-
-
 def main(quick: bool = True, runner=None) -> str:
     """Render all ablation results as one table."""
-    rows = run_all(quick, runner=runner)
+    rows = common.run_sweep(sweep_spec(quick), runner)
     return common.format_table(
         ["study", "variant", "Gbps", "latency ms", "planning s"],
         [[r.study, r.variant, r.throughput_gbps, r.latency_ms,

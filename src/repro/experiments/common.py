@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.elements.graph import ElementGraph
 from repro.hw.platform import PlatformSpec
-from repro.obs import resolve_trace
+from repro.obs import current_trace
 from repro.runner import (  # noqa: F401  (re-exported sweep API)
     ResultCache,
     SweepRunner,
@@ -34,6 +34,9 @@ from repro.traffic.generator import TrafficSpec
 
 #: :func:`measure` takes latency at this fraction of measured capacity.
 LATENCY_LOAD_FRACTION = 0.8
+
+#: The batch size of every harness sweep.
+BATCH_SIZE = 64
 
 #: Default on-disk sweep cache directory (``repro experiments run``).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -53,24 +56,16 @@ def make_runner(jobs: int = 1, use_cache: bool = False,
     return SweepRunner(jobs=jobs, cache=cache)
 
 
-def sweep_context(traffic: Optional[TrafficSpec] = None,
-                  chain: Optional[Any] = None,
-                  platform: Optional[PlatformSpec] = None,
-                  **extra: Any) -> Dict[str, Any]:
+def sweep_context(traffic: Optional[TrafficSpec] = None) -> Dict[str, Any]:
     """The static fingerprint context of a standard-platform sweep.
 
     Bundles the deployment identity the point function closes over —
-    platform config, traffic spec, chain description — so the cache
+    the platform config and, if given, the traffic spec — so the cache
     key covers them even though they are not per-point parameters.
     """
-    context: Dict[str, Any] = {
-        "platform": platform or PlatformSpec(),
-    }
+    context: Dict[str, Any] = {"platform": PlatformSpec()}
     if traffic is not None:
         context["traffic"] = traffic
-    if chain is not None:
-        context["chain"] = chain
-    context.update(extra)
     return context
 
 
@@ -113,8 +108,8 @@ class CapacityLatency:
 def measure(engine: SimulationEngine, deployment: Deployment,
             spec: TrafficSpec, batch_size: int = 64,
             batch_count: int = 120,
-            branch_profile: Optional[BranchProfile] = None,
-            trace=None) -> CapacityLatency:
+            branch_profile: Optional[BranchProfile] = None
+            ) -> CapacityLatency:
     """Measure capacity at saturation, then latency at 80 % load.
 
     Measuring latency at the saturating load would report queue growth
@@ -122,10 +117,10 @@ def measure(engine: SimulationEngine, deployment: Deployment,
     offered loads the system can carry.  Both passes share one
     :class:`~repro.sim.kernel.SimulationSession`, so the deployment is
     validated and its invariants precomputed only once.  The ambient
-    or explicitly passed trace sees one ``measure`` span with both
-    simulation passes as children.
+    trace sees one ``measure`` span with both simulation passes as
+    children.
     """
-    trace = resolve_trace(trace)
+    trace = current_trace()
     session = engine.session(deployment)
     with trace.span("measure", deployment=deployment.name,
                     batch_size=batch_size) as span:

@@ -14,7 +14,7 @@ re-organization).  Both variants do the same per-packet work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 from repro.elements.graph import ElementGraph
 from repro.elements.standard import (
@@ -106,8 +106,8 @@ def _measure_point(stages: int, with_split: bool, batch_size: int,
     )]
 
 
-def sweep_spec(quick: bool = True, stage_counts: List[int] = (4,),
-               batch_size: int = 64) -> common.SweepSpec:
+def sweep_spec(quick: bool = True,
+               stage_counts: Sequence[int] = (4,)) -> common.SweepSpec:
     """The Fig. 5 parameter grid as a runnable sweep."""
     return common.SweepSpec(
         name="fig05.batch_split",
@@ -116,25 +116,16 @@ def sweep_spec(quick: bool = True, stage_counts: List[int] = (4,),
         grid=[{"stages": stages, "with_split": with_split}
               for stages in stage_counts
               for with_split in (False, True)],
-        params={"batch_size": batch_size,
+        params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
         context=common.sweep_context(traffic=_traffic()),
     )
 
 
-def run(quick: bool = True, stage_counts: List[int] = (4,),
-        batch_size: int = 64, runner=None) -> List[Fig5Row]:
-    """Measure both variants for each chain depth."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, stage_counts=stage_counts,
-                   batch_size=batch_size),
-        runner=runner,
-    )
-
-
 def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 5 table plus the no-split/split ratio notes."""
-    rows = run(quick=quick, stage_counts=[1, 2, 4, 6], runner=runner)
+    rows = common.run_sweep(sweep_spec(quick, stage_counts=(1, 2, 4, 6)),
+                            runner)
     table = common.format_table(
         ["variant", "stages", "Gbps", "reorg fraction"],
         [[r.variant, r.stages, r.throughput_gbps,

@@ -25,6 +25,7 @@ from repro.traffic.generator import TrafficSpec
 
 NF_TYPES = ("ipv4", "ipsec", "dpi")
 RATIOS = tuple(round(0.1 * i, 1) for i in range(11))
+PACKET_SIZE = 64
 
 
 @dataclass
@@ -62,9 +63,7 @@ def _measure_point(nf_type: str, offload_ratio: float,
 
 def sweep_spec(quick: bool = True,
                nf_types: Sequence[str] = NF_TYPES,
-               ratios: Sequence[float] = RATIOS,
-               packet_size: int = 64,
-               batch_size: int = 64) -> common.SweepSpec:
+               ratios: Sequence[float] = RATIOS) -> common.SweepSpec:
     """The Fig. 6 parameter grid as a runnable sweep."""
     return common.SweepSpec(
         name="fig06.offload_ratio",
@@ -72,22 +71,10 @@ def sweep_spec(quick: bool = True,
         row_type=Fig6Row,
         grid=[{"nf_type": nf_type, "offload_ratio": ratio}
               for nf_type in nf_types for ratio in ratios],
-        params={"packet_size": packet_size, "batch_size": batch_size,
+        params={"packet_size": PACKET_SIZE,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
         context=common.sweep_context(),
-    )
-
-
-def run(quick: bool = True,
-        nf_types: Sequence[str] = NF_TYPES,
-        ratios: Sequence[float] = RATIOS,
-        packet_size: int = 64,
-        batch_size: int = 64, runner=None) -> List[Fig6Row]:
-    """Sweep offload ratios for each NF; returns one row per point."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, nf_types=nf_types, ratios=ratios,
-                   packet_size=packet_size, batch_size=batch_size),
-        runner=runner,
     )
 
 
@@ -103,7 +90,7 @@ def best_ratios(rows: List[Fig6Row]) -> Dict[str, float]:
 
 def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 6 table, per-NF sparklines, and best ratios."""
-    rows = run(quick=quick, runner=runner)
+    rows = common.run_sweep(sweep_spec(quick), runner)
     table = common.format_table(
         ["NF", "offload ratio", "Gbps"],
         [[r.nf_type, f"{r.offload_ratio:.0%}", r.throughput_gbps]

@@ -37,6 +37,8 @@ POLICIES: Tuple[Tuple[str, float], ...] = (
     ("70%-offload", 0.7),
 )
 
+PACKET_SIZE = 64
+
 
 @dataclass
 class Fig7Row:
@@ -75,9 +77,7 @@ def _measure_point(case: str, nf_types: Sequence[str], policy: str,
 
 
 def sweep_spec(quick: bool = True,
-               cases: Sequence = CASES,
-               packet_size: int = 64,
-               batch_size: int = 64) -> common.SweepSpec:
+               cases: Sequence = CASES) -> common.SweepSpec:
     """The Fig. 7 parameter grid as a runnable sweep."""
     return common.SweepSpec(
         name="fig07.sfc_length",
@@ -87,21 +87,10 @@ def sweep_spec(quick: bool = True,
                "policy": policy, "offload_ratio": ratio}
               for case_id, nf_types in cases
               for policy, ratio in POLICIES],
-        params={"packet_size": packet_size, "batch_size": batch_size,
+        params={"packet_size": PACKET_SIZE,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
         context=common.sweep_context(),
-    )
-
-
-def run(quick: bool = True,
-        cases: Sequence = CASES,
-        packet_size: int = 64,
-        batch_size: int = 64, runner=None) -> List[Fig7Row]:
-    """Measure every (case, policy) pair; returns one row each."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, cases=cases, packet_size=packet_size,
-                   batch_size=batch_size),
-        runner=runner,
     )
 
 
@@ -119,7 +108,7 @@ def acceleration_by_case(rows: List[Fig7Row]) -> Dict[str, float]:
 
 def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 7 table and per-case acceleration notes."""
-    rows = run(quick=quick, runner=runner)
+    rows = common.run_sweep(sweep_spec(quick), runner)
     table = common.format_table(
         ["case", "chain", "policy", "Gbps"],
         [[r.case, r.chain, r.policy, r.throughput_gbps] for r in rows],

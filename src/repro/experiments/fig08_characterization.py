@@ -33,6 +33,7 @@ from repro.traffic.generator import TrafficSpec
 
 BATCH_SIZES = (32, 64, 128, 256, 512, 1024)
 COEXIST_NFS = ("ipv4", "ipsec", "ids", "firewall", "lb")
+PACKET_SIZE = 256
 
 
 @dataclass
@@ -87,8 +88,8 @@ def _batch_point(nf_type: str, platform: str, match_profile: str,
 def batch_sweep_spec(quick: bool = True,
                      nf_types: Sequence[str] = ("ipv4", "ipv6",
                                                 "ipsec", "dpi"),
-                     batch_sizes: Sequence[int] = BATCH_SIZES,
-                     packet_size: int = 256) -> common.SweepSpec:
+                     batch_sizes: Sequence[int] = BATCH_SIZES
+                     ) -> common.SweepSpec:
     """The Fig. 8(a–d) parameter grid as a runnable sweep."""
     grid = []
     for nf_type in nf_types:
@@ -109,34 +110,18 @@ def batch_sweep_spec(quick: bool = True,
         point=_batch_point,
         row_type=BatchSweepRow,
         grid=grid,
-        params={"packet_size": packet_size,
+        params={"packet_size": PACKET_SIZE,
                 "batch_count": 40 if quick else 120},
         context=common.sweep_context(),
     )
 
 
-def run_batch_sweep(quick: bool = True,
-                    nf_types: Sequence[str] = ("ipv4", "ipv6",
-                                               "ipsec", "dpi"),
-                    batch_sizes: Sequence[int] = BATCH_SIZES,
-                    packet_size: int = 256,
-                    runner=None) -> List[BatchSweepRow]:
-    """Fig. 8(a–d): batch-size sweeps per NF on CPU and GPU."""
-    return common.run_sweep(
-        batch_sweep_spec(quick=quick, nf_types=nf_types,
-                         batch_sizes=batch_sizes,
-                         packet_size=packet_size),
-        runner=runner,
-    )
-
-
-def run_interference(nf_types: Sequence[str] = COEXIST_NFS
-                     ) -> Tuple[List[InterferenceRow], Dict[str, float]]:
+def run_interference() -> Tuple[List[InterferenceRow], Dict[str, float]]:
     """Fig. 8(e): pairwise drop matrix + per-victim averages."""
     model = InterferenceModel()
     rows: List[InterferenceRow] = []
-    for victim in nf_types:
-        for aggressor in nf_types:
+    for victim in COEXIST_NFS:
+        for aggressor in COEXIST_NFS:
             if victim == aggressor:
                 continue
             rows.append(InterferenceRow(
@@ -145,8 +130,8 @@ def run_interference(nf_types: Sequence[str] = COEXIST_NFS
                 drop_fraction=model.pairwise_drop(victim, aggressor, "cpu"),
             ))
     averages = {
-        victim: model.average_drop(victim, list(nf_types), "cpu")
-        for victim in nf_types
+        victim: model.average_drop(victim, list(COEXIST_NFS), "cpu")
+        for victim in COEXIST_NFS
     }
     return rows, averages
 
@@ -180,7 +165,7 @@ def dpi_cpu_knee(rows: List[BatchSweepRow]) -> bool:
 def main(quick: bool = True, runner=None) -> str:
     """Render all Fig. 8 artifacts: sweeps, matrix, headline checks."""
     from repro.experiments.plots import bar_chart, sparkline
-    sweep = run_batch_sweep(quick=quick, runner=runner)
+    sweep = common.run_sweep(batch_sweep_spec(quick), runner)
     matrix, averages = run_interference()
     curves = []
     keys = dict.fromkeys((r.nf_type, r.platform, r.match_profile)

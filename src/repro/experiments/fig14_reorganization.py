@@ -197,8 +197,7 @@ def _group_point(nf_type: str, platform: str, configs: Sequence[str],
 
 def sweep_spec(quick: bool = True,
                nf_types: Sequence[str] = NF_TYPES,
-               configs: Sequence[str] = CONFIGS,
-               batch_size: int = 64) -> common.SweepSpec:
+               configs: Sequence[str] = CONFIGS) -> common.SweepSpec:
     """One point per (NF, platform) group; rows come in
     (NF, platform, configuration) order."""
     return common.SweepSpec(
@@ -209,32 +208,19 @@ def sweep_spec(quick: bool = True,
               for nf_type in nf_types
               for platform_kind in PLATFORMS],
         params={"configs": tuple(configs),
-                "batch_size": batch_size,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 50 if quick else 150},
         context=common.sweep_context(traffic=_traffic()),
     )
 
 
-def run(quick: bool = True,
-        nf_types: Sequence[str] = NF_TYPES,
-        configs: Sequence[str] = CONFIGS,
-        batch_size: int = 64, runner=None) -> List[Fig14Row]:
-    """Every configuration's capacity and shared-load latency."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, nf_types=nf_types, configs=configs,
-                   batch_size=batch_size),
-        runner=runner,
-    )
-
-
 def latency_reduction(rows: List[Fig14Row], nf_type: str,
-                      platform: str, config: str,
-                      baseline: str = "a") -> float:
-    """Fractional latency reduction of ``config`` vs ``baseline``."""
+                      platform: str, config: str) -> float:
+    """Fractional latency reduction of ``config`` vs configuration a."""
     lookup: Dict[Tuple[str, str, str], Fig14Row] = {
         (r.nf_type, r.platform, r.config): r for r in rows
     }
-    base = lookup.get((nf_type, platform, baseline))
+    base = lookup.get((nf_type, platform, "a"))
     target = lookup.get((nf_type, platform, config))
     if base is None or target is None or base.latency_ms <= 0:
         return 0.0
@@ -243,7 +229,7 @@ def latency_reduction(rows: List[Fig14Row], nf_type: str,
 
 def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 14 table and latency-reduction notes."""
-    rows = run(quick=quick, runner=runner)
+    rows = common.run_sweep(sweep_spec(quick), runner)
     table = common.format_table(
         ["NF", "config", "platform", "eff.len", "Gbps", "latency ms"],
         [[r.nf_type, r.config, r.platform, r.effective_length,

@@ -108,8 +108,7 @@ def _measure_point(setup: str, nf_types: Sequence[str], system: str,
 
 
 def sweep_spec(quick: bool = True,
-               setups: Sequence = SETUPS,
-               batch_size: int = 64) -> common.SweepSpec:
+               setups: Sequence = SETUPS) -> common.SweepSpec:
     """The Fig. 15 parameter grid as a runnable sweep."""
     return common.SweepSpec(
         name="fig15.gta",
@@ -119,21 +118,11 @@ def sweep_spec(quick: bool = True,
                "system": system}
               for setup_name, nf_types in setups
               for system in SYSTEMS],
-        params={"batch_size": batch_size,
+        params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 50 if quick else 150,
                 "optimal_batch_count": 30 if quick else 60,
                 "refine_passes": 0 if quick else 1},
         context=common.sweep_context(),
-    )
-
-
-def run(quick: bool = True,
-        setups: Sequence = SETUPS,
-        batch_size: int = 64, runner=None) -> List[Fig15Row]:
-    """Measure every (setup, system) pair under IMIX traffic."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, setups=setups, batch_size=batch_size),
-        runner=runner,
     )
 
 
@@ -170,7 +159,7 @@ def gta_gain_over_best_effort(rows: List[Fig15Row]) -> Dict[str, float]:
 
 def main(quick: bool = True, runner=None) -> str:
     """Render the Fig. 15 table, GTA/optimal ratios, and gains."""
-    rows = run(quick=quick, runner=runner)
+    rows = common.run_sweep(sweep_spec(quick), runner)
     table = common.format_table(
         ["setup", "system", "Gbps", "latency ms"],
         [[r.setup, r.system, r.throughput_gbps, r.latency_ms]

@@ -139,8 +139,7 @@ def _cell_point(acl_rules: int, packet_size: int, batch_size: int,
 def cell_sweep_spec(acl_sizes: Sequence[int],
                     packet_sizes: Sequence[int] = PACKET_SIZES,
                     loads: Optional[Mapping[int, float]] = None,
-                    quick: bool = True,
-                    batch_size: int = 64) -> common.SweepSpec:
+                    quick: bool = True) -> common.SweepSpec:
     """One point per (ACL size, packet size) cell.
 
     Without ``loads`` each cell sets its own packet size's load, as the
@@ -157,7 +156,7 @@ def cell_sweep_spec(acl_sizes: Sequence[int],
         point=_cell_point,
         row_type=Fig17Row,
         grid=grid,
-        params={"batch_size": batch_size,
+        params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 50 if quick else 150},
         context=common.sweep_context(),
     )
@@ -166,7 +165,7 @@ def cell_sweep_spec(acl_sizes: Sequence[int],
 def run(quick: bool = True,
         acl_sizes: Sequence[int] = ACL_SIZES,
         packet_sizes: Sequence[int] = PACKET_SIZES,
-        batch_size: int = 64, runner=None) -> List[Fig17Row]:
+        runner=None) -> List[Fig17Row]:
     """Every system's capacity and fixed-load latency in every cell.
 
     Phase 1 runs the smallest ACL's cells, which set each packet
@@ -175,26 +174,24 @@ def run(quick: bool = True,
     """
     smallest, *larger = sorted(acl_sizes)
     rows = common.run_sweep(
-        cell_sweep_spec((smallest,), packet_sizes, quick=quick,
-                        batch_size=batch_size),
+        cell_sweep_spec((smallest,), packet_sizes, quick=quick),
         runner=runner,
     )
     loads = {size: _fixed_load(r.throughput_gbps for r in rows
                                if r.packet_size == size)
              for size in packet_sizes}
     return rows + common.run_sweep(
-        cell_sweep_spec(larger, packet_sizes, loads, quick=quick,
-                        batch_size=batch_size),
+        cell_sweep_spec(larger, packet_sizes, loads, quick=quick),
         runner=runner,
     )
 
 
-def throughput_retention(rows: List[Fig17Row],
-                         packet_size: int = 64) -> Dict[str, Dict[int, float]]:
-    """Throughput at each ACL size relative to the 200-rule ACL."""
+def throughput_retention(rows: List[Fig17Row]
+                         ) -> Dict[str, Dict[int, float]]:
+    """64 B throughput at each ACL size relative to the smallest ACL."""
     by_system: Dict[str, Dict[int, float]] = {}
     for row in rows:
-        if row.packet_size != packet_size:
+        if row.packet_size != 64:
             continue
         by_system.setdefault(row.system, {})[row.acl_rules] = (
             row.throughput_gbps

@@ -57,6 +57,16 @@ KNEE_FRACTIONS: Tuple[float, float] = (1.3, 0.5)
 BURST_MODES: Tuple[str, ...] = ("constant", "poisson", "onoff",
                                 "diurnal")
 
+#: The on-off mode's burst factor and duty cycle, and the seed of the
+#: stochastic modes' arrival processes.
+BURST_FACTOR = 4.0
+DUTY_CYCLE = 0.25
+ARRIVAL_SEED = 211
+
+#: The chain every sweep deploys and the packet size it offers.
+NF_TYPES: Tuple[str, ...] = ("firewall", "ids")
+PACKET_SIZE = 256
+
 
 @dataclass
 class LoadLatencyRow:
@@ -271,9 +281,7 @@ def _overload_point(mode: str, multiples: Sequence[float],
 
 
 def latency_sweep_spec(quick: bool = True,
-                       nf_types: Sequence[str] = ("firewall", "ids"),
-                       packet_size: int = 256,
-                       batch_size: int = 64,
+                       nf_types: Sequence[str] = NF_TYPES,
                        fractions: Sequence[float] = LOAD_FRACTIONS
                        ) -> common.SweepSpec:
     """The load sweep: one point per system, every fraction of its
@@ -286,21 +294,17 @@ def latency_sweep_spec(quick: bool = True,
               for system in ("nfcompass", "fastclick")],
         params={"fractions": tuple(fractions),
                 "nf_types": tuple(nf_types),
-                "packet_size": packet_size,
-                "batch_size": batch_size,
+                "packet_size": PACKET_SIZE,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
         context=common.sweep_context(),
     )
 
 
 def burstiness_sweep_spec(quick: bool = True,
-                          nf_types: Sequence[str] = ("firewall", "ids"),
-                          packet_size: int = 256,
-                          batch_size: int = 64,
-                          modes: Sequence[str] = BURST_MODES,
-                          burst_factor: float = 4.0,
-                          duty_cycle: float = 0.25,
-                          seed: int = 211) -> common.SweepSpec:
+                          nf_types: Sequence[str] = NF_TYPES,
+                          modes: Sequence[str] = BURST_MODES
+                          ) -> common.SweepSpec:
     """Arrival-process comparison at a fixed mean load, one point per
     mode."""
     return common.SweepSpec(
@@ -309,30 +313,25 @@ def burstiness_sweep_spec(quick: bool = True,
         row_type=BurstinessRow,
         grid=[{"mode": mode} for mode in modes],
         params={"nf_types": tuple(nf_types),
-                "packet_size": packet_size,
-                "batch_size": batch_size,
+                "packet_size": PACKET_SIZE,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200,
-                "burst_factor": burst_factor,
-                "duty_cycle": duty_cycle,
-                "seed": seed},
+                "burst_factor": BURST_FACTOR,
+                "duty_cycle": DUTY_CYCLE,
+                "seed": ARRIVAL_SEED},
         context=common.sweep_context(),
     )
 
 
 def overload_sweep_spec(quick: bool = True,
-                        nf_types: Sequence[str] = ("firewall", "ids"),
-                        packet_size: int = 256,
-                        batch_size: int = 64,
+                        nf_types: Sequence[str] = NF_TYPES,
                         modes: Sequence[str] = BURST_MODES,
                         multiples: Sequence[float]
                         = OVERLOAD_LOAD_MULTIPLES,
                         queue_limit: int = 4,
                         drop_policy: str = "tail",
                         slo_ms: float = 2.0,
-                        admission: str = "none",
-                        burst_factor: float = 4.0,
-                        duty_cycle: float = 0.25,
-                        seed: int = 211) -> common.SweepSpec:
+                        admission: str = "none") -> common.SweepSpec:
     """Graceful degradation under overload protection, one point per
     mode.
 
@@ -349,72 +348,17 @@ def overload_sweep_spec(quick: bool = True,
         grid=[{"mode": mode} for mode in modes],
         params={"multiples": tuple(multiples),
                 "nf_types": tuple(nf_types),
-                "packet_size": packet_size,
-                "batch_size": batch_size,
+                "packet_size": PACKET_SIZE,
+                "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200,
                 "queue_limit": queue_limit,
                 "drop_policy": drop_policy,
                 "slo_ms": slo_ms,
                 "admission": admission,
-                "burst_factor": burst_factor,
-                "duty_cycle": duty_cycle,
-                "seed": seed},
+                "burst_factor": BURST_FACTOR,
+                "duty_cycle": DUTY_CYCLE,
+                "seed": ARRIVAL_SEED},
         context=common.sweep_context(),
-    )
-
-
-def run_overload(quick: bool = True,
-                 nf_types: Sequence[str] = ("firewall", "ids"),
-                 packet_size: int = 256,
-                 batch_size: int = 64,
-                 modes: Sequence[str] = BURST_MODES,
-                 multiples: Sequence[float] = OVERLOAD_LOAD_MULTIPLES,
-                 queue_limit: int = 4,
-                 drop_policy: str = "tail",
-                 slo_ms: float = 2.0,
-                 admission: str = "none",
-                 runner=None) -> List[OverloadRow]:
-    """Overload-protected degradation curves across arrival modes."""
-    return common.run_sweep(
-        overload_sweep_spec(quick=quick, nf_types=nf_types,
-                            packet_size=packet_size,
-                            batch_size=batch_size, modes=modes,
-                            multiples=multiples,
-                            queue_limit=queue_limit,
-                            drop_policy=drop_policy, slo_ms=slo_ms,
-                            admission=admission),
-        runner=runner,
-    )
-
-
-def run_burstiness(quick: bool = True,
-                   nf_types: Sequence[str] = ("firewall", "ids"),
-                   packet_size: int = 256,
-                   batch_size: int = 64,
-                   modes: Sequence[str] = BURST_MODES,
-                   runner=None) -> List[BurstinessRow]:
-    """Compare arrival processes at 80 % of NFCompass capacity."""
-    return common.run_sweep(
-        burstiness_sweep_spec(quick=quick, nf_types=nf_types,
-                              packet_size=packet_size,
-                              batch_size=batch_size, modes=modes),
-        runner=runner,
-    )
-
-
-def run(quick: bool = True,
-        nf_types: Sequence[str] = ("firewall", "ids"),
-        packet_size: int = 256,
-        batch_size: int = 64,
-        fractions: Sequence[float] = LOAD_FRACTIONS,
-        runner=None) -> List[LoadLatencyRow]:
-    """Sweep offered load for both systems; returns one row per
-    (system, load fraction)."""
-    return common.run_sweep(
-        latency_sweep_spec(quick=quick, nf_types=nf_types,
-                           packet_size=packet_size,
-                           batch_size=batch_size, fractions=fractions),
-        runner=runner,
     )
 
 
@@ -443,7 +387,7 @@ def knee_note(rows: List[LoadLatencyRow]) -> str:
 def main(quick: bool = True, runner=None) -> str:
     """Render the load sweep table, ASCII curves, and knee factors."""
     from repro.experiments.plots import line_plot
-    rows = run(quick=quick, runner=runner)
+    rows = common.run_sweep(latency_sweep_spec(quick), runner)
     table = common.format_table(
         ["system", "load", "offered Gbps", "latency ms", "p50 ms",
          "p95 ms", "p99 ms"],
@@ -459,7 +403,7 @@ def main(quick: bool = True, runner=None) -> str:
         )
     plot = line_plot(series, title="mean latency (ms) vs load (%)",
                      x_label="% of capacity", y_label="ms")
-    burst_rows = run_burstiness(quick=quick, runner=runner)
+    burst_rows = common.run_sweep(burstiness_sweep_spec(quick), runner)
     burst_table = common.format_table(
         ["arrivals", "mean Gbps", "peak Gbps", "latency ms", "p50 ms",
          "p95 ms", "p99 ms", "max queue"],
@@ -469,7 +413,7 @@ def main(quick: bool = True, runner=None) -> str:
         title="Burstiness at 80% mean load (same rate, different "
               "tails)",
     )
-    overload_rows = run_overload(quick=quick, runner=runner)
+    overload_rows = common.run_sweep(overload_sweep_spec(quick), runner)
     overload_table = common.format_table(
         ["arrivals", "load", "offered Gbps", "goodput Gbps", "drop",
          "p99 ms", "conserved"],

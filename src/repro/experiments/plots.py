@@ -1,8 +1,8 @@
 """Terminal plotting helpers for experiment output.
 
 Plain-text visualizations so the regenerated figures are readable in a
-terminal and in ``benchmarks/results/*.txt``: Unicode sparklines,
-labelled horizontal bar charts, and a multi-series ASCII line plot.
+terminal: Unicode sparklines, labelled horizontal bar charts, and a
+multi-series ASCII line plot.
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+
+#: The character grid :func:`line_plot` draws on.
+PLOT_WIDTH, PLOT_HEIGHT = 60, 12
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -48,14 +51,15 @@ def bar_chart(items: Sequence[Tuple[str, float]], width: int = 40,
 
 
 def line_plot(series: Dict[str, List[Tuple[float, float]]],
-              width: int = 60, height: int = 12,
               title: Optional[str] = None,
               x_label: str = "", y_label: str = "") -> str:
     """Multi-series ASCII scatter/line plot.
 
     Each series gets a marker character; points are binned onto a
-    width x height character grid spanning the data range.
+    :data:`PLOT_WIDTH` x :data:`PLOT_HEIGHT` character grid spanning
+    the data range.
     """
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     markers = "*o+x#@%&"
     points = [(x, y) for values in series.values() for x, y in values]
     if not points:

@@ -76,32 +76,18 @@ def _chaos_point(nf_type: str, fault_seed: int, batch_size: int,
 
 
 def sweep_spec(quick: bool = True,
-               nf_types: Sequence[str] = NF_TYPES,
-               seeds: Sequence[int] = SEEDS,
-               batch_size: int = 64) -> common.SweepSpec:
-    """The chaos grid as a runnable sweep."""
+               seeds: Sequence[int] = SEEDS) -> common.SweepSpec:
+    """The chaos grid as a runnable sweep: one row per (chain, seed)."""
     return common.SweepSpec(
         name="chaos.faults",
         point=_chaos_point,
         row_type=ChaosRow,
         grid=[{"nf_type": nf_type, "fault_seed": seed}
-              for nf_type in nf_types for seed in seeds],
-        params={"batch_size": batch_size,
+              for nf_type in NF_TYPES for seed in seeds],
+        params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 40 if quick else 120,
                 "epochs": 3 if quick else 6},
         context=common.sweep_context(),
-    )
-
-
-def run(quick: bool = True,
-        nf_types: Sequence[str] = NF_TYPES,
-        seeds: Sequence[int] = SEEDS,
-        batch_size: int = 64, runner=None) -> List[ChaosRow]:
-    """Run the chaos grid; returns one row per (chain, seed)."""
-    return common.run_sweep(
-        sweep_spec(quick=quick, nf_types=nf_types, seeds=seeds,
-                   batch_size=batch_size),
-        runner=runner,
     )
 
 
@@ -126,7 +112,7 @@ def render(rows: Sequence[ChaosRow]) -> str:
 
 def main(quick: bool = True, runner=None) -> str:
     """Run the chaos grid and render the regression table."""
-    return render(run(quick=quick, runner=runner))
+    return render(common.run_sweep(sweep_spec(quick), runner))
 
 
 if __name__ == "__main__":

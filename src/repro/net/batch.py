@@ -113,15 +113,6 @@ class PacketBatch:
             merged.merge_count = max(b.merge_count for b in batches) + 1
         return merged
 
-    def take(self, count: int) -> "PacketBatch":
-        """Remove and return the first ``count`` packets as a new batch."""
-        head, self.packets = self.packets[:count], self.packets[count:]
-        taken = PacketBatch(head, creation_time=self.creation_time)
-        taken.generation = self.generation
-        taken.split_count = self.split_count
-        taken.merge_count = self.merge_count
-        return taken
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PacketBatch(uid={self.uid}, n={len(self.packets)}, "

@@ -20,7 +20,6 @@ Format (little-endian):
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Union

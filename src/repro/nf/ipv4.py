@@ -16,7 +16,7 @@ from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement, OffloadTraits
 from repro.elements.standard import CheckIPHeader, DecIPTTL
 from repro.net.batch import PacketBatch
-from repro.net.packet import Packet, int_to_ipv4, ipv4_to_int
+from repro.net.packet import int_to_ipv4, ipv4_to_int
 from repro.nf.base import NetworkFunction
 
 

@@ -16,14 +16,14 @@ memoizes every point by content fingerprint:
 - :func:`deployment_fingerprint` / :func:`canonical_fingerprint` —
   the hashing primitives.
 
-Typical use (every :mod:`repro.experiments` harness does this via
-``run(..., runner=runner)``)::
+Typical use (every :mod:`repro.experiments` harness's ``main(quick,
+runner)`` does this with its own specs)::
 
     from repro.runner import SweepRunner, ResultCache
     from repro.experiments import fig08_characterization as fig08
 
     runner = SweepRunner(jobs=8, cache=ResultCache(".repro-cache"))
-    rows = runner.run(fig08.sweep_spec(quick=True))
+    rows = runner.run(fig08.batch_sweep_spec(quick=True))
 
 ``repro experiments run NAME --jobs 8`` exposes the same machinery on
 the command line (``--no-cache`` / ``--cache-dir`` control the cache).

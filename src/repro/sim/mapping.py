@@ -215,16 +215,35 @@ class Mapping:
     # Canned mapping policies
     # ------------------------------------------------------------------
     @classmethod
+    def from_ratios(cls, graph: ElementGraph,
+                    ratios: MappingABC[str, float],
+                    cores: Iterable[str] = (DEFAULT_HOST_DEVICE,),
+                    gpus: Iterable[str] = ("gpu0",)) -> "Mapping":
+        """Per-node offload ratios, placed round robin.
+
+        Walks the nodes in topological order: each takes the next core,
+        and a node whose ratio is positive also takes the next GPU and
+        offloads that fraction of every batch.
+        """
+        rr_core = itertools.cycle(cores)
+        rr_gpu = itertools.cycle(gpus)
+        placements = {}
+        for node in graph.topological_order():
+            ratio = ratios.get(node, 0.0)
+            if ratio > 0.0:
+                placements[node] = Placement.split(
+                    next(rr_core), next(rr_gpu), ratio
+                )
+            else:
+                placements[node] = Placement.split(next(rr_core))
+        return cls(placements)
+
+    @classmethod
     def all_cpu(cls, graph: ElementGraph,
                 cores: Iterable[str] = (DEFAULT_HOST_DEVICE,)
                 ) -> "Mapping":
         """Round-robin elements over CPU cores, no offloading."""
-        cores = list(cores)
-        rr = itertools.cycle(cores)
-        return cls({
-            node: Placement.split(next(rr))
-            for node in graph.topological_order()
-        })
+        return cls.from_ratios(graph, {}, cores=cores)
 
     @classmethod
     def fixed_ratio(cls, graph: ElementGraph, ratio: float,
@@ -235,28 +254,10 @@ class Mapping:
         The one-size-fits-all policy the paper's characterization warns
         about; ``ratio=1.0`` is the GPU-only baseline.
         """
-        cores = list(cores)
-        gpus = list(gpus)
-        rr_core = itertools.cycle(cores)
-        rr_gpu = itertools.cycle(gpus)
-        placements = {}
-        for node in graph.topological_order():
-            element = graph.element(node)
-            if (isinstance(element, OffloadableElement)
-                    and element.offloadable and ratio > 0.0):
-                placements[node] = Placement.split(
-                    next(rr_core), next(rr_gpu), ratio
-                )
-            else:
-                placements[node] = Placement.split(next(rr_core))
-        return cls(placements)
-
-    @classmethod
-    def all_gpu(cls, graph: ElementGraph,
-                cores: Iterable[str] = (DEFAULT_HOST_DEVICE,),
-                gpus: Iterable[str] = ("gpu0",)) -> "Mapping":
-        """Offload every offloadable element fully."""
-        return cls.fixed_ratio(graph, 1.0, cores=cores, gpus=gpus)
+        ratios = {node: ratio for node in graph.nodes
+                  if isinstance(graph.element(node), OffloadableElement)
+                  and graph.element(node).offloadable}
+        return cls.from_ratios(graph, ratios, cores=cores, gpus=gpus)
 
 
 @dataclass

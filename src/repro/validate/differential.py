@@ -38,12 +38,6 @@ from repro.traffic.generator import TrafficGenerator, TrafficSpec
 #: Annotation keys that are merge bookkeeping, not NF semantics.
 _BOOKKEEPING_ANNOTATIONS = frozenset({"orig_bytes", "tee_branch"})
 
-#: Element attributes that are runtime counters, not semantic state.
-_COUNTER_ATTRS = frozenset({
-    "batches_processed", "packets_processed", "packets_dropped",
-    "port_packet_counts",
-})
-
 
 # ---------------------------------------------------------------------------
 # Chain specification (rebuildable, deterministic names)
@@ -113,7 +107,7 @@ def element_state(element) -> Tuple:
     state = {
         attr: canonical(value)
         for attr, value in vars(element).items()
-        if attr.startswith("_") and attr not in _COUNTER_ATTRS
+        if attr.startswith("_")
     }
     return (type(element).__name__, canonical(state))
 

@@ -266,10 +266,10 @@ class TestOneDeploymentPerPoint:
     capacity and every latency run on that one session."""
 
     @staticmethod
-    def traced(harness, **kwargs):
+    def traced(spec):
         trace = Trace("harness")
         with use_trace(trace):
-            harness(runner=SweepRunner(jobs=1), **kwargs)
+            SweepRunner(jobs=1).run(spec)
         counters = {name: counter.value
                     for name, counter in trace.metrics.counters.items()}
         return [span.name for span in trace.spans], counters
@@ -277,23 +277,21 @@ class TestOneDeploymentPerPoint:
     def test_fig14_group_shares_each_session(self):
         """Two (NF, platform) groups of two configurations: each
         session runs capacity, then latency."""
-        _names, counters = self.traced(fig14.run, quick=True,
-                                       nf_types=("firewall",),
-                                       configs=("a", "b"))
+        _names, counters = self.traced(fig14.sweep_spec(
+            nf_types=("firewall",), configs=("a", "b")))
         assert counters["runner.points"] == 2
         assert counters["session.cache_hits"] == 4
 
     def test_load_sweep_deploys_each_system_once(self):
-        names, counters = self.traced(load_latency.run, quick=True,
-                                      nf_types=("firewall",),
-                                      fractions=(0.5, 1.0))
+        names, counters = self.traced(load_latency.latency_sweep_spec(
+            nf_types=("firewall",), fractions=(0.5, 1.0)))
         assert names.count("deploy") == 1
         assert counters["session.cache_hits"] == 4
 
     def test_overload_sweep_deploys_each_mode_once(self):
-        names, _counters = self.traced(
-            load_latency.run_overload, quick=True, nf_types=("firewall",),
-            modes=("constant", "onoff"), multiples=(0.8, 2.0))
+        names, _counters = self.traced(load_latency.overload_sweep_spec(
+            nf_types=("firewall",), modes=("constant", "onoff"),
+            multiples=(0.8, 2.0)))
         assert names.count("deploy") == 2
 
 

@@ -43,7 +43,7 @@ class TestDotExport:
         mapping = Mapping.fixed_ratio(graph, 0.7)
         dot = graph.to_dot(mapping=mapping)
         assert "70% offload" in dot
-        full = Mapping.all_gpu(graph)
+        full = Mapping.fixed_ratio(graph, 1.0)
         dot_full = graph.to_dot(mapping=full)
         assert "#9ecae1" in dot_full
 

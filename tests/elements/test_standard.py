@@ -91,7 +91,6 @@ class TestClassifiers:
     def test_hash_switch_consistent_per_flow(self):
         switch = HashSwitch(fanout=4)
         packet = Packet()
-        out_a = switch.classify_port(packet) if False else None
         result = switch.push(PacketBatch([packet.clone(), packet.clone()]))
         ports = [port for port, sub in result.items() if len(sub)]
         assert len(ports) == 1  # same flow -> same port

@@ -3,7 +3,9 @@
 Each harness runs at reduced scale; the assertions check the *shape*
 claims EXPERIMENTS.md tracks.  The ``canonical_fingerprint`` pins fix
 the rows themselves, at quick scale in tier-1 and at full scale under
-``-m slow``.
+``-m slow``.  A class computes its sweeps on one ``runner`` with an
+in-memory cache, so its ``main`` renders from the points its tests
+already ran.
 """
 
 import dataclasses
@@ -22,7 +24,18 @@ from repro.experiments import (
     load_latency,
     tables,
 )
-from repro.runner import canonical_fingerprint
+from repro.runner import (
+    ResultCache,
+    SweepRunner,
+    canonical_fingerprint,
+    run_sweep,
+)
+
+
+@pytest.fixture(scope="class")
+def runner():
+    """A serial runner whose cache lives as long as its test class."""
+    return SweepRunner(cache=ResultCache())
 
 
 class TestFig5:
@@ -32,31 +45,33 @@ class TestFig5:
     FULL_ROWS = \
         "aa0aa62d948438f68d21c6dc60e8f6ab15cb52867542721edaae77eb2bdaad3e"
 
-    def test_rows_unchanged(self):
-        rows = fig05_batch_split.run(quick=True)
+    def test_rows_unchanged(self, runner):
+        rows = runner.run(fig05_batch_split.sweep_spec())
         assert canonical_fingerprint(rows) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = fig05_batch_split.run(quick=False)
+        rows = run_sweep(fig05_batch_split.sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
 
-    def test_split_collapses_throughput(self):
-        rows = fig05_batch_split.run(quick=True, stage_counts=[6])
+    def test_split_collapses_throughput(self, runner):
+        rows = runner.run(fig05_batch_split.sweep_spec(stage_counts=[6]))
         by_variant = {r.variant: r for r in rows}
         ratio = (by_variant["without_split"].throughput_gbps
                  / by_variant["with_split"].throughput_gbps)
         assert ratio > 1.5  # paper: 2.31x at its configuration
 
-    def test_reorganization_fraction_only_with_split(self):
-        rows = fig05_batch_split.run(quick=True, stage_counts=[4])
+    def test_reorganization_fraction_only_with_split(self, runner):
+        rows = runner.run(fig05_batch_split.sweep_spec(stage_counts=[4]))
         by_variant = {r.variant: r for r in rows}
         assert by_variant["with_split"].reorganization_fraction > 0.1
         assert by_variant["without_split"].reorganization_fraction \
             == pytest.approx(0.0, abs=0.01)
 
-    def test_main_renders(self):
-        assert "Fig. 5" in fig05_batch_split.main(quick=True)
+    def test_main_renders(self, runner):
+        text = fig05_batch_split.main(quick=True, runner=runner)
+        assert "Fig. 5" in text
+        assert "with_split" in text
 
 
 class TestFig6:
@@ -68,16 +83,20 @@ class TestFig6:
         "743634f248ef2a462660f91708aa53a7d2ccce6fdee771a87c2d1963fd6a4f5c"
 
     @pytest.fixture(scope="class")
-    def rows(self):
-        return fig06_offload_ratio.run(quick=True)
+    def rows(self, runner):
+        return runner.run(fig06_offload_ratio.sweep_spec())
 
     def test_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = fig06_offload_ratio.run(quick=False)
+        rows = run_sweep(fig06_offload_ratio.sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
+
+    def test_main_renders(self, rows, runner):
+        text = fig06_offload_ratio.main(quick=True, runner=runner)
+        assert "best ratio per NF" in text
 
     def test_best_ratios_vary_per_nf(self, rows):
         best = fig06_offload_ratio.best_ratios(rows)
@@ -101,26 +120,31 @@ class TestFig7:
     FULL_ROWS = \
         "59010976b3b3b3fe3b4e96e5559fa008fbe974efbc30c4c842fd379b4b803c81"
 
-    def test_rows_unchanged(self):
-        rows = fig07_sfc_length.run(quick=True)
+    @pytest.fixture(scope="class")
+    def rows(self, runner):
+        return runner.run(fig07_sfc_length.sweep_spec())
+
+    def test_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = fig07_sfc_length.run(quick=False)
+        rows = run_sweep(fig07_sfc_length.sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
 
-    def test_acceleration_shrinks_with_chain_length(self):
-        rows = fig07_sfc_length.run(quick=True)
+    def test_main_renders(self, rows, runner):
+        text = fig07_sfc_length.main(quick=True, runner=runner)
+        assert "acceleration" in text
+
+    def test_acceleration_shrinks_with_chain_length(self, rows):
         accel = fig07_sfc_length.acceleration_by_case(rows)
         assert accel["A"] > accel["C"]
         assert accel["A"] > accel["D"]
 
-    def test_fixed_ratio_advantage_inconsistent(self):
+    def test_fixed_ratio_advantage_inconsistent(self, rows):
         """Paper: "the same offload ratio cannot always keep the
         consistent performance in different scenarios" — the 70 %
         ratio's advantage over the extremes varies widely by chain."""
-        rows = fig07_sfc_length.run(quick=True)
         by_case = {}
         for row in rows:
             by_case.setdefault(row.case, {})[row.policy] = (
@@ -146,18 +170,26 @@ class TestFig8:
         "cde780e47cdd648b4e098323a80b4a766f352997e5ec266923861a7ed52e5d1b"
 
     @pytest.fixture(scope="class")
-    def sweep(self):
-        return fig08_characterization.run_batch_sweep(
-            quick=True, batch_sizes=(32, 64, 256, 1024))
+    def rows(self, runner):
+        return runner.run(fig08_characterization.batch_sweep_spec())
 
-    def test_sweep_rows_unchanged(self):
-        rows = fig08_characterization.run_batch_sweep(quick=True)
+    @pytest.fixture(scope="class")
+    def sweep(self, rows, runner):
+        return runner.run(fig08_characterization.batch_sweep_spec(
+            batch_sizes=(32, 64, 256, 1024)))
+
+    def test_sweep_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.SWEEP_ROWS
 
     @pytest.mark.slow
     def test_full_scale_sweep_rows_unchanged(self):
-        rows = fig08_characterization.run_batch_sweep(quick=False)
+        rows = run_sweep(
+            fig08_characterization.batch_sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_SWEEP_ROWS
+
+    def test_main_renders(self, rows, runner):
+        text = fig08_characterization.main(quick=True, runner=runner)
+        assert "Fig. 8(e)" in text
 
     def test_interference_unchanged(self):
         assert canonical_fingerprint(
@@ -194,16 +226,20 @@ class TestFig14:
         "d0aff0e2ce92e0c43d53d5b56272e3d58e05b0f98d57766fcb3b2261a3c08845"
 
     @pytest.fixture(scope="class")
-    def rows(self):
-        return fig14_reorganization.run(quick=True)
+    def rows(self, runner):
+        return runner.run(fig14_reorganization.sweep_spec())
 
     def test_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = fig14_reorganization.run(quick=False)
+        rows = run_sweep(fig14_reorganization.sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
+
+    def test_main_renders(self, rows, runner):
+        text = fig14_reorganization.main(quick=True, runner=runner)
+        assert "latency reduction" in text
 
     def test_parallelization_reduces_latency(self, rows):
         for nf_type in ("firewall", "ipsec", "ids"):
@@ -246,16 +282,20 @@ class TestFig15:
         "9e5555e714842082c9a79db5e06092f53cd3597213645d31f733a6fdcc6f3519"
 
     @pytest.fixture(scope="class")
-    def rows(self):
-        return fig15_gta.run(quick=True)
+    def rows(self, runner):
+        return runner.run(fig15_gta.sweep_spec())
 
     def test_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = fig15_gta.run(quick=False)
+        rows = run_sweep(fig15_gta.sweep_spec(quick=False))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
+
+    def test_main_renders(self, rows, runner):
+        text = fig15_gta.main(quick=True, runner=runner)
+        assert "GTA / optimal" in text
 
     def test_gta_near_optimal_except_ipv4(self, rows):
         fractions = fig15_gta.gta_vs_optimal(rows)
@@ -299,14 +339,31 @@ class TestAblations:
         return [dataclasses.replace(row, planning_seconds=0.0)
                 for row in rows]
 
-    def test_rows_unchanged(self):
-        rows = self.simulated(ablations.run_all(quick=True))
-        assert canonical_fingerprint(rows) == self.ROWS
+    @pytest.fixture(scope="class")
+    def rows(self, runner):
+        return runner.run(ablations.sweep_spec())
+
+    def test_rows_unchanged(self, rows):
+        assert canonical_fingerprint(self.simulated(rows)) == self.ROWS
 
     @pytest.mark.slow
     def test_full_scale_rows_unchanged(self):
-        rows = self.simulated(ablations.run_all(quick=False))
+        rows = self.simulated(run_sweep(ablations.sweep_spec(quick=False)))
         assert canonical_fingerprint(rows) == self.FULL_ROWS
+
+    def test_design_choices_pay_off(self, rows):
+        """Synthesis and parallelization must not hurt; the lightweight
+        partitioner stays within 2x of KL; persistent kernels beat
+        per-batch launches; finer expansion never hurts materially."""
+        by_variant = {row.variant: row.throughput_gbps for row in rows}
+        assert by_variant["full"] >= 0.9 * by_variant["neither"]
+        assert by_variant["agglomerative"] >= 0.5 * by_variant["kl"]
+        assert by_variant["persistent"] > by_variant["per-batch-launch"]
+        assert by_variant["delta=0.1"] >= 0.8 * by_variant["delta=0.5"]
+
+    def test_main_renders(self, rows, runner):
+        text = ablations.main(quick=True, runner=runner)
+        assert "Ablations over NFCompass design choices" in text
 
 
 class TestFig17:
@@ -316,12 +373,15 @@ class TestFig17:
         "159081398904136b6bd186192a16e3015dbed1c1539e9bf5c70c8b2c61a1cebb"
 
     @pytest.fixture(scope="class")
-    def rows(self):
+    def rows(self, runner):
         return fig17_real_sfc.run(quick=True, acl_sizes=(200, 10000),
-                                  packet_sizes=(64,))
+                                  packet_sizes=(64,), runner=runner)
 
     def test_rows_unchanged(self, rows):
         assert canonical_fingerprint(rows) == self.ROWS
+
+    def test_main_renders(self, rows, runner):
+        assert "nfcompass" in fig17_real_sfc.main(quick=True, runner=runner)
 
     def test_fastclick_collapses_at_10k_rules(self, rows):
         retention = fig17_real_sfc.throughput_retention(rows)
@@ -360,31 +420,40 @@ class TestFig17:
             by_key[("fastclick", 10000)].latency_std_us
 
 
-@pytest.mark.slow
-class TestLoadLatencyRows:
+class TestLoadLatency:
     """``canonical_fingerprint`` of each load-latency sweep at quick and
-    full scale, recorded while a capacity sweep still set every point's
-    load."""
+    full scale (``-m slow``), recorded while a capacity sweep still set
+    every point's load."""
 
     ROWS = {
-        ("run", True):
+        ("latency_sweep_spec", True):
             "41e14caa2c6f6103a86dd04642ccbf8f79e4257860aac6cc3c2e8c6c9330a76c",
-        ("run_burstiness", True):
+        ("burstiness_sweep_spec", True):
             "96d2dc6fc0d43ffd7459597920066bb732349b891025812c07a952ff9c5b4e28",
-        ("run_overload", True):
+        ("overload_sweep_spec", True):
             "b2d7da813a2bcf358b4a3210499693253ddcf9f8911e2ec78cce3f3df3d3688c",
-        ("run", False):
+        ("latency_sweep_spec", False):
             "a016bd8bc18a72f91907bcf006e3c3e805f67d8c36aff5c02c8c404b93151ff8",
-        ("run_burstiness", False):
+        ("burstiness_sweep_spec", False):
             "3fa411b37b97df1850ab2c17c5d6d9666b042ce8cb08af309834910bb9630938",
-        ("run_overload", False):
+        ("overload_sweep_spec", False):
             "cf1595f913a33b65093f3768ff1a538fe684569530796adc1fc28807637a6a52",
     }
 
-    @pytest.mark.parametrize("sweep,quick", sorted(ROWS))
-    def test_rows_unchanged(self, sweep, quick):
-        rows = getattr(load_latency, sweep)(quick=quick)
-        assert canonical_fingerprint(rows) == self.ROWS[sweep, quick]
+    @pytest.mark.slow
+    @pytest.mark.parametrize("builder,quick", sorted(ROWS))
+    def test_rows_unchanged(self, runner, builder, quick):
+        rows = runner.run(getattr(load_latency, builder)(quick=quick))
+        assert canonical_fingerprint(rows) == self.ROWS[builder, quick]
+
+    def test_knee_exists_past_capacity(self, runner):
+        rows = runner.run(load_latency.latency_sweep_spec())
+        for system in ("nfcompass", "fastclick"):
+            assert load_latency.knee_sharpness(rows, system) > 1.2
+
+    def test_main_renders(self, runner):
+        text = load_latency.main(quick=True, runner=runner)
+        assert "knee sharpness" in text
 
 
 class TestLoadLatencyKnee:

@@ -14,7 +14,7 @@ QUICK_ROWS = \
 
 
 def test_quick_grid_rows_unchanged():
-    rows = chaos.run(quick=True, runner=SweepRunner(jobs=1))
+    rows = SweepRunner(jobs=1).run(chaos.sweep_spec(quick=True))
     assert len(rows) == 12
     assert all(row.conserved for row in rows)
     assert canonical_fingerprint(rows) == QUICK_ROWS

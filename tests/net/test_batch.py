@@ -83,11 +83,3 @@ class TestMerge:
     def test_merge_empty(self):
         merged = PacketBatch.merge([])
         assert len(merged) == 0
-
-
-class TestTakeAndPartition:
-    def test_take_removes_head(self):
-        batch = PacketBatch(make_packets(6))
-        head = batch.take(2)
-        assert [p.seqno for p in head] == [0, 1]
-        assert [p.seqno for p in batch] == [2, 3, 4, 5]

@@ -114,5 +114,5 @@ class TestIPv6ForwarderNF:
     def test_no_route_drops(self):
         element = IPv6Lookup(HashedPrefixTable())
         packet = self._packet(5)
-        out = element.push(PacketBatch([packet]))
+        element.push(PacketBatch([packet]))
         assert packet.dropped

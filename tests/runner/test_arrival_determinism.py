@@ -14,7 +14,12 @@ The new arrival-process paths must uphold the runner's two promises:
 """
 
 from repro.experiments import load_latency
-from repro.runner import SweepRunner, canonical_fingerprint, canonical_form
+from repro.runner import (
+    SweepRunner,
+    canonical_fingerprint,
+    canonical_form,
+    run_sweep,
+)
 from repro.traffic.arrivals import (
     MMPP,
     ConstantRate,
@@ -25,12 +30,13 @@ from repro.traffic.arrivals import (
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
-BURST_KWARGS = dict(quick=True, nf_types=("firewall",),
-                    modes=("constant", "poisson", "onoff"))
-LOAD_KWARGS = dict(quick=True, nf_types=("firewall",),
-                   fractions=(0.5, 1.0))
+BURST = load_latency.burstiness_sweep_spec(
+    quick=True, nf_types=("firewall",),
+    modes=("constant", "poisson", "onoff"))
+LOAD = load_latency.latency_sweep_spec(quick=True, nf_types=("firewall",),
+                                       fractions=(0.5, 1.0))
 
-#: ``canonical_fingerprint`` of the ``BURST_KWARGS`` rows, recorded
+#: ``canonical_fingerprint`` of the ``BURST`` rows, recorded
 #: while a capacity sweep still set every point's load.
 BURST_ROWS = \
     "c732ff98bd6a88fa46a9ca6865daa0d495389cbaf99f2699f6d28be9f3a7aa67"
@@ -38,24 +44,19 @@ BURST_ROWS = \
 
 class TestBurstinessSweepDeterminism:
     def test_parallel_equals_serial(self):
-        serial = load_latency.run_burstiness(**BURST_KWARGS)
-        parallel = load_latency.run_burstiness(
-            runner=SweepRunner(jobs=2), **BURST_KWARGS)
+        serial = run_sweep(BURST)
+        parallel = SweepRunner(jobs=2).run(BURST)
         assert serial == parallel
         assert canonical_fingerprint(serial) == BURST_ROWS
         # The load sweep, one point per system, holds it too.
-        assert load_latency.run(**LOAD_KWARGS) == \
-            load_latency.run(runner=SweepRunner(jobs=2), **LOAD_KWARGS)
+        assert run_sweep(LOAD) == SweepRunner(jobs=2).run(LOAD)
 
     def test_worker_count_irrelevant(self):
-        assert load_latency.run_burstiness(
-            runner=SweepRunner(jobs=2), **BURST_KWARGS) == \
-            load_latency.run_burstiness(runner=SweepRunner(jobs=4),
-                                        **BURST_KWARGS)
+        assert SweepRunner(jobs=2).run(BURST) == \
+            SweepRunner(jobs=4).run(BURST)
 
     def test_row_order_is_grid_order(self):
-        rows = load_latency.run_burstiness(runner=SweepRunner(jobs=4),
-                                           **BURST_KWARGS)
+        rows = SweepRunner(jobs=4).run(BURST)
         assert [r.mode for r in rows] == ["constant", "poisson",
                                           "onoff"]
 

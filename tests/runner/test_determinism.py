@@ -17,30 +17,30 @@ from repro.experiments import fig06_offload_ratio as fig06
 from repro.experiments import fig08_characterization as fig08
 from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
-from repro.runner import ResultCache, SweepRunner
+from repro.runner import ResultCache, SweepRunner, run_sweep
 
-FIG06_KWARGS = dict(quick=True, nf_types=("ipv4", "ipsec"),
-                    ratios=(0.0, 0.5, 1.0))
-FIG08_KWARGS = dict(quick=True, nf_types=("ipsec",),
-                    batch_sizes=(32, 128))
-FIG14_KWARGS = dict(quick=True, nf_types=("firewall", "ipsec"),
-                    configs=("a", "b", "d"))
+FIG06 = fig06.sweep_spec(quick=True, nf_types=("ipv4", "ipsec"),
+                         ratios=(0.0, 0.5, 1.0))
+FIG08 = fig08.batch_sweep_spec(quick=True, nf_types=("ipsec",),
+                               batch_sizes=(32, 128))
+FIG14 = fig14.sweep_spec(quick=True, nf_types=("firewall", "ipsec"),
+                         configs=("a", "b", "d"))
 FIG17_KWARGS = dict(quick=True, acl_sizes=(200, 1000),
                     packet_sizes=(64, 128))
 
 
 class TestFig06Determinism:
     def test_parallel_equals_serial(self):
-        serial = fig06.run(**FIG06_KWARGS)
-        parallel = fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
+        serial = run_sweep(FIG06)
+        parallel = SweepRunner(jobs=4).run(FIG06)
         assert serial == parallel
 
     def test_worker_count_irrelevant(self):
-        assert fig06.run(runner=SweepRunner(jobs=2), **FIG06_KWARGS) == \
-            fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
+        assert SweepRunner(jobs=2).run(FIG06) == \
+            SweepRunner(jobs=4).run(FIG06)
 
     def test_row_order_is_grid_order(self):
-        rows = fig06.run(runner=SweepRunner(jobs=4), **FIG06_KWARGS)
+        rows = SweepRunner(jobs=4).run(FIG06)
         assert [(r.nf_type, r.offload_ratio) for r in rows] == [
             (nf, ratio)
             for nf in ("ipv4", "ipsec")
@@ -50,20 +50,16 @@ class TestFig06Determinism:
 
 class TestFig08Determinism:
     def test_parallel_equals_serial(self):
-        serial = fig08.run_batch_sweep(**FIG08_KWARGS)
-        parallel = fig08.run_batch_sweep(runner=SweepRunner(jobs=4),
-                                         **FIG08_KWARGS)
+        serial = run_sweep(FIG08)
+        parallel = SweepRunner(jobs=4).run(FIG08)
         assert serial == parallel
 
     def test_worker_count_irrelevant(self):
-        assert fig08.run_batch_sweep(
-            runner=SweepRunner(jobs=4), **FIG08_KWARGS) == \
-            fig08.run_batch_sweep(runner=SweepRunner(jobs=3),
-                                  **FIG08_KWARGS)
+        assert SweepRunner(jobs=4).run(FIG08) == \
+            SweepRunner(jobs=3).run(FIG08)
 
     def test_row_order_is_grid_order(self):
-        rows = fig08.run_batch_sweep(runner=SweepRunner(jobs=4),
-                                     **FIG08_KWARGS)
+        rows = SweepRunner(jobs=4).run(FIG08)
         assert [(r.platform, r.batch_size) for r in rows] == [
             ("cpu", 32), ("cpu", 128), ("gpu", 32), ("gpu", 128),
         ]
@@ -71,12 +67,12 @@ class TestFig08Determinism:
 
 class TestFig14Determinism:
     def test_worker_count_irrelevant(self):
-        serial = fig14.run(**FIG14_KWARGS)
-        assert fig14.run(runner=SweepRunner(jobs=2), **FIG14_KWARGS) == serial
-        assert fig14.run(runner=SweepRunner(jobs=3), **FIG14_KWARGS) == serial
+        serial = run_sweep(FIG14)
+        assert SweepRunner(jobs=2).run(FIG14) == serial
+        assert SweepRunner(jobs=3).run(FIG14) == serial
 
     def test_row_order_is_grid_order(self):
-        rows = fig14.run(runner=SweepRunner(jobs=2), **FIG14_KWARGS)
+        rows = SweepRunner(jobs=2).run(FIG14)
         assert [(r.nf_type, r.platform, r.config) for r in rows] == [
             (nf_type, platform, config)
             for nf_type in ("firewall", "ipsec")
@@ -86,9 +82,9 @@ class TestFig14Determinism:
 
     def test_second_run_is_served_from_the_cache(self):
         cache = ResultCache()
-        first = fig14.run(runner=SweepRunner(cache=cache), **FIG14_KWARGS)
+        first = SweepRunner(cache=cache).run(FIG14)
         assert (cache.hits, cache.misses) == (0, 4)
-        second = fig14.run(runner=SweepRunner(cache=cache), **FIG14_KWARGS)
+        second = SweepRunner(cache=cache).run(FIG14)
         assert (cache.hits, cache.misses) == (4, 4)
         assert second == first
 

@@ -15,13 +15,13 @@ promises must survive it:
 """
 
 from repro.experiments import load_latency
-from repro.runner import SweepRunner, canonical_fingerprint
+from repro.runner import SweepRunner, canonical_fingerprint, run_sweep
 
-OVERLOAD_KWARGS = dict(quick=True, nf_types=("firewall",),
-                       modes=("constant", "onoff"),
-                       multiples=(0.8, 2.0))
+OVERLOAD = load_latency.overload_sweep_spec(
+    quick=True, nf_types=("firewall",), modes=("constant", "onoff"),
+    multiples=(0.8, 2.0))
 
-#: ``canonical_fingerprint`` of the ``OVERLOAD_KWARGS`` rows, recorded
+#: ``canonical_fingerprint`` of the ``OVERLOAD`` rows, recorded
 #: while a capacity sweep still set every point's load.
 OVERLOAD_ROWS = \
     "43fc08b381635434d33aae3afd424f2eb3e2d41e7b56ebd49523a6c66d3c8686"
@@ -29,21 +29,17 @@ OVERLOAD_ROWS = \
 
 class TestOverloadSweepDeterminism:
     def test_parallel_equals_serial(self):
-        serial = load_latency.run_overload(**OVERLOAD_KWARGS)
-        parallel = load_latency.run_overload(runner=SweepRunner(jobs=2),
-                                             **OVERLOAD_KWARGS)
+        serial = run_sweep(OVERLOAD)
+        parallel = SweepRunner(jobs=2).run(OVERLOAD)
         assert serial == parallel
         assert canonical_fingerprint(serial) == OVERLOAD_ROWS
 
     def test_worker_count_irrelevant(self):
-        assert load_latency.run_overload(
-            runner=SweepRunner(jobs=2), **OVERLOAD_KWARGS) == \
-            load_latency.run_overload(runner=SweepRunner(jobs=4),
-                                      **OVERLOAD_KWARGS)
+        assert SweepRunner(jobs=2).run(OVERLOAD) == \
+            SweepRunner(jobs=4).run(OVERLOAD)
 
     def test_row_order_is_grid_order(self):
-        rows = load_latency.run_overload(runner=SweepRunner(jobs=4),
-                                         **OVERLOAD_KWARGS)
+        rows = SweepRunner(jobs=4).run(OVERLOAD)
         assert [(r.mode, r.load_multiple) for r in rows] == [
             ("constant", 0.8), ("constant", 2.0),
             ("onoff", 0.8), ("onoff", 2.0),
@@ -52,7 +48,7 @@ class TestOverloadSweepDeterminism:
     def test_degradation_is_graceful(self):
         """Past saturation the sweep sheds load instead of diverging:
         drops appear and the p99 of admitted traffic meets the SLO."""
-        rows = load_latency.run_overload(**OVERLOAD_KWARGS)
+        rows = run_sweep(OVERLOAD)
         saturated = [r for r in rows if r.load_multiple == 2.0]
         assert saturated
         for row in saturated:

@@ -55,46 +55,37 @@ def assert_schema(rows, row_type):
 
 class TestSmokeGrid:
     def test_fig05(self, runner):
-        rows = fig05_batch_split.run(quick=True, stage_counts=[1],
-                                     runner=runner)
+        rows = runner.run(fig05_batch_split.sweep_spec(stage_counts=[1]))
         assert_schema(rows, fig05_batch_split.Fig5Row)
         assert len(rows) == 2
 
     def test_fig06(self, runner):
-        rows = fig06_offload_ratio.run(quick=True,
-                                       nf_types=("ipv4",),
-                                       ratios=(0.0, 1.0),
-                                       runner=runner)
+        rows = runner.run(fig06_offload_ratio.sweep_spec(
+            nf_types=("ipv4",), ratios=(0.0, 1.0)))
         assert_schema(rows, fig06_offload_ratio.Fig6Row)
         assert len(rows) == 2
 
     def test_fig07(self, runner):
-        rows = fig07_sfc_length.run(quick=True,
-                                    cases=(("A", ("ipsec",)),),
-                                    runner=runner)
+        rows = runner.run(fig07_sfc_length.sweep_spec(
+            cases=(("A", ("ipsec",)),)))
         assert_schema(rows, fig07_sfc_length.Fig7Row)
         assert len(rows) == len(fig07_sfc_length.POLICIES)
 
     def test_fig08(self, runner):
-        rows = fig08_characterization.run_batch_sweep(
-            quick=True, nf_types=("ipv4",), batch_sizes=(64,),
-            runner=runner,
-        )
+        rows = runner.run(fig08_characterization.batch_sweep_spec(
+            nf_types=("ipv4",), batch_sizes=(64,)))
         assert_schema(rows, fig08_characterization.BatchSweepRow)
         assert len(rows) == 2    # cpu + gpu
 
     def test_fig14(self, runner):
-        rows = fig14_reorganization.run(quick=True,
-                                        nf_types=("firewall",),
-                                        configs=("a", "b"),
-                                        runner=runner)
+        rows = runner.run(fig14_reorganization.sweep_spec(
+            nf_types=("firewall",), configs=("a", "b")))
         assert_schema(rows, fig14_reorganization.Fig14Row)
         assert len(rows) == 4    # 2 configs x 2 platforms
 
     def test_fig15(self, runner):
-        rows = fig15_gta.run(quick=True,
-                             setups=(("ipv4", ("ipv4",)),),
-                             runner=runner)
+        rows = runner.run(fig15_gta.sweep_spec(
+            setups=(("ipv4", ("ipv4",)),)))
         assert_schema(rows, fig15_gta.Fig15Row)
         assert len(rows) == len(fig15_gta.SYSTEMS)
 
@@ -105,15 +96,14 @@ class TestSmokeGrid:
         assert len(rows) == len(fig17_real_sfc.SYSTEMS)
 
     def test_ablations(self, runner):
-        rows = ablations.run_all(quick=True,
-                                 studies=("persistent_kernel",),
-                                 runner=runner)
+        rows = runner.run(ablations.sweep_spec(
+            studies=("persistent_kernel",)))
         assert_schema(rows, ablations.AblationRow)
         assert len(rows) == 2
 
     def test_load_latency(self, runner):
-        rows = load_latency.run(quick=True, fractions=(0.5, 1.0),
-                                runner=runner)
+        rows = runner.run(load_latency.latency_sweep_spec(
+            fractions=(0.5, 1.0)))
         assert_schema(rows, load_latency.LoadLatencyRow)
         assert len(rows) == 4    # 2 systems x 2 fractions
         assert canonical_fingerprint(rows) == LOAD_LATENCY_ROWS

@@ -67,10 +67,24 @@ class TestMapping:
             assert graph.element(node).offloadable
 
     def test_all_gpu_is_full_ratio(self, graph):
-        mapping = Mapping.all_gpu(graph)
+        mapping = Mapping.fixed_ratio(graph, 1.0)
         for node, placement in mapping.items():
             if placement.offloaded:
                 assert placement.offload_total == 1.0
+
+    def test_from_ratios_round_robin(self, graph):
+        """Every node takes the next core in topological order; only a
+        node with a positive ratio takes the next GPU."""
+        order = graph.topological_order()
+        ratios = {order[1]: 0.4, order[2]: 0.0, order[3]: 1.0}
+        mapping = Mapping.from_ratios(graph, ratios, cores=["c0", "c1"],
+                                      gpus=["g0", "g1"])
+        assert [mapping[node] for node in order[:4]] == [
+            Placement.split("c0"),
+            Placement.split("c1", "g0", 0.4),
+            Placement.split("c0"),
+            Placement.split("c1", "g1", 1.0),
+        ]
 
     def test_validate_rejects_missing_nodes(self, graph):
         with pytest.raises(ValueError):

@@ -220,64 +220,69 @@ ENTRY_POINTS = {
     "run_sweep": run_sweep,
 }
 
-#: Parameter names of every harness ``run*`` and ``main``, by module.
-#: ``jobs`` was removed from all 22 on purpose: a sweep runs on the
-#: ``runner`` it is given (serial and uncached without one), and a
-#: ``jobs`` next to it was ignored whenever a runner came along, as on
-#: every ``repro experiments run``, which builds its runner from
-#: ``--jobs``.
+#: Parameter names of every harness sweep builder (``*sweep_spec``),
+#: ``run*`` and ``main``, by module.  Each sweep is declared once, by
+#: its builder: removed on purpose are the 15 forwarders that restated
+#: a builder's parameters before running it (``run`` of fig05, fig06,
+#: fig07, fig14, fig15 and the chaos grid, fig08's
+#: ``run_batch_sweep``, load-latency's ``run``, ``run_burstiness`` and
+#: ``run_overload``, and the ablations' ``run_all`` and four
+#: ``ablate_*``), and the knobs no caller passed (every builder's
+#: ``batch_size``, the ``packet_size`` of fig06, fig07, fig08 and
+#: load-latency, load-latency's ``burst_factor``, ``duty_cycle`` and
+#: ``seed``, the ablations' ``deltas``, and the chaos grid's and
+#: ``run_interference``'s ``nf_types``), whose values stay in each
+#: spec's ``params``.  ``fig17_real_sfc.run`` stays: it chains two
+#: sweeps.  ``jobs`` was removed from every entry point before them:
+#: a sweep runs on the ``runner`` it is given.
 HARNESS_PARAMETERS = {
     "repro.experiments.ablations": {
-        "run_all": ["quick", "studies", "runner"],
+        "sweep_spec": ["quick", "studies"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig05_batch_split": {
-        "run": ["quick", "stage_counts", "batch_size", "runner"],
+        "sweep_spec": ["quick", "stage_counts"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig06_offload_ratio": {
-        "run": ["quick", "nf_types", "ratios", "packet_size",
-                "batch_size", "runner"],
+        "sweep_spec": ["quick", "nf_types", "ratios"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig07_sfc_length": {
-        "run": ["quick", "cases", "packet_size", "batch_size", "runner"],
+        "sweep_spec": ["quick", "cases"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig08_characterization": {
-        "run_batch_sweep": ["quick", "nf_types", "batch_sizes",
-                            "packet_size", "runner"],
-        "run_interference": ["nf_types"],
+        "batch_sweep_spec": ["quick", "nf_types", "batch_sizes"],
+        "run_interference": [],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig14_reorganization": {
-        "run": ["quick", "nf_types", "configs", "batch_size", "runner"],
+        "sweep_spec": ["quick", "nf_types", "configs"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig15_gta": {
-        "run": ["quick", "setups", "batch_size", "runner"],
+        "sweep_spec": ["quick", "setups"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.fig17_real_sfc": {
-        "run": ["quick", "acl_sizes", "packet_sizes", "batch_size",
-                "runner"],
+        "cell_sweep_spec": ["acl_sizes", "packet_sizes", "loads", "quick"],
+        "run": ["quick", "acl_sizes", "packet_sizes", "runner"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.load_latency": {
-        "run": ["quick", "nf_types", "packet_size", "batch_size",
-                "fractions", "runner"],
-        "run_burstiness": ["quick", "nf_types", "packet_size",
-                           "batch_size", "modes", "runner"],
-        "run_overload": ["quick", "nf_types", "packet_size", "batch_size",
-                         "modes", "multiples", "queue_limit",
-                         "drop_policy", "slo_ms", "admission", "runner"],
+        "latency_sweep_spec": ["quick", "nf_types", "fractions"],
+        "burstiness_sweep_spec": ["quick", "nf_types", "modes"],
+        "overload_sweep_spec": ["quick", "nf_types", "modes", "multiples",
+                                "queue_limit", "drop_policy", "slo_ms",
+                                "admission"],
         "main": ["quick", "runner"],
     },
     "repro.experiments.tables": {
         "main": ["quick"],
     },
     "repro.faults.chaos": {
-        "run": ["quick", "nf_types", "seeds", "batch_size", "runner"],
+        "sweep_spec": ["quick", "seeds"],
         "main": ["quick", "runner"],
     },
 }
@@ -323,8 +328,8 @@ class TestParameters:
         assert public == ["session"]
 
     def test_harness_parameters(self):
-        """Every harness ``run*`` and ``main``, found by name in every
-        module the CLI runs plus the chaos grid."""
+        """Every harness ``*sweep_spec``, ``run*`` and ``main``, found
+        by name in every module the CLI runs plus the chaos grid."""
         modules = sorted(set(EXPERIMENTS.values())) + ["repro.faults.chaos"]
         found = {}
         for module_name in modules:
@@ -334,7 +339,8 @@ class TestParameters:
                 for name, function in vars(module).items()
                 if inspect.isfunction(function)
                 and function.__module__ == module_name
-                and (name.startswith("run") or name == "main")
+                and (name.startswith("run") or name == "main"
+                     or name.endswith("sweep_spec"))
             }
         assert found == HARNESS_PARAMETERS
 
