@@ -187,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace", help="summarize an NDJSON trace written by --trace"
     )
     trace.add_argument("path", help="NDJSON trace file")
-    trace.add_argument("--sim-spans", type=int, default=5,
-                       help="simulated-time spans to list (default 5)")
 
     validate = subparsers.add_parser(
         "validate",
@@ -505,7 +503,7 @@ def _cmd_trace(args) -> int:
         print(f"cannot read trace {args.path!r}: {error}",
               file=sys.stderr)
         return 2
-    print(format_trace_summary(trace, top_sim_spans=args.sim_spans))
+    print(format_trace_summary(trace))
     return 0
 
 

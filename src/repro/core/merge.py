@@ -157,33 +157,35 @@ def xor_merge_packets(original_bytes: bytes,
     if all(wire == wires[0] for wire in wires[1:]):
         return _union_annotations(first.clone(), branch_outputs)
     size = len(original_bytes)
-    resized = [p for p, wire in zip(branch_outputs, wires)
-               if len(wire) != size]
+    # Copies are labelled by position: equal copies are distinct
+    # branches.
+    resized = [i for i, wire in enumerate(wires) if len(wire) != size]
     if len(resized) > 1:
         raise MergeConflictError(
             "more than one branch changed the packet size; such NFs "
             "must not be parallelized (Table III size-change rule)",
             uid=uid,
-            branches=[_branch_label(p, branch_outputs.index(p),
-                                    branch_names) for p in resized],
+            branches=[_branch_label(branch_outputs[i], i, branch_names)
+                      for i in resized],
         )
     if resized:
         # The size-changer's output is authoritative; other branches
         # must have left the bytes unchanged (read-only).
-        for peer, wire in zip(branch_outputs, wires):
+        resizer = resized[0]
+        for peer, wire in enumerate(wires):
             if len(wire) == size and wire != original_bytes:
                 raise MergeConflictError(
                     "a branch wrote the packet while another resized it",
                     uid=uid,
                     branches=[
-                        _branch_label(resized[0],
-                                      branch_outputs.index(resized[0]),
+                        _branch_label(branch_outputs[resizer], resizer,
                                       branch_names),
-                        _branch_label(peer, branch_outputs.index(peer),
+                        _branch_label(branch_outputs[peer], peer,
                                       branch_names),
                     ],
                 )
-        return _union_annotations(resized[0].clone(), branch_outputs)
+        return _union_annotations(branch_outputs[resizer].clone(),
+                                  branch_outputs)
     original = int.from_bytes(original_bytes, "big")
     deltas = [original ^ int.from_bytes(wire, "big") for wire in wires]
     written = 0

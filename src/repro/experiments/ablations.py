@@ -83,7 +83,7 @@ def _ablation_point(study: str, variant: str, batch_count: int,
         start = time.perf_counter()
         plan = compass.deploy(_chain(), spec, batch_size=64)
         planning = time.perf_counter() - start
-        result = common.measure(compass.engine, plan.deployment, spec,
+        result = common.measure(plan.session, spec,
                                 batch_size=64, batch_count=batch_count,
                                 branch_profile=plan.run_profile)
         return [AblationRow(
@@ -131,7 +131,7 @@ def _ablation_point(study: str, variant: str, batch_count: int,
     deployment = Deployment(graph, mapping,
                             persistent_kernel=persistent_kernel,
                             name=name)
-    result = common.measure(engine, deployment, spec,
+    result = common.measure(engine.session(deployment), spec,
                             batch_size=64, batch_count=batch_count,
                             branch_profile=profile)
     return [AblationRow(

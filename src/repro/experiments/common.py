@@ -26,9 +26,9 @@ from repro.runner import (  # noqa: F401  (re-exported sweep API)
     SweepSpec,
     run_sweep,
 )
-from repro.sim.engine import BranchProfile, SimulationEngine
-from repro.sim.kernel import SATURATING_GBPS
-from repro.sim.mapping import Deployment, Mapping
+from repro.sim.engine import BranchProfile
+from repro.sim.kernel import SATURATING_GBPS, SimulationSession
+from repro.sim.mapping import Mapping
 from repro.sim.metrics import ThroughputLatencyReport
 from repro.traffic.generator import TrafficSpec
 
@@ -105,24 +105,21 @@ class CapacityLatency:
     bottleneck: Optional[str] = None
 
 
-def measure(engine: SimulationEngine, deployment: Deployment,
-            spec: TrafficSpec, batch_size: int = 64,
-            batch_count: int = 120,
+def measure(session: SimulationSession, spec: TrafficSpec,
+            batch_size: int = 64, batch_count: int = 120,
             branch_profile: Optional[BranchProfile] = None
             ) -> CapacityLatency:
     """Measure capacity at saturation, then latency at 80 % load.
 
     Measuring latency at the saturating load would report queue growth
     rather than service latency; the paper's latencies are taken at
-    offered loads the system can carry.  Both passes share one
-    :class:`~repro.sim.kernel.SimulationSession`, so the deployment is
-    validated and its invariants precomputed only once.  The ambient
-    trace sees one ``measure`` span with both simulation passes as
-    children.
+    offered loads the system can carry.  Both passes run on the
+    deployment's one ``session`` (a deploy's plan brings its own).
+    The ambient trace sees one ``measure`` span with both simulation
+    passes as children.
     """
     trace = current_trace()
-    session = engine.session(deployment)
-    with trace.span("measure", deployment=deployment.name,
+    with trace.span("measure", deployment=session.deployment.name,
                     batch_size=batch_size) as span:
         saturation_report = session.run(
             saturated(spec), batch_size=batch_size,

@@ -95,7 +95,7 @@ def _measure_point(setup: str, nf_types: Sequence[str], system: str,
         name=f"{system}:{setup}",
     )
     result = common.measure(
-        engine, deployment, spec,
+        engine.session(deployment), spec,
         batch_size=batch_size, batch_count=batch_count,
         branch_profile=profile,
     )

@@ -73,7 +73,8 @@ class Fig17Row:
 def _prepare(system: str, tag: str, rules: List[AclRule], fib: LPMTrie,
              spec: TrafficSpec, batch_size: int) -> SimulationSession:
     """Deploy one system's own firewall -> router -> NAT chain over the
-    cell's shared ACL and FIB; returns the deployment's session."""
+    cell's shared ACL and FIB; returns the deployment's session (for
+    NFCompass, the one its plan carries)."""
     matcher_kind = "tuple_space" if system == "nfcompass" else "tree"
     sfc = ServiceFunctionChain(
         [
@@ -85,15 +86,15 @@ def _prepare(system: str, tag: str, rules: List[AclRule], fib: LPMTrie,
         name=f"fw{len(rules)}-router-nat",
     )
     platform = PlatformSpec()
+    if system == "nfcompass":
+        return NFCompass(platform=platform).deploy(
+            sfc, spec, batch_size=batch_size).session
     if system == "fastclick":
         deployment = FastClickBaseline(platform=platform).deploy(
             sfc, spec, batch_size=batch_size)
-    elif system == "nba":
+    else:
         deployment = NBABaseline(platform=platform).deploy(
             sfc, spec, batch_size=batch_size)
-    else:
-        deployment = NFCompass(platform=platform).deploy(
-            sfc, spec, batch_size=batch_size).deployment
     return SimulationEngine(platform).session(deployment)
 
 

@@ -16,8 +16,7 @@ from repro.net.packet import (
     Packet,
 )
 from repro.net.batch import PacketBatch, BatchSplitResult
-from repro.net.flow import FiveTuple, FlowTable, StreamReassembler
-from repro.net.trace import TraceReplay, read_trace, write_trace
+from repro.net.flow import FiveTuple, FlowTable
 
 __all__ = [
     "EthernetHeader",
@@ -30,8 +29,4 @@ __all__ = [
     "BatchSplitResult",
     "FiveTuple",
     "FlowTable",
-    "StreamReassembler",
-    "TraceReplay",
-    "read_trace",
-    "write_trace",
 ]

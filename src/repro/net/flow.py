@@ -1,10 +1,9 @@
-"""Flows and stateful stream handling.
+"""Flows: five-tuple connection keys and an LRU flow table.
 
-Stateful NFs (IDS, traffic classification) must see the packets of one
-connection in order.  The paper notes that guaranteeing this on an
-accelerator means buffering out-of-order completions, which costs
-memory and latency; :class:`StreamReassembler` implements that
-buffering so the overhead can be measured rather than assumed.
+Stateful NFs (IDS, traffic classification) keep per-connection state
+in a :class:`FlowTable` keyed by :class:`FiveTuple`.  The stateful IDS
+(:class:`~repro.nf.stateful_dpi.StatefulPatternMatch`) releases each
+flow's segments in TCP byte order itself.
 """
 
 from __future__ import annotations
@@ -98,68 +97,3 @@ class FlowTable:
 
     def flows(self) -> List[FlowState]:
         return list(self._table.values())
-
-
-class StreamReassembler:
-    """Per-flow in-order release buffer.
-
-    Packets may complete out of order (e.g. two GPU sub-batches finish
-    at different times).  ``push`` buffers a packet until every earlier
-    packet of the same flow has been released, then releases the
-    longest in-order run.  ``buffered_bytes`` and ``max_buffered_bytes``
-    quantify the memory cost the paper attributes to stateful
-    processing.
-    """
-
-    def __init__(self, initial_expected: Optional[int] = None):
-        """``initial_expected``: the seqno every new flow starts at.
-
-        When None (default), a flow's stream starts at the first seqno
-        seen for it — appropriate when upstream guarantees the first
-        packet arrives first (e.g. per-batch completion queues).
-        """
-        self._initial_expected = initial_expected
-        self._expected: Dict[FiveTuple, int] = {}
-        self._pending: Dict[FiveTuple, Dict[int, Packet]] = {}
-        self.buffered_bytes = 0
-        self.max_buffered_bytes = 0
-        self.released = 0
-
-    def push(self, packet: Packet) -> List[Packet]:
-        """Offer a packet; return the packets now releasable, in order."""
-        key = FiveTuple.of(packet)
-        default_start = (packet.seqno if self._initial_expected is None
-                         else self._initial_expected)
-        expected = self._expected.setdefault(key, default_start)
-        pending = self._pending.setdefault(key, {})
-        if packet.seqno < expected:
-            # Duplicate or already-released packet: pass through.
-            return [packet]
-        pending[packet.seqno] = packet
-        self.buffered_bytes += packet.wire_len
-        self.max_buffered_bytes = max(self.max_buffered_bytes,
-                                      self.buffered_bytes)
-        released: List[Packet] = []
-        while expected in pending:
-            ready = pending.pop(expected)
-            self.buffered_bytes -= ready.wire_len
-            released.append(ready)
-            expected += 1
-        self._expected[key] = expected
-        self.released += len(released)
-        return released
-
-    def pending_count(self) -> int:
-        """Number of packets currently held back."""
-        return sum(len(p) for p in self._pending.values())
-
-    def flush(self) -> List[Packet]:
-        """Release everything still buffered, in per-flow seqno order."""
-        leftovers: List[Packet] = []
-        for pending in self._pending.values():
-            for seqno in sorted(pending):
-                leftovers.append(pending[seqno])
-        self._pending.clear()
-        self._expected.clear()
-        self.buffered_bytes = 0
-        return leftovers

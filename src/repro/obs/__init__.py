@@ -34,7 +34,6 @@ from repro.obs.report import StageSummary, format_trace_summary, \
     stage_summary
 from repro.obs.trace import (
     NULL_TRACE,
-    SIM_CLOCK,
     WALL_CLOCK,
     NullTrace,
     Span,
@@ -54,7 +53,6 @@ __all__ = [
     "format_trace_summary",
     "stage_summary",
     "NULL_TRACE",
-    "SIM_CLOCK",
     "WALL_CLOCK",
     "NullTrace",
     "Span",

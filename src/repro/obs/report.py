@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.trace import SIM_CLOCK, Trace, WALL_CLOCK
+from repro.obs.trace import Trace, WALL_CLOCK
 
 
 @dataclass
@@ -73,14 +73,14 @@ def _format_rows(headers: Sequence[str],
     return lines
 
 
-def format_trace_summary(trace: Trace, top_sim_spans: int = 5,
+def format_trace_summary(trace: Trace,
                          title: Optional[str] = None) -> str:
-    """Render the per-stage table plus metrics and bridged sim spans."""
+    """Render the per-stage table plus the trace's metrics."""
     summaries = stage_summary(trace)
-    total_root = sum(s.duration for s in trace.spans
-                     if s.clock == WALL_CLOCK and s.parent_id is None)
+    wall_spans = [s for s in trace.spans if s.clock == WALL_CLOCK]
+    total_root = sum(s.duration for s in wall_spans if s.parent_id is None)
     lines = [title or f"trace {trace.name!r}: "
-             f"{len(trace.spans)} spans, "
+             f"{len(wall_spans)} spans, "
              f"{total_root * 1e3:.2f} ms at top level"]
     rows = []
     for row in summaries:
@@ -95,18 +95,6 @@ def format_trace_summary(trace: Trace, top_sim_spans: int = 5,
     lines.extend(_format_rows(
         ["stage", "calls", "wall ms", "self ms", "share"], rows
     ))
-
-    sim_spans = sorted(
-        (s for s in trace.spans if s.clock == SIM_CLOCK),
-        key=lambda s: -s.duration,
-    )
-    if sim_spans:
-        lines.append("")
-        lines.append(f"simulated-time spans ({len(sim_spans)} bridged, "
-                     f"top {min(top_sim_spans, len(sim_spans))} by span):")
-        for span in sim_spans[:top_sim_spans]:
-            lines.append(f"  {span.name}: "
-                         f"{span.duration * 1e6:.1f} us sim-time")
 
     snapshot = trace.metrics.snapshot()
     metric_rows: List[List[str]] = []

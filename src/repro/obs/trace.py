@@ -16,11 +16,10 @@ the ambient trace installed by :func:`use_trace`, otherwise the shared
 disabled path costs one dict lookup and a reused context manager per
 *stage*, never per batch or per packet.
 
-Spans carry two clocks: ``"wall"`` spans are real elapsed time and
-feed the per-stage summary; ``"sim"`` spans carry simulated seconds
-and are used to bridge the engine's
-:class:`~repro.sim.tracing.EventRecorder` node events into the same
-trace as children of the ``simulate`` span.
+Every span a trace records is wall-clock time (``clock == "wall"``).
+The ``clock`` field stays in the NDJSON record, so a trace written with
+other spans (older traces carry simulated-time ``"sim"`` spans) still
+loads and round-trips; the per-stage views read wall-clock spans only.
 
 Traces export to NDJSON (one JSON object per line: a header, then
 spans, then metrics) and load back with :meth:`Trace.from_ndjson`;
@@ -43,7 +42,6 @@ NDJSON_VERSION = 1
 _DEFAULT_CLOCK = time.perf_counter
 
 WALL_CLOCK = "wall"
-SIM_CLOCK = "sim"
 
 
 @dataclass
@@ -162,23 +160,6 @@ class Trace:
             clock=WALL_CLOCK,
             attrs=context.attrs,
         ))
-
-    def add_span(self, name: str, start: float, end: float,
-                 parent_id: Optional[int] = None,
-                 clock: str = SIM_CLOCK, **attrs: object) -> Span:
-        """Record a pre-timed span (e.g. bridged simulator events)."""
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent_id,
-            name=name,
-            start=start,
-            end=end,
-            clock=clock,
-            attrs=attrs,
-        )
-        self._next_id += 1
-        self.spans.append(span)
-        return span
 
     # -- metric conveniences -------------------------------------------
     def count(self, name: str, amount: float = 1.0) -> None:
@@ -299,11 +280,6 @@ class NullTrace(Trace):
 
     def span(self, name: str, **attrs: object) -> _SpanContext:
         return _NULL_SPAN  # type: ignore[return-value]
-
-    def add_span(self, name: str, start: float, end: float,
-                 parent_id: Optional[int] = None,
-                 clock: str = SIM_CLOCK, **attrs: object) -> Span:
-        return None  # type: ignore[return-value]
 
     def count(self, name: str, amount: float = 1.0) -> None:
         pass

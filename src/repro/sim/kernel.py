@@ -1086,9 +1086,7 @@ class SimulationSession:
         optional :class:`~repro.sim.tracing.EventRecorder` captures
         per-node scheduling events for debugging and visualization.
         A :class:`~repro.obs.Trace` records the whole run as one
-        ``simulate`` span (the hot loop itself is never instrumented);
-        when a recorder is also present its per-node activity is
-        bridged into the trace as simulated-time child spans.
+        ``simulate`` span (the hot loop itself is never instrumented).
 
         ``faults`` is an optional
         :class:`~repro.faults.FaultTimeline` over the run's simulated
@@ -1122,7 +1120,7 @@ class SimulationSession:
         trace = resolve_trace(trace)
         with trace.span("simulate", deployment=self.deployment.name,
                         batch_size=batch_size,
-                        batch_count=batch_count) as sim_span:
+                        batch_count=batch_count):
             report = self._run(spec, batch_size, batch_count,
                                branch_profile, cpu_time_inflation,
                                co_run_pressure_bytes, gpu_corun_kernels,
@@ -1146,8 +1144,6 @@ class SimulationSession:
             trace.count("overload.sheds", ledger.shed_batches)
             trace.count("breaker.trips", ledger.breaker_trips)
             trace.count("retry.attempts", ledger.retry_attempts)
-        if recorder is not None and trace.enabled:
-            self._bridge_recorder(trace, recorder, sim_span.span_id)
         return report
 
     def _run(self, spec: TrafficSpec, batch_size: int, batch_count: int,
@@ -1376,33 +1372,6 @@ class SimulationSession:
             ledger=tally.freeze(peak_rate_gbps(arrival_times, batch_size,
                                                spec)),
         )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _bridge_recorder(trace, recorder, parent_id) -> None:
-        """Bridge an EventRecorder into the trace as sim-clock spans.
-
-        One aggregated child span per node (first ready time to last
-        completion, simulated seconds) keeps the trace bounded even
-        for long runs; the per-event detail stays on the recorder.
-        """
-        aggregates: Dict[str, List[float]] = {}
-        for event in recorder.node_events:
-            entry = aggregates.get(event.node_id)
-            if entry is None:
-                aggregates[event.node_id] = [event.ready,
-                                             event.completion,
-                                             event.span, 1.0]
-            else:
-                entry[0] = min(entry[0], event.ready)
-                entry[1] = max(entry[1], event.completion)
-                entry[2] += event.span
-                entry[3] += 1.0
-        for node_id in sorted(aggregates):
-            first, last, busy, count = aggregates[node_id]
-            trace.add_span(f"node:{node_id}", first, last,
-                           parent_id=parent_id, events=int(count),
-                           busy_sim_seconds=busy)
 
     # ------------------------------------------------------------------
     # Offload dispatch

@@ -1,18 +1,19 @@
 """Execution tracing for the simulation engine.
 
 An :class:`EventRecorder` passed to
-:meth:`~repro.sim.engine.SimulationEngine.run` captures one event per
-(batch, node) visit — ready time, completion time, token size — plus a
-per-batch summary.  Useful for debugging schedules ("why is this
-deployment slow?"), for visualizing pipelines, and for regression
-baselines; events export to plain dicts/JSON.
+:meth:`~repro.sim.kernel.SimulationSession.run` captures one event per
+(batch, node) visit — ready time, completion time, token size — plus
+one event per batch and per re-queued offload share.  ``repro
+validate`` checks engine invariants on these events
+(:class:`~repro.validate.invariants.ValidatingRecorder`), and the
+golden parity suite compares recorders by their JSON export.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -25,10 +26,6 @@ class NodeEvent:
     completion: float
     packets: float
 
-    @property
-    def span(self) -> float:
-        return self.completion - self.ready
-
 
 @dataclass(frozen=True)
 class BatchEvent:
@@ -38,10 +35,6 @@ class BatchEvent:
     arrival: float
     completion: float
     delivered_packets: float
-
-    @property
-    def latency(self) -> float:
-        return self.completion - self.arrival
 
 
 #: The causes a :class:`RequeueEvent` may carry.
@@ -110,26 +103,6 @@ class EventRecorder:
         return [e for e in self.node_events
                 if e.batch_index == batch_index]
 
-    def node_spans(self) -> Dict[str, float]:
-        """Total (ready -> completion) span per node across batches."""
-        spans: Dict[str, float] = {}
-        for event in self.node_events:
-            spans[event.node_id] = spans.get(event.node_id, 0.0) \
-                + event.span
-        return spans
-
-    def bottleneck_node(self) -> Optional[str]:
-        """The node with the largest accumulated span."""
-        spans = self.node_spans()
-        if not spans:
-            return None
-        return max(spans, key=spans.get)
-
-    def critical_path(self, batch_index: int) -> List[NodeEvent]:
-        """The batch's node events ordered by completion time."""
-        return sorted(self.events_for_batch(batch_index),
-                      key=lambda e: e.completion)
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, list]:
         return {
@@ -138,43 +111,5 @@ class EventRecorder:
             "requeue_events": [asdict(e) for e in self.requeue_events],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, list]) -> "EventRecorder":
-        """Rebuild a recorder from :meth:`to_dict` output.
-
-        Unknown keys are rejected by the event constructors, so a
-        schema drift between writer and reader fails loudly instead of
-        silently dropping fields.
-        """
-        recorder = cls()
-        recorder.node_events = [NodeEvent(**e)
-                                for e in data.get("node_events", [])]
-        recorder.batch_events = [BatchEvent(**e)
-                                 for e in data.get("batch_events", [])]
-        recorder.requeue_events = [RequeueEvent(**e)
-                                   for e in data.get("requeue_events",
-                                                     [])]
-        return recorder
-
-    @classmethod
-    def from_json(cls, text: str) -> "EventRecorder":
-        """Rebuild a recorder from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    def summary(self, top: int = 5) -> str:
-        """Human-readable digest: slowest nodes and batch latencies."""
-        lines = [f"trace: {len(self.node_events)} node events over "
-                 f"{len(self.batch_events)} batches"]
-        spans = sorted(self.node_spans().items(), key=lambda kv: -kv[1])
-        for node_id, span in spans[:top]:
-            lines.append(f"  {node_id}: {span * 1e6:.1f} us total span")
-        if self.batch_events:
-            latencies = [e.latency for e in self.batch_events]
-            lines.append(
-                f"  batch latency: min {min(latencies) * 1e6:.1f} us, "
-                f"max {max(latencies) * 1e6:.1f} us"
-            )
-        return "\n".join(lines)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())

@@ -14,7 +14,6 @@ from repro.traffic.arrivals import (
     MMPP,
     OnOffBursty,
     Poisson,
-    TraceArrivals,
     attach_arrivals,
     mean_batch_gap,
     peak_rate_gbps,
@@ -42,7 +41,6 @@ __all__ = [
     "MMPP",
     "OnOffBursty",
     "Poisson",
-    "TraceArrivals",
     "attach_arrivals",
     "mean_batch_gap",
     "peak_rate_gbps",

@@ -1,4 +1,4 @@
-"""Batch arrival processes: bursty, trace-driven open-loop traffic.
+"""Batch arrival processes: bursty, time-varying open-loop traffic.
 
 Every simulation used to place batch *i* at ``i * inter_batch`` — a
 constant-rate open loop that cannot express the bursty, time-varying
@@ -24,8 +24,7 @@ Contract (all implementations):
   Hypothesis suite).
 - **Fingerprintable** — ``__fingerprint__`` feeds
   :func:`repro.runner.fingerprint.canonical_form`, so cached sweep
-  results are keyed by the process parameters (and, for
-  :class:`TraceArrivals`, the trace file's content hash).
+  results are keyed by the process parameters.
 
 :class:`ConstantRate` is bit-identical to the historical uniform
 clock: ``arrival[i] == i * inter_batch`` with the same IEEE operation
@@ -34,12 +33,10 @@ order, locked by the golden parity suite.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
-from typing import List, Optional, TYPE_CHECKING, Union
+from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (generator -> here)
     from repro.traffic.generator import TrafficSpec
@@ -284,77 +281,6 @@ class DiurnalRamp(ArrivalProcess):
         return arrivals
 
 
-class TraceArrivals(ArrivalProcess):
-    """Replay batch arrivals from a recorded packet trace.
-
-    Batch *i* arrives when its first packet did in the capture: the
-    trace's packet timestamps (see :mod:`repro.net.trace`) are chunked
-    into ``batch_size`` groups and re-based so the first batch arrives
-    at 0.  ``time_scale`` stretches or compresses the recorded clock
-    (``time_scale=2.0`` replays at half speed).  When the trace is
-    shorter than the requested run the schedule loops, shifted by the
-    trace's span plus one mean recorded gap — the same re-basing rule
-    :class:`repro.net.trace.TraceReplay` applies to packets.
-
-    The fingerprint is content-addressed (SHA-256 of the trace file),
-    so editing a trace in place invalidates cached sweep results.
-    """
-
-    def __init__(self, path: Union[str, Path], time_scale: float = 1.0):
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.path = Path(path)
-        self.time_scale = time_scale
-        from repro.net.trace import TraceFormatError, read_trace
-        stamps = [packet.arrival_time for packet in read_trace(self.path)]
-        if not stamps:
-            raise TraceFormatError("trace contains no packets")
-        base = stamps[0]
-        self._stamps = [(s - base) * time_scale for s in stamps]
-        self._digest = hashlib.sha256(
-            self.path.read_bytes()).hexdigest()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TraceArrivals)
-                and self._digest == other._digest
-                and self.time_scale == other.time_scale)
-
-    def __hash__(self) -> int:
-        return hash((self._digest, self.time_scale))
-
-    def __repr__(self) -> str:
-        return (f"TraceArrivals({str(self.path)!r}, "
-                f"time_scale={self.time_scale})")
-
-    def __fingerprint__(self) -> dict:
-        return {
-            "arrival_process": "TraceArrivals",
-            "sha256": self._digest,
-            "time_scale": self.time_scale,
-        }
-
-    def for_epoch(self, epoch: int) -> "TraceArrivals":
-        return self
-
-    def batch_arrivals(self, batch_count: int, batch_size: int,
-                       spec: "TrafficSpec") -> List[float]:
-        stamps = self._stamps
-        starts = stamps[::batch_size]
-        span = stamps[-1]
-        mean_gap = span / max(1, len(stamps) - 1)
-        loop_span = span + mean_gap
-        arrivals: List[float] = []
-        epoch = 0
-        while len(arrivals) < batch_count:
-            offset = epoch * loop_span
-            for start in starts:
-                arrivals.append(start + offset)
-                if len(arrivals) == batch_count:
-                    break
-            epoch += 1
-        return arrivals
-
-
 def peak_rate_gbps(arrivals: List[float], batch_size: int,
                    spec: "TrafficSpec", window_batches: int = 8) -> float:
     """Peak offered rate over any ``window_batches`` consecutive batches.
@@ -414,7 +340,6 @@ __all__ = [
     "MMPP",
     "OnOffBursty",
     "Poisson",
-    "TraceArrivals",
     "attach_arrivals",
     "mean_batch_gap",
     "peak_rate_gbps",

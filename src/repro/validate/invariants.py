@@ -38,7 +38,7 @@ class InvariantViolation(AssertionError):
 class ValidatingRecorder(EventRecorder):
     """An EventRecorder that asserts engine invariants as it records.
 
-    Pass it to :meth:`~repro.sim.engine.SimulationEngine.run` via the
+    Pass it to :meth:`~repro.sim.kernel.SimulationSession.run` via the
     ``recorder`` argument.  With ``strict=True`` (default) the first
     violation raises :class:`InvariantViolation`, aborting the run at
     the exact event that broke the invariant; with ``strict=False``

@@ -13,6 +13,7 @@ from builders import ledgerless_fingerprint
 
 from repro.core.compass import NFCompass
 from repro.core.multi import MultiTenantScheduler
+from repro.experiments import ablations
 from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
 from repro.experiments import load_latency
@@ -22,7 +23,7 @@ from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
 from repro.nf.firewall import Firewall
 from repro.obs import Trace, use_trace
-from repro.runner import SweepRunner, canonical_fingerprint
+from repro.runner import SweepRunner, canonical_fingerprint, run_sweep
 from repro.sim.engine import BranchProfile
 from repro.sim.kernel import SimulationSession
 from repro.traffic.acl import generate_acl
@@ -259,6 +260,43 @@ class TestOnePassPerCandidate:
         names = [span.name for span in trace.spans]
         assert names.count("deploy") == 4
         assert names.count("profile") == 8
+
+
+class TestPlansRunOnTheirSession:
+    """A deploy's plan is simulated on the session its deploy built:
+    no harness opens a second session for a ``CompassPlan``."""
+
+    @staticmethod
+    def sessions_built(monkeypatch, spec):
+        """The sessions constructed while ``spec`` runs serially, and
+        the ``profile`` spans (one per deploy candidate) it records."""
+        built = []
+        init = SimulationSession.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationSession, "__init__", counting)
+        trace = Trace("sessions")
+        with use_trace(trace):
+            run_sweep(spec)
+        return len(built), [s.name for s in trace.spans].count("profile")
+
+    def test_fig17_cell_builds_four_sessions(self, monkeypatch):
+        """One per baseline and one per NFCompass deploy candidate;
+        the chosen plan runs capacity and latency on its own."""
+        built, profiles = self.sessions_built(
+            monkeypatch, fig17.cell_sweep_spec((200,), (64,)))
+        assert (built, profiles) == (4, 2)
+
+    def test_reorganization_ablation_runs_on_the_plan_session(
+            self, monkeypatch):
+        """Every session a reorganization point builds is a deploy
+        candidate's."""
+        built, profiles = self.sessions_built(
+            monkeypatch, ablations.sweep_spec(studies=("reorganization",)))
+        assert built == profiles == 6
 
 
 class TestOneDeploymentPerPoint:

@@ -140,8 +140,6 @@ class TestTraceContract:
         (run_span,) = trace.spans_named("run")
         assert run_span.parent_id is None
         for span in trace.spans:
-            if span.clock != "wall":
-                continue
             root = span
             while root.parent_id is not None:
                 root = spans[root.parent_id]

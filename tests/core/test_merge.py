@@ -230,6 +230,21 @@ class TestMergeConflictReporting:
         assert len(err.branches) == 2
         assert err.offsets == ()
 
+    def test_equal_resized_copies_keep_their_own_labels(self):
+        """Equal copies are still distinct branches: each resizer is
+        named by its own position, not by the first equal copy's."""
+        packet = Packet(payload=b"short")
+        original = packet.to_bytes()
+        untouched = packet.clone()
+        first, second = packet.clone(), packet.clone()
+        first.payload += b"abc"
+        second.payload += b"abc"
+        assert first == second
+        with pytest.raises(MergeConflictError) as excinfo:
+            xor_merge_packets(original, [untouched, first, second],
+                              branch_names=("fw", "ids", "nat"))
+        assert excinfo.value.branches == ("ids", "nat")
+
     def test_merge_conflict_is_a_value_error(self):
         assert issubclass(MergeConflictError, ValueError)
 

@@ -67,7 +67,7 @@ class TestMeasure:
         deployment = Deployment(
             graph, common.dedicated_core_mapping(graph)
         )
-        result = common.measure(engine, deployment, spec,
+        result = common.measure(engine.session(deployment), spec,
                                 batch_size=16, batch_count=30)
         assert result.throughput_gbps > 0
         assert result.latency_ms > 0
@@ -82,7 +82,7 @@ class TestMeasure:
         deployment = Deployment(
             graph, common.dedicated_core_mapping(graph)
         )
-        result = common.measure(engine, deployment, spec,
+        result = common.measure(engine.session(deployment), spec,
                                 batch_size=16, batch_count=30)
         saturated_report = result.report
         assert result.latency_ms < saturated_report.latency.mean_ms

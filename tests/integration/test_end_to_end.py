@@ -1,8 +1,8 @@
 """Cross-module integration tests.
 
 These exercise whole user journeys: config text -> graph -> NFCompass
--> simulation; trace capture -> replay -> NF chain; multi-stage
-differential checks between functional execution paths.
+-> simulation; multi-stage differential checks between functional
+execution paths.
 """
 
 import pytest
@@ -10,12 +10,11 @@ import pytest
 from repro.core.compass import NFCompass
 from repro.elements.config import parse_config
 from repro.hw.platform import PlatformSpec
-from repro.net.trace import TraceReplay, write_trace
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import NF_CATALOG, make_nf
 from repro.sim.engine import BranchProfile, SimulationEngine
 from repro.sim.mapping import Deployment, Mapping
-from repro.traffic.distributions import FixedSize, IMIXSize
+from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
 
@@ -49,22 +48,6 @@ class TestConfigToSimulation:
             spec, batch_size=32, batch_count=50, branch_profile=profile)
         assert report.throughput_gbps > 0
         assert report.delivered_packets > 0
-
-
-class TestTraceDrivenChain:
-    def test_trace_roundtrip_through_sfc(self, tmp_path):
-        """Recorded traffic replays identically through a chain."""
-        spec = TrafficSpec(size_law=IMIXSize(), seed=11)
-        packets = list(TrafficGenerator(spec).packets(60))
-        path = tmp_path / "traffic.rptr"
-        write_trace(path, (p.clone() for p in packets))
-
-        sfc = ServiceFunctionChain([make_nf("firewall"), make_nf("lb")])
-        live = sfc.process_packets([p.clone() for p in packets])
-        sfc.reset()
-        replayed = sfc.process_packets(TraceReplay(path).packets(60))
-        assert [p.to_bytes() for p in live] == \
-            [p.to_bytes() for p in replayed]
 
 
 class TestWholeCatalogDeployments:

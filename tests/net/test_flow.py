@@ -1,16 +1,15 @@
-"""Unit tests for flow tables and stream reassembly."""
+"""Unit tests for five-tuples and flow tables."""
 
 import pytest
 
-from repro.net.flow import FiveTuple, FlowTable, StreamReassembler
+from repro.net.flow import FiveTuple, FlowTable
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 
 
-def flow_packet(sport, seqno=0):
+def flow_packet(sport):
     return Packet(
         ip=IPv4Header(src="10.0.0.1", dst="10.0.0.2"),
         l4=UDPHeader(src_port=sport, dst_port=80),
-        seqno=seqno,
     )
 
 
@@ -74,46 +73,3 @@ class TestFlowTable:
         table.observe(flow_packet(1))
         table.remove(FiveTuple.of(flow_packet(1)))
         assert len(table) == 0
-
-
-class TestStreamReassembler:
-    def test_in_order_passthrough(self):
-        reassembler = StreamReassembler()
-        released = []
-        for seq in range(4):
-            released.extend(reassembler.push(flow_packet(1, seq)))
-        assert [p.seqno for p in released] == [0, 1, 2, 3]
-        assert reassembler.pending_count() == 0
-
-    def test_out_of_order_buffered_then_released(self):
-        reassembler = StreamReassembler(initial_expected=0)
-        assert reassembler.push(flow_packet(1, 1)) == []
-        assert reassembler.push(flow_packet(1, 2)) == []
-        released = reassembler.push(flow_packet(1, 0))
-        assert [p.seqno for p in released] == [0, 1, 2]
-
-    def test_flows_are_independent(self):
-        reassembler = StreamReassembler()
-        assert reassembler.push(flow_packet(1, 0))
-        assert reassembler.push(flow_packet(2, 0))
-
-    def test_duplicate_passes_through(self):
-        reassembler = StreamReassembler()
-        reassembler.push(flow_packet(1, 0))
-        dup = reassembler.push(flow_packet(1, 0))
-        assert len(dup) == 1
-
-    def test_buffered_bytes_tracked(self):
-        reassembler = StreamReassembler(initial_expected=0)
-        reassembler.push(flow_packet(1, 5))
-        assert reassembler.buffered_bytes > 0
-        assert reassembler.max_buffered_bytes >= reassembler.buffered_bytes
-
-    def test_flush_releases_everything(self):
-        reassembler = StreamReassembler(initial_expected=0)
-        reassembler.push(flow_packet(1, 3))
-        reassembler.push(flow_packet(1, 1))
-        leftovers = reassembler.flush()
-        assert [p.seqno for p in leftovers] == [1, 3]
-        assert reassembler.buffered_bytes == 0
-        assert reassembler.pending_count() == 0

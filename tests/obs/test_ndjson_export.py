@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Trace, format_trace_summary
+from repro.obs import Trace, format_trace_summary, stage_summary
 
 
 def make_ticker(step=1.0):
@@ -24,7 +24,6 @@ def sample_trace() -> Trace:
         with trace.span("partition", algorithm="kl"):
             pass
         span.set(parallelized=False)
-    trace.add_span("node:fw", 0.5, 0.75, parent_id=None, events=2)
     trace.count("compass.candidates_evaluated", 2)
     trace.gauge("capacity_gbps", 12.5)
     trace.observe("compass.candidate_capacity_gbps", 10.0)
@@ -40,14 +39,27 @@ GOLDEN = "\n".join([
     '{"attrs": {"parallelized": false, "sfc": "fw->nat"}, '
     '"clock": "wall", "end": 3.0, "id": 0, "name": "deploy", '
     '"parent": null, "start": 0.0, "type": "span"}',
-    '{"attrs": {"events": 2}, "clock": "sim", "end": 0.75, "id": 2, '
-    '"name": "node:fw", "parent": null, "start": 0.5, "type": "span"}',
     '{"name": "compass.candidates_evaluated", "type": "counter", '
     '"value": 2.0}',
     '{"name": "capacity_gbps", "type": "gauge", "value": 12.5}',
     '{"name": "compass.candidate_capacity_gbps", "type": "histogram", '
     '"values": [10.0, 12.5]}',
 ]) + "\n"
+
+
+#: A simulated-time span line as traces written before every span was
+#: wall-clock recorded it (a recorder node bridged under ``simulate``).
+SIM_SPAN_LINE = (
+    '{"attrs": {"events": 2}, "clock": "sim", "end": 0.75, "id": 2, '
+    '"name": "node:fw", "parent": null, "start": 0.5, "type": "span"}'
+)
+
+
+def with_sim_span(text: str) -> str:
+    """``text`` with :data:`SIM_SPAN_LINE` after its last span line."""
+    lines = text.splitlines()
+    lines.insert(3, SIM_SPAN_LINE)
+    return "\n".join(lines) + "\n"
 
 
 class TestExport:
@@ -96,12 +108,28 @@ class TestExport:
         assert Trace.from_ndjson(text).to_ndjson() == GOLDEN
 
 
+class TestOlderTraces:
+    def test_sim_span_loads_round_trips_and_is_left_out(self):
+        """A trace written with a simulated-time span still loads,
+        round-trips and renders; the summaries read its wall-clock
+        spans only."""
+        text = with_sim_span(GOLDEN)
+        restored = Trace.from_ndjson(text)
+        (sim,) = [s for s in restored.spans if s.clock == "sim"]
+        assert (sim.name, sim.start, sim.end, sim.attrs) == \
+            ("node:fw", 0.5, 0.75, {"events": 2})
+        assert restored.to_ndjson() == text
+        assert [r.name for r in stage_summary(restored)] == \
+            ["deploy", "partition"]
+        assert format_trace_summary(restored) == \
+            format_trace_summary(sample_trace())
+
+
 class TestSummaryRendering:
-    def test_summary_lists_stages_sim_spans_and_metrics(self):
+    def test_summary_lists_stages_and_metrics(self):
         text = format_trace_summary(sample_trace())
         assert "trace 'golden'" in text
         assert "deploy" in text and "partition" in text
-        assert "node:fw" in text
         assert "compass.candidates_evaluated" in text
         assert "capacity_gbps" in text
         assert "histogram" in text

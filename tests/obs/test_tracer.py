@@ -16,7 +16,15 @@ from repro.obs import (
     stage_summary,
     use_trace,
 )
-from repro.obs.trace import SIM_CLOCK, WALL_CLOCK, _NULL_SPAN
+from repro.obs.trace import WALL_CLOCK, _NULL_SPAN
+
+
+#: A simulated-time span as traces written before every span was
+#: wall-clock recorded it (a recorder node bridged under ``simulate``).
+SIM_SPAN_LINE = (
+    '{"attrs": {"events": 3}, "clock": "sim", "end": 1.25, "id": 7, '
+    '"name": "node:x", "parent": null, "start": 0.5, "type": "span"}'
+)
 
 
 class FakeClock:
@@ -76,11 +84,10 @@ class TestSpans:
         assert span.duration == pytest.approx(2.0)
         assert span.clock == WALL_CLOCK
 
-    def test_add_span_records_sim_clock(self):
-        trace = Trace()
-        span = trace.add_span("node:x", 0.5, 1.25, parent_id=None,
-                              events=3)
-        assert span.clock == SIM_CLOCK
+    def test_loaded_sim_span_keeps_its_clock(self):
+        trace = Trace.from_ndjson(SIM_SPAN_LINE)
+        (span,) = trace.spans
+        assert span.clock == "sim"
         assert span.duration == pytest.approx(0.75)
         assert span.attrs == {"events": 3}
         assert "node:x" not in trace.stage_names()  # sim spans excluded
@@ -104,7 +111,6 @@ class TestNullTrace:
         NULL_TRACE.count("c")
         NULL_TRACE.gauge("g", 5.0)
         NULL_TRACE.observe("h", 5.0)
-        NULL_TRACE.add_span("sim", 0.0, 1.0)
         assert len(NULL_TRACE.spans) == before == 0
         assert NULL_TRACE.metrics.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
@@ -239,9 +245,8 @@ class TestStageSummary:
         assert rows[1].max_seconds == pytest.approx(2.0)
 
     def test_sim_spans_excluded_from_stage_summary(self):
-        trace = Trace(clock=FakeClock())
+        trace = Trace.from_ndjson(SIM_SPAN_LINE)
         with trace.span("wall"):
             pass
-        trace.add_span("node:a", 0.0, 99.0)
         rows = stage_summary(trace)
         assert [r.name for r in rows] == ["wall"]

@@ -8,9 +8,8 @@ The new arrival-process paths must uphold the runner's two promises:
   because every process is seeded by value, never by worker state;
   so does the module's load sweep;
 - **fingerprint soundness**: an arrival process's cache identity
-  covers every parameter (and, for trace replay, the file's content
-  hash), so changed burst knobs can never alias a cached result, while
-  a structurally equal rebuild hits the cache.
+  covers every parameter, so changed burst knobs can never alias a
+  cached result, while a structurally equal rebuild hits the cache.
 """
 
 from repro.experiments import load_latency
@@ -25,7 +24,6 @@ from repro.traffic.arrivals import (
     ConstantRate,
     DiurnalRamp,
     Poisson,
-    TraceArrivals,
 )
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
@@ -107,25 +105,3 @@ class TestArrivalFingerprints:
             "__mapping__": [("arrival_process", "Poisson"),
                             ("params", {"__mapping__": [("seed", 77)]})],
         }
-
-    def test_trace_arrivals_content_addressed(self, tmp_path):
-        from repro.net.trace import write_trace
-        from repro.traffic.generator import TrafficGenerator
-
-        def generate(path, count):
-            gen = TrafficGenerator(TrafficSpec(size_law=FixedSize(128),
-                                               seed=21))
-            write_trace(path, gen.packets(count))
-
-        path_a = tmp_path / "a.rptr"
-        path_b = tmp_path / "b.rptr"
-        generate(path_a, 64)
-        generate(path_b, 64)
-        same = canonical_fingerprint(TraceArrivals(path_a))
-        # Identical bytes at a different path: same identity.
-        assert canonical_fingerprint(TraceArrivals(path_b)) == same
-        # Edited content (or a different replay speed): new identity.
-        generate(path_b, 96)
-        assert canonical_fingerprint(TraceArrivals(path_b)) != same
-        assert canonical_fingerprint(
-            TraceArrivals(path_a, time_scale=2.0)) != same

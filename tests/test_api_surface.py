@@ -19,13 +19,16 @@ import repro.obs
 import repro.overload
 import repro.runner
 import repro.sim
+import repro.traffic
 from repro.cli import EXPERIMENTS
 from repro.core.adaptation import AdaptiveRuntime
 from repro.core.compass import NFCompass
 from repro.core.multi import MultiTenantScheduler
+from repro.experiments import common
 from repro.faults import ResilientRuntime
 from repro.runner import run_sweep
 from repro.sim.engine import SimulationEngine
+from repro.sim.tracing import EventRecorder
 
 #: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
 #: the race and run profiles its deploy measured, so no caller chooses
@@ -133,7 +136,11 @@ ELEMENTS_ALL = [
 
 #: ``HeaderRegion`` was removed on purpose: nothing used it, and
 #: ``ActionProfile.read_regions``/``write_regions`` derive the two
-#: regions an element touches.
+#: regions an element touches.  ``TraceReplay``, ``read_trace`` and
+#: ``write_trace`` were removed on purpose with the binary packet
+#: capture format no run replayed (the NDJSON span trace is the one
+#: trace format), and ``StreamReassembler`` because nothing called it:
+#: the stateful IDS releases segments in order itself.
 NET_ALL = [
     "BatchSplitResult",
     "EthernetHeader",
@@ -143,14 +150,13 @@ NET_ALL = [
     "IPv6Header",
     "Packet",
     "PacketBatch",
-    "StreamReassembler",
     "TCPHeader",
-    "TraceReplay",
     "UDPHeader",
-    "read_trace",
-    "write_trace",
 ]
 
+#: ``SIM_CLOCK`` was removed on purpose: every span a trace records
+#: is wall-clock.  A loaded span keeps its NDJSON ``clock`` field, so
+#: older traces with simulated-time spans still load.
 OBS_ALL = [
     "Counter",
     "Gauge",
@@ -161,7 +167,6 @@ OBS_ALL = [
     "format_trace_summary",
     "stage_summary",
     "NULL_TRACE",
-    "SIM_CLOCK",
     "WALL_CLOCK",
     "NullTrace",
     "Span",
@@ -170,6 +175,42 @@ OBS_ALL = [
     "resolve_trace",
     "use_trace",
 ]
+
+#: ``TraceArrivals`` was removed on purpose: it replayed batch arrivals
+#: from the binary packet capture format, which no run used.
+TRAFFIC_ALL = [
+    "ArrivalProcess",
+    "ConstantRate",
+    "DiurnalRamp",
+    "MMPP",
+    "OnOffBursty",
+    "Poisson",
+    "attach_arrivals",
+    "mean_batch_gap",
+    "peak_rate_gbps",
+    "FixedSize",
+    "UniformSize",
+    "IMIXSize",
+    "EmpiricalSize",
+    "SizeDistribution",
+    "IMIX_MIX",
+    "TrafficGenerator",
+    "TrafficSpec",
+    "AclRule",
+    "generate_acl",
+    "CLASSBENCH_SEED_RANGES",
+    "MatchProfile",
+    "make_pattern_set",
+    "make_payload",
+]
+
+#: The public methods of ``EventRecorder``.  Removed on purpose, for
+#: want of a caller outside their own tests: ``from_dict``,
+#: ``from_json``, ``summary``, ``node_spans``, ``bottleneck_node`` and
+#: ``critical_path``.  ``events_for_batch`` stays for ``repro
+#: validate``'s ``ValidatingRecorder``, ``to_json`` for golden parity.
+RECORDER_METHODS = ["events_for_batch", "record_batch", "record_node",
+                    "record_requeue", "to_dict", "to_json"]
 
 
 #: Parameter names of the deploy, runtime and engine entry points.
@@ -182,7 +223,12 @@ OBS_ALL = [
 #: the ``**compass_kwargs`` of ``ResilientRuntime`` and
 #: ``MultiTenantScheduler`` and the scheduler's ``interference``; and
 #: ``SimulationEngine.run``, a one-shot forward to
-#: ``engine.session(deployment).run``.
+#: ``engine.session(deployment).run``.  ``format_trace_summary`` lost
+#: ``top_sim_spans`` (and ``repro trace`` its ``--sim-spans``) with the
+#: simulated-time spans it listed; ``EventRecorder.to_json`` lost
+#: ``indent``, which only a deleted read-back test passed; and
+#: ``common.measure`` takes the ``session`` it runs on, not an engine
+#: and a deployment, so a deploy's plan runs on its own session.
 ENTRY_POINT_PARAMETERS = {
     "NFCompass.__init__": ["self", "platform", "algorithm",
                            "enable_parallelization", "enable_synthesis",
@@ -205,6 +251,10 @@ ENTRY_POINT_PARAMETERS = {
     "SimulationEngine.__init__": ["self", "platform", "cost_model"],
     "SimulationEngine.session": ["self", "deployment"],
     "run_sweep": ["spec", "runner", "trace"],
+    "format_trace_summary": ["trace", "title"],
+    "EventRecorder.to_json": ["self"],
+    "common.measure": ["session", "spec", "batch_size", "batch_count",
+                       "branch_profile"],
 }
 
 ENTRY_POINTS = {
@@ -218,6 +268,9 @@ ENTRY_POINTS = {
     "SimulationEngine.__init__": SimulationEngine.__init__,
     "SimulationEngine.session": SimulationEngine.session,
     "run_sweep": run_sweep,
+    "format_trace_summary": repro.obs.format_trace_summary,
+    "EventRecorder.to_json": EventRecorder.to_json,
+    "common.measure": common.measure,
 }
 
 #: Parameter names of every harness sweep builder (``*sweep_spec``),
@@ -314,6 +367,9 @@ class TestSnapshots:
     def test_net_all(self):
         assert sorted(repro.net.__all__) == sorted(NET_ALL)
 
+    def test_traffic_all(self):
+        assert sorted(repro.traffic.__all__) == sorted(TRAFFIC_ALL)
+
 
 class TestParameters:
     def test_entry_point_parameters(self):
@@ -326,6 +382,12 @@ class TestParameters:
         public = sorted(name for name in vars(SimulationEngine)
                         if not name.startswith("_"))
         assert public == ["session"]
+
+    def test_recorder_public_methods(self):
+        public = sorted(name for name in vars(EventRecorder)
+                        if not name.startswith("_")
+                        and callable(getattr(EventRecorder, name)))
+        assert public == RECORDER_METHODS
 
     def test_harness_parameters(self):
         """Every harness ``*sweep_spec``, ``run*`` and ``main``, found

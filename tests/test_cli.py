@@ -244,6 +244,27 @@ class TestTrace:
         assert main(["trace", str(bad)]) == 2
         assert "cannot read trace" in capsys.readouterr().err
 
+    def test_trace_renders_older_sim_spans_as_stages_only(self, tmp_path,
+                                                          capsys):
+        """A trace written with a simulated-time span still renders;
+        the table lists its wall-clock stages only, and there is no
+        option to list the other spans."""
+        path = tmp_path / "older.ndjson"
+        path.write_text(
+            '{"name": "older", "type": "trace", "version": 1}\n'
+            '{"attrs": {}, "clock": "wall", "end": 2.0, "id": 0, '
+            '"name": "simulate", "parent": null, "start": 0.0, '
+            '"type": "span"}\n'
+            '{"attrs": {"events": 5}, "clock": "sim", "end": 1e-4, '
+            '"id": 1, "name": "node:fw/rx", "parent": 0, "start": 0.0, '
+            '"type": "span"}\n')
+        assert main(["trace", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace 'older': 1 spans, 2000.00 ms")
+        assert "simulate" in out and "node:" not in out
+        with pytest.raises(SystemExit):
+            main(["trace", str(path), "--sim-spans", "3"])
+
     def test_experiments_run_with_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "exp.ndjson"
         code = main(["experiments", "run", "tables",

@@ -1,11 +1,9 @@
 """Unit tests for the batch arrival processes."""
 
 import dataclasses
-import math
 
 import pytest
 
-from repro.net.trace import write_trace
 from repro.traffic.arrivals import (
     CONSTANT_RATE,
     MMPP,
@@ -13,13 +11,12 @@ from repro.traffic.arrivals import (
     DiurnalRamp,
     OnOffBursty,
     Poisson,
-    TraceArrivals,
     attach_arrivals,
     mean_batch_gap,
     peak_rate_gbps,
 )
 from repro.traffic.distributions import FixedSize
-from repro.traffic.generator import TrafficGenerator, TrafficSpec
+from repro.traffic.generator import TrafficSpec
 
 BATCH = 32
 
@@ -141,46 +138,6 @@ class TestDiurnalRamp:
         # Instantaneous gap stays within the configured swing.
         assert min(gaps) >= gap / (2 - 0.25) - 1e-12
         assert max(gaps) <= gap / 0.25 + 1e-12
-
-
-class TestTraceArrivals:
-    @pytest.fixture
-    def trace_path(self, tmp_path, spec):
-        path = tmp_path / "arrivals.rptr"
-        write_trace(path, TrafficGenerator(spec).packets(128))
-        return path
-
-    def test_replays_first_packet_stamps(self, trace_path, spec):
-        from repro.net.trace import read_trace
-        stamps = [p.arrival_time for p in read_trace(trace_path)]
-        base = stamps[0]
-        process = TraceArrivals(trace_path)
-        arrivals = process.batch_arrivals(4, BATCH, spec)
-        assert arrivals == [stamps[i * BATCH] - base for i in range(4)]
-
-    def test_time_scale_stretches(self, trace_path, spec):
-        unit = TraceArrivals(trace_path).batch_arrivals(4, BATCH, spec)
-        slow = TraceArrivals(trace_path, time_scale=2.0) \
-            .batch_arrivals(4, BATCH, spec)
-        assert slow == pytest.approx([2.0 * a for a in unit])
-
-    def test_loops_past_trace_end(self, trace_path, spec):
-        process = TraceArrivals(trace_path)
-        arrivals = process.batch_arrivals(12, BATCH, spec)
-        assert len(arrivals) == 12
-        assert arrivals == sorted(arrivals)
-        assert all(math.isfinite(a) for a in arrivals)
-
-    def test_invalid_time_scale(self, trace_path):
-        with pytest.raises(ValueError, match="time_scale"):
-            TraceArrivals(trace_path, time_scale=0.0)
-
-    def test_empty_trace_rejected(self, tmp_path):
-        from repro.net.trace import TraceFormatError
-        path = tmp_path / "empty.rptr"
-        write_trace(path, [])
-        with pytest.raises(TraceFormatError):
-            TraceArrivals(path)
 
 
 class TestPeakRate:
