@@ -46,21 +46,12 @@ from repro.overload import (
     SLOFeedbackAdmission,
     TokenBucketAdmission,
 )
+from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import SimulationSession
 from repro.sim.metrics import ThroughputLatencyReport
 
 __version__ = "1.6.0"
-
-# Imported after __version__: the runner's fingerprints fold the
-# package version into every cache key.
-from repro.runner import (  # noqa: E402
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-    deployment_fingerprint,
-    run_sweep,
-)
 
 __all__ = [
     "AdaptiveRuntime",
@@ -78,7 +69,6 @@ __all__ = [
     "OverloadConfig",
     "PlatformSpec",
     "ResilientRuntime",
-    "ResultCache",
     "RetryPolicy",
     "Runtime",
     "SFCOrchestrator",
@@ -90,7 +80,6 @@ __all__ = [
     "ThroughputLatencyReport",
     "TokenBucketAdmission",
     "Trace",
-    "deployment_fingerprint",
     "make_nf",
     "run_sweep",
     "use_trace",

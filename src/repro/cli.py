@@ -42,7 +42,6 @@ EXPERIMENTS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro import __version__
-    from repro.experiments.common import DEFAULT_CACHE_DIR
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -74,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp_run.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes for sweep execution "
                               "(default 1: serial)")
-    exp_run.add_argument("--no-cache", action="store_true",
-                         help="disable the sweep result cache")
-    exp_run.add_argument("--cache-dir", metavar="PATH", default=None,
-                         help="persist cached sweep results under PATH "
-                              f"(default {DEFAULT_CACHE_DIR!r} when "
-                              "caching is enabled)")
 
     chaos = subparsers.add_parser(
         "chaos",
@@ -96,12 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for sweep execution "
                             "(default 1: serial)")
-    chaos.add_argument("--no-cache", action="store_true",
-                       help="disable the sweep result cache")
-    chaos.add_argument("--cache-dir", metavar="PATH", default=None,
-                       help="persist cached sweep results under PATH "
-                            f"(default {DEFAULT_CACHE_DIR!r} when "
-                            "caching is enabled)")
 
     deploy = subparsers.add_parser(
         "deploy", help="deploy a chain with NFCompass and simulate it"
@@ -275,20 +262,17 @@ def _cmd_experiments_list() -> int:
 
 def _cmd_experiments_run(name: str, full: bool,
                          trace_path: Optional[str] = None,
-                         jobs: int = 1, no_cache: bool = False,
-                         cache_dir: Optional[str] = None) -> int:
+                         jobs: int = 1) -> int:
     import inspect
 
-    from repro.experiments.common import make_runner
     from repro.obs import Trace, use_trace
+    from repro.runner import SweepRunner
 
     module = importlib.import_module(EXPERIMENTS[name])
     trace = Trace(name=f"experiments/{name}") if trace_path else None
     # One runner for the whole harness run: every sweep the harness
-    # launches shares the worker pool budget and the result cache.
-    runner = make_runner(jobs=jobs, use_cache=not no_cache,
-                         cache_dir=cache_dir)
-    kwargs = {"quick": not full, "runner": runner}
+    # launches shares the worker pool budget.
+    kwargs = {"quick": not full, "runner": SweepRunner(jobs=jobs)}
     accepted = inspect.signature(module.main).parameters
     kwargs = {key: value for key, value in kwargs.items()
               if key in accepted}
@@ -302,15 +286,14 @@ def _cmd_experiments_run(name: str, full: bool,
 
 
 def _cmd_chaos(args) -> int:
-    from repro.experiments.common import make_runner
     from repro.faults import chaos
     from repro.obs import Trace, use_trace
+    from repro.runner import SweepRunner
 
     if args.seeds < 1:
         print("--seeds must be at least 1", file=sys.stderr)
         return 2
-    runner = make_runner(jobs=args.jobs, use_cache=not args.no_cache,
-                         cache_dir=args.cache_dir)
+    runner = SweepRunner(jobs=args.jobs)
     trace = Trace(name="chaos") if args.trace else None
     with (use_trace(trace) if trace is not None
           else contextlib.nullcontext()):
@@ -661,9 +644,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.exp_command == "list":
             return _cmd_experiments_list()
         return _cmd_experiments_run(args.name, args.full, args.trace,
-                                    jobs=args.jobs,
-                                    no_cache=args.no_cache,
-                                    cache_dir=args.cache_dir)
+                                    jobs=args.jobs)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "deploy":

@@ -171,11 +171,9 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="ablations",
         point=_ablation_point,
-        row_type=AblationRow,
         grid=[entry for study in studies
               for entry in _study_grid(study)],
         params={"batch_count": 60 if quick else 150},
-        context=common.sweep_context(traffic=_default_spec()),
     )
 
 

@@ -1,31 +1,25 @@
 """Shared experiment utilities.
 
-Sweep contexts over the standard platform, dedicated-core mappings (the
-characterization experiments pin each element to its own core, as the
-paper pins NFs to dedicated cores), two-pass capacity/latency
-measurement, plain-text table rendering, and the sweep plumbing every
-harness shares: each driver describes its parameter grid as a
-:class:`SweepSpec` (re-exported here from :mod:`repro.runner`) and
-executes it through :func:`run_sweep` on the caller's
-:class:`SweepRunner` (:func:`make_runner` builds the CLI's), which
-supplies worker parallelism and content-addressed result caching.
+Dedicated-core mappings (the characterization experiments pin each
+element to its own core, as the paper pins NFs to dedicated cores),
+two-pass capacity/latency measurement, plain-text table rendering, and
+the sweep plumbing every harness shares: each driver describes its
+parameter grid as a :class:`SweepSpec` (re-exported here from
+:mod:`repro.runner`) and executes it through :func:`run_sweep` on the
+caller's :class:`~repro.runner.SweepRunner`, which supplies worker
+parallelism.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.elements.graph import ElementGraph
 from repro.hw.platform import PlatformSpec
 from repro.obs import current_trace
-from repro.runner import (  # noqa: F401  (re-exported sweep API)
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-    run_sweep,
-)
+from repro.runner import SweepSpec, run_sweep  # noqa: F401  (re-exported)
 from repro.sim.engine import BranchProfile
 from repro.sim.kernel import SATURATING_GBPS, SimulationSession
 from repro.sim.mapping import Mapping
@@ -37,36 +31,6 @@ LATENCY_LOAD_FRACTION = 0.8
 
 #: The batch size of every harness sweep.
 BATCH_SIZE = 64
-
-#: Default on-disk sweep cache directory (``repro experiments run``).
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def make_runner(jobs: int = 1, use_cache: bool = False,
-                cache_dir: Optional[str] = None) -> SweepRunner:
-    """A sweep runner configured like the CLI's ``--jobs/--no-cache``.
-
-    ``use_cache=True`` persists results under ``cache_dir`` (default
-    :data:`DEFAULT_CACHE_DIR`); without it the runner recomputes every
-    point.
-    """
-    cache = None
-    if use_cache:
-        cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR)
-    return SweepRunner(jobs=jobs, cache=cache)
-
-
-def sweep_context(traffic: Optional[TrafficSpec] = None) -> Dict[str, Any]:
-    """The static fingerprint context of a standard-platform sweep.
-
-    Bundles the deployment identity the point function closes over —
-    the platform config and, if given, the traffic spec — so the cache
-    key covers them even though they are not per-point parameters.
-    """
-    context: Dict[str, Any] = {"platform": PlatformSpec()}
-    if traffic is not None:
-        context["traffic"] = traffic
-    return context
 
 
 def dedicated_core_mapping(graph: ElementGraph, offload_ratio: float = 0.0,

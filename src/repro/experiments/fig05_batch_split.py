@@ -112,13 +112,11 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig05.batch_split",
         point=_measure_point,
-        row_type=Fig5Row,
         grid=[{"stages": stages, "with_split": with_split}
               for stages in stage_counts
               for with_split in (False, True)],
         params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
-        context=common.sweep_context(traffic=_traffic()),
     )
 
 

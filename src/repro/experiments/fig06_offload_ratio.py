@@ -68,13 +68,11 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig06.offload_ratio",
         point=_measure_point,
-        row_type=Fig6Row,
         grid=[{"nf_type": nf_type, "offload_ratio": ratio}
               for nf_type in nf_types for ratio in ratios],
         params={"packet_size": PACKET_SIZE,
                 "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
-        context=common.sweep_context(),
     )
 
 

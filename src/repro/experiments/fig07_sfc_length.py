@@ -82,7 +82,6 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig07.sfc_length",
         point=_measure_point,
-        row_type=Fig7Row,
         grid=[{"case": case_id, "nf_types": tuple(nf_types),
                "policy": policy, "offload_ratio": ratio}
               for case_id, nf_types in cases
@@ -90,7 +89,6 @@ def sweep_spec(quick: bool = True,
         params={"packet_size": PACKET_SIZE,
                 "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
-        context=common.sweep_context(),
     )
 
 

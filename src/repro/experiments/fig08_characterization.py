@@ -108,11 +108,9 @@ def batch_sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig08.batch_sweep",
         point=_batch_point,
-        row_type=BatchSweepRow,
         grid=grid,
         params={"packet_size": PACKET_SIZE,
                 "batch_count": 40 if quick else 120},
-        context=common.sweep_context(),
     )
 
 

@@ -203,14 +203,12 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig14.group",
         point=_group_point,
-        row_type=Fig14Row,
         grid=[{"nf_type": nf_type, "platform": platform_kind}
               for nf_type in nf_types
               for platform_kind in PLATFORMS],
         params={"configs": tuple(configs),
                 "batch_size": common.BATCH_SIZE,
                 "batch_count": 50 if quick else 150},
-        context=common.sweep_context(traffic=_traffic()),
     )
 
 

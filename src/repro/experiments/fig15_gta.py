@@ -113,7 +113,6 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="fig15.gta",
         point=_measure_point,
-        row_type=Fig15Row,
         grid=[{"setup": setup_name, "nf_types": tuple(nf_types),
                "system": system}
               for setup_name, nf_types in setups
@@ -122,7 +121,6 @@ def sweep_spec(quick: bool = True,
                 "batch_count": 50 if quick else 150,
                 "optimal_batch_count": 30 if quick else 60,
                 "refine_passes": 0 if quick else 1},
-        context=common.sweep_context(),
     )
 
 

@@ -155,11 +155,9 @@ def cell_sweep_spec(acl_sizes: Sequence[int],
     return common.SweepSpec(
         name="fig17.cell",
         point=_cell_point,
-        row_type=Fig17Row,
         grid=grid,
         params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 50 if quick else 150},
-        context=common.sweep_context(),
     )
 
 

@@ -289,7 +289,6 @@ def latency_sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="load_latency.load",
         point=_load_point,
-        row_type=LoadLatencyRow,
         grid=[{"system": system}
               for system in ("nfcompass", "fastclick")],
         params={"fractions": tuple(fractions),
@@ -297,7 +296,6 @@ def latency_sweep_spec(quick: bool = True,
                 "packet_size": PACKET_SIZE,
                 "batch_size": common.BATCH_SIZE,
                 "batch_count": 60 if quick else 200},
-        context=common.sweep_context(),
     )
 
 
@@ -310,7 +308,6 @@ def burstiness_sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="load_latency.burst_mode",
         point=_burst_point,
-        row_type=BurstinessRow,
         grid=[{"mode": mode} for mode in modes],
         params={"nf_types": tuple(nf_types),
                 "packet_size": PACKET_SIZE,
@@ -319,7 +316,6 @@ def burstiness_sweep_spec(quick: bool = True,
                 "burst_factor": BURST_FACTOR,
                 "duty_cycle": DUTY_CYCLE,
                 "seed": ARRIVAL_SEED},
-        context=common.sweep_context(),
     )
 
 
@@ -344,7 +340,6 @@ def overload_sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="load_latency.overload_mode",
         point=_overload_point,
-        row_type=OverloadRow,
         grid=[{"mode": mode} for mode in modes],
         params={"multiples": tuple(multiples),
                 "nf_types": tuple(nf_types),
@@ -358,7 +353,6 @@ def overload_sweep_spec(quick: bool = True,
                 "burst_factor": BURST_FACTOR,
                 "duty_cycle": DUTY_CYCLE,
                 "seed": ARRIVAL_SEED},
-        context=common.sweep_context(),
     )
 
 

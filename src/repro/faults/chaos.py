@@ -5,11 +5,10 @@ the :class:`~repro.faults.runtime.ResilientRuntime` against a
 deterministic :meth:`FaultTimeline.seeded` schedule over the GPUs, and
 reports replan counts, fault-path accounting, and the exact packet
 conservation check (delivered + dropped == offered, every epoch).
-Like every
-paper harness it describes the grid as a
-:class:`~repro.runner.SweepSpec`, so ``--jobs N`` parallelism and
-content-addressed caching come from :mod:`repro.runner` — and serial
-vs parallel runs are byte-identical, which the CI chaos step asserts.
+Like every paper harness it describes the grid as a
+:class:`~repro.runner.SweepSpec`, so ``--jobs N`` parallelism comes
+from :mod:`repro.runner` — and serial vs parallel runs are
+byte-identical, which the CI chaos step asserts.
 """
 
 from __future__ import annotations
@@ -81,13 +80,11 @@ def sweep_spec(quick: bool = True,
     return common.SweepSpec(
         name="chaos.faults",
         point=_chaos_point,
-        row_type=ChaosRow,
         grid=[{"nf_type": nf_type, "fault_seed": seed}
               for nf_type in NF_TYPES for seed in seeds],
         params={"batch_size": common.BATCH_SIZE,
                 "batch_count": 40 if quick else 120,
                 "epochs": 3 if quick else 6},
-        context=common.sweep_context(),
     )
 
 

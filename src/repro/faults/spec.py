@@ -215,7 +215,7 @@ class FaultTimeline:
         the horizon, and stretch factors are uniform in
         ``[1.5, max_factor]``.  The same ``(seed, device_ids,
         horizon)`` always produces the same schedule, which is what
-        makes chaos sweeps cacheable and replayable.
+        makes chaos sweeps replayable.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -244,9 +244,9 @@ class FaultTimeline:
                                            factor=factor))
         return cls(specs, requeue_penalty=requeue_penalty)
 
-    # -- runner integration --------------------------------------------
+    # -- fingerprinting ------------------------------------------------
     def __fingerprint__(self):
-        """Content identity for the sweep runner's cache keys."""
+        """Canonical identity: the requeue penalty and every spec."""
         return {
             "type": "FaultTimeline",
             "requeue_penalty": self.requeue_penalty,

@@ -409,7 +409,11 @@ class PatternMatch(OffloadableElement):
         return {0: batch}
 
     def signature(self) -> Hashable:
-        return ("PatternMatch", self.pattern_set_id)
+        # The verdict depends on the patterns, not on the set's name:
+        # two scanners dedup only when both sets are the same.
+        return ("PatternMatch", self.pattern_set_id,
+                frozenset(self.automaton.patterns),
+                frozenset(regex.pattern for regex in self.regexes))
 
     def cost_hints(self) -> Dict[str, float]:
         return {

@@ -1,13 +1,13 @@
-"""Canonical content fingerprints for sweep points.
+"""Canonical content fingerprints.
 
-A cache hit must mean *the simulation would produce byte-identical
-results*, so the fingerprint covers everything a sweep point's outcome
-depends on: the chain/graph description, the platform configuration,
-the traffic parameters, and the engine version.  Canonicalization is
+A fingerprint pins a value exactly: every recorded digest (the harness
+rows, the kernel pins, the deploy and epoch-loop digests) and the
+benchmark's digest gates are :func:`canonical_fingerprint` values, so
+equal digests must mean byte-identical results.  Canonicalization is
 strict by construction — an object kind the canonicalizer does not
 recognize raises :class:`FingerprintError` instead of falling back to
 ``repr`` (whose output can embed memory addresses and would silently
-produce either false misses or, worse, unstable keys).
+produce unstable digests).
 
 Canonical form rules:
 
@@ -28,14 +28,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Mapping, Optional
-
-import repro
-
-#: Version string folded into every fingerprint.  Bumping the package
-#: version invalidates all cached sweep results, which is the safe
-#: default: any engine change may change simulated numbers.
-ENGINE_VERSION = repro.__version__
+from typing import Any, Mapping
 
 
 class FingerprintError(TypeError):
@@ -106,33 +99,8 @@ def canonical_fingerprint(obj: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def deployment_fingerprint(*, chain: Any, platform: Any, traffic: Any,
-                           engine_version: Optional[str] = None,
-                           extra: Optional[Mapping[str, Any]] = None
-                           ) -> str:
-    """The cache key of one deployment-under-traffic measurement.
-
-    ``chain`` is any canonicalizable chain description (a ``ChainSpec``,
-    a tuple of NF types, a graph summary dict), ``platform`` a
-    :class:`~repro.hw.platform.PlatformSpec` (or sub-spec), ``traffic``
-    a :class:`~repro.traffic.generator.TrafficSpec` or parameter dict.
-    Any single mutation to any component changes the digest.
-    """
-    return canonical_fingerprint({
-        "kind": "deployment",
-        "chain": chain,
-        "platform": platform,
-        "traffic": traffic,
-        "engine_version": (ENGINE_VERSION if engine_version is None
-                           else engine_version),
-        "extra": dict(extra) if extra else {},
-    })
-
-
 __all__ = [
-    "ENGINE_VERSION",
     "FingerprintError",
     "canonical_form",
     "canonical_fingerprint",
-    "deployment_fingerprint",
 ]

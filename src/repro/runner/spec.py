@@ -2,55 +2,33 @@
 
 A :class:`SweepSpec` is the unit of work the
 :class:`~repro.runner.runner.SweepRunner` executes: a named grid of
-parameter points, a module-level *point function* that measures one
-point, the dataclass type of the rows it returns, and the static
-context (platform, traffic, chain descriptions) that — together with
-the per-point parameters and the engine version — forms each point's
-cache fingerprint.
+parameter points and a module-level *point function* that measures
+one point.
 
 Point functions must be importable module-level callables taking
 keyword arguments (the merged ``params`` + grid point) and returning a
-list of ``row_type`` instances whose fields are plain JSON-encodable
-values.  That contract is what makes a point executable in a worker
-process and its result cacheable: rows cross process and cache
-boundaries as dicts and are reconstructed with ``row_type(**d)``.
+list of rows.  That contract is what makes a point executable in a
+worker process: the pool pickles the spec there and the rows back.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Callable, Dict, List, Mapping, Optional, \
     Sequence
-
-from repro.runner.fingerprint import (
-    ENGINE_VERSION,
-    FingerprintError,
-    canonical_fingerprint,
-)
 
 
 class SweepSpec:
     """One experiment's parameter grid plus its point function."""
 
-    __slots__ = ("name", "point", "row_type", "grid", "params",
-                 "context", "engine_version")
+    __slots__ = ("name", "point", "grid", "params")
 
     def __init__(self, name: str, point: Callable[..., List[Any]],
-                 row_type: type,
                  grid: Sequence[Mapping[str, Any]],
-                 params: Optional[Mapping[str, Any]] = None,
-                 context: Optional[Mapping[str, Any]] = None,
-                 engine_version: str = ENGINE_VERSION):
+                 params: Optional[Mapping[str, Any]] = None):
         self.name = name
         self.point = point
-        self.row_type = row_type
         self.grid = tuple(dict(p) for p in grid)
         self.params = dict(params or {})
-        self.context = dict(context or {})
-        self.engine_version = engine_version
-        if not dataclasses.is_dataclass(row_type):
-            raise TypeError(f"row_type must be a dataclass, got "
-                            f"{row_type!r}")
         qualname = getattr(point, "__qualname__", "")
         if "<locals>" in qualname or "<lambda>" in qualname:
             raise ValueError(
@@ -59,62 +37,16 @@ class SweepSpec:
             )
 
     def __repr__(self) -> str:
-        return (f"SweepSpec(name={self.name!r}, "
-                f"points={len(self.grid)}, "
-                f"row_type={self.row_type.__qualname__})")
+        return f"SweepSpec(name={self.name!r}, points={len(self.grid)})"
 
-    # -- derived views -------------------------------------------------
     def point_params(self, index: int) -> Dict[str, Any]:
         """The merged keyword arguments of grid point ``index``."""
         merged = dict(self.params)
         merged.update(self.grid[index])
         return merged
 
-    def fingerprint(self, index: int) -> str:
-        """The content fingerprint of grid point ``index``.
-
-        Covers the sweep name, engine version, static context, the
-        point's merged parameters, and the row schema (type name plus
-        field names — a schema change must not resurrect stale rows).
-        """
-        try:
-            return canonical_fingerprint({
-                "kind": "sweep-point",
-                "sweep": self.name,
-                "engine_version": self.engine_version,
-                "context": self.context,
-                "params": self.point_params(index),
-                "row_schema": [
-                    f"{self.row_type.__module__}."
-                    f"{self.row_type.__qualname__}",
-                    [f.name for f in dataclasses.fields(self.row_type)],
-                ],
-            })
-        except FingerprintError as exc:
-            raise FingerprintError(
-                f"sweep {self.name!r} point #{index}: {exc}"
-            ) from exc
-
-    def decode_rows(self, raw_rows: List[Dict[str, Any]]) -> List[Any]:
-        """Reconstruct typed rows from their dict wire format."""
-        return [self.row_type(**row) for row in raw_rows]
-
     def __len__(self) -> int:
         return len(self.grid)
 
 
-def encode_rows(rows: List[Any]) -> List[Dict[str, Any]]:
-    """Flatten dataclass rows to their dict wire format."""
-    encoded = []
-    for row in rows:
-        if not dataclasses.is_dataclass(row) or isinstance(row, type):
-            raise TypeError(f"sweep points must return dataclass rows, "
-                            f"got {type(row).__qualname__}")
-        encoded.append({
-            f.name: getattr(row, f.name)
-            for f in dataclasses.fields(row)
-        })
-    return encoded
-
-
-__all__ = ["SweepSpec", "encode_rows"]
+__all__ = ["SweepSpec"]

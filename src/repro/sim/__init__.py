@@ -9,12 +9,7 @@ merges, duplication and XOR-merging for parallel SFC branches).
 """
 
 from repro.sim.mapping import Placement, Mapping, Deployment
-from repro.sim.metrics import (
-    OverheadBreakdown,
-    SLO,
-    SLOViolation,
-    ThroughputLatencyReport,
-)
+from repro.sim.metrics import OverheadBreakdown, ThroughputLatencyReport
 from repro.sim.kernel import ResourceTimeline, SimulationSession
 from repro.sim.engine import SimulationEngine, BranchProfile
 from repro.sim.tracing import (
@@ -30,8 +25,6 @@ __all__ = [
     "Deployment",
     "ThroughputLatencyReport",
     "OverheadBreakdown",
-    "SLO",
-    "SLOViolation",
     "ResourceTimeline",
     "SimulationSession",
     "SimulationEngine",

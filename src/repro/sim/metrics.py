@@ -7,10 +7,9 @@ percentiles, variance), drop counts — plus the overhead breakdown
 
 Tail behavior is first-class: the report keeps the sorted per-batch
 latency samples, so :meth:`ThroughputLatencyReport.latency_percentile`
-answers any percentile (not just the precomputed p50/p95/p99),
+answers any percentile (not just the precomputed p50/p95/p99), and
 ``max_queue_depth`` exposes the deepest per-resource backlog the run
-built up, and :meth:`ThroughputLatencyReport.check_slo` turns a
-declarative :class:`SLO` into a violation list.
+built up.
 
 Every report carries one :class:`RunLedger` of what the run re-queued,
 degraded, shed and dropped, and of the controller state it left.
@@ -126,34 +125,6 @@ class OverheadBreakdown:
         if total <= 0:
             return 0.0
         return (self.kernel_launch + self.pcie_transfer) / total
-
-
-@dataclass(frozen=True)
-class SLO:
-    """A declarative latency/loss service-level objective.
-
-    All thresholds are optional; unset ones are not checked.  Latency
-    bounds are in milliseconds, ``max_drop_rate`` a fraction in
-    [0, 1].
-    """
-
-    p50_ms: Optional[float] = None
-    p95_ms: Optional[float] = None
-    p99_ms: Optional[float] = None
-    mean_ms: Optional[float] = None
-    max_drop_rate: Optional[float] = None
-
-
-@dataclass
-class SLOViolation:
-    """One SLO threshold a report failed to meet."""
-
-    metric: str
-    actual: float
-    limit: float
-
-    def __str__(self) -> str:
-        return f"{self.metric}: {self.actual:.4f} > {self.limit:.4f}"
 
 
 @dataclass(frozen=True)
@@ -348,28 +319,6 @@ class ThroughputLatencyReport:
             f"report {self.name!r} carries no latency samples; only "
             f"p50/p95/p99/p100 are available"
         )
-
-    def check_slo(self, slo: SLO) -> List[SLOViolation]:
-        """Every threshold of ``slo`` this run violated (empty: met)."""
-        violations: List[SLOViolation] = []
-
-        def check(metric: str, actual: float,
-                  limit: Optional[float]) -> None:
-            if limit is not None and actual > limit:
-                violations.append(
-                    SLOViolation(metric=metric, actual=actual,
-                                 limit=limit))
-
-        check("p50_ms", self.latency.p50 * 1e3, slo.p50_ms)
-        check("p95_ms", self.latency.p95 * 1e3, slo.p95_ms)
-        check("p99_ms", self.latency.p99 * 1e3, slo.p99_ms)
-        check("mean_ms", self.latency.mean_ms, slo.mean_ms)
-        check("drop_rate", self.drop_rate, slo.max_drop_rate)
-        return violations
-
-    def meets_slo(self, slo: SLO) -> bool:
-        """True when no threshold of ``slo`` is violated."""
-        return not self.check_slo(slo)
 
     @property
     def deepest_queue(self) -> Optional[str]:

@@ -23,8 +23,8 @@ Contract (all implementations):
   ``spec.offered_gbps`` (sampled processes converge; see the
   Hypothesis suite).
 - **Fingerprintable** — ``__fingerprint__`` feeds
-  :func:`repro.runner.fingerprint.canonical_form`, so cached sweep
-  results are keyed by the process parameters.
+  :func:`repro.runner.fingerprint.canonical_form`, so a digest of a
+  spec that carries a process covers the process parameters.
 
 :class:`ConstantRate` is bit-identical to the historical uniform
 clock: ``arrival[i] == i * inter_batch`` with the same IEEE operation
@@ -98,7 +98,7 @@ class ArrivalProcess:
         return self
 
     def __fingerprint__(self) -> dict:
-        """Canonical cache identity: class name + every field value."""
+        """Canonical identity: class name + every field value."""
         return {
             "arrival_process": type(self).__qualname__,
             "params": {f.name: getattr(self, f.name)

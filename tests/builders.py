@@ -41,7 +41,7 @@ from repro.net.packet import (
     UDPHeader,
     int_to_ipv4,
 )
-from repro.runner import canonical_form
+from repro.runner import canonical_fingerprint, canonical_form
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
 from repro.traffic.acl import AclRule
@@ -330,6 +330,29 @@ def ledgerless_fingerprint(obj) -> str:
     _drop_ledgers(form)
     encoded = json.dumps(form, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+class MemoRunner:
+    """A serial sweep runner that computes each distinct point once.
+
+    Shared by a test class, it lets a harness's ``main`` render from
+    the points the class's tests already ran.  A point is keyed by its
+    point function and merged parameters; the memo lives only as long
+    as the runner, so nothing carries over between classes.
+    """
+
+    def __init__(self):
+        self._rows: Dict[str, list] = {}
+
+    def run(self, spec, trace=None) -> list:
+        rows = []
+        for index in range(len(spec)):
+            params = spec.point_params(index)
+            key = canonical_fingerprint([spec.point, params])
+            if key not in self._rows:
+                self._rows[key] = spec.point(**params)
+            rows.extend(self._rows[key])
+        return rows
 
 
 def fault_stats(report, faulted: bool) -> Optional[dict]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.compass import NFCompass
 from repro.core.synthesizer import NFSynthesizer
 from repro.elements.element import ActionProfile, Element, TrafficClass
 from repro.elements.graph import ElementGraph
@@ -126,6 +127,56 @@ class TestDeduplication:
             element.pool_id = "shared-pool"
         out, report = synthesizer.synthesize(graph)
         assert kinds_of(out).count("BackendSelect") == 1
+
+
+class TestPatternSets:
+    """Two scanners of one NF type are one scanner only when they scan
+    the same patterns: ``pattern_set_id`` names the NF type, not the
+    set, so the signature must carry the patterns and regexes too."""
+
+    SECOND = {
+        "patterns": {"patterns": [b"BBBB"]},
+        "regexes": {"patterns": [b"AAAA"], "regexes": ["BBBB"]},
+    }
+
+    @staticmethod
+    def chain(nf_type, second):
+        return ServiceFunctionChain([
+            make_nf(nf_type, patterns=[b"AAAA"]),
+            make_nf(nf_type, **second),
+        ])
+
+    @staticmethod
+    def marked_packets(generator):
+        """16 packets, every other one carrying ``BBBB``."""
+        packets = list(generator.packets(16))
+        for packet in packets[1::2]:
+            packet.payload = b"xxBBBBxx" + packet.payload[8:]
+        return packets
+
+    @pytest.mark.parametrize("nf_type", ["ids", "dpi"])
+    @pytest.mark.parametrize("second", sorted(SECOND))
+    def test_different_sets_both_kept(self, synthesizer, nf_type, second):
+        sfc = self.chain(nf_type, self.SECOND[second])
+        graph, _report = synthesizer.synthesize(sfc.concatenated_graph())
+        assert kinds_of(graph).count("PatternMatch") == 2
+        # Equal sets still dedup.
+        same = self.chain(nf_type, {"patterns": [b"AAAA"]})
+        graph, _report = synthesizer.synthesize(same.concatenated_graph())
+        assert kinds_of(graph).count("PatternMatch") == 1
+
+    @pytest.mark.parametrize("second", sorted(SECOND))
+    def test_deployed_plan_drops_what_the_chain_drops(self, generator,
+                                                      udp_spec, second):
+        packets = self.marked_packets(generator)
+        sequential = self.chain("ids", self.SECOND[second]) \
+            .concatenated_graph().run_packets([p.clone() for p in packets])
+        assert len(sequential) == 8
+        plan = NFCompass().deploy(self.chain("ids", self.SECOND[second]),
+                                  udp_spec)
+        deployed = plan.graph.run_packets([p.clone() for p in packets])
+        assert [p.to_bytes() for p in deployed] == \
+            [p.to_bytes() for p in sequential]
 
 
 class TestDropHoisting:

@@ -3,14 +3,15 @@
 Each harness runs at reduced scale; the assertions check the *shape*
 claims EXPERIMENTS.md tracks.  The ``canonical_fingerprint`` pins fix
 the rows themselves, at quick scale in tier-1 and at full scale under
-``-m slow``.  A class computes its sweeps on one ``runner`` with an
-in-memory cache, so its ``main`` renders from the points its tests
-already ran.
+``-m slow``.  A class computes its sweeps on one memoizing
+``runner`` (``builders.MemoRunner``), so its ``main`` renders from the
+points its tests already ran.
 """
 
 import dataclasses
 
 import pytest
+from builders import MemoRunner
 
 from repro.experiments import (
     ablations,
@@ -24,18 +25,13 @@ from repro.experiments import (
     load_latency,
     tables,
 )
-from repro.runner import (
-    ResultCache,
-    SweepRunner,
-    canonical_fingerprint,
-    run_sweep,
-)
+from repro.runner import canonical_fingerprint, run_sweep
 
 
 @pytest.fixture(scope="class")
 def runner():
-    """A serial runner whose cache lives as long as its test class."""
-    return SweepRunner(cache=ResultCache())
+    """A serial runner whose memo lives as long as its test class."""
+    return MemoRunner()
 
 
 class TestFig5:

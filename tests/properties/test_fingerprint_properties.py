@@ -1,14 +1,14 @@
-"""Hypothesis properties of the cache fingerprint (run with -m property).
+"""Hypothesis properties of ``canonical_fingerprint`` (run with -m
+property).
 
-The cache-soundness contract: a fingerprint collision must imply an
-identical measurement, so
+Every recorded digest pin hashes through it, and a pin is only sound
+if a digest collision implies an identical value, so
 
 - rebuilding the *same* deployment description from scratch hashes
   equal (no memory addresses, dict ordering, or float formatting leak
-  into the key), and
-- any single mutation — to the chain, the platform, any traffic
-  parameter, or the engine version — changes the hash (no stale cache
-  rows can be resurrected by a config change).
+  into the digest), and
+- any single mutation — to the chain, the platform, or any traffic
+  parameter — changes the hash.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.hw.platform import CPUSpec, PlatformSpec
 from repro.nf.catalog import NF_CATALOG
-from repro.runner import deployment_fingerprint
+from repro.runner import canonical_fingerprint
 from repro.traffic.distributions import FixedSize, UniformSize
 from repro.traffic.generator import TrafficSpec
 
@@ -61,6 +61,12 @@ platforms = st.builds(
 )
 
 
+def deployment_digest(*, chain, platform, traffic) -> str:
+    """The digest of one deployment under traffic."""
+    return canonical_fingerprint({"chain": chain, "platform": platform,
+                                  "traffic": traffic})
+
+
 def rebuild(spec: TrafficSpec) -> TrafficSpec:
     """A structurally identical TrafficSpec built from fresh objects."""
     return TrafficSpec(
@@ -79,9 +85,9 @@ class TestEquality:
     @given(chain=chains, traffic=traffics, platform=platforms)
     def test_identical_deployments_hash_equal(self, chain, traffic,
                                               platform):
-        first = deployment_fingerprint(chain=chain, platform=platform,
-                                       traffic=traffic)
-        second = deployment_fingerprint(
+        first = deployment_digest(chain=chain, platform=platform,
+                                  traffic=traffic)
+        second = deployment_digest(
             chain=tuple(chain),
             platform=dataclasses.replace(platform),
             traffic=rebuild(traffic),
@@ -93,8 +99,8 @@ class TestEquality:
     def test_repeated_hashing_is_stable(self, traffic):
         args = dict(chain=("firewall",), platform=PlatformSpec(),
                     traffic=traffic)
-        assert deployment_fingerprint(**args) == \
-            deployment_fingerprint(**args)
+        assert deployment_digest(**args) == \
+            deployment_digest(**args)
 
 
 class TestSensitivity:
@@ -107,8 +113,8 @@ class TestSensitivity:
         base = dict(platform=PlatformSpec(),
                     traffic=TrafficSpec(size_law=FixedSize(64),
                                         offered_gbps=40.0))
-        assert deployment_fingerprint(chain=chain, **base) != \
-            deployment_fingerprint(chain=mutated, **base)
+        assert deployment_digest(chain=chain, **base) != \
+            deployment_digest(chain=mutated, **base)
 
     @settings(max_examples=60, deadline=None)
     @given(platform=platforms,
@@ -121,8 +127,8 @@ class TestSensitivity:
         base = dict(chain=("firewall",),
                     traffic=TrafficSpec(size_law=FixedSize(64),
                                         offered_gbps=40.0))
-        assert deployment_fingerprint(platform=platform, **base) != \
-            deployment_fingerprint(platform=mutated, **base)
+        assert deployment_digest(platform=platform, **base) != \
+            deployment_digest(platform=mutated, **base)
 
     @settings(max_examples=60, deadline=None)
     @given(traffic=traffics,
@@ -143,20 +149,8 @@ class TestSensitivity:
                 st.integers(min_value=1, max_value=1000))
         mutated = dataclasses.replace(traffic, **{field: new})
         base = dict(chain=("firewall",), platform=PlatformSpec())
-        assert deployment_fingerprint(traffic=traffic, **base) != \
-            deployment_fingerprint(traffic=mutated, **base)
-
-    @settings(max_examples=60, deadline=None)
-    @given(traffic=traffics,
-           version=st.from_regex(r"[0-9]\.[0-9]\.[0-9]",
-                                 fullmatch=True))
-    def test_engine_version_changes_hash(self, traffic, version):
-        import repro
-        base = dict(chain=("firewall",), platform=PlatformSpec(),
-                    traffic=traffic)
-        current = deployment_fingerprint(**base)
-        other = deployment_fingerprint(**base, engine_version=version)
-        assert (current == other) == (version == repro.__version__)
+        assert deployment_digest(traffic=traffic, **base) != \
+            deployment_digest(traffic=mutated, **base)
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(min_value=64, max_value=1499))
@@ -165,5 +159,5 @@ class TestSensitivity:
         a = TrafficSpec(size_law=FixedSize(size), offered_gbps=40.0)
         b = TrafficSpec(size_law=FixedSize(size + 1),
                         offered_gbps=40.0)
-        assert deployment_fingerprint(traffic=a, **base) != \
-            deployment_fingerprint(traffic=b, **base)
+        assert deployment_digest(traffic=a, **base) != \
+            deployment_digest(traffic=b, **base)

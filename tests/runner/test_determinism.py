@@ -17,7 +17,7 @@ from repro.experiments import fig06_offload_ratio as fig06
 from repro.experiments import fig08_characterization as fig08
 from repro.experiments import fig14_reorganization as fig14
 from repro.experiments import fig17_real_sfc as fig17
-from repro.runner import ResultCache, SweepRunner, run_sweep
+from repro.runner import SweepRunner, run_sweep
 
 FIG06 = fig06.sweep_spec(quick=True, nf_types=("ipv4", "ipsec"),
                          ratios=(0.0, 0.5, 1.0))
@@ -80,14 +80,6 @@ class TestFig14Determinism:
             for config in ("a", "b", "d")
         ]
 
-    def test_second_run_is_served_from_the_cache(self):
-        cache = ResultCache()
-        first = SweepRunner(cache=cache).run(FIG14)
-        assert (cache.hits, cache.misses) == (0, 4)
-        second = SweepRunner(cache=cache).run(FIG14)
-        assert (cache.hits, cache.misses) == (4, 4)
-        assert second == first
-
 
 class TestFig17Determinism:
     def test_worker_count_irrelevant(self):
@@ -103,11 +95,3 @@ class TestFig17Determinism:
             for size in (64, 128)
             for system in fig17.SYSTEMS
         ]
-
-    def test_second_run_is_served_from_the_cache(self):
-        cache = ResultCache()
-        first = fig17.run(runner=SweepRunner(cache=cache), **FIG17_KWARGS)
-        assert (cache.hits, cache.misses) == (0, 4)
-        second = fig17.run(runner=SweepRunner(cache=cache), **FIG17_KWARGS)
-        assert (cache.hits, cache.misses) == (4, 4)
-        assert second == first

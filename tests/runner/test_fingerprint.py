@@ -7,11 +7,9 @@ import pytest
 
 from repro.hw.platform import PlatformSpec
 from repro.runner import (
-    ENGINE_VERSION,
     FingerprintError,
     canonical_fingerprint,
     canonical_form,
-    deployment_fingerprint,
 )
 from repro.traffic.distributions import FixedSize, IMIXSize
 from repro.traffic.generator import TrafficSpec
@@ -127,6 +125,9 @@ class TestDistinctness:
 
 
 class TestDeploymentFingerprint:
+    """The digest of a deployment under traffic: any single mutation to
+    the chain, platform or traffic changes it."""
+
     def _args(self, **overrides):
         args = {
             "chain": ("firewall", "ids"),
@@ -138,28 +139,15 @@ class TestDeploymentFingerprint:
         return args
 
     def test_stable_for_equal_inputs(self):
-        assert deployment_fingerprint(**self._args()) == \
-            deployment_fingerprint(**self._args())
+        assert canonical_fingerprint(self._args()) == \
+            canonical_fingerprint(self._args())
 
     def test_chain_mutation_changes_key(self):
-        assert deployment_fingerprint(**self._args()) != \
-            deployment_fingerprint(
-                **self._args(chain=("firewall", "nat")))
+        assert canonical_fingerprint(self._args()) != \
+            canonical_fingerprint(self._args(chain=("firewall", "nat")))
 
     def test_traffic_mutation_changes_key(self):
         mutated = TrafficSpec(size_law=FixedSize(128),
                               offered_gbps=40.0)
-        assert deployment_fingerprint(**self._args()) != \
-            deployment_fingerprint(**self._args(traffic=mutated))
-
-    def test_engine_version_changes_key(self):
-        assert deployment_fingerprint(**self._args()) != \
-            deployment_fingerprint(
-                **self._args(), engine_version="0.0.0-test")
-
-    def test_default_engine_version_is_package_version(self):
-        import repro
-        assert ENGINE_VERSION == repro.__version__
-        assert deployment_fingerprint(**self._args()) == \
-            deployment_fingerprint(
-                **self._args(), engine_version=repro.__version__)
+        assert canonical_fingerprint(self._args()) != \
+            canonical_fingerprint(self._args(traffic=mutated))

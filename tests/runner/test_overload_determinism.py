@@ -1,4 +1,4 @@
-"""Determinism and cache soundness of the overload sweep.
+"""Determinism and parameter coverage of the overload sweep.
 
 Overload protection adds stateful machinery (drop ledgers, admission
 accumulators, breaker state) inside each sweep point; the runner's
@@ -8,10 +8,9 @@ promises must survive it:
   float-equal rows under ``jobs`` 1, 2 and 4, because every point
   builds its own deployment and controllers from scalar knobs — no
   cross-point state;
-- **fingerprint soundness**: a point's cache identity covers every
-  overload knob (queue limit, drop policy, SLO, admission mode, load
-  multiples), so
-  changing any of them can never alias a cached result.
+- **knob coverage**: a point's parameters carry every overload knob
+  (queue limit, drop policy, SLO, admission mode, load multiples), so
+  changing any of them changes what the point function is given.
 """
 
 from repro.experiments import load_latency
@@ -62,7 +61,8 @@ def overload_fingerprints(**overrides):
                   modes=("constant",), multiples=(2.0,))
     kwargs.update(overrides)
     spec = load_latency.overload_sweep_spec(**kwargs)
-    return [spec.fingerprint(i) for i in range(len(spec.grid))]
+    return [canonical_fingerprint(spec.point_params(i))
+            for i in range(len(spec.grid))]
 
 
 class TestOverloadFingerprints:

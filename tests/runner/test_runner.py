@@ -7,10 +7,9 @@ import pytest
 
 from repro.obs import Trace
 from repro.runner import (
-    ResultCache,
     SweepRunner,
     SweepSpec,
-    encode_rows,
+    canonical_fingerprint,
     run_sweep,
     shard_indices,
 )
@@ -37,7 +36,6 @@ def make_spec(count: int = 10, scale: int = 1,
     return SweepSpec(
         name="test.squares",
         point=point,
-        row_type=SquareRow,
         grid=[{"value": value} for value in range(count)],
         params={"scale": scale},
     )
@@ -67,35 +65,17 @@ class TestSpec:
         spec = make_spec(scale=3)
         assert spec.point_params(2) == {"value": 2, "scale": 3}
 
-    def test_rejects_non_dataclass_row_type(self):
-        with pytest.raises(TypeError):
-            SweepSpec(name="bad", point=square_point, row_type=int,
-                      grid=[{}])
-
     def test_rejects_local_point_function(self):
         def local_point():
             return []
         with pytest.raises(ValueError):
-            SweepSpec(name="bad", point=local_point,
-                      row_type=SquareRow, grid=[{}])
-
-    def test_encode_rejects_non_dataclass_rows(self):
-        with pytest.raises(TypeError):
-            encode_rows(["not a row"])
+            SweepSpec(name="bad", point=local_point, grid=[{}])
 
     def test_fingerprints_differ_per_point(self):
         spec = make_spec()
-        keys = {spec.fingerprint(i) for i in range(len(spec))}
+        keys = {canonical_fingerprint(spec.point_params(i))
+                for i in range(len(spec))}
         assert len(keys) == len(spec)
-
-    def test_fingerprint_depends_on_engine_version(self):
-        a = make_spec()
-        b = SweepSpec(name="test.squares", point=square_point,
-                      row_type=SquareRow,
-                      grid=[{"value": value} for value in range(10)],
-                      params={"scale": 1},
-                      engine_version="0.0.0-test")
-        assert a.fingerprint(0) != b.fingerprint(0)
 
 
 class TestRun:
@@ -112,8 +92,7 @@ class TestRun:
         assert serial == parallel
 
     def test_empty_grid(self):
-        spec = SweepSpec(name="test.empty", point=square_point,
-                         row_type=SquareRow, grid=[])
+        spec = SweepSpec(name="test.empty", point=square_point, grid=[])
         assert run_sweep(spec) == []
 
     def test_rejects_zero_jobs(self):
@@ -130,57 +109,27 @@ class TestRun:
                       runner=SweepRunner(jobs=2))
 
 
-class TestCaching:
-    def test_second_run_hits_for_every_point(self):
-        cache = ResultCache()
-        runner = SweepRunner(cache=cache)
-        first = runner.run(make_spec())
-        assert cache.misses == 10
-        second = runner.run(make_spec())
-        assert cache.hits == 10
-        assert first == second
-
-    def test_param_change_misses(self):
-        cache = ResultCache()
-        runner = SweepRunner(cache=cache)
-        runner.run(make_spec(scale=1))
-        rows = runner.run(make_spec(scale=2))
-        assert cache.hits == 0
-        assert all(r.squared == r.value * r.value * 2 for r in rows)
-
-    def test_disk_cache_survives_runner(self, tmp_path):
-        SweepRunner(cache=ResultCache(tmp_path)).run(make_spec())
-        cache = ResultCache(tmp_path)
-        SweepRunner(cache=cache).run(make_spec())
-        assert cache.hits == 10
-        assert cache.misses == 0
-
-    def test_parallel_run_fills_cache(self):
-        cache = ResultCache()
-        SweepRunner(jobs=2, cache=cache).run(make_spec())
-        assert len(cache) == 10
-
-
 class TestObservability:
     def test_runner_span_and_counters(self):
         trace = Trace(name="test")
-        runner = SweepRunner(cache=ResultCache())
+        runner = SweepRunner()
         runner.run(make_spec(), trace=trace)
         runner.run(make_spec(), trace=trace)
         spans = [s for s in trace.spans if s.name == "runner"]
         assert len(spans) == 2
-        assert spans[0].attrs["sweep"] == "test.squares"
-        assert spans[0].attrs["executed"] == 10
-        assert spans[1].attrs["cache_hits"] == 10
-        assert any(s.name == "execute" for s in trace.spans)
+        assert spans[0].attrs == {"sweep": "test.squares", "points": 10,
+                                  "jobs": 1}
+        executes = [s for s in trace.spans if s.name == "execute"]
+        assert [s.attrs for s in executes] == [{"shards": 4}] * 2
         counters = {name: counter.value for name, counter
                     in trace.metrics.counters.items()}
-        assert counters["runner.points"] == 20
-        assert counters["runner.cache.hits"] == 10
-        assert counters["runner.cache.misses"] == 10
-        assert counters["runner.points.executed"] == 10
+        assert counters == {"runner.points": 20, "runner.shards": 8}
 
     def test_no_cache_no_cache_counters(self):
+        """A pooled run records the serial run's two counters: every
+        run computes every point, so nothing counts hits."""
         trace = Trace(name="test")
-        run_sweep(make_spec(), trace=trace)
-        assert "runner.cache.hits" not in trace.metrics.counters
+        run_sweep(make_spec(), runner=SweepRunner(jobs=2), trace=trace)
+        counters = {name: counter.value for name, counter
+                    in trace.metrics.counters.items()}
+        assert counters == {"runner.points": 10, "runner.shards": 8}

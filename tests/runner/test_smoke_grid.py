@@ -4,8 +4,8 @@ Each migrated experiment module runs on a deliberately tiny grid with
 a shared parallel :class:`SweepRunner`, asserting only the result
 *schema*: rows come back, in type, with finite numeric fields.  This
 is the conformance net that catches a driver whose sweep migration
-broke parameter plumbing (wrong kwargs, missing context, unpicklable
-grid values) without paying for full-figure runs.
+broke parameter plumbing (wrong kwargs, unpicklable grid values or
+rows) without paying for full-figure runs.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from repro.experiments import (
     fig17_real_sfc,
     load_latency,
 )
-from repro.runner import ResultCache, SweepRunner, canonical_fingerprint
+from repro.runner import SweepRunner, canonical_fingerprint
 
 #: ``canonical_fingerprint`` of ``test_load_latency``'s rows, recorded
 #: while a capacity sweep still set every point's load.
@@ -35,7 +35,7 @@ LOAD_LATENCY_ROWS = \
 @pytest.fixture(scope="module")
 def runner():
     """One pooled runner shared by every harness in this module."""
-    return SweepRunner(jobs=2, cache=ResultCache())
+    return SweepRunner(jobs=2)
 
 
 def assert_schema(rows, row_type):

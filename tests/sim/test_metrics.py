@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.metrics import (
-    SLO,
     LatencyStats,
     OverheadBreakdown,
     ThroughputLatencyReport,
@@ -193,43 +192,6 @@ class TestLatencyPercentile:
         assert report.latency_percentile(100) == report.latency.max
         with pytest.raises(ValueError):
             report.latency_percentile(42)
-
-
-class TestSLO:
-    def _report(self):
-        return ThroughputLatencyReport(
-            name="slo",
-            offered_gbps=10.0,
-            delivered_packets=90.0,
-            delivered_bytes=64_000.0,
-            dropped_packets=10.0,
-            makespan_seconds=1e-3,
-            latency=LatencyStats.from_samples([1e-4, 2e-4, 1e-3]),
-        )
-
-    def test_met_slo_has_no_violations(self):
-        report = self._report()
-        slo = SLO(p99_ms=10.0, mean_ms=10.0, max_drop_rate=0.5)
-        assert report.check_slo(slo) == []
-        assert report.meets_slo(slo)
-
-    def test_unset_thresholds_are_ignored(self):
-        assert self._report().meets_slo(SLO())
-
-    def test_violations_name_the_metric(self):
-        report = self._report()
-        slo = SLO(p99_ms=1e-9, max_drop_rate=0.01)
-        violations = report.check_slo(slo)
-        assert [v.metric for v in violations] == ["p99_ms",
-                                                  "drop_rate"]
-        assert not report.meets_slo(slo)
-        assert "p99_ms" in str(violations[0])
-
-    def test_actual_and_limit_reported(self):
-        report = self._report()
-        (violation,) = report.check_slo(SLO(max_drop_rate=0.05))
-        assert violation.actual == pytest.approx(0.1)
-        assert violation.limit == 0.05
 
 
 class TestQueueDepth:

@@ -26,13 +26,16 @@ from repro.core.compass import NFCompass
 from repro.core.multi import MultiTenantScheduler
 from repro.experiments import common
 from repro.faults import ResilientRuntime
-from repro.runner import run_sweep
+from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.tracing import EventRecorder
 
 #: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
 #: the race and run profiles its deploy measured, so no caller chooses
-#: sample sizes.
+#: sample sizes.  ``ResultCache`` was removed on purpose with the sweep
+#: result cache: every sweep computes every point it returns.
+#: ``deployment_fingerprint`` was removed on purpose: it keyed only that
+#: cache, and every digest pin hashes through ``canonical_fingerprint``.
 REPRO_ALL = [
     "AdaptiveRuntime",
     "CircuitBreaker",
@@ -49,7 +52,6 @@ REPRO_ALL = [
     "OverloadConfig",
     "PlatformSpec",
     "ResilientRuntime",
-    "ResultCache",
     "RetryPolicy",
     "Runtime",
     "SFCOrchestrator",
@@ -61,37 +63,39 @@ REPRO_ALL = [
     "ThroughputLatencyReport",
     "TokenBucketAdmission",
     "Trace",
-    "deployment_fingerprint",
     "make_nf",
     "run_sweep",
     "use_trace",
     "__version__",
 ]
 
+#: Removed on purpose with the sweep result cache: ``ResultCache`` and
+#: its on-disk ``CACHE_FORMAT_VERSION``; ``ENGINE_VERSION`` and
+#: ``deployment_fingerprint``, which only built its keys (a package
+#: version says nothing of the code that computed a row); and
+#: ``encode_rows``, its dict wire format (a point's rows come back as
+#: the point built them, and the pool pickles them).
 RUNNER_ALL = [
-    "CACHE_FORMAT_VERSION",
-    "ENGINE_VERSION",
     "FingerprintError",
-    "ResultCache",
     "SHARDS_PER_JOB",
     "SweepRunner",
     "SweepSpec",
     "canonical_fingerprint",
     "canonical_form",
-    "deployment_fingerprint",
-    "encode_rows",
     "run_sweep",
     "shard_indices",
 ]
 
+#: ``SLO`` and ``SLOViolation`` were removed on purpose, with
+#: ``ThroughputLatencyReport.check_slo`` and ``meets_slo``: nothing
+#: outside their tests called them.  A run's one SLO is
+#: ``OverloadConfig.slo_ms``, which the kernel judges goodput against.
 SIM_ALL = [
     "Placement",
     "Mapping",
     "Deployment",
     "ThroughputLatencyReport",
     "OverheadBreakdown",
-    "SLO",
-    "SLOViolation",
     "ResourceTimeline",
     "SimulationSession",
     "SimulationEngine",
@@ -229,6 +233,9 @@ RECORDER_METHODS = ["events_for_batch", "record_batch", "record_node",
 #: ``indent``, which only a deleted read-back test passed; and
 #: ``common.measure`` takes the ``session`` it runs on, not an engine
 #: and a deployment, so a deploy's plan runs on its own session.
+#: ``SweepRunner`` lost ``cache`` and ``SweepSpec`` lost ``row_type``,
+#: ``context`` and ``engine_version``, all of which existed only to key
+#: the sweep result cache or to carry rows through it.
 ENTRY_POINT_PARAMETERS = {
     "NFCompass.__init__": ["self", "platform", "algorithm",
                            "enable_parallelization", "enable_synthesis",
@@ -251,6 +258,8 @@ ENTRY_POINT_PARAMETERS = {
     "SimulationEngine.__init__": ["self", "platform", "cost_model"],
     "SimulationEngine.session": ["self", "deployment"],
     "run_sweep": ["spec", "runner", "trace"],
+    "SweepRunner.__init__": ["self", "jobs"],
+    "SweepSpec.__init__": ["self", "name", "point", "grid", "params"],
     "format_trace_summary": ["trace", "title"],
     "EventRecorder.to_json": ["self"],
     "common.measure": ["session", "spec", "batch_size", "batch_count",
@@ -268,6 +277,8 @@ ENTRY_POINTS = {
     "SimulationEngine.__init__": SimulationEngine.__init__,
     "SimulationEngine.session": SimulationEngine.session,
     "run_sweep": run_sweep,
+    "SweepRunner.__init__": SweepRunner.__init__,
+    "SweepSpec.__init__": SweepSpec.__init__,
     "format_trace_summary": repro.obs.format_trace_summary,
     "EventRecorder.to_json": EventRecorder.to_json,
     "common.measure": common.measure,

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.hw import costs
 
 
 class TestListing:
@@ -38,19 +39,29 @@ class TestRun:
             main(["experiments", "run", "fig99"])
 
     def test_experiments_run_parallel_no_cache(self, capsys):
-        assert main(["experiments", "run", "fig05",
-                     "--jobs", "2", "--no-cache"]) == 0
+        assert main(["experiments", "run", "fig05", "--jobs", "2"]) == 0
         assert "Fig. 5" in capsys.readouterr().out
 
-    def test_experiments_run_cache_dir(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        argv = ["experiments", "run", "fig05",
-                "--cache-dir", str(cache_dir)]
-        assert main(argv) == 0
+    def test_experiments_run_recomputes_every_point(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A second run computes its rows again, so a changed price
+        shows in its table, and no run writes to its directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiments", "run", "fig06"]) == 0
         first = capsys.readouterr().out
-        assert list(cache_dir.glob("*.json")), "no cached results"
-        assert main(argv) == 0          # warm run, served from disk
-        assert capsys.readouterr().out == first
+        monkeypatch.setitem(costs._CPU_LAWS, "IPv4Lookup",
+                            costs._law_const(2000.0))
+        assert main(["experiments", "run", "fig06"]) == 0
+        assert capsys.readouterr().out != first
+        assert list(tmp_path.iterdir()) == []
+        for argv in (["experiments", "run", "fig06", "--no-cache"],
+                     ["experiments", "run", "fig06", "--cache-dir", "c"],
+                     ["chaos", "--no-cache"],
+                     ["chaos", "--cache-dir", "c"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2, argv
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["experiments", "run", "tables", "--jobs", "0"],
