@@ -11,8 +11,11 @@ Two matchers over the same rule semantics:
   the structured classification that lets NFCompass stay flat as ACLs
   grow to 10 000 rules.
 
-Both parse a packet once (:func:`~repro.traffic.acl.packet_fields`)
-and check each candidate rule on the parsed fields
+Both return the first matching rule in
+:func:`~repro.traffic.acl.in_match_order` (ascending priority, list
+position breaking ties), whatever order the rules come in.  Both parse
+a packet once (:func:`~repro.traffic.acl.packet_fields`) and check
+each candidate rule on the parsed fields
 (:meth:`~repro.traffic.acl.AclRule.matches_fields`).  Both count their
 probes so the cost model can charge realistically.  Clones of a
 matcher share its rule list and hash tables but keep their own probe
@@ -21,7 +24,8 @@ count.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.elements.element import ActionProfile, SharedTables, TrafficClass
 from repro.elements.graph import ElementGraph
@@ -30,16 +34,22 @@ from repro.elements.standard import CheckIPHeader
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
-from repro.traffic.acl import AclRule, packet_fields
+from repro.traffic.acl import AclRule, in_match_order, packet_fields
+
+_PRIORITY = attrgetter("priority")
 
 
 class LinearMatcher(SharedTables):
-    """Reference first-match scan; O(rules) per packet."""
+    """Reference first-match scan; O(rules) per packet.
+
+    ``rules`` is a copy in :func:`~repro.traffic.acl.in_match_order`,
+    the order the scan takes.
+    """
 
     shared_tables = ("rules",)
 
-    def __init__(self, rules: List[AclRule]):
-        self.rules = list(rules)
+    def __init__(self, rules: Iterable[AclRule]):
+        self.rules = in_match_order(rules)
         self.probes = 0
 
     def match(self, packet: Packet) -> Optional[AclRule]:
@@ -67,28 +77,32 @@ class TupleSpaceMatcher(SharedTables):
 
     shared_tables = ("rules", "_tables")
 
-    def __init__(self, rules: List[AclRule]):
+    def __init__(self, rules: Iterable[AclRule]):
         self.rules = list(rules)
-        # (src_len, dst_len) -> {(src_key, dst_key): [rules]}
-        self._tables: Dict[Tuple[int, int], Dict[Tuple[int, int],
-                                                 List[AclRule]]] = {}
-        for rule in rules:
-            src_len = rule.src_prefix[1]
-            dst_len = rule.dst_prefix[1]
-            key = (self._key_of(rule.src_prefix[0], src_len),
-                   self._key_of(rule.dst_prefix[0], dst_len))
-            bucket = self._tables.setdefault((src_len, dst_len), {})
-            bucket.setdefault(key, []).append(rule)
-        for bucket in self._tables.values():
+        # (src_len, dst_len) -> {(src_key, dst_key): [rules]}, tuples
+        # and keys in the order the rules first use them.  A /0
+        # prefix's key is 0.
+        tables: Dict[Tuple[int, int], Dict[Tuple[int, int],
+                                           List[AclRule]]] = {}
+        for rule in self.rules:
+            src, src_len = rule.src_prefix
+            dst, dst_len = rule.dst_prefix
+            key = (src >> (32 - src_len) if src_len else 0,
+                   dst >> (32 - dst_len) if dst_len else 0)
+            bucket = tables.get((src_len, dst_len))
+            if bucket is None:
+                bucket = tables[src_len, dst_len] = {}
+            candidates = bucket.get(key)
+            if candidates is None:
+                bucket[key] = [rule]
+            else:
+                candidates.append(rule)
+        for bucket in tables.values():
             for candidates in bucket.values():
-                candidates.sort(key=lambda r: r.priority)
+                if len(candidates) > 1:
+                    candidates.sort(key=_PRIORITY)  # stable: ties in list order
+        self._tables = tables
         self.probes = 0
-
-    @staticmethod
-    def _key_of(value: int, length: int) -> int:
-        if length == 0:
-            return 0
-        return value >> (32 - length)
 
     @property
     def tuple_count(self) -> int:
@@ -109,8 +123,17 @@ class TupleSpaceMatcher(SharedTables):
                 if rule.matches_fields(src, dst, proto, sport, dport):
                     if best is None or rule.priority < best.priority:
                         best = rule
-                    break  # bucket sorted by priority: first hit wins
+                    elif rule.priority == best.priority:
+                        best = self._earlier(best, rule)
+                    break  # bucket in match order: first hit wins
         return best
+
+    def _earlier(self, first: AclRule, second: AclRule) -> AclRule:
+        """Of two tied rules from different tuples, the one ``rules``
+        lists first.  Only rule lists with repeated priorities (never
+        :func:`~repro.traffic.acl.generate_acl`'s) get here."""
+        return next(rule for rule in self.rules
+                    if rule is first or rule is second)
 
 
 class AclClassify(OffloadableElement):

@@ -18,6 +18,13 @@ from repro.elements.standard import CheckIPHeader, DecIPTTL
 from repro.net.batch import PacketBatch
 from repro.net.packet import int_to_ipv4, ipv4_to_int
 from repro.nf.base import NetworkFunction
+from repro.traffic.rng import _below
+
+
+#: The (length, mask) draws of :meth:`LPMTrie.random_table`: one /8,
+#: two /16s, three /24s and one /32 in seven.
+_RANDOM_PREFIXES = tuple((length, ~((1 << (32 - length)) - 1) & 0xFFFFFFFF)
+                         for length in (8, 16, 16, 24, 24, 24, 32))
 
 
 class _TrieNode:
@@ -82,15 +89,32 @@ class LPMTrie:
     @classmethod
     def random_table(cls, prefix_count: int = 1024, seed: int = 3,
                      next_hops: int = 16) -> "LPMTrie":
-        """Build a reproducible synthetic FIB with a default route."""
-        rng = random.Random(seed)
+        """Build a reproducible synthetic FIB with a default route.
+
+        Each prefix draws its length, its bits and its next hop, in
+        that order, and is inserted as :meth:`insert` would.
+        """
+        bits = random.Random(seed).getrandbits
         trie = cls()
         trie.insert(0, 0, 0)  # default route
-        while trie.prefix_count < prefix_count:
-            length = rng.choice((8, 16, 16, 24, 24, 24, 32))
-            prefix = rng.getrandbits(32)
-            prefix &= ~((1 << (32 - length)) - 1) if length < 32 else 0xFFFFFFFF
-            trie.insert(prefix & 0xFFFFFFFF, length, rng.randrange(next_hops))
+        root = trie._root
+        count = trie.prefix_count
+        while count < prefix_count:
+            length, mask = _RANDOM_PREFIXES[_below(bits, 7)]
+            prefix = bits(32) & mask
+            next_hop = _below(bits, next_hops)
+            node = root
+            for level in range(31, 31 - length, -1):
+                children = node.children
+                bit = (prefix >> level) & 1
+                child = children[bit]
+                if child is None:
+                    child = children[bit] = _TrieNode()
+                node = child
+            if node.next_hop is None:
+                count += 1
+            node.next_hop = next_hop
+        trie.prefix_count = count
         return trie
 
 

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import accumulate
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP, Packet, ipv4_to_int
+from repro.traffic.rng import _below
 
 #: (weight, prefix length) pairs approximating ClassBench ACL seeds:
 #: most source/destination prefixes are /16–/28, with some exact /32s
@@ -30,6 +33,17 @@ CLASSBENCH_SEED_RANGES: Tuple[Tuple[float, int], ...] = (
 )
 
 _POPULAR_PORTS = (80, 443, 53, 22, 25, 110, 143, 8080, 3306, 5432)
+
+#: (cumulative weight, prefix length, base mask) per seed range, summed
+#: in ``CLASSBENCH_SEED_RANGES`` order.
+_PREFIX_THRESHOLDS: Tuple[Tuple[float, int, int], ...] = tuple(
+    (threshold, length, ~((1 << (32 - length)) - 1) & 0xFFFFFFFF)
+    for threshold, (_weight, length) in zip(
+        accumulate(weight for weight, _length in CLASSBENCH_SEED_RANGES),
+        CLASSBENCH_SEED_RANGES)
+)
+_ANY_PORT = (0, 65535)
+_POPULAR_RANGES = tuple((port, port) for port in _POPULAR_PORTS)
 
 
 @dataclass(frozen=True)
@@ -93,30 +107,24 @@ def _prefix_match(value: int, prefix: Tuple[int, int]) -> bool:
     return (value >> shift) == (base >> shift)
 
 
-def _draw_prefix(rng: random.Random) -> Tuple[int, int]:
-    draw = rng.random()
-    acc = 0.0
-    length = 32
-    for weight, candidate in CLASSBENCH_SEED_RANGES:
-        acc += weight
-        if draw <= acc:
-            length = candidate
-            break
-    base = rng.getrandbits(32)
-    if length < 32:
-        base &= ~((1 << (32 - length)) - 1) & 0xFFFFFFFF
-    return base, length
+def _draw_prefix(draw: Callable[[], float],
+                 bits: Callable[[int], int]) -> Tuple[int, int]:
+    u = draw()
+    for threshold, length, mask in _PREFIX_THRESHOLDS:
+        if u <= threshold:
+            return bits(32) & mask, length
+    return bits(32), 32
 
 
-def _draw_port_range(rng: random.Random) -> Tuple[int, int]:
-    draw = rng.random()
-    if draw < 0.45:
-        return (0, 65535)  # wildcard
-    if draw < 0.85:
-        port = rng.choice(_POPULAR_PORTS)
-        return (port, port)  # exact popular port
-    low = rng.randint(0, 60000)
-    return (low, low + rng.randint(0, 5000))
+def _draw_port_range(draw: Callable[[], float],
+                     bits: Callable[[int], int]) -> Tuple[int, int]:
+    u = draw()
+    if u < 0.45:
+        return _ANY_PORT  # wildcard
+    if u < 0.85:
+        return _POPULAR_RANGES[_below(bits, 10)]  # exact popular port
+    low = _below(bits, 60001)
+    return (low, low + _below(bits, 5001))
 
 
 def generate_acl(rule_count: int, seed: int = 11,
@@ -131,33 +139,37 @@ def generate_acl(rule_count: int, seed: int = 11,
     if rule_count < 1:
         raise ValueError("rule_count must be at least 1")
     rng = random.Random(seed)
+    draw = rng.random
+    bits = rng.getrandbits
     rules: List[AclRule] = []
+    append = rules.append
     for priority in range(rule_count - 1):
-        proto_draw = rng.random()
+        proto_draw = draw()
         if proto_draw < 0.55:
             proto: Optional[int] = IPPROTO_TCP
         elif proto_draw < 0.90:
             proto = IPPROTO_UDP
         else:
             proto = None
-        rules.append(
+        # Positional, in field order: keywords made the build ~15 % slower.
+        append(
             AclRule(
-                priority=priority,
-                src_prefix=_draw_prefix(rng),
-                dst_prefix=_draw_prefix(rng),
-                src_ports=_draw_port_range(rng),
-                dst_ports=_draw_port_range(rng),
-                proto=proto,
-                action="deny" if rng.random() < deny_fraction else "accept",
+                priority,
+                _draw_prefix(draw, bits),  # src_prefix
+                _draw_prefix(draw, bits),  # dst_prefix
+                _draw_port_range(draw, bits),  # src_ports
+                _draw_port_range(draw, bits),  # dst_ports
+                proto,
+                "deny" if draw() < deny_fraction else "accept",
             )
         )
-    rules.append(
+    append(
         AclRule(
             priority=rule_count - 1,
             src_prefix=(0, 0),
             dst_prefix=(0, 0),
-            src_ports=(0, 65535),
-            dst_ports=(0, 65535),
+            src_ports=_ANY_PORT,
+            dst_ports=_ANY_PORT,
             proto=None,
             action="accept",
         )
@@ -165,9 +177,17 @@ def generate_acl(rule_count: int, seed: int = 11,
     return rules
 
 
-def linear_match(rules: List[AclRule], packet: Packet) -> Optional[AclRule]:
-    """Reference first-match semantics: scan rules in priority order."""
-    for rule in rules:
+def in_match_order(rules: Iterable[AclRule]) -> List[AclRule]:
+    """``rules`` in the order every matcher classifies in: ascending
+    priority, list position breaking ties."""
+    return sorted(rules, key=attrgetter("priority"))
+
+
+def linear_match(rules: Iterable[AclRule],
+                 packet: Packet) -> Optional[AclRule]:
+    """Reference first-match semantics: scan rules in
+    :func:`in_match_order`."""
+    for rule in in_match_order(rules):
         if rule.matches(packet):
             return rule
     return None

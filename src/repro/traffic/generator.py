@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional
 
 from repro.net.batch import PacketBatch
@@ -32,6 +33,7 @@ from repro.net.packet import (
 )
 from repro.traffic.distributions import FixedSize, SizeDistribution
 from repro.traffic.dpi_profiles import MatchProfile
+from repro.traffic.rng import _below
 
 #: Ethernet preamble + IFG + FCS overhead per frame on the wire, bytes.
 WIRE_OVERHEAD_BYTES = 24
@@ -40,6 +42,9 @@ _HEADER_LEN_V4_UDP = EthernetHeader.LENGTH + IPv4Header.LENGTH + UDPHeader.LENGT
 _HEADER_LEN_V4_TCP = EthernetHeader.LENGTH + IPv4Header.LENGTH + TCPHeader.LENGTH
 _HEADER_LEN_V6_UDP = EthernetHeader.LENGTH + IPv6Header.LENGTH + UDPHeader.LENGTH
 _HEADER_LEN_V6_TCP = EthernetHeader.LENGTH + IPv6Header.LENGTH + TCPHeader.LENGTH
+
+#: The destination ports flows draw from.
+_FLOW_DPORTS = (53, 80, 443, 8080, 5001)
 
 
 @dataclass
@@ -116,25 +121,28 @@ class TrafficGenerator:
 
     def _make_flows(self) -> List[tuple]:
         """Pre-draw the (src, dst, sport, dport) tuples of all flows."""
-        rng = random.Random(self.spec.seed ^ 0x5F0E)
+        bits = random.Random(self.spec.seed ^ 0x5F0E).getrandbits
+        ipv4 = self.spec.ip_version == 4
         flows = []
         for _ in range(self.spec.flow_count):
-            if self.spec.ip_version == 4:
-                src = int_to_ipv4(rng.randint(0x0A000000, 0x0AFFFFFF))
-                dst = int_to_ipv4(rng.randint(0xC0A80000, 0xC0A8FFFF))
+            if ipv4:
+                src = int_to_ipv4(0x0A000000 + _below(bits, 0x1000000))
+                dst = int_to_ipv4(0xC0A80000 + _below(bits, 0x10000))
             else:
-                src = (0x20010DB8 << 96) | rng.getrandbits(64)
-                dst = (0x20010DB9 << 96) | rng.getrandbits(64)
-            sport = rng.randint(1024, 65535)
-            dport = rng.choice([53, 80, 443, 8080, 5001])
+                src = (0x20010DB8 << 96) | bits(64)
+                dst = (0x20010DB9 << 96) | bits(64)
+            sport = 1024 + _below(bits, 64512)
+            dport = _FLOW_DPORTS[_below(bits, 5)]
             flows.append((src, dst, sport, dport))
         return flows
 
     def _payload(self, length: int) -> bytes:
+        """Up to 64 random bytes, zero-padded to ``length``."""
         if self.spec.payload_maker is not None:
             return self.spec.payload_maker(self._rng, length)
-        return bytes(self._rng.getrandbits(8) for _ in range(min(length, 64))) \
-            + b"\x00" * max(0, length - 64)
+        head = min(length, 64)
+        return bytes(map(self._rng.getrandbits, repeat(8, head))) \
+            + b"\x00" * (length - head)
 
     def next_packet(self) -> Packet:
         """Generate the next packet of the stream."""

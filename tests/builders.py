@@ -12,8 +12,10 @@ import contextlib
 import copy
 import hashlib
 import json
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import input_reference
 import merge_reference
 import networkx as nx
 
@@ -26,7 +28,7 @@ from repro.hw import DEFAULT_HOST_DEVICE
 from repro.nf.base import NetworkFunction, ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import PatternMatch
-from repro.nf.firewall import AclClassify
+from repro.nf.firewall import AclClassify, TupleSpaceMatcher
 from repro.nf.ipv4 import IPv4Lookup, LPMTrie
 from repro.net.packet import (
     ETHERTYPE_IPV4,
@@ -44,7 +46,7 @@ from repro.net.packet import (
 from repro.runner import canonical_fingerprint, canonical_form
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
-from repro.traffic.acl import AclRule
+from repro.traffic.acl import AclRule, generate_acl
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
@@ -689,3 +691,70 @@ def assert_merges_match(original: bytes, outputs, names) -> tuple:
         want = want[:4] + (labels,) + want[5:]
     assert got == want
     return got
+
+
+def fib_nodes(trie: LPMTrie) -> List[Tuple[str, Optional[int]]]:
+    """Every node of ``trie`` in preorder, the 0 branch first: its
+    path from the root as a bit string, and its next hop."""
+    nodes = []
+    stack = [("", trie._root)]
+    while stack:
+        path, node = stack.pop()
+        nodes.append((path, node.next_hop))
+        for bit in (1, 0):
+            child = node.children[bit]
+            if child is not None:
+                stack.append((path + str(bit), child))
+    return nodes
+
+
+def table_layout(tables) -> list:
+    """A tuple-space table's tuples, keys and candidates in their dict
+    and list orders; candidates by identity."""
+    return [(tuple_key, [(key, [id(rule) for rule in candidates])
+                         for key, candidates in bucket.items()])
+            for tuple_key, bucket in tables.items()]
+
+
+def traffic_records(generator: TrafficGenerator, count: int) -> list:
+    """The first ``count`` packets' wire bytes, seqnos and arrival
+    times."""
+    return [(packet.to_bytes(), packet.seqno, packet.arrival_time)
+            for packet in generator.packets(count)]
+
+
+def assert_acl_matches(rule_count: int, seed: int,
+                       deny_fraction: float) -> List[AclRule]:
+    """``generate_acl`` equals the frozen generator
+    (``tests/input_reference.py``), and the tuple-space tables built on
+    its rules, and on a shuffled copy of them, equal the frozen build in
+    tuple, key and candidate order; returns the rules."""
+    rules = generate_acl(rule_count, seed=seed, deny_fraction=deny_fraction)
+    assert rules == input_reference.generate_acl(
+        rule_count, seed=seed, deny_fraction=deny_fraction)
+    shuffled = list(rules)
+    random.Random(seed).shuffle(shuffled)
+    for order in (rules, shuffled):
+        assert table_layout(TupleSpaceMatcher(order)._tables) == \
+            table_layout(input_reference.tuple_space_tables(order))
+    return rules
+
+
+def assert_fib_matches(prefix_count: int, seed: int,
+                       next_hops: int) -> None:
+    """``LPMTrie.random_table`` builds the frozen builder's trie, node
+    by node, and counts the same prefixes."""
+    trie = LPMTrie.random_table(prefix_count, seed=seed, next_hops=next_hops)
+    want = input_reference.random_table(prefix_count, seed=seed,
+                                        next_hops=next_hops)
+    assert fib_nodes(trie) == fib_nodes(want)
+    assert trie.prefix_count == want.prefix_count
+
+
+def assert_traffic_matches(spec: TrafficSpec, count: int) -> None:
+    """A generator draws the frozen generator's flows and its first
+    ``count`` packets' bytes, seqnos and arrival times."""
+    got = TrafficGenerator(spec)
+    want = input_reference.ReferenceGenerator(spec)
+    assert got._flows == want._flows
+    assert traffic_records(got, count) == traffic_records(want, count)

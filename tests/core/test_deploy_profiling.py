@@ -21,7 +21,8 @@ from repro.faults import FaultTimeline, ResilientRuntime
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
-from repro.nf.firewall import Firewall
+from repro.nf.firewall import Firewall, TupleSpaceMatcher
+from repro.nf.ipv4 import LPMTrie
 from repro.obs import Trace, use_trace
 from repro.runner import SweepRunner, canonical_fingerprint, run_sweep
 from repro.sim.engine import BranchProfile
@@ -297,6 +298,57 @@ class TestPlansRunOnTheirSession:
         built, profiles = self.sessions_built(
             monkeypatch, ablations.sweep_spec(studies=("reorganization",)))
         assert built == profiles == 6
+
+
+class TestEachCellBuildsItsTables:
+    """Every Fig. 17 cell builds its own ACL, FIB and tuple-space
+    table, as a single ``repro experiments run fig17`` does: nothing
+    built for one sweep serves a later one."""
+
+    @staticmethod
+    def counted_builds(monkeypatch, runs):
+        """What each of ``runs`` serial quick runs over (200, 1000) x
+        (64, 128) builds: every ACL, FIB and tuple-space table, in
+        build order."""
+        generate_acl = fig17.generate_acl
+        random_table = LPMTrie.random_table.__func__
+        matcher_init = TupleSpaceMatcher.__init__
+        builds = []
+
+        def counting_acl(*args, **kwargs):
+            rules = generate_acl(*args, **kwargs)
+            builds[-1]["acl"].append(rules)
+            return rules
+
+        def counting_fib(cls, *args, **kwargs):
+            trie = random_table(cls, *args, **kwargs)
+            builds[-1]["fib"].append(trie)
+            return trie
+
+        def counting_matcher(self, rules):
+            matcher_init(self, rules)
+            builds[-1]["tuple_space"].append(self._tables)
+
+        monkeypatch.setattr(fig17, "generate_acl", counting_acl)
+        monkeypatch.setattr(LPMTrie, "random_table",
+                            classmethod(counting_fib))
+        monkeypatch.setattr(TupleSpaceMatcher, "__init__", counting_matcher)
+        for _ in range(runs):
+            builds.append({"acl": [], "fib": [], "tuple_space": []})
+            fig17.run(quick=True, acl_sizes=(200, 1000),
+                      packet_sizes=(64, 128), runner=SweepRunner(jobs=1))
+        return builds
+
+    def test_a_second_run_builds_what_the_first_did(self, monkeypatch):
+        first, second = self.counted_builds(monkeypatch, runs=2)
+        # Four cells: one ACL, one FIB and one NFCompass tuple-space
+        # table each.
+        for run in (first, second):
+            assert {kind: len(made) for kind, made in run.items()} == \
+                {"acl": 4, "fib": 4, "tuple_space": 4}
+        for kind in first:
+            assert not ({id(table) for table in first[kind]}
+                        & {id(table) for table in second[kind]}), kind
 
 
 class TestOneDeploymentPerPoint:

@@ -1,5 +1,8 @@
 """Unit and property tests for the firewall and its matchers."""
 
+import dataclasses
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from repro.net.packet import (
     TCPHeader,
     UDPHeader,
     int_to_ipv4,
+    ipv4_to_int,
 )
 from repro.nf.firewall import (
     AclClassify,
@@ -25,7 +29,8 @@ from repro.nf.firewall import (
     LinearMatcher,
     TupleSpaceMatcher,
 )
-from repro.traffic.acl import generate_acl, linear_match
+from repro.traffic.acl import AclRule, generate_acl, linear_match
+from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
 
 def packet_for(src, dst, sport=1000, dport=80):
@@ -94,26 +99,82 @@ def classified_packets(draw, rules):
 
 
 @given(data=st.data(), seed=st.integers(min_value=0, max_value=20),
-       catch_all=st.booleans())
+       catch_all=st.booleans(),
+       order=st.sampled_from(["generated", "shuffled", "tied"]))
 @settings(max_examples=150, deadline=None)
-def test_matchers_agree(data, seed, catch_all):
-    """Tuple-space search implements exactly first-match semantics,
-    and both matchers count exactly the probes they make."""
+def test_matchers_agree(data, seed, catch_all, order):
+    """Tuple-space search implements exactly first-match semantics in
+    ascending priority, list position breaking ties, on rules in any
+    order, and both matchers count exactly the probes they make."""
     rules = generate_acl(60, seed=seed, deny_fraction=0.4)
     if not catch_all:
         rules = rules[:-1]
+    if order == "shuffled":
+        random.Random(seed).shuffle(rules)
+    elif order == "tied":
+        rules = [dataclasses.replace(rule, priority=rule.priority // 3)
+                 for rule in rules]
+        random.Random(seed).shuffle(rules)
     packet = data.draw(classified_packets(rules))
     reference = linear_match(rules, packet)
     linear, tuple_space = LinearMatcher(rules), TupleSpaceMatcher(rules)
     assert linear.match(packet) is reference
     assert tuple_space.match(packet) is reference
-    # Linear probes up to the first match (every rule when none
-    # matches); tuple-space probes every tuple of an IPv4 packet and
-    # returns before probing anything else.
-    assert linear.probes == (rules.index(reference) + 1
+    # Linear probes up to the first match in its scan order (every
+    # rule when none matches); tuple-space probes every tuple of an
+    # IPv4 packet and returns before probing anything else.
+    scanned = [id(rule) for rule in linear.rules]
+    assert linear.probes == (scanned.index(id(reference)) + 1
                              if reference is not None else len(rules))
     assert tuple_space.probes == (tuple_space.tuple_count
                                   if packet.is_ipv4 else 0)
+
+
+class TestOneMatchOrder:
+    """Both matchers classify in ascending priority, list position
+    breaking ties, whatever order the rules come in."""
+
+    @staticmethod
+    def first_packet():
+        return next(TrafficGenerator(TrafficSpec()).packets(1))
+
+    @staticmethod
+    def rule(priority, action, dst_prefix=(0, 0), src_ports=(0, 65535)):
+        return AclRule(priority=priority, src_prefix=(0, 0),
+                       dst_prefix=dst_prefix, src_ports=src_ports,
+                       dst_ports=(0, 65535), proto=None, action=action)
+
+    def deny_dst_slash8(self, priority):
+        """A deny rule on the first packet's destination /8."""
+        dst = ipv4_to_int(self.first_packet().ip.dst)
+        return self.rule(priority, "deny", dst_prefix=(dst & 0xFF000000, 8))
+
+    def verdicts(self, rules):
+        packet = self.first_packet()
+        return [matcher(rules).match(packet)
+                for matcher in (LinearMatcher, TupleSpaceMatcher)]
+
+    def test_rules_out_of_priority_order(self):
+        deny, accept = self.deny_dst_slash8(9), self.rule(2, "accept")
+        assert self.verdicts([deny, accept]) == [accept, accept]
+
+    def test_tied_priorities_keep_list_order(self):
+        """The catch-all shares its tuple with an earlier sport-1 rule,
+        so the tuple-space table meets it before the tied deny."""
+        sport_one = self.rule(1, "accept", src_ports=(1, 1))
+        deny, accept = self.deny_dst_slash8(5), self.rule(5, "accept")
+        linear, tuple_space = self.verdicts([sport_one, deny, accept])
+        assert linear is deny
+        assert tuple_space is deny
+
+    def test_rules_from_an_iterator(self):
+        rules = generate_acl(50, seed=3, deny_fraction=0.0)
+        from_list = TupleSpaceMatcher(rules)
+        from_iterator = TupleSpaceMatcher(iter(rules))
+        assert from_iterator.tuple_count == from_list.tuple_count > 0
+        packet = self.first_packet()
+        assert from_iterator.match(packet) is from_list.match(packet) \
+            is not None
 
 
 class TestAclClassify:
