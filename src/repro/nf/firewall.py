@@ -24,7 +24,6 @@ count.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.elements.element import ActionProfile, SharedTables, TrafficClass
@@ -35,8 +34,6 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.traffic.acl import AclRule, in_match_order, packet_fields
-
-_PRIORITY = attrgetter("priority")
 
 
 class LinearMatcher(SharedTables):
@@ -72,13 +69,15 @@ class TupleSpaceMatcher(SharedTables):
 
     Port/protocol constraints are verified per candidate.  Matching
     probes every tuple once — O(distinct tuples), typically tens even
-    for 10 k-rule ACLs.
+    for 10 k-rule ACLs.  ``rules`` is a copy in
+    :func:`~repro.traffic.acl.in_match_order`, and the tables are
+    built from it, so every bucket lists its rules in that order.
     """
 
     shared_tables = ("rules", "_tables")
 
     def __init__(self, rules: Iterable[AclRule]):
-        self.rules = list(rules)
+        self.rules = in_match_order(rules)
         # (src_len, dst_len) -> {(src_key, dst_key): [rules]}, tuples
         # and keys in the order the rules first use them.  A /0
         # prefix's key is 0.
@@ -97,10 +96,6 @@ class TupleSpaceMatcher(SharedTables):
                 bucket[key] = [rule]
             else:
                 candidates.append(rule)
-        for bucket in tables.values():
-            for candidates in bucket.values():
-                if len(candidates) > 1:
-                    candidates.sort(key=_PRIORITY)  # stable: ties in list order
         self._tables = tables
         self.probes = 0
 

@@ -58,11 +58,13 @@ class LPMTrie:
         if not 0 <= length <= 32:
             raise ValueError("IPv4 prefix length must be in [0, 32]")
         node = self._root
-        for level in range(length):
-            bit = (prefix >> (31 - level)) & 1
-            if node.children[bit] is None:
-                node.children[bit] = _TrieNode()
-            node = node.children[bit]
+        for level in range(31, 31 - length, -1):
+            children = node.children
+            bit = (prefix >> level) & 1
+            child = children[bit]
+            if child is None:
+                child = children[bit] = _TrieNode()
+            node = child
         if node.next_hop is None:
             self.prefix_count += 1
         node.next_hop = next_hop
@@ -92,29 +94,14 @@ class LPMTrie:
         """Build a reproducible synthetic FIB with a default route.
 
         Each prefix draws its length, its bits and its next hop, in
-        that order, and is inserted as :meth:`insert` would.
+        that order.
         """
         bits = random.Random(seed).getrandbits
         trie = cls()
         trie.insert(0, 0, 0)  # default route
-        root = trie._root
-        count = trie.prefix_count
-        while count < prefix_count:
+        while trie.prefix_count < prefix_count:
             length, mask = _RANDOM_PREFIXES[_below(bits, 7)]
-            prefix = bits(32) & mask
-            next_hop = _below(bits, next_hops)
-            node = root
-            for level in range(31, 31 - length, -1):
-                children = node.children
-                bit = (prefix >> level) & 1
-                child = children[bit]
-                if child is None:
-                    child = children[bit] = _TrieNode()
-                node = child
-            if node.next_hop is None:
-                count += 1
-            node.next_hop = next_hop
-        trie.prefix_count = count
+            trie.insert(bits(32) & mask, length, _below(bits, next_hops))
         return trie
 
 

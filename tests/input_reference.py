@@ -22,10 +22,10 @@ is the reference the product builders are checked against:
 
 Its value is being frozen: do not "fix" or speed it up.  It builds
 the product's :class:`~repro.traffic.acl.AclRule`,
-:class:`~repro.nf.ipv4.LPMTrie` (through ``insert``) and
+:class:`~repro.nf.ipv4.LPMTrie` and
 :class:`~repro.traffic.generator.TrafficGenerator` objects, so only
-the draws and the table builds are its own.  Product code must not
-import this module.
+the draws, the trie inserts and the table builds are its own.
+Product code must not import this module.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP, int_to_ipv4
-from repro.nf.ipv4 import LPMTrie
+from repro.nf.ipv4 import LPMTrie, _TrieNode
 from repro.traffic.acl import CLASSBENCH_SEED_RANGES, AclRule
 from repro.traffic.generator import TrafficGenerator
 
@@ -134,17 +134,32 @@ def tuple_space_tables(rules: List[AclRule]
     return tables
 
 
+def insert(trie: LPMTrie, prefix: int, length: int, next_hop: int) -> None:
+    """The reference :meth:`repro.nf.ipv4.LPMTrie.insert`."""
+    if not 0 <= length <= 32:
+        raise ValueError("IPv4 prefix length must be in [0, 32]")
+    node = trie._root
+    for level in range(length):
+        bit = (prefix >> (31 - level)) & 1
+        if node.children[bit] is None:
+            node.children[bit] = _TrieNode()
+        node = node.children[bit]
+    if node.next_hop is None:
+        trie.prefix_count += 1
+    node.next_hop = next_hop
+
+
 def random_table(prefix_count: int = 1024, seed: int = 3,
                  next_hops: int = 16) -> LPMTrie:
     """The reference :meth:`repro.nf.ipv4.LPMTrie.random_table`."""
     rng = random.Random(seed)
     trie = LPMTrie()
-    trie.insert(0, 0, 0)  # default route
+    insert(trie, 0, 0, 0)  # default route
     while trie.prefix_count < prefix_count:
         length = rng.choice((8, 16, 16, 24, 24, 24, 32))
         prefix = rng.getrandbits(32)
         prefix &= ~((1 << (32 - length)) - 1) if length < 32 else 0xFFFFFFFF
-        trie.insert(prefix & 0xFFFFFFFF, length, rng.randrange(next_hops))
+        insert(trie, prefix & 0xFFFFFFFF, length, rng.randrange(next_hops))
     return trie
 
 

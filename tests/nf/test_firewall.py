@@ -32,6 +32,8 @@ from repro.nf.firewall import (
 from repro.traffic.acl import AclRule, generate_acl, linear_match
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
+from builders import table_layout
+
 
 def packet_for(src, dst, sport=1000, dport=80):
     return Packet(
@@ -175,6 +177,19 @@ class TestOneMatchOrder:
         packet = self.first_packet()
         assert from_iterator.match(packet) is from_list.match(packet) \
             is not None
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_tables_are_built_in_match_order(self, tied):
+        """A shuffled rule list builds the tables of its stably sorted
+        copy: the same tuples, keys and candidates in the same order."""
+        rules = generate_acl(200, seed=5, deny_fraction=0.3)
+        if tied:
+            rules = [dataclasses.replace(rule, priority=rule.priority // 3)
+                     for rule in rules]
+        random.Random(5).shuffle(rules)
+        in_order = sorted(rules, key=lambda rule: rule.priority)
+        assert table_layout(TupleSpaceMatcher(rules)._tables) == \
+            table_layout(TupleSpaceMatcher(in_order)._tables)
 
 
 class TestAclClassify:
