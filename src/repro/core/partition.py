@@ -9,7 +9,10 @@ host group is the only group and every node lands on it.
 - :func:`kernighan_lin_partition` — a modified Kernighan–Lin/FM
   refinement: starting from a greedy initial assignment, passes of
   locked single-node moves are applied, keeping the best prefix of
-  each pass, until no pass improves the objective.
+  each pass, until no pass improves the objective.  A step prices one
+  member of each class of interchangeable nodes (an element's
+  δ-slices) per group, since its twins price alike and cannot win a
+  strict comparison after it.
 - :func:`agglomerative_partition` — the paper's lightweight
   O(k log k) seed-based clustering: pick a host seed and one seed per
   offload group, sort edges by communication weight, and merge
@@ -59,6 +62,21 @@ HOST_GROUP = "cpu"
 
 #: Kernighan–Lin refinement passes before giving up on convergence.
 MAX_PASSES = 8
+
+#: Relative slack of KL's greedy-start filter: a trial is skipped only
+#: when its incremental objective ``a`` exceeds the best from-scratch
+#: objective ``b`` by more than ``_GREEDY_SLACK * (|a| + |b|)``.  Both
+#: are maxima of sums of the same non-negative times and weights (the
+#: incremental one also takes the moved node's own terms out again),
+#: each sum at most nodes + edges terms long and, once its group's
+#: units divide it or the cut factor halves it, at most the objective
+#: it enters.  Each addition rounds by at most 2**-53 of its result,
+#: so ``a`` and the trial's exact ``evaluate`` differ by less than
+#: (nodes + edges) * 2**-52 * (|a| + |b|): about 2**-44 on a 5-NF
+#: deploy's 212 nodes and edges, and 2**-30 only past four million.
+#: The bound only filters; ``_Tables.evaluate`` decides every trial
+#: it keeps, so every accept and reject is the from-scratch one.
+_GREEDY_SLACK = 2.0 ** -30
 
 
 class _Nodes(dict):
@@ -393,6 +411,86 @@ def _top_two(sums: Dict[str, float]) -> Tuple[float, Optional[str], float]:
     return first, first_element, second
 
 
+class _Incremental:
+    """Per-group loads, per-(group, element) sums, each group's top two
+    element sums and the cut of the full assignment ``working``,
+    tallied from scratch; prices and makes single-node moves in
+    O(degree + groups).  :meth:`move` updates ``working`` itself."""
+
+    def __init__(self, tables: _Tables, assignment: Dict[str, str]):
+        self.tables = tables
+        self.working = assignment
+        self.loads, self.clusters, self.cut = tables.tally(assignment)
+        self.tops = {group: _top_two(self.clusters[group])
+                     for group in tables.groups}
+
+    def objective_after(self, node: str,
+                        target: str) -> Tuple[float, float]:
+        """(objective, d_cut) if ``node`` moved to ``target``.
+
+        Only the node's element changes its sum in the two groups
+        involved, and the heaviest of the other elements there is the
+        group's first or second sum.
+        """
+        tables = self.tables
+        working = self.working
+        link = tables.link
+        current = working[node]
+        d_cut = 0.0
+        for neighbour, weight in tables.neighbours[node]:
+            other = working[neighbour]
+            if other != current:
+                d_cut -= weight * link[current] + weight * link[other]
+            if other != target:
+                d_cut += weight * link[target] + weight * link[other]
+        node_times = tables.times[node]
+        t_current = node_times[current]
+        t_target = node_times[target]
+        element = tables.element[node]
+        loads = self.loads
+        clusters = self.clusters
+        tops = self.tops
+        units = tables.units
+        worst = 0.0
+        for group in tables.groups:
+            load = loads[group]
+            first, first_element, second = tops[group]
+            if group == current:
+                load -= t_current
+                value = clusters[group][element] - t_current
+            elif group == target:
+                load += t_target
+                value = clusters[group].get(element)
+                value = t_target if value is None else value + t_target
+            else:
+                worst = max(worst, first, load / units[group])
+                continue
+            others = second if first_element == element else first
+            heaviest = value if value > others else others
+            fair = load / units[group]
+            worst = max(worst, heaviest, fair)
+        return (worst + CUT_PIPELINE_FACTOR * (self.cut + d_cut), d_cut)
+
+    def move(self, node: str, target: str, d_cut: float) -> None:
+        """Move ``node`` to ``target``; ``d_cut`` as priced."""
+        current = self.working[node]
+        node_times = self.tables.times[node]
+        t_current = node_times[current]
+        t_target = node_times[target]
+        element = self.tables.element[node]
+        loads, clusters, tops = self.loads, self.clusters, self.tops
+        self.cut += d_cut
+        loads[current] -= t_current
+        loads[target] += t_target
+        clusters[current][element] = (
+            clusters[current].get(element, 0.0) - t_current)
+        clusters[target][element] = (
+            clusters[target].get(element, 0.0) + t_target)
+        tops[current] = _top_two(clusters[current])
+        tops[target] = _top_two(clusters[target])
+        self.working[node] = target
+
+
 def kernighan_lin_partition(graph: PartitionGraph,
                             capacities: Dict[str, int],
                             link_costs: Optional[Dict[str, float]] = None,
@@ -407,16 +505,17 @@ def kernighan_lin_partition(graph: PartitionGraph,
     tables = _Tables(graph, capacities, link_costs)
     groups = tables.groups
     offload_groups = groups[1:]
+    movable = tables.movable
     times = tables.times
-    element_of = tables.element
-    neighbours = tables.neighbours
-    link = tables.link
-    units = tables.units
     inf = float("inf")
 
     # Greedy initial assignment: everything on the host, then offer
-    # each movable node to its cheapest-relative offload group.
+    # each movable node to its cheapest-relative offload group.  The
+    # incremental objective only filters the trials; ``evaluate``
+    # judges every trial the filter keeps, and the state is tallied
+    # afresh after each accepted move.
     node_group = {node: HOST_GROUP for node in tables.nodes}
+    state = _Incremental(tables, node_group)
 
     def affinity(node: str) -> float:
         """Best time ratio over offload groups (lower offloads first)."""
@@ -424,84 +523,68 @@ def kernighan_lin_partition(graph: PartitionGraph,
         return min((times[node][g] / host for g in offload_groups),
                    default=inf)
 
-    candidates = sorted(tables.movable, key=affinity)
+    candidates = sorted(movable, key=affinity)
     best_objective = tables.evaluate(node_group)[0]
     trace.count("partition.offload_steps_tried", len(candidates))
     for node in candidates:
         for target in offload_groups:
             if times[node][target] == inf:
                 continue
+            bound = state.objective_after(node, target)[0]
+            if bound - best_objective > _GREEDY_SLACK * (
+                    abs(bound) + abs(best_objective)):
+                continue
             node_group[node] = target
             objective = tables.evaluate(node_group)[0]
             if objective < best_objective:
                 best_objective = objective
+                state = _Incremental(tables, node_group)
                 break
             node_group[node] = HOST_GROUP
+
+    # A class of interchangeable nodes (an element's δ-slices):
+    # the same element, times and neighbour list (ids and weights, in
+    # order).  ``objective_after`` reads nothing else of a node but
+    # its group, so two unlocked members of a class on one group price
+    # every move alike, and the strict ``<`` of a step lets only the
+    # first of them in ``movable`` order win.
+    classes: Dict[tuple, int] = {}
+    class_of = {
+        node: classes.setdefault(
+            (tables.element[node], tuple(times[node].items()),
+             tuple(tables.neighbours[node])), len(classes))
+        for node in movable}
 
     applied_moves = 0
     passes = 0
     for _pass in range(MAX_PASSES):
         passes += 1
-        locked: Set[str] = set()
-        working = dict(node_group)
-        # Incremental state: per-group loads, per-(group, element)
-        # sums, each group's top two element sums, and the cut.
-        loads, clusters, cut = tables.tally(working)
-        tops = {group: _top_two(clusters[group]) for group in groups}
-
-        def objective_after(node: str,
-                            target: str) -> Tuple[float, float]:
-            """(objective, d_cut) if ``node`` moved to ``target``.
-
-            O(degree + groups): only the node's element changes its sum
-            in the two groups involved, and the heaviest of the other
-            elements there is the group's first or second sum.
-            """
-            current = working[node]
-            d_cut = 0.0
-            for neighbour, weight in neighbours[node]:
-                other = working[neighbour]
-                if other != current:
-                    d_cut -= weight * link[current] + weight * link[other]
-                if other != target:
-                    d_cut += weight * link[target] + weight * link[other]
-            t_current = times[node][current]
-            t_target = times[node][target]
-            element = element_of[node]
-            worst = 0.0
-            for group in groups:
-                load = loads[group]
-                first, first_element, second = tops[group]
-                if group == current:
-                    load -= t_current
-                    value = clusters[group][element] - t_current
-                elif group == target:
-                    load += t_target
-                    value = clusters[group].get(element)
-                    value = t_target if value is None else value + t_target
-                else:
-                    worst = max(worst, first, load / units[group])
-                    continue
-                others = second if first_element == element else first
-                heaviest = value if value > others else others
-                fair = load / units[group]
-                worst = max(worst, heaviest, fair)
-            return (worst + CUT_PIPELINE_FACTOR * (cut + d_cut), d_cut)
-
+        state = _Incremental(tables, dict(node_group))
+        working = state.working
+        # A node is not moved before it is locked, so the unlocked
+        # members of each (class, group) lane stay in that lane all
+        # pass; a step prices only each lane's first unlocked member.
+        lane_of: Dict[str, List[str]] = {}
+        lanes: Dict[Tuple[int, str], List[str]] = {}
+        for node in movable:
+            lane = lanes.setdefault((class_of[node], working[node]), [])
+            lane.append(node)
+            lane_of[node] = lane
+        unlocked = list(movable)
         trail: List[Tuple[str, str, float]] = []
-        for _step in range(len(tables.movable)):
+        while unlocked:
             best_move = None
             best_move_objective = None
             best_d_cut = 0.0
-            for node in tables.movable:
-                if node in locked:
-                    continue
+            for node in unlocked:
+                if lane_of[node][0] != node:
+                    continue  # priced as its lane's first member
+                current = working[node]
                 node_times = times[node]
                 for target in groups:
-                    if target == working[node] \
-                            or node_times[target] == inf:
+                    if target == current or node_times[target] == inf:
                         continue
-                    objective, d_cut = objective_after(node, target)
+                    objective, d_cut = state.objective_after(node, target)
                     if (best_move_objective is None
                             or objective < best_move_objective):
                         best_move = (node, target)
@@ -510,21 +593,9 @@ def kernighan_lin_partition(graph: PartitionGraph,
             if best_move is None:
                 break
             node, target = best_move
-            locked.add(node)
-            cut += best_d_cut
-            current = working[node]
-            t_current = times[node][current]
-            t_target = times[node][target]
-            element = element_of[node]
-            loads[current] -= t_current
-            loads[target] += t_target
-            clusters[current][element] = (
-                clusters[current].get(element, 0.0) - t_current)
-            clusters[target][element] = (
-                clusters[target].get(element, 0.0) + t_target)
-            tops[current] = _top_two(clusters[current])
-            tops[target] = _top_two(clusters[target])
-            working[node] = target
+            unlocked.remove(node)
+            lane_of[node].pop(0)
+            state.move(node, target, best_d_cut)
             trail.append((node, target, best_move_objective))
         # Keep the best prefix of the pass.
         best_prefix_index = None

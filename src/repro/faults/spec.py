@@ -95,7 +95,7 @@ class FaultTimeline:
     factors of overlapping windows multiply.
     """
 
-    __slots__ = ("_specs", "_by_device", "requeue_penalty")
+    __slots__ = ("_specs", "_by_device", "_windows", "requeue_penalty")
 
     def __init__(self, specs: Iterable[FaultSpec] = (),
                  requeue_penalty: float = DEFAULT_REQUEUE_PENALTY):
@@ -110,6 +110,15 @@ class FaultTimeline:
             by_device.setdefault(spec.device_id, []).append(spec)
         self._by_device = {device: tuple(faults)
                            for device, faults in by_device.items()}
+        # kind -> device -> its (start, end, factor) windows, in spec
+        # order: by start, so a query stops at the first window that
+        # starts after it, and factors multiply in the order of a scan
+        # over the device's specs.
+        self._windows: Dict[str, Dict[str, List[tuple]]] = {
+            kind: {} for kind in FAULT_KINDS}
+        for spec in self._specs:
+            self._windows[spec.kind].setdefault(spec.device_id, []).append(
+                (spec.start, spec.end, spec.factor))
 
     # -- inventory -----------------------------------------------------
     @property
@@ -141,29 +150,47 @@ class FaultTimeline:
     # -- kernel queries ------------------------------------------------
     def crashed(self, device_id: str, t: float) -> bool:
         """Whether ``device_id`` is crashed at instant ``t``."""
-        return any(f.kind == "crash" and f.active(t)
-                   for f in self.affecting(device_id))
+        for start, end, _factor in self._windows["crash"].get(
+                device_id, ()):
+            if start > t:
+                break
+            if t < end:
+                return True
+        return False
 
     def crashed_during(self, device_id: str, t0: float,
                        t1: float) -> bool:
-        """Whether a crash window intersects ``[t0, t1)``."""
-        return any(f.kind == "crash" and f.overlaps(t0, t1)
-                   for f in self.affecting(device_id))
+        """Whether a crash window intersects ``[t0, t1)``.
+
+        A zero-width query is :meth:`crashed` at ``t0``, as in
+        :meth:`FaultSpec.overlaps`.
+        """
+        if t1 <= t0:
+            return self.crashed(device_id, t0)
+        for start, end, _factor in self._windows["crash"].get(
+                device_id, ()):
+            if start >= t1:
+                break
+            if t0 < end:
+                return True
+        return False
 
     def link_stretch(self, device_id: str, t: float) -> float:
         """H2D/D2H duration multiplier at instant ``t`` (>= 1)."""
-        stretch = 1.0
-        for fault in self.affecting(device_id):
-            if fault.kind == "degrade_link" and fault.active(t):
-                stretch *= fault.factor
-        return stretch
+        return self._stretch("degrade_link", device_id, t)
 
     def slowdown(self, device_id: str, t: float) -> float:
         """Kernel duration multiplier at instant ``t`` (>= 1)."""
+        return self._stretch("slowdown", device_id, t)
+
+    def _stretch(self, kind: str, device_id: str, t: float) -> float:
+        """Product of the factors of ``kind`` windows covering ``t``."""
         stretch = 1.0
-        for fault in self.affecting(device_id):
-            if fault.kind == "slowdown" and fault.active(t):
-                stretch *= fault.factor
+        for start, end, factor in self._windows[kind].get(device_id, ()):
+            if start > t:
+                break
+            if t < end:
+                stretch *= factor
         return stretch
 
     # -- derivation ----------------------------------------------------

@@ -144,7 +144,6 @@ class AclClassify(OffloadableElement):
         reads_header=True,
         reads_fields={"ip.src", "ip.dst", "ip.proto", "l4.ports"},
     )
-    shared_tables = ("rules",)
     traits = OffloadTraits(
         h2d_bytes_per_packet=16.0,
         d2h_bytes_per_packet=1.0,
@@ -153,7 +152,7 @@ class AclClassify(OffloadableElement):
         compute_intensity=1.2,
     )
 
-    def __init__(self, rules: List[AclRule],
+    def __init__(self, rules: Iterable[AclRule],
                  matcher_kind: str = "tuple_space",
                  drop_on_deny: bool = False,
                  acl_id: str = "acl0",
@@ -176,7 +175,6 @@ class AclClassify(OffloadableElement):
         self.matcher_kind = matcher_kind
         self.drop_on_deny = drop_on_deny
         self.acl_id = acl_id
-        self.rules = rules
         self.deny_count = 0
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
@@ -206,7 +204,7 @@ class AclClassify(OffloadableElement):
                 self.drop_on_deny)
 
     def cost_hints(self) -> Dict[str, float]:
-        hints = {"rules": float(len(self.rules))}
+        hints = {"rules": float(len(self.matcher.rules))}
         if isinstance(self.matcher, TupleSpaceMatcher):
             hints["tuples"] = float(self.matcher.tuple_count)
         if self.matcher_kind == "tree":

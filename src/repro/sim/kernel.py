@@ -1191,7 +1191,7 @@ class SimulationSession:
         process = spec.arrival_process
         arrival_times = process.batch_arrivals(batch_count, batch_size,
                                                spec)
-        horizon = process.horizon(batch_count, batch_size, spec)
+        horizon = process.horizon(arrival_times, batch_size, spec)
 
         delivered_packets = 0.0
         delivered_bytes = 0.0

@@ -73,15 +73,15 @@ class ArrivalProcess:
         """
         raise NotImplementedError
 
-    def horizon(self, batch_count: int, batch_size: int,
+    def horizon(self, arrivals: List[float], batch_size: int,
                 spec: "TrafficSpec") -> float:
-        """End of the offered window (the makespan floor).
+        """End of the offered window (the makespan floor), given the
+        ``arrivals`` that :meth:`batch_arrivals` drew for the run.
 
         Default: one mean gap past the last arrival, so throughput is
         normalized over the full offered window even when every batch
         completes instantly.
         """
-        arrivals = self.batch_arrivals(batch_count, batch_size, spec)
         if not arrivals:
             return 0.0
         return arrivals[-1] + mean_batch_gap(batch_size, spec)
@@ -121,11 +121,11 @@ class ConstantRate(ArrivalProcess):
         gap = mean_batch_gap(batch_size, spec)
         return [index * gap for index in range(batch_count)]
 
-    def horizon(self, batch_count: int, batch_size: int,
+    def horizon(self, arrivals: List[float], batch_size: int,
                 spec: "TrafficSpec") -> float:
         # Exactly the legacy ``inter_batch * batch_count`` makespan
         # floor (NOT last_arrival + gap, whose rounding differs).
-        return mean_batch_gap(batch_size, spec) * batch_count
+        return mean_batch_gap(batch_size, spec) * len(arrivals)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import input_reference
 import merge_reference
 import networkx as nx
+import partition_reference
 
 from repro.core.merge import BRANCH_ANNOTATION, xor_merge_packets
 from repro.core.orchestrator import SFCOrchestrator
+from repro.core.partition import (
+    HOST_GROUP,
+    PartitionGraph,
+    kernighan_lin_partition,
+)
 from repro.elements.graph import ElementGraph
 from repro.elements.offload import OffloadableElement
 from repro.elements.standard import CheckIPHeader, FromDevice, ToDevice
@@ -43,12 +49,14 @@ from repro.net.packet import (
     UDPHeader,
     int_to_ipv4,
 )
+from repro.obs import Trace
 from repro.runner import canonical_fingerprint, canonical_form
 from repro.sim.engine import BranchProfile
 from repro.sim.mapping import Deployment, Mapping, Placement
 from repro.traffic.acl import AclRule, generate_acl
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
+from repro.validate.fuzz import random_partition_graph
 
 
 def make_traffic_spec(packet_size: int = 128, load_gbps: float = 10.0,
@@ -122,6 +130,108 @@ def cpu_friendly_graph() -> nx.Graph:
         },
         [("rx", "light", 10.0), ("light", "tx", 10.0)],
     )
+
+
+def with_group_times(rng: random.Random, graph: PartitionGraph,
+                     smartnic: bool) -> PartitionGraph:
+    """Give every node ``group_times``: the host and, on movable
+    nodes, most often the GPU and (with ``smartnic``) sometimes a
+    SmartNIC."""
+    for data in graph.nodes.values():
+        times = {HOST_GROUP: data["cpu_time"]}
+        if data["pinned"] is None:
+            if rng.random() < 0.8:
+                times["gpu"] = data["gpu_time"]
+            if smartnic and rng.random() < 0.6:
+                times["smartnic"] = data["cpu_time"] * rng.uniform(0.05, 1.5)
+        data["group_times"] = times
+    return graph
+
+
+def twin_partition_graph(rng: random.Random, smartnic: bool = False,
+                         max_nodes: int = 14) -> PartitionGraph:
+    """A random partition graph with planted classes of
+    interchangeable nodes, as an element's delta-slices are.
+
+    Some movable nodes of a :func:`random_partition_graph` become
+    bundles of 2-6 copies with the same attributes; every edge joins
+    each copy of one end to each copy of the other with its weight, so
+    the copies of a node share their neighbour list, ids and weights
+    in order.  Nodes enter in a shuffled order, so copies are rarely
+    next to each other in it.  Up to three copies are decoys that
+    keep two of their bundle's element, times and neighbour list but
+    not the third: one gets an edge of its own, one its times scaled,
+    one an element of its own.
+    """
+    base = with_group_times(rng, random_partition_graph(
+        rng, max_nodes=max_nodes), smartnic)
+    movable = [n for n, data in base.nodes(data=True)
+               if data["pinned"] is None]
+    bundles = {node: [node] for node in base.nodes}
+    for node in rng.sample(movable, min(len(movable), rng.randint(1, 3))):
+        bundles[node] += [f"{node}~{i}" for i in range(rng.randint(1, 5))]
+    order = [(copy_id, node) for node, copies in bundles.items()
+             for copy_id in copies]
+    rng.shuffle(order)
+    graph = PartitionGraph()
+    for copy_id, node in order:
+        data = base.nodes[node]
+        graph.add_node(copy_id, **{
+            key: dict(value) if key == "group_times" else value
+            for key, value in data.items()})
+    for u, v, data in base.edges(data=True):
+        for a in bundles[u]:
+            for b in bundles[v]:
+                graph.add_edge(a, b, weight=data["weight"])
+    decoys = [(node, copy_id) for copy_id, node in order
+              if copy_id != node]
+    rng.shuffle(decoys)
+    for kind, (node, decoy) in zip(("edge", "times", "element"), decoys):
+        data = graph.nodes[decoy]
+        if kind == "edge":
+            strangers = [other for other in graph.nodes
+                         if other not in bundles[node]
+                         and not graph.has_edge(decoy, other)]
+            if strangers:
+                graph.add_edge(decoy, rng.choice(strangers),
+                               weight=rng.uniform(0.0, 10e-6))
+        elif kind == "times":
+            scale = rng.uniform(0.5, 1.5)
+            data["cpu_time"] *= scale
+            data["gpu_time"] *= scale
+            data["group_times"] = {group: seconds * scale for group, seconds
+                                   in data["group_times"].items()}
+        else:
+            data["group"] = decoy
+    return graph
+
+
+def kl_outcome(partitioner, graph, capacities, link_costs=None) -> dict:
+    """Everything a KL run returns and counts: node groups, objective
+    and cut bits, group loads, passes, and its trace counters."""
+    trace = Trace("kl")
+    result = partitioner(graph, capacities, link_costs, trace=trace)
+    return {
+        "groups": result.groups,
+        "objective": result.objective.hex(),
+        "cut": result.cut_weight.hex(),
+        "loads": {group: load.hex()
+                  for group, load in result.group_load.items()},
+        "cpu_load": result.cpu_load.hex(),
+        "gpu_load": result.gpu_load.hex(),
+        "passes": result.passes,
+        "counters": trace.metrics.snapshot()["counters"],
+    }
+
+
+def assert_kl_matches(graph, capacities, link_costs=None) -> dict:
+    """``kernighan_lin_partition`` returns and counts what the frozen
+    KL (``tests/partition_reference.py``) does; returns the outcome."""
+    got = kl_outcome(kernighan_lin_partition, graph, capacities,
+                     link_costs)
+    assert got == kl_outcome(partition_reference.kernighan_lin_partition,
+                             graph, capacities, link_costs)
+    return got
 
 
 # ---------------------------------------------------------------------------

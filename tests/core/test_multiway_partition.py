@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from builders import offload_friendly_graph, weighted_graph
+from builders import offload_friendly_graph, weighted_graph, with_group_times
 
 from repro.core.partition import (
     HOST_GROUP,
@@ -164,15 +164,7 @@ def kl_cases(count=201, seed=19):
         if index % 3 == 2:
             capacities["smartnic"] = 1
             link_costs = {"gpu": 1.0, "smartnic": rng.uniform(0.5, 2.0)}
-            for data in graph.nodes.values():
-                times = {HOST_GROUP: data["cpu_time"]}
-                if data["pinned"] is None:
-                    if rng.random() < 0.8:
-                        times["gpu"] = data["gpu_time"]
-                    if rng.random() < 0.6:
-                        times["smartnic"] = (data["cpu_time"]
-                                             * rng.uniform(0.05, 1.5))
-                data["group_times"] = times
+            with_group_times(rng, graph, smartnic=True)
         yield graph, capacities, link_costs
 
 

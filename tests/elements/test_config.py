@@ -107,7 +107,7 @@ class TestNFAdapters:
             "fw :: AclClassify(rules=50, matcher=linear);"
         )
         element = graph.element("fw")
-        assert len(element.rules) == 50
+        assert len(element.matcher.rules) == 50
         assert element.matcher_kind == "linear"
 
     def test_pattern_match_adapter(self):

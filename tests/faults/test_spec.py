@@ -1,11 +1,13 @@
 """Unit tests for FaultSpec / FaultTimeline."""
 
 import math
+import random
 
 import pytest
 
 from repro.faults import (
     DEFAULT_REQUEUE_PENALTY,
+    FAULT_KINDS,
     FaultSpec,
     FaultTimeline,
     empty_timeline,
@@ -89,6 +91,82 @@ class TestFaultTimelineQueries:
             FaultTimeline((), requeue_penalty=0.5)
         assert empty_timeline().requeue_penalty == \
             DEFAULT_REQUEUE_PENALTY
+
+
+def random_timeline(rng):
+    """Faults of every kind on three devices, from a coarse grid of
+    starts so that windows of one kind share edges and overlap; some
+    never end."""
+    specs = []
+    for device_id in ("gpu0", "gpu1", "nic0"):
+        for _ in range(rng.randint(0, 7)):
+            start = rng.choice([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+            end = (math.inf if rng.random() < 0.2
+                   else start + rng.choice([0.25, 0.5, 1.0, 2.5]))
+            specs.append(FaultSpec(device_id, rng.choice(FAULT_KINDS),
+                                   start, end,
+                                   factor=rng.uniform(1.0, 4.0)))
+    return FaultTimeline(specs)
+
+
+def query_times(timeline):
+    """Every finite window edge, one ulp either side of it, and a
+    few instants between and past them."""
+    edges = {0.0, 0.1, 0.7, 10.0}
+    for fault in timeline.specs:
+        edges.update(edge for edge in (fault.start, fault.end)
+                     if math.isfinite(edge))
+    times = set()
+    for edge in edges:
+        times.update((math.nextafter(edge, -math.inf), edge,
+                      math.nextafter(edge, math.inf)))
+    return sorted(times)
+
+
+class TestQueriesMatchSpecScan:
+    """The per-kind window scans answer as a fold of
+    :meth:`FaultSpec.active` and :meth:`FaultSpec.overlaps` over the
+    device's specs in spec order, to the last bit of every product."""
+
+    @staticmethod
+    def scan(timeline, device_id, kind, covers):
+        hits = [fault for fault in timeline.affecting(device_id)
+                if fault.kind == kind and covers(fault)]
+        stretch = 1.0
+        for fault in hits:
+            stretch *= fault.factor
+        return bool(hits), stretch
+
+    def test_random_timelines(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(60):
+            timeline = random_timeline(rng)
+            for timeline in (timeline, timeline.shifted(-0.5),
+                             timeline.shifted(0.25)):
+                times = query_times(timeline)
+                for device_id in ("gpu0", "gpu1", "nic0", "cpu0"):
+                    for t in times:
+                        crashed, _ = self.scan(
+                            timeline, device_id, "crash",
+                            lambda f: f.active(t))
+                        assert timeline.crashed(device_id, t) == crashed
+                        for kind, query in (
+                                ("degrade_link", timeline.link_stretch),
+                                ("slowdown", timeline.slowdown)):
+                            _, stretch = self.scan(
+                                timeline, device_id, kind,
+                                lambda f: f.active(t))
+                            assert query(device_id, t) == stretch
+                    for t0 in times[::3]:
+                        for t1 in times:
+                            during, _ = self.scan(
+                                timeline, device_id, "crash",
+                                lambda f: f.overlaps(t0, t1))
+                            assert timeline.crashed_during(
+                                device_id, t0, t1) == during
+                            checked += 1
+        assert checked > 10_000
 
 
 class TestDerivation:

@@ -232,6 +232,19 @@ class TestAclClassify:
         assert hints["tree"] == 1.0
         assert hints["rules"] == 100.0
 
+    @pytest.mark.parametrize("matcher_kind",
+                             ["linear", "tuple_space", "tree"])
+    def test_any_iterable_of_rules_prices_alike(self, matcher_kind):
+        """The element counts its rules from the matcher's copy, so
+        an iterator or a generator works as well as a list."""
+        rules = generate_acl(50, seed=3, deny_fraction=0.0)
+        hints = [AclClassify(given, matcher_kind=matcher_kind).cost_hints()
+                 for given in (rules, iter(rules),
+                               (rule for rule in rules))]
+        assert hints[0]["rules"] == 50.0
+        assert hints[1] == hints[0]
+        assert hints[2] == hints[0]
+
     def test_rule_annotation_recorded(self):
         classify = AclClassify(generate_acl(10, deny_fraction=0.0))
         packet = packet_for("1.1.1.1", "2.2.2.2")

@@ -97,7 +97,7 @@ def test_arrivals_well_formed(process, gbps, batch_count, batch_size):
     assert arrivals[0] == 0.0
     assert all(math.isfinite(a) for a in arrivals)
     assert all(b >= a for a, b in zip(arrivals, arrivals[1:]))
-    horizon = process.horizon(batch_count, batch_size, spec)
+    horizon = process.horizon(arrivals, batch_size, spec)
     assert math.isfinite(horizon) and horizon >= arrivals[-1]
 
 

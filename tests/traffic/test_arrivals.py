@@ -15,6 +15,10 @@ from repro.traffic.arrivals import (
     mean_batch_gap,
     peak_rate_gbps,
 )
+from repro.nf.base import ServiceFunctionChain
+from repro.nf.catalog import make_nf
+from repro.sim.engine import SimulationEngine
+from repro.sim.mapping import Deployment, Mapping
 from repro.traffic.distributions import FixedSize
 from repro.traffic.generator import TrafficSpec
 
@@ -50,11 +54,57 @@ class TestConstantRate:
 
     def test_horizon_is_legacy_makespan_floor(self, spec):
         gap = BATCH * spec.mean_packet_interval()
-        assert ConstantRate().horizon(40, BATCH, spec) == gap * 40
+        process = ConstantRate()
+        arrivals = process.batch_arrivals(40, BATCH, spec)
+        assert process.horizon(arrivals, BATCH, spec) == gap * 40
 
     def test_for_epoch_is_identity(self):
         process = ConstantRate()
         assert process.for_epoch(7) is process
+
+
+#: ``horizon`` of 1, 40 and 200 batches of ``BATCH`` under the
+#: ``spec`` fixture, recorded when ``horizon`` drew the arrivals itself.
+HORIZONS = {
+    ConstantRate(): ["0x1.e1094d643f784p-20", "0x1.2ca5d05ea7ab2p-14",
+                     "0x1.77cf44765195fp-12"],
+    Poisson(seed=8): ["0x1.e1094d643f784p-20", "0x1.32ad1fb82a9e3p-14",
+                      "0x1.7c92897ff811ep-12"],
+    MMPP(seed=9): ["0x1.e1094d643f784p-20", "0x1.2024562175416p-13",
+                   "0x1.4d069fa1088e4p-12"],
+    DiurnalRamp(): ["0x1.e1094d643f784p-20", "0x1.cc599b66d6af3p-15",
+                    "0x1.77cb5d961d033p-12"],
+}
+
+
+class TestOneDrawPerRun:
+    @pytest.mark.parametrize("process", list(HORIZONS),
+                             ids=lambda p: type(p).__name__)
+    def test_horizon_of_the_drawn_arrivals(self, process, spec):
+        horizons = [
+            process.horizon(process.batch_arrivals(count, BATCH, spec),
+                            BATCH, spec).hex()
+            for count in (1, 40, 200)]
+        assert horizons == HORIZONS[process]
+
+    @pytest.mark.parametrize("process", list(HORIZONS),
+                             ids=lambda p: type(p).__name__)
+    def test_a_run_draws_its_arrivals_once(self, process, spec,
+                                           monkeypatch):
+        draws = []
+        draw = type(process).batch_arrivals
+
+        def counted(self, *args):
+            draws.append(args)
+            return draw(self, *args)
+
+        monkeypatch.setattr(type(process), "batch_arrivals", counted)
+        graph = ServiceFunctionChain([make_nf("nat")]).concatenated_graph()
+        session = SimulationEngine().session(
+            Deployment(graph, Mapping.all_cpu(graph, cores=["cpu0"])))
+        session.run(dataclasses.replace(spec, arrivals=process),
+                    batch_size=BATCH, batch_count=20)
+        assert len(draws) == 1
 
 
 class TestMMPPValidation:
