@@ -505,11 +505,17 @@ def _cmd_validate(args) -> int:
         random_traffic_spec,
         run_differential,
     )
+    from repro.validate.fuzz import MIN_PARTITION_NODES
 
     if args.partition_nodes > MAX_BRUTE_FORCE_NODES:
         print(f"--partition-nodes {args.partition_nodes} exceeds the "
               f"brute-force enumeration limit of "
               f"{MAX_BRUTE_FORCE_NODES}", file=sys.stderr)
+        return 2
+    if args.partition_nodes < MIN_PARTITION_NODES:
+        print(f"--partition-nodes {args.partition_nodes} is below the "
+              f"random graphs' floor of {MIN_PARTITION_NODES} nodes",
+              file=sys.stderr)
         return 2
 
     rng = random.Random(args.seed)

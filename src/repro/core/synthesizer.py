@@ -118,13 +118,6 @@ def _reachable(table: Dict[str, List[str]], start: str) -> Set[str]:
 class NFSynthesizer:
     """Element-graph rewriter implementing the Fig. 11 decision flow."""
 
-    def __init__(self, enable_io_splice: bool = True,
-                 enable_dedup: bool = True,
-                 enable_drop_hoist: bool = True):
-        self.enable_io_splice = enable_io_splice
-        self.enable_dedup = enable_dedup
-        self.enable_drop_hoist = enable_drop_hoist
-
     # ------------------------------------------------------------------
     def synthesize(self, graph: ElementGraph, trace=None
                    ) -> Tuple[ElementGraph, SynthesisReport]:
@@ -141,12 +134,9 @@ class NFSynthesizer:
                 nodes_before=len(work),
                 depth_before=work.depth(),
             )
-            if self.enable_io_splice:
-                report.spliced_io = self._splice_interior_io(work, report)
-            if self.enable_dedup:
-                report.deduplicated = self._deduplicate(work, report)
-            if self.enable_drop_hoist:
-                report.hoisted_drops = self._hoist_drops(work)
+            report.spliced_io = self._splice_interior_io(work, report)
+            report.deduplicated = self._deduplicate(work, report)
+            report.hoisted_drops = self._hoist_drops(work)
             work.validate()
             report.nodes_after = len(work)
             report.depth_after = work.depth()

@@ -300,9 +300,14 @@ class ClickConfigParser:
         except TypeError:
             # Factories without a name parameter.
             keyword.pop("name", None)
+        try:
             element = factory(*positional, **keyword)
-            element.name = name
-            return element
+        except TypeError as error:
+            raise ConfigSyntaxError(
+                f"{cls}({args_text or ''}) rejects its arguments: {error}"
+            ) from error
+        element.name = name
+        return element
 
     def _parse_declaration(self, graph: ElementGraph,
                            statement: str) -> str:

@@ -244,7 +244,7 @@ class ElementGraph:
         Read-only compiled tables are shared, not copied (see
         :class:`~repro.elements.element.SharedTables`): ACL rules and
         matcher tables, Aho–Corasick automata with their compiled scan
-        alternation, DFA automata, LPM tries and AES key schedules.
+        alternation, LPM tries and AES key schedules.
         Each clone keeps its own counters and mutable state: packet
         counters, ``probes``, DPI match and alert counts,
         ``deny_count``, NAT bindings and flow tables.
@@ -276,16 +276,6 @@ class ElementGraph:
                                     in_edge.src_port, out_edge.dst_port)
                     if new_edge not in self._edges:
                         self._edges.append(new_edge)
-
-    def redirect_edge(self, edge: Edge, new_dst: str,
-                      new_dst_port: int = 0) -> Edge:
-        """Replace ``edge`` with one pointing at ``new_dst``."""
-        if edge not in self._edges:
-            raise GraphValidationError(f"edge {edge} not in graph")
-        self._edges.remove(edge)
-        replacement = Edge(edge.src, new_dst, edge.src_port, new_dst_port)
-        self._edges.append(replacement)
-        return replacement
 
     @classmethod
     def concatenate(cls, graphs: Iterable["ElementGraph"],

@@ -59,12 +59,12 @@ class FaultSpec:
             raise ValueError("fault needs a device id")
         if not math.isfinite(self.start):
             raise ValueError("fault start must be finite")
-        if self.end <= self.start:
+        if not self.end > self.start:
             raise ValueError(
                 f"fault window must be non-empty: start={self.start} "
                 f"end={self.end}"
             )
-        if self.kind != "crash" and self.factor < 1.0:
+        if self.kind != "crash" and not self.factor >= 1.0:
             raise ValueError(
                 f"{self.kind} factor must be >= 1 (a stretch), "
                 f"got {self.factor}"
@@ -99,7 +99,7 @@ class FaultTimeline:
 
     def __init__(self, specs: Iterable[FaultSpec] = (),
                  requeue_penalty: float = DEFAULT_REQUEUE_PENALTY):
-        if requeue_penalty < 1.0:
+        if not requeue_penalty >= 1.0:
             raise ValueError("requeue penalty must be >= 1")
         self._specs: Tuple[FaultSpec, ...] = tuple(
             sorted(specs, key=lambda s: (s.device_id, s.start, s.kind))
@@ -228,24 +228,21 @@ class FaultTimeline:
     @classmethod
     def seeded(cls, seed: int, device_ids: Sequence[str],
                horizon: float,
-               fault_rate: float = 1.0,
-               crash_weight: float = 0.5,
-               mean_outage_fraction: float = 0.25,
-               max_factor: float = 4.0,
-               requeue_penalty: float = DEFAULT_REQUEUE_PENALTY
-               ) -> "FaultTimeline":
+               fault_rate: float = 1.0) -> "FaultTimeline":
         """A deterministic chaos schedule over ``[0, horizon)``.
 
         Each device draws ``Poisson``-ish fault counts (``fault_rate``
-        expected faults per device) with kind mixed by
-        ``crash_weight``; windows average ``mean_outage_fraction`` of
-        the horizon, and stretch factors are uniform in
-        ``[1.5, max_factor]``.  The same ``(seed, device_ids,
-        horizon)`` always produces the same schedule, which is what
-        makes chaos sweeps replayable.
+        expected faults per device); a fault is a crash with
+        probability 1/2, else a link degrade or a slowdown.  Windows
+        average a quarter of the horizon, and stretch factors are
+        uniform in ``[1.5, 4]``.  The same ``(seed, device_ids,
+        horizon, fault_rate)`` always produces the same schedule,
+        which is what makes chaos sweeps replayable.
         """
-        if horizon <= 0:
+        if not horizon > 0:
             raise ValueError("horizon must be positive")
+        if not 0.0 <= fault_rate < math.inf:
+            raise ValueError("fault_rate must be finite and >= 0")
         rng = random.Random(seed)
         specs: List[FaultSpec] = []
         for device_id in device_ids:
@@ -257,19 +254,18 @@ class FaultTimeline:
                 remaining -= 1.0
             for _ in range(count):
                 start = rng.uniform(0.0, horizon * 0.9)
-                width = rng.uniform(0.2, 1.8) \
-                    * mean_outage_fraction * horizon
+                width = rng.uniform(0.2, 1.8) * 0.25 * horizon
                 end = min(horizon, start + max(width, horizon * 0.01))
-                if rng.random() < crash_weight:
+                if rng.random() < 0.5:
                     specs.append(FaultSpec(device_id, "crash",
                                            start, end))
                 else:
                     kind = ("degrade_link"
                             if rng.random() < 0.5 else "slowdown")
-                    factor = rng.uniform(1.5, max_factor)
+                    factor = rng.uniform(1.5, 4.0)
                     specs.append(FaultSpec(device_id, kind, start, end,
                                            factor=factor))
-        return cls(specs, requeue_penalty=requeue_penalty)
+        return cls(specs)
 
     # -- fingerprinting ------------------------------------------------
     def __fingerprint__(self):

@@ -424,15 +424,6 @@ class CostModel:
                   + self.params.duplicate_cycles_per_byte * total_bytes)
         return self.platform.cpu.cycles_to_seconds(cycles)
 
-    def xor_merge_seconds(self, packet_count: int,
-                          total_bytes: float,
-                          branch_count: int) -> float:
-        """The XOR/OR merge of parallel branch outputs."""
-        cycles = (self.params.xor_merge_cycles_per_byte
-                  * total_bytes * max(1, branch_count)
-                  + self.params.merge_cycles_per_packet * packet_count)
-        return self.platform.cpu.cycles_to_seconds(cycles)
-
     def reassembly_seconds(self, packet_count: int) -> float:
         """Stateful in-order release buffering."""
         cycles = self.params.reassembly_cycles_per_packet * packet_count

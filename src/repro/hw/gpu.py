@@ -25,15 +25,3 @@ class GpuTiming:
     def total(self) -> float:
         return self.launch + self.h2d + self.kernel + self.d2h
 
-    @property
-    def transfer(self) -> float:
-        return self.h2d + self.d2h
-
-    def scaled(self, factor: float) -> "GpuTiming":
-        """Uniformly scale every component (used for contention)."""
-        return GpuTiming(
-            launch=self.launch * factor,
-            h2d=self.h2d * factor,
-            kernel=self.kernel * factor,
-            d2h=self.d2h * factor,
-        )

@@ -17,9 +17,10 @@ position breaking ties), whatever order the rules come in.  Both parse
 a packet once (:func:`~repro.traffic.acl.packet_fields`) and check
 each candidate rule on the parsed fields
 (:meth:`~repro.traffic.acl.AclRule.matches_fields`).  Both count their
-probes so the cost model can charge realistically.  Clones of a
-matcher share its rule list and hash tables but keep their own probe
-count.
+probes, for tests and inspection only: the cost model prices an ACL
+from its ``rules``/``tuples``/``tree`` cost hints, not from the probes
+a run made.  Clones of a matcher share its rule list and hash tables
+but keep their own probe count.
 """
 
 from __future__ import annotations

@@ -259,10 +259,9 @@ def aes128_ctr(key: bytes, nonce: bytes, data: bytes,
     return AES128(key).ctr(nonce, data, initial_counter)
 
 
-def hmac_sha1(key: bytes, data: bytes, truncate: int = 12) -> bytes:
+def hmac_sha1(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA1 authentication tag (96-bit truncation, as IPsec uses)."""
-    digest = _hmac.new(key, data, hashlib.sha1).digest()
-    return digest[:truncate]
+    return _hmac.new(key, data, hashlib.sha1).digest()[:12]
 
 
 # ---------------------------------------------------------------------------

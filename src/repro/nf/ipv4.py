@@ -189,21 +189,9 @@ class IPv4Forwarder(NetworkFunction):
         return graph
 
 
-def table_from_destinations(destinations: List[str],
-                            next_hop_base: int = 1) -> LPMTrie:
-    """Build a FIB containing a /24 route for every given destination."""
-    trie = LPMTrie()
-    trie.insert(0, 0, 0)
-    for offset, dst in enumerate(destinations):
-        value = ipv4_to_int(dst) & 0xFFFFFF00
-        trie.insert(value, 24, next_hop_base + offset)
-    return trie
-
-
 __all__ = [
     "LPMTrie",
     "IPv4Lookup",
     "IPv4Forwarder",
-    "table_from_destinations",
     "int_to_ipv4",
 ]

@@ -52,12 +52,11 @@ class StatefulPatternMatch(OffloadableElement):
 
     def __init__(self, patterns: Sequence[bytes],
                  pattern_set_id: str = "stateful",
-                 flow_capacity: int = 65536,
                  name: Optional[str] = None):
         super().__init__(name=name)
         self.automaton = AhoCorasick(patterns)
         self.pattern_set_id = pattern_set_id
-        self.flows = FlowTable(capacity=flow_capacity)
+        self.flows = FlowTable()
         # TCP byte-offset reassembly: segments are contiguous in the
         # sequence-number space (seq advances by payload length), so
         # ordering is well-defined per flow even when multiple flows

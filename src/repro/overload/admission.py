@@ -54,9 +54,9 @@ class TokenBucketAdmission:
     burst: int = 8
 
     def __post_init__(self):
-        if self.rate_fraction <= 0:
+        if not self.rate_fraction > 0:
             raise ValueError("rate_fraction must be positive")
-        if self.burst < 1:
+        if not self.burst >= 1:
             raise ValueError("burst must be at least 1")
 
     def gate(self, state, mean_batch_gap: float):
@@ -108,15 +108,15 @@ class SLOFeedbackAdmission:
     healthy_epochs: int = 2
 
     def __post_init__(self):
-        if self.p99_ms <= 0:
+        if not self.p99_ms > 0:
             raise ValueError("p99_ms must be positive")
         if not 0.0 < self.backoff < 1.0:
             raise ValueError("backoff must be in (0, 1)")
-        if self.recover_step <= 0:
+        if not self.recover_step > 0:
             raise ValueError("recover_step must be positive")
         if not 0.0 < self.min_fraction <= 1.0:
             raise ValueError("min_fraction must be in (0, 1]")
-        if self.healthy_epochs < 1:
+        if not self.healthy_epochs >= 1:
             raise ValueError("healthy_epochs must be at least 1")
 
     def gate(self, state, mean_batch_gap: float):

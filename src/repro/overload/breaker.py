@@ -56,13 +56,13 @@ class RetryPolicy:
     timeout_stretch: float = math.inf
 
     def __post_init__(self):
-        if self.budget < 0:
+        if not self.budget >= 0:
             raise ValueError("budget must be non-negative")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:
             raise ValueError("backoff_base must be non-negative")
-        if self.backoff_cap < self.backoff_base:
+        if not self.backoff_cap >= self.backoff_base:
             raise ValueError("backoff_cap must be >= backoff_base")
-        if self.timeout_stretch <= 1.0:
+        if not self.timeout_stretch > 1.0:
             raise ValueError("timeout_stretch must exceed 1.0")
 
     def backoff_seconds(self, attempt: int, window: float) -> float:
@@ -97,11 +97,11 @@ class CircuitBreaker:
     cooldown_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.failure_threshold < 1:
+        if not self.failure_threshold >= 1:
             raise ValueError("failure_threshold must be at least 1")
-        if self.cooldown_windows <= 0:
+        if not self.cooldown_windows > 0:
             raise ValueError("cooldown_windows must be positive")
-        if self.cooldown_s is not None and self.cooldown_s <= 0:
+        if self.cooldown_s is not None and not self.cooldown_s > 0:
             raise ValueError("cooldown_s must be positive")
 
 

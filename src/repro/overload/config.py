@@ -53,9 +53,9 @@ class OverloadConfig:
     state: ControllerState = ControllerState()
 
     def __post_init__(self):
-        if self.queue_limit is not None and self.queue_limit < 1:
+        if self.queue_limit is not None and not self.queue_limit >= 1:
             raise ValueError("queue_limit must be at least 1")
-        if self.slo_ms is not None and self.slo_ms <= 0:
+        if self.slo_ms is not None and not self.slo_ms > 0:
             raise ValueError("slo_ms must be positive")
         if (self.queue_limit is not None
                 and isinstance(self.drop_policy, DeadlineDrop)

@@ -68,7 +68,7 @@ class DeadlineDrop(DropPolicy):
     deadline_ms: Optional[float] = None
 
     def __post_init__(self):
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError("deadline_ms must be positive")
 
 

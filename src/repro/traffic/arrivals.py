@@ -171,7 +171,7 @@ class MMPP(ArrivalProcess):
     seed: int = 211
 
     def __post_init__(self):
-        if self.burst_factor < 1.0:
+        if not self.burst_factor >= 1.0:
             raise ValueError("burst_factor must be >= 1")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must be in (0, 1)")
@@ -181,7 +181,7 @@ class MMPP(ArrivalProcess):
                 f"{self.duty_cycle * self.burst_factor:.3f} > 1 would "
                 f"need a negative OFF rate to preserve the mean load"
             )
-        if self.cycle_batches <= 0:
+        if not self.cycle_batches > 0:
             raise ValueError("cycle_batches must be positive")
 
     def batch_arrivals(self, batch_count: int, batch_size: int,
@@ -256,7 +256,7 @@ class DiurnalRamp(ArrivalProcess):
     def __post_init__(self):
         if not 0.0 < self.trough_ratio <= 1.0:
             raise ValueError("trough_ratio must be in (0, 1]")
-        if self.period_batches <= 0:
+        if not self.period_batches > 0:
             raise ValueError("period_batches must be positive")
 
     def for_epoch(self, epoch: int) -> "DiurnalRamp":

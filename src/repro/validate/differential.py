@@ -241,7 +241,6 @@ def run_differential(chain_spec: ChainSpec,
                      batch_size: int = 32,
                      compass=None,
                      algorithm: str = "kl",
-                     check_state: bool = True,
                      with_partition: bool = True) -> DifferentialReport:
     """Differentially validate one chain against its golden model.
 
@@ -330,25 +329,24 @@ def run_differential(chain_spec: ChainSpec,
                 golden=golden_ann, candidate=candidate_ann,
             ))
 
-    if check_state:
-        golden_states = chain_state(golden_sfc)
-        candidate_states = chain_state(candidate_sfc)
-        if len(golden_states) != len(candidate_states):
-            report.state_diffs.append(
-                f"stateful element count differs: golden "
-                f"{len(golden_states)}, candidate {len(candidate_states)}"
-            )
-        else:
-            for index, (golden_state, candidate_state) in enumerate(
-                    zip(golden_states, candidate_states)):
-                if golden_state != candidate_state:
-                    report.state_diffs.append(
-                        f"stateful element #{index} "
-                        f"({golden_state[0]}) diverged"
-                    )
-        for nf in golden_sfc.nfs:
-            problem = check_stateful_declaration(nf)
-            if problem is not None:
-                report.declaration_problems.append(problem)
+    golden_states = chain_state(golden_sfc)
+    candidate_states = chain_state(candidate_sfc)
+    if len(golden_states) != len(candidate_states):
+        report.state_diffs.append(
+            f"stateful element count differs: golden "
+            f"{len(golden_states)}, candidate {len(candidate_states)}"
+        )
+    else:
+        for index, (golden_state, candidate_state) in enumerate(
+                zip(golden_states, candidate_states)):
+            if golden_state != candidate_state:
+                report.state_diffs.append(
+                    f"stateful element #{index} "
+                    f"({golden_state[0]}) diverged"
+                )
+    for nf in golden_sfc.nfs:
+        problem = check_stateful_declaration(nf)
+        if problem is not None:
+            report.declaration_problems.append(problem)
 
     return report

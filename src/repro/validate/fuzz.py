@@ -62,18 +62,23 @@ def random_traffic_spec(rng: random.Random) -> TrafficSpec:
     )
 
 
-def random_partition_graph(rng: random.Random, max_nodes: int = 12,
-                           min_nodes: int = 3) -> PartitionGraph:
+#: The fewest nodes a :func:`random_partition_graph` draws.
+MIN_PARTITION_NODES = 3
+
+
+def random_partition_graph(rng: random.Random,
+                           max_nodes: int = 12) -> PartitionGraph:
     """A random weighted task graph for the partition oracle.
 
     Mimics the expanded graph's schema: microsecond-scale ``cpu_time``
     on every node; ``gpu_time`` either a random fraction/multiple of
     the CPU time (offloadable) or ``inf`` with ``pinned="cpu"``
     (CPU-only elements); a few multi-instance ``group`` bundles; PCIe
-    ``weight`` on every edge.  Node count stays within the brute-force
+    ``weight`` on every edge.  Node count is drawn from
+    ``[MIN_PARTITION_NODES, max_nodes]``, within the brute-force
     oracle's enumeration budget.
     """
-    node_count = rng.randint(min_nodes, max_nodes)
+    node_count = rng.randint(MIN_PARTITION_NODES, max_nodes)
     graph = PartitionGraph()
     group_count = max(1, node_count // rng.choice([1, 2, 3]))
     for index in range(node_count):

@@ -132,11 +132,10 @@ class TestDeduplication:
 class TestPatternSets:
     """Two scanners of one NF type are one scanner only when they scan
     the same patterns: ``pattern_set_id`` names the NF type, not the
-    set, so the signature must carry the patterns and regexes too."""
+    set, so the signature must carry the patterns too."""
 
     SECOND = {
         "patterns": {"patterns": [b"BBBB"]},
-        "regexes": {"patterns": [b"AAAA"], "regexes": ["BBBB"]},
     }
 
     @staticmethod
@@ -256,13 +255,6 @@ class TestBehaviourPreservation:
         optimized = synthesized.run_packets([p.clone() for p in packets])
         assert [p.to_bytes() for p in baseline] == \
             [p.to_bytes() for p in optimized]
-
-    def test_passes_can_be_disabled(self, generator):
-        lazy = NFSynthesizer(enable_io_splice=False, enable_dedup=False,
-                             enable_drop_hoist=False)
-        sfc = ServiceFunctionChain([make_nf("probe"), make_nf("lb")])
-        graph, report = lazy.synthesize(sfc.concatenated_graph())
-        assert report.nodes_before == report.nodes_after
 
     def test_report_summary_readable(self, synthesizer):
         sfc = ServiceFunctionChain([make_nf("probe"), make_nf("lb")])

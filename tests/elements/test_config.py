@@ -38,6 +38,23 @@ class TestDeclarations:
         """)
         assert set(graph.nodes) == {"src", "dst"}
 
+    @pytest.mark.parametrize("text,rejected", [
+        ("c :: Counter(bogus=1);", "Counter(bogus=1)"),
+        ("m :: PatternMatch(regexes=evil);", "PatternMatch(regexes=evil)"),
+        ("p :: Paint(1, 2);", "Paint(1, 2)"),
+    ], ids=["unknown-keyword", "regexes", "extra-positional"])
+    def test_rejected_arguments_are_a_syntax_error(self, text, rejected):
+        """The error names the element class and its arguments."""
+        with pytest.raises(ConfigSyntaxError, match="rejects its") as error:
+            parse_config(text)
+        assert rejected in str(error.value)
+
+    def test_factory_without_name_parameter(self):
+        from repro.elements.standard import Counter
+        register_element("Nameless", lambda: Counter())
+        graph = parse_config("n :: Nameless();")
+        assert graph.element("n").name == "n"
+
     def test_quoted_string_arguments(self):
         graph = parse_config('p :: Paint(colour=3); '
                              'd :: FromDevice("eth 7"); p -> d;')

@@ -27,7 +27,7 @@ def compiled_chain():
     from repro.traffic.acl import generate_acl
     return ServiceFunctionChain([
         Firewall(rules=generate_acl(300, deny_fraction=0.3), name="fw"),
-        IntrusionDetectionSystem(regexes=["evil[0-9]+"], name="ids"),
+        IntrusionDetectionSystem(name="ids"),
         NetworkAddressTranslator(name="nat"),
         IPsecGateway(name="ipsec"),
         IPv4Forwarder(name="ipv4"),
@@ -276,7 +276,6 @@ class TestRewriting:
                       "_alternation"):
             assert getattr(match_copy.automaton, table) is \
                 getattr(match.automaton, table)
-        assert match_copy.regexes[0]._dfa is match.regexes[0]._dfa
         assert _by_kind(clone, "IPv4Lookup").table is \
             _by_kind(graph, "IPv4Lookup").table
         assert _by_kind(clone, "IPsecEncrypt").cipher is \
@@ -322,13 +321,6 @@ class TestRewriting:
     def test_remove_unknown_node_rejected(self):
         with pytest.raises(GraphValidationError):
             linear_graph().remove_node("ghost")
-
-    def test_redirect_edge(self):
-        graph = linear_graph()
-        graph.add(Counter(name="alt"))
-        edge = [e for e in graph.edges if e.src == "count"][0]
-        graph.redirect_edge(edge, "alt")
-        assert graph.successors("count") == ["alt"]
 
     def test_concatenate_joins_sink_to_source(self):
         first = linear_graph()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.merge import XorMerge
 from repro.hw.costs import BatchStats, CostModel, CostParams
 from repro.hw.platform import PlatformSpec
 from repro.nf.dpi import PatternMatch
@@ -197,9 +198,12 @@ class TestReorganizationCosts:
 
     def test_xor_merge_scales_with_branches_via_token_mass(self, cost):
         # The law is per duplicate copy; branch count manifests as more
-        # packets, so 4 branches cost ~2x the 2-branch merge.
-        two = cost.xor_merge_seconds(128, 128 * 64, 2)
-        four = cost.xor_merge_seconds(256, 256 * 64, 4)
+        # packets, so 4 branches of 64 packets cost ~2x the 2-branch
+        # merge.
+        two = cost.cpu_batch_seconds(XorMerge(2),
+                                     stats(batch=128, size=64.0))
+        four = cost.cpu_batch_seconds(XorMerge(4),
+                                      stats(batch=256, size=64.0))
         assert four > 1.5 * two
 
     def test_params_are_tunable(self):

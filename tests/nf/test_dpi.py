@@ -1,6 +1,4 @@
-"""Unit and property tests for DPI: Aho-Corasick, DFA regex, NFs."""
-
-import re
+"""Unit and property tests for DPI: Aho-Corasick and the NFs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +9,42 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 from repro.nf.dpi import (
     AhoCorasick,
-    DFARegex,
     DeepPacketInspector,
     IntrusionDetectionSystem,
     MatchVerdict,
     PatternMatch,
-    RegexSyntaxError,
 )
 from repro.nf.stateful_dpi import StatefulIDS
+
+
+def _search_by_steps(ac, data):
+    """[(end offset, pattern index)] of every occurrence, found by the
+    ``step`` walk the stateful IDS runs."""
+    matches, state = [], 0
+    for offset, byte in enumerate(data):
+        state = ac.step(state, byte)
+        matches.extend((offset + 1, index) for index in ac._output[state])
+    return matches
+
+
+def _contains_by_steps(ac, data):
+    state = 0
+    for byte in data:
+        state = ac.step(state, byte)
+        if ac._output[state]:
+            return True
+    return False
+
+
+def _naive_search(patterns, haystack):
+    """{(end offset, pattern)} of every occurrence, by ``bytes.find``."""
+    found = set()
+    for pattern in patterns:
+        start = haystack.find(pattern)
+        while start >= 0:
+            found.add((start + len(pattern), pattern))
+            start = haystack.find(pattern, start + 1)
+    return found
 
 
 class TestAhoCorasick:
@@ -32,13 +58,13 @@ class TestAhoCorasick:
 
     def test_overlapping_patterns(self):
         ac = AhoCorasick([b"he", b"she", b"his", b"hers"])
-        matches = ac.search(b"ushers")
+        matches = _search_by_steps(ac, b"ushers")
         found = {ac.patterns[i] for _end, i in matches}
         assert found == {b"she", b"he", b"hers"}
 
     def test_match_offsets(self):
         ac = AhoCorasick([b"ab"])
-        matches = ac.search(b"abab")
+        matches = _search_by_steps(ac, b"abab")
         assert [end for end, _ in matches] == [2, 4]
 
     def test_pattern_at_start_and_end(self):
@@ -68,40 +94,15 @@ class TestAhoCorasick:
 @settings(max_examples=150)
 def test_aho_corasick_matches_naive_search(patterns, haystack):
     ac = AhoCorasick(patterns)
-    naive = set()
-    for index, pattern in enumerate(patterns):
-        start = 0
-        while True:
-            found = haystack.find(pattern, start)
-            if found < 0:
-                break
-            naive.add((found + len(pattern), pattern))
-            start = found + 1
-    ac_matches = {(end, ac.patterns[i]) for end, i in ac.search(haystack)}
-    assert ac_matches == naive
-
-
-def _search_by_steps(ac, data):
-    matches, state = [], 0
-    for offset, byte in enumerate(data):
-        state = ac.step(state, byte)
-        matches.extend((offset + 1, index) for index in ac._output[state])
-    return matches
-
-
-def _contains_by_steps(ac, data):
-    state = 0
-    for byte in data:
-        state = ac.step(state, byte)
-        if ac._output[state]:
-            return True
-    return False
+    ac_matches = {(end, ac.patterns[i])
+                  for end, i in _search_by_steps(ac, haystack)}
+    assert ac_matches == _naive_search(patterns, haystack)
 
 
 class TestAhoCorasickInlinedWalk:
-    """``search`` inlines the goto/failure walk and ``contains_any``
-    searches a compiled alternation; ``step`` is the reference for
-    both verdicts."""
+    """``contains_any`` searches a compiled alternation, and the
+    ``step`` walk is the reference for its verdicts; on the same
+    payloads the walk finds every occurrence naive search finds."""
 
     @staticmethod
     def payloads():
@@ -128,12 +129,12 @@ class TestAhoCorasickInlinedWalk:
         ac = AhoCorasick(patterns)
         verdicts = set()
         for name, data in cases.items():
-            for method, reference in (("contains_any", _contains_by_steps),
-                                      ("search", _search_by_steps)):
-                got = getattr(ac, method)(data)
-                assert got == reference(ac, data), (name, method)
-                if method == "contains_any":
-                    verdicts.add(got)
+            verdict = ac.contains_any(data)
+            assert verdict == _contains_by_steps(ac, data), name
+            verdicts.add(verdict)
+            walked = {(end, ac.patterns[i])
+                      for end, i in _search_by_steps(ac, data)}
+            assert walked == _naive_search(patterns, data), name
         assert verdicts == {True, False}
 
 
@@ -185,61 +186,6 @@ def test_compiled_scan_matches_step_walk(data):
     assert ac.contains_any(payload) == _contains_by_steps(ac, payload)
 
 
-class TestDFARegex:
-    @pytest.mark.parametrize("pattern,text,expected", [
-        ("abc", b"xxabcxx", True),
-        ("abc", b"ab", False),
-        ("a.c", b"azc", True),
-        ("a.c", b"ac", False),
-        ("ab*c", b"ac", True),
-        ("ab*c", b"abbbbc", True),
-        ("ab+c", b"ac", False),
-        ("ab+c", b"abc", True),
-        ("ab?c", b"ac", True),
-        ("ab?c", b"abbc", False),
-        ("a|b", b"zzz b zzz", True),
-        ("a|b", b"zzz c zzz", False),
-        ("cat|dog", b"hotdog", True),
-        ("cat|dog", b"bird", False),
-        ("(ab)+", b"xxababxx", True),
-        ("[a-c]x", b"zbxz", True),
-        ("[a-c]x", b"zdxz", False),
-        ("[0-9]+", b"abc123", True),
-        ("gr(e|a)y", b"the gray cat", True),
-        ("gr(e|a)y", b"the grey cat", True),
-        ("gr(e|a)y", b"the griy cat", False),
-    ])
-    def test_search_semantics(self, pattern, text, expected):
-        assert DFARegex(pattern).search(text) == expected
-
-    def test_unanchored_containment(self):
-        regex = DFARegex("needle")
-        assert regex.search(b"xxxx needle xxxx")
-        assert regex.search(b"needle")
-        assert not regex.search(b"needl")
-
-    def test_escape(self):
-        assert DFARegex(r"a\.b").search(b"a.b")
-        assert not DFARegex(r"a\.b").search(b"axb")
-
-    def test_syntax_errors(self):
-        for bad in ("(", "a)", "[a", "*a", "a|*", "[z-a]", "[]"):
-            with pytest.raises(RegexSyntaxError):
-                DFARegex(bad)
-
-    def test_state_count_positive(self):
-        assert DFARegex("abc").state_count >= 2
-
-
-@given(st.binary(max_size=60))
-@settings(max_examples=100)
-def test_dfa_agrees_with_re_module(text):
-    pattern = "ab(c|d)+e?"
-    ours = DFARegex(pattern).search(text)
-    reference = re.search(pattern.encode(), text) is not None
-    assert ours == reference
-
-
 class TestPatternMatchElement:
     def test_annotates_matches(self):
         element = PatternMatch([b"attack"])
@@ -249,12 +195,6 @@ class TestPatternMatchElement:
         assert hit.annotations.get("dpi_match")
         assert "dpi_match" not in miss.annotations
         assert element.match_count == 1
-
-    def test_regex_fallback(self):
-        element = PatternMatch([b"zzzz"], regexes=["ev[i1]l"])
-        packet = Packet(payload=b"an ev1l payload")
-        element.push(PacketBatch([packet]))
-        assert packet.annotations.get("dpi_match")
 
     def test_signature_by_pattern_set_id(self):
         a = PatternMatch([b"x"], pattern_set_id="s1")
@@ -280,6 +220,18 @@ class TestDPINFs:
         out = ids.process_packets(packets)
         assert len(out) == 1
         assert out[0].payload == b"all clear"
+
+    @pytest.mark.parametrize("make", [
+        lambda: PatternMatch([b"x"], regexes=["x+"]),
+        lambda: DeepPacketInspector(patterns=[b"x"], regexes=["x+"]),
+        lambda: IntrusionDetectionSystem(patterns=[b"x"], regexes=["x+"]),
+    ], ids=["PatternMatch", "DeepPacketInspector",
+            "IntrusionDetectionSystem"])
+    def test_regexes_option_is_gone(self, make):
+        """Regex rules are not supported; the option is rejected, not
+        ignored."""
+        with pytest.raises(TypeError, match="regexes"):
+            make()
 
     @pytest.mark.parametrize("nf", [DeepPacketInspector,
                                     IntrusionDetectionSystem, StatefulIDS])

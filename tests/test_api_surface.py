@@ -14,7 +14,9 @@ from pathlib import Path
 
 import repro
 import repro.elements
+import repro.hw
 import repro.net
+import repro.nf
 import repro.obs
 import repro.overload
 import repro.runner
@@ -24,11 +26,21 @@ from repro.cli import EXPERIMENTS
 from repro.core.adaptation import AdaptiveRuntime
 from repro.core.compass import NFCompass
 from repro.core.multi import MultiTenantScheduler
+from repro.core.synthesizer import NFSynthesizer
+from repro.elements.graph import ElementGraph
 from repro.experiments import common
 from repro.faults import ResilientRuntime
+from repro.faults.spec import FaultTimeline
+from repro.hw.costs import CostModel
+from repro.hw.gpu import GpuTiming
+from repro.nf import dpi, ipv4
+from repro.nf.dpi import DeepPacketInspector, PatternMatch
+from repro.nf.ipsec import hmac_sha1
+from repro.nf.stateful_dpi import StatefulPatternMatch
 from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.tracing import EventRecorder
+from repro.validate import random_partition_graph, run_differential
 
 #: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
 #: the race and run profiles its deploy measured, so no caller chooses
@@ -208,6 +220,76 @@ TRAFFIC_ALL = [
     "make_payload",
 ]
 
+#: The DPI exports no regex engine: ``repro.nf.dpi``'s ``DFARegex`` and
+#: ``RegexSyntaxError`` were removed on purpose (no chain, harness or
+#: config used a regex rule; a later one compiles it with stdlib
+#: ``re``), as was ``repro.nf.ipv4.table_from_destinations``, which
+#: nothing called.
+NF_ALL = [
+    "NetworkFunction",
+    "ServiceFunctionChain",
+    "IPv4Forwarder",
+    "LPMTrie",
+    "IPv6Forwarder",
+    "HashedPrefixTable",
+    "IPsecGateway",
+    "aes128_ctr",
+    "hmac_sha1",
+    "DeepPacketInspector",
+    "IntrusionDetectionSystem",
+    "AhoCorasick",
+    "Firewall",
+    "NetworkAddressTranslator",
+    "LoadBalancer",
+    "Probe",
+    "Proxy",
+    "WANOptimizer",
+    "NF_CATALOG",
+    "make_nf",
+    "action_profile_of",
+]
+
+#: ``CostModel.xor_merge_seconds`` was removed on purpose: the kernel
+#: prices an ``XorMerge`` through its cycles law, like every element.
+#: ``GpuTiming.scaled`` and ``GpuTiming.transfer`` were removed on
+#: purpose too: nothing called them.
+HW_ALL = [
+    "PlatformSpec",
+    "CPUSpec",
+    "CostModel",
+    "CostParams",
+    "BatchStats",
+    "cache_penalty_factor",
+    "GpuTiming",
+    "InterferenceModel",
+    "NF_PRESSURE_PROFILES",
+    "DEFAULT_HOST_DEVICE",
+    "DeviceSpec",
+    "LinkSpec",
+    "CPU_KIND",
+    "GPU_KIND",
+    "SMARTNIC_KIND",
+    "device_kinds",
+    "device_kind_defaults",
+    "make_device",
+    "register_device_kind",
+    "smartnic_device",
+]
+
+#: Names removed on purpose, by owner, each for want of a caller
+#: outside its own tests.  ``AhoCorasick.search`` was a third walk of
+#: the automaton: the stateless scan is the compiled alternation and
+#: the stateful IDS walks ``step``.  ``ElementGraph.redirect_edge`` had
+#: no caller at all.
+REMOVED = {
+    dpi: ["DFARegex", "RegexSyntaxError"],
+    dpi.AhoCorasick: ["search"],
+    ipv4: ["table_from_destinations"],
+    CostModel: ["xor_merge_seconds"],
+    GpuTiming: ["scaled", "transfer"],
+    ElementGraph: ["redirect_edge"],
+}
+
 #: The public methods of ``EventRecorder``.  Removed on purpose, for
 #: want of a caller outside their own tests: ``from_dict``,
 #: ``from_json``, ``summary``, ``node_spans``, ``bottleneck_node`` and
@@ -217,7 +299,8 @@ RECORDER_METHODS = ["events_for_batch", "record_batch", "record_node",
                     "record_requeue", "to_dict", "to_json"]
 
 
-#: Parameter names of the deploy, runtime and engine entry points.
+#: Parameter names of the deploy, runtime and engine entry points, and
+#: of the elements and helpers whose never-set knobs went.
 #: Removed on purpose, each for want of a caller: NFCompass's
 #: ``delta``, ``persistent_kernel`` (it always deploys persistent
 #: kernels), ``cost_model`` and ``independence_override`` (set
@@ -235,7 +318,21 @@ RECORDER_METHODS = ["events_for_batch", "record_batch", "record_node",
 #: and a deployment, so a deploy's plan runs on its own session.
 #: ``SweepRunner`` lost ``cache`` and ``SweepSpec`` lost ``row_type``,
 #: ``context`` and ``engine_version``, all of which existed only to key
-#: the sweep result cache or to carry rows through it.
+#: the sweep result cache or to carry rows through it.  Removed on
+#: purpose with the knobs no caller set: the ``regexes`` of
+#: ``PatternMatch`` and ``DeepPacketInspector`` (and so of
+#: ``IntrusionDetectionSystem``), with the DFA regex engine;
+#: ``StatefulPatternMatch``'s ``flow_capacity`` (65,536 flows);
+#: ``NFSynthesizer``'s ``enable_io_splice``, ``enable_dedup`` and
+#: ``enable_drop_hoist`` (every pass always runs; ``NFCompass``'s
+#: ``enable_synthesis`` is the ablation switch);
+#: ``FaultTimeline.seeded``'s ``crash_weight``,
+#: ``mean_outage_fraction``, ``max_factor`` and ``requeue_penalty``;
+#: ``random_partition_graph``'s ``min_nodes`` (now the
+#: ``MIN_PARTITION_NODES`` floor ``repro validate`` checks);
+#: ``run_differential``'s ``check_state`` (state is always compared);
+#: and ``hmac_sha1``'s ``truncate`` (the 12-byte ICV
+#: ``ESP_OVERHEAD_BYTES`` assumes).
 ENTRY_POINT_PARAMETERS = {
     "NFCompass.__init__": ["self", "platform", "algorithm",
                            "enable_parallelization", "enable_synthesis",
@@ -264,6 +361,20 @@ ENTRY_POINT_PARAMETERS = {
     "EventRecorder.to_json": ["self"],
     "common.measure": ["session", "spec", "batch_size", "batch_count",
                        "branch_profile"],
+    "PatternMatch.__init__": ["self", "patterns", "pattern_set_id",
+                              "name"],
+    "DeepPacketInspector.__init__": ["self", "patterns", "name",
+                                     "kwargs"],
+    "StatefulPatternMatch.__init__": ["self", "patterns",
+                                      "pattern_set_id", "name"],
+    "NFSynthesizer": [],
+    "FaultTimeline.seeded": ["seed", "device_ids", "horizon",
+                             "fault_rate"],
+    "random_partition_graph": ["rng", "max_nodes"],
+    "run_differential": ["chain_spec", "traffic_spec", "packet_count",
+                         "batch_size", "compass", "algorithm",
+                         "with_partition"],
+    "hmac_sha1": ["key", "data"],
 }
 
 ENTRY_POINTS = {
@@ -282,6 +393,14 @@ ENTRY_POINTS = {
     "format_trace_summary": repro.obs.format_trace_summary,
     "EventRecorder.to_json": EventRecorder.to_json,
     "common.measure": common.measure,
+    "PatternMatch.__init__": PatternMatch.__init__,
+    "DeepPacketInspector.__init__": DeepPacketInspector.__init__,
+    "StatefulPatternMatch.__init__": StatefulPatternMatch.__init__,
+    "NFSynthesizer": NFSynthesizer,  # it has no __init__ of its own
+    "FaultTimeline.seeded": FaultTimeline.seeded,
+    "random_partition_graph": random_partition_graph,
+    "run_differential": run_differential,
+    "hmac_sha1": hmac_sha1,
 }
 
 #: Parameter names of every harness sweep builder (``*sweep_spec``),
@@ -380,6 +499,18 @@ class TestSnapshots:
 
     def test_traffic_all(self):
         assert sorted(repro.traffic.__all__) == sorted(TRAFFIC_ALL)
+
+    def test_nf_all(self):
+        assert sorted(repro.nf.__all__) == sorted(NF_ALL)
+
+    def test_hw_all(self):
+        assert sorted(repro.hw.__all__) == sorted(HW_ALL)
+
+    def test_removed_names_stay_removed(self):
+        assert {owner.__name__: [name for name in names
+                                 if hasattr(owner, name)]
+                for owner, names in REMOVED.items()} == \
+            {owner.__name__: [] for owner in REMOVED}
 
 
 class TestParameters:

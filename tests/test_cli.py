@@ -109,6 +109,21 @@ class TestRun:
         assert main(["deploy", "-c", "firewall,nat", flag, value]) == 2
         assert f"invalid {flag}" in capsys.readouterr().err
 
+    BAD_OVERLOAD = {
+        "burst-nan": (["--arrivals", "mmpp", "--burst", "nan"],
+                      "invalid arrival process"),
+        "slo-nan": (["--slo-ms", "nan"], "invalid overload config"),
+        "deadline-nan": (["--drop-policy", "deadline:nan",
+                          "--queue-limit", "2"],
+                         "invalid overload config"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_OVERLOAD))
+    def test_deploy_rejects_nan_overload_flags(self, name, capsys):
+        flags, message = self.BAD_OVERLOAD[name]
+        assert main(["deploy", "-c", "firewall", *flags]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value", BAD_TRAFFIC)
     def test_config_run_rejects_bad_traffic(self, flag, value, tmp_path,
                                             capsys):
@@ -140,6 +155,8 @@ class TestRun:
         "unknown-element": "src :: FromDevice(eth0);\n"
                            "w :: WarpDrive();\nsrc -> w;",
         "malformed-hop": "src :: FromDevice(eth0);\nsrc -> ;",
+        "unknown-keyword": "c :: Counter(bogus=1);",
+        "regex-rules": "m :: PatternMatch(regexes=evil);",
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
@@ -296,6 +313,22 @@ class TestValidate:
         assert "differential" in out
         assert "partition oracle" in out
         assert "all checks passed" in out
+
+    @pytest.mark.parametrize("nodes", ["2", "0", "-1"])
+    def test_validate_rejects_too_few_partition_nodes(self, nodes,
+                                                      capsys):
+        """Random oracle graphs have at least 3 nodes; fewer used to
+        die in ``randint`` with exit 1, the failed-check code."""
+        assert main(["validate", "--chains", "1",
+                     "--partition-nodes", nodes]) == 2
+        assert f"--partition-nodes {nodes} is below" in \
+            capsys.readouterr().err
+
+    def test_validate_accepts_the_partition_node_floor(self, capsys):
+        assert main(["validate", "--chains", "0",
+                     "--partition-graphs", "2", "--partition-nodes", "3",
+                     "--engine-runs", "0"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_validate_verbose_prints_every_check(self, capsys):
         code = main(["validate", "--chains", "1", "--seed", "2",
