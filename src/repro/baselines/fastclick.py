@@ -18,9 +18,9 @@ class FastClickBaseline(CPUOnlyBaseline):
     """Batched CPU-only Click.
 
     Structurally identical to :class:`CPUOnlyBaseline`; the class
-    exists so experiments and reports carry the right system name, and
-    so Fig. 17 harnesses can attach the linear-matcher firewall NFs the
-    real system would use.
+    exists so experiments and reports carry the right system name.
+    Fig. 17 gives it firewalls of the ``"tree"`` matcher kind, priced
+    as the classification trees the real system builds.
     """
 
     name = "fastclick"

@@ -18,6 +18,7 @@ data stream varies" or not at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,8 +72,8 @@ class AdaptiveRuntime(EpochLoop):
                  arrivals: Optional[ArrivalProcess] = None,
                  overload=None,
                  trace=None):
-        if drift_threshold <= 0:
-            raise ValueError("drift threshold must be positive")
+        if not 0 < drift_threshold < math.inf:
+            raise ValueError("drift threshold must be positive and finite")
         if cooldown_epochs < 0:
             raise ValueError("cooldown must be non-negative")
         self.drift_threshold = drift_threshold

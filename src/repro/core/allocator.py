@@ -82,6 +82,9 @@ class GraphTaskAllocator:
                  persistent_kernel: bool = True):
         if algorithm not in ("kl", "agglomerative"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        if cpu_cores is not None and not cpu_cores:
+            # Unlike gpus=[], there is no plan without a host core.
+            raise ValueError("cpu_cores must name at least one core")
         self.platform = platform or PlatformSpec()
         self.cost = cost_model or CostModel(self.platform)
         self.algorithm = algorithm

@@ -56,6 +56,8 @@ class MultiTenantScheduler:
                  cores_per_tenant: Optional[int] = None,
                  arrivals: Optional[ArrivalProcess] = None,
                  overload=None):
+        if cores_per_tenant is not None and not cores_per_tenant >= 1:
+            raise ValueError("cores_per_tenant must be at least 1")
         self.platform = platform or PlatformSpec()
         self.interference = InterferenceModel()
         self.cores_per_tenant = cores_per_tenant

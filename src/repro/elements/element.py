@@ -284,7 +284,6 @@ class Element(SharedTables):
         self.name = name or f"{type(self).__name__}@{self.uid}"
         self.ports = ports
         # Runtime counters (inputs to the runtime profiler).
-        self.batches_processed = 0
         self.packets_processed = 0
         self.packets_dropped = 0
         self.port_packet_counts: Dict[int, int] = {
@@ -318,7 +317,6 @@ class Element(SharedTables):
             self.port_packet_counts[port] = (
                 self.port_packet_counts.get(port, 0) + live
             )
-        self.batches_processed += 1
         self.packets_processed += incoming
         self.packets_dropped += max(0, incoming - outgoing)
         return outputs

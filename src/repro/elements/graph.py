@@ -246,8 +246,8 @@ class ElementGraph:
         matcher tables, Aho–Corasick automata with their compiled scan
         alternation, LPM tries and AES key schedules.
         Each clone keeps its own counters and mutable state: packet
-        counters, ``probes``, DPI match and alert counts,
-        ``deny_count``, NAT bindings and flow tables.
+        counters, DPI match and alert counts, ``deny_count``, NAT
+        bindings and flow tables.
         """
         import copy
         clone = ElementGraph(name=self.name)

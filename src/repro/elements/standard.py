@@ -85,10 +85,8 @@ class CheckIPHeader(Element):
                 survivors.append(packet)
             else:
                 packet.mark_dropped("CheckIPHeader")
-        out = PacketBatch(survivors, creation_time=batch.creation_time)
-        out.split_count = batch.split_count
-        out.generation = batch.generation
-        return {0: out}
+        return {0: PacketBatch(survivors,
+                               creation_time=batch.creation_time)}
 
     def signature(self) -> Hashable:
         return ("CheckIPHeader",)
@@ -121,8 +119,7 @@ class Classifier(Element):
         return len(self.rules)
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
-        result = batch.split_by(self.classify)
-        return {port: sub for port, sub in result.sub_batches.items()}
+        return batch.split_by(self.classify)
 
     def signature(self) -> Hashable:
         if self.rule_key is not None:
@@ -146,10 +143,7 @@ class HashSwitch(Element):
         self.fanout = fanout
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
-        result = batch.split_by(
-            lambda p: hash(p.five_tuple()) % self.fanout
-        )
-        return {port: sub for port, sub in result.sub_batches.items()}
+        return batch.split_by(lambda p: hash(p.five_tuple()) % self.fanout)
 
     def signature(self) -> Hashable:
         return ("HashSwitch", self.fanout)
@@ -294,10 +288,8 @@ class PaintSwitch(Element):
         self.fanout = fanout
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
-        result = batch.split_by(
-            lambda p: int(p.annotations.get("paint", 0)) % self.fanout
-        )
-        return {port: sub for port, sub in result.sub_batches.items()}
+        return batch.split_by(
+            lambda p: int(p.annotations.get("paint", 0)) % self.fanout)
 
 
 class StripEther(Element):

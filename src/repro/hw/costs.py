@@ -150,14 +150,10 @@ def _law_acl(stats, hints, params):
     if tuples is not None:
         # One hash probe per distinct (src_len, dst_len) tuple.
         return 100.0 + 25.0 * tuples
-    rules = hints.get("rules", 100.0)
-    if hints.get("tree"):
-        # Classification tree: logarithmic probe count; the cache
-        # penalty of its linearly-growing footprint is applied by the
-        # working-set model (see _element_footprint).
-        return 200.0 + 40.0 * math.log2(max(2.0, rules))
-    # Linear scan terminates halfway through on average.
-    return 60.0 + 12.0 * rules
+    # Classification tree: logarithmic probe count; the cache penalty
+    # of its linearly-growing footprint is applied by the working-set
+    # model (see _element_footprint).
+    return 200.0 + 40.0 * math.log2(max(2.0, hints.get("rules", 100.0)))
 
 
 def _law_classifier(stats, hints, params):

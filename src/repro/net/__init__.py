@@ -15,7 +15,7 @@ from repro.net.packet import (
     UDPHeader,
     Packet,
 )
-from repro.net.batch import PacketBatch, BatchSplitResult
+from repro.net.batch import PacketBatch
 from repro.net.flow import FiveTuple, FlowTable
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "UDPHeader",
     "Packet",
     "PacketBatch",
-    "BatchSplitResult",
     "FiveTuple",
     "FlowTable",
 ]

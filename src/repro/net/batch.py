@@ -1,4 +1,4 @@
-"""Packet batches and batch re-organization accounting.
+"""Packet batches.
 
 GPU-accelerated frameworks process packets in batches (the paper uses
 32 and 64 packets per batch).  The paper's first characterization
@@ -6,33 +6,18 @@ finding (Fig. 5) is that Click-style branching forces *batch splits*:
 a batch leaving a classifier must be re-organized into smaller
 per-output batches, paying memory-movement and batch-management costs.
 
-:class:`PacketBatch` therefore tracks, besides its packets, the number
-of split/merge operations it has been through — the cost model in
-:mod:`repro.hw.costs` charges for them.
+:class:`PacketBatch` is the functional side of that: an ordered list of
+packets that a classifier splits by output port and a merge puts back
+in sequence-number order.  It keeps no count of either: the cost model
+in :mod:`repro.hw.costs` prices splits and merges from a profile's
+port and drop fractions, not from the batches a pass made.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.net.packet import Packet
-
-_batch_ids = itertools.count()
-
-
-@dataclass
-class BatchSplitResult:
-    """Outcome of splitting a batch across classifier outputs.
-
-    ``sub_batches`` maps output key -> new batch; ``split_overhead_ops``
-    counts the per-packet move operations the split required (used as a
-    cost-model input).
-    """
-
-    sub_batches: Dict[Hashable, "PacketBatch"]
-    split_overhead_ops: int
 
 
 class PacketBatch:
@@ -41,12 +26,7 @@ class PacketBatch:
     def __init__(self, packets: Optional[Iterable[Packet]] = None,
                  creation_time: float = 0.0):
         self.packets: List[Packet] = list(packets or [])
-        self.uid: int = next(_batch_ids)
         self.creation_time = creation_time
-        # Re-organization bookkeeping (inputs to the cost model).
-        self.split_count = 0
-        self.merge_count = 0
-        self.generation = 0  # how many splits deep this batch is
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -75,46 +55,32 @@ class PacketBatch:
     def append(self, packet: Packet) -> None:
         self.packets.append(packet)
 
-    def split_by(self, key: Callable[[Packet], Hashable]) -> BatchSplitResult:
+    def split_by(self, key: Callable[[Packet], Hashable]
+                 ) -> Dict[Hashable, "PacketBatch"]:
         """Split into per-key sub-batches, preserving intra-key order.
 
-        This models the batch re-organization a Click classifier forces
-        on a batching framework.  Each produced sub-batch is one
-        generation deeper than its parent, and the number of per-packet
-        moves is recorded so the simulator can charge for them.
+        This is the batch re-organization a Click classifier forces on
+        a batching framework.
         """
         buckets: Dict[Hashable, List[Packet]] = {}
         for packet in self.packets:
             buckets.setdefault(key(packet), []).append(packet)
-        sub_batches: Dict[Hashable, PacketBatch] = {}
-        for bucket_key, packets in buckets.items():
-            sub = PacketBatch(packets, creation_time=self.creation_time)
-            sub.generation = self.generation + 1
-            sub.split_count = self.split_count + 1
-            sub.merge_count = self.merge_count
-            sub_batches[bucket_key] = sub
-        self.split_count += 1
-        overhead = len(self.packets) if len(sub_batches) > 1 else 0
-        return BatchSplitResult(sub_batches=sub_batches,
-                                split_overhead_ops=overhead)
+        return {bucket_key: PacketBatch(packets,
+                                        creation_time=self.creation_time)
+                for bucket_key, packets in buckets.items()}
 
     @classmethod
     def merge(cls, batches: Iterable["PacketBatch"]) -> "PacketBatch":
         """Re-assemble sub-batches into one batch, with the packets
-        sorted back into their original sequence-number order."""
+        sorted back into their original sequence-number order and the
+        earliest creation time."""
         batches = list(batches)
         packets: List[Packet] = [p for b in batches for p in b.packets]
         packets.sort(key=lambda p: p.seqno)
         merged = cls(packets)
         if batches:
             merged.creation_time = min(b.creation_time for b in batches)
-            merged.generation = max(b.generation for b in batches)
-            merged.split_count = max(b.split_count for b in batches)
-            merged.merge_count = max(b.merge_count for b in batches) + 1
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PacketBatch(uid={self.uid}, n={len(self.packets)}, "
-            f"splits={self.split_count}, merges={self.merge_count})"
-        )
+        return f"PacketBatch(n={len(self.packets)})"

@@ -59,7 +59,7 @@ NF_CATALOG: Dict[str, CatalogEntry] = {
     "ids": CatalogEntry(
         IntrusionDetectionSystem,
         IntrusionDetectionSystem.actions,
-        "Intrusion detection system (AC + DFA pattern matching, drops)",
+        "Intrusion detection system (Aho–Corasick pattern matching, drops)",
     ),
     "dpi": CatalogEntry(
         DeepPacketInspector,

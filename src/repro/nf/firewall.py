@@ -1,26 +1,25 @@
 """ACL firewall.
 
-Two matchers over the same rule semantics:
-
-- :class:`LinearMatcher` — first-match linear scan, the reference and
-  also the behaviour of naive frameworks whose classification cost
-  grows with the rule count (FastClick/NBA in Fig. 17);
-- :class:`TupleSpaceMatcher` — a tuple-space-search classifier (hash
-  tables keyed by (src len, dst len) prefix pairs), whose per-packet
-  probe count grows with the number of *distinct tuples*, not rules —
-  the structured classification that lets NFCompass stay flat as ACLs
-  grow to 10 000 rules.
-
-Both return the first matching rule in
+Every :class:`AclClassify` classifies with one
+:class:`TupleSpaceMatcher`, a tuple-space-search classifier (hash
+tables keyed by (src len, dst len) prefix pairs) whose per-packet
+probe count grows with the number of *distinct tuples*, not rules.  It
+returns the first matching rule in
 :func:`~repro.traffic.acl.in_match_order` (ascending priority, list
-position breaking ties), whatever order the rules come in.  Both parse
-a packet once (:func:`~repro.traffic.acl.packet_fields`) and check
-each candidate rule on the parsed fields
-(:meth:`~repro.traffic.acl.AclRule.matches_fields`).  Both count their
-probes, for tests and inspection only: the cost model prices an ACL
-from its ``rules``/``tuples``/``tree`` cost hints, not from the probes
-a run made.  Clones of a matcher share its rule list and hash tables
-but keep their own probe count.
+position breaking ties), whatever order the rules come in: the verdict
+of :func:`~repro.traffic.acl.linear_match`, the reference.  It parses a
+packet once (:func:`~repro.traffic.acl.packet_fields`) and checks each
+candidate rule on the parsed fields
+(:meth:`~repro.traffic.acl.AclRule.matches_fields`).
+
+The matcher kind is a price, not an implementation.  ``"tuple_space"``
+is the structured classification that lets NFCompass stay flat as ACLs
+grow to 10 000 rules; ``"tree"`` is the classification tree of
+FastClick and NBA, whose footprint grows with the rules (the Fig. 17
+collapse).  Both classify alike, and the cost model prices each from
+:meth:`AclClassify.cost_hints`.  Clones of a matcher share its rule
+list and its tables, which are built on first use, so a firewall that
+is only priced never builds them.
 """
 
 from __future__ import annotations
@@ -36,33 +35,8 @@ from repro.net.packet import Packet
 from repro.nf.base import NetworkFunction
 from repro.traffic.acl import AclRule, in_match_order, packet_fields
 
-
-class LinearMatcher(SharedTables):
-    """Reference first-match scan; O(rules) per packet.
-
-    ``rules`` is a copy in :func:`~repro.traffic.acl.in_match_order`,
-    the order the scan takes.
-    """
-
-    shared_tables = ("rules",)
-
-    def __init__(self, rules: Iterable[AclRule]):
-        self.rules = in_match_order(rules)
-        self.probes = 0
-
-    def match(self, packet: Packet) -> Optional[AclRule]:
-        fields = packet_fields(packet)
-        if fields is None:
-            # Every rule is probed, and none matches a non-IPv4 packet.
-            self.probes += len(self.rules)
-            return None
-        src, dst, proto, sport, dport = fields
-        for position, rule in enumerate(self.rules, start=1):
-            if rule.matches_fields(src, dst, proto, sport, dport):
-                self.probes += position
-                return rule
-        self.probes += len(self.rules)
-        return None
+#: (src_len, dst_len) -> {(src_key, dst_key): [rules]}.
+_Tables = Dict[Tuple[int, int], Dict[Tuple[int, int], List[AclRule]]]
 
 
 class TupleSpaceMatcher(SharedTables):
@@ -71,19 +45,22 @@ class TupleSpaceMatcher(SharedTables):
     Port/protocol constraints are verified per candidate.  Matching
     probes every tuple once — O(distinct tuples), typically tens even
     for 10 k-rule ACLs.  ``rules`` is a copy in
-    :func:`~repro.traffic.acl.in_match_order`, and the tables are
-    built from it, so every bucket lists its rules in that order.
+    :func:`~repro.traffic.acl.in_match_order`.  The first
+    :meth:`match` or :attr:`tuple_count` builds the tables from it, in
+    place in the dict every clone shares, so every bucket lists its
+    rules in that order and a clone made before the build sees it.
     """
 
     shared_tables = ("rules", "_tables")
 
     def __init__(self, rules: Iterable[AclRule]):
         self.rules = in_match_order(rules)
-        # (src_len, dst_len) -> {(src_key, dst_key): [rules]}, tuples
-        # and keys in the order the rules first use them.  A /0
-        # prefix's key is 0.
-        tables: Dict[Tuple[int, int], Dict[Tuple[int, int],
-                                           List[AclRule]]] = {}
+        self._tables: _Tables = {}  # empty until _fill()
+
+    def _fill(self) -> _Tables:
+        """Build the tables: tuples and keys in the order the rules
+        first use them.  A /0 prefix's key is 0."""
+        tables = self._tables
         for rule in self.rules:
             src, src_len = rule.src_prefix
             dst, dst_len = rule.dst_prefix
@@ -97,23 +74,22 @@ class TupleSpaceMatcher(SharedTables):
                 bucket[key] = [rule]
             else:
                 candidates.append(rule)
-        self._tables = tables
-        self.probes = 0
+        return tables
 
     @property
     def tuple_count(self) -> int:
-        return len(self._tables)
+        return len(self._tables or self._fill())
 
     def match(self, packet: Packet) -> Optional[AclRule]:
         fields = packet_fields(packet)
         if fields is None:
             return None
         src, dst, proto, sport, dport = fields
+        tables = self._tables or self._fill()
         # Every tuple is probed once.  Addresses are 32-bit, so a
         # shift by 32 gives a /0 prefix's key of 0.
-        self.probes += len(self._tables)
         best: Optional[AclRule] = None
-        for (src_len, dst_len), bucket in self._tables.items():
+        for (src_len, dst_len), bucket in tables.items():
             key = (src >> (32 - src_len), dst >> (32 - dst_len))
             for rule in bucket.get(key, ()):
                 if rule.matches_fields(src, dst, proto, sport, dport):
@@ -136,8 +112,11 @@ class AclClassify(OffloadableElement):
     """The firewall's classification element.
 
     Routes accepted packets to port 0 and denied packets to port 1
-    (dropping them when ``drop_on_deny``).  ``matcher_kind`` selects
-    linear or tuple-space matching; the cost model keys off it.
+    (dropping them when ``drop_on_deny``).  ``matcher_kind`` is the
+    price: ``"tuple_space"`` or ``"tree"`` (a classification tree, as
+    FastClick and NBA build: lookups logarithmic in the rule count, but
+    a footprint that grows linearly, so large ACLs thrash the cache).
+    Both classify with one :class:`TupleSpaceMatcher`.
     """
 
     traffic_class = TrafficClass.CLASSIFIER
@@ -160,19 +139,9 @@ class AclClassify(OffloadableElement):
                  name: Optional[str] = None):
         from repro.elements.element import PortSpec
         super().__init__(name=name, ports=PortSpec(inputs=1, outputs=2))
-        if matcher_kind == "linear":
-            self.matcher = LinearMatcher(rules)
-        elif matcher_kind == "tuple_space":
-            self.matcher = TupleSpaceMatcher(rules)
-        elif matcher_kind == "tree":
-            # Classification-tree matcher (what FastClick/NBA build):
-            # lookups are logarithmic in the rule count but the tree's
-            # memory footprint grows linearly, so large ACLs thrash the
-            # cache (the Fig. 17 collapse).  First-match semantics are
-            # identical, so the reference matcher serves functionally.
-            self.matcher = LinearMatcher(rules)
-        else:
+        if matcher_kind not in ("tuple_space", "tree"):
             raise ValueError(f"unknown matcher kind {matcher_kind!r}")
+        self.matcher = TupleSpaceMatcher(rules)
         self.matcher_kind = matcher_kind
         self.drop_on_deny = drop_on_deny
         self.acl_id = acl_id
@@ -206,10 +175,10 @@ class AclClassify(OffloadableElement):
 
     def cost_hints(self) -> Dict[str, float]:
         hints = {"rules": float(len(self.matcher.rules))}
-        if isinstance(self.matcher, TupleSpaceMatcher):
-            hints["tuples"] = float(self.matcher.tuple_count)
         if self.matcher_kind == "tree":
             hints["tree"] = 1.0
+        else:
+            hints["tuples"] = float(self.matcher.tuple_count)
         return hints
 
 
@@ -256,4 +225,4 @@ class Firewall(NetworkFunction):
         return graph
 
 
-__all__ = ["LinearMatcher", "TupleSpaceMatcher", "AclClassify", "Firewall"]
+__all__ = ["TupleSpaceMatcher", "AclClassify", "Firewall"]

@@ -2,8 +2,9 @@
 
 The paper describes IPv4 lookup as a two-memory-access operation over
 a forwarding table; we implement a classic binary trie with
-longest-prefix-match semantics, which is both the functional reference
-and the source of the memory-access counts the cost model charges.
+longest-prefix-match semantics, the functional reference.  The cost
+model prices a lookup from the table's prefix count
+(:meth:`IPv4Lookup.cost_hints`), not from the nodes a lookup touched.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class LPMTrie:
     ``insert`` takes a (prefix value, prefix length) pair and a
     next-hop id; ``lookup`` walks at most 32 levels and remembers the
     deepest next hop seen.  ``lookup_with_depth`` also reports how many
-    nodes were touched, which the cost model uses as the lookup's
-    memory-access count.
+    nodes were touched (the tests pin it); the cost model prices a
+    lookup from ``prefix_count`` instead.
 
     Clones of an element share its trie: lookups only read it.
     """
@@ -139,15 +140,13 @@ class IPv4Lookup(OffloadableElement):
         super().__init__(name=name)
         self.table = table
         self.table_id = table_id
-        self.lookup_depth_total = 0
 
     def process(self, batch: PacketBatch) -> Dict[int, PacketBatch]:
         for packet in batch.live_packets:
             if not packet.is_ipv4:
                 continue
             address = ipv4_to_int(packet.ip.dst)
-            next_hop, depth = self.table.lookup_with_depth(address)
-            self.lookup_depth_total += depth
+            next_hop = self.table.lookup(address)
             if next_hop is None:
                 packet.mark_dropped("no route")
                 continue

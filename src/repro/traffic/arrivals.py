@@ -258,6 +258,10 @@ class DiurnalRamp(ArrivalProcess):
             raise ValueError("trough_ratio must be in (0, 1]")
         if not self.period_batches > 0:
             raise ValueError("period_batches must be positive")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
+        if not math.isfinite(self.phase_per_epoch):
+            raise ValueError("phase_per_epoch must be finite")
 
     def for_epoch(self, epoch: int) -> "DiurnalRamp":
         if not epoch:

@@ -818,6 +818,15 @@ def fib_nodes(trie: LPMTrie) -> List[Tuple[str, Optional[int]]]:
     return nodes
 
 
+def filled_tables(rules):
+    """The tables a :class:`TupleSpaceMatcher` over ``rules`` builds
+    on its first use."""
+    matcher = TupleSpaceMatcher(rules)
+    assert matcher._tables == {}
+    matcher.tuple_count
+    return matcher._tables
+
+
 def table_layout(tables) -> list:
     """A tuple-space table's tuples, keys and candidates in their dict
     and list orders; candidates by identity."""
@@ -854,11 +863,11 @@ def assert_acl_matches(rule_count: int, seed: int,
     rules = generate_acl(rule_count, seed=seed, deny_fraction=deny_fraction)
     assert rules == input_reference.generate_acl(
         rule_count, seed=seed, deny_fraction=deny_fraction)
-    assert table_layout(TupleSpaceMatcher(rules)._tables) == \
+    assert table_layout(filled_tables(rules)) == \
         table_layout(input_reference.tuple_space_tables(rules))
     shuffled = list(rules)
     random.Random(seed).shuffle(shuffled)
-    assert table_buckets(TupleSpaceMatcher(shuffled)._tables) == \
+    assert table_buckets(filled_tables(shuffled)) == \
         table_buckets(input_reference.tuple_space_tables(shuffled))
     return rules
 

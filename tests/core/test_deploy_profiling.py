@@ -21,7 +21,7 @@ from repro.faults import FaultTimeline, ResilientRuntime
 from repro.nf.base import ServiceFunctionChain
 from repro.nf.catalog import make_nf
 from repro.nf.dpi import IntrusionDetectionSystem
-from repro.nf.firewall import Firewall, TupleSpaceMatcher
+from repro.nf.firewall import AclClassify, Firewall, TupleSpaceMatcher
 from repro.nf.ipv4 import LPMTrie
 from repro.obs import Trace, use_trace
 from repro.runner import SweepRunner, canonical_fingerprint, run_sweep
@@ -303,16 +303,19 @@ class TestPlansRunOnTheirSession:
 class TestEachCellBuildsItsTables:
     """Every Fig. 17 cell builds its own ACL, FIB and tuple-space
     table, as a single ``repro experiments run fig17`` does: nothing
-    built for one sweep serves a later one."""
+    built for one sweep serves a later one.  Only NFCompass's firewall
+    fills its tables: the baselines' ``"tree"`` firewalls are only
+    priced."""
 
     @staticmethod
     def counted_builds(monkeypatch, runs):
         """What each of ``runs`` serial quick runs over (200, 1000) x
-        (64, 128) builds: every ACL, FIB and tuple-space table, in
-        build order."""
+        (64, 128) builds: every ACL, FIB and tuple-space table fill, in
+        build order, and the tables of every ``"tree"`` firewall."""
         generate_acl = fig17.generate_acl
         random_table = LPMTrie.random_table.__func__
-        matcher_init = TupleSpaceMatcher.__init__
+        fill = TupleSpaceMatcher._fill
+        classify_init = AclClassify.__init__
         builds = []
 
         def counting_acl(*args, **kwargs):
@@ -325,30 +328,45 @@ class TestEachCellBuildsItsTables:
             builds[-1]["fib"].append(trie)
             return trie
 
-        def counting_matcher(self, rules):
-            matcher_init(self, rules)
-            builds[-1]["tuple_space"].append(self._tables)
+        def counting_fill(self):
+            tables = fill(self)
+            builds[-1]["tuple_space"].append(tables)
+            return tables
+
+        def recording_classify(self, rules, matcher_kind="tuple_space",
+                               **kwargs):
+            classify_init(self, rules, matcher_kind, **kwargs)
+            if matcher_kind == "tree":
+                trees[-1].append(self.matcher._tables)
 
         monkeypatch.setattr(fig17, "generate_acl", counting_acl)
         monkeypatch.setattr(LPMTrie, "random_table",
                             classmethod(counting_fib))
-        monkeypatch.setattr(TupleSpaceMatcher, "__init__", counting_matcher)
+        monkeypatch.setattr(TupleSpaceMatcher, "_fill", counting_fill)
+        monkeypatch.setattr(AclClassify, "__init__", recording_classify)
+        trees = []
         for _ in range(runs):
             builds.append({"acl": [], "fib": [], "tuple_space": []})
+            trees.append([])
             fig17.run(quick=True, acl_sizes=(200, 1000),
                       packet_sizes=(64, 128), runner=SweepRunner(jobs=1))
-        return builds
+        return builds, trees
 
     def test_a_second_run_builds_what_the_first_did(self, monkeypatch):
-        first, second = self.counted_builds(monkeypatch, runs=2)
+        builds, trees = self.counted_builds(monkeypatch, runs=2)
+        first, second = builds
         # Four cells: one ACL, one FIB and one NFCompass tuple-space
-        # table each.
+        # table fill each.
         for run in (first, second):
             assert {kind: len(made) for kind, made in run.items()} == \
                 {"acl": 4, "fib": 4, "tuple_space": 4}
         for kind in first:
             assert not ({id(table) for table in first[kind]}
                         & {id(table) for table in second[kind]}), kind
+        # The FastClick and NBA firewalls of every cell fill none.
+        for run in trees:
+            assert len(run) == 8
+            assert all(tables == {} for tables in run)
 
 
 class TestOneDeploymentPerPoint:

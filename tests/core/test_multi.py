@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 from builders import ledgerless_fingerprint
 
+from repro.core.allocator import GraphTaskAllocator
+from repro.core.compass import NFCompass
 from repro.core.multi import MultiTenantScheduler
 from repro.hw.platform import PlatformSpec
 from repro.nf.base import ServiceFunctionChain
@@ -68,6 +70,22 @@ class TestDeployment:
     def test_run_requires_deploy(self):
         with pytest.raises(RuntimeError):
             MultiTenantScheduler().run()
+
+    @pytest.mark.parametrize("cores_per_tenant", [0, -1])
+    def test_cores_per_tenant_below_one_rejected(self, cores_per_tenant):
+        """``-1`` gave every tenant ``cores=[]``, which the allocator
+        read as its default cores: every tenant on cpu0-cpu3."""
+        with pytest.raises(ValueError, match="cores_per_tenant"):
+            MultiTenantScheduler(cores_per_tenant=cores_per_tenant)
+
+    @pytest.mark.parametrize("owner", [GraphTaskAllocator, NFCompass])
+    def test_explicit_empty_cpu_cores_rejected(self, owner):
+        """No cores is not the default cores."""
+        with pytest.raises(ValueError, match="cpu_cores"):
+            owner(cpu_cores=[])
+
+    def test_explicit_empty_gpus_means_no_gpu(self):
+        assert NFCompass(gpus=[]).allocator.gpus == []
 
     def test_plans_are_valid(self):
         scheduler = MultiTenantScheduler(platform=PlatformSpec())

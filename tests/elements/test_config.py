@@ -121,11 +121,11 @@ class TestNFAdapters:
 
     def test_acl_adapter(self):
         graph = parse_config(
-            "fw :: AclClassify(rules=50, matcher=linear);"
+            "fw :: AclClassify(rules=50, matcher=tree);"
         )
         element = graph.element("fw")
         assert len(element.matcher.rules) == 50
-        assert element.matcher_kind == "linear"
+        assert element.matcher_kind == "tree"
 
     def test_pattern_match_adapter(self):
         graph = parse_config("dpi :: PatternMatch(patterns=8);")

@@ -1,4 +1,4 @@
-"""Unit tests for packet batches and re-organization accounting."""
+"""Unit tests for packet batches: splits and merges."""
 
 from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
@@ -18,9 +18,6 @@ class TestBatchBasics:
     def test_indexing(self):
         batch = PacketBatch(make_packets(3))
         assert batch[1].seqno == 1
-
-    def test_uids_unique_per_batch(self):
-        assert PacketBatch().uid != PacketBatch().uid
 
     def test_live_packets_excludes_dropped(self):
         packets = make_packets(4)
@@ -42,43 +39,34 @@ class TestSplit:
     def test_split_by_partitions_packets(self):
         batch = PacketBatch(make_packets(10))
         result = batch.split_by(lambda p: p.seqno % 2)
-        assert set(result.sub_batches) == {0, 1}
-        assert len(result.sub_batches[0]) == 5
-        assert len(result.sub_batches[1]) == 5
+        assert set(result) == {0, 1}
+        assert len(result[0]) == 5
+        assert len(result[1]) == 5
 
     def test_split_preserves_intra_key_order(self):
         batch = PacketBatch(make_packets(10))
         result = batch.split_by(lambda p: p.seqno % 3)
-        for sub in result.sub_batches.values():
+        for sub in result.values():
             seqnos = [p.seqno for p in sub]
             assert seqnos == sorted(seqnos)
 
-    def test_split_overhead_counted_only_when_multiple_buckets(self):
-        batch = PacketBatch(make_packets(8))
-        split = batch.split_by(lambda p: p.seqno % 2)
-        assert split.split_overhead_ops == 8
-        single = PacketBatch(make_packets(8)).split_by(lambda p: 0)
-        assert single.split_overhead_ops == 0
-
-    def test_split_increments_generation(self):
-        batch = PacketBatch(make_packets(4))
-        result = batch.split_by(lambda p: p.seqno % 2)
-        for sub in result.sub_batches.values():
-            assert sub.generation == 1
-            assert sub.split_count == 1
+    def test_sub_batches_keep_the_creation_time(self):
+        batch = PacketBatch(make_packets(4), creation_time=2.5)
+        for sub in batch.split_by(lambda p: p.seqno % 2).values():
+            assert sub.creation_time == 2.5
 
 
 class TestMerge:
     def test_merge_restores_order(self):
         batch = PacketBatch(make_packets(10))
         result = batch.split_by(lambda p: p.seqno % 2)
-        merged = PacketBatch.merge(result.sub_batches.values())
+        merged = PacketBatch.merge(result.values())
         assert [p.seqno for p in merged] == list(range(10))
 
-    def test_merge_counts(self):
-        a = PacketBatch(make_packets(2))
-        merged = PacketBatch.merge([a])
-        assert merged.merge_count == 1
+    def test_merge_keeps_the_earliest_creation_time(self):
+        later = PacketBatch(make_packets(2), creation_time=3.0)
+        earlier = PacketBatch(make_packets(2, start_seq=2), creation_time=1.0)
+        assert PacketBatch.merge([later, earlier]).creation_time == 1.0
 
     def test_merge_empty(self):
         merged = PacketBatch.merge([])

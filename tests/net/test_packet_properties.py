@@ -88,6 +88,6 @@ def test_split_merge_is_identity(seqnos):
     batch = PacketBatch([Packet(seqno=s) for s in sorted(seqnos)])
     original = [p.uid for p in batch]
     result = batch.split_by(lambda p: p.seqno % 3)
-    merged = PacketBatch.merge(result.sub_batches.values())
+    merged = PacketBatch.merge(result.values())
     assert [p.seqno for p in merged] == sorted(seqnos)
     assert sorted(p.uid for p in merged) == sorted(original)

@@ -50,9 +50,9 @@ def test_catalog_descriptions_non_empty():
 
 
 def test_make_nf_forwards_kwargs():
-    nf = make_nf("firewall", matcher_kind="linear", name="custom-fw")
+    nf = make_nf("firewall", matcher_kind="tree", name="custom-fw")
     assert nf.name == "custom-fw"
-    assert nf.matcher_kind == "linear"
+    assert nf.matcher_kind == "tree"
 
 
 @pytest.mark.parametrize("nf_type", sorted(NF_CATALOG))

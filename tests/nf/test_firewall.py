@@ -1,5 +1,6 @@
-"""Unit and property tests for the firewall and its matchers."""
+"""Unit and property tests for the firewall and its matcher."""
 
+import copy
 import dataclasses
 import random
 
@@ -23,16 +24,11 @@ from repro.net.packet import (
     int_to_ipv4,
     ipv4_to_int,
 )
-from repro.nf.firewall import (
-    AclClassify,
-    Firewall,
-    LinearMatcher,
-    TupleSpaceMatcher,
-)
+from repro.nf.firewall import AclClassify, Firewall, TupleSpaceMatcher
 from repro.traffic.acl import AclRule, generate_acl, linear_match
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
 
-from builders import table_layout
+from builders import filled_tables, table_layout
 
 
 def packet_for(src, dst, sport=1000, dport=80):
@@ -54,11 +50,34 @@ class TestTupleSpaceMatcher:
         matcher = TupleSpaceMatcher(rules)
         assert matcher.match(packet_for("1.2.3.4", "5.6.7.8")) is not None
 
-    def test_probe_counter(self):
+    @pytest.mark.parametrize("first_use", ["match", "tuple_count"])
+    def test_tables_filled_on_first_use(self, first_use):
+        """Construction sorts the rules and builds no table; the first
+        match or tuple count fills the tables, once."""
         matcher = TupleSpaceMatcher(generate_acl(50))
-        before = matcher.probes
-        matcher.match(packet_for("1.1.1.1", "2.2.2.2"))
-        assert matcher.probes == before + matcher.tuple_count
+        tables = matcher._tables
+        assert tables == {}
+        if first_use == "match":
+            matcher.match(packet_for("1.1.1.1", "2.2.2.2"))
+        else:
+            assert matcher.tuple_count > 0
+        assert matcher._tables is tables
+        layout = table_layout(tables)
+        assert layout
+        matcher.match(packet_for("3.3.3.3", "4.4.4.4"))
+        assert table_layout(matcher._tables) == layout
+
+    def test_a_clones_fill_is_the_originals(self):
+        """A clone made before the fill shares the dict the fill
+        builds: the tables are built once, for both."""
+        matcher = TupleSpaceMatcher(generate_acl(50))
+        clone = copy.deepcopy(matcher)
+        assert clone is not matcher
+        assert clone._tables is matcher._tables == {}
+        packet = packet_for("1.1.1.1", "2.2.2.2")
+        assert clone.match(packet) is matcher.match(packet) is not None
+        assert clone._tables is matcher._tables
+        assert len(matcher._tables) == clone.tuple_count > 0
 
 
 def addresses_in(prefix):
@@ -107,7 +126,7 @@ def classified_packets(draw, rules):
 def test_matchers_agree(data, seed, catch_all, order):
     """Tuple-space search implements exactly first-match semantics in
     ascending priority, list position breaking ties, on rules in any
-    order, and both matchers count exactly the probes they make."""
+    order."""
     rules = generate_acl(60, seed=seed, deny_fraction=0.4)
     if not catch_all:
         rules = rules[:-1]
@@ -118,23 +137,14 @@ def test_matchers_agree(data, seed, catch_all, order):
                  for rule in rules]
         random.Random(seed).shuffle(rules)
     packet = data.draw(classified_packets(rules))
-    reference = linear_match(rules, packet)
-    linear, tuple_space = LinearMatcher(rules), TupleSpaceMatcher(rules)
-    assert linear.match(packet) is reference
-    assert tuple_space.match(packet) is reference
-    # Linear probes up to the first match in its scan order (every
-    # rule when none matches); tuple-space probes every tuple of an
-    # IPv4 packet and returns before probing anything else.
-    scanned = [id(rule) for rule in linear.rules]
-    assert linear.probes == (scanned.index(id(reference)) + 1
-                             if reference is not None else len(rules))
-    assert tuple_space.probes == (tuple_space.tuple_count
-                                  if packet.is_ipv4 else 0)
+    assert TupleSpaceMatcher(rules).match(packet) is \
+        linear_match(rules, packet)
 
 
 class TestOneMatchOrder:
-    """Both matchers classify in ascending priority, list position
-    breaking ties, whatever order the rules come in."""
+    """The matcher classifies as the reference does: in ascending
+    priority, list position breaking ties, whatever order the rules
+    come in."""
 
     @staticmethod
     def first_packet():
@@ -153,8 +163,8 @@ class TestOneMatchOrder:
 
     def verdicts(self, rules):
         packet = self.first_packet()
-        return [matcher(rules).match(packet)
-                for matcher in (LinearMatcher, TupleSpaceMatcher)]
+        return [linear_match(rules, packet),
+                TupleSpaceMatcher(rules).match(packet)]
 
     def test_rules_out_of_priority_order(self):
         deny, accept = self.deny_dst_slash8(9), self.rule(2, "accept")
@@ -165,8 +175,8 @@ class TestOneMatchOrder:
         so the tuple-space table meets it before the tied deny."""
         sport_one = self.rule(1, "accept", src_ports=(1, 1))
         deny, accept = self.deny_dst_slash8(5), self.rule(5, "accept")
-        linear, tuple_space = self.verdicts([sport_one, deny, accept])
-        assert linear is deny
+        reference, tuple_space = self.verdicts([sport_one, deny, accept])
+        assert reference is deny
         assert tuple_space is deny
 
     def test_rules_from_an_iterator(self):
@@ -188,8 +198,8 @@ class TestOneMatchOrder:
                      for rule in rules]
         random.Random(5).shuffle(rules)
         in_order = sorted(rules, key=lambda rule: rule.priority)
-        assert table_layout(TupleSpaceMatcher(rules)._tables) == \
-            table_layout(TupleSpaceMatcher(in_order)._tables)
+        assert table_layout(filled_tables(rules)) == \
+            table_layout(filled_tables(in_order))
 
 
 class TestAclClassify:
@@ -223,8 +233,23 @@ class TestAclClassify:
         assert packet.dropped
 
     def test_unknown_matcher_rejected(self):
-        with pytest.raises(ValueError):
-            AclClassify(generate_acl(5), matcher_kind="magic")
+        """Two kinds: ``tuple_space`` and ``tree``."""
+        for kind in ("magic", "linear"):
+            with pytest.raises(ValueError, match="unknown matcher kind"):
+                AclClassify(generate_acl(5), matcher_kind=kind)
+
+    @pytest.mark.parametrize("matcher_kind", ["tuple_space", "tree"])
+    def test_every_kind_holds_one_tuple_space_matcher(self, matcher_kind):
+        """The kind is a price: every firewall classifies with a
+        tuple-space matcher, and only pricing a tuple-space firewall
+        fills its tables."""
+        classify = AclClassify(generate_acl(50), matcher_kind=matcher_kind)
+        assert type(classify.matcher) is TupleSpaceMatcher
+        hints = classify.cost_hints()
+        assert list(hints) == (["rules", "tree"] if matcher_kind == "tree"
+                               else ["rules", "tuples"])
+        assert bool(classify.matcher._tables) == (matcher_kind
+                                                  == "tuple_space")
 
     def test_tree_matcher_cost_hints(self):
         classify = AclClassify(generate_acl(100), matcher_kind="tree")
@@ -232,8 +257,7 @@ class TestAclClassify:
         assert hints["tree"] == 1.0
         assert hints["rules"] == 100.0
 
-    @pytest.mark.parametrize("matcher_kind",
-                             ["linear", "tuple_space", "tree"])
+    @pytest.mark.parametrize("matcher_kind", ["tuple_space", "tree"])
     def test_any_iterable_of_rules_prices_alike(self, matcher_kind):
         """The element counts its rules from the matcher's copy, so
         an iterator or a generator works as well as a list."""
@@ -279,12 +303,22 @@ class TestFirewallNF:
         assert len(out) == 64 - dns
 
     def test_matcher_kinds_agree_end_to_end(self, generator):
+        """Both kinds pass exactly the packets the reference accepts.
+        Generated traffic falls to the catch-all rule, so one packet is
+        also aimed at each rule's prefixes and lowest ports."""
         rules = generate_acl(80, seed=7, deny_fraction=0.5)
-        packets = list(generator.packets(32))
-        by_kind = {}
-        for kind in ("linear", "tuple_space", "tree"):
+        packets = list(generator.packets(32)) + [
+            packet_for(int_to_ipv4(rule.src_prefix[0]),
+                       int_to_ipv4(rule.dst_prefix[0]),
+                       rule.src_ports[0], rule.dst_ports[0])
+            for rule in rules]
+        for seqno, packet in enumerate(packets):
+            packet.seqno = seqno
+        accepted = sorted(packet.seqno for packet in packets
+                          if linear_match(rules, packet).action == "accept")
+        assert len(accepted) < len(packets)
+        for kind in ("tuple_space", "tree"):
             firewall = Firewall(rules=rules, matcher_kind=kind,
                                 drop_on_deny=True)
             out = firewall.process_packets([p.clone() for p in packets])
-            by_kind[kind] = sorted(p.seqno for p in out)
-        assert by_kind["linear"] == by_kind["tuple_space"] == by_kind["tree"]
+            assert sorted(p.seqno for p in out) == accepted, kind

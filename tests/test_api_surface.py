@@ -12,6 +12,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.elements
 import repro.hw
@@ -33,13 +35,15 @@ from repro.faults import ResilientRuntime
 from repro.faults.spec import FaultTimeline
 from repro.hw.costs import CostModel
 from repro.hw.gpu import GpuTiming
-from repro.nf import dpi, ipv4
+from repro.net import batch
+from repro.nf import dpi, firewall, ipv4
 from repro.nf.dpi import DeepPacketInspector, PatternMatch
 from repro.nf.ipsec import hmac_sha1
 from repro.nf.stateful_dpi import StatefulPatternMatch
 from repro.runner import SweepRunner, SweepSpec, run_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.tracing import EventRecorder
+from repro.traffic.acl import generate_acl
 from repro.validate import random_partition_graph, run_differential
 
 #: ``ProfileConfig`` was removed on purpose: a ``CompassPlan`` carries
@@ -157,8 +161,10 @@ ELEMENTS_ALL = [
 #: capture format no run replayed (the NDJSON span trace is the one
 #: trace format), and ``StreamReassembler`` because nothing called it:
 #: the stateful IDS releases segments in order itself.
+#: ``BatchSplitResult`` was removed on purpose: its
+#: ``split_overhead_ops`` was a cost input no cost model read, and
+#: ``PacketBatch.split_by`` returns the sub-batches by key.
 NET_ALL = [
-    "BatchSplitResult",
     "EthernetHeader",
     "FiveTuple",
     "FlowTable",
@@ -280,7 +286,10 @@ HW_ALL = [
 #: outside its own tests.  ``AhoCorasick.search`` was a third walk of
 #: the automaton: the stateless scan is the compiled alternation and
 #: the stateful IDS walks ``step``.  ``ElementGraph.redirect_edge`` had
-#: no caller at all.
+#: no caller at all.  ``LinearMatcher`` was a second copy of the
+#: reference ``repro.traffic.acl.linear_match``: every firewall
+#: classifies with one ``TupleSpaceMatcher``, and its matcher kind is
+#: only a price.
 REMOVED = {
     dpi: ["DFARegex", "RegexSyntaxError"],
     dpi.AhoCorasick: ["search"],
@@ -288,7 +297,14 @@ REMOVED = {
     CostModel: ["xor_merge_seconds"],
     GpuTiming: ["scaled", "transfer"],
     ElementGraph: ["redirect_edge"],
+    firewall: ["LinearMatcher"],
+    batch: ["BatchSplitResult"],
 }
+
+#: The ACL matcher kinds, each a price of the one classifier.  The
+#: ``"linear"`` kind was removed on purpose: no chain, harness, config
+#: or benchmark selected it.
+MATCHER_KINDS = ("tuple_space", "tree")
 
 #: The public methods of ``EventRecorder``.  Removed on purpose, for
 #: want of a caller outside their own tests: ``from_dict``,
@@ -511,6 +527,13 @@ class TestSnapshots:
                                  if hasattr(owner, name)]
                 for owner, names in REMOVED.items()} == \
             {owner.__name__: [] for owner in REMOVED}
+
+    def test_matcher_kinds(self):
+        rules = generate_acl(5)
+        for kind in MATCHER_KINDS:
+            firewall.AclClassify(rules, matcher_kind=kind)
+        with pytest.raises(ValueError, match="unknown matcher kind"):
+            firewall.AclClassify(rules, matcher_kind="linear")
 
 
 class TestParameters:

@@ -157,6 +157,7 @@ class TestRun:
         "malformed-hop": "src :: FromDevice(eth0);\nsrc -> ;",
         "unknown-keyword": "c :: Counter(bogus=1);",
         "regex-rules": "m :: PatternMatch(regexes=evil);",
+        "linear-matcher": "fw :: AclClassify(rules=50, matcher=linear);",
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

@@ -11,7 +11,11 @@ import math
 
 import pytest
 
+from repro.core.adaptation import AdaptiveRuntime
+from repro.core.compass import NFCompass
 from repro.faults.spec import FaultSpec, FaultTimeline
+from repro.nf.base import ServiceFunctionChain
+from repro.nf.catalog import make_nf
 from repro.overload import (
     CircuitBreaker,
     DeadlineDrop,
@@ -21,6 +25,7 @@ from repro.overload import (
     TokenBucketAdmission,
 )
 from repro.traffic.arrivals import MMPP, DiurnalRamp
+from repro.traffic.generator import TrafficSpec
 
 NAN = math.nan
 INF = math.inf
@@ -67,6 +72,38 @@ NAN_FIELDS = {
 def test_nan_is_rejected(field):
     with pytest.raises(ValueError):
         NAN_FIELDS[field]()
+
+
+def adaptive_runtime(drift_threshold):
+    return AdaptiveRuntime(NFCompass(),
+                           ServiceFunctionChain([make_nf("firewall")]),
+                           TrafficSpec(), drift_threshold=drift_threshold)
+
+
+#: Values that must be finite, by field and value.  A NaN phase spaced
+#: a ramp's batches 2.253 us apart, a quarter of the configured load
+#: (0.563 us); an infinite one raised ``math domain error`` inside
+#: ``batch_arrivals``, at simulation time; a NaN drift threshold never
+#: re-planned.
+NON_FINITE_FIELDS = {
+    ("DiurnalRamp.phase", "nan"): lambda: DiurnalRamp(phase=NAN),
+    ("DiurnalRamp.phase", "inf"): lambda: DiurnalRamp(phase=INF),
+    ("DiurnalRamp.phase_per_epoch", "nan"):
+        lambda: DiurnalRamp(phase_per_epoch=NAN),
+    ("DiurnalRamp.phase_per_epoch", "-inf"):
+        lambda: DiurnalRamp(phase_per_epoch=-INF),
+    ("AdaptiveRuntime.drift_threshold", "nan"):
+        lambda: adaptive_runtime(NAN),
+    ("AdaptiveRuntime.drift_threshold", "inf"):
+        lambda: adaptive_runtime(INF),
+}
+
+
+@pytest.mark.parametrize("field, value", sorted(NON_FINITE_FIELDS))
+def test_non_finite_is_rejected(field, value):
+    name = field.split(".")[1].replace("_", "[ _]")
+    with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+        NON_FINITE_FIELDS[field, value]()
 
 
 @pytest.mark.parametrize("fault_rate", [-1.0, INF],
