@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     deploy.add_argument("-c", "--chain", required=True,
                         help="comma-separated NF types, e.g. "
                              "firewall,ids,lb")
-    deploy.add_argument("--packet-size", type=int, default=0,
+    deploy.add_argument("--packet-size", type=int, default=None,
                         help="fixed frame size in bytes (default IMIX)")
     deploy.add_argument("--load", type=float, default=40.0,
                         help="offered load in Gbps")
@@ -312,12 +312,15 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _make_spec(packet_size: int, load: float, seed: int, arrivals=None):
-    """The commands' traffic spec; its ``ValueError`` names the flag."""
+def _make_spec(packet_size: Optional[int], load: float, seed: int,
+               arrivals=None):
+    """The commands' traffic spec, IMIX when ``packet_size`` is
+    ``None``; its ``ValueError`` names the flag."""
     from repro.traffic.distributions import FixedSize, IMIXSize
     from repro.traffic.generator import TrafficSpec
     try:
-        size_law = FixedSize(packet_size) if packet_size else IMIXSize()
+        size_law = (IMIXSize() if packet_size is None
+                    else FixedSize(packet_size))
     except ValueError as error:
         raise ValueError(f"invalid --packet-size: {error}") from None
     try:
@@ -505,8 +508,18 @@ def _cmd_validate(args) -> int:
         random_traffic_spec,
         run_differential,
     )
-    from repro.validate.fuzz import MIN_PARTITION_NODES
+    from repro.validate.fuzz import MIN_CHAIN_NFS, MIN_PARTITION_NODES
 
+    if args.max_len < MIN_CHAIN_NFS:
+        print(f"--max-len {args.max_len} is below the random chains' "
+              f"floor of {MIN_CHAIN_NFS} NFs", file=sys.stderr)
+        return 2
+    for flag in ("chains", "partition_graphs", "engine_runs"):
+        count = getattr(args, flag)
+        if count < 0:
+            print(f"--{flag.replace('_', '-')} {count} must not be "
+                  f"negative (0 skips the stage)", file=sys.stderr)
+            return 2
     if args.partition_nodes > MAX_BRUTE_FORCE_NODES:
         print(f"--partition-nodes {args.partition_nodes} exceeds the "
               f"brute-force enumeration limit of "
@@ -638,7 +651,9 @@ def _cmd_config_run(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments and dispatch to the selected command."""
     args = _build_parser().parse_args(argv)
-    for flag in ("jobs", "batch", "batches"):
+    # Below 1 these run nothing: validate's empty trace, for one,
+    # would compare nothing and read EQUIVALENT.
+    for flag in ("jobs", "batch", "batches", "packets"):
         if getattr(args, flag, 1) < 1:
             print(f"--{flag} must be at least 1", file=sys.stderr)
             return 2

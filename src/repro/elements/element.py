@@ -240,9 +240,11 @@ class SharedTables:
     :meth:`~repro.elements.graph.ElementGraph.clone` deep-copies
     elements so that profiling traffic cannot pollute the original.
     Compiled lookup structures (rule lists, hash tables, automata) are
-    only read once built, so copying them is pure cost: classes that
-    hold them name those attributes here.  Every other attribute,
-    counters and per-flow state included, is deep-copied as usual.
+    only read once built, and a memo of pure results (the firewall
+    matcher's verdicts) gives every clone the answers it would compute
+    itself, so copying either is pure cost: classes that hold them name
+    those attributes here.  Every other attribute, counters and
+    per-flow state included, is deep-copied as usual.
     """
 
     shared_tables: Tuple[str, ...] = ()

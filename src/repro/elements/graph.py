@@ -244,7 +244,9 @@ class ElementGraph:
         Read-only compiled tables are shared, not copied (see
         :class:`~repro.elements.element.SharedTables`): ACL rules and
         matcher tables, Aho–Corasick automata with their compiled scan
-        alternation, LPM tries and AES key schedules.
+        alternation, LPM tries and AES key schedules.  So is the ACL
+        matcher's verdict memo, which only maps a 5-tuple to the rule
+        the tables give it.
         Each clone keeps its own counters and mutable state: packet
         counters, DPI match and alert counts, ``deny_count``, NAT
         bindings and flow tables.

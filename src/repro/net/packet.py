@@ -8,10 +8,16 @@ XOR merge of :mod:`repro.core.merge` really operates on wire bytes).
 The model intentionally covers the subset of Ethernet/IPv4/IPv6/TCP/UDP
 used by the paper's workloads; options and extension headers are out of
 scope.
+
+Headers keep addresses as text, so every serialization and every ACL
+or FIB lookup parses them: :func:`ipv4_to_int` and :func:`mac_to_bytes`
+remember what they parsed (a bounded LRU cache; an eviction costs only
+a re-parse, and malformed text raises afresh on every call).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from dataclasses import dataclass, field
@@ -27,6 +33,7 @@ IPPROTO_ESP = 50
 _packet_ids = itertools.count()
 
 
+@functools.lru_cache(maxsize=256)
 def mac_to_bytes(mac: str) -> bytes:
     """Convert ``"aa:bb:cc:dd:ee:ff"`` to 6 raw bytes."""
     parts = mac.split(":")
@@ -42,6 +49,7 @@ def bytes_to_mac(raw: bytes) -> str:
     return raw.hex(":")
 
 
+@functools.lru_cache(maxsize=1024)
 def ipv4_to_int(addr: str) -> int:
     """Convert dotted-quad IPv4 text to a 32-bit integer."""
     parts = addr.split(".")
@@ -280,9 +288,7 @@ def internet_checksum(data: bytes) -> int:
     """RFC 1071 16-bit one's-complement checksum."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF

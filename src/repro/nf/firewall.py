@@ -8,9 +8,10 @@ returns the first matching rule in
 :func:`~repro.traffic.acl.in_match_order` (ascending priority, list
 position breaking ties), whatever order the rules come in: the verdict
 of :func:`~repro.traffic.acl.linear_match`, the reference.  It parses a
-packet once (:func:`~repro.traffic.acl.packet_fields`) and checks each
-candidate rule on the parsed fields
-(:meth:`~repro.traffic.acl.AclRule.matches_fields`).
+packet once (:func:`~repro.traffic.acl.packet_fields`), and in front of
+the tables, as Open vSwitch puts an exact-match cache in front of its
+classifier, a verdict memo maps each 5-tuple it has classified to the
+rule it found, so a flow is classified from scratch once.
 
 The matcher kind is a price, not an implementation.  ``"tuple_space"``
 is the structured classification that lets NFCompass stay flat as ACLs
@@ -18,8 +19,8 @@ grow to 10 000 rules; ``"tree"`` is the classification tree of
 FastClick and NBA, whose footprint grows with the rules (the Fig. 17
 collapse).  Both classify alike, and the cost model prices each from
 :meth:`AclClassify.cost_hints`.  Clones of a matcher share its rule
-list and its tables, which are built on first use, so a firewall that
-is only priced never builds them.
+list, its verdict memo and its tables; the tables are built on first
+use, so a firewall that is only priced never builds them.
 """
 
 from __future__ import annotations
@@ -37,25 +38,41 @@ from repro.traffic.acl import AclRule, in_match_order, packet_fields
 
 #: (src_len, dst_len) -> {(src_key, dst_key): [rules]}.
 _Tables = Dict[Tuple[int, int], Dict[Tuple[int, int], List[AclRule]]]
+#: The 5 fields of :func:`~repro.traffic.acl.packet_fields`.
+_Fields = Tuple[int, int, int, int, int]
+
+#: Most 5-tuples a verdict memo holds; a full memo starts over.  A run
+#: profile classifies at most max(256, 4 * batch) packets.
+_MEMO_LIMIT = 4096
+#: What the memo gives for a 5-tuple it has not seen (``None`` is a
+#: verdict: no rule matches).
+_UNSEEN = object()
 
 
 class TupleSpaceMatcher(SharedTables):
-    """Tuple-space search: one hash table per (src_len, dst_len) pair.
+    """Tuple-space search: one hash table per (src_len, dst_len) pair,
+    behind a verdict memo.
 
-    Port/protocol constraints are verified per candidate.  Matching
-    probes every tuple once — O(distinct tuples), typically tens even
-    for 10 k-rule ACLs.  ``rules`` is a copy in
-    :func:`~repro.traffic.acl.in_match_order`.  The first
-    :meth:`match` or :attr:`tuple_count` builds the tables from it, in
-    place in the dict every clone shares, so every bucket lists its
-    rules in that order and a clone made before the build sees it.
+    ``rules`` is a copy in :func:`~repro.traffic.acl.in_match_order`.
+    The first :meth:`match` or :attr:`tuple_count` builds the tables
+    from it, in place in the dict every clone shares, so every bucket
+    lists its rules in that order and a clone made before the build
+    sees it.  Classifying a 5-tuple from scratch probes every tuple
+    once — O(distinct tuples), typically tens even for 10 k-rule ACLs —
+    and checks protocol and ports on each candidate of a probed bucket.
+    The verdict memo maps every 5-tuple classified so far to its rule
+    (or ``None``), so a flow that repeats, on this matcher or on any
+    clone, is classified once.  A verdict depends only on the frozen
+    rules and the 5 fields, so the memo is pure: no result depends on
+    its hits, misses or clears.
     """
 
-    shared_tables = ("rules", "_tables")
+    shared_tables = ("rules", "_tables", "_verdicts")
 
     def __init__(self, rules: Iterable[AclRule]):
         self.rules = in_match_order(rules)
         self._tables: _Tables = {}  # empty until _fill()
+        self._verdicts: Dict[_Fields, Optional[AclRule]] = {}
 
     def _fill(self) -> _Tables:
         """Build the tables: tuples and keys in the order the rules
@@ -84,20 +101,43 @@ class TupleSpaceMatcher(SharedTables):
         fields = packet_fields(packet)
         if fields is None:
             return None
-        src, dst, proto, sport, dport = fields
+        verdicts = self._verdicts
+        verdict = verdicts.get(fields, _UNSEEN)
+        if verdict is _UNSEEN:
+            if len(verdicts) >= _MEMO_LIMIT:
+                verdicts.clear()
+            verdict = verdicts[fields] = self._classify(*fields)
+        return verdict
+
+    def _classify(self, src: int, dst: int, proto: int, sport: int,
+                  dport: int) -> Optional[AclRule]:
+        """The first rule in match order for these fields, from the
+        tables.
+
+        Addresses are 32-bit, so a shift by 32 gives a /0 prefix's key
+        of 0, and a bucket's key equals the probe's exactly when both
+        prefixes of its rules match: only protocol and ports are left
+        to check (:meth:`~repro.traffic.acl.AclRule.matches_fields`
+        stays the reference).
+        """
         tables = self._tables or self._fill()
-        # Every tuple is probed once.  Addresses are 32-bit, so a
-        # shift by 32 gives a /0 prefix's key of 0.
         best: Optional[AclRule] = None
         for (src_len, dst_len), bucket in tables.items():
-            key = (src >> (32 - src_len), dst >> (32 - dst_len))
-            for rule in bucket.get(key, ()):
-                if rule.matches_fields(src, dst, proto, sport, dport):
-                    if best is None or rule.priority < best.priority:
-                        best = rule
-                    elif rule.priority == best.priority:
-                        best = self._earlier(best, rule)
-                    break  # bucket in match order: first hit wins
+            for rule in bucket.get((src >> (32 - src_len),
+                                    dst >> (32 - dst_len)), ()):
+                if rule.proto is not None and rule.proto != proto:
+                    continue
+                low, high = rule.src_ports
+                if not low <= sport <= high:
+                    continue
+                low, high = rule.dst_ports
+                if not low <= dport <= high:
+                    continue
+                if best is None or rule.priority < best.priority:
+                    best = rule
+                elif rule.priority == best.priority:
+                    best = self._earlier(best, rule)
+                break  # bucket in match order: first hit wins
         return best
 
     def _earlier(self, first: AclRule, second: AclRule) -> AclRule:

@@ -72,8 +72,9 @@ class AclRule:
                        sport: int, dport: int) -> bool:
         """:meth:`matches` on the fields :func:`packet_fields` parsed.
 
-        Matchers parse a packet once and check every candidate rule
-        with this.
+        The reference check of all 5 fields.  The tuple-space matcher
+        leaves the two prefix checks to its bucket keys and checks
+        only protocol and ports itself; the tests hold it to this.
         """
         if not _prefix_match(src, self.src_prefix):
             return False

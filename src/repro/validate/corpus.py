@@ -32,7 +32,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from repro.validate.differential import DifferentialReport, run_differential
-from repro.validate.fuzz import random_chain_spec, random_traffic_spec
+from repro.validate.fuzz import (
+    MIN_CHAIN_NFS,
+    random_chain_spec,
+    random_traffic_spec,
+)
 
 #: Corpus file format version this loader understands.
 CORPUS_VERSION = 1
@@ -109,10 +113,11 @@ def _check_entry(raw: Any, index: int) -> CorpusEntry:
             f"{where}: unknown field(s) {sorted(unknown)}; allowed: "
             f"{sorted(_REQUIRED_FIELDS) + sorted(_OPTIONAL_FIELDS)}"
         )
-    for key in ("max_len", "packet_count", "batch_size"):
-        if raw[key] < 1:
-            raise CorpusFormatError(f"{where}: {key!r} must be positive, "
-                                    f"got {raw[key]}")
+    for key, floor in (("max_len", MIN_CHAIN_NFS), ("packet_count", 1),
+                       ("batch_size", 1)):
+        if raw[key] < floor:
+            raise CorpusFormatError(f"{where}: {key!r} must be at least "
+                                    f"{floor}, got {raw[key]}")
     if raw["seed"] < 0:
         raise CorpusFormatError(f"{where}: 'seed' must be non-negative")
     return CorpusEntry(
@@ -130,7 +135,9 @@ def load_corpus(path: Union[str, Path]) -> List[CorpusEntry]:
 
     Raises :class:`CorpusFormatError` on any schema violation: wrong
     top-level shape, unsupported version, missing/unknown/ill-typed
-    entry fields, non-positive knobs, or duplicate entry ids.
+    entry fields, knobs below their floors (a random chain has at
+    least 2 NFs, a trace and a batch at least 1 packet), or duplicate
+    entry ids.
     """
     path = Path(path)
     try:

@@ -252,11 +252,16 @@ def run_differential(chain_spec: ChainSpec,
     elements before the differential trace runs.  The allocator's
     mapping is then transplanted onto the pristine candidate graph by
     node id and validated, so the checked deployment is the
-    reorganized *and* partitioned one.
+    reorganized *and* partitioned one.  A ``packet_count`` below 1
+    raises ``ValueError``: an empty trace compares nothing, and its
+    report would read EQUIVALENT.
     """
     from repro.core.compass import NFCompass
     from repro.sim.mapping import Deployment
 
+    if packet_count < 1:
+        raise ValueError(f"packet_count must be at least 1, got "
+                         f"{packet_count}")
     if compass is None:
         compass = NFCompass(algorithm=algorithm)
     spec = traffic_spec or TrafficSpec(

@@ -32,13 +32,21 @@ DEFAULT_NF_POOL: Tuple[str, ...] = tuple(
 )
 
 
+#: The fewest NFs a :func:`random_chain_spec` draws.
+MIN_CHAIN_NFS = 2
+
+
 def random_chain_spec(rng: random.Random, max_len: int = 6,
                       pool: Optional[Sequence[str]] = None,
                       name: Optional[str] = None) -> ChainSpec:
-    """A random SFC of 2..max_len NFs drawn (with repetition) from
-    ``pool``."""
+    """A random SFC of ``MIN_CHAIN_NFS``..max_len NFs drawn (with
+    repetition) from ``pool``.  A ``max_len`` below ``MIN_CHAIN_NFS``
+    raises ``ValueError``."""
+    if max_len < MIN_CHAIN_NFS:
+        raise ValueError(f"max_len {max_len} is below the random chains' "
+                         f"floor of {MIN_CHAIN_NFS} NFs")
     pool = tuple(pool) if pool is not None else DEFAULT_NF_POOL
-    length = rng.randint(2, max(2, max_len))
+    length = rng.randint(MIN_CHAIN_NFS, max_len)
     nf_types = tuple(rng.choice(pool) for _ in range(length))
     if name is None:
         name = "fuzz-" + "-".join(nf_types)

@@ -8,6 +8,8 @@ a pristine clone, and the reports match digests recorded before the
 single-pass profiling existed.
 """
 
+from collections import Counter
+
 import pytest
 from builders import ledgerless_fingerprint
 
@@ -27,7 +29,7 @@ from repro.obs import Trace, use_trace
 from repro.runner import SweepRunner, canonical_fingerprint, run_sweep
 from repro.sim.engine import BranchProfile
 from repro.sim.kernel import SimulationSession
-from repro.traffic.acl import generate_acl
+from repro.traffic.acl import generate_acl, packet_fields
 from repro.traffic.distributions import FixedSize
 from repro.traffic.dpi_profiles import make_pattern_set
 from repro.traffic.generator import TrafficSpec
@@ -367,6 +369,72 @@ class TestEachCellBuildsItsTables:
         for run in trees:
             assert len(run) == 8
             assert all(tables == {} for tables in run)
+
+
+class TestEachFlowIsClassifiedOnce:
+    """A deploy's candidates share their NFs' elements, and the clone
+    each candidate profiles shares its firewall matcher's verdict memo:
+    each distinct 5-tuple of the sample is classified from scratch at
+    most once per matcher, and the second candidate's pass is answered
+    from the memo the first one filled."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Every (memo, 5-tuple) classified from scratch and every
+        (memo, 5-tuple) matched, in order.  The lists keep each memo
+        alive, so their ids stay distinct."""
+        classify = TupleSpaceMatcher._classify
+        match = TupleSpaceMatcher.match
+        scratch, matched = [], []
+
+        def counting_classify(self, *fields):
+            scratch.append((self._verdicts, fields))
+            return classify(self, *fields)
+
+        def counting_match(self, packet):
+            matched.append((self._verdicts, packet_fields(packet)))
+            return match(self, packet)
+
+        monkeypatch.setattr(TupleSpaceMatcher, "_classify",
+                            counting_classify)
+        monkeypatch.setattr(TupleSpaceMatcher, "match", counting_match)
+        return scratch, matched
+
+    @staticmethod
+    def assert_each_flow_once(scratch, matched, packets):
+        """One memo took ``packets`` matches from two passes, and
+        classified each distinct 5-tuple it met exactly once."""
+        assert len({id(memo) for memo, _fields in matched}) == 1
+        assert len(matched) == packets
+        flows = Counter(fields for _memo, fields in scratch)
+        assert set(flows.values()) == {1}
+        assert set(flows) == {fields for _memo, fields in matched}
+        # The second pass repeats the first's flows: none is new.
+        first_pass = {fields for _memo, fields in matched[:packets // 2]}
+        assert set(flows) == first_pass
+        return len(flows)
+
+    def test_five_nf_deploy(self, monkeypatch):
+        scratch, matched = self.counted(monkeypatch)
+        plan = NFCompass().deploy(five_nf_chain(), five_nf_spec(0),
+                                  batch_size=BATCH)
+        classified = self.assert_each_flow_once(scratch, matched, 512)
+        assert classified < 256
+        # The memo the clones classified into is the deployed
+        # firewall's own.
+        memos = [plan.graph.element(node).matcher._verdicts
+                 for node in plan.graph.nodes
+                 if isinstance(plan.graph.element(node), AclClassify)]
+        assert len(memos) == 1
+        assert matched[0][0] is memos[0]
+        assert len(memos[0]) == classified
+
+    def test_fig17_cell(self, monkeypatch):
+        """The benchmark's cell: only NFCompass's firewall is
+        profiled, once per candidate."""
+        scratch, matched = self.counted(monkeypatch)
+        run_sweep(fig17.cell_sweep_spec((10000,), (64,)))
+        assert self.assert_each_flow_once(scratch, matched, 512) < 256
 
 
 class TestOneDeploymentPerPoint:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.net.packet import (
     int_to_ipv4,
     ipv4_to_int,
 )
+from repro.nf import firewall
 from repro.nf.firewall import AclClassify, Firewall, TupleSpaceMatcher
 from repro.traffic.acl import AclRule, generate_acl, linear_match
 from repro.traffic.generator import TrafficGenerator, TrafficSpec
@@ -79,6 +81,62 @@ class TestTupleSpaceMatcher:
         assert clone._tables is matcher._tables
         assert len(matcher._tables) == clone.tuple_count > 0
 
+    @staticmethod
+    def counted_classifications(monkeypatch):
+        """Every 5-tuple classified from scratch, in order."""
+        classify = TupleSpaceMatcher._classify
+        classified = []
+
+        def counting(self, *fields):
+            classified.append(fields)
+            return classify(self, *fields)
+
+        monkeypatch.setattr(TupleSpaceMatcher, "_classify", counting)
+        return classified
+
+    def test_a_flow_is_classified_once(self, monkeypatch):
+        """A repeated 5-tuple, on the matcher or on a clone made
+        before or after it was first seen, is answered from the one
+        memo they share."""
+        classified = self.counted_classifications(monkeypatch)
+        matcher = TupleSpaceMatcher(generate_acl(50))
+        early = copy.deepcopy(matcher)
+        first = packet_for("1.1.1.1", "2.2.2.2")
+        verdict = matcher.match(first)
+        late = copy.deepcopy(matcher)
+        assert early._verdicts is late._verdicts is matcher._verdicts
+        for each in (matcher, early, late):
+            assert each.match(first.clone()) is verdict is not None
+        assert len(classified) == 1
+        late.match(packet_for("1.1.1.1", "2.2.2.2", sport=1001))
+        assert len(classified) == 2
+        assert len(matcher._verdicts) == 2
+
+    def test_non_ipv4_packets_skip_the_memo(self, monkeypatch):
+        classified = self.counted_classifications(monkeypatch)
+        matcher = TupleSpaceMatcher(generate_acl(50))
+        packet = Packet(eth=EthernetHeader(ethertype=ETHERTYPE_IPV6),
+                        ip=IPv6Header(), l4=UDPHeader())
+        assert matcher.match(packet) is None
+        assert matcher._verdicts == {}
+        assert classified == []
+
+    def test_a_full_memo_starts_over(self, monkeypatch):
+        """At its bound the memo is cleared, and the next flows are
+        classified afresh with the same verdicts."""
+        monkeypatch.setattr(firewall, "_MEMO_LIMIT", 3)
+        classified = self.counted_classifications(monkeypatch)
+        rules = generate_acl(50, seed=2, deny_fraction=0.4)
+        matcher = TupleSpaceMatcher(rules)
+        packets = [packet_for("10.0.0.%d" % host, "10.1.0.1")
+                   for host in range(5)]
+        sizes = []
+        for packet in packets + packets:
+            assert matcher.match(packet) is linear_match(rules, packet)
+            sizes.append(len(matcher._verdicts))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2, 3, 1]
+        assert len(classified) == 10
+
 
 def addresses_in(prefix):
     base, length = prefix
@@ -119,14 +177,9 @@ def classified_packets(draw, rules):
                   l4=l4)
 
 
-@given(data=st.data(), seed=st.integers(min_value=0, max_value=20),
-       catch_all=st.booleans(),
-       order=st.sampled_from(["generated", "shuffled", "tied"]))
-@settings(max_examples=150, deadline=None)
-def test_matchers_agree(data, seed, catch_all, order):
-    """Tuple-space search implements exactly first-match semantics in
-    ascending priority, list position breaking ties, on rules in any
-    order."""
+def rule_list(seed, catch_all, order):
+    """60 generated rules, with or without the catch-all, in generated
+    order, shuffled, or shuffled with every third priority tied."""
     rules = generate_acl(60, seed=seed, deny_fraction=0.4)
     if not catch_all:
         rules = rules[:-1]
@@ -136,9 +189,90 @@ def test_matchers_agree(data, seed, catch_all, order):
         rules = [dataclasses.replace(rule, priority=rule.priority // 3)
                  for rule in rules]
         random.Random(seed).shuffle(rules)
+    return rules
+
+
+def with_host_bits(rules, seed):
+    """``rules`` with random bits set below each prefix length: the
+    same prefixes, spelled with host bits."""
+    rng = random.Random(seed)
+
+    def noisy(prefix):
+        base, length = prefix
+        return base | rng.getrandbits(32 - length), length
+
+    return [dataclasses.replace(rule, src_prefix=noisy(rule.src_prefix),
+                                dst_prefix=noisy(rule.dst_prefix))
+            for rule in rules]
+
+
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=20),
+       catch_all=st.booleans(),
+       order=st.sampled_from(["generated", "shuffled", "tied"]))
+@settings(max_examples=150, deadline=None)
+def test_matchers_agree(data, seed, catch_all, order):
+    """Tuple-space search implements exactly first-match semantics in
+    ascending priority, list position breaking ties, on rules in any
+    order."""
+    rules = rule_list(seed, catch_all, order)
     packet = data.draw(classified_packets(rules))
     assert TupleSpaceMatcher(rules).match(packet) is \
         linear_match(rules, packet)
+
+
+@st.composite
+def neighbours(draw, flows):
+    """One of ``flows`` with one of its 5 classified fields drawn anew:
+    a memo keyed on fewer fields would answer it with the other's
+    verdict."""
+    packet = draw(st.sampled_from(flows)).clone()
+    if not packet.is_ipv4:
+        return packet
+    field = draw(st.sampled_from(("src", "dst", "proto", "sport", "dport")))
+    if field in ("src", "dst"):
+        setattr(packet.ip, field,
+                int_to_ipv4(draw(st.integers(0, 0xFFFFFFFF))))
+    elif field == "proto":
+        packet.ip.protocol = draw(st.sampled_from(
+            (IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ESP)))
+    elif packet.l4 is not None:
+        setattr(packet.l4, "src_port" if field == "sport" else "dst_port",
+                draw(st.integers(0, 65535)))
+    return packet
+
+
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=20),
+       catch_all=st.booleans(),
+       order=st.sampled_from(["generated", "shuffled", "tied"]),
+       host_bits=st.booleans(),
+       limit=st.sampled_from([1, 2, 5, firewall._MEMO_LIMIT]))
+@settings(max_examples=100, deadline=None)
+def test_the_memo_keeps_first_match_semantics(data, seed, catch_all, order,
+                                              host_bits, limit):
+    """On a stream that repeats 5-tuples and their one-field
+    neighbours, IPv6 and L4-less packets included, the matcher and a
+    clone sharing its memo answer every packet with the reference's
+    rule, before and after the memo fills to its bound and starts
+    over."""
+    rules = rule_list(seed, catch_all, order)
+    if host_bits:
+        rules = with_host_bits(rules, seed)
+    flows = data.draw(st.lists(classified_packets(rules), min_size=1,
+                               max_size=6))
+    flows += data.draw(st.lists(neighbours(flows), max_size=6))
+    stream = data.draw(st.lists(st.sampled_from(flows), min_size=1,
+                                max_size=24))
+    matcher = TupleSpaceMatcher(rules)
+    clone = copy.deepcopy(matcher)
+    assert clone._verdicts is matcher._verdicts
+    with mock.patch.object(firewall, "_MEMO_LIMIT", limit):
+        for index, packet in enumerate(stream):
+            expected = linear_match(rules, packet)
+            first, second = ((matcher, clone) if index % 2
+                             else (clone, matcher))
+            assert first.match(packet) is expected
+            assert second.match(packet) is expected
+            assert len(matcher._verdicts) <= limit
 
 
 class TestOneMatchOrder:

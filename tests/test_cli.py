@@ -101,8 +101,9 @@ class TestRun:
         assert "ElementGraph" in out
         assert "Gbps" in out
 
+    # ``--packet-size 0`` used to mean IMIX, deploy's default.
     BAD_TRAFFIC = [("--load", "nan"), ("--load", "0"),
-                   ("--packet-size", "10")]
+                   ("--packet-size", "10"), ("--packet-size", "0")]
 
     @pytest.mark.parametrize("flag,value", BAD_TRAFFIC)
     def test_deploy_rejects_bad_traffic(self, flag, value, capsys):
@@ -324,6 +325,28 @@ class TestValidate:
                      "--partition-nodes", nodes]) == 2
         assert f"--partition-nodes {nodes} is below" in \
             capsys.readouterr().err
+
+    CHECKS_NOTHING = [("--packets", "0"), ("--packets", "-5"),
+                      ("--max-len", "1"), ("--max-len", "0"),
+                      ("--chains", "-1"), ("--partition-graphs", "-2"),
+                      ("--engine-runs", "-1")]
+
+    @pytest.mark.parametrize("flag,value", CHECKS_NOTHING)
+    def test_validate_rejects_a_check_of_nothing(self, flag, value,
+                                                 capsys):
+        """These used to run nothing in their stage, or draw 2-NF
+        chains for a ``--max-len`` below 2, and report every check
+        passed."""
+        assert main(["validate", "--chains", "1", "--partition-graphs",
+                     "0", "--engine-runs", "0", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "all checks passed" not in captured.out
+
+    def test_validate_zero_skips_a_stage(self, capsys):
+        assert main(["validate", "--chains", "0", "--partition-graphs",
+                     "0", "--engine-runs", "0"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_validate_accepts_the_partition_node_floor(self, capsys):
         assert main(["validate", "--chains", "0",

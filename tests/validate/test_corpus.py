@@ -141,6 +141,18 @@ def test_non_positive_knob_rejected(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("max_len", [1, 0])
+def test_max_len_below_two_rejected(tmp_path, max_len):
+    """A random chain has at least 2 NFs: such an entry would replay
+    chains its ``max_len`` does not describe."""
+    path = write_corpus(tmp_path, {
+        "version": 1,
+        "entries": [valid_entry(max_len=max_len)],
+    })
+    with pytest.raises(CorpusFormatError, match="max_len"):
+        load_corpus(path)
+
+
 def test_negative_seed_rejected(tmp_path):
     path = write_corpus(tmp_path, {
         "version": 1,

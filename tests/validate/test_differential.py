@@ -100,6 +100,17 @@ class TestRunDifferential:
         )
         assert report.ok, report.summary()
 
+    @pytest.mark.parametrize("packet_count", [0, -5])
+    def test_an_empty_trace_rejected(self, packet_count):
+        """An empty trace compares nothing; it used to report
+        EQUIVALENT."""
+        with pytest.raises(ValueError, match="packet_count must be at "
+                                             "least 1"):
+            run_differential(ChainSpec(nf_types=("firewall", "lb"),
+                                       name="t"),
+                             packet_count=packet_count,
+                             with_partition=False)
+
     def test_unsafe_reorder_detected(self):
         """Injected hazard-rule violation: parallelize an IDS (dropper)
         with a downstream NAT (stateful).  NAT port allocation diverges

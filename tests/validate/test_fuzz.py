@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.validate.fuzz import (
     DEFAULT_NF_POOL,
     random_chain_spec,
@@ -28,6 +30,19 @@ def test_chain_spec_bounds_and_pool():
         assert 2 <= len(spec.nf_types) <= 4
         assert all(t in DEFAULT_NF_POOL for t in spec.nf_types)
     assert "ipv6" not in DEFAULT_NF_POOL
+
+
+@pytest.mark.parametrize("max_len", [1, 0, -3])
+def test_chain_spec_below_two_nfs_rejected(max_len):
+    """A ``max_len`` below 2 used to draw 2-NF chains silently."""
+    with pytest.raises(ValueError, match=f"max_len {max_len} is below"):
+        random_chain_spec(random.Random(0), max_len=max_len)
+
+
+def test_chain_spec_at_two_nfs():
+    rng = random.Random(0)
+    assert all(len(random_chain_spec(rng, max_len=2).nf_types) == 2
+               for _ in range(10))
 
 
 def test_traffic_spec_is_ipv4():
