@@ -31,15 +31,20 @@ IPPROTO_UDP = 17
 IPPROTO_ESP = 50
 
 _packet_ids = itertools.count()
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 @functools.lru_cache(maxsize=256)
 def mac_to_bytes(mac: str) -> bytes:
-    """Convert ``"aa:bb:cc:dd:ee:ff"`` to 6 raw bytes."""
+    """Convert ``"aa:bb:cc:dd:ee:ff"`` (1-2 hex digits each) to 6 bytes."""
     parts = mac.split(":")
     if len(parts) != 6:
         raise ValueError(f"malformed MAC address: {mac!r}")
-    return bytes(int(p, 16) for p in parts)
+    raw = bytes(int(p, 16) for p in parts)
+    # After int(), which also reads a sign, "0x", "_" and spaces.
+    if not all(len(p) <= 2 and _HEX_DIGITS.issuperset(p) for p in parts):
+        raise ValueError(f"malformed MAC address: {mac!r}")
+    return raw
 
 
 def bytes_to_mac(raw: bytes) -> str:
@@ -51,7 +56,7 @@ def bytes_to_mac(raw: bytes) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def ipv4_to_int(addr: str) -> int:
-    """Convert dotted-quad IPv4 text to a 32-bit integer."""
+    """Convert dotted-quad IPv4 text (1-3 ASCII digits each) to an int."""
     parts = addr.split(".")
     if len(parts) != 4:
         raise ValueError(f"malformed IPv4 address: {addr!r}")
@@ -61,6 +66,9 @@ def ipv4_to_int(addr: str) -> int:
         if not 0 <= octet <= 255:
             raise ValueError(f"malformed IPv4 address: {addr!r}")
         value = (value << 8) | octet
+    # After int(), which also reads a sign, "_", spaces, other digits.
+    if not all(len(p) <= 3 and p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"malformed IPv4 address: {addr!r}")
     return value
 
 

@@ -1,16 +1,17 @@
-"""IPv4 forwarding: longest-prefix-match trie and the forwarder NF.
+"""IPv4 forwarding: the longest-prefix-match FIB and the forwarder NF.
 
 The paper describes IPv4 lookup as a two-memory-access operation over
-a forwarding table; we implement a classic binary trie with
-longest-prefix-match semantics, the functional reference.  The cost
+a forwarding table; the functional reference here keeps one hash
+table per occupied prefix length and probes the lengths longest
+first, so the first hit is the longest matching prefix.  The cost
 model prices a lookup from the table's prefix count
-(:meth:`IPv4Lookup.cost_hints`), not from the nodes a lookup touched.
+(:meth:`IPv4Lookup.cost_hints`), not from the tables a lookup probed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.elements.element import ActionProfile, TrafficClass
 from repro.elements.graph import ElementGraph
@@ -22,34 +23,27 @@ from repro.nf.base import NetworkFunction
 from repro.traffic.rng import _below
 
 
-#: The (length, mask) draws of :meth:`LPMTrie.random_table`: one /8,
-#: two /16s, three /24s and one /32 in seven.
-_RANDOM_PREFIXES = tuple((length, ~((1 << (32 - length)) - 1) & 0xFFFFFFFF)
-                         for length in (8, 16, 16, 24, 24, 24, 32))
-
-
-class _TrieNode:
-    __slots__ = ("children", "next_hop")
-
-    def __init__(self):
-        self.children: List[Optional["_TrieNode"]] = [None, None]
-        self.next_hop: Optional[int] = None
+#: The lengths :meth:`LPMTrie.random_table` draws: one /8, two /16s,
+#: three /24s and one /32 in seven.
+_RANDOM_LENGTHS = (8, 16, 16, 24, 24, 24, 32)
 
 
 class LPMTrie:
-    """Binary trie with longest-prefix-match lookup.
+    """Longest-prefix-match FIB: one hash table per prefix length.
 
-    ``insert`` takes a (prefix value, prefix length) pair and a
-    next-hop id; ``lookup`` walks at most 32 levels and remembers the
-    deepest next hop seen.  ``lookup_with_depth`` also reports how many
-    nodes were touched (the tests pin it); the cost model prices a
-    lookup from ``prefix_count`` instead.
+    ``_tables[L]`` maps ``prefix >> (32 - L)`` (host bits dropped) to
+    the next hop, and ``lookup`` walks ``_probes``, the (32 - L, table)
+    pairs of the occupied lengths, longest first, and returns the first
+    hit: the answers of the binary trie whose name it keeps.  The
+    tables hold only ints, which the cyclic garbage collector does not
+    track.
 
-    Clones of an element share its trie: lookups only read it.
+    Clones of an element share its table: lookups only read it.
     """
 
     def __init__(self):
-        self._root = _TrieNode()
+        self._tables: Dict[int, Dict[int, int]] = {}
+        self._probes: Tuple[Tuple[int, Dict[int, int]], ...] = ()
         self.prefix_count = 0
 
     def __deepcopy__(self, memo) -> "LPMTrie":
@@ -58,52 +52,46 @@ class LPMTrie:
     def insert(self, prefix: int, length: int, next_hop: int) -> None:
         if not 0 <= length <= 32:
             raise ValueError("IPv4 prefix length must be in [0, 32]")
-        node = self._root
-        for level in range(31, 31 - length, -1):
-            children = node.children
-            bit = (prefix >> level) & 1
-            child = children[bit]
-            if child is None:
-                child = children[bit] = _TrieNode()
-            node = child
-        if node.next_hop is None:
+        if not 0 <= prefix <= 0xFFFFFFFF:
+            raise ValueError(f"IPv4 prefix {prefix} outside [0, 2**32)")
+        if not isinstance(next_hop, int):
+            raise TypeError(f"next hop must be an int, not {next_hop!r}")
+        table = self._tables.get(length)
+        if table is None:
+            table = self._tables[length] = {}
+            self._probes = tuple((32 - n, self._tables[n])
+                                 for n in sorted(self._tables, reverse=True))
+        key = prefix >> (32 - length)
+        if key not in table:
             self.prefix_count += 1
-        node.next_hop = next_hop
+        table[key] = next_hop
 
     def lookup(self, address: int) -> Optional[int]:
-        next_hop, _depth = self.lookup_with_depth(address)
-        return next_hop
-
-    def lookup_with_depth(self, address: int) -> Tuple[Optional[int], int]:
-        node = self._root
-        best = node.next_hop
-        depth = 0
-        for level in range(32):
-            bit = (address >> (31 - level)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            depth += 1
-            if node.next_hop is not None:
-                best = node.next_hop
-        return best, depth
+        if not 0 <= address <= 0xFFFFFFFF:
+            raise ValueError(f"IPv4 address {address} outside [0, 2**32)")
+        for shift, table in self._probes:
+            next_hop = table.get(address >> shift)
+            if next_hop is not None:
+                return next_hop
+        return None
 
     @classmethod
     def random_table(cls, prefix_count: int = 1024, seed: int = 3,
                      next_hops: int = 16) -> "LPMTrie":
         """Build a reproducible synthetic FIB with a default route.
 
-        Each prefix draws its length, its bits and its next hop, in
-        that order.
+        Each prefix draws its length, its 32 bits (host bits included)
+        and its next hop, in that order.
         """
+        if not prefix_count >= 1:
+            raise ValueError("prefix_count must be at least 1")
         bits = random.Random(seed).getrandbits
-        trie = cls()
-        trie.insert(0, 0, 0)  # default route
-        while trie.prefix_count < prefix_count:
-            length, mask = _RANDOM_PREFIXES[_below(bits, 7)]
-            trie.insert(bits(32) & mask, length, _below(bits, next_hops))
-        return trie
+        table = cls()
+        table.insert(0, 0, 0)  # default route
+        while table.prefix_count < prefix_count:
+            length = _RANDOM_LENGTHS[_below(bits, 7)]
+            table.insert(bits(32), length, _below(bits, next_hops))
+        return table
 
 
 class IPv4Lookup(OffloadableElement):
@@ -145,8 +133,7 @@ class IPv4Lookup(OffloadableElement):
         for packet in batch.live_packets:
             if not packet.is_ipv4:
                 continue
-            address = ipv4_to_int(packet.ip.dst)
-            next_hop = self.table.lookup(address)
+            next_hop = self.table.lookup(ipv4_to_int(packet.ip.dst))
             if next_hop is None:
                 packet.mark_dropped("no route")
                 continue

@@ -52,6 +52,8 @@ class HashedPrefixTable:
     def insert(self, prefix: int, length: int, next_hop: int) -> None:
         if not 0 <= length <= 128:
             raise ValueError("IPv6 prefix length must be in [0, 128]")
+        if not 0 <= prefix < 1 << length:
+            raise ValueError(f"IPv6 prefix {prefix} outside [0, 2**{length})")
         table = self._real.setdefault(length, {})
         if prefix not in table:
             self.prefix_count += 1
@@ -125,6 +127,8 @@ class HashedPrefixTable:
     def random_table(cls, prefix_count: int = 1024, seed: int = 5,
                      next_hops: int = 16) -> "HashedPrefixTable":
         """Reproducible synthetic IPv6 FIB with a default route."""
+        if not prefix_count >= 1:
+            raise ValueError("prefix_count must be at least 1")
         rng = random.Random(seed)
         table = cls()
         table.insert(0, 0, 0)

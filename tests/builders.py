@@ -803,9 +803,10 @@ def assert_merges_match(original: bytes, outputs, names) -> tuple:
     return got
 
 
-def fib_nodes(trie: LPMTrie) -> List[Tuple[str, Optional[int]]]:
-    """Every node of ``trie`` in preorder, the 0 branch first: its
-    path from the root as a bit string, and its next hop."""
+def fib_nodes(trie: input_reference.ReferenceTrie
+              ) -> List[Tuple[str, Optional[int]]]:
+    """Every node of the frozen ``trie`` in preorder, the 0 branch
+    first: its path from the root as a bit string, and its next hop."""
     nodes = []
     stack = [("", trie._root)]
     while stack:
@@ -816,6 +817,56 @@ def fib_nodes(trie: LPMTrie) -> List[Tuple[str, Optional[int]]]:
             if child is not None:
                 stack.append((path + str(bit), child))
     return nodes
+
+
+def fib_entries(table: LPMTrie) -> List[Tuple[int, int, int]]:
+    """Every route of ``table`` as (length, key, next hop), sorted: the
+    entries of its per-length tables."""
+    return sorted((length, key, next_hop)
+                  for length, entries in table._tables.items()
+                  for key, next_hop in entries.items())
+
+
+def trie_entries(trie: input_reference.ReferenceTrie
+                 ) -> List[Tuple[int, int, int]]:
+    """The routes of the frozen ``trie`` in :func:`fib_entries`'s form:
+    each node that carries a next hop, with its depth as the length and
+    its path as the key."""
+    return sorted((len(path), int(path, 2) if path else 0, next_hop)
+                  for path, next_hop in fib_nodes(trie)
+                  if next_hop is not None)
+
+
+def route_probes(entries: Iterable[Tuple[int, int, int]],
+                 seed: int = 0) -> List[int]:
+    """For each (length, key, next hop) route: the first and the last
+    address it covers, one address inside it drawn from ``seed``, and
+    the addresses just below and above it."""
+    rng = random.Random(seed)
+    addresses = []
+    for length, key, _next_hop in entries:
+        host_bits = 32 - length
+        first = key << host_bits
+        last = first | ((1 << host_bits) - 1)
+        addresses += [first, last, first | rng.getrandbits(host_bits)]
+        if first > 0:
+            addresses.append(first - 1)
+        if last < 0xFFFFFFFF:
+            addresses.append(last + 1)
+    return addresses
+
+
+def assert_table_matches_trie(table: LPMTrie,
+                              trie: input_reference.ReferenceTrie,
+                              addresses: Iterable[int] = ()) -> None:
+    """``table`` holds the frozen ``trie``'s routes and prefix count,
+    and answers as the trie's walk at every :func:`route_probes`
+    address and at ``addresses``."""
+    entries = trie_entries(trie)
+    assert fib_entries(table) == entries
+    assert table.prefix_count == trie.prefix_count
+    for address in route_probes(entries) + list(addresses):
+        assert table.lookup(address) == trie.lookup(address), hex(address)
 
 
 def filled_tables(rules):
@@ -874,13 +925,14 @@ def assert_acl_matches(rule_count: int, seed: int,
 
 def assert_fib_matches(prefix_count: int, seed: int,
                        next_hops: int) -> None:
-    """``LPMTrie.random_table`` builds the frozen builder's trie, node
-    by node, and counts the same prefixes."""
-    trie = LPMTrie.random_table(prefix_count, seed=seed, next_hops=next_hops)
+    """``LPMTrie.random_table`` holds the routes of the frozen
+    builder's trie, counts the same prefixes and answers the same
+    lookups (:func:`assert_table_matches_trie`)."""
+    table = LPMTrie.random_table(prefix_count, seed=seed,
+                                 next_hops=next_hops)
     want = input_reference.random_table(prefix_count, seed=seed,
                                         next_hops=next_hops)
-    assert fib_nodes(trie) == fib_nodes(want)
-    assert trie.prefix_count == want.prefix_count
+    assert_table_matches_trie(table, want)
 
 
 def assert_traffic_matches(spec: TrafficSpec, count: int) -> None:

@@ -4,10 +4,14 @@ These are the ACL generator, the FIB builder, the traffic generator's
 flow table and payload draw, and the tuple-space table build as they
 were when every draw went through ``random.Random``'s ``randint``,
 ``choice`` and ``randrange`` and every table insert through
-``setdefault``.  The product builders draw the same Mersenne Twister
-words through :func:`repro.traffic.rng._below` and build their tables
-inline; they must produce the same rules, trie nodes, flows, payload
-bytes and bucket orders.
+``setdefault``.  The FIB is the binary trie the product kept before
+:class:`~repro.nf.ipv4.LPMTrie` became one hash table per prefix
+length: :class:`ReferenceTrie` and :func:`insert` are that trie's
+nodes, insert and longest-prefix walk.  The product builders draw the
+same Mersenne Twister words through :func:`repro.traffic.rng._below`
+and build their tables inline; they must produce the same rules,
+routes (the trie's nodes that carry a next hop), lookups, flows,
+payload bytes and bucket orders.
 
 It lives under ``tests/`` because nothing in the product runs it; it
 is the reference the product builders are checked against:
@@ -21,11 +25,10 @@ is the reference the product builders are checked against:
    sizes, seeds and specs from Hypothesis (``-m property``).
 
 Its value is being frozen: do not "fix" or speed it up.  It builds
-the product's :class:`~repro.traffic.acl.AclRule`,
-:class:`~repro.nf.ipv4.LPMTrie` and
+the product's :class:`~repro.traffic.acl.AclRule` and
 :class:`~repro.traffic.generator.TrafficGenerator` objects, so only
-the draws, the trie inserts and the table builds are its own.
-Product code must not import this module.
+the draws, the trie and the table builds are its own.  Product code
+must not import this module.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP, int_to_ipv4
-from repro.nf.ipv4 import LPMTrie, _TrieNode
 from repro.traffic.acl import CLASSBENCH_SEED_RANGES, AclRule
 from repro.traffic.generator import TrafficGenerator
 
@@ -134,7 +136,39 @@ def tuple_space_tables(rules: List[AclRule]
     return tables
 
 
-def insert(trie: LPMTrie, prefix: int, length: int, next_hop: int) -> None:
+class _TrieNode:
+    __slots__ = ("children", "next_hop")
+
+    def __init__(self):
+        self.children: List[Optional["_TrieNode"]] = [None, None]
+        self.next_hop: Optional[int] = None
+
+
+class ReferenceTrie:
+    """The binary trie :class:`repro.nf.ipv4.LPMTrie` used to be: a
+    node per prefix bit, and a lookup that walks at most 32 levels and
+    remembers the deepest next hop seen."""
+
+    def __init__(self):
+        self._root = _TrieNode()
+        self.prefix_count = 0
+
+    def lookup(self, address: int) -> Optional[int]:
+        node = self._root
+        best = node.next_hop
+        for level in range(32):
+            bit = (address >> (31 - level)) & 1
+            child = node.children[bit]
+            if child is None:
+                break
+            node = child
+            if node.next_hop is not None:
+                best = node.next_hop
+        return best
+
+
+def insert(trie: ReferenceTrie, prefix: int, length: int,
+           next_hop: int) -> None:
     """The reference :meth:`repro.nf.ipv4.LPMTrie.insert`."""
     if not 0 <= length <= 32:
         raise ValueError("IPv4 prefix length must be in [0, 32]")
@@ -150,10 +184,10 @@ def insert(trie: LPMTrie, prefix: int, length: int, next_hop: int) -> None:
 
 
 def random_table(prefix_count: int = 1024, seed: int = 3,
-                 next_hops: int = 16) -> LPMTrie:
+                 next_hops: int = 16) -> ReferenceTrie:
     """The reference :meth:`repro.nf.ipv4.LPMTrie.random_table`."""
     rng = random.Random(seed)
-    trie = LPMTrie()
+    trie = ReferenceTrie()
     insert(trie, 0, 0, 0)  # default route
     while trie.prefix_count < prefix_count:
         length = rng.choice((8, 16, 16, 24, 24, 24, 32))

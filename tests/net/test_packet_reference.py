@@ -3,10 +3,13 @@ frozen copies.
 
 ``tests/packet_reference.py`` keeps :func:`ipv4_to_int`,
 :func:`mac_to_bytes` and :func:`internet_checksum` as they were before
-the parsers remembered what they parsed.  Valid text must give the
-same value, malformed text the same exception type and message on
-every call (a cache must not remember a failure or turn it into a
-value), and any data, odd-length included, the same checksum.
+the parsers remembered what they parsed and refused non-canonical
+digit groups.  Valid text must give the same value, text they refused
+the same exception type and message on every call (a cache must not
+remember a failure or turn it into a value), and any data, odd-length
+included, the same checksum.  Text they read although it is no
+address (a sign, a space, an underscore, a base prefix, a non-ASCII
+digit) now raises ``ValueError``.
 """
 
 import random
@@ -41,6 +44,29 @@ MALFORMED_MAC = [
 ]
 
 
+#: Text ``int()`` reads as a number but that is no address: the frozen
+#: parsers returned a value for each, the product raises.
+NON_CANONICAL_IPV4 = [
+    "1_0.0.0.1",        # underscore
+    " 10.0.0.1",        # leading space
+    "10.0.0.1\n",       # trailing newline
+    "+10.0.0.1",        # sign
+    "-0.0.0.1",         # minus zero
+    "\u0661.0.0.1",     # an Arabic-Indic digit one
+    "\uff10.0.0.1",     # a full-width digit zero
+    "0010.0.0.1",       # four digits
+]
+NON_CANONICAL_MAC = [
+    "0x0a:00:00:00:00:01",  # base prefix
+    "0_a:00:00:00:00:01",   # underscore
+    " a:00:00:00:00:01",    # leading space
+    "+a:00:00:00:00:01",    # sign
+    "-0:00:00:00:00:01",    # minus zero
+    "00a:00:00:00:00:01",   # three digits
+    "\uff10a:00:00:00:00:01",  # a full-width digit zero
+]
+
+
 def outcome(function, text):
     """``function(text)``'s value, or its exception's type and
     message."""
@@ -64,6 +90,29 @@ def test_malformed_mac_raises_as_before(text):
     assert expected[0] is ValueError
     for _ in range(3):
         assert outcome(mac_to_bytes, text) == expected
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_IPV4)
+def test_non_canonical_ipv4_rejected(text):
+    assert outcome(reference.ipv4_to_int, text)[0] == "value"
+    for _ in range(3):
+        assert outcome(ipv4_to_int, text) == \
+            (ValueError, f"malformed IPv4 address: {text!r}")
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_MAC)
+def test_non_canonical_mac_rejected(text):
+    assert outcome(reference.mac_to_bytes, text)[0] == "value"
+    for _ in range(3):
+        assert outcome(mac_to_bytes, text) == \
+            (ValueError, f"malformed MAC address: {text!r}")
+
+
+def test_canonical_spellings_parse():
+    assert ipv4_to_int("0.0.0.0") == 0
+    assert ipv4_to_int("255.255.255.255") == 0xFFFFFFFF
+    assert ipv4_to_int("010.001.0.9") == 0x0A010009
+    assert mac_to_bytes("a:B:0:ff:0F:1") == bytes([10, 11, 0, 255, 15, 1])
 
 
 def test_random_addresses_parse_as_before():

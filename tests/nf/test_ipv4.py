@@ -1,5 +1,7 @@
 """Unit and property tests for the IPv4 forwarder."""
 
+import gc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,12 +47,54 @@ class TestLPMTrie:
         assert trie.prefix_count == 1
         assert trie.lookup(ipv4_to_int("10.5.5.5")) == 2
 
-    def test_lookup_with_depth(self):
+    def test_host_bits_ignored(self):
+        trie = LPMTrie()
+        trie.insert(ipv4_to_int("10.1.2.3"), 16, 4)
+        trie.insert(ipv4_to_int("10.1.9.9"), 16, 5)
+        assert trie.prefix_count == 1
+        assert trie.lookup(ipv4_to_int("10.1.255.255")) == 5
+        assert trie.lookup(ipv4_to_int("10.2.0.0")) is None
+
+    @pytest.mark.parametrize("prefix", [-1, 1 << 32, 1 << 40])
+    def test_prefix_outside_32_bits_rejected(self, prefix):
+        trie = LPMTrie()
+        with pytest.raises(ValueError, match="outside"):
+            trie.insert(prefix, 8, 5)
+        assert trie.prefix_count == 0
+        assert trie.lookup(ipv4_to_int("255.0.0.1")) is None
+
+    @pytest.mark.parametrize("next_hop", [None, 1.0, "3"])
+    def test_non_int_next_hop_rejected(self, next_hop):
         trie = LPMTrie()
         trie.insert(ipv4_to_int("10.0.0.0"), 8, 1)
-        hop, depth = trie.lookup_with_depth(ipv4_to_int("10.0.0.1"))
-        assert hop == 1
-        assert depth >= 8
+        with pytest.raises(TypeError, match="next hop must be an int"):
+            trie.insert(ipv4_to_int("10.0.0.0"), 8, next_hop)
+        assert trie.prefix_count == 1
+        assert trie.lookup(ipv4_to_int("10.5.5.5")) == 1
+
+    @pytest.mark.parametrize("address", [-1, 1 << 32, (1 << 40) | 1])
+    def test_address_outside_32_bits_rejected(self, address):
+        trie = LPMTrie()
+        trie.insert(0, 0, 1)
+        with pytest.raises(ValueError, match="outside"):
+            trie.lookup(address)
+
+    @pytest.mark.parametrize("prefix_count", [0, -5])
+    def test_random_table_without_prefixes_rejected(self, prefix_count):
+        with pytest.raises(ValueError, match="prefix_count must be at least"):
+            LPMTrie.random_table(prefix_count=prefix_count)
+
+    def test_random_table_adds_no_collector_objects(self):
+        """The routes are ints in per-length dicts, which the cyclic
+        collector does not track: building the default FIB adds a
+        handful of tracked objects, not one per trie node."""
+        gc.collect()
+        before = len(gc.get_objects())
+        table = LPMTrie.random_table()
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added < 100
+        assert table.prefix_count == 1024
 
     def test_random_table_reproducible(self):
         a = LPMTrie.random_table(prefix_count=100, seed=1)

@@ -49,6 +49,24 @@ class TestHashedPrefixTable:
         with pytest.raises(ValueError):
             HashedPrefixTable().insert(0, 129, 1)
 
+    @pytest.mark.parametrize("prefix,length", [
+        (1 << 70, 64), (1 << 64, 64), (-1, 64), (1, 0), (1 << 128, 128)])
+    def test_prefix_outside_its_length_rejected(self, prefix, length):
+        table = HashedPrefixTable()
+        with pytest.raises(ValueError, match="outside"):
+            table.insert(prefix, length, 7)
+        assert table.prefix_count == 0
+
+    def test_prefix_at_its_width_accepted(self):
+        table = HashedPrefixTable()
+        table.insert((1 << 64) - 1, 64, 7)
+        assert table.lookup(((1 << 64) - 1) << 64) == 7
+
+    @pytest.mark.parametrize("prefix_count", [0, -5])
+    def test_random_table_without_prefixes_rejected(self, prefix_count):
+        with pytest.raises(ValueError, match="prefix_count must be at least"):
+            HashedPrefixTable.random_table(prefix_count=prefix_count)
+
     def test_random_table_reproducible(self):
         a = HashedPrefixTable.random_table(prefix_count=80, seed=4)
         b = HashedPrefixTable.random_table(prefix_count=80, seed=4)

@@ -159,6 +159,8 @@ class TestRun:
         "unknown-keyword": "c :: Counter(bogus=1);",
         "regex-rules": "m :: PatternMatch(regexes=evil);",
         "linear-matcher": "fw :: AclClassify(rules=50, matcher=linear);",
+        "fib-without-prefixes": "r :: IPv4Lookup(prefixes=0);",
+        "fib6-without-prefixes": "r :: IPv6Lookup(prefixes=0);",
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))

@@ -3,12 +3,13 @@
 ``tests/input_reference.py`` keeps the ACL generator, the FIB builder,
 the traffic generator's flow table and payload draw and the
 tuple-space table build as they were when every draw went through
-``randint``, ``choice`` and ``randrange``.  The product builders must
-consume the random stream exactly as they did: this module replays a
-seeded corpus through both and compares rules, tuple-space tables
-(tuple, key and candidate order, on shuffled rule lists too), FIB
-nodes and traffic with ``==``, and pins digests of the inputs the
-benchmark workloads build.  The Hypothesis twin in
+``randint``, ``choice`` and ``randrange``, and the FIB as the binary
+trie it was.  The product builders must consume the random stream
+exactly as they did: this module replays a seeded corpus through both
+and compares rules, tuple-space tables (tuple, key and candidate
+order, on shuffled rule lists too), FIB routes and lookups and
+traffic with ``==``, and pins digests of the inputs the benchmark
+workloads build.  The Hypothesis twin in
 ``tests/properties/test_input_properties.py`` draws further cases.
 """
 
@@ -17,11 +18,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import input_reference
 import pytest
 from builders import (
     assert_acl_matches,
     assert_fib_matches,
     assert_traffic_matches,
+    fib_entries,
     fib_nodes,
 )
 
@@ -37,10 +40,18 @@ from repro.traffic.generator import TrafficSpec
 #: while ``generate_acl`` drew through ``randint`` and ``choice``.
 ACL_10K = \
     "ec8b8f75ac7989ce8e464aee6dbd26e31e643f8f02f60b5f290dfa54b86d0e6c"
-#: ``canonical_fingerprint`` of ``fib_nodes(LPMTrie.random_table())``,
-#: the FIB every Fig. 17 cell and default router builds.
+#: ``canonical_fingerprint`` of the frozen builder's default trie,
+#: ``fib_nodes(input_reference.random_table())``: the FIB every
+#: Fig. 17 cell and default router builds, recorded while the product
+#: built that trie itself.
 DEFAULT_FIB = \
     "700680f8715554f03cdbf8c402831251d034f48aa9a869bce81180be6283998b"
+#: ``canonical_fingerprint`` of ``fib_entries(LPMTrie.random_table())``,
+#: the same FIB's 1,024 (length, key, next hop) routes, recorded from
+#: the trie's nodes that carry a next hop before the product became
+#: one hash table per prefix length.
+DEFAULT_FIB_ROUTES = \
+    "0a445c6d44c7737038436c3bee0c6541c77ca9f210129d0fa46b61a19692abd3"
 #: ``canonical_fingerprint`` of the wire bytes of the 5-NF deploy's
 #: 256-packet profiling sample (256 B packets, seed 0).
 FIVE_NF_SAMPLE = \
@@ -90,8 +101,12 @@ class TestDigestPins:
         assert canonical_fingerprint(rules) == ACL_10K
 
     def test_default_fib(self):
-        assert canonical_fingerprint(fib_nodes(LPMTrie.random_table())) \
-            == DEFAULT_FIB
+        assert canonical_fingerprint(
+            fib_nodes(input_reference.random_table())) == DEFAULT_FIB
+
+    def test_default_fib_routes(self):
+        assert canonical_fingerprint(fib_entries(LPMTrie.random_table())) \
+            == DEFAULT_FIB_ROUTES
 
     def test_five_nf_sample(self):
         spec = TrafficSpec(size_law=FixedSize(256), offered_gbps=40.0,
